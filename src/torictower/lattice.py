@@ -5,6 +5,10 @@ rational data uses fractions.Fraction, and there is no floating point
 anywhere.  Cones are stored by generators; the supporting-halfspace
 description (facet normals plus equations) is derived on demand by a
 double description pass and memoized.
+
+A face of a canonical cone is determined by its generators, so faces are
+int bitmasks over the generator index (intersections of facet masks), and
+containment between faces is subset inclusion, with no geometric test.
 """
 
 from __future__ import annotations
@@ -437,7 +441,7 @@ class Cone:
     non-canonical cones can be constructed directly for validation.
     """
 
-    __slots__ = ("ambient_dim", "generators", "_halfspaces")
+    __slots__ = ("ambient_dim", "generators", "_halfspaces", "_facet_masks")
 
     def __init__(self, ambient_dim, generators=()):
         self.ambient_dim = int(ambient_dim)
@@ -449,10 +453,7 @@ class Cone:
                 )
         self.generators = gens
         self._halfspaces = None
-
-    @classmethod
-    def _from_canonical(cls, ambient_dim, generators):
-        return cls(ambient_dim, generators)
+        self._facet_masks = None
 
     @classmethod
     def generated_by(cls, vectors, ambient_dim=None):
@@ -514,28 +515,51 @@ class Cone:
         rows = tuple(normals) + tuple(equations)
         return rank_int(rows) == self.ambient_dim
 
+    def facet_masks(self):
+        """Per facet normal, the bitmask of the generators tight on it (memoized)."""
+        if self._facet_masks is None:
+            normals, _ = self.halfspaces()
+            self._facet_masks = tuple(
+                sum(1 << i for i, g in enumerate(self.generators) if dot(nrm, g) == 0)
+                for nrm in normals
+            )
+        return self._facet_masks
+
     def faces(self):
         """All faces (itself and the zero cone included), canonical, deterministic.
 
-        Assumes the generators are the extreme rays, as for every cone this
-        module constructs.
+        Faces are generator bitmasks, ordered by (size, index tuple).  Assumes
+        the generators are the extreme rays, as for every cone this module
+        constructs.
         """
-        normals, _ = self.halfspaces()
         rays = self.generators
-        full = frozenset(range(len(rays)))
-        seen = {full}
-        queue = [full]
-        while queue:
-            cur = queue.pop()
-            for nrm in normals:
-                sub = frozenset(i for i in cur if dot(nrm, rays[i]) == 0)
-                if sub not in seen:
-                    seen.add(sub)
-                    queue.append(sub)
-        out = []
-        for subset in sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))):
-            out.append(Cone._from_canonical(self.ambient_dim, tuple(sorted(rays[i] for i in subset))))
-        return out
+        subsets = sorted(
+            map(bit_indices, walk_faces((1 << len(rays)) - 1, self.facet_masks())),
+            key=lambda s: (len(s), s),
+        )
+        return [Cone(self.ambient_dim, tuple(sorted(rays[i] for i in s))) for s in subsets]
+
+
+def bit_indices(mask):
+    """The indices of the set bits of `mask`, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def walk_faces(top, facets, leaf=None):
+    """Face masks reached from `top` (included) by intersecting with the
+    facet masks `facets`, not descending below a face where `leaf` holds."""
+    seen = {top}
+    stack = [top]
+    while stack:
+        cur = stack.pop()
+        if leaf is not None and leaf(cur):
+            continue
+        for f in facets:
+            sub = cur & f
+            if sub not in seen:
+                seen.add(sub)
+                stack.append(sub)
+    return seen
 
 
 def dual_cone(c, max_dim=DEFAULT_MAX_DIM):
@@ -573,17 +597,21 @@ def is_face_of(small, big):
 
     `small` may list its extreme rays in any order; `big` must be canonical
     (generators are its extreme rays), as for every cone this module builds.
+    As a bitmask over `big`'s generators, `small` must be the intersection
+    of the facet masks containing it.
     """
     if small.ambient_dim != big.ambient_dim:
         return False
-    if not all(big.contains(g) for g in small.generators):
+    index = {g: 1 << i for i, g in enumerate(big.generators)}
+    bits = {index.get(g, 0) for g in small.generators}
+    if 0 in bits or len(bits) < len(small.generators):  # a missing or repeated ray
         return False
-    normals, _ = big.halfspaces()
-    tight = [nrm for nrm in normals if all(dot(nrm, g) == 0 for g in small.generators)]
-    face_rays = tuple(
-        sorted(r for r in big.generators if all(dot(nrm, r) == 0 for nrm in tight))
-    )
-    return face_rays == tuple(sorted(small.generators))
+    mask = sum(bits)
+    face = (1 << len(big.generators)) - 1
+    for f in big.facet_masks():
+        if mask & f == mask:
+            face &= f
+    return face == mask
 
 
 def intersect_cones(a, b):
@@ -673,12 +701,12 @@ class Fan:
 
 def orthant_fan(n):
     """Fan of affine n-space: the positive orthant and its faces."""
-    return Fan(n, (Cone._from_canonical(n, tuple(sorted(unit_vector(n, i) for i in range(n)))),))
+    return Fan(n, (Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n)))),))
 
 
 def torus_fan(n):
     """Fan of the n-torus: the zero cone only."""
-    return Fan(n, (Cone._from_canonical(n, ()),))
+    return Fan(n, (Cone(n, ()),))
 
 
 def projective_fan(n):
@@ -687,7 +715,7 @@ def projective_fan(n):
     cones = []
     for skip in range(n + 1):
         gens = tuple(sorted(r for i, r in enumerate(rays) if i != skip))
-        cones.append(Cone._from_canonical(n, gens))
+        cones.append(Cone(n, gens))
     return Fan(n, cones)
 
 
@@ -700,7 +728,7 @@ def product_fan(a, b):
     for ca in a.maximal_cones:
         for cb in b.maximal_cones:
             gens = [g + zero_b for g in ca.generators] + [zero_a + g for g in cb.generators]
-            cones.append(Cone._from_canonical(n, tuple(sorted(gens))))
+            cones.append(Cone(n, tuple(sorted(gens))))
     return Fan(n, cones)
 
 

@@ -18,6 +18,7 @@ from .lattice import (
     Cone,
     Fan,
     LatticeError,
+    bit_indices,
     dot,
     hnf,
     is_zero,
@@ -27,6 +28,7 @@ from .lattice import (
     solve_rational,
     unit_vector,
     vneg,
+    walk_faces,
 )
 
 Character = tuple  # exponent vector in the character lattice M
@@ -251,29 +253,35 @@ def log_discrepancy(fan, boundary, e):
 
 def regularity_subfan(fan, char):
     """The subfan where the character is regular: all cones sigma with
-    <m, u> >= 0 on every ray u of sigma."""
+    <m, u> >= 0 on every ray u of sigma, i.e. m in the dual of sigma.
+
+    Faces are bitmasks over fan.all_rays.  Each maximal cone's face lattice is
+    walked top-down, stopping at the first regular faces; the maximal ones are
+    kept.  Precondition: the maximal cones are canonical and form a fan, as
+    build_model guarantees, so containment between faces is ray-subset inclusion.
+    """
     char = tuple(char)
     if len(char) != fan.ambient_dim:
         raise LatticeError("character dimension does not match fan")
-    survivors = []
+    rays = fan.all_rays
+    index = {u: i for i, u in enumerate(rays)}
+    regular = sum(1 << i for i, u in enumerate(rays) if dot(char, u) >= 0)
+
+    def is_regular(mask):
+        return mask & regular == mask
+
+    found = set()
     for cone in fan.maximal_cones:
-        if all(dot(char, u) >= 0 for u in cone.generators):
-            survivors.append(cone)
+        bits = [1 << index[g] for g in cone.generators]
+        top = sum(bits)
+        if is_regular(top):
+            found.add(top)
             continue
-        for face in cone.faces():
-            if all(dot(char, u) >= 0 for u in face.generators):
-                survivors.append(face)
-    # keep the maximal survivors (all are canonical, so equality is structural)
-    survivors = list(dict.fromkeys(survivors))
-    keep = [
-        c
-        for c in survivors
-        if not any(
-            other != c and all(other.contains(g) for g in c.generators)
-            for other in survivors
-        )
-    ]
-    return Fan(fan.ambient_dim, keep)
+        facets = [sum(b for i, b in enumerate(bits) if f >> i & 1) for f in cone.facet_masks()]
+        found.update(filter(is_regular, walk_faces(top, facets, is_regular)))
+    keep = [a for a in found if not any(a != b and a & b == a for b in found)]
+    cones = [Cone(fan.ambient_dim, tuple(rays[i] for i in bit_indices(a))) for a in keep]
+    return Fan(fan.ambient_dim, cones)
 
 
 def star_subdivision(fan, v):

@@ -214,7 +214,7 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS):
             cones = []
             for cone in prev.maximal_cones:
                 gens = [g + (0,) for g in cone.generators] + [new_coord]
-                cones.append(Cone._from_canonical(n + 1, tuple(sorted(gens))))
+                cones.append(Cone(n + 1, tuple(sorted(gens))))
             fan = Fan(n + 1, cones)
         else:
             m = move.lattice_exponents()
@@ -225,7 +225,7 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS):
                 for u in cone.generators:
                     gens.add(u + (0,))
                     gens.add(u + (dot(m, u),))
-                cones.append(Cone._from_canonical(n + 1, tuple(sorted(gens))))
+                cones.append(Cone(n + 1, tuple(sorted(gens))))
             fan = Fan(n + 1, cones)
         if len(fan.all_rays) > max_rays:
             raise ResourceCapError(
@@ -486,7 +486,7 @@ def node_chart_dual_violations(model):
             if projected:
                 sigma = Cone.generated_by(projected, n_prev)
             else:
-                sigma = Cone._from_canonical(n_prev, ())
+                sigma = Cone(n_prev, ())
             sigma_dual = dual_cone(sigma)
             expected_gens = [g + (0,) for g in sigma_dual.generators]
             expected_gens.append(unit_vector(n_prev + 1, n_prev))

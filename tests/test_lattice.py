@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import faces_oracle, is_face_of_oracle, unimodular
 from torictower.lattice import (
     Cone,
     Fan,
@@ -12,8 +15,10 @@ from torictower.lattice import (
     fan_validate,
     hnf,
     identity_matrix,
+    is_face_of,
     is_unimodular,
     mat_mul,
+    mat_vec,
     orthant_fan,
     primitive,
     product_fan,
@@ -211,6 +216,74 @@ def test_cone_contains_against_fourier_motzkin():
             continue
         v = tuple(rng.randint(-6, 6) for _ in range(n))
         assert c.contains(v) == in_cone_fm(c.generators, v)
+
+
+# --- faces as ray bitmasks ---------------------------------------------
+
+
+def _sample_cones():
+    """Canonical cones in dimensions 1..4: the zero cone, non-pointed cones
+    (a half-plane, the whole plane, random ones) and random pointed ones."""
+    cones = [
+        Cone(3, ()),
+        Cone.generated_by([], 2),
+        Cone.generated_by([(1, 0), (-1, 0), (0, 1)]),
+        Cone.generated_by([(1, 0), (-1, 0), (0, 1), (0, -1)]),
+        Cone.generated_by([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 1, 1)]),
+    ]
+    rng = random.Random(20260811)
+    while len(cones) < 150:
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n + 3)
+        gens = []
+        while len(gens) < k:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(v):
+                gens.append(v)
+        cones.append(Cone.generated_by(gens, n))
+    return cones
+
+
+def test_faces_match_geometric_oracle():
+    cones = _sample_cones()
+    assert any(not c.is_strongly_convex() for c in cones)
+    for c in cones:
+        assert c.faces() == faces_oracle(c)
+
+
+def test_is_face_of_matches_geometric_oracle():
+    rng = random.Random(5)
+    outcomes = set()
+    for big in _sample_cones():
+        n = big.ambient_dim
+        gens = list(big.generators)
+        candidates = [Cone(n, ()), Cone(n + 1, ()), Cone(n, (tuple(rng.randint(-4, 4) for _ in range(n)),))]
+        for face in big.faces():
+            shuffled = list(face.generators)
+            rng.shuffle(shuffled)
+            candidates.append(Cone(n, shuffled))  # unsorted generators
+            if shuffled:
+                candidates.append(Cone(n, shuffled + [shuffled[0]]))  # a duplicate generator
+        for _ in range(6):  # random generator subsets, mostly non-faces
+            candidates.append(Cone(n, rng.sample(gens, rng.randint(0, len(gens)))))
+        for small in candidates:
+            got = is_face_of(small, big)
+            assert got == is_face_of_oracle(small, big), (small, big)
+            outcomes.add(got)
+    assert outcomes == {True, False}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_faces_commute_with_unimodular_change_of_coordinates(data):
+    n = data.draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    cone = Cone.generated_by(data.draw(st.lists(vector, min_size=1, max_size=n + 3)), n)
+    assume(cone.is_strongly_convex())
+    u, _ = data.draw(unimodular(n))
+    image = Cone.generated_by([mat_vec(u, g) for g in cone.generators], n)
+    expected = sorted(tuple(sorted(mat_vec(u, g) for g in f.generators)) for f in cone.faces())
+    assert sorted(f.generators for f in image.faces()) == expected
 
 
 # --- fans --------------------------------------------------------------

@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import regularity_subfan_oracle, unimodular
 from torictower.lattice import (
     Cone,
     Fan,
@@ -10,10 +13,12 @@ from torictower.lattice import (
     det_int,
     identity_matrix,
     is_zero,
+    mat_vec,
     orthant_fan,
     primitive,
     projective_fan,
     torus_fan,
+    transpose,
     vadd,
     vscale,
 )
@@ -32,7 +37,8 @@ from torictower.toric import (
     regularity_subfan,
     star_subdivision,
 )
-from torictower.verify import simplicial_log_discrepancy_oracle
+from torictower.tower import build_model
+from torictower.verify import random_towers, simplicial_log_discrepancy_oracle
 
 A2 = orthant_fan(2)
 P1 = projective_fan(1)
@@ -261,3 +267,35 @@ def test_regularity_subfan_drops_pole_locus():
 
 def test_regularity_subfan_trivial_character():
     assert regularity_subfan(A2, (0, 0)) == A2
+
+
+def _level_fans(count, seed):
+    return [level.fan for spec in random_towers(count, seed) for level in build_model(spec).levels]
+
+
+def test_regularity_subfan_matches_geometric_oracle():
+    rng = random.Random(20260812)
+    for fan in _level_fans(60, 20260812):
+        for _ in range(3):
+            m = tuple(rng.randint(-2, 2) for _ in range(fan.ambient_dim))
+            assert regularity_subfan(fan, m) == regularity_subfan_oracle(fan, m)
+
+
+TRANSFORM_FANS = _level_fans(20, 7)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_regularity_subfan_commutes_with_unimodular_change_of_coordinates(data):
+    fan = data.draw(st.sampled_from(TRANSFORM_FANS))
+    n = fan.ambient_dim
+    m = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
+    u, u_inv = data.draw(unimodular(n))
+
+    def moved(f):  # U on rays, re-canonicalised by sorting the images
+        cones = [Cone(n, tuple(sorted(mat_vec(u, g) for g in c.generators))) for c in f.maximal_cones]
+        return Fan(n, cones)
+
+    # <(U^-1)^T m, U u> = <m, u>
+    moved_char = mat_vec(transpose(u_inv), m)
+    assert regularity_subfan(moved(fan), moved_char) == moved(regularity_subfan(fan, m))

@@ -296,22 +296,22 @@ def test_local_model_examples():
     assert local_model_at(model, 2, model.levels[1].fan.maximal_cones[0]).kind == "node"
     model1 = build_model(TowerSpec(1, (node((), (1,)),)))
     # only the a-branch vanishes on the orbit of the middle ray
-    assert local_model_at(model1, 2, Cone._from_canonical(2, ((1, 1),))).kind == "smooth_plain"
+    assert local_model_at(model1, 2, Cone(2, ((1, 1),))).kind == "smooth_plain"
     productm = build_model(TowerSpec(1, (ProductMove(),)))
-    assert local_model_at(productm, 2, Cone._from_canonical(2, ((0, 1),))).kind == "smooth_on_section"
-    assert local_model_at(productm, 2, Cone._from_canonical(2, ((1, 0),))).kind == "smooth_plain"
+    assert local_model_at(productm, 2, Cone(2, ((0, 1),))).kind == "smooth_on_section"
+    assert local_model_at(productm, 2, Cone(2, ((1, 0),))).kind == "smooth_plain"
 
 
 def test_local_model_base_level_error():
     model = build_model(TowerSpec(1, (ProductMove(),)))
     with pytest.raises(LatticeError, match="base level has no fibration structure"):
-        local_model_at(model, 1, Cone._from_canonical(1, ((1,),)))
+        local_model_at(model, 1, Cone(1, ((1,),)))
 
 
 def test_local_model_requires_fan_membership():
     model = build_model(TowerSpec(1, (node((), (2,)),)))
     with pytest.raises(LatticeError, match="does not belong"):
-        local_model_at(model, 2, Cone._from_canonical(2, ((1, 1),)))
+        local_model_at(model, 2, Cone(2, ((1, 1),)))
 
 
 # --- blowup chart oracle for the log discrepancy example ----------------
@@ -350,7 +350,7 @@ def test_torus_splitting_detects_bad_fiber():
     base = orthant_fan(1)
     # hand-built "level 2" in Z^3 with a projection dropping two coordinates:
     # the fiber over the zero cone picks up two independent rays
-    bad_fan = Fan(3, (Cone._from_canonical(3, ((0, 0, 1), (0, 1, 0))),))
+    bad_fan = Fan(3, (Cone(3, ((0, 0, 1), (0, 1, 0))),))
     projection = (unit_vector(3, 0),)
     model = TowerModel(
         spec=TowerSpec(1, (ProductMove(),)),
