@@ -16,7 +16,6 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     Violation,
-    cone_contains,
     cones_equal_as_sets,
     dual_cone,
     fan_validate,

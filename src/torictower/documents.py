@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .tower import Move, NodeMove, ProductMove, TowerSpec, validate_tower
+from .tower import NodeMove, ProductMove, TowerSpec, validate_tower
 
 FORMAT_VERSION = 1
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
 
 Vector = tuple  # lattice vector: tuple of ints
 Matrix = tuple  # integer matrix: tuple of row tuples
@@ -576,11 +575,6 @@ def dual_cone(c, max_dim=DEFAULT_MAX_DIM):
         gens.append(primitive(vneg(l)))
     out = Cone(c.ambient_dim, tuple(sorted(gens)))
     return out
-
-
-def cone_contains(c, v):
-    """Exact membership of v in the real cone spanned by c's generators."""
-    return c.contains(v)
 
 
 def cones_equal_as_sets(a, b):

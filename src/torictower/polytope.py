@@ -9,21 +9,11 @@ nothing to the generic fiber.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import (
-    LatticeError,
-    det_fraction,
-    halfspace_intersection,
-    hnf,
-    is_zero,
-    primitive,
-    rank_int,
-    solve_rational,
-)
+from .lattice import LatticeError, bit_indices, det_int, dot, halfspace_intersection
 
 
 class UnboundedPolytopeError(Exception):
@@ -32,8 +22,11 @@ class UnboundedPolytopeError(Exception):
 
 @dataclass(frozen=True)
 class LatticePolytope:
-    """A polytope by its vertex list (exact rational coordinates, irredundant,
-    lex-sorted)."""
+    """A polytope by its points (exact rational coordinates, lex-sorted).
+
+    `divisor_polytope` lists exactly the vertices; `normalized_volume` also
+    accepts points that are not vertices, which leave the volume unchanged.
+    """
 
     ambient_dim: int
     vertices: tuple
@@ -63,97 +56,66 @@ class ProjectiveDivisorData:
 
 
 def divisor_polytope(fan, divisor):
-    """Vertex enumeration of P_D = {m : <m, u_i> >= -d_i} over the fan rays.
+    """Vertices of P_D = {m : <m, u> >= -d_u} over the fan rays, lex-sorted.
 
-    Exact intersection of n-fold facet subsets with containment filtering.
-    Requires the rays to span all of R^n positively (the fan is complete in
-    the fiber directions), otherwise the polyhedron is unbounded and a
-    structured failure is raised.
+    One double description pass on the homogenized cone
+    {(m, s) : <m, u> + d_u s >= 0, s >= 0}, whose extreme rays (m, s) with
+    s > 0 are the vertices m / s.  A ray with s = 0 or a lineality direction
+    is a nonzero recession direction, so the rays must span R^n positively
+    (the fan is complete in the fiber directions); otherwise a structured
+    failure is raised, also when P_D is empty.
     """
     n = fan.ambient_dim
-    rays = fan.all_rays
-    rec_rays, rec_lin = halfspace_intersection(rays, n)
-    if rec_rays or rec_lin:
+    constraints = []
+    for u in fan.all_rays:
+        d = divisor.coefficient(u)
+        constraints.append(tuple(d.denominator * x for x in u) + (d.numerator,))
+    constraints.append((0,) * n + (1,))
+    rays, lineality = halfspace_intersection(constraints, n + 1)
+    if lineality or any(r[-1] == 0 for r in rays):
         raise UnboundedPolytopeError("divisor not bounded above")
-    rhs = {u: -divisor.coefficient(u) for u in rays}
-    vertices = set()
-    for subset in itertools.combinations(rays, n):
-        if rank_int(subset) != n:
-            continue
-        point = solve_rational(subset, [rhs[u] for u in subset])
-        if point is None:
-            continue
-        if all(sum(c * x for c, x in zip(u, point)) >= rhs[u] for u in rays):
-            vertices.add(tuple(point))
-    return LatticePolytope(ambient_dim=n, vertices=tuple(sorted(vertices)))
-
-
-def _affine_rank(vertices):
-    if len(vertices) <= 1:
-        return 0
-    v0 = vertices[0]
-    rows = []
-    for v in vertices[1:]:
-        diff = [x - y for x, y in zip(v, v0)]
-        den = math.lcm(*(f.denominator for f in map(Fraction, diff))) if diff else 1
-        rows.append(tuple(int(Fraction(x) * den) for x in diff))
-    rows = [r for r in rows if not is_zero(r)]
-    return rank_int(tuple(rows)) if rows else 0
-
-
-def _polytope_facets(vertices):
-    """Vertex lists of the facets of conv(vertices), via the homogenization
-    cone's supporting normals (exact double description)."""
-    gens = []
-    for v in vertices:
-        hom = tuple(Fraction(x) for x in v) + (Fraction(1),)
-        den = math.lcm(*(f.denominator for f in hom))
-        gens.append(primitive(tuple(int(f * den) for f in hom)))
-    n1 = len(vertices[0]) + 1
-    normals, _equations = halfspace_intersection(gens, n1)
-    facets = []
-    seen = set()
-    for a in normals:
-        tight = tuple(
-            v
-            for v in vertices
-            if sum(Fraction(c) * Fraction(x) for c, x in zip(a, tuple(v) + (1,))) == 0
-        )
-        if tight and tight not in seen:
-            seen.add(tight)
-            facets.append(list(tight))
-    return facets
-
-
-def _triangulate(vertices):
-    """Pulling triangulation: simplices covering conv(vertices)."""
-    r = _affine_rank(vertices)
-    if len(vertices) == r + 1:
-        return [list(vertices)]
-    v0 = min(vertices)
-    simplices = []
-    for facet in _polytope_facets(vertices):
-        if v0 in facet:
-            continue
-        for s in _triangulate(sorted(facet)):
-            simplices.append(s + [v0])
-    return simplices
+    vertices = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays)
+    return LatticePolytope(ambient_dim=n, vertices=tuple(vertices))
 
 
 def normalized_volume(polytope):
-    """n! times the Euclidean volume, by exact recursive facet-pyramid
-    decomposition.  Empty or lower-dimensional polytopes have volume 0."""
-    verts = polytope.vertices
-    if not verts:
-        return Fraction(0)
+    """n! times the Euclidean volume, exact.  Empty or lower-dimensional
+    polytopes have volume 0.
+
+    One double description pass on the homogenized points (w, den) gives the
+    facet normals; a pulling triangulation then runs on point-facet
+    incidence bitmasks alone.  The facets of a face G are the inclusion-
+    maximal proper nonempty G & F over the facet masks F, the apex is G's
+    lowest point, and a d-face with d + 1 points is a simplex.  With the
+    apexes collected above it, it adds |det(rows)| / prod(den).
+    """
     n = polytope.ambient_dim
-    if _affine_rank(verts) < n:
+    rows = []
+    for v in sorted(polytope.vertices):
+        v = [Fraction(x) for x in v]
+        den = math.lcm(*(x.denominator for x in v))
+        rows.append(tuple(int(x * den) for x in v) + (den,))
+    if not rows:
         return Fraction(0)
+    normals, equations = halfspace_intersection(rows, n + 1)
+    if equations:
+        return Fraction(0)
+    facets = [sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in normals]
     total = Fraction(0)
-    for simplex in _triangulate(sorted(verts)):
-        v0 = simplex[0]
-        rows = [[Fraction(x) - Fraction(y) for x, y in zip(v, v0)] for v in simplex[1:]]
-        total += abs(det_fraction(rows))
+    stack = [((1 << len(rows)) - 1, n, 0)]  # (face, its dimension, apexes above it)
+    while stack:
+        face, dim, apexes = stack.pop()
+        if face.bit_count() == dim + 1:
+            simplex = [rows[i] for i in bit_indices(face | apexes)]
+            total += Fraction(abs(det_int(simplex)), math.prod(r[-1] for r in simplex))
+            continue
+        apex = face & -face
+        maximal = []
+        for sub in sorted({face & f for f in facets} - {0, face}, key=int.bit_count, reverse=True):
+            if all(sub & m != sub for m in maximal):
+                maximal.append(sub)
+                if not sub & apex:
+                    stack.append((sub, dim - 1, apexes | apex))
     return total
 
 

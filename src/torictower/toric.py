@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
 from .lattice import (
     Cone,
@@ -20,14 +19,12 @@ from .lattice import (
     LatticeError,
     bit_indices,
     dot,
-    hnf,
+    hnf,  # unused here; the benchmark self-tests trace this binding
     is_zero,
     mat_vec,
     primitive,
     snf,
     solve_rational,
-    unit_vector,
-    vneg,
     walk_faces,
 )
 

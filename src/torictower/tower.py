@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Union
 
 from .lattice import (
@@ -46,10 +45,8 @@ from .lattice import (
     product_fan,
     projective_fan,
     unit_vector,
-    vneg,
 )
 from .toric import (
-    NoCentreError,
     NotQCartier,
     boundary_divisor,
     canonical_divisor,

@@ -21,7 +21,6 @@ from .lattice import (
     Cone,
     Fan,
     LatticeError,
-    cones_equal_as_sets,
     det_fraction,
     dot,
     dual_cone,
@@ -41,7 +40,6 @@ from .lattice import (
     vscale,
 )
 from .polytope import (
-    LatticePolytope,
     ProjectiveDivisorData,
     divisor_polytope,
     normalized_volume,
@@ -64,12 +62,10 @@ from .tower import (
     CurveGermData,
     NodeMove,
     ProductMove,
-    TowerSpec,
     base_change_to_curve,
     build_model,
     lc_place_transfer_check,
     node_chart_dual_violations,
-    projective_model,
     torus_splitting_check,
 )
 
@@ -225,7 +221,7 @@ def _fm_normalize(rows):
     return out
 
 
-def _in_cone_fm(generators, v):
+def in_cone_fm(generators, v):
     """Membership of v in cone(generators) by Fourier-Motzkin elimination.
 
     Feasibility of {x >= 0 : sum x_i g_i = v}, eliminating one multiplier at
@@ -253,10 +249,6 @@ def _in_cone_fm(generators, v):
                 new.append(combo)
         cons = new
     return all(c[-1] >= 0 for c in cons)
-
-
-def in_cone_fm(generators, v):
-    return _in_cone_fm(list(generators), tuple(v))
 
 
 def simplicial_log_discrepancy_oracle(rays, boundary_coeffs, e):

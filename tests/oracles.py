@@ -1,17 +1,36 @@
-"""Test-only reference implementations of the face kernels.
+"""Test-only reference implementations of the face and polytope kernels.
 
-These are the geometric versions that the ray-bitmask kernels in
-`torictower.lattice` and `torictower.toric` replaced: faces as frozensets of
-generator indices built from `dot` tests, face membership through
-`Cone.contains`, and maximal regular faces pruned by pairwise geometric
-containment.  They are slow and independent of the bitmask code, so the
-property tests compare the two.  `unimodular` draws the changes of
-coordinates for the metamorphic tests.
+These are the geometric versions that the bitmask kernels in
+`torictower.lattice`, `torictower.toric` and `torictower.polytope`
+replaced: faces as frozensets of generator indices built from `dot` tests,
+face membership through `Cone.contains`, maximal regular faces pruned by
+pairwise geometric containment, polytope vertices from every n-subset of
+the facet inequalities, and a pulling triangulation that runs one double
+description pass per face.  They are slow and independent of the bitmask
+code, so the property tests compare the two.  `unimodular` draws the
+changes of coordinates for the metamorphic tests.
 """
+
+import itertools
+import math
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from torictower.lattice import Cone, Fan, LatticeError, dot, identity_matrix
+from torictower.lattice import (
+    Cone,
+    Fan,
+    LatticeError,
+    det_fraction,
+    dot,
+    halfspace_intersection,
+    identity_matrix,
+    is_zero,
+    primitive,
+    rank_int,
+    solve_rational,
+)
+from torictower.polytope import LatticePolytope, UnboundedPolytopeError
 
 
 def faces_oracle(cone):
@@ -72,6 +91,94 @@ def regularity_subfan_oracle(fan, char):
         )
     ]
     return Fan(fan.ambient_dim, keep)
+
+
+def divisor_polytope_oracle(fan, divisor):
+    """Vertices of P_D = {m : <m, u> >= -d_u}: the solution of every n-subset
+    of the facet equations that satisfies all inequalities."""
+    n = fan.ambient_dim
+    rays = fan.all_rays
+    rec_rays, rec_lin = halfspace_intersection(rays, n)
+    if rec_rays or rec_lin:
+        raise UnboundedPolytopeError("divisor not bounded above")
+    rhs = {u: -divisor.coefficient(u) for u in rays}
+    vertices = set()
+    for subset in itertools.combinations(rays, n):
+        if rank_int(subset) != n:
+            continue
+        point = solve_rational(subset, [rhs[u] for u in subset])
+        if point is None:
+            continue
+        if all(sum(c * x for c, x in zip(u, point)) >= rhs[u] for u in rays):
+            vertices.add(tuple(point))
+    return LatticePolytope(ambient_dim=n, vertices=tuple(sorted(vertices)))
+
+
+def _affine_rank(vertices):
+    if len(vertices) <= 1:
+        return 0
+    v0 = vertices[0]
+    rows = []
+    for v in vertices[1:]:
+        diff = [x - y for x, y in zip(v, v0)]
+        den = math.lcm(*(f.denominator for f in map(Fraction, diff))) if diff else 1
+        rows.append(tuple(int(Fraction(x) * den) for x in diff))
+    rows = [r for r in rows if not is_zero(r)]
+    return rank_int(tuple(rows)) if rows else 0
+
+
+def _polytope_facets(vertices):
+    """Vertex lists of the facets of conv(vertices), via the homogenization
+    cone's supporting normals."""
+    gens = []
+    for v in vertices:
+        hom = tuple(Fraction(x) for x in v) + (Fraction(1),)
+        den = math.lcm(*(f.denominator for f in hom))
+        gens.append(primitive(tuple(int(f * den) for f in hom)))
+    normals, _equations = halfspace_intersection(gens, len(vertices[0]) + 1)
+    facets = []
+    seen = set()
+    for a in normals:
+        tight = tuple(
+            v
+            for v in vertices
+            if sum(Fraction(c) * Fraction(x) for c, x in zip(a, tuple(v) + (1,))) == 0
+        )
+        if tight and tight not in seen:
+            seen.add(tight)
+            facets.append(list(tight))
+    return facets
+
+
+def _triangulate(vertices):
+    """Pulling triangulation: simplices covering conv(vertices)."""
+    r = _affine_rank(vertices)
+    if len(vertices) == r + 1:
+        return [list(vertices)]
+    v0 = min(vertices)
+    simplices = []
+    for facet in _polytope_facets(vertices):
+        if v0 in facet:
+            continue
+        for s in _triangulate(sorted(facet)):
+            simplices.append(s + [v0])
+    return simplices
+
+
+def normalized_volume_oracle(polytope):
+    """n! times the Euclidean volume: a pulling triangulation with one double
+    description pass per face, and a rational determinant per simplex."""
+    verts = polytope.vertices
+    if not verts:
+        return Fraction(0)
+    if _affine_rank(verts) < polytope.ambient_dim:
+        return Fraction(0)
+    total = Fraction(0)
+    for simplex in _triangulate(sorted(verts)):
+        v0 = simplex[0]
+        rows = [[Fraction(x) - Fraction(y) for x, y in zip(v, v0)] for v in simplex[1:]]
+        total += abs(det_fraction(rows))
+    return total
 
 
 @st.composite

@@ -10,7 +10,6 @@ from torictower.lattice import (
     Fan,
     LatticeError,
     ResourceCapError,
-    cone_contains,
     dual_cone,
     fan_validate,
     hnf,
@@ -189,11 +188,11 @@ def test_dual_cone_involution_and_oracle_random():
 
 def test_cone_contains_examples():
     orthant = Cone.generated_by([(1, 0), (0, 1)])
-    assert cone_contains(orthant, (1, 1))
-    assert cone_contains(orthant, (0, 0))
+    assert orthant.contains((1, 1))
+    assert orthant.contains((0, 0))
     c = Cone.generated_by([(1, 0), (1, 2)])
     # facet normal (2,-1) evaluates to -1 < 0
-    assert not cone_contains(c, (0, 1))
+    assert not c.contains((0, 1))
 
 
 def test_cone_contains_dimension_mismatch():

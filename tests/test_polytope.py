@@ -3,13 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import torictower.polytope
+from oracles import divisor_polytope_oracle, normalized_volume_oracle, unimodular
 from torictower.lattice import (
+    Cone,
+    Fan,
     LatticeError,
+    det_int,
     identity_matrix,
+    mat_vec,
     orthant_fan,
     product_fan,
     projective_fan,
+    transpose,
     unit_vector,
 )
 from torictower.polytope import (
@@ -21,7 +30,7 @@ from torictower.polytope import (
     relative_degree_on_P,
     relative_volume_on_P,
 )
-from torictower.toric import ToricDivisor
+from torictower.toric import ToricDivisor, boundary_divisor, star_subdivision
 
 
 def frac_point(*xs):
@@ -116,6 +125,164 @@ def test_volume_unimodular_invariance():
 def test_lower_dimensional_polytope_has_zero_volume():
     seg = LatticePolytope(2, (frac_point(0, 0), frac_point(3, 0)))
     assert normalized_volume(seg) == 0
+
+
+# --- against the oracles on star-subdivided complete fans ----------------
+
+
+def _subdivided_fan(rng, n):
+    """P^n or P^a x P^(n-a), star-subdivided one to three times at
+    sum c_i g_i over a random maximal cone, c_i in {1, 2}; the cones
+    around such a centre are often not smooth."""
+    a = rng.randint(0, n - 1)
+    fan = projective_fan(n) if a == 0 else product_fan(projective_fan(a), projective_fan(n - a))
+    for _ in range(rng.randint(1, 3)):
+        gens = rng.choice(fan.maximal_cones).generators
+        coeffs = [rng.randint(1, 2) for _ in gens]
+        fan = star_subdivision(fan, tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)))
+    return fan
+
+
+def _divisors(rng, fan):
+    """The boundary divisor and one with random coefficients in {0, 1/2, .., 3}."""
+    coeffs = {u: Fraction(rng.randint(0, 6), 2) for u in fan.all_rays}
+    return [boundary_divisor(fan), ToricDivisor(fan, coeffs)]
+
+
+def _cases(seed, fans_per_dim):
+    rng = random.Random(seed)
+    return [
+        (fan, divisor)
+        for n in (2, 3, 4)
+        for fan in (_subdivided_fan(rng, n) for _ in range(fans_per_dim))
+        for divisor in _divisors(rng, fan)
+    ]
+
+
+CASES = _cases(20261017, 8)
+
+
+def test_divisor_polytope_and_volume_match_oracles():
+    singular = rational = 0
+    for fan, divisor in CASES:
+        poly = divisor_polytope(fan, divisor)
+        assert poly == divisor_polytope_oracle(fan, divisor)
+        vol = normalized_volume(poly)
+        assert vol == normalized_volume_oracle(poly) and isinstance(vol, Fraction)
+        singular += any(
+            abs(det_int(c.generators)) != 1 for c in fan.maximal_cones
+        )
+        rational += any(x.denominator != 1 for v in poly.vertices for x in v)
+    # the family covers non-smooth fans and rational vertices
+    assert singular > 0 and rational > 0
+
+
+def test_volume_is_homogeneous_of_degree_n():
+    for fan, divisor in CASES[::3]:
+        n = fan.ambient_dim
+        vol = normalized_volume(divisor_polytope(fan, divisor))
+        for k in (2, 3):
+            scaled = ToricDivisor(fan, {u: k * c for u, c in divisor.coefficients().items()})
+            poly = divisor_polytope(fan, scaled)
+            assert normalized_volume(poly) == k**n * vol
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_volume_invariant_under_affine_unimodular_maps(data):
+    fan, divisor = data.draw(st.sampled_from(CASES))
+    n = fan.ambient_dim
+    u, _ = data.draw(unimodular(n))
+    t = data.draw(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * n))
+    poly = divisor_polytope(fan, divisor)
+    moved = tuple(sorted(tuple(x + y for x, y in zip(mat_vec(u, v), t)) for v in poly.vertices))
+    assert normalized_volume(LatticePolytope(n, moved)) == normalized_volume(poly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_divisor_polytope_commutes_with_unimodular_change_of_coordinates(data):
+    fan, divisor = data.draw(st.sampled_from(CASES))
+    n = fan.ambient_dim
+    u, u_inv = data.draw(unimodular(n))
+    moved_fan = Fan(
+        n, [Cone(n, tuple(sorted(mat_vec(u, g) for g in c.generators))) for c in fan.maximal_cones]
+    )
+    moved_divisor = ToricDivisor(
+        moved_fan, {mat_vec(u, r): c for r, c in divisor.coefficients().items()}
+    )
+    # <U^-T m, U r> = <m, r>, so the vertices move by U^-T
+    expected = sorted(mat_vec(transpose(u_inv), v) for v in divisor_polytope(fan, divisor).vertices)
+    assert list(divisor_polytope(moved_fan, moved_divisor).vertices) == expected
+
+
+# --- edge cases ------------------------------------------------------------
+
+
+def test_infeasible_bounded_polytope_is_empty():
+    fan = projective_fan(3)
+    for c in (-1, Fraction(-1, 2)):
+        divisor = ToricDivisor(fan, {u: c for u in fan.all_rays})
+        poly = divisor_polytope(fan, divisor)
+        assert poly.vertices == () == divisor_polytope_oracle(fan, divisor).vertices
+        assert normalized_volume(poly) == 0
+
+
+def test_unbounded_polytope_raises_when_empty():
+    # rays +-e_1 only: the recession cone is the line m_1 = 0, and
+    # m_1 >= 1, -m_1 >= 1 has no solution
+    fan = Fan(2, [Cone(2, ((-1, 0),)), Cone(2, ((1, 0),))])
+    divisor = ToricDivisor(fan, {(1, 0): -1, (-1, 0): -1})
+    for enumerate_vertices in (divisor_polytope, divisor_polytope_oracle):
+        with pytest.raises(UnboundedPolytopeError, match="divisor not bounded above"):
+            enumerate_vertices(fan, divisor)
+
+
+def test_unbounded_polytope_raises_when_nonempty():
+    for fan, coeffs in (
+        (orthant_fan(3), {(1, 0, 0): 2}),
+        (Fan(2, [Cone(2, ((-1, 0),)), Cone(2, ((1, 0),))]), {(1, 0): 1}),
+    ):
+        with pytest.raises(UnboundedPolytopeError):
+            divisor_polytope(fan, ToricDivisor(fan, coeffs))
+
+
+def test_lower_dimensional_polytopes_have_zero_volume():
+    point = LatticePolytope(2, (frac_point(1, 2),))
+    triangle = LatticePolytope(3, (frac_point(0, 0, 0), frac_point(0, 1, 0), frac_point(1, 0, 0)))
+    flat = LatticePolytope(
+        3, tuple(sorted(frac_point(x, y, Fraction(1, 3)) for x in (0, 2) for y in (0, 2)))
+    )
+    for poly in (point, triangle, flat):
+        assert normalized_volume(poly) == 0
+
+
+def test_points_that_are_not_vertices_leave_the_volume_unchanged():
+    for fan, divisor in CASES[::4]:
+        poly = divisor_polytope(fan, divisor)
+        verts = poly.vertices
+        n = poly.ambient_dim
+        centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
+        midpoints = [tuple((x + y) / 2 for x, y in zip(v, w)) for v, w in zip(verts, verts[1:])]
+        padded = tuple(sorted(set(verts) | {centroid} | set(midpoints)))
+        assert normalized_volume(LatticePolytope(n, padded)) == normalized_volume(poly)
+
+
+def test_one_double_description_pass_per_polytope(monkeypatch):
+    calls = []
+    inner = torictower.polytope.halfspace_intersection
+
+    def counting(constraints, n):
+        calls.append(n)
+        return inner(constraints, n)
+
+    monkeypatch.setattr(torictower.polytope, "halfspace_intersection", counting)
+    for fan, divisor in CASES[::5]:
+        poly = divisor_polytope(fan, divisor)
+        assert len(calls) == 1
+        normalized_volume(poly)
+        assert len(calls) == 2
+        calls.clear()
 
 
 # --- relative degree and volume ------------------------------------------
