@@ -409,13 +409,8 @@ def halfspace_intersection(constraints, n):
                         w = vsub(vscale(pv, q), vscale(qv, p))
                         if is_zero(w):
                             continue
-                        w = primitive(w)
-                        if w not in combos:
-                            mask = bit
-                            for j, c in enumerate(processed):
-                                if dot(c, w) == 0:
-                                    mask |= 1 << j
-                            combos[w] = mask
+                        # exact: <c, w> = pv<c, q> - qv<c, p>, both terms >= 0
+                        combos.setdefault(primitive(w), t | bit)
                 rays = [(r, m) for r, m, _ in pos] + zero + sorted(combos.items())
             else:
                 rays = [(r, m) for r, m, _ in pos] + zero
@@ -424,6 +419,25 @@ def halfspace_intersection(constraints, n):
     if lineality:
         lineality = kernel_basis(tuple(processed), n)
     return out_rays, tuple(lineality)
+
+
+def _halfspace_cone(constraints, n):
+    """The canonical cone {x : <a, x> >= 0 for every a}: extreme rays, +/- lineality."""
+    rays, lin = halfspace_intersection(constraints, n)
+    gens = list(rays)
+    for l in lin:
+        gens.append(primitive(l))
+        gens.append(primitive(vneg(l)))
+    return Cone(n, tuple(sorted(gens)))
+
+
+def _halfspace_rows(normals, equations):
+    """The constraint rows of {x : <n, x> >= 0, <e, x> = 0}: normals, then +/-e."""
+    rows = list(normals)
+    for e in equations:
+        rows.append(tuple(e))
+        rows.append(vneg(e))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -464,16 +478,7 @@ class Cone:
             ambient_dim = len(vectors[0])
         prim = sorted({primitive(v) for v in vectors if not is_zero(v)})
         normals, equations = halfspace_intersection(prim, ambient_dim)
-        hs = list(normals)
-        for e in equations:
-            hs.append(tuple(e))
-            hs.append(vneg(e))
-        rays, lin = halfspace_intersection(hs, ambient_dim)
-        gens = list(rays)
-        for l in lin:
-            gens.append(primitive(l))
-            gens.append(primitive(vneg(l)))
-        cone = cls(ambient_dim, tuple(sorted(gens)))
+        cone = _halfspace_cone(_halfspace_rows(normals, equations), ambient_dim)
         cone._halfspaces = (normals, equations)
         return cone
 
@@ -568,13 +573,7 @@ def dual_cone(c, max_dim=DEFAULT_MAX_DIM):
         raise ResourceCapError(
             f"ambient dimension {c.ambient_dim} exceeds configured cap {max_dim}"
         )
-    rays, lin = halfspace_intersection(c.generators, c.ambient_dim)
-    gens = list(rays)
-    for l in lin:
-        gens.append(primitive(l))
-        gens.append(primitive(vneg(l)))
-    out = Cone(c.ambient_dim, tuple(sorted(gens)))
-    return out
+    return _halfspace_cone(c.generators, c.ambient_dim)
 
 
 def cones_equal_as_sets(a, b):
@@ -612,19 +611,8 @@ def intersect_cones(a, b):
     """The intersection cone, canonical.  Exact, via double description."""
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
-    constraints = []
-    for cone in (a, b):
-        normals, equations = cone.halfspaces()
-        constraints.extend(normals)
-        for e in equations:
-            constraints.append(tuple(e))
-            constraints.append(vneg(e))
-    rays, lin = halfspace_intersection(constraints, a.ambient_dim)
-    gens = list(rays)
-    for l in lin:
-        gens.append(primitive(l))
-        gens.append(primitive(vneg(l)))
-    return Cone(a.ambient_dim, tuple(sorted(gens)))
+    rows = _halfspace_rows(*a.halfspaces()) + _halfspace_rows(*b.halfspaces())
+    return _halfspace_cone(rows, a.ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +639,7 @@ class Fan:
         self.all_rays = tuple(sorted({g for c in self.maximal_cones for g in c.generators}))
 
     @classmethod
-    def from_cones(cls, ambient_dim, cones):
+    def from_cones(cls, ambient_dim, cones):  # no caller in src/; the benchmark traces it
         """Build a fan, pruning cones contained in other listed cones."""
         cones = list(dict.fromkeys(cones))
         keep = []

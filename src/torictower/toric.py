@@ -282,7 +282,13 @@ def regularity_subfan(fan, char):
 
 
 def star_subdivision(fan, v):
-    """Star subdivision of the fan at a primitive vector in its support."""
+    """Star subdivision of the fan at a primitive vector v in its support.
+
+    Precondition: the maximal cones are canonical, strongly convex and form a
+    fan.  A maximal cone containing v becomes cone(tau, v) for each facet tau
+    with v off its hyperplane (Cox-Little-Schenck §11.1): tau stays a face and v
+    an extreme ray, so tau's rays plus v are canonical generators, with no DD.
+    """
     v = primitive(tuple(v))
     if not fan.supports(v):
         raise LatticeError("subdivision centre lies outside the fan support")
@@ -291,7 +297,8 @@ def star_subdivision(fan, v):
         if not cone.contains(v):
             new_cones.append(cone)
             continue
-        for face in cone.faces():
-            if not face.contains(v):
-                new_cones.append(Cone.generated_by(face.generators + (v,), fan.ambient_dim))
-    return Fan.from_cones(fan.ambient_dim, new_cones)
+        for nrm, mask in zip(cone.halfspaces()[0], cone.facet_masks()):
+            if dot(nrm, v) > 0:
+                facet = [cone.generators[i] for i in bit_indices(mask)]
+                new_cones.append(Cone(fan.ambient_dim, tuple(sorted(facet + [v]))))
+    return Fan(fan.ambient_dim, new_cones)

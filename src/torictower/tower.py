@@ -35,6 +35,7 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     Violation,
+    cones_equal_as_sets,
     dot,
     dual_cone,
     identity_matrix,
@@ -490,10 +491,7 @@ def node_chart_dual_violations(model):
             expected_gens.append(tuple(m) + (-1,))
             expected = Cone.generated_by(expected_gens, n_prev + 1)
             actual = dual_cone(cone)
-            same = all(expected.contains(g) for g in actual.generators) and all(
-                actual.contains(g) for g in expected.generators
-            )
-            if same:
+            if cones_equal_as_sets(actual, expected):
                 out.passed += 1
             else:
                 out.add_violation(

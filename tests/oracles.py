@@ -5,9 +5,11 @@ These are the geometric versions that the bitmask kernels in
 replaced: faces as frozensets of generator indices built from `dot` tests,
 face membership through `Cone.contains`, maximal regular faces pruned by
 pairwise geometric containment, polytope vertices from every n-subset of
-the facet inequalities, and a pulling triangulation that runs one double
-description pass per face.  They are slow and independent of the bitmask
-code, so the property tests compare the two.  `unimodular` draws the
+the facet inequalities, a pulling triangulation that runs one double
+description pass per face, and a star subdivision that spans every face
+missing the centre with it and prunes the result geometrically.  They are
+slow and independent of the bitmask code, so the property tests compare
+the two.  `unimodular` draws the
 changes of coordinates for the metamorphic tests.
 """
 
@@ -88,6 +90,35 @@ def regularity_subfan_oracle(fan, char):
         if not any(
             other != c and all(other.contains(g) for g in c.generators)
             for other in survivors
+        )
+    ]
+    return Fan(fan.ambient_dim, keep)
+
+
+def star_subdivision_oracle(fan, v):
+    """cone(tau, v) for every face tau missing v of each maximal cone
+    containing v, canonicalised by double description and pruned to the
+    maximal ones by geometric containment."""
+    v = primitive(tuple(v))
+    if not fan.supports(v):
+        raise LatticeError("subdivision centre lies outside the fan support")
+    cones = []
+    for cone in fan.maximal_cones:
+        if not cone.contains(v):
+            cones.append(cone)
+            continue
+        for face in faces_oracle(cone):
+            if not face.contains(v):
+                cones.append(Cone.generated_by(face.generators + (v,), fan.ambient_dim))
+    cones = list(dict.fromkeys(cones))
+    keep = [
+        c
+        for c in cones
+        if not any(
+            other is not c
+            and all(other.contains(g) for g in c.generators)
+            and not all(c.contains(g) for g in other.generators)
+            for other in cones
         )
     ]
     return Fan(fan.ambient_dim, keep)

@@ -10,10 +10,13 @@ from torictower.lattice import (
     Fan,
     LatticeError,
     ResourceCapError,
+    cones_equal_as_sets,
     dual_cone,
     fan_validate,
+    halfspace_intersection,
     hnf,
     identity_matrix,
+    intersect_cones,
     is_face_of,
     is_unimodular,
     mat_mul,
@@ -24,14 +27,17 @@ from torictower.lattice import (
     projective_fan,
     snf,
     torus_fan,
+    transpose,
     vscale,
 )
+from torictower.tower import build_model
 from torictower.verify import (
     dual_cone_facet_oracle,
     hnf_elementary_oracle,
     in_cone_fm,
     invariant_factors_minor_oracle,
     is_row_hnf,
+    random_towers,
 )
 
 
@@ -183,6 +189,26 @@ def test_dual_cone_involution_and_oracle_random():
             assert dual_cone_facet_oracle(c.generators, n) == dual_cone(c).generators
 
 
+def test_halfspace_intersection_of_redundant_rows_matches_oracle():
+    """Unsorted rows with repeats and non-extreme ones: the DD's intermediate
+    rays and their tight masks are exercised beyond canonical input."""
+    rng = random.Random(20260815)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(2, 4)
+        k = rng.randint(n, n + 4)
+        gens = []
+        while len(gens) < k:
+            v = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(v):
+                gens.append(v)
+        c = Cone.generated_by(gens, n)
+        if c.dim() < n or not c.is_strongly_convex():
+            continue
+        checked += 1
+        assert halfspace_intersection(gens, n) == (dual_cone_facet_oracle(gens, n), ())
+
+
 # --- membership --------------------------------------------------------
 
 
@@ -285,6 +311,40 @@ def test_faces_commute_with_unimodular_change_of_coordinates(data):
     assert sorted(f.generators for f in image.faces()) == expected
 
 
+def _cone_strategy(n):
+    vector = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    return st.lists(vector, min_size=1, max_size=n + 3).map(lambda gens: Cone.generated_by(gens, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_dual_cone_commutes_with_unimodular_change_of_coordinates(data):
+    n = data.draw(st.integers(1, 4))
+    cone = data.draw(_cone_strategy(n))
+    u, u_inv = data.draw(unimodular(n))
+    image = Cone.generated_by([mat_vec(u, g) for g in cone.generators], n)
+    # <U^-T m, U v> = <m, v>
+    expected = sorted(mat_vec(transpose(u_inv), m) for m in dual_cone(cone).generators)
+    got = dual_cone(image)
+    assert cones_equal_as_sets(got, Cone(n, expected))
+    if cone.dim() == n:  # the dual is pointed, so its generators are unique
+        assert list(got.generators) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_intersect_cones_commutes_with_unimodular_change_of_coordinates(data):
+    n = data.draw(st.integers(1, 4))
+    a, b = data.draw(_cone_strategy(n)), data.draw(_cone_strategy(n))
+    u, _ = data.draw(unimodular(n))
+
+    def image(c):
+        return Cone.generated_by([mat_vec(u, g) for g in c.generators], n)
+
+    expected = image(intersect_cones(a, b))
+    assert cones_equal_as_sets(intersect_cones(image(a), image(b)), expected)
+
+
 # --- fans --------------------------------------------------------------
 
 
@@ -308,6 +368,33 @@ def test_fan_validate_non_convex_cone():
     bad = Fan(2, (Cone(2, ((1, 0), (-1, 0), (0, 1))),))
     kinds = {v.kind for v in fan_validate(bad)}
     assert "not strongly convex" in kinds
+
+
+LEVEL_FANS = [level.fan for spec in random_towers(10, 11) for level in build_model(spec).levels]
+BAD_FANS = [  # one per check that fan_validate makes
+    Fan(2, (Cone.generated_by([(1, 0), (1, 2)]), Cone.generated_by([(1, 1), (0, 1)]))),
+    Fan(2, (Cone(2, ((2, 4), (1, 0))),)),
+    Fan(3, (Cone(3, ((0, 0, 0), (1, 0, 0))),)),
+    Fan(2, (Cone(2, ((1, 0), (1, 0), (0, 1))),)),
+    Fan(2, (Cone(2, ((1, 0), (-1, 0), (0, 1))),)),
+]
+VALIDATE_FANS = LEVEL_FANS + BAD_FANS
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_fan_validate_commutes_with_unimodular_change_of_coordinates(data):
+    fan = data.draw(st.sampled_from(VALIDATE_FANS))
+    n = fan.ambient_dim
+    u, _ = data.draw(unimodular(n))
+    moved = Fan(n, [Cone(n, sorted(mat_vec(u, g) for g in c.generators)) for c in fan.maximal_cones])
+    assert sorted(v.kind for v in fan_validate(moved)) == sorted(v.kind for v in fan_validate(fan))
+
+
+def test_validate_fans_cover_every_violation_kind():
+    assert all(fan_validate(fan) == [] for fan in LEVEL_FANS)
+    kinds = {v.kind for fan in BAD_FANS for v in fan_validate(fan)}
+    assert kinds == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
 
 
 def test_standard_fans_are_valid():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import regularity_subfan_oracle, unimodular
+from oracles import regularity_subfan_oracle, star_subdivision_oracle, unimodular
 from torictower.lattice import (
     Cone,
     Fan,
@@ -16,6 +17,7 @@ from torictower.lattice import (
     mat_vec,
     orthant_fan,
     primitive,
+    product_fan,
     projective_fan,
     torus_fan,
     transpose,
@@ -284,6 +286,12 @@ def test_regularity_subfan_matches_geometric_oracle():
 TRANSFORM_FANS = _level_fans(20, 7)
 
 
+def _moved(fan, u):
+    """U applied to the rays, re-canonicalised by sorting the images."""
+    n = fan.ambient_dim
+    return Fan(n, [Cone(n, tuple(sorted(mat_vec(u, g) for g in c.generators))) for c in fan.maximal_cones])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_regularity_subfan_commutes_with_unimodular_change_of_coordinates(data):
@@ -291,11 +299,83 @@ def test_regularity_subfan_commutes_with_unimodular_change_of_coordinates(data):
     n = fan.ambient_dim
     m = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
     u, u_inv = data.draw(unimodular(n))
-
-    def moved(f):  # U on rays, re-canonicalised by sorting the images
-        cones = [Cone(n, tuple(sorted(mat_vec(u, g) for g in c.generators))) for c in f.maximal_cones]
-        return Fan(n, cones)
-
     # <(U^-1)^T m, U u> = <m, u>
     moved_char = mat_vec(transpose(u_inv), m)
-    assert regularity_subfan(moved(fan), moved_char) == moved(regularity_subfan(fan, m))
+    assert regularity_subfan(_moved(fan, u), moved_char) == _moved(regularity_subfan(fan, m), u)
+
+
+# --- star subdivision --------------------------------------------------
+
+
+def _cube_fan():
+    """The non-simplicial fan over the faces of [-1, 1]^3: six cones over squares."""
+    corners = list(itertools.product((-1, 1), repeat=3))
+    return Fan(3, [Cone(3, tuple(g for g in corners if g[i] == s)) for i in range(3) for s in (-1, 1)])
+
+
+# complete simplicial and non-simplicial fans, and non-complete level fans
+# whose maximal cones are often lower-dimensional
+SUBDIVISION_FANS = (
+    [projective_fan(n) for n in (2, 3, 4)]
+    + [product_fan(projective_fan(a), projective_fan(n - a)) for n in (2, 3, 4) for a in range(1, n)]
+    + [_cube_fan()]
+    + [fan for fan in _level_fans(30, 20260813) if fan.all_rays]
+)
+
+
+def _centre(rng, fan):
+    """A combination with coefficients in {1, 2} of a random nonempty subset of
+    one maximal cone's rays, so centres fall on lower faces and on existing rays."""
+    gens = rng.choice([c.generators for c in fan.maximal_cones if c.generators])
+    subset = rng.sample(gens, rng.randint(1, len(gens)))
+    coeffs = [rng.randint(1, 2) for _ in subset]
+    return tuple(sum(c * g[i] for c, g in zip(coeffs, subset)) for i in range(fan.ambient_dim))
+
+
+def test_star_subdivision_matches_oracle():
+    rng = random.Random(20260814)
+    on_ray = lower_dim = 0
+    for fan in SUBDIVISION_FANS:
+        lower_dim += any(c.dim() < fan.ambient_dim for c in fan.maximal_cones)
+        for _ in range(2):
+            refined = fan
+            for _ in range(rng.randint(1, 3)):  # chained subdivisions
+                v = _centre(rng, refined)
+                on_ray += primitive(v) in refined.all_rays
+                expected = star_subdivision_oracle(refined, v)
+                refined = star_subdivision(refined, v)
+                assert refined == expected
+    assert on_ray and lower_dim
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_star_subdivision_commutes_with_unimodular_change_of_coordinates(data):
+    fan = data.draw(st.sampled_from(SUBDIVISION_FANS))
+    v = _centre(data.draw(st.randoms(use_true_random=False)), fan)
+    u, _ = data.draw(unimodular(fan.ambient_dim))
+    assert star_subdivision(_moved(fan, u), mat_vec(u, v)) == _moved(star_subdivision(fan, v), u)
+
+
+def test_star_subdivision_spans_no_faces(monkeypatch):
+    calls = []
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(Cone, "faces", counting("faces", Cone.faces))
+    monkeypatch.setattr(Cone, "generated_by", staticmethod(counting("generated_by", Cone.generated_by)))
+    monkeypatch.setattr(Fan, "from_cones", staticmethod(counting("from_cones", Fan.from_cones)))
+    Cone(1, ((1,),)).faces()
+    Cone.generated_by([(1,)])
+    Fan.from_cones(1, [])
+    assert calls == ["faces", "generated_by", "from_cones"]  # the wrappers count
+    calls.clear()
+    rng = random.Random(3)
+    for fan in SUBDIVISION_FANS:
+        star_subdivision(fan, _centre(rng, fan))
+    assert calls == []
