@@ -29,7 +29,6 @@ from .lattice import (
     product_fan,
     projective_fan,
     snf,
-    solve_rational,
     torus_fan,
 )
 from .toric import (

@@ -292,35 +292,6 @@ def kernel_basis(m, ncols):
     return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
 
-def solve_rational(rows, rhs):
-    """One exact rational solution x of rows*x = rhs (free variables 0), or None."""
-    nr = len(rows)
-    nc = len(rows[0]) if nr else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(nc):
-        pr = next((i for i in range(r, nr) if aug[i][c] != 0), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(nr):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, nr):
-        if aug[i][-1] != 0:
-            return None
-    x = [Fraction(0)] * nc
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][-1]
-    return tuple(x)
-
-
 def det_fraction(rows):
     """Exact determinant of a square matrix with Fraction/int entries."""
     n = len(rows)

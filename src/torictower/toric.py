@@ -24,7 +24,6 @@ from .lattice import (
     mat_vec,
     primitive,
     snf,
-    solve_rational,
     walk_faces,
 )
 
@@ -128,7 +127,12 @@ def character_divisor(fan, char):
 @dataclass(frozen=True)
 class CartierData:
     """Per maximal cone, a rational M-vector m_sigma with <m_sigma, u_i> = d_i,
-    plus the least positive integer q such that q*D is Cartier."""
+    plus the least positive integer q such that q*D is Cartier.
+
+    Each m_sigma is V*y for the unimodular V of the cone's Smith normal form,
+    so q*m_sigma is integral exactly when q*D is Cartier on sigma, and q is
+    the least common denominator of every entry of every vector.
+    """
 
     fan: Fan
     vectors: tuple
@@ -150,52 +154,47 @@ class NotQCartier:
     message: str
 
 
-def _cone_cartier_index(rays, values):
-    """Least positive q such that <m, u_i> = q*d_i has an integer solution m.
-
-    Via the Smith normal form of the ray matrix: with S = U*A*V and c = U*d,
-    solvability over Z of A*m = q*d amounts to q*c_i/s_i integral on the
-    diagonal and q*c_i = 0 beyond the rank.
-    """
-    if not rays:
-        return 1
-    s, u, _ = snf(rays)
-    k = len(rays)
-    n = len(rays[0])
-    q = 1
-    for i in range(k):
-        ci = sum(Fraction(u[i][j]) * values[j] for j in range(k))
-        si = s[i][i] if i < min(k, n) else 0
-        if si == 0:
-            if ci != 0:
-                return None  # inconsistent over Q as well
-            continue
-        q = math.lcm(q, (ci / si).denominator)
-    return q
-
-
 def cartier_data(fan, divisor):
-    """Solve the Cartier data of a toric divisor exactly.
+    """Solve the Cartier data of a toric divisor exactly, by one integer Smith
+    normal form S = U*A*V per maximal cone, A the matrix of its rays u_i.
+
+    With D = den*d integral and c = U*D, the system <m, u_i> = d_i reads
+    s_i*y_i = c_i/den for y = V^-1*m; it has a rational solution iff c_i = 0
+    beyond the rank r, and then m = V*Y/(t*den) with Y_i = c_i*(t // s_i),
+    t = s_r.  Since V is unimodular, the least q with q*m integral, the
+    cone's Cartier index, is t*den / gcd(t*den, *M) for M = V*Y.  On a
+    lower-dimensional cone the free coordinates y_i, i > r, are set to 0; the
+    solution is unique on full-dimensional cones.  The zero cone gets the
+    zero vector.
 
     Returns CartierData, or NotQCartier naming the first cone where the
-    system <m, u_i> = d_i has no rational solution.
+    system has no rational solution.
     """
     vectors = []
     q = 1
     for cone in fan.maximal_cones:
         rays = cone.generators
+        if not rays:
+            vectors.append((Fraction(0),) * fan.ambient_dim)
+            continue
         values = [divisor.coefficient(u) for u in rays]
-        sol = solve_rational(rays, values)
-        if sol is None:
+        den = math.lcm(*(d.denominator for d in values))
+        big_d = [d.numerator * (den // d.denominator) for d in values]
+        s, u, v = snf(rays)
+        c = mat_vec(u, big_d)
+        diag = [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i]]
+        if any(c[len(diag):]):
             return NotQCartier(
                 cone, f"not Q-Cartier on cone {list(cone.generators)}"
             )
-        for u, d in zip(rays, values):  # verify every constraint explicitly
-            assert sum(c * x for c, x in zip(sol, u)) == d
-        cone_q = _cone_cartier_index(rays, values)
-        assert cone_q is not None
-        q = math.lcm(q, cone_q)
-        vectors.append(sol)
+        t = diag[-1]
+        y = [ci * (t // si) for ci, si in zip(c, diag)]
+        m = mat_vec(v, y + [0] * (fan.ambient_dim - len(y)))
+        for ui, di in zip(rays, big_d):  # verify every constraint explicitly
+            assert dot(m, ui) == di * t
+        scale = t * den
+        q = math.lcm(q, scale // math.gcd(scale, *m))
+        vectors.append(tuple(Fraction(x, scale) for x in m))
     return CartierData(fan, tuple(vectors), q)
 
 

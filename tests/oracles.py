@@ -7,10 +7,11 @@ face membership through `Cone.contains`, maximal regular faces pruned by
 pairwise geometric containment, polytope vertices from every n-subset of
 the facet inequalities, a pulling triangulation that runs one double
 description pass per face, and a star subdivision that spans every face
-missing the centre with it and prunes the result geometrically.  They are
-slow and independent of the bitmask code, so the property tests compare
-the two.  `unimodular` draws the
-changes of coordinates for the metamorphic tests.
+missing the centre with it and prunes the result geometrically, and Cartier
+data from Gauss-Jordan elimination over Fraction rows with a separate Smith
+normal form for the index.  They are slow and independent of the
+production code, so the property tests compare the two.  `unimodular` draws
+the changes of coordinates for the metamorphic tests.
 """
 
 import itertools
@@ -30,9 +31,10 @@ from torictower.lattice import (
     is_zero,
     primitive,
     rank_int,
-    solve_rational,
+    snf,
 )
 from torictower.polytope import LatticePolytope, UnboundedPolytopeError
+from torictower.toric import CartierData, NotQCartier
 
 
 def faces_oracle(cone):
@@ -122,6 +124,80 @@ def star_subdivision_oracle(fan, v):
         )
     ]
     return Fan(fan.ambient_dim, keep)
+
+
+def solve_rational(rows, rhs):
+    """One exact rational solution x of rows*x = rhs (free variables 0), or None."""
+    nr = len(rows)
+    nc = len(rows[0]) if nr else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(nc):
+        pr = next((i for i in range(r, nr) if aug[i][c] != 0), None)
+        if pr is None:
+            continue
+        aug[r], aug[pr] = aug[pr], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(nr):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, nr):
+        if aug[i][-1] != 0:
+            return None
+    x = [Fraction(0)] * nc
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][-1]
+    return tuple(x)
+
+
+def _cone_cartier_index(rays, values):
+    """Least positive q such that <m, u_i> = q*d_i has an integer solution m.
+
+    Via the Smith normal form of the ray matrix: with S = U*A*V and c = U*d,
+    solvability over Z of A*m = q*d amounts to q*c_i/s_i integral on the
+    diagonal and q*c_i = 0 beyond the rank.
+    """
+    if not rays:
+        return 1
+    s, u, _ = snf(rays)
+    k = len(rays)
+    n = len(rays[0])
+    q = 1
+    for i in range(k):
+        ci = sum(Fraction(u[i][j]) * values[j] for j in range(k))
+        si = s[i][i] if i < min(k, n) else 0
+        if si == 0:
+            if ci != 0:
+                return None  # inconsistent over Q as well
+            continue
+        q = math.lcm(q, (ci / si).denominator)
+    return q
+
+
+def cartier_data_oracle(fan, divisor):
+    """Cartier data by rational Gauss-Jordan elimination per maximal cone,
+    the index from a separate Smith normal form.  On lower-dimensional cones
+    the vectors are a different particular solution from `cartier_data`'s."""
+    vectors = []
+    q = 1
+    for cone in fan.maximal_cones:
+        rays = cone.generators
+        values = [divisor.coefficient(u) for u in rays]
+        sol = solve_rational(rays, values)
+        if sol is None:
+            return NotQCartier(cone, f"not Q-Cartier on cone {list(cone.generators)}")
+        for u, d in zip(rays, values):
+            assert sum(c * x for c, x in zip(sol, u)) == d
+        cone_q = _cone_cartier_index(rays, values)
+        assert cone_q is not None
+        q = math.lcm(q, cone_q)
+        vectors.append(sol)
+    return CartierData(fan, tuple(vectors), q)
 
 
 def divisor_polytope_oracle(fan, divisor):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import regularity_subfan_oracle, star_subdivision_oracle, unimodular
+import torictower.lattice
+import torictower.toric
+from oracles import cartier_data_oracle, regularity_subfan_oracle, star_subdivision_oracle, unimodular
 from torictower.lattice import (
     Cone,
     Fan,
@@ -19,6 +22,7 @@ from torictower.lattice import (
     primitive,
     product_fan,
     projective_fan,
+    snf,
     torus_fan,
     transpose,
     vadd,
@@ -379,3 +383,130 @@ def test_star_subdivision_spans_no_faces(monkeypatch):
     for fan in SUBDIVISION_FANS:
         star_subdivision(fan, _centre(rng, fan))
     assert calls == []
+
+
+# --- cartier data against the elimination oracle -------------------------
+
+
+def test_cartier_data_on_the_zero_cone():
+    for n in (1, 2, 3):
+        fan = torus_fan(n)
+        cd = cartier_data(fan, ToricDivisor(fan))
+        assert cd.vectors == ((0,) * n,) and cd.cartier_index == 1
+        assert cd.evaluate((0,) * n) == 0
+
+
+def _random_divisor(rng, fan):
+    """Coefficients p/q with p in [-6, 6] and q in [1, 4] on every ray."""
+    return ToricDivisor(fan, {u: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for u in fan.all_rays})
+
+
+def _cartier_cases(seed):
+    """On subdivided complete fans (simplicial and not) and on level fans: a
+    random rational divisor, a rational multiple of a character divisor
+    (Q-Cartier everywhere), and that multiple moved on one ray (Q-Cartier
+    exactly on the simplicial cones through it)."""
+    rng = random.Random(seed)
+    fans = []
+    for fan in SUBDIVISION_FANS:
+        for _ in range(rng.randint(0, 2)):
+            fan = star_subdivision(fan, _centre(rng, fan))
+        fans.append(fan)
+    fans += _level_fans(20, seed)  # some top fans collapse to the zero cone
+    cases = []
+    for fan in fans:
+        char = tuple(rng.randint(-3, 3) for _ in range(fan.ambient_dim))
+        principal = character_divisor(fan, char).scale(Fraction(rng.randint(1, 5), rng.randint(1, 6)))
+        cases += [(fan, _random_divisor(rng, fan)), (fan, principal)]
+        if fan.all_rays:
+            bump = ToricDivisor(fan, {rng.choice(fan.all_rays): Fraction(1, rng.randint(1, 3))})
+            cases.append((fan, principal + bump))
+    return cases
+
+
+CARTIER_CASES = _cartier_cases(20261018)
+
+
+def _cone_failures(fan, divisor):
+    """Generators of the maximal cones on which the divisor alone is not Q-Cartier."""
+    failing = set()
+    for cone in fan.maximal_cones:
+        local = Fan(fan.ambient_dim, (cone,))
+        restricted = ToricDivisor(local, {u: divisor.coefficient(u) for u in cone.generators})
+        if isinstance(cartier_data(local, restricted), NotQCartier):
+            failing.add(cone.generators)
+    return failing
+
+
+def test_cartier_data_matches_elimination_oracle():
+    lower_dim = not_first = zero_cone = index_above_one = 0
+    for fan, divisor in CARTIER_CASES:
+        n = fan.ambient_dim
+        out = cartier_data(fan, divisor)
+        expected = cartier_data_oracle(fan, divisor)
+        assert type(out) is type(expected)
+        if isinstance(out, NotQCartier):
+            assert (out.cone, out.message) == (expected.cone, expected.message)
+            not_first += out.cone != fan.maximal_cones[0]
+            continue
+        assert out.cartier_index == expected.cartier_index
+        denominators = []
+        for cone, m, m_oracle in zip(fan.maximal_cones, out.vectors, expected.vectors):
+            assert len(m) == n
+            for u in cone.generators:
+                assert sum(c * x for c, x in zip(m, u)) == divisor.coefficient(u)
+            if cone.dim() == n:
+                assert m == m_oracle
+            else:
+                lower_dim += 1
+            zero_cone += not cone.generators
+            denominators += [x.denominator for x in m]
+        # the vectors witness the index: q*m is integral on every cone exactly
+        # for the multiples q of the Cartier index
+        assert math.lcm(*denominators) == out.cartier_index
+        index_above_one += out.cartier_index > 1
+    assert lower_dim and not_first and zero_cone and index_above_one
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cartier_data_commutes_with_unimodular_change_of_coordinates(data):
+    fan, divisor = data.draw(st.sampled_from(CARTIER_CASES))
+    n = fan.ambient_dim
+    u, u_inv = data.draw(unimodular(n))
+    moved = _moved(fan, u)
+    moved_divisor = ToricDivisor(moved, {mat_vec(u, r): c for r, c in divisor.coefficients().items()})
+    before, after = cartier_data(fan, divisor), cartier_data(moved, moved_divisor)
+    assert type(before) is type(after)
+    images = {c.generators: tuple(sorted(mat_vec(u, g) for g in c.generators)) for c in fan.maximal_cones}
+    failing = _cone_failures(fan, divisor)
+    assert {images[g] for g in failing} == _cone_failures(moved, moved_divisor)
+    if isinstance(before, NotQCartier):
+        # the first failing cone in each fan's own order
+        assert before.cone.generators == min(failing)
+        assert after.cone.generators == min(images[g] for g in failing)
+        return
+    assert before.cartier_index == after.cartier_index
+    # <(U^-1)^T m, U u> = <m, u>
+    moved_vectors = dict(zip((c.generators for c in moved.maximal_cones), after.vectors))
+    for cone, m in zip(fan.maximal_cones, before.vectors):
+        if cone.dim() == n:
+            assert moved_vectors[images[cone.generators]] == mat_vec(transpose(u_inv), m)
+
+
+def test_cartier_data_runs_one_snf_per_cone(monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(torictower.toric, "snf", counting)
+    for fan, divisor in CARTIER_CASES:
+        calls.clear()
+        out = cartier_data(fan, divisor)
+        cones = list(fan.maximal_cones)
+        if isinstance(out, NotQCartier):
+            cones = cones[: cones.index(out.cone) + 1]
+        assert calls == [c.generators for c in cones if c.generators]
+    assert not hasattr(torictower.lattice, "solve_rational")
