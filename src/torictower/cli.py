@@ -9,6 +9,7 @@ with integers (and rationals) as decimal strings.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -97,16 +98,9 @@ def _divisor_data_from_json(text):
         raise TowerDocumentError(f"bad divisor data: {exc}") from None
 
 
-def _check_dim_cap(spec, max_dim):
-    ambient = spec.base_dim + spec.depth - 1
-    if ambient > max_dim:
-        raise ResourceCapError(f"tower ambient dimension {ambient} exceeds cap {max_dim}")
-
-
 def cmd_build(args, start):
     spec = parse_tower(_read_input(args.input))
-    _check_dim_cap(spec, args.max_dim)
-    model = build_model(spec, max_rays=args.max_rays)
+    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
     report = Report(command="build", seed=args.seed)
     report.data = {
         "base_dim": encode_int(spec.base_dim),
@@ -126,8 +120,7 @@ def cmd_build(args, start):
 
 def cmd_fan(args, start):
     spec = parse_tower(_read_input(args.input))
-    _check_dim_cap(spec, args.max_dim)
-    model = build_model(spec, max_rays=args.max_rays)
+    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
     if args.level is not None and not 1 <= args.level <= model.depth:
         raise TowerDocumentError(f"level {args.level} out of range 1..{model.depth}")
     levels = range(model.depth) if args.level is None else [args.level - 1]
@@ -144,8 +137,7 @@ def cmd_fan(args, start):
 
 def cmd_map_to_proj(args, start):
     spec = parse_tower(_read_input(args.input))
-    _check_dim_cap(spec, args.max_dim)
-    model = build_model(spec, max_rays=args.max_rays)
+    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
     proj = projective_model(spec)
     rays = model.levels[-1].fan.all_rays
     supported = [proj.fan.supports(r) for r in rays]
@@ -186,9 +178,8 @@ def cmd_base_change(args, start):
 
 def cmd_lc_check(args, start):
     spec = parse_tower(_read_input(args.input))
-    _check_dim_cap(spec, args.max_dim)
     outcome = lc_place_transfer_check(
-        spec, samples=args.samples, seed=args.seed, max_rays=args.max_rays
+        spec, samples=args.samples, seed=args.seed, max_rays=args.max_rays, max_dim=args.max_dim
     )
     report = report_from_outcome("lc-check", outcome, seed=args.seed)
     return _emit_report(args, report, start)
@@ -196,8 +187,7 @@ def cmd_lc_check(args, start):
 
 def cmd_local_model(args, start):
     spec = parse_tower(_read_input(args.input))
-    _check_dim_cap(spec, args.max_dim)
-    model = build_model(spec, max_rays=args.max_rays)
+    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
     if model.depth < 2:
         raise TowerDocumentError("tower has depth 1: no fibration level to classify")
     if args.level is not None and not 2 <= args.level <= model.depth:
@@ -262,7 +252,10 @@ def cmd_verify(args, start):
     return _emit_report(args, report, start)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on the first call and reused by every later
+    `main` call in the process (parsing keeps no state between calls)."""
     parser = argparse.ArgumentParser(
         prog="torictower",
         description="Exact combinatorial engine for special toric towers.",

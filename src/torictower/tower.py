@@ -30,6 +30,7 @@ from typing import Optional, Union
 
 from .lattice import (
     Cone,
+    DEFAULT_MAX_DIM,
     DEFAULT_MAX_RAYS,
     Fan,
     LatticeError,
@@ -199,9 +200,16 @@ def _require_valid(spec):
         raise LatticeError("invalid tower spec: " + "; ".join(v.detail for v in violations))
 
 
-def build_model(spec, max_rays=DEFAULT_MAX_RAYS):
-    """Realize the tower as one fan per level with coordinate projections."""
+def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
+    """Realize the tower as one fan per level with coordinate projections.
+
+    Raises ResourceCapError when the top level's ambient dimension p + d - 1
+    exceeds max_dim, or a level fan has more than max_rays rays.
+    """
     _require_valid(spec)
+    ambient = spec.base_dim + spec.depth - 1
+    if ambient > max_dim:
+        raise ResourceCapError(f"tower ambient dimension {ambient} exceeds cap {max_dim}")
     fan = orthant_fan(spec.base_dim)
     levels = [TowerLevel(fan=fan, boundary=boundary_divisor(fan), projection=None)]
     for move in spec.moves:
@@ -252,23 +260,6 @@ def projective_model(spec):
     )
 
 
-def _zero_support_evaluator(fan):
-    """Fast a(e) evaluator for a pair with canonical + boundary = 0.
-
-    cartier_data must succeed with all-zero vectors; returns a callable
-    giving a(e) (always 0 on the support) or None off support.
-    """
-    cd = cartier_data(fan, canonical_divisor(fan) + boundary_divisor(fan))
-    if isinstance(cd, NotQCartier):
-        return None, cd
-
-    def evaluate(e):
-        val = cd.evaluate(e)
-        return None if val is None else -val
-
-    return evaluate, cd
-
-
 def sample_primitive_vectors(fan, samples, rng):
     """Seeded primitive vectors in the fan support: per sample, a random
     maximal cone and a random non-negative integer combination (entries <= 10)
@@ -287,27 +278,33 @@ def sample_primitive_vectors(fan, samples, rng):
         yield None if is_zero(v) else primitive(v)
 
 
-def lc_place_transfer_check(spec, samples, seed, max_rays=DEFAULT_MAX_RAYS, model=None):
+def lc_place_transfer_check(
+    spec, samples, seed, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM, model=None
+):
     """Check that toric valuations of (V_d, C_d) are lc places of (P, G).
 
-    Every ray of the level-d fan and `samples` seeded primitive vectors in its
-    support must have log discrepancy exactly 0 for both pairs (both have
-    canonical + boundary = 0).  Violations carry the witness vector.
+    Both pairs are log Calabi-Yau: K + C has coefficient -1 + 1 = 0 on every
+    ray, so every log discrepancy is 0.  Each fan's K + C is checked once (its
+    Cartier data, every vector zero; a failure is a "cartier" violation).
+    What is left is the fan-level claim |Sigma_V| within |Sigma_P| =
+    {x_1..x_p >= 0}: every ray of the level-d fan and `samples` seeded
+    primitive vectors in its support must pass that sign test, or give a
+    "no-centre-on-P" violation carrying the vector.  On build_model output it
+    holds by construction (every ray keeps x_1..x_p >= 0); the test guards
+    models passed in as `model`.
     """
     _require_valid(spec)
     if model is None:
-        model = build_model(spec, max_rays=max_rays)
-    proj = projective_model(spec)
+        model = build_model(spec, max_rays=max_rays, max_dim=max_dim)
     out = CheckOutcome()
     fan_v = model.levels[-1].fan
-    eval_v, cd_v = _zero_support_evaluator(fan_v)
-    eval_p, cd_p = _zero_support_evaluator(proj.fan)
-    if eval_v is None:
-        out.add_violation("cartier", f"K+C not Q-Cartier on V_d: {cd_v.message}")
-        return out
-    if eval_p is None:
-        out.add_violation("cartier", f"K+G not Q-Cartier on P: {cd_p.message}")
-        return out
+    fan_p = projective_model(spec).fan
+    for label, fan in (("K+C not Q-Cartier on V_d", fan_v), ("K+G not Q-Cartier on P", fan_p)):
+        cd = cartier_data(fan, canonical_divisor(fan) + boundary_divisor(fan))
+        if isinstance(cd, NotQCartier):
+            out.add_violation("cartier", f"{label}: {cd.message}")
+            return out
+    p = spec.base_dim
     rng = random.Random(seed)
     vectors = [("ray", r) for r in fan_v.all_rays]
     vectors += [
@@ -317,24 +314,10 @@ def lc_place_transfer_check(spec, samples, seed, max_rays=DEFAULT_MAX_RAYS, mode
         out.checked += 1
         if e is None:
             out.add_skip("degenerate sample (zero vector)", origin=origin)
-            continue
-        a_v = eval_v(e)
-        if a_v is None:
-            out.add_skip("no centre on V_d", vector=list(e), origin=origin)
-            continue
-        a_p = eval_p(e)
-        if a_p is None:
+        elif min(e[:p]) < 0:
             out.add_violation(
                 "no-centre-on-P",
                 "vector lies in |Sigma_V| but not in |Sigma_P|",
-                vector=list(e),
-                origin=origin,
-            )
-            continue
-        if a_v != 0 or a_p != 0:
-            out.add_violation(
-                "lc-transfer",
-                f"log discrepancies a_V={a_v}, a_P={a_p} differ from 0",
                 vector=list(e),
                 origin=origin,
             )
@@ -381,10 +364,14 @@ def local_model_at(model, level, cone):
     """Classify the torus orbit of a level-`level` cone relative to the
     fibration to the previous level.
 
-    Product move: smooth_on_section iff the cone contains the new-coordinate
-    ray (the vanishing section of the new variable).  Node move: node iff both
-    branch coordinates vanish on the orbit, i.e. some ray has positive last
-    coordinate and some ray (v, s) has <m, v> - s > 0; otherwise smooth_plain.
+    The cone must be a face of a maximal cone of the level fan (its rays in
+    any order), else LatticeError.  Product move: smooth_on_section iff the
+    cone contains the new-coordinate ray e_new (the vanishing section of the
+    new variable); e_new is a ray of every maximal cone there, so a face
+    contains it iff it is one of the face's generators.  Node move: node iff
+    both branch coordinates vanish on the orbit, i.e. some ray has positive
+    last coordinate and some ray (v, s) has <m, v> - s > 0; otherwise
+    smooth_plain.
     """
     if level == 1:
         raise LatticeError("base level has no fibration structure")
@@ -396,7 +383,7 @@ def local_model_at(model, level, cone):
     move = model.spec.moves[level - 2]
     n = fan.ambient_dim
     if isinstance(move, ProductMove):
-        if cone.contains(unit_vector(n, n - 1)):
+        if unit_vector(n, n - 1) in cone.generators:
             return LocalModel(kind="smooth_on_section")
         return LocalModel(kind="smooth_plain")
     m = move.lattice_exponents()

@@ -9,13 +9,15 @@ the facet inequalities, a pulling triangulation that runs one double
 description pass per face, and a star subdivision that spans every face
 missing the centre with it and prunes the result geometrically, and Cartier
 data from Gauss-Jordan elimination over Fraction rows with a separate Smith
-normal form for the index.  They are slow and independent of the
+normal form for the index, and the lc-place transfer check evaluated per
+vector as the log discrepancy -<m_sigma, e> on both fans.  They are slow and independent of the
 production code, so the property tests compare the two.  `unimodular` draws
 the changes of coordinates for the metamorphic tests.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -34,7 +36,19 @@ from torictower.lattice import (
     snf,
 )
 from torictower.polytope import LatticePolytope, UnboundedPolytopeError
-from torictower.toric import CartierData, NotQCartier
+from torictower.toric import (
+    CartierData,
+    NotQCartier,
+    boundary_divisor,
+    canonical_divisor,
+    cartier_data,
+)
+from torictower.tower import (
+    CheckOutcome,
+    build_model,
+    projective_model,
+    sample_primitive_vectors,
+)
 
 
 def faces_oracle(cone):
@@ -286,6 +300,62 @@ def normalized_volume_oracle(polytope):
         rows = [[Fraction(x) - Fraction(y) for x, y in zip(v, v0)] for v in simplex[1:]]
         total += abs(det_fraction(rows))
     return total
+
+
+def lc_place_transfer_check_oracle(spec, samples, seed, model=None):
+    """Every ray and seeded sample of the level-d fan evaluated as a log
+    discrepancy on (V_d, C_d) and on (P, G): the Cartier data of K + boundary
+    at the first maximal cone that contains the vector, found by
+    `Cone.contains`.  Counts, skips and violations as `lc_place_transfer_check`."""
+    if model is None:
+        model = build_model(spec)
+    out = CheckOutcome()
+    fan_v = model.levels[-1].fan
+    fan_p = projective_model(spec).fan
+    cd_v = cartier_data(fan_v, canonical_divisor(fan_v) + boundary_divisor(fan_v))
+    cd_p = cartier_data(fan_p, canonical_divisor(fan_p) + boundary_divisor(fan_p))
+    if isinstance(cd_v, NotQCartier):
+        out.add_violation("cartier", f"K+C not Q-Cartier on V_d: {cd_v.message}")
+        return out
+    if isinstance(cd_p, NotQCartier):
+        out.add_violation("cartier", f"K+G not Q-Cartier on P: {cd_p.message}")
+        return out
+
+    def log_discrepancy(cd, e):
+        val = cd.evaluate(e)
+        return None if val is None else -val
+
+    rng = random.Random(seed)
+    vectors = [("ray", r) for r in fan_v.all_rays]
+    vectors += [("sample", v) for v in sample_primitive_vectors(fan_v, samples, rng)]
+    for origin, e in vectors:
+        out.checked += 1
+        if e is None:
+            out.add_skip("degenerate sample (zero vector)", origin=origin)
+            continue
+        a_v = log_discrepancy(cd_v, e)
+        if a_v is None:
+            out.add_skip("no centre on V_d", vector=list(e), origin=origin)
+            continue
+        a_p = log_discrepancy(cd_p, e)
+        if a_p is None:
+            out.add_violation(
+                "no-centre-on-P",
+                "vector lies in |Sigma_V| but not in |Sigma_P|",
+                vector=list(e),
+                origin=origin,
+            )
+            continue
+        if a_v != 0 or a_p != 0:
+            out.add_violation(
+                "lc-transfer",
+                f"log discrepancies a_V={a_v}, a_P={a_p} differ from 0",
+                vector=list(e),
+                origin=origin,
+            )
+        else:
+            out.passed += 1
+    return out
 
 
 @st.composite

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, main
+from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -146,3 +146,101 @@ def test_reports_embed_seed(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "volume", "--seed", "123")
     assert code == EXIT_OK
     assert json.loads(out)["seed"] == "123"
+
+
+def test_max_dim_cap_exit_code(tmp_path, capsys):
+    # base_dim 2 and depth 2: the top level has ambient dimension 3
+    path = write_tower(
+        tmp_path,
+        '{"base_dim": "2", "moves": [{"type": "node", "alpha_exponents": [], "t_exponents": ["1", "1"]}]}',
+    )
+    for command in ("build", "fan", "map-to-proj", "lc-check", "local-model"):
+        code, out, err = run_cli(capsys, command, "--input", path, "--max-dim", "2")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == "resource cap: tower ambient dimension 3 exceeds cap 2\n"
+        code, _, _ = run_cli(capsys, command, "--input", path, "--max-dim", "3")
+        assert code == EXIT_OK
+
+
+def _run(argv, capsys, tmp_path):
+    """(exit code, stdout, stderr, --output file text) of one main call;
+    SystemExit from argparse counts as the exit code."""
+    out_path = tmp_path / "out.json"
+    if out_path.exists():
+        out_path.unlink()
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = out_path.read_text(encoding="utf-8") if out_path.exists() else None
+    return code, captured.out, captured.err, written
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    path = write_tower(tmp_path, SIMPLE)
+    out_path = str(tmp_path / "out.json")
+    calls = [
+        ["lc-check", "--input", path, "--samples", "7", "--seed", "5", "--timing"],
+        ["lc-check", "--input", path],
+        ["fan", "--input", path, "--level", "2", "--output", out_path],
+        ["fan", "--input", path],
+        ["local-model", "--input", path, "--level", "2", "--seed", "9"],
+        ["local-model", "--input", path],
+        ["base-change", "--input", path, "--orders", "1", "--on-boundary"],
+        ["base-change", "--input", path, "--orders", "0", "--off-boundary"],
+        ["build", "--input", path, "--max-rays", "1"],
+        ["build", "--input", path],
+        ["verify", "--suite", "basechange", "--seed", "3", "--samples", "4"],
+        ["verify", "--suite", "volume"],
+        ["random", "--p", "2", "--d", "3", "--seed", "7", "--max-exponent", "2"],
+        ["random", "--p", "1", "--d", "2"],
+    ]
+    shared = build_parser()
+    assert build_parser() is shared
+    fresh = []
+    for argv in calls:  # each call on a newly built parser
+        build_parser.cache_clear()
+        fresh.append(_run(argv, capsys, tmp_path))
+    build_parser.cache_clear()
+    shared = build_parser()
+    for argv, want in zip(calls, fresh):  # the same calls on one parser
+        assert vars(shared.parse_args(argv)) == vars(build_parser.__wrapped__().parse_args(argv))
+        got = _run(argv, capsys, tmp_path)
+        if "--timing" in argv:
+            assert '"elapsed_ms"' in got[1]
+            got, want = got[0], want[0]
+        assert got == want, argv
+    assert build_parser() is shared
+    # defaults come back: 2 rays + 50 samples, seed 0, every level, stdout
+    assert json.loads(fresh[1][1])["counts"]["checked"] == "52"
+    assert json.loads(fresh[1][1])["seed"] == "0"
+    assert fresh[2][1] == "" and json.loads(fresh[2][3])["data"]["levels"][0]["level"] == "2"
+    assert len(json.loads(fresh[3][1])["data"]["levels"]) == 2 and fresh[3][3] is None
+    assert json.loads(fresh[6][1]) != json.loads(fresh[7][1])
+    assert (fresh[8][0], fresh[9][0]) == (EXIT_RESOURCE, EXIT_OK)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        ["lc-check", "--help"],
+        ["base-change", "--help"],
+        [],
+        ["no-such-command"],
+        ["lc-check", "--samples", "many"],
+        ["base-change", "--orders", "1", "--on-boundary", "--off-boundary"],
+        ["verify", "--suite", "nope"],
+    ],
+)
+def test_help_and_usage_errors_match_a_fresh_parser(argv, tmp_path, capsys):
+    main(["verify", "--suite", "volume", "--seed", "1"])  # the shared parser has run
+    capsys.readouterr()
+    got = _run(argv, capsys, tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        build_parser.__wrapped__().parse_args(argv)
+    captured = capsys.readouterr()
+    assert got == (exc.value.code, captured.out, captured.err, None)
+    assert got[0] == (0 if "--help" in argv else EXIT_USAGE)
+    assert got[1 if "--help" in argv else 2].startswith("usage: torictower")

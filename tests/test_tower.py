@@ -4,14 +4,18 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from oracles import lc_place_transfer_check_oracle
+from test_golden import STRESS_TOWER
 from torictower.lattice import (
     Cone,
+    Fan,
     LatticeError,
     ResourceCapError,
     dot,
     dual_cone,
     fan_validate,
     identity_matrix,
+    mat_vec,
     orthant_fan,
     unit_vector,
 )
@@ -27,6 +31,8 @@ from torictower.tower import (
     CurveGermData,
     NodeMove,
     ProductMove,
+    TowerLevel,
+    TowerModel,
     TowerSpec,
     base_change_to_curve,
     build_model,
@@ -119,6 +125,17 @@ def test_build_ray_cap():
         build_model(spec, max_rays=3)
 
 
+def test_build_dimension_cap():
+    spec = TowerSpec(2, (node((), (1, 1)), ProductMove()))  # ambient dimension 4
+    message = "^tower ambient dimension 4 exceeds cap 3$"
+    with pytest.raises(ResourceCapError, match=message):
+        build_model(spec, max_dim=3)
+    with pytest.raises(ResourceCapError, match=message):
+        lc_place_transfer_check(spec, samples=1, seed=0, max_dim=3)
+    assert build_model(spec, max_dim=4).levels[-1].fan.ambient_dim == 4
+    assert lc_place_transfer_check(spec, samples=1, seed=0, max_dim=4).ok()
+
+
 def test_node_ray_bounds_invariant():
     spec = TowerSpec(2, (node((), (2, 1)), node((1,), (1, -1))))
     model = build_model(spec)
@@ -185,6 +202,73 @@ def test_lc_transfer_no_violations_on_random_towers():
     for spec in random_towers(40, seed=17):
         res = lc_place_transfer_check(spec, samples=20, seed=rng.randrange(2**32))
         assert res.ok(), res.violations
+
+
+def _with_top_fan_moved(model, u):
+    """`model` with its top fan replaced by its image under the unimodular u."""
+    top = model.levels[-1]
+    n = top.fan.ambient_dim
+    fan = Fan(n, [
+        Cone(n, tuple(sorted(mat_vec(u, g) for g in c.generators)))
+        for c in top.fan.maximal_cones
+    ])
+    level = TowerLevel(fan=fan, boundary=boundary_divisor(fan), projection=top.projection)
+    return TowerModel(spec=model.spec, levels=model.levels[:-1] + (level,))
+
+
+def test_lc_check_matches_per_vector_oracle_on_random_towers():
+    rng = random.Random(20260814)
+    towers = random_towers(80, 20260814)
+    assert any(len(spec.moves) == 0 for spec in towers) and max(len(s.moves) for s in towers) >= 3
+    skipped = 0
+    for spec in towers:
+        for _ in range(3):
+            seed = rng.randrange(2**32)
+            got = lc_place_transfer_check(spec, samples=20, seed=seed)
+            assert got == lc_place_transfer_check_oracle(spec, samples=20, seed=seed)
+            assert got.ok() and got.checked == got.passed + got.skipped
+            skipped += got.skipped
+    assert skipped > 0
+
+
+def test_lc_check_matches_per_vector_oracle_on_the_stress_tower():
+    for seed in (1, 2, 3):
+        got = lc_place_transfer_check(STRESS_TOWER, samples=50, seed=seed)
+        assert got == lc_place_transfer_check_oracle(STRESS_TOWER, samples=50, seed=seed)
+        assert got.ok() and got.checked == 104 + 50
+
+
+def test_lc_check_on_a_zero_cone_top_fan_skips_every_sample():
+    spec = TowerSpec(1, (node((), (-1,)),))  # t^-1 is regular on no ray of A^1
+    assert build_model(spec).levels[-1].fan.maximal_cones == (Cone(2, ()),)
+    got = lc_place_transfer_check(spec, samples=30, seed=4)
+    assert got == lc_place_transfer_check_oracle(spec, samples=30, seed=4)
+    assert (got.checked, got.passed, got.skipped, got.violations) == (30, 0, 30, [])
+    assert {s["reason"] for s in got.skips} == {"degenerate sample (zero vector)"}
+
+
+def test_lc_check_matches_oracle_on_top_fans_outside_the_projective_support():
+    # forged models: the top fan moved by x_p -> -x_p, or x_1 -> x_1 - x_n
+    rng = random.Random(5)
+    flagged = 0
+    for spec in random_towers(40, 20260814):
+        model = build_model(spec)
+        n = model.levels[-1].fan.ambient_dim
+        flip = [list(r) for r in identity_matrix(n)]
+        flip[spec.base_dim - 1][spec.base_dim - 1] = -1
+        shear = [list(r) for r in identity_matrix(n)]
+        shear[0][n - 1] -= 1
+        for u in (flip, shear) if n > 1 else (flip,):
+            forged = _with_top_fan_moved(model, u)
+            seed = rng.randrange(2**32)
+            got = lc_place_transfer_check(spec, samples=15, seed=seed, model=forged)
+            assert got == lc_place_transfer_check_oracle(spec, samples=15, seed=seed, model=forged)
+            kinds = {v["kind"] for v in got.violations}
+            assert kinds <= {"no-centre-on-P"}
+            flagged += bool(kinds)
+            for v in got.violations:
+                assert min(v["vector"][: spec.base_dim]) < 0 and v["origin"] in ("ray", "sample")
+    assert flagged >= 40
 
 
 # --- base change -------------------------------------------------------
@@ -312,6 +396,34 @@ def test_local_model_requires_fan_membership():
     model = build_model(TowerSpec(1, (node((), (2,)),)))
     with pytest.raises(LatticeError, match="does not belong"):
         local_model_at(model, 2, Cone(2, ((1, 1),)))
+
+
+def test_local_model_on_product_levels_matches_containment():
+    rng = random.Random(20260815)
+    faces_seen = on_section = 0
+    for spec in random_towers(60, 20260815):
+        model = build_model(spec)
+        for level, move in enumerate(spec.moves, start=2):
+            if not isinstance(move, ProductMove):
+                continue
+            fan = model.levels[level - 1].fan
+            n = fan.ambient_dim
+            e_new = unit_vector(n, n - 1)
+            faces = {f.generators: f for top in fan.maximal_cones for f in top.faces()}
+            for face in faces.values():
+                want = "smooth_on_section" if face.contains(e_new) else "smooth_plain"
+                assert local_model_at(model, level, face).kind == want
+                gens = list(face.generators)
+                rng.shuffle(gens)
+                assert local_model_at(model, level, Cone(n, tuple(gens))).kind == want
+                faces_seen += 1
+                on_section += want == "smooth_on_section"
+            # not in the fan: -e_new, and e_new with a non-ray of a maximal cone
+            interior = [tuple(map(sum, zip(*c.generators))) for c in fan.maximal_cones]
+            for bad in [(tuple(-x for x in e_new),)] + [(e_new, v) for v in interior]:
+                with pytest.raises(LatticeError, match="does not belong"):
+                    local_model_at(model, level, Cone(n, bad))
+    assert faces_seen > 200 and 0 < on_section < faces_seen
 
 
 # --- blowup chart oracle for the log discrepancy example ----------------
