@@ -30,6 +30,7 @@ from .tower import (
     CurveGermData,
     base_change_to_curve,
     build_model,
+    in_projective_support,
     lc_place_transfer_check,
     local_model_at,
     projective_model,
@@ -140,7 +141,7 @@ def cmd_map_to_proj(args, start):
     model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
     proj = projective_model(spec)
     rays = model.levels[-1].fan.all_rays
-    supported = [proj.fan.supports(r) for r in rays]
+    supported = [in_projective_support(spec, r) for r in rays]
     report = Report(command="map-to-proj", seed=args.seed)
     report.data = {
         "fan": _fan_document(proj.fan),

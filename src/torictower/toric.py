@@ -164,8 +164,8 @@ def cartier_data(fan, divisor):
     t = s_r.  Since V is unimodular, the least q with q*m integral, the
     cone's Cartier index, is t*den / gcd(t*den, *M) for M = V*Y.  On a
     lower-dimensional cone the free coordinates y_i, i > r, are set to 0; the
-    solution is unique on full-dimensional cones.  The zero cone gets the
-    zero vector.
+    solution is unique on full-dimensional cones.  A cone on whose rays D
+    vanishes, the zero cone among them, gets m = 0 (c = 0) with no Smith form.
 
     Returns CartierData, or NotQCartier naming the first cone where the
     system has no rational solution.
@@ -174,12 +174,12 @@ def cartier_data(fan, divisor):
     q = 1
     for cone in fan.maximal_cones:
         rays = cone.generators
-        if not rays:
-            vectors.append((Fraction(0),) * fan.ambient_dim)
-            continue
         values = [divisor.coefficient(u) for u in rays]
         den = math.lcm(*(d.denominator for d in values))
         big_d = [d.numerator * (den // d.denominator) for d in values]
+        if not any(big_d):  # the zero cone, or D vanishes on every ray: m = 0
+            vectors.append((Fraction(0),) * fan.ambient_dim)
+            continue
         s, u, v = snf(rays)
         c = mat_vec(u, big_d)
         diag = [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i]]

@@ -260,6 +260,11 @@ def projective_model(spec):
     )
 
 
+def in_projective_support(spec, v):
+    """Whether v lies in |Sigma_P| = {x_1..x_p >= 0}, for A^p and A^p x P^(d-1) alike."""
+    return min(v[: spec.base_dim]) >= 0
+
+
 def sample_primitive_vectors(fan, samples, rng):
     """Seeded primitive vectors in the fan support: per sample, a random
     maximal cone and a random non-negative integer combination (entries <= 10)
@@ -304,7 +309,6 @@ def lc_place_transfer_check(
         if isinstance(cd, NotQCartier):
             out.add_violation("cartier", f"{label}: {cd.message}")
             return out
-    p = spec.base_dim
     rng = random.Random(seed)
     vectors = [("ray", r) for r in fan_v.all_rays]
     vectors += [
@@ -314,7 +318,7 @@ def lc_place_transfer_check(
         out.checked += 1
         if e is None:
             out.add_skip("degenerate sample (zero vector)", origin=origin)
-        elif min(e[:p]) < 0:
+        elif not in_projective_support(spec, e):
             out.add_violation(
                 "no-centre-on-P",
                 "vector lies in |Sigma_V| but not in |Sigma_P|",

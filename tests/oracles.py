@@ -10,7 +10,9 @@ description pass per face, and a star subdivision that spans every face
 missing the centre with it and prunes the result geometrically, and Cartier
 data from Gauss-Jordan elimination over Fraction rows with a separate Smith
 normal form for the index, and the lc-place transfer check evaluated per
-vector as the log discrepancy -<m_sigma, e> on both fans.  They are slow and independent of the
+vector as the log discrepancy -<m_sigma, e> on both fans, and fan
+validation that re-canonicalises every cone and intersects every pair of
+maximal cones by double description.  They are slow and independent of the
 production code, so the property tests compare the two.  `unimodular` draws
 the changes of coordinates for the metamorphic tests.
 """
@@ -26,10 +28,14 @@ from torictower.lattice import (
     Cone,
     Fan,
     LatticeError,
+    Violation,
+    content,
     det_fraction,
     dot,
     halfspace_intersection,
     identity_matrix,
+    intersect_cones,
+    is_face_of,
     is_zero,
     primitive,
     rank_int,
@@ -138,6 +144,48 @@ def star_subdivision_oracle(fan, v):
         )
     ]
     return Fan(fan.ambient_dim, keep)
+
+
+def fan_validate_oracle(fan):
+    """`fan_validate` with no certificate: every cone re-canonicalised by
+    `Cone.generated_by` and every pair of maximal cones intersected by double
+    description."""
+    violations = []
+    canonical = {}
+    for c in fan.maximal_cones:
+        ok = True
+        seen = set()
+        for g in c.generators:
+            if is_zero(g):
+                violations.append(Violation("non-primitive ray", f"zero generator in cone {list(c.generators)}"))
+                ok = False
+                continue
+            if content(g) != 1:
+                violations.append(Violation("non-primitive ray", f"ray {list(g)} has content {content(g)}"))
+                ok = False
+            if g in seen:
+                violations.append(Violation("duplicate ray", f"ray {list(g)} listed twice in a cone"))
+                ok = False
+            seen.add(g)
+        if ok and not c.is_strongly_convex():
+            violations.append(Violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
+            ok = False
+        if ok:
+            canonical[c] = Cone.generated_by(c.generators, fan.ambient_dim)
+    cones = [c for c in fan.maximal_cones if c in canonical]
+    for i in range(len(cones)):
+        for j in range(i + 1, len(cones)):
+            a, b = canonical[cones[i]], canonical[cones[j]]
+            inter = intersect_cones(a, b)
+            if not (is_face_of(inter, a) and is_face_of(inter, b)):
+                violations.append(
+                    Violation(
+                        "intersection not a face",
+                        f"cones {list(cones[i].generators)} and {list(cones[j].generators)} "
+                        f"meet in {list(inter.generators)} which is not a common face",
+                    )
+                )
+    return violations
 
 
 def solve_rational(rows, rhs):

@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
 from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, main
+from torictower.documents import emit_tower
+from torictower.tower import build_model, in_projective_support, projective_model
+from torictower.verify import random_towers
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +54,29 @@ def test_map_to_proj_support(tmp_path, capsys):
     assert doc["violations"] == []
     assert all(entry["supported"] for entry in doc["data"]["level_d_rays_in_support"])
     assert doc["data"]["identification"] == [["1", "0"], ["0", "1"]]
+
+
+def test_map_to_proj_support_is_the_sign_test(tmp_path, capsys):
+    """|P| = {x_1..x_p >= 0}: the sign test agrees with the support of the
+    projective model's fan on every top ray, on the CLI's report, and on
+    vectors with negative or zero x_1..x_p."""
+    rng = random.Random(20261018)
+    outcomes = set()
+    for k, spec in enumerate(random_towers(60, 20261018)):
+        fan = projective_model(spec).fan
+        rays = build_model(spec).levels[-1].fan.all_rays
+        path = write_tower(tmp_path, emit_tower(spec), f"t{k}.json")
+        code, out, _ = run_cli(capsys, "map-to-proj", "--input", path)
+        assert code == EXIT_OK
+        entries = json.loads(out)["data"]["level_d_rays_in_support"]
+        assert [entry["supported"] for entry in entries] == [fan.supports(r) for r in rays]
+        vectors = list(rays) + [tuple(rng.randint(-2, 2) for _ in range(fan.ambient_dim)) for _ in range(20)]
+        vectors += [(0,) * spec.base_dim + r[spec.base_dim:] for r in rays]
+        for v in vectors:
+            got = in_projective_support(spec, v)
+            assert got == fan.supports(v), (spec, v)
+            outcomes.add((got, min(v[: spec.base_dim])))
+    assert {(True, 0), (False, -1)} <= outcomes
 
 
 def test_base_change_command(tmp_path, capsys):

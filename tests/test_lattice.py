@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import faces_oracle, is_face_of_oracle, unimodular
+import torictower.lattice
+from oracles import faces_oracle, fan_validate_oracle, is_face_of_oracle, unimodular
 from torictower.lattice import (
     Cone,
     Fan,
@@ -28,8 +29,10 @@ from torictower.lattice import (
     snf,
     torus_fan,
     transpose,
+    vadd,
     vscale,
 )
+from torictower.toric import star_subdivision
 from torictower.tower import build_model
 from torictower.verify import (
     dual_cone_facet_oracle,
@@ -395,6 +398,135 @@ def test_validate_fans_cover_every_violation_kind():
     assert all(fan_validate(fan) == [] for fan in LEVEL_FANS)
     kinds = {v.kind for fan in BAD_FANS for v in fan_validate(fan)}
     assert kinds == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
+
+
+def _gens(*vectors):
+    return Cone.generated_by(vectors)
+
+
+CUBE_RAYS = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+CUBE_FAN = Fan(3, [  # the fan over the faces of a cube: non-simplicial and complete
+    Cone(3, tuple(sorted(r for r in CUBE_RAYS if r[k] == s))) for k in range(3) for s in (-1, 1)
+])
+REDUNDANT_FAN = Fan(2, (Cone(2, ((1, 0), (1, 1), (0, 1))), _gens((0, 1), (-1, 0))))
+UNSORTED_FAN = Fan(2, (Cone(2, ((0, 1), (1, 0))), Cone(2, ((-1, 0), (0, 1)))))
+CERTIFICATE_FANS = BAD_FANS + [
+    CUBE_FAN,
+    # two cones that overlap, or meet outside a common face
+    Fan(2, (_gens((1, 0), (0, 1)), _gens((1, 0), (1, 1)))),
+    Fan(3, (_gens((1, 0, 0), (0, 1, 0), (0, 0, 1)), _gens((1, 1, 0), (0, 0, 1), (-1, 0, 0)))),
+    Fan(3, (_gens((1, 0, 0), (0, 1, 0)), _gens((1, 1, 1), (1, 1, -1)))),
+    Fan(3, (Cone(3, tuple(r for r in CUBE_RAYS if r[0] == 1)), _gens((1, 0, 0), (0, 1, 0), (0, 0, 1)))),
+    # a cone over a quadrilateral and one of its diagonals, which comes first
+    # in fan order or last
+    Fan(3, (_gens((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), _gens((1, 0, 1), (-1, 0, 1)))),
+    Fan(3, (_gens((1, -1, -2), (1, 2, 0), (2, -3, 3), (2, 2, -3)), _gens((1, -1, -2), (1, 2, 0)))),
+    # lower-dimensional cones, which have equations: a plane fan in R^3, a
+    # ray on its face, and two planar cones crossing at an interior ray
+    Fan(3, (_gens((1, 0, 0), (0, 1, 0)), _gens((0, 1, 0), (-1, 0, 0)), _gens((-1, 0, 0), (0, -1, 0)))),
+    Fan(3, (_gens((1, 0, 0), (0, 1, 0)), _gens((1, 0, 0),), _gens((0, 0, 1),))),
+    Fan(3, (_gens((1, 0, 0), (0, 0, 1)), _gens((0, 1, 0), (1, -1, 1)))),
+    # non-pointed cones next to pointed ones
+    Fan(2, (Cone(2, ((1, 0), (-1, 0), (0, 1))), _gens((0, -1), (1, -1)))),
+    Fan(3, (Cone(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0))), _gens((0, 0, 1), (0, 1, 1)))),
+    # redundant generators (re-canonicalised), meeting in a face or not
+    REDUNDANT_FAN,
+    Fan(2, (Cone(2, ((1, 0), (1, 1), (0, 1))), _gens((1, 1), (-1, 0)))),
+    Fan(3, (Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1))), _gens((1, 0, 0), (0, -1, 0)))),
+    # generators out of lex order, and the zero cone
+    UNSORTED_FAN,
+    Fan(2, (Cone(2, ()), _gens((1, 0), (0, 1)))),
+    torus_fan(3),
+]
+
+
+def _random_cone_pairs(count, seed):
+    """Two-cone fans with raw generators drawn from a small box: most pairs
+    overlap, some are redundant, non-pointed or lower-dimensional."""
+    rng = random.Random(seed)
+    fans = []
+    while len(fans) < count:
+        n = rng.randint(1, 4)
+        cones = []
+        for _ in range(2):
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, n + 1))]
+            cones.append(Cone(n, sorted({primitive(v) for v in vectors if any(v)})))
+        fans.append(Fan(n, cones))
+    return fans
+
+
+def _counting_intersections(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return intersect_cones(a, b)
+
+    monkeypatch.setattr(torictower.lattice, "intersect_cones", counting)
+    return calls
+
+
+def test_fan_validate_matches_all_pairs_oracle(monkeypatch):
+    fans = CERTIFICATE_FANS + LEVEL_FANS + _random_cone_pairs(300, 20261018)
+    kinds = []
+    fallbacks = _counting_intersections(monkeypatch)
+    for fan in fans:
+        got = fan_validate(fan)
+        assert got == fan_validate_oracle(fan), fan.maximal_cones
+        kinds += [v.kind for v in got]
+    assert set(kinds) == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
+    # some pairs without a certificate do meet in a common face
+    assert len(fallbacks) > kinds.count("intersection not a face")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fan_validate_matches_all_pairs_oracle_after_unimodular_change_of_coordinates(data):
+    fan = data.draw(st.sampled_from(CERTIFICATE_FANS))
+    n = fan.ambient_dim
+    u, _ = data.draw(unimodular(n))
+    moved = Fan(n, [Cone(n, [mat_vec(u, g) for g in c.generators]) for c in fan.maximal_cones])
+    assert fan_validate(moved) == fan_validate_oracle(moved)
+
+
+def _subdivided_fans(seed):
+    """Chains of four star subdivisions of complete fans, each at a positive
+    combination of a random maximal cone's rays."""
+    rng = random.Random(seed)
+    fans = []
+    for fan in (projective_fan(3), projective_fan(4), product_fan(projective_fan(2), projective_fan(2))):
+        for _ in range(4):
+            cone = rng.choice(fan.maximal_cones)
+            centre = (0,) * fan.ambient_dim
+            for g in cone.generators:
+                centre = vadd(centre, vscale(rng.randint(1, 2), g))
+            fan = star_subdivision(fan, centre)
+            fans.append(fan)
+    return fans
+
+
+def test_fan_validate_certifies_valid_fans_without_double_description(monkeypatch):
+    calls = _counting_intersections(monkeypatch)
+    assert fan_validate(BAD_FANS[0]) and len(calls) == 1  # the wrapper counts
+    calls.clear()
+    fans = [projective_fan(4), product_fan(projective_fan(2), projective_fan(3)), CUBE_FAN]
+    fans += [level.fan for spec in random_towers(80, 20260810) for level in build_model(spec).levels]
+    fans += _subdivided_fans(20261018)
+    for fan in fans:
+        assert fan_validate(fan) == []
+    assert calls == []
+
+
+def test_fan_validate_keeps_canonical_cones(monkeypatch):
+    calls = []
+    inner = Cone.generated_by
+    monkeypatch.setattr(Cone, "generated_by", staticmethod(lambda *a: calls.append(a) or inner(*a)))
+    assert fan_validate(REDUNDANT_FAN) == []
+    assert len(calls) == 1
+    calls.clear()
+    for fan in (projective_fan(3), CUBE_FAN, UNSORTED_FAN):
+        assert fan_validate(fan) == []
+    assert calls == []
 
 
 def test_standard_fans_are_valid():

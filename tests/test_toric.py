@@ -25,6 +25,7 @@ from torictower.lattice import (
     snf,
     torus_fan,
     transpose,
+    unit_vector,
     vadd,
     vscale,
 )
@@ -420,7 +421,7 @@ def _cartier_cases(seed):
         cases += [(fan, _random_divisor(rng, fan)), (fan, principal)]
         if fan.all_rays:
             bump = ToricDivisor(fan, {rng.choice(fan.all_rays): Fraction(1, rng.randint(1, 3))})
-            cases.append((fan, principal + bump))
+            cases += [(fan, principal + bump), (fan, bump)]  # bump vanishes off its ray's star
     return cases
 
 
@@ -439,7 +440,7 @@ def _cone_failures(fan, divisor):
 
 
 def test_cartier_data_matches_elimination_oracle():
-    lower_dim = not_first = zero_cone = index_above_one = 0
+    lower_dim = not_first = zero_cone = vanishing = index_above_one = 0
     for fan, divisor in CARTIER_CASES:
         n = fan.ambient_dim
         out = cartier_data(fan, divisor)
@@ -460,12 +461,14 @@ def test_cartier_data_matches_elimination_oracle():
             else:
                 lower_dim += 1
             zero_cone += not cone.generators
+            # a divisor that is nonzero elsewhere but vanishes on this cone
+            vanishing += not divisor.is_zero() and not any(divisor.coefficient(u) for u in cone.generators)
             denominators += [x.denominator for x in m]
         # the vectors witness the index: q*m is integral on every cone exactly
         # for the multiples q of the Cartier index
         assert math.lcm(*denominators) == out.cartier_index
         index_above_one += out.cartier_index > 1
-    assert lower_dim and not_first and zero_cone and index_above_one
+    assert lower_dim and not_first and zero_cone and vanishing and index_above_one
 
 
 @settings(max_examples=60, deadline=None)
@@ -495,6 +498,8 @@ def test_cartier_data_commutes_with_unimodular_change_of_coordinates(data):
 
 
 def test_cartier_data_runs_one_snf_per_cone(monkeypatch):
+    """One Smith form per cone with rays on which the divisor is not
+    identically zero, and none at all for the zero divisor."""
     calls = []
 
     def counting(m):
@@ -502,11 +507,37 @@ def test_cartier_data_runs_one_snf_per_cone(monkeypatch):
         return snf(m)
 
     monkeypatch.setattr(torictower.toric, "snf", counting)
+    skipped = 0
     for fan, divisor in CARTIER_CASES:
         calls.clear()
         out = cartier_data(fan, divisor)
         cones = list(fan.maximal_cones)
         if isinstance(out, NotQCartier):
             cones = cones[: cones.index(out.cone) + 1]
-        assert calls == [c.generators for c in cones if c.generators]
+        assert calls == [c.generators for c in cones if any(divisor.coefficient(u) for u in c.generators)]
+        skipped += sum(1 for c in cones if c.generators) - len(calls)
+        calls.clear()
+        zero = cartier_data(fan, ToricDivisor(fan))
+        assert zero.vectors == ((0,) * fan.ambient_dim,) * len(fan.maximal_cones)
+        assert zero.cartier_index == 1 and calls == []
+    assert skipped
+    calls.clear()
+    fan = projective_fan(3)
+    assert cartier_data(fan, canonical_divisor(fan) + boundary_divisor(fan)).cartier_index == 1
+    assert calls == []
     assert not hasattr(torictower.lattice, "solve_rational")
+
+
+def test_cartier_data_on_zero_generators():
+    """A maximal cone whose generators are all zero vectors: the zero vector
+    when the divisor vanishes there, else NotQCartier naming that cone."""
+    for n in (1, 2, 3):
+        zero = (0,) * n
+        cone = Cone(n, (zero,))
+        fan = Fan(n, (cone, Cone(n, (unit_vector(n, 0),))))
+        cd = cartier_data(fan, ToricDivisor(fan, {unit_vector(n, 0): 2}))
+        assert isinstance(cd, CartierData)
+        assert cd.vectors[0] == zero and cd.cartier_index == 1
+        out = cartier_data(fan, ToricDivisor(fan, {zero: Fraction(1, 2)}))
+        assert isinstance(out, NotQCartier)
+        assert out.cone == cone and out.message == f"not Q-Cartier on cone {[zero]}"
