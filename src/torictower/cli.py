@@ -24,15 +24,16 @@ from .documents import (
     random_tower,
     report_from_outcome,
 )
-from .lattice import DEFAULT_MAX_DIM, DEFAULT_MAX_RAYS, LatticeError, ResourceCapError
+from .lattice import DEFAULT_MAX_DIM, DEFAULT_MAX_RAYS, LatticeError, ResourceCapError, bit_indices
 from .polytope import ProjectiveDivisorData, relative_degree_on_P, relative_volume_on_P
 from .tower import (
     CurveGermData,
+    NodeMove,
     base_change_to_curve,
     build_model,
     in_projective_support,
     lc_place_transfer_check,
-    local_model_at,
+    orbit_classifier,
     projective_model,
 )
 from .verify import SUITES, run_suite
@@ -198,27 +199,22 @@ def cmd_local_model(args, start):
     data_levels = []
     for level in levels:
         fan = model.levels[level - 1].fan
-        cones = []
-        seen = set()
-        for top in fan.maximal_cones:
-            for face in top.faces():
-                if face.generators in seen:
-                    continue
-                seen.add(face.generators)
-                cones.append(face)
-        cones.sort(key=lambda c: (len(c.generators), c.generators))
-        entries = []
-        for cone in cones:
-            lm = local_model_at(model, level, cone)
-            entry = {
-                "rays": [[encode_int(x) for x in g] for g in cone.generators],
-                "kind": lm.kind,
+        move = model.spec.moves[level - 2]
+        classify = orbit_classifier(move, fan.all_rays)
+        rays = [[encode_int(x) for x in g] for g in fan.all_rays]
+        character = None
+        if isinstance(move, NodeMove):
+            character = {
+                "alpha_exponents": [encode_int(x) for x in move.alpha_exponents],
+                "t_exponents": [encode_int(x) for x in move.t_exponents],
             }
+        entries = []
+        # (size, ray indices) is the (size, generators) order: all_rays is lex-sorted
+        for _, face, mask in sorted((m.bit_count(), bit_indices(m), m) for m in fan.face_masks()):
+            lm = classify(mask)
+            entry = {"rays": [rays[i] for i in face], "kind": lm.kind}
             if lm.node_character is not None:
-                entry["node_character"] = {
-                    "alpha_exponents": [encode_int(x) for x in lm.node_character.alpha_exponents],
-                    "t_exponents": [encode_int(x) for x in lm.node_character.t_exponents],
-                }
+                entry["node_character"] = character
             entries.append(entry)
             report.checked += 1
             report.passed += 1

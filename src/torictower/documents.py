@@ -26,8 +26,44 @@ class TowerDocumentError(ValueError):
     """Malformed or schema-violating tower document; message carries context."""
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _canonical_json(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """json.dumps(obj, indent=2, sort_keys=True) + newline, for JSON values
+    with str keys.  json.dumps never runs its C encoder when indenting, so
+    containers are laid out here and only strings go through the C escaper."""
+    out = []
+    _emit(obj, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, newline, put):
+    """Append the canonical text of `obj`, nested at the indent `newline` ends in."""
+    if isinstance(obj, str):
+        put(_encode_str(obj))
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = newline + "  "
+        try:  # a list of strings in one join; the escaper rejects anything else
+            put("[" + inner + ("," + inner).join(map(_encode_str, obj)) + newline + "]")
+        except TypeError:
+            sep = "[" + inner
+            for x in obj:
+                put(sep)
+                _emit(x, inner, put)
+                sep = "," + inner
+            put(newline + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):
+            put(sep + _encode_str(key) + ": ")
+            _emit(value, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    else:  # scalars and empty containers: one line, as json.dumps writes them
+        put(json.dumps(obj))
 
 
 def encode_int(x):

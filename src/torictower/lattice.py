@@ -558,6 +558,11 @@ def cones_equal_as_sets(a, b):
     )
 
 
+def _is_face_mask(mask, top, facets):
+    """Whether `mask` is the face of the cone `top` that the facets containing it cut out."""
+    return functools.reduce(operator.and_, (f for f in facets if mask & f == mask), top) == mask
+
+
 def is_face_of(small, big):
     """Whether the cone `small` is a face of the canonical cone `big`.
 
@@ -568,16 +573,11 @@ def is_face_of(small, big):
     """
     if small.ambient_dim != big.ambient_dim:
         return False
-    index = {g: 1 << i for i, g in enumerate(big.generators)}
-    bits = {index.get(g, 0) for g in small.generators}
+    gens = big.generators
+    bits = {1 << gens.index(g) if g in gens else 0 for g in small.generators}
     if 0 in bits or len(bits) < len(small.generators):  # a missing or repeated ray
         return False
-    mask = sum(bits)
-    face = (1 << len(big.generators)) - 1
-    for f in big.facet_masks():
-        if mask & f == mask:
-            face &= f
-    return face == mask
+    return _is_face_mask(sum(bits), (1 << len(gens)) - 1, big.facet_masks())
 
 
 def intersect_cones(a, b):
@@ -593,13 +593,14 @@ def intersect_cones(a, b):
 
 
 class Fan:
-    """A fan stored by its maximal cones; faces are implicit.
+    """A fan stored by its maximal cones; faces are implicit, as masks over
+    the ray index (see ray_index).
 
     all_rays is the deduplicated lex-sorted union of the cones' rays.
     Construction does not validate; see fan_validate.
     """
 
-    __slots__ = ("ambient_dim", "maximal_cones", "all_rays")
+    __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "_index", "_facets")
 
     def __init__(self, ambient_dim, cones):
         self.ambient_dim = int(ambient_dim)
@@ -607,9 +608,11 @@ class Fan:
         for c in cones:
             if c.ambient_dim != self.ambient_dim:
                 raise LatticeError("cone ambient dimension does not match fan")
-            seen.setdefault(c.generators, c)
-        self.maximal_cones = tuple(seen[k] for k in sorted(seen))
+            seen.setdefault(tuple(sorted(c.generators)), c)  # one cone, whatever its ray order
+        self.maximal_cones = tuple(sorted(seen.values(), key=lambda c: c.generators))
         self.all_rays = tuple(sorted({g for c in self.maximal_cones for g in c.generators}))
+        self._index = None
+        self._facets = {}
 
     @classmethod
     def from_cones(cls, ambient_dim, cones):  # no caller in src/; the benchmark traces it
@@ -649,9 +652,50 @@ class Fan:
     def supports(self, v):
         return self.find_cone(v) is not None
 
+    def ray_index(self):
+        """(bit, tops), built once: `bit` maps each ray of all_rays to 1 << its
+        position, and tops[k] is maximal cone k as a mask over that index.
+        Since all_rays is lex-sorted, ascending bits are ascending rays."""
+        if self._index is None:
+            bit = {g: 1 << i for i, g in enumerate(self.all_rays)}
+            self._index = bit, tuple(
+                functools.reduce(operator.or_, map(bit.get, c.generators), 0)
+                for c in self.maximal_cones
+            )
+        return self._index
+
+    def facet_masks(self, k):
+        """The facet masks of maximal cone k lifted to the ray index (memoized)."""
+        if k not in self._facets:
+            bit, _ = self.ray_index()
+            gens = self.maximal_cones[k].generators
+            self._facets[k] = tuple(
+                functools.reduce(operator.or_, (bit[g] for i, g in enumerate(gens) if f >> i & 1), 0)
+                for f in self.maximal_cones[k].facet_masks()
+            )
+        return self._facets[k]
+
+    def face_masks(self):
+        """Every face of the fan once, as a mask over the ray index."""
+        _, tops = self.ray_index()
+        return set().union(*(walk_faces(top, self.facet_masks(k)) for k, top in enumerate(tops)))
+
+    def face_mask(self, cone):
+        """The mask over the ray index of `cone` (its rays in any order) if it
+        is a face of a maximal cone, else None."""
+        bit, tops = self.ray_index()
+        bits = {bit.get(g, 0) for g in cone.generators}
+        if cone.ambient_dim != self.ambient_dim or 0 in bits or len(bits) < len(cone.generators):
+            return None  # another dimension, a missing or a repeated ray
+        mask = sum(bits)
+        if any(mask & top == mask and _is_face_mask(mask, top, self.facet_masks(k))
+               for k, top in enumerate(tops)):
+            return mask
+        return None
+
     def contains_cone(self, cone):
-        """Whether `cone` (canonical) is a face of one of the maximal cones."""
-        return any(is_face_of(cone, c) for c in self.maximal_cones)
+        """Whether `cone` is a face of one of the maximal cones."""
+        return self.face_mask(cone) is not None
 
 
 def orthant_fan(n):

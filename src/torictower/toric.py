@@ -251,7 +251,7 @@ def regularity_subfan(fan, char):
     """The subfan where the character is regular: all cones sigma with
     <m, u> >= 0 on every ray u of sigma, i.e. m in the dual of sigma.
 
-    Faces are bitmasks over fan.all_rays.  Each maximal cone's face lattice is
+    Faces are masks over the fan's ray index.  Each maximal cone's face lattice is
     walked top-down, stopping at the first regular faces; the maximal ones are
     kept.  Precondition: the maximal cones are canonical and form a fan, as
     build_model guarantees, so containment between faces is ray-subset inclusion.
@@ -260,22 +260,22 @@ def regularity_subfan(fan, char):
     if len(char) != fan.ambient_dim:
         raise LatticeError("character dimension does not match fan")
     rays = fan.all_rays
-    index = {u: i for i, u in enumerate(rays)}
-    regular = sum(1 << i for i, u in enumerate(rays) if dot(char, u) >= 0)
+    bit, tops = fan.ray_index()
+    regular = sum(b for u, b in bit.items() if dot(char, u) >= 0)
 
     def is_regular(mask):
         return mask & regular == mask
 
     found = set()
-    for cone in fan.maximal_cones:
-        bits = [1 << index[g] for g in cone.generators]
-        top = sum(bits)
+    for k, top in enumerate(tops):
         if is_regular(top):
             found.add(top)
             continue
-        facets = [sum(b for i, b in enumerate(bits) if f >> i & 1) for f in cone.facet_masks()]
-        found.update(filter(is_regular, walk_faces(top, facets, is_regular)))
-    keep = [a for a in found if not any(a != b and a & b == a for b in found)]
+        found.update(filter(is_regular, walk_faces(top, fan.facet_masks(k), is_regular)))
+    keep = []  # largest first: a mask inside a found one is inside a kept one
+    for a in sorted(found, key=int.bit_count, reverse=True):
+        if not any(a & b == a for b in keep):
+            keep.append(a)
     cones = [Cone(fan.ambient_dim, tuple(rays[i] for i in bit_indices(a))) for a in keep]
     return Fan(fan.ambient_dim, cones)
 

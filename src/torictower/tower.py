@@ -364,38 +364,45 @@ def base_change_to_curve(spec, germ):
     return TowerSpec(base_dim=1, moves=tuple(moves))
 
 
+def orbit_classifier(move, rays):
+    """The local model of a torus orbit at the level built by `move`, as a
+    function of the orbit's cone given as a mask over `rays`.
+
+    Product move: smooth_on_section iff the cone contains the new-coordinate
+    ray e_new (the vanishing section of the new variable); e_new is a ray of
+    every maximal cone there, so a face contains it iff it is one of the
+    face's generators.  Node move: node iff both branch coordinates vanish on
+    the orbit, i.e. some ray has positive last coordinate and some ray (v, s)
+    has <m, v> - s > 0; otherwise smooth_plain.
+    """
+    plain = LocalModel(kind="smooth_plain")
+    if isinstance(move, ProductMove):
+        section = sum(1 << i for i, g in enumerate(rays) if g[-1] == 1 and not any(g[:-1]))
+        on_section = LocalModel(kind="smooth_on_section")
+        return lambda mask: on_section if mask & section else plain
+    m = move.lattice_exponents()
+    alpha = sum(1 << i for i, g in enumerate(rays) if g[-1] > 0)
+    alpha_prime = sum(1 << i for i, g in enumerate(rays) if dot(m, g[:-1]) - g[-1] > 0)
+    node = LocalModel(kind="node", node_character=move)
+    return lambda mask: node if mask & alpha and mask & alpha_prime else plain
+
+
 def local_model_at(model, level, cone):
     """Classify the torus orbit of a level-`level` cone relative to the
-    fibration to the previous level.
+    fibration to the previous level, by `orbit_classifier`.
 
     The cone must be a face of a maximal cone of the level fan (its rays in
-    any order), else LatticeError.  Product move: smooth_on_section iff the
-    cone contains the new-coordinate ray e_new (the vanishing section of the
-    new variable); e_new is a ray of every maximal cone there, so a face
-    contains it iff it is one of the face's generators.  Node move: node iff
-    both branch coordinates vanish on the orbit, i.e. some ray has positive
-    last coordinate and some ray (v, s) has <m, v> - s > 0; otherwise
-    smooth_plain.
+    any order), else LatticeError.
     """
     if level == 1:
         raise LatticeError("base level has no fibration structure")
     if not 2 <= level <= model.depth:
         raise LatticeError(f"level {level} out of range 2..{model.depth}")
     fan = model.levels[level - 1].fan
-    if cone.ambient_dim != fan.ambient_dim or not fan.contains_cone(cone):
+    mask = fan.face_mask(cone)
+    if mask is None:
         raise LatticeError("cone does not belong to the level fan")
-    move = model.spec.moves[level - 2]
-    n = fan.ambient_dim
-    if isinstance(move, ProductMove):
-        if unit_vector(n, n - 1) in cone.generators:
-            return LocalModel(kind="smooth_on_section")
-        return LocalModel(kind="smooth_plain")
-    m = move.lattice_exponents()
-    alpha_vanishes = any(g[-1] > 0 for g in cone.generators)
-    alpha_prime_vanishes = any(dot(m, g[:-1]) - g[-1] > 0 for g in cone.generators)
-    if alpha_vanishes and alpha_prime_vanishes:
-        return LocalModel(kind="node", node_character=move)
-    return LocalModel(kind="smooth_plain")
+    return orbit_classifier(model.spec.moves[level - 2], fan.all_rays)(mask)
 
 
 def torus_splitting_check(model):
@@ -455,12 +462,13 @@ def torus_splitting_check(model):
     return out
 
 
-def node_chart_dual_violations(model):
+def node_chart_dual_violations(model, max_dim=DEFAULT_MAX_DIM):
     """Cross-check each node-move chart against its semigroup presentation.
 
     For every maximal cone sigma~ of a node level, the dual of sigma~ must
     equal cone(sigma-dual x {0}, e_new, (m, -1)) where sigma is the projected
-    cone.  Both sides go through independent dual-cone computations.
+    cone.  Both sides go through independent dual-cone computations, each
+    under the dimension cap `max_dim`.
     """
     out = CheckOutcome()
     for i, move in enumerate(model.spec.moves):
@@ -476,12 +484,12 @@ def node_chart_dual_violations(model):
                 sigma = Cone.generated_by(projected, n_prev)
             else:
                 sigma = Cone(n_prev, ())
-            sigma_dual = dual_cone(sigma)
+            sigma_dual = dual_cone(sigma, max_dim)
             expected_gens = [g + (0,) for g in sigma_dual.generators]
             expected_gens.append(unit_vector(n_prev + 1, n_prev))
             expected_gens.append(tuple(m) + (-1,))
             expected = Cone.generated_by(expected_gens, n_prev + 1)
-            actual = dual_cone(cone)
+            actual = dual_cone(cone, max_dim)
             if cones_equal_as_sets(actual, expected):
                 out.passed += 1
             else:

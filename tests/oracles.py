@@ -10,9 +10,10 @@ description pass per face, and a star subdivision that spans every face
 missing the centre with it and prunes the result geometrically, and Cartier
 data from Gauss-Jordan elimination over Fraction rows with a separate Smith
 normal form for the index, and the lc-place transfer check evaluated per
-vector as the log discrepancy -<m_sigma, e> on both fans, and fan
+vector as the log discrepancy -<m_sigma, e> on both fans, fan
 validation that re-canonicalises every cone and intersects every pair of
-maximal cones by double description.  They are slow and independent of the
+maximal cones by double description, and the local-model report built
+from `Cone.faces` with one membership test per face.  They are slow and independent of the
 production code, so the property tests compare the two.  `unimodular` draws
 the changes of coordinates for the metamorphic tests.
 """
@@ -52,6 +53,7 @@ from torictower.toric import (
 from torictower.tower import (
     CheckOutcome,
     build_model,
+    local_model_at,
     projective_model,
     sample_primitive_vectors,
 )
@@ -403,6 +405,31 @@ def lc_place_transfer_check_oracle(spec, samples, seed, model=None):
             )
         else:
             out.passed += 1
+    return out
+
+
+def local_model_report_oracle(model, levels):
+    """`data.levels` of the `local-model` report by the route the fan's ray
+    index replaced: every face from `Cone.faces`, deduplicated by generators,
+    sorted by (size, generators) and classified by `local_model_at`, which
+    also re-proves each face's membership in the level fan."""
+    out = []
+    for level in levels:
+        faces = {}
+        for top in model.levels[level - 1].fan.maximal_cones:
+            for face in top.faces():
+                faces.setdefault(face.generators, face)
+        entries = []
+        for gens in sorted(faces, key=lambda g: (len(g), g)):
+            lm = local_model_at(model, level, faces[gens])
+            entry = {"rays": [[str(x) for x in g] for g in gens], "kind": lm.kind}
+            if lm.node_character is not None:
+                entry["node_character"] = {
+                    "alpha_exponents": [str(x) for x in lm.node_character.alpha_exponents],
+                    "t_exponents": [str(x) for x in lm.node_character.t_exponents],
+                }
+            entries.append(entry)
+        out.append({"level": str(level), "cones": entries})
     return out
 
 

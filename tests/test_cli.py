@@ -3,9 +3,18 @@ import random
 
 import pytest
 
+from oracles import local_model_report_oracle
+from test_golden import STRESS_TOWER
 from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, main
 from torictower.documents import emit_tower
-from torictower.tower import build_model, in_projective_support, projective_model
+from torictower.tower import (
+    NodeMove,
+    ProductMove,
+    TowerSpec,
+    build_model,
+    in_projective_support,
+    projective_model,
+)
 from torictower.verify import random_towers
 
 
@@ -108,6 +117,26 @@ def test_local_model_command(tmp_path, capsys):
     kinds = {tuple(map(tuple, c["rays"])): c["kind"] for c in doc["data"]["levels"][0]["cones"]}
     assert kinds[(("1", "0"), ("1", "2"))] == "node"
     assert kinds[()] == "smooth_plain"
+
+
+PRODUCT_ONLY = TowerSpec(2, (ProductMove(), ProductMove()))
+ZERO_TOP = TowerSpec(1, (NodeMove((), (-1,)),))  # the character has a pole on the only ray
+
+
+def test_local_model_levels_match_the_face_by_face_oracle(tmp_path, capsys):
+    assert build_model(ZERO_TOP).levels[-1].fan.all_rays == ()
+    specs = [s for s in random_towers(60, 20261018) if s.depth > 1]
+    kinds = set()
+    for spec in specs + [STRESS_TOWER, PRODUCT_ONLY, ZERO_TOP]:
+        path = write_tower(tmp_path, emit_tower(spec))
+        code, out, _ = run_cli(capsys, "local-model", "--input", path)
+        assert code == EXIT_OK
+        levels = json.loads(out)["data"]["levels"]
+        model = build_model(spec)
+        assert levels == local_model_report_oracle(model, range(2, model.depth + 1))
+        kinds.update(c["kind"] for level in levels for c in level["cones"])
+    assert len(specs) > 40
+    assert kinds == {"smooth_plain", "smooth_on_section", "node"}
 
 
 def test_degree_and_volume_commands(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torictower.documents import (
     Report,
     TowerDocumentError,
+    _canonical_json,
     emit_tower,
     parse_tower,
     random_tower,
@@ -97,3 +100,28 @@ def test_report_violations_gate_ok():
     r = Report(command="x", violations=[{"kind": "k", "detail": "d"}])
     assert not r.ok()
     assert json.loads(r.to_json())["violations"]
+
+
+# escapes, control characters, non-ASCII and astral text
+TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ09é€😀\u2028') | st.characters(), max_size=8)
+SCALARS = (
+    TEXT
+    | st.none()
+    | st.booleans()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(TEXT, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_canonical_json_equals_indented_json_dumps(value):
+    assert _canonical_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -11,6 +11,7 @@ from torictower.lattice import (
     Fan,
     LatticeError,
     ResourceCapError,
+    bit_indices,
     cones_equal_as_sets,
     dual_cone,
     fan_validate,
@@ -545,3 +546,49 @@ def test_all_rays_is_union_of_cone_rays():
     fan = product_fan(projective_fan(1), projective_fan(1))
     union = sorted({g for c in fan.maximal_cones for g in c.generators})
     assert list(fan.all_rays) == union
+
+
+def test_fan_keeps_one_cone_listed_in_two_ray_orders():
+    fan = Fan(2, (Cone(2, ((0, 1), (1, 0))), Cone(2, ((1, 0), (0, 1)))))
+    assert fan.maximal_cones == (Cone(2, ((0, 1), (1, 0))),)
+    assert fan.ray_index() == ({(0, 1): 1, (1, 0): 2}, (0b11,))
+    assert fan_validate(fan) == fan_validate_oracle(fan) == []
+    # listed twice next to a cone that overlaps it: one pair, one violation
+    fan = Fan(2, fan.maximal_cones + (Cone(2, ((1, 0), (0, 1))), _gens((1, 0), (1, 1))))
+    assert len(fan.maximal_cones) == 2
+    assert [v.kind for v in fan_validate(fan)] == ["intersection not a face"]
+    assert fan_validate(fan) == fan_validate_oracle(fan)
+
+
+INDEX_FANS = LEVEL_FANS + [CUBE_FAN, projective_fan(3), torus_fan(2), Fan(2, ())]
+
+
+def test_fan_face_masks_are_the_faces_of_its_maximal_cones():
+    for fan in INDEX_FANS:
+        rays = fan.all_rays
+        got = sorted(tuple(rays[i] for i in bit_indices(m)) for m in fan.face_masks())
+        assert got == sorted({f.generators for c in fan.maximal_cones for f in faces_oracle(c)})
+
+
+def test_fan_contains_cone_matches_geometric_oracle():
+    rng = random.Random(20261018)
+    outcomes = set()
+    for fan in INDEX_FANS:
+        n, rays = fan.ambient_dim, fan.all_rays
+        candidates = [Cone(n, ()), Cone(n + 1, ()), Cone(n, rays)]
+        for top in fan.maximal_cones:
+            for face in top.faces():
+                gens = list(face.generators)
+                rng.shuffle(gens)
+                candidates.append(Cone(n, gens))  # unsorted generators
+                if gens:
+                    candidates.append(Cone(n, gens + gens[:1]))  # a repeated generator
+            candidates.append(Cone(n, rng.sample(rays, rng.randint(0, len(rays)))))
+        for small in candidates:
+            want = any(is_face_of_oracle(small, c) for c in fan.maximal_cones)
+            mask = fan.face_mask(small)
+            assert fan.contains_cone(small) == (mask is not None) == want, (fan, small)
+            if want:
+                assert mask == sum(1 << rays.index(g) for g in small.generators)
+            outcomes.add(want)
+    assert outcomes == {True, False}

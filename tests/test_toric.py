@@ -288,6 +288,25 @@ def test_regularity_subfan_matches_geometric_oracle():
             assert regularity_subfan(fan, m) == regularity_subfan_oracle(fan, m)
 
 
+def _cube_cone_fan(k):
+    """The cone over a k-cube at height 1: 2^k rays, 2k facets."""
+    rays = tuple(sorted(v + (1,) for v in itertools.product((-1, 1), repeat=k)))
+    return Fan(k + 1, (Cone(k + 1, rays),))
+
+
+def test_regularity_subfan_matches_geometric_oracle_where_many_faces_survive():
+    rng = random.Random(20261018)
+    cube3, cube4 = _cube_cone_fan(3), _cube_cone_fan(4)
+    cases = [(cube3, m) for m in itertools.product((-1, 0, 1), repeat=4)]
+    cases += [(cube4, tuple(rng.randint(-1, 1) for _ in range(5))) for _ in range(60)]
+    proper_faces = 0
+    for fan, m in cases:
+        sub = regularity_subfan(fan, m)
+        assert sub == regularity_subfan_oracle(fan, m)
+        proper_faces += sum(c not in fan.maximal_cones for c in sub.maximal_cones)
+    assert proper_faces > 200
+
+
 TRANSFORM_FANS = _level_fans(20, 7)
 
 

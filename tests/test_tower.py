@@ -119,6 +119,15 @@ def test_build_levels_are_valid_fans():
     assert node_chart_dual_violations(model).ok()
 
 
+def test_node_chart_dual_violations_takes_the_dimension_cap():
+    # top level in dimension 12, the node chart's projection in dimension 11
+    model = build_model(TowerSpec(11, (node((), (1,) + (0,) * 10),)), max_dim=12)
+    with pytest.raises(ResourceCapError, match="ambient dimension 11 exceeds configured cap 10"):
+        node_chart_dual_violations(model)
+    outcome = node_chart_dual_violations(model, max_dim=12)
+    assert outcome.ok() and outcome.checked == outcome.passed == 1
+
+
 def test_build_ray_cap():
     spec = TowerSpec(3, (node((), (1, 1, 1)), node((1,), (1, 1, 1))))
     with pytest.raises(ResourceCapError):
@@ -424,6 +433,23 @@ def test_local_model_on_product_levels_matches_containment():
                 with pytest.raises(LatticeError, match="does not belong"):
                     local_model_at(model, level, Cone(n, bad))
     assert faces_seen > 200 and 0 < on_section < faces_seen
+
+
+def test_local_model_at_rejects_repeated_rays_non_faces_and_other_dimensions():
+    model = build_model(STRESS_TOWER)
+    fan = model.levels[-1].fan
+    n = fan.ambient_dim
+    top = fan.maximal_cones[0]
+    assert local_model_at(model, model.depth, top).kind in ("node", "smooth_plain")
+    for bad in (
+        Cone(n, top.generators + top.generators[:1]),  # a repeated ray
+        Cone(n, fan.all_rays),  # rays of several maximal cones
+        Cone(n, (tuple(map(sum, zip(*top.generators))),)),  # not a ray
+        Cone(n - 1, ()),
+        Cone(n + 1, ()),
+    ):
+        with pytest.raises(LatticeError, match="does not belong"):
+            local_model_at(model, model.depth, bad)
 
 
 # --- blowup chart oracle for the log discrepancy example ----------------
