@@ -558,26 +558,14 @@ def cones_equal_as_sets(a, b):
     )
 
 
-def _is_face_mask(mask, top, facets):
-    """Whether `mask` is the face of the cone `top` that the facets containing it cut out."""
-    return functools.reduce(operator.and_, (f for f in facets if mask & f == mask), top) == mask
-
-
 def is_face_of(small, big):
     """Whether the cone `small` is a face of the canonical cone `big`.
 
     `small` may list its extreme rays in any order; `big` must be canonical
     (generators are its extreme rays), as for every cone this module builds.
-    As a bitmask over `big`'s generators, `small` must be the intersection
-    of the facet masks containing it.
+    The test is Fan.face_mask on the one-cone fan of `big`.
     """
-    if small.ambient_dim != big.ambient_dim:
-        return False
-    gens = big.generators
-    bits = {1 << gens.index(g) if g in gens else 0 for g in small.generators}
-    if 0 in bits or len(bits) < len(small.generators):  # a missing or repeated ray
-        return False
-    return _is_face_mask(sum(bits), (1 << len(gens)) - 1, big.facet_masks())
+    return Fan(big.ambient_dim, (big,)).face_mask(small) is not None
 
 
 def intersect_cones(a, b):
@@ -682,20 +670,18 @@ class Fan:
 
     def face_mask(self, cone):
         """The mask over the ray index of `cone` (its rays in any order) if it
-        is a face of a maximal cone, else None."""
+        is a face of a maximal cone, else None.  Inside a maximal cone, a face
+        is the intersection of the facet masks containing it."""
         bit, tops = self.ray_index()
         bits = {bit.get(g, 0) for g in cone.generators}
         if cone.ambient_dim != self.ambient_dim or 0 in bits or len(bits) < len(cone.generators):
             return None  # another dimension, a missing or a repeated ray
         mask = sum(bits)
-        if any(mask & top == mask and _is_face_mask(mask, top, self.facet_masks(k))
-               for k, top in enumerate(tops)):
-            return mask
+        for k, top in enumerate(tops):
+            facets = (f for f in self.facet_masks(k) if mask & f == mask)
+            if mask & top == mask and functools.reduce(operator.and_, facets, top) == mask:
+                return mask
         return None
-
-    def contains_cone(self, cone):
-        """Whether `cone` is a face of one of the maximal cones."""
-        return self.face_mask(cone) is not None
 
 
 def orthant_fan(n):

@@ -462,15 +462,16 @@ def torus_splitting_check(model):
     return out
 
 
-def node_chart_dual_violations(model, max_dim=DEFAULT_MAX_DIM):
+def node_chart_dual_violations(model):
     """Cross-check each node-move chart against its semigroup presentation.
 
     For every maximal cone sigma~ of a node level, the dual of sigma~ must
     equal cone(sigma-dual x {0}, e_new, (m, -1)) where sigma is the projected
-    cone.  Both sides go through independent dual-cone computations, each
-    under the dimension cap `max_dim`.
+    cone.  Both sides go through independent dual-cone computations, capped
+    at the model's top dimension, which build_model already held to its cap.
     """
     out = CheckOutcome()
+    max_dim = model.levels[-1].fan.ambient_dim
     for i, move in enumerate(model.spec.moves):
         if not isinstance(move, NodeMove):
             continue

@@ -119,12 +119,10 @@ def test_build_levels_are_valid_fans():
     assert node_chart_dual_violations(model).ok()
 
 
-def test_node_chart_dual_violations_takes_the_dimension_cap():
-    # top level in dimension 12, the node chart's projection in dimension 11
+def test_node_chart_dual_violations_keeps_the_build_cap():
+    # top level in dimension 12, over the default cap of 10: the build cap holds
     model = build_model(TowerSpec(11, (node((), (1,) + (0,) * 10),)), max_dim=12)
-    with pytest.raises(ResourceCapError, match="ambient dimension 11 exceeds configured cap 10"):
-        node_chart_dual_violations(model)
-    outcome = node_chart_dual_violations(model, max_dim=12)
+    outcome = node_chart_dual_violations(model)
     assert outcome.ok() and outcome.checked == outcome.passed == 1
 
 
