@@ -259,28 +259,32 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, output=True):
-        if output:
-            p.add_argument("--output", default=None, help="output path ('-' for stdout)")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
-        p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, help="dimension cap")
-        p.add_argument("--max-rays", type=int, default=DEFAULT_MAX_RAYS, help="ray-count cap")
-        p.add_argument("--timing", action="store_true", help="include wall-clock timing in the report")
+    shared = {  # the flags a command's handler reads, besides --output
+        "--seed": dict(type=int, default=0, help="random seed"),
+        "--max-dim": dict(type=int, default=DEFAULT_MAX_DIM, help="dimension cap"),
+        "--max-rays": dict(type=int, default=DEFAULT_MAX_RAYS, help="ray-count cap"),
+        "--timing": dict(action="store_true", help="include wall-clock timing in the report"),
+    }
+
+    def common(p, *flags):
+        p.add_argument("--output", default=None, help="output path ('-' for stdout)")
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("build", help="build the tower model and summarize its levels")
     p.add_argument("--input", default=None, help="tower document ('-' for stdin)")
-    common(p)
+    common(p, *shared)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("fan", help="print level fans")
     p.add_argument("--input", default=None)
     p.add_argument("--level", type=int, default=None, help="single level to print")
-    common(p)
+    common(p, *shared)
     p.set_defaults(func=cmd_fan)
 
     p = sub.add_parser("map-to-proj", help="the congruent projective-space model")
     p.add_argument("--input", default=None)
-    common(p)
+    common(p, *shared)
     p.set_defaults(func=cmd_map_to_proj)
 
     p = sub.add_parser("base-change", help="base change the tower to a curve germ")
@@ -295,36 +299,36 @@ def build_parser():
     p = sub.add_parser("lc-check", help="lc-place transfer check")
     p.add_argument("--input", default=None)
     p.add_argument("--samples", type=int, default=50)
-    common(p)
+    common(p, *shared)
     p.set_defaults(func=cmd_lc_check)
 
     p = sub.add_parser("local-model", help="classify torus orbits per level")
     p.add_argument("--input", default=None)
     p.add_argument("--level", type=int, default=None)
-    common(p)
+    common(p, *shared)
     p.set_defaults(func=cmd_local_model)
 
     p = sub.add_parser("degree", help="relative degree on a projective fiber")
     p.add_argument("--input", default=None)
-    common(p)
+    common(p, "--seed", "--timing")
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("volume", help="relative volume on a projective fiber")
     p.add_argument("--input", default=None)
-    common(p)
+    common(p, "--seed", "--timing")
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("random", help="generate a seeded random tower document")
     p.add_argument("--p", type=int, required=True, help="base dimension")
     p.add_argument("--d", type=int, required=True, help="tower depth")
     p.add_argument("--max-exponent", type=int, default=3)
-    common(p)
+    common(p, "--seed")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("--suite", choices=SUITES, default="all")
     p.add_argument("--samples", type=int, default=None)
-    common(p)
+    common(p, "--seed", "--timing")
     p.set_defaults(func=cmd_verify)
 
     return parser

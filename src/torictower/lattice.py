@@ -41,9 +41,6 @@ class Violation:
     kind: str
     detail: str
 
-    def to_dict(self):
-        return {"kind": self.kind, "detail": self.detail}
-
 
 # ---------------------------------------------------------------------------
 # vectors
@@ -443,16 +440,19 @@ class Cone:
 
     @classmethod
     def generated_by(cls, vectors, ambient_dim=None):
-        """Canonical cone spanned by arbitrary vectors (extreme rays extracted)."""
+        """Canonical cone spanned by arbitrary vectors, by `pointed_form` on
+        their distinct primitive directions: one double description pass, and
+        a second, for the +/- lineality basis, only if the cone holds a line."""
         vectors = [tuple(v) for v in vectors]
         if ambient_dim is None:
             if not vectors:
                 raise LatticeError("ambient_dim required for a cone with no generators")
             ambient_dim = len(vectors[0])
-        prim = sorted({primitive(v) for v in vectors if not is_zero(v)})
-        normals, equations = halfspace_intersection(prim, ambient_dim)
-        cone = _halfspace_cone(_halfspace_rows(normals, equations), ambient_dim)
-        cone._halfspaces = (normals, equations)
+        raw = cls(ambient_dim, sorted({primitive(v) for v in vectors if not is_zero(v)}))
+        cone = raw.pointed_form()
+        if cone is None:
+            cone = _halfspace_cone(_halfspace_rows(*raw.halfspaces()), ambient_dim)
+            cone._halfspaces = raw.halfspaces()
         return cone
 
     def __eq__(self, other):
@@ -491,6 +491,23 @@ class Cone:
         normals, equations = self.halfspaces()
         rows = tuple(normals) + tuple(equations)
         return rank_int(rows) == self.ambient_dim
+
+    def pointed_form(self):
+        """The canonical cone (extreme rays in lex order, these halfspaces)
+        of a cone with distinct primitive nonzero generators, or None if it
+        holds a line.  A generator is extreme iff the facets through it meet
+        in it alone; when the cone holds a line, so does every face, and no
+        generator passes (Cox-Little-Schenck, §1.2)."""
+        masks, full = self.facet_masks(), (1 << len(self.generators)) - 1
+        rays = sorted(
+            g for i, g in enumerate(self.generators)
+            if functools.reduce(operator.and_, (f for f in masks if f >> i & 1), full) == 1 << i
+        )
+        if self.generators and not rays:
+            return None
+        cone = Cone(self.ambient_dim, rays)
+        cone._halfspaces = self.halfspaces()
+        return cone
 
     def facet_masks(self):
         """Per facet normal, the bitmask of the generators tight on it (memoized)."""
@@ -630,15 +647,15 @@ class Fan:
     def __repr__(self):
         return f"Fan(dim={self.ambient_dim}, maximal_cones={len(self.maximal_cones)})"
 
-    def find_cone(self, v):
-        """First maximal cone containing v (canonical order), or None."""
-        for c in self.maximal_cones:
-            if c.contains(v):
-                return c
-        return None
+    def cone_index(self, *vectors):
+        """The index of the first maximal cone (canonical order) that holds
+        every vector, or None."""
+        return next(
+            (k for k, c in enumerate(self.maximal_cones) if all(map(c.contains, vectors))), None
+        )
 
     def supports(self, v):
-        return self.find_cone(v) is not None
+        return self.cone_index(v) is not None
 
     def ray_index(self):
         """(bit, tops), built once: `bit` maps each ray of all_rays to 1 << its
@@ -717,16 +734,6 @@ def product_fan(a, b):
     return Fan(n, cones)
 
 
-def _all_extreme(cone):
-    """Whether each generator of a pointed cone with distinct primitive
-    generators is extreme: the facets through it meet in it alone."""
-    masks, full = cone.facet_masks(), (1 << len(cone.generators)) - 1
-    return all(
-        functools.reduce(operator.and_, (f for f in masks if f >> i & 1), full) == 1 << i
-        for i in range(len(cone.generators))
-    )
-
-
 def _separation_certificate(cones):
     """certified(i, j): a proof by sign tests that the canonical pointed cones
     i and j meet in a common face (Cox-Little-Schenck, Lemma 1.2.13).
@@ -769,9 +776,11 @@ def _separation_certificate(cones):
 def fan_validate(fan):
     """Validation report for a fan; an empty list means valid.
 
-    Checks primitive, nonzero, pairwise-distinct generators, strong convexity,
-    and that any two maximal cones intersect in a common face.  The separation
-    lemma certificate (Cox-Little-Schenck, Lemma 1.2.13) is only sufficient: a
+    Checks primitive, nonzero, pairwise-distinct generators; takes each
+    cone's strong convexity and canonical form from one `Cone.pointed_form`
+    (no rank test, no second double description); and checks that any two
+    maximal cones intersect in a common face.  The separation lemma
+    certificate (Cox-Little-Schenck, Lemma 1.2.13) is only sufficient: a
     pair without one is intersected by double description, and only that
     fallback reports "intersection not a face".
     """
@@ -792,13 +801,13 @@ def fan_validate(fan):
                 violations.append(Violation("duplicate ray", f"ray {list(g)} listed twice in a cone"))
                 ok = False
             seen.add(g)
-        if ok and not c.is_strongly_convex():
+        pointed = c.pointed_form() if ok else None
+        if pointed is not None:
+            canonical[c] = pointed
+        elif ok:
             violations.append(
                 Violation("not strongly convex", f"cone {list(c.generators)} contains a line")
             )
-            ok = False
-        if ok:
-            canonical[c] = c if _all_extreme(c) else Cone.generated_by(c.generators, fan.ambient_dim)
     cones = [c for c in fan.maximal_cones if c in canonical]
     certified = _separation_certificate([canonical[c] for c in cones])
     for i in range(len(cones)):

@@ -140,10 +140,8 @@ class CartierData:
 
     def evaluate(self, v):
         """<m_sigma, v> for the first maximal cone containing v, or None."""
-        for cone, m in zip(self.fan.maximal_cones, self.vectors):
-            if cone.contains(v):
-                return sum(c * x for c, x in zip(m, v))
-        return None
+        k = self.fan.cone_index(v)
+        return None if k is None else dot(self.vectors[k], v)
 
 
 @dataclass(frozen=True)
@@ -202,27 +200,24 @@ def pullback_divisor(lattice_map, source, target, divisor):
     """Pullback of a Q-Cartier divisor along a toric morphism.
 
     `lattice_map` has target_dim rows and source_dim columns and must send
-    every source cone into some target cone (checked).  The coefficient on a
-    source ray u is <m_sigma, map*u> for the target Cartier data.
+    every source cone into some target cone sigma (checked, by
+    Fan.cone_index).  The coefficient on each ray u of a source cone is
+    <m_sigma, map*u> for the target Cartier data on that sigma.  A ray in
+    several source cones gets one value: Cartier data agree on shared faces.
     """
     cd = cartier_data(target, divisor)
     if isinstance(cd, NotQCartier):
         raise NotQCartierError(cd)
+    coeffs = {}
     for cone in source.maximal_cones:
         images = [mat_vec(lattice_map, g) for g in cone.generators]
-        if not any(
-            all(t.contains(v) for v in images) for t in target.maximal_cones
-        ):
+        k = target.cone_index(*images)
+        if k is None:
             raise FanMapError(
                 f"source cone {list(cone.generators)} does not map into any "
                 "cone of the target fan"
             )
-    coeffs = {}
-    for u in source.all_rays:
-        v = mat_vec(lattice_map, u)
-        val = cd.evaluate(v)
-        assert val is not None
-        coeffs[u] = val
+        coeffs.update((u, dot(cd.vectors[k], v)) for u, v in zip(cone.generators, images))
     return ToricDivisor(source, coeffs)
 
 
@@ -289,11 +284,12 @@ def star_subdivision(fan, v):
     an extreme ray, so tau's rays plus v are canonical generators, with no DD.
     """
     v = primitive(tuple(v))
-    if not fan.supports(v):
+    holds = [cone.contains(v) for cone in fan.maximal_cones]
+    if not any(holds):
         raise LatticeError("subdivision centre lies outside the fan support")
     new_cones = []
-    for cone in fan.maximal_cones:
-        if not cone.contains(v):
+    for cone, held in zip(fan.maximal_cones, holds):
+        if not held:
             new_cones.append(cone)
             continue
         for nrm, mask in zip(cone.halfspaces()[0], cone.facet_masks()):

@@ -436,11 +436,8 @@ def torus_splitting_check(model):
             continue
         ok = True
         for cone in level.fan.maximal_cones:
-            images = [g[:n_prev] for g in cone.generators]
-            nonzero = [v for v in images if not is_zero(v)]
-            if nonzero and not any(
-                all(t.contains(v) for v in nonzero) for t in prev.fan.maximal_cones
-            ):
+            nonzero = [g[:n_prev] for g in cone.generators if not is_zero(g[:n_prev])]
+            if nonzero and prev.fan.cone_index(*nonzero) is None:
                 out.add_violation(
                     "projection",
                     f"level {i + 1}: cone {list(cone.generators)} does not project "
@@ -480,11 +477,7 @@ def node_chart_dual_violations(model):
         m = move.lattice_exponents()
         for cone in level.fan.maximal_cones:
             out.checked += 1
-            projected = [g[:n_prev] for g in cone.generators if not is_zero(g[:n_prev])]
-            if projected:
-                sigma = Cone.generated_by(projected, n_prev)
-            else:
-                sigma = Cone(n_prev, ())
+            sigma = Cone.generated_by([g[:n_prev] for g in cone.generators], n_prev)
             sigma_dual = dual_cone(sigma, max_dim)
             expected_gens = [g + (0,) for g in sigma_dual.generators]
             expected_gens.append(unit_vector(n_prev + 1, n_prev))

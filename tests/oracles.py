@@ -12,8 +12,10 @@ data from Gauss-Jordan elimination over Fraction rows with a separate Smith
 normal form for the index, and the lc-place transfer check evaluated per
 vector as the log discrepancy -<m_sigma, e> on both fans, fan
 validation that re-canonicalises every cone and intersects every pair of
-maximal cones by double description, and the local-model report built
-from `Cone.faces` with one membership test per face.  They are slow and independent of the
+maximal cones by double description, the local-model report built
+from `Cone.faces` with one membership test per face, a canonical cone from
+two double description passes (halfspaces, then their extreme rays), and a
+pullback that finds the target cone of each source ray by its own scan.  They are slow and independent of the
 production code, so the property tests compare the two.  `unimodular` draws
 the changes of coordinates for the metamorphic tests.
 """
@@ -38,14 +40,19 @@ from torictower.lattice import (
     intersect_cones,
     is_face_of,
     is_zero,
+    mat_vec,
     primitive,
     rank_int,
     snf,
+    vneg,
 )
 from torictower.polytope import LatticePolytope, UnboundedPolytopeError
 from torictower.toric import (
     CartierData,
+    FanMapError,
     NotQCartier,
+    NotQCartierError,
+    ToricDivisor,
     boundary_divisor,
     canonical_divisor,
     cartier_data,
@@ -57,6 +64,44 @@ from torictower.tower import (
     projective_model,
     sample_primitive_vectors,
 )
+
+
+def generated_by_oracle(vectors, ambient_dim=None):
+    """`Cone.generated_by` by two double description passes: the halfspaces
+    of the distinct primitive nonzero vectors, then the extreme rays and a
+    +/- lineality basis of those halfspaces.  The cone keeps the first
+    pass's halfspaces."""
+    vectors = [tuple(v) for v in vectors]
+    n = len(vectors[0]) if ambient_dim is None else ambient_dim
+    prim = sorted({primitive(v) for v in vectors if not is_zero(v)})
+    normals, equations = halfspace_intersection(prim, n)
+    rows = list(normals) + [r for e in equations for r in (tuple(e), vneg(e))]
+    rays, lineality = halfspace_intersection(rows, n)
+    gens = list(rays) + [primitive(r) for l in lineality for r in (l, vneg(l))]
+    cone = Cone(n, tuple(sorted(gens)))
+    cone._halfspaces = (normals, equations)
+    return cone
+
+
+def pullback_divisor_oracle(lattice_map, source, target, divisor):
+    """`pullback_divisor` that first checks every source cone against every
+    target cone, then evaluates each source ray u on the Cartier data of the
+    first target cone that contains map*u."""
+    cd = cartier_data(target, divisor)
+    if isinstance(cd, NotQCartier):
+        raise NotQCartierError(cd)
+    for cone in source.maximal_cones:
+        images = [mat_vec(lattice_map, g) for g in cone.generators]
+        if not any(all(t.contains(v) for v in images) for t in target.maximal_cones):
+            raise FanMapError(
+                f"source cone {list(cone.generators)} does not map into any "
+                "cone of the target fan"
+            )
+    coeffs = {}
+    for u in source.all_rays:
+        v = mat_vec(lattice_map, u)
+        coeffs[u] = next(dot(m, v) for t, m in zip(target.maximal_cones, cd.vectors) if t.contains(v))
+    return ToricDivisor(source, coeffs)
 
 
 def faces_oracle(cone):
@@ -133,7 +178,7 @@ def star_subdivision_oracle(fan, v):
             continue
         for face in faces_oracle(cone):
             if not face.contains(v):
-                cones.append(Cone.generated_by(face.generators + (v,), fan.ambient_dim))
+                cones.append(generated_by_oracle(face.generators + (v,), fan.ambient_dim))
     cones = list(dict.fromkeys(cones))
     keep = [
         c
@@ -149,8 +194,9 @@ def star_subdivision_oracle(fan, v):
 
 
 def fan_validate_oracle(fan):
-    """`fan_validate` with no certificate: every cone re-canonicalised by
-    `Cone.generated_by` and every pair of maximal cones intersected by double
+    """`fan_validate` with no certificate: strong convexity by the rank of
+    the halfspaces, every cone re-canonicalised by `generated_by_oracle`,
+    and every pair of maximal cones intersected by double
     description."""
     violations = []
     canonical = {}
@@ -173,7 +219,7 @@ def fan_validate_oracle(fan):
             violations.append(Violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
             ok = False
         if ok:
-            canonical[c] = Cone.generated_by(c.generators, fan.ambient_dim)
+            canonical[c] = generated_by_oracle(c.generators, fan.ambient_dim)
     cones = [c for c in fan.maximal_cones if c in canonical]
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):

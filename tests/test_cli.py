@@ -277,6 +277,22 @@ def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
     assert (fresh[8][0], fresh[9][0]) == (EXIT_RESOURCE, EXIT_OK)
 
 
+UNREAD_FLAGS = [  # flags no handler of the command reads, so none is accepted
+    (command, flag)
+    for command in ("degree", "volume", "random", "base-change", "verify")
+    for flag in ("--max-dim", "--max-rays")
+] + [("random", "--timing"), ("base-change", "--timing"), ("base-change", "--seed")]
+COMMAND_ARGS = {"random": ["--p", "1", "--d", "1"], "base-change": ["--orders", "1", "--on-boundary"]}
+
+
+@pytest.mark.parametrize("command, flag", UNREAD_FLAGS)
+def test_unread_flags_are_usage_errors(command, flag, tmp_path, capsys):
+    extra = [flag] if flag == "--timing" else [flag, "3"]
+    code, out, err, written = _run([command, *COMMAND_ARGS.get(command, []), *extra], capsys, tmp_path)
+    assert (code, out, written) == (EXIT_USAGE, "", None)
+    assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

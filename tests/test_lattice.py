@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torictower.lattice
-from oracles import faces_oracle, fan_validate_oracle, is_face_of_oracle, unimodular
+from oracles import faces_oracle, fan_validate_oracle, generated_by_oracle, is_face_of_oracle, unimodular
 from torictower.lattice import (
     Cone,
     Fan,
@@ -31,6 +31,7 @@ from torictower.lattice import (
     torus_fan,
     transpose,
     vadd,
+    vneg,
     vscale,
 )
 from torictower.toric import star_subdivision
@@ -245,6 +246,80 @@ def test_cone_contains_against_fourier_motzkin():
             continue
         v = tuple(rng.randint(-6, 6) for _ in range(n))
         assert c.contains(v) == in_cone_fm(c.generators, v)
+
+
+# --- canonical cones: one double description pass ----------------------
+
+
+def _vector_sets(count, seed):
+    """Raw vector lists in dimensions 1..4, in four kinds: random, with a
+    line (a vector and its negative), in a coordinate hyperplane, and with
+    zero vectors, repeats and multiples."""
+    rng = random.Random(seed)
+    sets = []
+    for i in range(count):
+        n = rng.randint(1, 4)
+        vectors = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(rng.randint(0, n + 3))]
+        kind = i % 4
+        if kind == 1 and vectors:
+            vectors.append(vneg(vectors[0]))
+        elif kind == 2:
+            vectors = [v[:-1] + (0,) for v in vectors]
+        elif kind == 3:
+            vectors += [(0,) * n] + [vscale(rng.randint(1, 3), v) for v in vectors[:2]]
+        sets.append((vectors, n))
+    return sets
+
+
+VECTOR_SETS = _vector_sets(800, 20261018)
+
+
+def _same_cone(got, want):
+    return (got.ambient_dim, got.generators, got.halfspaces()) == (
+        want.ambient_dim, want.generators, want.halfspaces())
+
+
+def test_generated_by_matches_two_pass_oracle():
+    lines = lower_dim = 0
+    for vectors, n in VECTOR_SETS:
+        want = generated_by_oracle(vectors, n)
+        assert _same_cone(Cone.generated_by(vectors, n), want), (vectors, n)
+        lines += not want.is_strongly_convex()
+        lower_dim += bool(want.halfspaces()[1])
+    assert lines > 150 and lower_dim > 150
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_generated_by_matches_two_pass_oracle_after_unimodular_change_of_coordinates(data):
+    vectors, n = data.draw(st.sampled_from(VECTOR_SETS))
+    u, _ = data.draw(unimodular(n))
+    moved = [mat_vec(u, v) for v in vectors]
+    assert _same_cone(Cone.generated_by(moved, n), generated_by_oracle(moved, n))
+
+
+def test_pointed_form_is_none_exactly_on_cones_with_a_line():
+    seen = set()
+    for vectors, n in VECTOR_SETS:
+        raw = Cone(n, sorted({primitive(v) for v in vectors if any(v)}))
+        got = raw.pointed_form()
+        assert (got is None) == (not raw.is_strongly_convex())
+        if got is not None:
+            assert _same_cone(got, generated_by_oracle(vectors, n))
+            assert got.halfspaces() is raw.halfspaces()  # shared, not recomputed
+        seen.add(got is None)
+    assert seen == {True, False}
+
+
+def test_generated_by_runs_one_double_description_on_pointed_input(monkeypatch):
+    calls = []
+    inner = torictower.lattice.halfspace_intersection
+    monkeypatch.setattr(torictower.lattice, "halfspace_intersection", lambda *a: calls.append(a) or inner(*a))
+    for vectors, n in VECTOR_SETS:
+        calls.clear()
+        cone = Cone.generated_by(vectors, n)
+        cone.halfspaces()
+        assert len(calls) == (1 if cone.is_strongly_convex() else 2), (vectors, n)
 
 
 # --- faces as ray bitmasks ---------------------------------------------
@@ -519,13 +594,20 @@ def test_fan_validate_certifies_valid_fans_without_double_description(monkeypatc
 
 
 def test_fan_validate_keeps_canonical_cones(monkeypatch):
+    """Canonical forms and strong convexity come from `Cone.pointed_form`:
+    no `generated_by`, not even for REDUNDANT_FAN's redundant ray (1, 1),
+    and no Hermite form on these full-dimensional cones."""
     calls = []
-    inner = Cone.generated_by
-    monkeypatch.setattr(Cone, "generated_by", staticmethod(lambda *a: calls.append(a) or inner(*a)))
-    assert fan_validate(REDUNDANT_FAN) == []
-    assert len(calls) == 1
+    inner, inner_hnf = Cone.generated_by, torictower.lattice.hnf
+    monkeypatch.setattr(Cone, "generated_by", staticmethod(lambda *a: calls.append("generated_by") or inner(*a)))
+    monkeypatch.setattr(torictower.lattice, "hnf", lambda *a: calls.append("hnf") or inner_hnf(*a))
+    Cone.generated_by([(1,)])
+    torictower.lattice.rank_int(((1,),))
+    assert calls == ["generated_by", "hnf"]  # the wrappers count
     calls.clear()
-    for fan in (projective_fan(3), CUBE_FAN, UNSORTED_FAN):
+    assert fan_validate(REDUNDANT_FAN) == []
+    assert sorted(v.kind for v in fan_validate(BAD_FANS[-1])) == ["not strongly convex"]
+    for fan in (projective_fan(3), CUBE_FAN, UNSORTED_FAN, *_subdivided_fans(20261018)):
         assert fan_validate(fan) == []
     assert calls == []
 

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 import torictower.lattice
 import torictower.toric
-from oracles import cartier_data_oracle, regularity_subfan_oracle, star_subdivision_oracle, unimodular
+from oracles import (
+    cartier_data_oracle,
+    pullback_divisor_oracle,
+    regularity_subfan_oracle,
+    star_subdivision_oracle,
+    unimodular,
+)
 from torictower.lattice import (
     Cone,
     Fan,
@@ -34,6 +40,7 @@ from torictower.toric import (
     FanMapError,
     NoCentreError,
     NotQCartier,
+    NotQCartierError,
     ToricDivisor,
     boundary_divisor,
     canonical_divisor,
@@ -456,6 +463,35 @@ def _cone_failures(fan, divisor):
         if isinstance(cartier_data(local, restricted), NotQCartier):
             failing.add(cone.generators)
     return failing
+
+
+def _pullback_outcome(pullback, *args):
+    """The pulled-back divisor, or the type and message of the error raised."""
+    try:
+        return pullback(*args)
+    except (FanMapError, NotQCartierError) as exc:
+        return type(exc), str(exc)
+
+
+def test_pullback_matches_per_ray_oracle():
+    """Star-subdivision pullbacks of the Cartier cases' fans (complete fans
+    and level fans) by the identity, and maps of P^1 and the affine line."""
+    rng = random.Random(20261019)
+    cases = []
+    for fan, divisor in CARTIER_CASES:
+        if any(c.generators for c in fan.maximal_cones):
+            cases.append((identity_matrix(fan.ambient_dim), star_subdivision(fan, _centre(rng, fan)), fan, divisor))
+    a1 = orthant_fan(1)
+    for k in range(-3, 4):
+        for source, target in ((P1, P1), (a1, P1), (P1, a1), (a1, a1)):
+            cases.append((((k,),), source, target, ToricDivisor(target, {target.all_rays[0]: Fraction(k, 2)})))
+    cases.append((((-1, 0), (0, -1)), A2, A2, ToricDivisor(A2, {(1, 0): 1})))
+    kinds = set()
+    for case in cases:
+        got = _pullback_outcome(pullback_divisor, *case)
+        assert got == _pullback_outcome(pullback_divisor_oracle, *case), case
+        kinds.add(got[0] if isinstance(got, tuple) else ToricDivisor)
+    assert kinds == {ToricDivisor, FanMapError, NotQCartierError}
 
 
 def test_cartier_data_matches_elimination_oracle():

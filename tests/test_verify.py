@@ -1,5 +1,7 @@
 import pytest
 
+import torictower.verify
+from torictower.tower import CheckOutcome
 from torictower.verify import SUITES, run_suite
 
 
@@ -38,3 +40,23 @@ def test_suites_deterministic_for_seed():
 
 def test_selector_list_is_published():
     assert set(SUITES) == {"kernel", "toric", "tower", "lc", "basechange", "volume", "all"}
+
+
+def test_samples_zero_is_honoured():
+    """samples=0 reaches every suite as 0, not as its default, and an
+    omitted count leaves each suite its own default."""
+    zero = {name: run_suite(name, seed=5, samples=0) for name in SUITES if name not in ("all", "volume")}
+    assert zero["basechange"].checked == 20  # the fixed identity and off-boundary checks only
+    assert all(res.ok() for res in zero.values())
+    assert run_suite("basechange", seed=5).checked == 120
+    total = run_suite("all", seed=5, samples=0)
+    volume = run_suite("volume", seed=5)
+    assert total.checked == sum(res.checked for res in zero.values()) + volume.checked
+
+
+def test_run_suite_passes_samples_only_when_given(monkeypatch):
+    calls = []
+    monkeypatch.setattr(torictower.verify, "suite_lc", lambda seed, **kwargs: calls.append(kwargs) or CheckOutcome())
+    run_suite("lc", seed=1)
+    run_suite("lc", seed=1, samples=0)
+    assert calls == [{}, {"samples": 0}]
