@@ -71,10 +71,9 @@ def _fan_document(fan):
     }
 
 
-def _emit_report(args, report, start):
-    report.elapsed_ms = (time.monotonic() - start) * 1000.0
-    _write_output(args.output, report.to_json(include_timing=args.timing))
-    return EXIT_OK if report.ok() else EXIT_VIOLATIONS
+def _load_model(args):
+    spec = parse_tower(_read_input(args.input))
+    return build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
 
 
 def _divisor_data_from_json(text):
@@ -100,13 +99,12 @@ def _divisor_data_from_json(text):
         raise TowerDocumentError(f"bad divisor data: {exc}") from None
 
 
-def cmd_build(args, start):
-    spec = parse_tower(_read_input(args.input))
-    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
+def cmd_build(args):
+    model = _load_model(args)
     report = Report(command="build", seed=args.seed)
     report.data = {
-        "base_dim": encode_int(spec.base_dim),
-        "depth": encode_int(spec.depth),
+        "base_dim": encode_int(model.spec.base_dim),
+        "depth": encode_int(model.depth),
         "levels": [
             {
                 "ambient_dim": encode_int(level.fan.ambient_dim),
@@ -117,12 +115,11 @@ def cmd_build(args, start):
         ],
     }
     report.checked = report.passed = len(model.levels)
-    return _emit_report(args, report, start)
+    return report
 
 
-def cmd_fan(args, start):
-    spec = parse_tower(_read_input(args.input))
-    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
+def cmd_fan(args):
+    model = _load_model(args)
     if args.level is not None and not 1 <= args.level <= model.depth:
         raise TowerDocumentError(f"level {args.level} out of range 1..{model.depth}")
     levels = range(model.depth) if args.level is None else [args.level - 1]
@@ -134,15 +131,14 @@ def cmd_fan(args, start):
         ]
     }
     report.checked = report.passed = len(report.data["levels"])
-    return _emit_report(args, report, start)
+    return report
 
 
-def cmd_map_to_proj(args, start):
-    spec = parse_tower(_read_input(args.input))
-    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
-    proj = projective_model(spec)
+def cmd_map_to_proj(args):
+    model = _load_model(args)
+    proj = projective_model(model.spec)
     rays = model.levels[-1].fan.all_rays
-    supported = [in_projective_support(spec, r) for r in rays]
+    supported = [in_projective_support(model.spec, r) for r in rays]
     report = Report(command="map-to-proj", seed=args.seed)
     report.data = {
         "fan": _fan_document(proj.fan),
@@ -160,36 +156,30 @@ def cmd_map_to_proj(args, start):
     report.passed = sum(supported)
     for r, ok in zip(rays, supported):
         if not ok:
-            report.violations.append(
-                {"kind": "support", "detail": f"ray {list(r)} outside |P|"}
-            )
-    return _emit_report(args, report, start)
+            report.add_violation("support", f"ray {list(r)} outside |P|")
+    return report
 
 
-def cmd_base_change(args, start):
+def cmd_base_change(args):
     spec = parse_tower(_read_input(args.input))
     try:
         orders = tuple(int(c) for c in args.orders.split(",")) if args.orders else ()
     except ValueError:
         raise TowerDocumentError(f"bad --orders value {args.orders!r}") from None
     germ = CurveGermData(orders=orders, on_boundary=args.on_boundary)
-    changed = base_change_to_curve(spec, germ)
-    _write_output(args.output, emit_tower(changed))
-    return EXIT_OK
+    return emit_tower(base_change_to_curve(spec, germ))
 
 
-def cmd_lc_check(args, start):
+def cmd_lc_check(args):
     spec = parse_tower(_read_input(args.input))
     outcome = lc_place_transfer_check(
         spec, samples=args.samples, seed=args.seed, max_rays=args.max_rays, max_dim=args.max_dim
     )
-    report = report_from_outcome("lc-check", outcome, seed=args.seed)
-    return _emit_report(args, report, start)
+    return report_from_outcome("lc-check", outcome, seed=args.seed)
 
 
-def cmd_local_model(args, start):
-    spec = parse_tower(_read_input(args.input))
-    model = build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
+def cmd_local_model(args):
+    model = _load_model(args)
     if model.depth < 2:
         raise TowerDocumentError("tower has depth 1: no fibration level to classify")
     if args.level is not None and not 2 <= args.level <= model.depth:
@@ -220,33 +210,30 @@ def cmd_local_model(args, start):
             report.passed += 1
         data_levels.append({"level": encode_int(level), "cones": entries})
     report.data = {"levels": data_levels}
-    return _emit_report(args, report, start)
+    return report
 
 
-def cmd_degree(args, start):
+def cmd_degree(args):
     data = _divisor_data_from_json(_read_input(args.input))
     report = Report(command="degree", seed=args.seed, checked=1, passed=1)
     report.data = {"relative_degree": encode_rational(relative_degree_on_P(data))}
-    return _emit_report(args, report, start)
+    return report
 
 
-def cmd_volume(args, start):
+def cmd_volume(args):
     data = _divisor_data_from_json(_read_input(args.input))
     report = Report(command="volume", seed=args.seed, checked=1, passed=1)
     report.data = {"relative_volume": encode_rational(relative_volume_on_P(data))}
-    return _emit_report(args, report, start)
+    return report
 
 
-def cmd_random(args, start):
-    spec = random_tower(args.p, args.d, args.max_exponent, args.seed)
-    _write_output(args.output, emit_tower(spec))
-    return EXIT_OK
+def cmd_random(args):
+    return emit_tower(random_tower(args.p, args.d, args.max_exponent, args.seed))
 
 
-def cmd_verify(args, start):
+def cmd_verify(args):
     outcome = run_suite(args.suite, seed=args.seed, samples=args.samples)
-    report = report_from_outcome(f"verify:{args.suite}", outcome, seed=args.seed)
-    return _emit_report(args, report, start)
+    return report_from_outcome(f"verify:{args.suite}", outcome, seed=args.seed)
 
 
 @functools.cache
@@ -335,11 +322,16 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.monotonic()
     try:
-        return args.func(args, start)
+        result = args.func(args)  # a Report, or the text of a tower document
+        if isinstance(result, str):
+            _write_output(args.output, result)
+            return EXIT_OK
+        result.elapsed_ms = (time.monotonic() - start) * 1000.0
+        _write_output(args.output, result.to_json(include_timing=args.timing))
+        return EXIT_OK if result.ok() else EXIT_VIOLATIONS
     except (TowerDocumentError, LatticeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

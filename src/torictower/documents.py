@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .tower import NodeMove, ProductMove, TowerSpec, validate_tower
+from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec, validate_tower
 
 FORMAT_VERSION = 1
 
@@ -182,21 +182,14 @@ def random_tower(p, d, max_exponent, seed):
     return TowerSpec(base_dim=p, moves=tuple(moves))
 
 
-@dataclass
-class Report:
-    """Machine-readable command report; violations empty iff the run succeeded."""
+@dataclass(kw_only=True)
+class Report(CheckOutcome):
+    """Machine-readable command report: a CheckOutcome plus command, seed and data."""
 
     command: str
     seed: Optional[int] = None
-    checked: int = 0
-    passed: int = 0
-    skipped: int = 0
-    violations: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
     elapsed_ms: Optional[float] = None
-
-    def ok(self):
-        return not self.violations
 
     def to_dict(self, include_timing=False):
         out = {
@@ -219,13 +212,5 @@ class Report:
         return _canonical_json(self.to_dict(include_timing=include_timing))
 
 
-def report_from_outcome(command, outcome, seed=None, data=None):
-    return Report(
-        command=command,
-        seed=seed,
-        checked=outcome.checked,
-        passed=outcome.passed,
-        skipped=outcome.skipped,
-        violations=list(outcome.violations),
-        data=data or {},
-    )
+def report_from_outcome(command, outcome, seed=None):
+    return Report(command=command, seed=seed).merge(outcome)

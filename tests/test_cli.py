@@ -159,6 +159,12 @@ def test_verify_command(capsys):
     assert doc["violations"] == []
 
 
+@pytest.mark.parametrize("argv", [["random", "--p", "1", "--d", "2"], ["verify", "--suite", "volume"]])
+def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
+    code, out, err = run_cli(capsys, *argv, "--output", str(tmp_path))  # a directory
+    assert code == EXIT_USAGE and out == "" and err.startswith("error:")
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write_tower(tmp_path, "{broken", name="bad.json")
     code, _, err = run_cli(capsys, "build", "--input", path)

@@ -11,8 +11,9 @@ from torictower.documents import (
     emit_tower,
     parse_tower,
     random_tower,
+    report_from_outcome,
 )
-from torictower.tower import NodeMove, ProductMove, TowerSpec
+from torictower.tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
 
 
 def test_parse_simple_node_document():
@@ -100,6 +101,19 @@ def test_report_violations_gate_ok():
     r = Report(command="x", violations=[{"kind": "k", "detail": "d"}])
     assert not r.ok()
     assert json.loads(r.to_json())["violations"]
+
+
+def test_report_is_a_check_outcome_and_keeps_what_it_is_built_from():
+    outcome = CheckOutcome(checked=5, passed=3)
+    outcome.add_violation("k", "d", vector=[1, -1])
+    outcome.add_skip("degenerate sample (zero vector)", origin="sample")
+    r = report_from_outcome("lc-check", outcome, seed=11)
+    assert isinstance(r, CheckOutcome) and not r.ok()
+    assert (r.checked, r.passed, r.skipped) == (5, 3, 1)
+    assert r.violations == outcome.violations and r.skips == outcome.skips
+    assert r.violations[0] is not outcome.violations[0]
+    counts = json.loads(r.to_json())["counts"]
+    assert counts == {"checked": "5", "passed": "3", "skipped": "1"}
 
 
 # escapes, control characters, non-ASCII and astral text

@@ -278,6 +278,29 @@ def test_lc_check_matches_oracle_on_top_fans_outside_the_projective_support():
     assert flagged >= 40
 
 
+def test_lc_check_calls_neither_cartier_data_nor_projective_model(monkeypatch):
+    import torictower.tower as tower
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("lc_place_transfer_check must not build Cartier data or the P fan")
+
+    specs = random_towers(30, 20260814)
+    models = [build_model(spec) for spec in specs]
+    monkeypatch.setattr(tower, "cartier_data", forbidden)
+    monkeypatch.setattr(tower, "projective_model", forbidden)
+    rng = random.Random(9)
+    flagged = 0
+    for spec, model in zip(specs, models):
+        n = model.levels[-1].fan.ambient_dim
+        flip = [list(r) for r in identity_matrix(n)]
+        flip[spec.base_dim - 1][spec.base_dim - 1] = -1
+        for forged in (None, _with_top_fan_moved(model, flip)):
+            got = lc_place_transfer_check(spec, samples=10, seed=rng.randrange(2**32), model=forged)
+            assert got.checked == got.passed + got.skipped + len(got.violations)
+            flagged += not got.ok()
+    assert flagged > 0
+
+
 # --- base change -------------------------------------------------------
 
 
@@ -499,6 +522,16 @@ def test_torus_splitting_detects_bad_fiber():
     assert not res.ok()
     kinds = {v["kind"] for v in res.violations}
     assert "splitting" in kinds or "fiber" in kinds
+
+
+def test_torus_splitting_flags_a_non_coordinate_projection_of_the_right_size():
+    model = build_model(TowerSpec(2, (ProductMove(),)))
+    top = model.levels[-1]
+    swapped = (unit_vector(3, 1), unit_vector(3, 0))  # rank one kernel, rows out of order
+    level = TowerLevel(fan=top.fan, boundary=top.boundary, projection=swapped)
+    res = torus_splitting_check(TowerModel(spec=model.spec, levels=(model.levels[0], level)))
+    assert (res.checked, res.passed) == (1, 0)
+    assert [(v["kind"], v["level"]) for v in res.violations] == [("splitting", 2)]
 
 
 def test_torus_splitting_depth_one_vacuous():

@@ -52,6 +52,8 @@ def test_samples_zero_is_honoured():
     total = run_suite("all", seed=5, samples=0)
     volume = run_suite("volume", seed=5)
     assert total.checked == sum(res.checked for res in zero.values()) + volume.checked
+    # every volume check is fixed: the sample count leaves it alone
+    assert run_suite("volume", seed=5, samples=0).checked == volume.checked == 62
 
 
 def test_run_suite_passes_samples_only_when_given(monkeypatch):
@@ -60,3 +62,22 @@ def test_run_suite_passes_samples_only_when_given(monkeypatch):
     run_suite("lc", seed=1)
     run_suite("lc", seed=1, samples=0)
     assert calls == [{}, {"samples": 0}]
+
+
+def test_merge_adds_counts_and_tags_violations_and_skips():
+    part = CheckOutcome(checked=4, passed=2)
+    part.add_violation("k", "d", tower=3)
+    part.add_skip("r", origin="ray")
+    total = CheckOutcome(checked=1, passed=1).merge(part, suite="lc")
+    assert (total.checked, total.passed, total.skipped) == (5, 3, 1)
+    assert total.violations == [{"kind": "k", "detail": "d", "tower": 3, "suite": "lc"}]
+    assert total.skips == [{"reason": "r", "origin": "ray", "suite": "lc"}]
+    assert part.violations == [{"kind": "k", "detail": "d", "tower": 3}]
+
+
+def test_run_suite_all_tags_each_violation_with_its_suite(monkeypatch):
+    bad = CheckOutcome(checked=2, passed=1)
+    bad.add_violation("k", "d")
+    monkeypatch.setattr(torictower.verify, "suite_volume", lambda seed, **kwargs: bad)
+    total = run_suite("all", seed=1, samples=0)
+    assert total.violations == [{"kind": "k", "detail": "d", "suite": "volume"}]
