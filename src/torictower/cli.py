@@ -20,6 +20,7 @@ from .documents import (
     emit_tower,
     encode_int,
     encode_rational,
+    load_json_object,
     parse_tower,
     random_tower,
     report_from_outcome,
@@ -77,14 +78,7 @@ def _load_model(args):
 
 
 def _divisor_data_from_json(text):
-    import json
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TowerDocumentError(f"malformed document: {exc.msg} (line {exc.lineno})") from None
-    if not isinstance(doc, dict):
-        raise TowerDocumentError("document root must be an object")
+    doc = load_json_object(text)
     try:
         coeffs = tuple(Fraction(c) for c in doc.get("hyperplane_coefficients", []))
         return ProjectiveDivisorData(
@@ -95,7 +89,7 @@ def _divisor_data_from_json(text):
         )
     except KeyError as exc:
         raise TowerDocumentError(f"missing field {exc.args[0]!r}") from None
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise TowerDocumentError(f"bad divisor data: {exc}") from None
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .lattice import ResourceCapError
 from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec, validate_tower
 
 FORMAT_VERSION = 1
@@ -71,7 +72,10 @@ def encode_int(x):
 
 
 def encode_rational(x):
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError:  # more digits than the interpreter's int-to-str limit
+        raise ResourceCapError("result has too many digits to print") from None
 
 
 def _parse_int(value, where):
@@ -115,16 +119,21 @@ def emit_tower(spec):
     return _canonical_json(doc)
 
 
-def parse_tower(text):
-    """Parse and validate a tower document; errors carry line/field context."""
+def load_json_object(text):
+    """The JSON object of a document; json.loads failing in any way is a
+    TowerDocumentError."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TowerDocumentError(
-            f"malformed document: {exc.msg} (line {exc.lineno}, column {exc.colno})"
-        ) from None
+    except (ValueError, RecursionError) as exc:  # bad syntax, too many digits, too deep
+        raise TowerDocumentError(f"malformed document: {exc}") from None
     if not isinstance(doc, dict):
         raise TowerDocumentError("document root must be an object")
+    return doc
+
+
+def parse_tower(text):
+    """Parse and validate a tower document; errors carry line/field context."""
+    doc = load_json_object(text)
     version = _parse_int(doc.get("format_version", FORMAT_VERSION), "format_version")
     if version != FORMAT_VERSION:
         raise TowerDocumentError(f"format_version: unsupported version {version}")

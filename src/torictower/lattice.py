@@ -117,28 +117,27 @@ def mat_mul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def det_int(m):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
+def bareiss_step(pivot, c, prev, rows):
+    """One fraction-free (Bareiss) step: clear column c of each row against
+    `pivot`, drop that column and divide by `prev`, the pivot of the step
+    before (1 at the start).  Every entry stays a minor, so it is exact."""
+    p, keep = pivot[c], pivot[:c] + pivot[c + 1:]
+    return [[(x * p - r[c] * y) // prev for x, y in zip(r[:c] + r[c + 1:], keep)] for r in rows]
+
+
+def det_int(m, prev=1):
+    """Exact determinant of a square integer matrix (fraction-free Bareiss).
+    With `prev`, m is the block left by Bareiss steps whose last pivot was
+    `prev`, and the result is +/- the determinant of the whole matrix."""
+    rows, sign = list(m), 1
+    while len(rows) > 1:
+        pivot, rows = rows[0], rows[1:]
+        c = next((j for j, x in enumerate(pivot) if x), None)
+        if c is None:
+            return 0
+        sign = -sign if c % 2 else sign
+        rows, prev = bareiss_step(pivot, c, prev, rows), pivot[c]
+    return sign * rows[0][0] if rows else prev
 
 
 def is_unimodular(m):
@@ -326,6 +325,11 @@ def halfspace_intersection(constraints, n):
     with incremental lineality reduction; the adjacency test is the standard
     combinatorial one, valid because the ray list stays minimal at every step.
     Deterministic: first-index pivoting, lexicographically sorted output.
+
+    Adjacency pre-filter (Fukuda & Prodon, 1996): the processed rows have rank
+    k = n - len(lineality), and adjacent rays span a 2-face, whose tight rows
+    have rank k - 2, so a pair with fewer common tight rows skips the scan.
+    A count bounds a rank, also with implicit equalities (a and -a) or repeats.
     """
     lineality = [unit_vector(n, i) for i in range(n)]
     rays = []  # (vector, tight-bitmask over processed constraints)
@@ -368,13 +372,13 @@ def halfspace_intersection(constraints, n):
                     zero.append((r, mask | bit))
             if neg:
                 combos = {}
+                edge = n - len(lineality) - 2  # tight rows of any 2-face
                 for p, mp, pv in pos:
                     for q, mq, qv in neg:
                         t = mp & mq
-                        blocked = any(
+                        if t.bit_count() < edge or any(
                             (t & ~mr) == 0 for r, mr in rays if r is not p and r is not q
-                        )
-                        if blocked:
+                        ):
                             continue
                         w = vsub(vscale(pv, q), vscale(qv, p))
                         if is_zero(w):

@@ -10,10 +10,11 @@ nothing to the generic fiber.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import LatticeError, bit_indices, det_int, dot, halfspace_intersection
+from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
+from .lattice import _halfspace_rows, halfspace_intersection
 
 
 class UnboundedPolytopeError(Exception):
@@ -26,10 +27,27 @@ class LatticePolytope:
 
     `divisor_polytope` lists exactly the vertices; `normalized_volume` also
     accepts points that are not vertices, which leave the volume unchanged.
+    Its inequality rows are memoized outside equality, hash and repr: a divisor
+    polytope carries its own, and a bare point list pays one DD pass for them.
     """
 
     ambient_dim: int
     vertices: tuple
+    _inequalities: tuple = field(default=None, init=False, compare=False, repr=False)
+
+    def inequalities(self):
+        """Integer rows a with the polytope = {x : <a, (x, 1)> >= 0} (memoized)."""
+        if self._inequalities is None:
+            dual = halfspace_intersection(_homogenized(self.vertices), self.ambient_dim + 1)
+            object.__setattr__(self, "_inequalities", tuple(_halfspace_rows(*dual)))
+        return self._inequalities
+
+
+def _homogenized(points):
+    """(w, den) with w / den = v and den > 0 minimal, per distinct point v in lex order."""
+    points = sorted({tuple(map(Fraction, v)) for v in points})
+    dens = [math.lcm(*(x.denominator for x in v)) for v in points]
+    return [tuple(int(x * den) for x in v) + (den,) for v, den in zip(points, dens)]
 
 
 @dataclass(frozen=True)
@@ -46,6 +64,8 @@ class ProjectiveDivisorData:
     def __post_init__(self):
         if self.fiber_dim < 1:
             raise LatticeError("fiber dimension must be >= 1")
+        if self.fiber_dim > DEFAULT_MAX_DIM:
+            raise ResourceCapError(f"fiber dimension {self.fiber_dim} exceeds configured cap {DEFAULT_MAX_DIM}")
         if self.polarization < 1:
             raise LatticeError("polarization degree must be >= 1")
         object.__setattr__(
@@ -63,7 +83,8 @@ def divisor_polytope(fan, divisor):
     s > 0 are the vertices m / s.  A ray with s = 0 or a lineality direction
     is a nonzero recession direction, so the rays must span R^n positively
     (the fan is complete in the fiber directions); otherwise a structured
-    failure is raised, also when P_D is empty.
+    failure is raised, also when P_D is empty.  The polytope carries these
+    rows as its inequalities, so its volume needs no second pass.
     """
     n = fan.ambient_dim
     constraints = []
@@ -75,48 +96,49 @@ def divisor_polytope(fan, divisor):
     if lineality or any(r[-1] == 0 for r in rays):
         raise UnboundedPolytopeError("divisor not bounded above")
     vertices = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays)
-    return LatticePolytope(ambient_dim=n, vertices=tuple(vertices))
+    poly = LatticePolytope(ambient_dim=n, vertices=tuple(vertices))
+    object.__setattr__(poly, "_inequalities", tuple(constraints))
+    return poly
 
 
 def normalized_volume(polytope):
     """n! times the Euclidean volume, exact.  Empty or lower-dimensional
     polytopes have volume 0.
 
-    One double description pass on the homogenized points (w, den) gives the
-    facet normals; a pulling triangulation then runs on point-facet
-    incidence bitmasks alone.  The facets of a face G are the inclusion-
-    maximal proper nonempty G & F over the facet masks F, the apex is G's
-    lowest point, and a d-face with d + 1 points is a simplex.  With the
-    apexes collected above it, it adds |det(rows)| / prod(den).
+    A pulling triangulation on the point masks of `polytope.inequalities()`
+    (no DD for a divisor polytope).  The facets of a face G are the inclusion-
+    maximal proper nonempty G & F over the masks F (a non-facet row masks to
+    a face inside a facet), the apex is G's lowest point, and a d-face with
+    d + 1 points is a simplex.  Each apex is eliminated once (`bareiss_step`)
+    for all simplices below it; a leaf finishes its (d + 1)-square block and
+    adds |det| / prod(den).  An apex lies off the affine hull of every face
+    below it, so the apexes are independent and their residuals nonzero.
     """
-    n = polytope.ambient_dim
-    rows = []
-    for v in sorted(polytope.vertices):
-        v = [Fraction(x) for x in v]
-        den = math.lcm(*(x.denominator for x in v))
-        rows.append(tuple(int(x * den) for x in v) + (den,))
+    rows = _homogenized(polytope.vertices)
     if not rows:
         return Fraction(0)
-    normals, equations = halfspace_intersection(rows, n + 1)
-    if equations:
-        return Fraction(0)
-    facets = [sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in normals]
-    total = Fraction(0)
-    stack = [((1 << len(rows)) - 1, n, 0)]  # (face, its dimension, apexes above it)
+    facets = {sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in polytope.inequalities()}
+    total = {}  # sum of |det| per denominator
+    # (face, its dimension, residual rows of its points, last pivot, dens of the apexes above it)
+    stack = [((1 << len(rows)) - 1, polytope.ambient_dim, dict(enumerate(rows)), 1, 1)]
     while stack:
-        face, dim, apexes = stack.pop()
-        if face.bit_count() == dim + 1:
-            simplex = [rows[i] for i in bit_indices(face | apexes)]
-            total += Fraction(abs(det_int(simplex)), math.prod(r[-1] for r in simplex))
+        face, dim, residual, prev, dens = stack.pop()
+        points = bit_indices(face)
+        if len(points) == dim + 1:
+            den = dens * math.prod(rows[i][-1] for i in points)
+            total[den] = total.get(den, 0) + abs(det_int([residual[i] for i in points], prev))
             continue
-        apex = face & -face
+        apex, rest = points[0], points[1:]
+        pivot = residual[apex]
+        c = next(j for j, x in enumerate(pivot) if x)  # the apexes are independent
+        below = dict(zip(rest, bareiss_step(pivot, c, prev, [residual[i] for i in rest])))
         maximal = []
         for sub in sorted({face & f for f in facets} - {0, face}, key=int.bit_count, reverse=True):
             if all(sub & m != sub for m in maximal):
                 maximal.append(sub)
-                if not sub & apex:
-                    stack.append((sub, dim - 1, apexes | apex))
-    return total
+                if not sub >> apex & 1:
+                    stack.append((sub, dim - 1, below, pivot[c], dens * rows[apex][-1]))
+    return sum((Fraction(v, den) for den, v in total.items()), Fraction(0))
 
 
 def relative_degree_on_P(data):

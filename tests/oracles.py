@@ -14,8 +14,11 @@ vector as the log discrepancy -<m_sigma, e> on both fans, fan
 validation that re-canonicalises every cone and intersects every pair of
 maximal cones by double description, the local-model report built
 from `Cone.faces` with one membership test per face, a canonical cone from
-two double description passes (halfspaces, then their extreme rays), and a
-pullback that finds the target cone of each source ray by its own scan.  They are slow and independent of the
+two double description passes (halfspaces, then their extreme rays), a
+pullback that finds the target cone of each source ray by its own scan, the
+double description without the adjacency pre-filter, and a normalized
+volume from one double description pass on the points and a full
+determinant per simplex.  They are slow and independent of the
 production code, so the property tests compare the two.  `unimodular` draws
 the changes of coordinates for the metamorphic tests.
 """
@@ -32,19 +35,25 @@ from torictower.lattice import (
     Fan,
     LatticeError,
     Violation,
+    bit_indices,
     content,
     det_fraction,
+    det_int,
     dot,
     halfspace_intersection,
     identity_matrix,
     intersect_cones,
     is_face_of,
     is_zero,
+    kernel_basis,
     mat_vec,
     primitive,
     rank_int,
     snf,
+    unit_vector,
     vneg,
+    vscale,
+    vsub,
 )
 from torictower.polytope import LatticePolytope, UnboundedPolytopeError
 from torictower.toric import (
@@ -477,6 +486,123 @@ def local_model_report_oracle(model, levels):
             entries.append(entry)
         out.append({"level": str(level), "cones": entries})
     return out
+
+
+def normalized_volume_per_simplex_oracle(polytope):
+    """n! times the Euclidean volume, exact.  Empty or lower-dimensional
+    polytopes have volume 0.
+
+    One double description pass on the homogenized points (w, den) gives the
+    facet normals; a pulling triangulation then runs on point-facet
+    incidence bitmasks alone.  The facets of a face G are the inclusion-
+    maximal proper nonempty G & F over the facet masks F, the apex is G's
+    lowest point, and a d-face with d + 1 points is a simplex.  With the
+    apexes collected above it, it adds |det(rows)| / prod(den).
+    """
+    n = polytope.ambient_dim
+    rows = []
+    for v in sorted(polytope.vertices):
+        v = [Fraction(x) for x in v]
+        den = math.lcm(*(x.denominator for x in v))
+        rows.append(tuple(int(x * den) for x in v) + (den,))
+    if not rows:
+        return Fraction(0)
+    normals, equations = halfspace_intersection_oracle(rows, n + 1)
+    if equations:
+        return Fraction(0)
+    facets = [sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in normals]
+    total = Fraction(0)
+    stack = [((1 << len(rows)) - 1, n, 0)]  # (face, its dimension, apexes above it)
+    while stack:
+        face, dim, apexes = stack.pop()
+        if face.bit_count() == dim + 1:
+            simplex = [rows[i] for i in bit_indices(face | apexes)]
+            total += Fraction(abs(det_int(simplex)), math.prod(r[-1] for r in simplex))
+            continue
+        apex = face & -face
+        maximal = []
+        for sub in sorted({face & f for f in facets} - {0, face}, key=int.bit_count, reverse=True):
+            if all(sub & m != sub for m in maximal):
+                maximal.append(sub)
+                if not sub & apex:
+                    stack.append((sub, dim - 1, apexes | apex))
+    return total
+
+
+def halfspace_intersection_oracle(constraints, n):
+    """V-description of the cone {x in R^n : <a, x> >= 0 for every a}.
+
+    Returns (rays, lineality): the extreme rays of the pointed part (primitive,
+    lex-sorted) and an HNF basis of the lineality space.  Double description
+    with incremental lineality reduction; the adjacency test is the standard
+    combinatorial one, valid because the ray list stays minimal at every step.
+    Deterministic: first-index pivoting, lexicographically sorted output.
+    Every (pos, neg) pair runs the combinatorial scan: no adjacency
+    pre-filter.
+    """
+    lineality = [unit_vector(n, i) for i in range(n)]
+    rays = []  # (vector, tight-bitmask over processed constraints)
+    processed = []
+    for a in constraints:
+        a = tuple(a)
+        if len(a) != n:
+            raise LatticeError(f"constraint has dimension {len(a)}, expected {n}")
+        if is_zero(a):
+            continue
+        bit = 1 << len(processed)
+        lvals = [dot(a, l) for l in lineality]
+        j0 = next((j for j, s in enumerate(lvals) if s != 0), None)
+        if j0 is not None:
+            l0, s0 = lineality[j0], lvals[j0]
+            if s0 < 0:
+                l0, s0 = vneg(l0), -s0
+            new_lin = []
+            for j, (l, s) in enumerate(zip(lineality, lvals)):
+                if j != j0:
+                    new_lin.append(primitive(vsub(vscale(s0, l), vscale(s, l0))))
+            full = bit - 1  # tight on every previously processed constraint
+            new_rays = []
+            for r, mask in rays:
+                rv = dot(a, r)
+                r2 = primitive(vsub(vscale(s0, r), vscale(rv, l0)))
+                new_rays.append((r2, mask | bit))
+            new_rays.append((l0, full))
+            rays = new_rays
+            lineality = new_lin
+        else:
+            pos, zero, neg = [], [], []
+            for r, mask in rays:
+                rv = dot(a, r)
+                if rv > 0:
+                    pos.append((r, mask, rv))
+                elif rv < 0:
+                    neg.append((r, mask, rv))
+                else:
+                    zero.append((r, mask | bit))
+            if neg:
+                combos = {}
+                for p, mp, pv in pos:
+                    for q, mq, qv in neg:
+                        t = mp & mq
+                        blocked = any(
+                            (t & ~mr) == 0 for r, mr in rays if r is not p and r is not q
+                        )
+                        if blocked:
+                            continue
+                        w = vsub(vscale(pv, q), vscale(qv, p))
+                        if is_zero(w):
+                            continue
+                        # exact: <c, w> = pv<c, q> - qv<c, p>, both terms >= 0
+                        combos.setdefault(primitive(w), t | bit)
+                rays = [(r, m) for r, m, _ in pos] + zero + sorted(combos.items())
+            else:
+                rays = [(r, m) for r, m, _ in pos] + zero
+        processed.append(a)
+    out_rays = tuple(sorted(r for r, _ in rays))
+    if lineality:
+        lineality = kernel_basis(tuple(processed), n)
+    return out_rays, tuple(lineality)
+
 
 
 @st.composite

@@ -193,6 +193,45 @@ def test_resource_cap_exit_code(tmp_path, capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("command", ["build", "degree"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        # a bare integer over the interpreter's int-to-str digit limit: ValueError
+        '{"base_dim": %s, "fiber_dim": %s, "moves": []}' % ("1" * 5000, "1" * 5000),
+        # nesting deeper than the recursion limit: RecursionError
+        "[" * 200_000 + "]" * 200_000,
+    ],
+    ids=["long-integer", "deep-nesting"],
+)
+def test_undecodable_json_is_a_usage_error(command, text, tmp_path, capsys):
+    path = write_tower(tmp_path, text, name="bad.json")
+    code, out, err = run_cli(capsys, command, "--input", path)
+    assert code == EXIT_USAGE and out == "" and err.startswith("error: malformed document")
+
+
+def test_oversized_degree_or_volume_is_a_cap(tmp_path, capsys):
+    big = "1" * 500
+    for command, doc in (
+        ("volume", {"fiber_dim": "11", "hyperplane_coefficients": ["2"]}),  # over DEFAULT_MAX_DIM
+        ("degree", {"fiber_dim": "11", "hyperplane_coefficients": ["2"]}),
+        ("volume", {"fiber_dim": "10", "hyperplane_coefficients": [big]}),  # 4,991 digits
+        ("degree", {"fiber_dim": "10", "hyperplane_coefficients": ["1"], "polarization": big}),
+    ):
+        path = write_tower(tmp_path, json.dumps(doc), name="div.json")
+        code, out, err = run_cli(capsys, command, "--input", path)
+        assert code == EXIT_RESOURCE and out == "" and err.startswith("resource cap:"), (command, doc)
+    path = write_tower(tmp_path, '{"fiber_dim": "10", "hyperplane_coefficients": ["2"]}', name="div.json")
+    code, out, _ = run_cli(capsys, "volume", "--input", path)
+    assert code == EXIT_OK and json.loads(out)["data"]["relative_volume"] == "1024"
+
+
+def test_infinite_fiber_dim_is_a_usage_error(tmp_path, capsys):
+    path = write_tower(tmp_path, '{"fiber_dim": 1e400, "hyperplane_coefficients": ["1"]}', name="div.json")
+    code, out, err = run_cli(capsys, "degree", "--input", path)
+    assert code == EXIT_USAGE and out == "" and err.startswith("error: bad divisor data")
+
+
 def test_reports_are_byte_deterministic(tmp_path, capsys):
     outputs = []
     for name in ("a.json", "b.json"):

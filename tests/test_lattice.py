@@ -5,7 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import torictower.lattice
-from oracles import faces_oracle, fan_validate_oracle, generated_by_oracle, is_face_of_oracle, unimodular
+from oracles import (
+    faces_oracle,
+    fan_validate_oracle,
+    generated_by_oracle,
+    halfspace_intersection_oracle,
+    is_face_of_oracle,
+    unimodular,
+)
 from torictower.lattice import (
     Cone,
     Fan,
@@ -13,6 +20,8 @@ from torictower.lattice import (
     ResourceCapError,
     bit_indices,
     cones_equal_as_sets,
+    det_fraction,
+    det_int,
     dual_cone,
     fan_validate,
     halfspace_intersection,
@@ -212,6 +221,44 @@ def test_halfspace_intersection_of_redundant_rows_matches_oracle():
             continue
         checked += 1
         assert halfspace_intersection(gens, n) == (dual_cone_facet_oracle(gens, n), ())
+
+
+@st.composite
+def constraint_rows(draw):
+    """Rows for the DD with the cases the adjacency pre-filter must survive:
+    zero, repeated and redundant rows, opposite pairs a, -a (implicit
+    equalities), rows confined to a hyperplane (the cone carries a line),
+    and the GL_n(Z) image of all of it."""
+    n = draw(st.integers(2, 5))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(*[entry] * n), max_size=n + 5))
+    if rows and draw(st.booleans()):  # confine to x_0 = 0, so e_0 is lineality
+        rows = [(0,) + r[1:] for r in rows]
+    picks = st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=4) if rows else st.just([])
+    rows += [vneg(rows[i]) for i in draw(picks)] + [rows[i] for i in draw(picks)]
+    rows += [(0,) * n] * draw(st.integers(0, 1))
+    rows = draw(st.permutations(rows))
+    u, _ = draw(unimodular(n))
+    if draw(st.booleans()):
+        rows = [mat_vec(transpose(u), r) for r in rows]
+    return rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(constraint_rows())
+def test_halfspace_intersection_matches_oracle_without_prefilter(case):
+    rows, n = case
+    assert halfspace_intersection(rows, n) == halfspace_intersection_oracle(rows, n)
+
+
+def test_det_int_matches_rational_elimination():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        n = rng.randint(0, 5)
+        m = tuple(tuple(rng.randint(-4, 4) * rng.randint(0, 1) for _ in range(n)) for _ in range(n))
+        if n > 1 and rng.random() < 0.2:  # a dependent row
+            m = m[:-1] + (vscale(2, m[0]),)
+        assert det_int(m) == det_fraction(m)
 
 
 # --- membership --------------------------------------------------------

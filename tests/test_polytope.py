@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -7,12 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torictower.polytope
-from oracles import divisor_polytope_oracle, normalized_volume_oracle, unimodular
+from oracles import (
+    divisor_polytope_oracle,
+    halfspace_intersection_oracle,
+    normalized_volume_oracle,
+    normalized_volume_per_simplex_oracle,
+    unimodular,
+)
 from torictower.lattice import (
     Cone,
     Fan,
     LatticeError,
+    ResourceCapError,
     det_int,
+    halfspace_intersection,
     identity_matrix,
     mat_vec,
     orthant_fan,
@@ -25,6 +34,7 @@ from torictower.polytope import (
     LatticePolytope,
     ProjectiveDivisorData,
     UnboundedPolytopeError,
+    _homogenized,
     divisor_polytope,
     normalized_volume,
     relative_degree_on_P,
@@ -162,19 +172,70 @@ def _cases(seed, fans_per_dim):
 CASES = _cases(20261017, 8)
 
 
+@functools.cache
+def complete_polytopes(seed=501, count=12):
+    """The anticanonical polytopes of the benchmark's `complete` fans: fan j
+    is P^a x P^(n-a) with n = 5 + j % 2 and a = 1 + (j // 2) % (n - 1),
+    star-subdivided 6 (n = 5) or 4 (n = 6) times at sum c_i g_i, c_i in
+    {1, 2}, over a seeded maximal cone; the seeded draws of the fan's 8
+    log-discrepancy vectors follow its steps."""
+    rng = random.Random(f"complete:{seed}")
+    polytopes = []
+    for j in range(count):
+        n = 5 + j % 2
+        a = 1 + (j // 2) % (n - 1)
+        fan = product_fan(projective_fan(a), projective_fan(n - a))
+        for _ in range({5: 6, 6: 4}[n]):
+            pick, coeffs = rng.randrange(1 << 30), [rng.randint(1, 2) for _ in range(n)]
+            gens = fan.maximal_cones[pick % len(fan.maximal_cones)].generators
+            fan = star_subdivision(fan, tuple(sum(c * g[i] for c, g in zip(coeffs, gens)) for i in range(n)))
+        vectors = 0
+        while vectors < 8:  # a list, not a generator: every draw is consumed
+            vectors += any([rng.randint(-3, 3) for _ in range(n)])
+        polytopes.append(divisor_polytope(fan, boundary_divisor(fan)))
+    return polytopes
+
+
+def assert_volumes_agree(poly):
+    """The seeded volume, the bare-point volume and both oracles agree."""
+    vol = normalized_volume(poly)
+    bare = LatticePolytope(poly.ambient_dim, poly.vertices)
+    assert isinstance(vol, Fraction)
+    assert vol == normalized_volume(bare) == normalized_volume_per_simplex_oracle(poly)
+    assert vol == normalized_volume_oracle(poly)
+    return vol
+
+
 def test_divisor_polytope_and_volume_match_oracles():
     singular = rational = 0
     for fan, divisor in CASES:
         poly = divisor_polytope(fan, divisor)
         assert poly == divisor_polytope_oracle(fan, divisor)
-        vol = normalized_volume(poly)
-        assert vol == normalized_volume_oracle(poly) and isinstance(vol, Fraction)
+        assert hash(poly) == hash(divisor_polytope_oracle(fan, divisor))
+        assert_volumes_agree(poly)
         singular += any(
             abs(det_int(c.generators)) != 1 for c in fan.maximal_cones
         )
         rational += any(x.denominator != 1 for v in poly.vertices for x in v)
     # the family covers non-smooth fans and rational vertices
     assert singular > 0 and rational > 0
+
+
+def test_complete_polytope_volumes_match_oracles():
+    polys = complete_polytopes()
+    # the benchmark's traced seed-501 run counts 656 vertices over its 12 polytopes
+    assert sum(len(p.vertices) for p in polys) == 656
+    for poly in polys:
+        assert assert_volumes_agree(poly) > 0
+
+
+def test_double_description_of_polytope_rows_matches_oracle():
+    """The homogenized vertex rows: many rows, few facets, and every row
+    tight on several facets, so the pre-filter meets real adjacencies."""
+    polys = complete_polytopes()[:4] + [divisor_polytope(f, d) for f, d in CASES[::3]]
+    for poly in polys:
+        rows, n = _homogenized(poly.vertices), poly.ambient_dim + 1
+        assert halfspace_intersection(rows, n) == halfspace_intersection_oracle(rows, n)
 
 
 def test_volume_is_homogeneous_of_degree_n():
@@ -266,6 +327,8 @@ def test_points_that_are_not_vertices_leave_the_volume_unchanged():
         midpoints = [tuple((x + y) / 2 for x, y in zip(v, w)) for v, w in zip(verts, verts[1:])]
         padded = tuple(sorted(set(verts) | {centroid} | set(midpoints)))
         assert normalized_volume(LatticePolytope(n, padded)) == normalized_volume(poly)
+        repeated = tuple(sorted(verts + verts[::2]))
+        assert normalized_volume(LatticePolytope(n, repeated)) == normalized_volume(poly)
 
 
 def test_one_double_description_pass_per_polytope(monkeypatch):
@@ -280,9 +343,35 @@ def test_one_double_description_pass_per_polytope(monkeypatch):
     for fan, divisor in CASES[::5]:
         poly = divisor_polytope(fan, divisor)
         assert len(calls) == 1
-        normalized_volume(poly)
+        normalized_volume(poly)  # the divisor's own rows give the facets
+        assert len(calls) == 1
+        bare = LatticePolytope(poly.ambient_dim, poly.vertices)
+        normalized_volume(bare)  # a bare point list pays one pass ...
+        assert len(calls) == 2
+        normalized_volume(bare)  # ... once
         assert len(calls) == 2
         calls.clear()
+
+
+def test_lower_dimensional_divisor_polytopes_have_zero_volume():
+    # 0 on P^2 gives the point 0; the class of a P^1 factor on P^1 x P^1 a segment
+    point_fan, plane_fan = projective_fan(2), product_fan(projective_fan(1), projective_fan(1))
+    point = divisor_polytope(point_fan, ToricDivisor(point_fan, {}))
+    segment = divisor_polytope(plane_fan, ToricDivisor(plane_fan, {(1, 0): 1}))
+    assert point.vertices == (frac_point(0, 0),)
+    assert segment.vertices == (frac_point(-1, 0), frac_point(0, 0))
+    for poly in (point, segment):
+        assert poly.inequalities() and normalized_volume(poly) == 0
+        assert normalized_volume(LatticePolytope(2, poly.vertices)) == 0
+
+
+def test_memoized_rows_take_no_part_in_equality():
+    fan, divisor = CASES[0]
+    seeded = divisor_polytope(fan, divisor)
+    bare = LatticePolytope(seeded.ambient_dim, seeded.vertices)
+    assert seeded == bare and hash(seeded) == hash(bare) and repr(seeded) == repr(bare)
+    assert bare.inequalities() != seeded.inequalities()  # the facets, not the fan's rows
+    assert seeded == bare and hash(seeded) == hash(bare) and repr(seeded) == repr(bare)
 
 
 # --- relative degree and volume ------------------------------------------
@@ -306,6 +395,9 @@ def test_divisor_data_validation():
         ProjectiveDivisorData(0, ())
     with pytest.raises(LatticeError):
         ProjectiveDivisorData(2, (), polarization=0)
+    assert ProjectiveDivisorData(10, (2,)).fiber_dim == 10
+    with pytest.raises(ResourceCapError):  # k ** fiber_dim is bounded by the cap
+        ProjectiveDivisorData(11, (2,))
 
 
 def test_degree_additive_and_homogeneous():
