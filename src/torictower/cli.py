@@ -17,6 +17,7 @@ from fractions import Fraction
 from .documents import (
     Report,
     TowerDocumentError,
+    _parse_int,
     emit_tower,
     encode_int,
     encode_rational,
@@ -77,10 +78,22 @@ def _load_model(args):
     return build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
 
 
+def _coefficient(value, where):
+    """A bare JSON integer or a decimal string `p` or `p/q`; no exponents,
+    which would build a huge integer before any cap."""
+    if isinstance(value, str) and "/" in value:
+        p, q = value.split("/", 1)
+        return Fraction(_parse_int(p, where), _parse_int(q, where))
+    return Fraction(_parse_int(value, where))
+
+
 def _divisor_data_from_json(text):
     doc = load_json_object(text)
     try:
-        coeffs = tuple(Fraction(c) for c in doc.get("hyperplane_coefficients", []))
+        coeffs = tuple(
+            _coefficient(c, f"hyperplane_coefficients[{i}]")
+            for i, c in enumerate(doc.get("hyperplane_coefficients", []))
+        )
         return ProjectiveDivisorData(
             fiber_dim=int(doc["fiber_dim"]),
             hyperplane_coefficients=coeffs,

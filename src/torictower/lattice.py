@@ -195,90 +195,32 @@ def rank_int(m):
 
 
 def snf(m):
-    """Smith normal form.
+    """Smith normal form, by alternating Hermite forms (Kannan & Bachem 1979).
 
     Returns (S, U, V) with S = U*m*V diagonal, each diagonal entry
-    non-negative and dividing the next, U and V unimodular.
+    non-negative and dividing the next, U and V unimodular.  Row and column
+    Hermite forms alternate until S is diagonal.  Where d_i does not divide a
+    later d_j, column j is added to column i; the next row form then puts
+    gcd(d_i, d_j) at (i, i), so the diagonal falls strictly in lexicographic
+    order and the loop ends.  Every step is an `hnf`, which keeps its entries
+    reduced, so they do not grow as a pivoting elimination's can.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    s = [list(row) for row in m]
-    u = [list(row) for row in identity_matrix(nr)]
-    v = [list(row) for row in identity_matrix(nc)]
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in s:
-            row[i] -= q * row[j]
-        for row in v:
-            row[i] -= q * row[j]
-
-    def row_swap(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def col_swap(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(nr, nc):
-        # move a smallest-magnitude nonzero of the trailing block to (t, t)
-        best = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        while True:
-            dirty = False
-            for i in range(t + 1, nr):
-                if s[i][t] != 0:
-                    q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
-                    if s[i][t] != 0:  # remainder becomes the smaller pivot
-                        row_swap(t, i)
-                        dirty = True
-            for j in range(t + 1, nc):
-                if s[t][j] != 0:
-                    q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
-                    if s[t][j] != 0:
-                        col_swap(t, j)
-                        dirty = True
-            if not dirty:
-                break
-        # enforce divisibility of the trailing block by s[t][t]
-        stained = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if s[i][j] % s[t][t] != 0:
-                    row_op(t, i, -1)  # row_t += row_i
-                    stained = True
-                    break
-            if stained:
-                break
-        if stained:
+    s, u, v = m, identity_matrix(nr), identity_matrix(nc)
+    while True:
+        s, w = hnf(s)
+        u = mat_mul(w, u)
+        t, w = hnf(transpose(s, nc))
+        s, v = transpose(t, nr), mat_mul(v, transpose(w))
+        if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
             continue
-        if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
-    return (
-        tuple(tuple(row) for row in s),
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in v),
-    )
+        d = [s[i][i] for i in range(min(nr, nc))]
+        pair = next(((i, j) for j in range(len(d)) for i in range(j) if d[i] and d[j] % d[i]), None)
+        if pair is None:
+            return s, u, v
+        i, j = pair
+        s, v = ([r[:i] + (r[i] + r[j],) + r[i + 1:] for r in a] for a in (s, v))
 
 
 def kernel_basis(m, ncols):
@@ -657,9 +599,6 @@ class Fan:
         return next(
             (k for k, c in enumerate(self.maximal_cones) if all(map(c.contains, vectors))), None
         )
-
-    def supports(self, v):
-        return self.cone_index(v) is not None
 
     def ray_index(self):
         """(bit, tops), built once: `bit` maps each ray of all_rays to 1 << its

@@ -19,11 +19,11 @@ from .lattice import (
     LatticeError,
     bit_indices,
     dot,
-    hnf,  # unused here; the benchmark self-tests trace this binding
+    hnf,
     is_zero,
     mat_vec,
     primitive,
-    snf,
+    transpose,
     walk_faces,
 )
 
@@ -129,9 +129,9 @@ class CartierData:
     """Per maximal cone, a rational M-vector m_sigma with <m_sigma, u_i> = d_i,
     plus the least positive integer q such that q*D is Cartier.
 
-    Each m_sigma is V*y for the unimodular V of the cone's Smith normal form,
-    so q*m_sigma is integral exactly when q*D is Cartier on sigma, and q is
-    the least common denominator of every entry of every vector.
+    Each m_sigma is w^T*y for the unimodular w of the cone's column Hermite
+    form, so q*m_sigma is integral exactly when q*D is Cartier on sigma, and
+    q is the least common denominator of every entry of every vector.
     """
 
     fan: Fan
@@ -153,21 +153,23 @@ class NotQCartier:
 
 
 def cartier_data(fan, divisor):
-    """Solve the Cartier data of a toric divisor exactly, by one integer Smith
-    normal form S = U*A*V per maximal cone, A the matrix of its rays u_i.
+    """Solve the Cartier data of a toric divisor exactly, by one integer
+    Hermite form H = w*A^T per maximal cone, A the matrix of its rays u_i.
 
-    With D = den*d integral and c = U*D, the system <m, u_i> = d_i reads
-    s_i*y_i = c_i/den for y = V^-1*m; it has a rational solution iff c_i = 0
-    beyond the rank r, and then m = V*Y/(t*den) with Y_i = c_i*(t // s_i),
-    t = s_r.  Since V is unimodular, the least q with q*m integral, the
-    cone's Cartier index, is t*den / gcd(t*den, *M) for M = V*Y.  On a
-    lower-dimensional cone the free coordinates y_i, i > r, are set to 0; the
-    solution is unique on full-dimensional cones.  A cone on whose rays D
-    vanishes, the zero cone among them, gets m = 0 (c = 0) with no Smith form.
+    With D = den*d integral, m = w^T*y turns <m, u_i> = d_i into H^T*y = D/den,
+    which is lower echelon: row c of H has its pivot at ray p_c, so forward
+    substitution gives y_c from D_p_c and the y_c' before it.  It runs fraction
+    free on Y = t*y, scaling by each pivot, so m = w^T*Y/(t*den); the free
+    coordinates of y are 0, and the solution is unique on full-dimensional
+    cones.  The cone is Q-Cartier iff <m, u_i> = d_i holds on every ray.
+    Since w is unimodular, the least q with q*m integral, the cone's Cartier
+    index, is t*den / gcd(t*den, *M) for M = w^T*Y.  A cone on whose rays D
+    vanishes, the zero cone among them, gets m = 0 with no Hermite form.
 
     Returns CartierData, or NotQCartier naming the first cone where the
     system has no rational solution.
     """
+    n = fan.ambient_dim
     vectors = []
     q = 1
     for cone in fan.maximal_cones:
@@ -176,20 +178,21 @@ def cartier_data(fan, divisor):
         den = math.lcm(*(d.denominator for d in values))
         big_d = [d.numerator * (den // d.denominator) for d in values]
         if not any(big_d):  # the zero cone, or D vanishes on every ray: m = 0
-            vectors.append((Fraction(0),) * fan.ambient_dim)
+            vectors.append((Fraction(0),) * n)
             continue
-        s, u, v = snf(rays)
-        c = mat_vec(u, big_d)
-        diag = [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i]]
-        if any(c[len(diag):]):
+        h, w = hnf(transpose(rays))
+        y, t = [], 1
+        for row in h:
+            p = next((j for j, x in enumerate(row) if x), None)
+            if p is None:  # the rows below the rank are zero: free coordinates
+                break
+            rhs = t * big_d[p] - sum(hc[p] * yc for hc, yc in zip(h, y))
+            y, t = [yc * row[p] for yc in y] + [rhs], t * row[p]
+        m = mat_vec(transpose(w), y + [0] * (n - len(y)))
+        if any(dot(m, u) != t * d for u, d in zip(rays, big_d)):
             return NotQCartier(
                 cone, f"not Q-Cartier on cone {list(cone.generators)}"
             )
-        t = diag[-1]
-        y = [ci * (t // si) for ci, si in zip(c, diag)]
-        m = mat_vec(v, y + [0] * (fan.ambient_dim - len(y)))
-        for ui, di in zip(rays, big_d):  # verify every constraint explicitly
-            assert dot(m, ui) == di * t
         scale = t * den
         q = math.lcm(q, scale // math.gcd(scale, *m))
         vectors.append(tuple(Fraction(x, scale) for x in m))

@@ -9,7 +9,8 @@ the facet inequalities, a pulling triangulation that runs one double
 description pass per face, and a star subdivision that spans every face
 missing the centre with it and prunes the result geometrically, and Cartier
 data from Gauss-Jordan elimination over Fraction rows with a separate Smith
-normal form for the index, and the lc-place transfer check evaluated per
+normal form for the index, that Smith form by the textbook pivoting
+elimination, and the lc-place transfer check evaluated per
 vector as the log discrepancy -<m_sigma, e> on both fans, fan
 validation that re-canonicalises every cone and intersects every pair of
 maximal cones by double description, the local-model report built
@@ -49,7 +50,6 @@ from torictower.lattice import (
     mat_vec,
     primitive,
     rank_int,
-    snf,
     unit_vector,
     vneg,
     vscale,
@@ -178,7 +178,7 @@ def star_subdivision_oracle(fan, v):
     containing v, canonicalised by double description and pruned to the
     maximal ones by geometric containment."""
     v = primitive(tuple(v))
-    if not fan.supports(v):
+    if fan.cone_index(v) is None:
         raise LatticeError("subdivision centre lies outside the fan support")
     cones = []
     for cone in fan.maximal_cones:
@@ -274,6 +274,97 @@ def solve_rational(rows, rhs):
     return tuple(x)
 
 
+def snf_oracle(m):
+    """Smith normal form by the textbook elimination: move a smallest entry of
+    the trailing block to the pivot, clear its row and column, and fix
+    divisibility by adding a row.  Its entries can grow without bound (a
+    6x5 matrix with entries below 50 never returns), so it runs only on the
+    small inputs of the tests.
+
+    Returns (S, U, V) with S = U*m*V diagonal, each diagonal entry
+    non-negative and dividing the next, U and V unimodular.
+    """
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    s = [list(row) for row in m]
+    u = [list(row) for row in identity_matrix(nr)]
+    v = [list(row) for row in identity_matrix(nc)]
+
+    def row_op(i, j, q):  # row_i -= q * row_j
+        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in s:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def row_swap(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def col_swap(i, j):
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(nr, nc):
+        # move a smallest-magnitude nonzero of the trailing block to (t, t)
+        best = None
+        for i in range(t, nr):
+            for j in range(t, nc):
+                if s[i][j] != 0 and (best is None or abs(s[i][j]) < abs(s[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            row_swap(t, best[0])
+        if best[1] != t:
+            col_swap(t, best[1])
+        while True:
+            dirty = False
+            for i in range(t + 1, nr):
+                if s[i][t] != 0:
+                    q = s[i][t] // s[t][t]
+                    row_op(i, t, q)
+                    if s[i][t] != 0:  # remainder becomes the smaller pivot
+                        row_swap(t, i)
+                        dirty = True
+            for j in range(t + 1, nc):
+                if s[t][j] != 0:
+                    q = s[t][j] // s[t][t]
+                    col_op(j, t, q)
+                    if s[t][j] != 0:
+                        col_swap(t, j)
+                        dirty = True
+            if not dirty:
+                break
+        # enforce divisibility of the trailing block by s[t][t]
+        stained = False
+        for i in range(t + 1, nr):
+            for j in range(t + 1, nc):
+                if s[i][j] % s[t][t] != 0:
+                    row_op(t, i, -1)  # row_t += row_i
+                    stained = True
+                    break
+            if stained:
+                break
+        if stained:
+            continue
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+        t += 1
+    return (
+        tuple(tuple(row) for row in s),
+        tuple(tuple(row) for row in u),
+        tuple(tuple(row) for row in v),
+    )
+
+
 def _cone_cartier_index(rays, values):
     """Least positive q such that <m, u_i> = q*d_i has an integer solution m.
 
@@ -283,7 +374,7 @@ def _cone_cartier_index(rays, values):
     """
     if not rays:
         return 1
-    s, u, _ = snf(rays)
+    s, u, _ = snf_oracle(rays)
     k = len(rays)
     n = len(rays[0])
     q = 1

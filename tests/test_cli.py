@@ -78,12 +78,12 @@ def test_map_to_proj_support_is_the_sign_test(tmp_path, capsys):
         code, out, _ = run_cli(capsys, "map-to-proj", "--input", path)
         assert code == EXIT_OK
         entries = json.loads(out)["data"]["level_d_rays_in_support"]
-        assert [entry["supported"] for entry in entries] == [fan.supports(r) for r in rays]
+        assert [entry["supported"] for entry in entries] == [fan.cone_index(r) is not None for r in rays]
         vectors = list(rays) + [tuple(rng.randint(-2, 2) for _ in range(fan.ambient_dim)) for _ in range(20)]
         vectors += [(0,) * spec.base_dim + r[spec.base_dim:] for r in rays]
         for v in vectors:
             got = in_projective_support(spec, v)
-            assert got == fan.supports(v), (spec, v)
+            assert got == (fan.cone_index(v) is not None), (spec, v)
             outcomes.add((got, min(v[: spec.base_dim])))
     assert {(True, 0), (False, -1)} <= outcomes
 
@@ -230,6 +230,19 @@ def test_infinite_fiber_dim_is_a_usage_error(tmp_path, capsys):
     path = write_tower(tmp_path, '{"fiber_dim": 1e400, "hyperplane_coefficients": ["1"]}', name="div.json")
     code, out, err = run_cli(capsys, "degree", "--input", path)
     assert code == EXIT_USAGE and out == "" and err.startswith("error: bad divisor data")
+
+
+def test_divisor_coefficients_are_integers_or_fraction_strings(tmp_path, capsys):
+    """A bare integer or a `p` or `p/q` string.  Exponent notation would build
+    a huge integer before any cap, and decimals are not in the format: both
+    are bad divisor data, at once."""
+    for coeff in ('"1e1000000"', '"1e1000000000"', '"0.5"', "0.5", "true", '"1/0"'):
+        path = write_tower(tmp_path, f'{{"fiber_dim": "2", "hyperplane_coefficients": [{coeff}]}}', name="div.json")
+        code, out, err = run_cli(capsys, "degree", "--input", path)
+        assert code == EXIT_USAGE and out == "" and err.startswith("error: bad divisor data"), coeff
+    path = write_tower(tmp_path, '{"fiber_dim": "2", "hyperplane_coefficients": ["1/2", "-3", 2]}', name="div.json")
+    code, out, _ = run_cli(capsys, "degree", "--input", path)
+    assert code == EXIT_OK and json.loads(out)["data"]["relative_degree"] == "-1/2"
 
 
 def test_reports_are_byte_deterministic(tmp_path, capsys):

@@ -11,6 +11,7 @@ from oracles import (
     generated_by_oracle,
     halfspace_intersection_oracle,
     is_face_of_oracle,
+    snf_oracle,
     unimodular,
 )
 from torictower.lattice import (
@@ -119,15 +120,36 @@ def test_snf_zero():
 
 
 def test_snf_matches_minor_gcd_oracle():
-    rng = random.Random(7)
-    for _ in range(150):
-        nr, nc = rng.randint(1, 3), rng.randint(1, 3)
-        m = tuple(tuple(rng.randint(-6, 6) for _ in range(nc)) for _ in range(nr))
-        s, u, v = snf(m)
-        assert is_unimodular(u) and is_unimodular(v)
-        assert mat_mul(mat_mul(u, m), v) == s
-        diag = tuple(s[i][i] for i in range(min(nr, nc)))
-        assert diag == invariant_factors_minor_oracle(m)
+    # the second input set reaches 4x4, where the textbook elimination still returns
+    for seed, size, draws in ((7, 3, 150), (12, 4, 300)):
+        rng = random.Random(seed)
+        for _ in range(draws):
+            nr, nc = rng.randint(1, size), rng.randint(1, size)
+            m = tuple(tuple(rng.randint(-6, 6) for _ in range(nc)) for _ in range(nr))
+            s, u, v = snf(m)
+            assert is_unimodular(u) and is_unimodular(v)
+            assert mat_mul(mat_mul(u, m), v) == s
+            diag = tuple(s[i][i] for i in range(min(nr, nc)))
+            assert diag == invariant_factors_minor_oracle(m)
+            assert s == snf_oracle(m)[0]
+
+
+def test_snf_returns_where_the_elimination_grows_without_bound():
+    """On this 6x5 matrix the entries of the textbook elimination
+    (`snf_oracle`) grow without bound, and it never returns."""
+    m = (
+        (24, 0, 32, -29, -29),
+        (14, -21, -49, 48, -25),
+        (19, 20, -21, 1, 15),
+        (-6, 23, -5, 8, -16),
+        (34, 20, 27, 43, -50),
+        (-1, 50, 44, 15, -34),
+    )
+    s, u, v = snf(m)
+    diag = tuple(s[i][i] for i in range(5))
+    assert diag == (1, 1, 1, 1, 3) == invariant_factors_minor_oracle(m)
+    assert is_unimodular(u) and is_unimodular(v)
+    assert mat_mul(mat_mul(u, m), v) == s
 
 
 # --- primitive ---------------------------------------------------------

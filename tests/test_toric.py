@@ -21,6 +21,7 @@ from torictower.lattice import (
     Fan,
     LatticeError,
     det_int,
+    hnf,
     identity_matrix,
     is_zero,
     mat_vec,
@@ -28,7 +29,6 @@ from torictower.lattice import (
     primitive,
     product_fan,
     projective_fan,
-    snf,
     torus_fan,
     transpose,
     unit_vector,
@@ -552,16 +552,16 @@ def test_cartier_data_commutes_with_unimodular_change_of_coordinates(data):
             assert moved_vectors[images[cone.generators]] == mat_vec(transpose(u_inv), m)
 
 
-def test_cartier_data_runs_one_snf_per_cone(monkeypatch):
-    """One Smith form per cone with rays on which the divisor is not
+def test_cartier_data_runs_one_hnf_per_cone(monkeypatch):
+    """One Hermite form per cone with rays on which the divisor is not
     identically zero, and none at all for the zero divisor."""
     calls = []
 
     def counting(m):
-        calls.append(m)
-        return snf(m)
+        calls.append(transpose(m))
+        return hnf(m)
 
-    monkeypatch.setattr(torictower.toric, "snf", counting)
+    monkeypatch.setattr(torictower.toric, "hnf", counting)
     skipped = 0
     for fan, divisor in CARTIER_CASES:
         calls.clear()
@@ -596,3 +596,25 @@ def test_cartier_data_on_zero_generators():
         out = cartier_data(fan, ToricDivisor(fan, {zero: Fraction(1, 2)}))
         assert isinstance(out, NotQCartier)
         assert out.cone == cone and out.message == f"not Q-Cartier on cone {[zero]}"
+
+
+def test_cartier_data_returns_where_the_smith_elimination_grows_without_bound():
+    """A full-dimensional 6-ray cone in Z^5 on which the textbook Smith
+    elimination (`snf_oracle`) never returns: a character gives itself back
+    with index 1, and the boundary divisor is not Q-Cartier."""
+    rays = (
+        (-20, -20, -7, -7, -10),
+        (-17, -10, -13, 3, 10),
+        (-5, -20, -7, 6, -3),
+        (-5, 4, 14, -14, 16),
+        (2, 13, -19, 9, -5),
+        (19, 19, 8, -12, -12),
+    )
+    cone = Cone.generated_by(rays, 5)
+    assert cone.generators == rays and cone.dim() == 5
+    fan = Fan(5, (cone,))
+    cd = cartier_data(fan, character_divisor(fan, (1, -2, 0, 3, 1)))
+    assert cd.vectors == ((1, -2, 0, 3, 1),) and cd.cartier_index == 1
+    out = cartier_data(fan, boundary_divisor(fan))
+    assert isinstance(out, NotQCartier)
+    assert out.cone == cone and out.message == f"not Q-Cartier on cone {list(rays)}"

@@ -177,7 +177,7 @@ def test_level_d_rays_lie_in_projective_support():
         model = build_model(spec)
         pm = projective_model(spec)
         for ray in model.levels[-1].fan.all_rays:
-            assert pm.fan.supports(ray)
+            assert pm.fan.cone_index(ray) is not None
 
 
 # --- lc place transfer -------------------------------------------------
