@@ -54,7 +54,6 @@ from .tower import (
     LocalModel,
     NodeMove,
     ProductMove,
-    ProjectiveModel,
     TowerLevel,
     TowerModel,
     TowerSpec,

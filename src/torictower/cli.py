@@ -88,21 +88,22 @@ def _coefficient(value, where):
 
 
 def _divisor_data_from_json(text):
+    """Divisor data by the tower document rules; unknown keys are ignored."""
     doc = load_json_object(text)
+    if "fiber_dim" not in doc:
+        raise TowerDocumentError("missing field 'fiber_dim'")
     try:
-        coeffs = tuple(
-            _coefficient(c, f"hyperplane_coefficients[{i}]")
-            for i, c in enumerate(doc.get("hyperplane_coefficients", []))
-        )
+        coeffs = doc.get("hyperplane_coefficients", [])
+        if not isinstance(coeffs, list):
+            raise TowerDocumentError("hyperplane_coefficients: expected a list")
         return ProjectiveDivisorData(
-            fiber_dim=int(doc["fiber_dim"]),
-            hyperplane_coefficients=coeffs,
-            has_vertical=bool(doc.get("vertical", False)),
-            polarization=int(doc.get("polarization", 1)),
+            fiber_dim=_parse_int(doc["fiber_dim"], "fiber_dim"),
+            hyperplane_coefficients=tuple(
+                _coefficient(c, f"hyperplane_coefficients[{i}]") for i, c in enumerate(coeffs)
+            ),
+            polarization=_parse_int(doc.get("polarization", 1), "polarization"),
         )
-    except KeyError as exc:
-        raise TowerDocumentError(f"missing field {exc.args[0]!r}") from None
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # TowerDocumentError is a ValueError
         raise TowerDocumentError(f"bad divisor data: {exc}") from None
 
 
@@ -147,13 +148,11 @@ def cmd_map_to_proj(args):
     rays = model.levels[-1].fan.all_rays
     supported = [in_projective_support(model.spec, r) for r in rays]
     report = Report(command="map-to-proj", seed=args.seed)
-    report.data = {
-        "fan": _fan_document(proj.fan),
-        "identification": [[encode_int(x) for x in row] for row in proj.identification],
-        "boundary_coefficients": {
-            str(list(r)): encode_rational(proj.boundary.coefficient(r))
-            for r in proj.fan.all_rays
-        },
+    n = proj.ambient_dim
+    report.data = {  # shared torus coordinates and the full toric boundary of P
+        "fan": _fan_document(proj),
+        "identification": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+        "boundary_coefficients": {str(list(r)): "1" for r in proj.all_rays},
         "level_d_rays_in_support": [
             {"ray": [encode_int(x) for x in r], "supported": ok}
             for r, ok in zip(rays, supported)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -78,16 +79,22 @@ def encode_rational(x):
         raise ResourceCapError("result has too many digits to print") from None
 
 
+_decimal = re.compile(r"[+-]?[0-9]+").fullmatch  # ASCII digits only: no spaces, `_` or `２`
+
+
 def _parse_int(value, where):
+    """A bare JSON integer, or a string of ASCII decimal digits with an optional sign."""
     if isinstance(value, bool):
         raise TowerDocumentError(f"{where}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str):
         try:
-            return int(value, 10)
-        except ValueError:
-            raise TowerDocumentError(f"{where}: {value!r} is not a decimal integer") from None
+            if _decimal(value):
+                return int(value)
+        except ValueError:  # more digits than the interpreter's int-to-str limit
+            pass
+        raise TowerDocumentError(f"{where}: {value!r} is not a decimal integer")
     raise TowerDocumentError(f"{where}: expected an integer or decimal string, got {type(value).__name__}")
 
 

@@ -52,13 +52,16 @@ def _homogenized(points):
 
 @dataclass(frozen=True)
 class ProjectiveDivisorData:
-    """A divisor on a projective-space fiber: hyperplane-class coefficients,
-    a marker for vertical components (which never contribute), and the
-    polarization degree a with A = a * hyperplane."""
+    """A divisor on a projective-space fiber by its hyperplane-class
+    coefficients, and the polarization degree a with A = a * hyperplane.
+
+    Vertical components (pulled back from the base) restrict to zero on the
+    generic fiber, so they change no relative degree or volume and are not
+    part of the data.
+    """
 
     fiber_dim: int
     hyperplane_coefficients: tuple
-    has_vertical: bool = False
     polarization: int = 1
 
     def __post_init__(self):

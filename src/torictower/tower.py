@@ -39,7 +39,6 @@ from .lattice import (
     cones_equal_as_sets,
     dot,
     dual_cone,
-    identity_matrix,
     is_zero,
     orthant_fan,
     primitive,
@@ -48,7 +47,6 @@ from .lattice import (
     unit_vector,
 )
 from .toric import (
-    boundary_divisor,
     cartier_data,  # unused here; the benchmark self-tests trace this binding
     regularity_subfan,
 )
@@ -113,9 +111,11 @@ class LocalModel:
 
 @dataclass(frozen=True)
 class TowerLevel:
+    """One level of a tower model.  Its toric boundary, `boundary_divisor(fan)`,
+    and its map to the level below, which drops the last coordinate, follow
+    from the fan; neither is stored, so no copy can disagree with the fan."""
+
     fan: Fan
-    boundary: "ToricDivisor"
-    projection: Optional[tuple]  # lattice map to the previous level; None at level 1
 
 
 @dataclass(frozen=True)
@@ -126,16 +126,6 @@ class TowerModel:
     @property
     def depth(self):
         return len(self.levels)
-
-
-@dataclass(frozen=True)
-class ProjectiveModel:
-    """The product fan of A^p with P^(d-1) plus the lattice identification
-    (shared torus coordinates t_1..t_p, a_2..a_d) and its boundary."""
-
-    fan: Fan
-    identification: tuple
-    boundary: "ToricDivisor"
 
 
 @dataclass
@@ -207,7 +197,8 @@ def _require_valid(spec):
 
 
 def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
-    """Realize the tower as one fan per level with coordinate projections.
+    """Realize the tower as one fan per level; level i+1 maps to level i by
+    dropping the last coordinate.
 
     Raises ResourceCapError when the top level's ambient dimension p + d - 1
     exceeds max_dim, or a level fan has more than max_rays rays.
@@ -216,8 +207,7 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     ambient = spec.base_dim + spec.depth - 1
     if ambient > max_dim:
         raise ResourceCapError(f"tower ambient dimension {ambient} exceeds cap {max_dim}")
-    fan = orthant_fan(spec.base_dim)
-    levels = [TowerLevel(fan=fan, boundary=boundary_divisor(fan), projection=None)]
+    levels = [TowerLevel(fan=orthant_fan(spec.base_dim))]
     for move in spec.moves:
         prev = levels[-1].fan
         n = prev.ambient_dim
@@ -243,27 +233,19 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
             raise ResourceCapError(
                 f"level fan has {len(fan.all_rays)} rays, exceeding cap {max_rays}"
             )
-        projection = tuple(unit_vector(n + 1, i) for i in range(n))
-        levels.append(
-            TowerLevel(fan=fan, boundary=boundary_divisor(fan), projection=projection)
-        )
+        levels.append(TowerLevel(fan=fan))
     return TowerModel(spec=spec, levels=tuple(levels))
 
 
 def projective_model(spec):
-    """The congruent birational model: fan of A^p x P^(d-1) with the identity
-    lattice identification of Z^(p+d-1) and its full toric boundary."""
+    """The fan of the congruent birational model A^p x P^(d-1) (A^p at d = 1).
+    It shares the tower's torus coordinates t_1..t_p, a_2..a_d, so its lattice
+    identification is the identity; its boundary is the sum of its ray divisors."""
     _require_valid(spec)
     p, d = spec.base_dim, spec.depth
     if d == 1:
-        fan = orthant_fan(p)
-    else:
-        fan = product_fan(orthant_fan(p), projective_fan(d - 1))
-    return ProjectiveModel(
-        fan=fan,
-        identification=identity_matrix(p + d - 1),
-        boundary=boundary_divisor(fan),
-    )
+        return orthant_fan(p)
+    return product_fan(orthant_fan(p), projective_fan(d - 1))
 
 
 def in_projective_support(spec, v):
@@ -405,19 +387,17 @@ def local_model_at(model, level, cone):
 
 
 def torus_splitting_check(model):
-    """Fan-level shadow of the torus splitting and fiber integrality:
-    projections are coordinate projections with rank-one kernel, every cone
-    maps into a cone below, and the fiber over the zero cone is {0} or a
-    single new ray."""
+    """Fan-level shadow of the torus splitting and fiber integrality under the
+    projection that drops the last coordinate: each level adds exactly one
+    coordinate, every cone maps into a cone below, and the fiber over the
+    zero cone is {0} or a single new ray."""
     out = CheckOutcome()
     for i in range(1, model.depth):
         level = model.levels[i]
         prev = model.levels[i - 1]
-        n_prev, n_cur = prev.fan.ambient_dim, level.fan.ambient_dim
+        n_prev = prev.fan.ambient_dim
         out.checked += 1
-        proj = level.projection
-        expected = tuple(unit_vector(n_cur, j) for j in range(n_prev))
-        if n_cur != n_prev + 1 or proj != expected:
+        if level.fan.ambient_dim != n_prev + 1:
             out.add_violation(
                 "splitting",
                 f"level {i + 1}: projection is not the coordinate projection "

@@ -414,11 +414,10 @@ def suite_toric(seed, samples=60):
         e = (0,) * n
         for l, g in zip(lam, cone.generators):
             e = vadd(e, vscale(l, g))
-        if is_zero(e):
-            out.checked += 1
-            out.skipped += 1
-            continue
         out.checked += 1
+        if is_zero(e):
+            out.add_skip("zero valuation vector (every lambda is 0)", cone=list(cone.generators))
+            continue
         a = log_discrepancy(fan, bdiv, e)
         ep = primitive(e)
         expected = simplicial_log_discrepancy_oracle(
@@ -486,7 +485,7 @@ def suite_tower(seed, samples=200):
             if violations:
                 out.add_violation("fan", f"tower {idx} level {li + 1}: {violations[0].detail}", tower=idx)
                 bad = True
-            cd = cartier_data(level.fan, canonical_divisor(level.fan) + level.boundary)
+            cd = cartier_data(level.fan, canonical_divisor(level.fan) + boundary_divisor(level.fan))
             if not isinstance(cd, CartierData) or cd.cartier_index != 1:
                 out.add_violation("cartier", f"tower {idx} level {li + 1}: K+C not Cartier with q=1", tower=idx)
                 bad = True
@@ -535,7 +534,8 @@ def suite_lc(seed, samples=200):
         res = lc_place_transfer_check(spec, samples=LC_SAMPLES_PER_TOWER, seed=rng.randrange(2**32))
         out.checked += res.checked
         out.passed += res.passed
-        out.skipped += res.skipped
+        for s in res.skips:
+            out.add_skip(**s, tower=idx)
         for v in res.violations:
             out.add_violation(v["kind"], f"tower {idx}: {v['detail']}", tower=idx, **{
                 k: val for k, val in v.items() if k not in ("kind", "detail")

@@ -507,7 +507,7 @@ def lc_place_transfer_check_oracle(spec, samples, seed, model=None):
         model = build_model(spec)
     out = CheckOutcome()
     fan_v = model.levels[-1].fan
-    fan_p = projective_model(spec).fan
+    fan_p = projective_model(spec)
     cd_v = cartier_data(fan_v, canonical_divisor(fan_v) + boundary_divisor(fan_v))
     cd_p = cartier_data(fan_p, canonical_divisor(fan_p) + boundary_divisor(fan_p))
     if isinstance(cd_v, NotQCartier):

@@ -162,7 +162,7 @@ def test_acceptance_3_tower_construction_soundness():
         model = build_model(spec)
         for i, level in enumerate(model.levels):
             assert fan_validate(level.fan) == []
-            cd = cartier_data(level.fan, canonical_divisor(level.fan) + level.boundary)
+            cd = cartier_data(level.fan, canonical_divisor(level.fan) + boundary_divisor(level.fan))
             assert isinstance(cd, CartierData) and cd.cartier_index == 1
         assert torus_splitting_check(model).ok()
         assert node_chart_dual_violations(model).ok()

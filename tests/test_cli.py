@@ -72,7 +72,7 @@ def test_map_to_proj_support_is_the_sign_test(tmp_path, capsys):
     rng = random.Random(20261018)
     outcomes = set()
     for k, spec in enumerate(random_towers(60, 20261018)):
-        fan = projective_model(spec).fan
+        fan = projective_model(spec)
         rays = build_model(spec).levels[-1].fan.all_rays
         path = write_tower(tmp_path, emit_tower(spec), f"t{k}.json")
         code, out, _ = run_cli(capsys, "map-to-proj", "--input", path)
@@ -243,6 +243,41 @@ def test_divisor_coefficients_are_integers_or_fraction_strings(tmp_path, capsys)
     path = write_tower(tmp_path, '{"fiber_dim": "2", "hyperplane_coefficients": ["1/2", "-3", 2]}', name="div.json")
     code, out, _ = run_cli(capsys, "degree", "--input", path)
     assert code == EXIT_OK and json.loads(out)["data"]["relative_degree"] == "-1/2"
+
+
+def test_divisor_documents_follow_the_tower_document_rules(tmp_path, capsys):
+    """fiber_dim and polarization are document integers and the coefficients
+    a list: a float, bool, null, list or non-ASCII-decimal string is bad
+    divisor data (exit 2), never truncated, iterated or a traceback."""
+    good = {"fiber_dim": "2", "hyperplane_coefficients": ["1", "1"]}
+    for field, value in (
+        ("fiber_dim", 2.7),
+        ("fiber_dim", True),
+        ("fiber_dim", [2]),
+        ("fiber_dim", None),
+        ("fiber_dim", "\uff12"),
+        ("fiber_dim", "1_0"),
+        ("polarization", 3.9),
+        ("polarization", " 2\n"),
+        ("hyperplane_coefficients", "123"),
+        ("hyperplane_coefficients", {"1": "2"}),
+        ("hyperplane_coefficients", 5),
+        ("hyperplane_coefficients", [" 1_0 "]),
+        ("hyperplane_coefficients", ["1_0/2"]),
+    ):
+        path = write_tower(tmp_path, json.dumps({**good, field: value}), name="div.json")
+        for command in ("degree", "volume"):
+            code, out, err = run_cli(capsys, command, "--input", path)
+            assert code == EXIT_USAGE and out == "" and err.startswith("error: bad divisor data"), (field, value)
+    # "vertical" is not part of the document: like any unknown key, it is ignored
+    path = write_tower(tmp_path, json.dumps({**good, "vertical": True}), name="div.json")
+    code, out, _ = run_cli(capsys, "degree", "--input", path)
+    assert code == EXIT_OK and json.loads(out)["data"]["relative_degree"] == "2"
+    # an infinite fiber_dim stays a bad document, a 4,991-digit volume a cap
+    path = write_tower(tmp_path, '{"fiber_dim": 1e400, "hyperplane_coefficients": ["1"]}', name="div.json")
+    assert run_cli(capsys, "degree", "--input", path)[0] == EXIT_USAGE
+    path = write_tower(tmp_path, json.dumps({"fiber_dim": "10", "hyperplane_coefficients": ["1" * 500]}), name="div.json")
+    assert run_cli(capsys, "volume", "--input", path)[0] == EXIT_RESOURCE
 
 
 def test_reports_are_byte_deterministic(tmp_path, capsys):

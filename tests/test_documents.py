@@ -28,6 +28,23 @@ def test_parse_accepts_decimal_strings():
     assert spec.moves[0].t_exponents == (3, -1)
 
 
+def test_document_integers_are_ascii_decimal_strings():
+    """`int(s, 10)` also takes spaces, digit-group underscores and non-ASCII
+    digits; a document integer string is `[+-]?[0-9]+` and nothing else, and
+    one over the int-to-str digit limit is a bad document too."""
+    def tower(base_dim, t):
+        return json.dumps({"base_dim": base_dim, "moves": [{"type": "node", "alpha_exponents": [], "t_exponents": [t]}]})
+
+    assert parse_tower(tower("+1", "-007")).moves[0].t_exponents == (-7,)
+    for text in ("1_0", " 2\n", "2 ", "\uff12", "\u0663", "", "+", "+-1", "0x10", "1e1", "1.0"):
+        with pytest.raises(TowerDocumentError, match=r"moves\[0\]\.t_exponents\[0\]: .* is not a decimal integer"):
+            parse_tower(tower("1", text))
+        with pytest.raises(TowerDocumentError, match="base_dim: .* is not a decimal integer"):
+            parse_tower(tower(text, "1"))
+    with pytest.raises(TowerDocumentError, match="base_dim: .* is not a decimal integer"):
+        parse_tower(tower("1" * 5000, "1"))
+
+
 def test_parse_empty_moves_is_depth_one():
     spec = parse_tower('{"base_dim": 3, "moves": []}')
     assert spec.depth == 1 and spec.base_dim == 3

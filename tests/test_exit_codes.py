@@ -1,0 +1,113 @@
+"""The exit-code contract on mutated documents: 0 success, 1 violations (and
+only with a non-empty violation list), 2 a bad document, 3 a cap.  `main`
+runs in process and must raise nothing, whatever the document holds."""
+
+import io
+import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from test_golden import SEED
+from torictower.cli import EXIT_VIOLATIONS, main
+from torictower.documents import emit_tower
+from torictower.verify import random_towers
+
+TOWER_DOCS = [json.loads(emit_tower(spec)) for spec in random_towers(12, SEED)]
+DIVISOR_DOCS = [
+    {"fiber_dim": "2", "hyperplane_coefficients": ["1", "1", "1"], "polarization": "1"},
+    {"fiber_dim": "3", "hyperplane_coefficients": ["1/2", "-3", 2], "polarization": "2"},
+]
+# small caps: no mutated tower starts a large enumeration
+TOWER_COMMANDS = [[c, "--max-dim", "6", "--max-rays", "60"] for c in ("build", "fan", "map-to-proj", "local-model", "lc-check")]
+DIVISOR_COMMANDS = [["degree"], ["volume"]]
+
+BAD_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.floats(),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from([10**400, -(10**400), 2**63, -1, 0, 11, 20000]),
+    st.sampled_from(["1_0", " 2\n", "２", "٣", "", "+", "-3", "+3", "007", "1e1000000000", "1/0", "1/2", "0x10", "1" * 5000]),
+    st.text(max_size=6),
+    st.just([]),
+    st.just({}),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.integers(1, 60).map(lambda k: json.loads("[" * k + "]" * k)),
+)
+
+
+def _paths(value, path=()):
+    """Every path to a value inside a JSON document, the root included."""
+    yield path
+    if isinstance(value, dict):
+        for key, sub in value.items():
+            yield from _paths(sub, path + (key,))
+    elif isinstance(value, list):
+        for i, sub in enumerate(value):
+            yield from _paths(sub, path + (i,))
+
+
+_DELETE = object()
+
+
+def _replace(doc, path, value):
+    """A copy of `doc` with the value at `path` replaced, or deleted for _DELETE."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_cases(draw):
+    """(argv, document text): a golden document with one to three values
+    swapped for bad ones or deleted, or a document nested past the recursion
+    limit."""
+    if draw(st.booleans()):
+        doc, argv = draw(st.sampled_from(TOWER_DOCS)), draw(st.sampled_from(TOWER_COMMANDS))
+    else:
+        doc, argv = draw(st.sampled_from(DIVISOR_DOCS)), draw(st.sampled_from(DIVISOR_COMMANDS))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = draw(st.one_of(BAD_VALUES, st.just(_DELETE)) if path else BAD_VALUES)
+        doc = _replace(doc, path, value)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        depth = draw(st.sampled_from([100, 100_000]))
+        text = '{"fiber_dim": ' + "[" * depth + "]" * depth + ', "base_dim": "1"}'
+    return argv, text
+
+
+def run_main(argv, text):
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue()
+
+
+@settings(max_examples=120, deadline=2000)
+@given(mutated_cases())
+@example((["degree"], '{"fiber_dim": null, "hyperplane_coefficients": ["1"]}'))
+@example((["degree"], '{"fiber_dim": [2], "hyperplane_coefficients": ["1"]}'))
+@example((["volume"], '{"fiber_dim": "2", "hyperplane_coefficients": 5}'))
+@example((["build"], '{"base_dim": "1_0", "moves": []}'))
+def test_every_document_gets_a_contract_exit_code(case):
+    argv, text = case
+    code, out = run_main(argv, text)
+    assert code in (0, 1, 2, 3)
+    if code == EXIT_VIOLATIONS:
+        assert json.loads(out)["violations"]

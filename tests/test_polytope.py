@@ -380,13 +380,13 @@ def test_memoized_rows_take_no_part_in_equality():
 def test_relative_degree_examples():
     assert relative_degree_on_P(ProjectiveDivisorData(2, (1, 1, 1), polarization=1)) == 3
     assert relative_degree_on_P(ProjectiveDivisorData(2, (1,), polarization=2)) == 2
-    assert relative_degree_on_P(ProjectiveDivisorData(3, (), has_vertical=True, polarization=2)) == 0
+    assert relative_degree_on_P(ProjectiveDivisorData(3, (), polarization=2)) == 0
 
 
 def test_relative_volume_examples():
     assert relative_volume_on_P(ProjectiveDivisorData(1, (3,))) == 3
     assert relative_volume_on_P(ProjectiveDivisorData(2, (2,))) == 4
-    assert relative_volume_on_P(ProjectiveDivisorData(2, (), has_vertical=True)) == 0
+    assert relative_volume_on_P(ProjectiveDivisorData(2, ())) == 0
     assert relative_volume_on_P(ProjectiveDivisorData(2, (-1,))) == 0
 
 

@@ -160,16 +160,13 @@ def test_node_ray_bounds_invariant():
 
 def test_projective_model_p1_d2():
     pm = projective_model(TowerSpec(1, (node((), (2,)),)))
-    assert set(pm.fan.all_rays) == {(1, 0), (0, 1), (0, -1)}
-    assert len(pm.fan.maximal_cones) == 2
-    assert pm.identification == identity_matrix(2)
-    assert all(pm.boundary.coefficient(r) == 1 for r in pm.fan.all_rays)
+    assert pm.ambient_dim == 2
+    assert set(pm.all_rays) == {(1, 0), (0, 1), (0, -1)}
+    assert len(pm.maximal_cones) == 2
 
 
 def test_projective_model_depth_one_is_base():
-    pm = projective_model(TowerSpec(2, ()))
-    assert pm.fan == orthant_fan(2)
-    assert pm.identification == identity_matrix(2)
+    assert projective_model(TowerSpec(2, ())) == orthant_fan(2)
 
 
 def test_level_d_rays_lie_in_projective_support():
@@ -177,7 +174,7 @@ def test_level_d_rays_lie_in_projective_support():
         model = build_model(spec)
         pm = projective_model(spec)
         for ray in model.levels[-1].fan.all_rays:
-            assert pm.fan.cone_index(ray) is not None
+            assert pm.cone_index(ray) is not None
 
 
 # --- lc place transfer -------------------------------------------------
@@ -189,12 +186,12 @@ def test_lc_transfer_worked_example():
     fan_v = model.levels[-1].fan
     pm = projective_model(spec)
     c = boundary_divisor(fan_v)
-    g = pm.boundary
+    g = boundary_divisor(pm)
     assert log_discrepancy(fan_v, c, (1, 1)) == 0
-    assert log_discrepancy(pm.fan, g, (1, 1)) == 0
+    assert log_discrepancy(pm, g, (1, 1)) == 0
     for ray in fan_v.all_rays:
         assert log_discrepancy(fan_v, c, ray) == 0
-        assert log_discrepancy(pm.fan, g, ray) == 0
+        assert log_discrepancy(pm, g, ray) == 0
 
 
 def test_lc_transfer_check_reports():
@@ -219,7 +216,7 @@ def _with_top_fan_moved(model, u):
         Cone(n, tuple(sorted(mat_vec(u, g) for g in c.generators)))
         for c in top.fan.maximal_cones
     ])
-    level = TowerLevel(fan=fan, boundary=boundary_divisor(fan), projection=top.projection)
+    level = TowerLevel(fan=fan)
     return TowerModel(spec=model.spec, levels=model.levels[:-1] + (level,))
 
 
@@ -502,34 +499,14 @@ def test_torus_splitting_passes_on_built_towers():
 
 
 def test_torus_splitting_detects_bad_fiber():
-    from torictower.tower import TowerLevel, TowerModel
-    from torictower.toric import boundary_divisor as bd
-    from torictower.lattice import Fan
-
-    base = orthant_fan(1)
-    # hand-built "level 2" in Z^3 with a projection dropping two coordinates:
-    # the fiber over the zero cone picks up two independent rays
+    # hand-built "level 2" in Z^3 over Z^1: two new coordinates, so the
+    # fiber over the zero cone picks up two independent rays
     bad_fan = Fan(3, (Cone(3, ((0, 0, 1), (0, 1, 0))),))
-    projection = (unit_vector(3, 0),)
     model = TowerModel(
         spec=TowerSpec(1, (ProductMove(),)),
-        levels=(
-            TowerLevel(fan=base, boundary=bd(base), projection=None),
-            TowerLevel(fan=bad_fan, boundary=bd(bad_fan), projection=projection),
-        ),
+        levels=(TowerLevel(fan=orthant_fan(1)), TowerLevel(fan=bad_fan)),
     )
     res = torus_splitting_check(model)
-    assert not res.ok()
-    kinds = {v["kind"] for v in res.violations}
-    assert "splitting" in kinds or "fiber" in kinds
-
-
-def test_torus_splitting_flags_a_non_coordinate_projection_of_the_right_size():
-    model = build_model(TowerSpec(2, (ProductMove(),)))
-    top = model.levels[-1]
-    swapped = (unit_vector(3, 1), unit_vector(3, 0))  # rank one kernel, rows out of order
-    level = TowerLevel(fan=top.fan, boundary=top.boundary, projection=swapped)
-    res = torus_splitting_check(TowerModel(spec=model.spec, levels=(model.levels[0], level)))
     assert (res.checked, res.passed) == (1, 0)
     assert [(v["kind"], v["level"]) for v in res.violations] == [("splitting", 2)]
 
@@ -547,7 +524,7 @@ def test_canonical_plus_boundary_cartier_every_level():
     for spec in random_towers(25, seed=55):
         model = build_model(spec)
         for level in model.levels:
-            cd = cartier_data(level.fan, canonical_divisor(level.fan) + level.boundary)
+            cd = cartier_data(level.fan, canonical_divisor(level.fan) + boundary_divisor(level.fan))
             assert isinstance(cd, CartierData)
             assert cd.cartier_index == 1
             assert all(all(x == 0 for x in m) for m in cd.vectors)

@@ -81,3 +81,13 @@ def test_run_suite_all_tags_each_violation_with_its_suite(monkeypatch):
     monkeypatch.setattr(torictower.verify, "suite_volume", lambda seed, **kwargs: bad)
     total = run_suite("all", seed=1, samples=0)
     assert total.violations == [{"kind": "k", "detail": "d", "suite": "volume"}]
+
+
+@pytest.mark.parametrize("name, samples", [("lc", None), ("toric", None), ("all", 10)])
+def test_every_skip_keeps_its_reason(name, samples):
+    """A suite's skip count is its list of skip reasons; lc tags each with its tower."""
+    res = run_suite(name, seed=20260810, samples=samples)
+    assert res.skipped > 0 and len(res.skips) == res.skipped
+    assert all(s["reason"] for s in res.skips)
+    if name == "lc":
+        assert all(isinstance(s["tower"], int) for s in res.skips)
