@@ -12,16 +12,15 @@ import argparse
 import functools
 import sys
 import time
-from fractions import Fraction
 
 from .documents import (
     Report,
     TowerDocumentError,
-    _parse_int,
     emit_tower,
     encode_int,
     encode_rational,
-    load_json_object,
+    parse_divisor,
+    parse_int,
     parse_tower,
     random_tower,
     report_from_outcome,
@@ -61,50 +60,17 @@ def _write_output(path, text):
             fh.write(text)
 
 
-def _fan_document(fan):
-    rays = list(fan.all_rays)
-    index = {r: i for i, r in enumerate(rays)}
+def _fan_document(fan):  # every fan written here lists its cones' rays in lex order
     return {
         "ambient_dim": encode_int(fan.ambient_dim),
-        "rays": [[encode_int(x) for x in r] for r in rays],
-        "maximal_cones": [
-            [encode_int(index[g]) for g in cone.generators] for cone in fan.maximal_cones
-        ],
+        "rays": [[encode_int(x) for x in r] for r in fan.all_rays],
+        "maximal_cones": [[encode_int(i) for i in bit_indices(top)] for top in fan.ray_index()[1]],
     }
 
 
 def _load_model(args):
     spec = parse_tower(_read_input(args.input))
     return build_model(spec, max_rays=args.max_rays, max_dim=args.max_dim)
-
-
-def _coefficient(value, where):
-    """A bare JSON integer or a decimal string `p` or `p/q`; no exponents,
-    which would build a huge integer before any cap."""
-    if isinstance(value, str) and "/" in value:
-        p, q = value.split("/", 1)
-        return Fraction(_parse_int(p, where), _parse_int(q, where))
-    return Fraction(_parse_int(value, where))
-
-
-def _divisor_data_from_json(text):
-    """Divisor data by the tower document rules; unknown keys are ignored."""
-    doc = load_json_object(text)
-    if "fiber_dim" not in doc:
-        raise TowerDocumentError("missing field 'fiber_dim'")
-    try:
-        coeffs = doc.get("hyperplane_coefficients", [])
-        if not isinstance(coeffs, list):
-            raise TowerDocumentError("hyperplane_coefficients: expected a list")
-        return ProjectiveDivisorData(
-            fiber_dim=_parse_int(doc["fiber_dim"], "fiber_dim"),
-            hyperplane_coefficients=tuple(
-                _coefficient(c, f"hyperplane_coefficients[{i}]") for i, c in enumerate(coeffs)
-            ),
-            polarization=_parse_int(doc.get("polarization", 1), "polarization"),
-        )
-    except (ValueError, ZeroDivisionError) as exc:  # TowerDocumentError is a ValueError
-        raise TowerDocumentError(f"bad divisor data: {exc}") from None
 
 
 def cmd_build(args):
@@ -168,10 +134,7 @@ def cmd_map_to_proj(args):
 
 def cmd_base_change(args):
     spec = parse_tower(_read_input(args.input))
-    try:
-        orders = tuple(int(c) for c in args.orders.split(",")) if args.orders else ()
-    except ValueError:
-        raise TowerDocumentError(f"bad --orders value {args.orders!r}") from None
+    orders = tuple(parse_int(c, "--orders") for c in args.orders.split(",")) if args.orders else ()
     germ = CurveGermData(orders=orders, on_boundary=args.on_boundary)
     return emit_tower(base_change_to_curve(spec, germ))
 
@@ -220,14 +183,14 @@ def cmd_local_model(args):
 
 
 def cmd_degree(args):
-    data = _divisor_data_from_json(_read_input(args.input))
+    data = parse_divisor(_read_input(args.input))
     report = Report(command="degree", seed=args.seed, checked=1, passed=1)
     report.data = {"relative_degree": encode_rational(relative_degree_on_P(data))}
     return report
 
 
 def cmd_volume(args):
-    data = _divisor_data_from_json(_read_input(args.input))
+    data = parse_divisor(_read_input(args.input))
     report = Report(command="volume", seed=args.seed, checked=1, passed=1)
     report.data = {"relative_volume": encode_rational(relative_volume_on_P(data))}
     return report
@@ -242,6 +205,14 @@ def cmd_verify(args):
     return report_from_outcome(f"verify:{args.suite}", outcome, seed=args.seed)
 
 
+def _integer(text):
+    """An integer flag, by the document integer rule: ASCII [+-]?[0-9]+."""
+    try:
+        return parse_int(text, "flag")
+    except TowerDocumentError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a decimal integer") from None
+
+
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and reused by every later
@@ -253,9 +224,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {  # the flags a command's handler reads, besides --output
-        "--seed": dict(type=int, default=0, help="random seed"),
-        "--max-dim": dict(type=int, default=DEFAULT_MAX_DIM, help="dimension cap"),
-        "--max-rays": dict(type=int, default=DEFAULT_MAX_RAYS, help="ray-count cap"),
+        "--seed": dict(type=_integer, default=0, help="random seed"),
+        "--max-dim": dict(type=_integer, default=DEFAULT_MAX_DIM, help="dimension cap"),
+        "--max-rays": dict(type=_integer, default=DEFAULT_MAX_RAYS, help="ray-count cap"),
         "--timing": dict(action="store_true", help="include wall-clock timing in the report"),
     }
 
@@ -271,7 +242,7 @@ def build_parser():
 
     p = sub.add_parser("fan", help="print level fans")
     p.add_argument("--input", default=None)
-    p.add_argument("--level", type=int, default=None, help="single level to print")
+    p.add_argument("--level", type=_integer, default=None, help="single level to print")
     common(p, *shared)
     p.set_defaults(func=cmd_fan)
 
@@ -291,13 +262,13 @@ def build_parser():
 
     p = sub.add_parser("lc-check", help="lc-place transfer check")
     p.add_argument("--input", default=None)
-    p.add_argument("--samples", type=int, default=50)
+    p.add_argument("--samples", type=_integer, default=50)
     common(p, *shared)
     p.set_defaults(func=cmd_lc_check)
 
     p = sub.add_parser("local-model", help="classify torus orbits per level")
     p.add_argument("--input", default=None)
-    p.add_argument("--level", type=int, default=None)
+    p.add_argument("--level", type=_integer, default=None)
     common(p, *shared)
     p.set_defaults(func=cmd_local_model)
 
@@ -312,15 +283,15 @@ def build_parser():
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("random", help="generate a seeded random tower document")
-    p.add_argument("--p", type=int, required=True, help="base dimension")
-    p.add_argument("--d", type=int, required=True, help="tower depth")
-    p.add_argument("--max-exponent", type=int, default=3)
+    p.add_argument("--p", type=_integer, required=True, help="base dimension")
+    p.add_argument("--d", type=_integer, required=True, help="tower depth")
+    p.add_argument("--max-exponent", type=_integer, default=3)
     common(p, "--seed")
     p.set_defaults(func=cmd_random)
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("--suite", choices=SUITES, default="all")
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=_integer, default=None)
     common(p, "--seed", "--timing")
     p.set_defaults(func=cmd_verify)
 

@@ -1,4 +1,4 @@
-"""Tower document format, seeded random tower generation, and reports.
+"""Tower and divisor document formats, seeded random tower generation, and reports.
 
 Documents and reports are UTF-8 JSON.  All integers (and rationals, as
 "p/q") are serialized as decimal strings so arbitrary precision survives
@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .lattice import ResourceCapError
+from .polytope import ProjectiveDivisorData
 from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec, validate_tower
 
 FORMAT_VERSION = 1
@@ -82,7 +83,7 @@ def encode_rational(x):
 _decimal = re.compile(r"[+-]?[0-9]+").fullmatch  # ASCII digits only: no spaces, `_` or `２`
 
 
-def _parse_int(value, where):
+def parse_int(value, where):
     """A bare JSON integer, or a string of ASCII decimal digits with an optional sign."""
     if isinstance(value, bool):
         raise TowerDocumentError(f"{where}: expected an integer, got a boolean")
@@ -101,7 +102,7 @@ def _parse_int(value, where):
 def _parse_int_list(value, where):
     if not isinstance(value, list):
         raise TowerDocumentError(f"{where}: expected a list")
-    return tuple(_parse_int(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return tuple(parse_int(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def emit_tower(spec):
@@ -138,15 +139,44 @@ def load_json_object(text):
     return doc
 
 
+def _coefficient(value, where):
+    """A bare JSON integer or a decimal string `p` or `p/q`; no exponents,
+    which would build a huge integer before any cap."""
+    if isinstance(value, str) and "/" in value:
+        p, q = value.split("/", 1)
+        return Fraction(parse_int(p, where), parse_int(q, where))
+    return Fraction(parse_int(value, where))
+
+
+def parse_divisor(text):
+    """Parse divisor data by the tower document rules; unknown keys are ignored."""
+    doc = load_json_object(text)
+    if "fiber_dim" not in doc:
+        raise TowerDocumentError("missing field 'fiber_dim'")
+    try:
+        coeffs = doc.get("hyperplane_coefficients", [])
+        if not isinstance(coeffs, list):
+            raise TowerDocumentError("hyperplane_coefficients: expected a list")
+        return ProjectiveDivisorData(
+            fiber_dim=parse_int(doc["fiber_dim"], "fiber_dim"),
+            hyperplane_coefficients=tuple(
+                _coefficient(c, f"hyperplane_coefficients[{i}]") for i, c in enumerate(coeffs)
+            ),
+            polarization=parse_int(doc.get("polarization", 1), "polarization"),
+        )
+    except (ValueError, ZeroDivisionError) as exc:  # TowerDocumentError is a ValueError
+        raise TowerDocumentError(f"bad divisor data: {exc}") from None
+
+
 def parse_tower(text):
     """Parse and validate a tower document; errors carry line/field context."""
     doc = load_json_object(text)
-    version = _parse_int(doc.get("format_version", FORMAT_VERSION), "format_version")
+    version = parse_int(doc.get("format_version", FORMAT_VERSION), "format_version")
     if version != FORMAT_VERSION:
         raise TowerDocumentError(f"format_version: unsupported version {version}")
     if "base_dim" not in doc:
         raise TowerDocumentError("missing field 'base_dim'")
-    base_dim = _parse_int(doc["base_dim"], "base_dim")
+    base_dim = parse_int(doc["base_dim"], "base_dim")
     raw_moves = doc.get("moves", [])
     if not isinstance(raw_moves, list):
         raise TowerDocumentError("moves: expected a list")

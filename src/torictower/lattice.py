@@ -6,9 +6,9 @@ anywhere.  Cones are stored by generators; the supporting-halfspace
 description (facet normals plus equations) is derived on demand by a
 double description pass and memoized.
 
-A face of a canonical cone is determined by its generators, so faces are
-int bitmasks over the generator index (intersections of facet masks), and
-containment between faces is subset inclusion, with no geometric test.
+A face of a canonical cone is determined by its rays, so a face is only
+ever an int bitmask over its fan's ray index (a lone cone is a one-cone
+fan), and containment between faces is subset inclusion, no geometric test.
 """
 
 from __future__ import annotations
@@ -370,7 +370,7 @@ class Cone:
     non-canonical cones can be constructed directly for validation.
     """
 
-    __slots__ = ("ambient_dim", "generators", "_halfspaces", "_facet_masks")
+    __slots__ = ("ambient_dim", "generators", "_halfspaces")
 
     def __init__(self, ambient_dim, generators=()):
         self.ambient_dim = int(ambient_dim)
@@ -382,7 +382,6 @@ class Cone:
                 )
         self.generators = gens
         self._halfspaces = None
-        self._facet_masks = None
 
     @classmethod
     def generated_by(cls, vectors, ambient_dim=None):
@@ -441,48 +440,39 @@ class Cone:
     def pointed_form(self):
         """The canonical cone (extreme rays in lex order, these halfspaces)
         of a cone with distinct primitive nonzero generators, or None if it
-        holds a line.  A generator is extreme iff the facets through it meet
-        in it alone; when the cone holds a line, so does every face, and no
-        generator passes (Cox-Little-Schenck, §1.2)."""
-        masks, full = self.facet_masks(), (1 << len(self.generators)) - 1
-        rays = sorted(
-            g for i, g in enumerate(self.generators)
-            if functools.reduce(operator.and_, (f for f in masks if f >> i & 1), full) == 1 << i
-        )
+        holds a line.  A generator is extreme iff it is a one-ray face of the
+        cone's one-cone fan; when the cone holds a line, so does every face,
+        and no generator passes (Cox-Little-Schenck, §1.2)."""
+        fan = Fan(self.ambient_dim, (self,))
+        rays = [g for i, g in enumerate(fan.all_rays) if fan._is_face(0, 1 << i)]
         if self.generators and not rays:
             return None
         cone = Cone(self.ambient_dim, rays)
         cone._halfspaces = self.halfspaces()
         return cone
 
-    def facet_masks(self):
-        """Per facet normal, the bitmask of the generators tight on it (memoized)."""
-        if self._facet_masks is None:
-            normals, _ = self.halfspaces()
-            self._facet_masks = tuple(
-                sum(1 << i for i, g in enumerate(self.generators) if dot(nrm, g) == 0)
-                for nrm in normals
-            )
-        return self._facet_masks
-
     def faces(self):
-        """All faces (itself and the zero cone included), canonical, deterministic.
-
-        Faces are generator bitmasks, ordered by (size, index tuple).  Assumes
-        the generators are the extreme rays, as for every cone this module
-        constructs.
-        """
-        rays = self.generators
-        subsets = sorted(
-            map(bit_indices, walk_faces((1 << len(rays)) - 1, self.facet_masks())),
-            key=lambda s: (len(s), s),
-        )
-        return [Cone(self.ambient_dim, tuple(sorted(rays[i] for i in s))) for s in subsets]
+        """All faces (itself and the zero cone included), canonical: the face
+        masks of the one-cone fan by (size, ray indices).  For a canonical cone
+        (its extreme rays in lex order, as every cone this module builds) that
+        is (size, generator positions)."""
+        fan = Fan(self.ambient_dim, (self,))
+        subsets = sorted(map(bit_indices, fan.face_masks()), key=lambda s: (len(s), s))
+        return [Cone(self.ambient_dim, tuple(fan.all_rays[i] for i in s)) for s in subsets]
 
 
 def bit_indices(mask):
     """The indices of the set bits of `mask`, ascending."""
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def maximal_masks(masks):
+    """The inclusion-maximal masks among `masks`, each once, largest first."""
+    keep = []
+    for a in sorted(masks, key=int.bit_count, reverse=True):
+        if not any(a & b == a for b in keep):
+            keep.append(a)
+    return keep
 
 
 def walk_faces(top, facets, leaf=None):
@@ -613,15 +603,23 @@ class Fan:
         return self._index
 
     def facet_masks(self, k):
-        """The facet masks of maximal cone k lifted to the ray index (memoized)."""
+        """Per facet normal of maximal cone k, the mask over the ray index of the
+        cone's rays on its hyperplane (memoized; a repeated generator is one bit)."""
         if k not in self._facets:
             bit, _ = self.ray_index()
             gens = self.maximal_cones[k].generators
             self._facets[k] = tuple(
-                functools.reduce(operator.or_, (bit[g] for i, g in enumerate(gens) if f >> i & 1), 0)
-                for f in self.maximal_cones[k].facet_masks()
+                functools.reduce(operator.or_, (bit[g] for g in gens if dot(nrm, g) == 0), 0)
+                for nrm in self.maximal_cones[k].halfspaces()[0]
             )
         return self._facets[k]
+
+    def _is_face(self, k, mask):
+        """Whether `mask` is a face of maximal cone k: it lies inside the cone
+        and equals the intersection of the cone's facet masks containing it."""
+        top = self.ray_index()[1][k]
+        facets = (f for f in self.facet_masks(k) if mask & f == mask)
+        return mask & top == mask and functools.reduce(operator.and_, facets, top) == mask
 
     def face_masks(self):
         """Every face of the fan once, as a mask over the ray index."""
@@ -630,18 +628,13 @@ class Fan:
 
     def face_mask(self, cone):
         """The mask over the ray index of `cone` (its rays in any order) if it
-        is a face of a maximal cone, else None.  Inside a maximal cone, a face
-        is the intersection of the facet masks containing it."""
+        is a face of a maximal cone, else None."""
         bit, tops = self.ray_index()
         bits = {bit.get(g, 0) for g in cone.generators}
         if cone.ambient_dim != self.ambient_dim or 0 in bits or len(bits) < len(cone.generators):
             return None  # another dimension, a missing or a repeated ray
         mask = sum(bits)
-        for k, top in enumerate(tops):
-            facets = (f for f in self.facet_masks(k) if mask & f == mask)
-            if mask & top == mask and functools.reduce(operator.and_, facets, top) == mask:
-                return mask
-        return None
+        return mask if any(self._is_face(k, mask) for k in range(len(tops))) else None
 
 
 def orthant_fan(n):
@@ -677,41 +670,41 @@ def product_fan(a, b):
     return Fan(n, cones)
 
 
-def _separation_certificate(cones):
+def _separation_certificate(fan, cones):
     """certified(i, j): a proof by sign tests that the canonical pointed cones
-    i and j meet in a common face (Cox-Little-Schenck, Lemma 1.2.13).
+    i and j meet in a common face (Cox-Little-Schenck, Lemma 1.2.13), as mask
+    arithmetic over the ray index of `fan`, which holds their rays.
 
     Every row of a cone (facet normals, each equation and its negation) is
-    >= 0 on it.  Let F_i, F_j be faces of cones i, j with F_i & F_j = i & j,
-    at first the cones themselves.  m = (rows of i that are <= 0 on F_j) -
-    (rows of j that are <= 0 on F_i) is >= 0 on F_i and <= 0 on F_j, so it
-    vanishes on i & j, and <m, g> = 0 iff every selected row vanishes on g.
-    The rays of F_i and of F_j on which m vanishes span smaller such faces.
-    Once both have the same rays, that face is i & j; if they stop shrinking
-    first, there is no proof.
+    >= 0 on it; per row, one mask holds the rays where it is = 0 and one where
+    it is <= 0.  Let F_i, F_j be faces of cones i, j with F_i & F_j = i & j, at
+    first the cones themselves.  m = (rows of i <= 0 on F_j) - (rows of j <= 0
+    on F_i) is >= 0 on F_i and <= 0 on F_j, so it vanishes on i & j, and on a
+    ray iff every selected row does: ANDing F_i and F_j with those rows' zero
+    masks gives smaller such faces.  Once both are the same mask, that face is
+    i & j; if they stop shrinking first, there is no proof.
     """
-    rays = sorted({g for c in cones for g in c.generators})
-    zero, nonpos = [], []  # per cone, per ray: the rows that are = 0 and <= 0 on it
+    bit, _ = fan.ray_index()
+    zero, nonpos = [], []  # per cone, per row: the rays where it is = 0 and <= 0
     for c in cones:
-        rows = _halfspace_rows(*c.halfspaces())
-        vals = {g: [dot(r, g) for r in rows] for g in rays}
-        zero.append({g: sum(1 << k for k, x in enumerate(v) if x == 0) for g, v in vals.items()})
-        nonpos.append({g: sum(1 << k for k, x in enumerate(v) if x <= 0) for g, v in vals.items()})
+        vals = [[dot(r, g) for g in fan.all_rays] for r in _halfspace_rows(*c.halfspaces())]
+        zero.append([sum(1 << i for i, x in enumerate(v) if x == 0) for v in vals])
+        nonpos.append([sum(1 << i for i, x in enumerate(v) if x <= 0) for v in vals])
+    faces = [sum(map(bit.get, c.generators)) for c in cones]
+
+    def selected(k, face):  # the zero masks of cone k's rows that are <= 0 on `face`
+        return [z for z, np in zip(zero[k], nonpos[k]) if np & face == face]
 
     def certified(i, j):
-        face_i, face_j = cones[i].generators, cones[j].generators
-        while True:  # -1 selects every row
-            s_i = functools.reduce(operator.and_, (nonpos[i][g] for g in face_j), -1)
-            s_j = functools.reduce(operator.and_, (nonpos[j][g] for g in face_i), -1)
-            tight_i, tight_j = (
-                tuple(g for g in face if zero[i][g] & s_i == s_i and zero[j][g] & s_j == s_j)
-                for face in (face_i, face_j)
-            )
-            if set(tight_i) == set(tight_j):
+        face_i, face_j = faces[i], faces[j]
+        while True:  # -1 keeps every ray
+            tight = functools.reduce(operator.and_, selected(i, face_j) + selected(j, face_i), -1)
+            sub_i, sub_j = face_i & tight, face_j & tight
+            if sub_i == sub_j:
                 return True
-            if (tight_i, tight_j) == (face_i, face_j):
+            if (sub_i, sub_j) == (face_i, face_j):
                 return False
-            face_i, face_j = tight_i, tight_j
+            face_i, face_j = sub_i, sub_j
 
     return certified
 
@@ -752,7 +745,7 @@ def fan_validate(fan):
                 Violation("not strongly convex", f"cone {list(c.generators)} contains a line")
             )
     cones = [c for c in fan.maximal_cones if c in canonical]
-    certified = _separation_certificate([canonical[c] for c in cones])
+    certified = _separation_certificate(fan, [canonical[c] for c in cones])
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             if certified(i, j):

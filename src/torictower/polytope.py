@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
-from .lattice import _halfspace_rows, halfspace_intersection
+from .lattice import _halfspace_rows, halfspace_intersection, maximal_masks
 
 
 class UnboundedPolytopeError(Exception):
@@ -135,12 +135,9 @@ def normalized_volume(polytope):
         pivot = residual[apex]
         c = next(j for j, x in enumerate(pivot) if x)  # the apexes are independent
         below = dict(zip(rest, bareiss_step(pivot, c, prev, [residual[i] for i in rest])))
-        maximal = []
-        for sub in sorted({face & f for f in facets} - {0, face}, key=int.bit_count, reverse=True):
-            if all(sub & m != sub for m in maximal):
-                maximal.append(sub)
-                if not sub >> apex & 1:
-                    stack.append((sub, dim - 1, below, pivot[c], dens * rows[apex][-1]))
+        for sub in maximal_masks({face & f for f in facets} - {0, face}):
+            if not sub >> apex & 1:
+                stack.append((sub, dim - 1, below, pivot[c], dens * rows[apex][-1]))
     return sum((Fraction(v, den) for den, v in total.items()), Fraction(0))
 
 

@@ -22,6 +22,7 @@ from .lattice import (
     hnf,
     is_zero,
     mat_vec,
+    maximal_masks,
     primitive,
     transpose,
     walk_faces,
@@ -270,11 +271,7 @@ def regularity_subfan(fan, char):
             found.add(top)
             continue
         found.update(filter(is_regular, walk_faces(top, fan.facet_masks(k), is_regular)))
-    keep = []  # largest first: a mask inside a found one is inside a kept one
-    for a in sorted(found, key=int.bit_count, reverse=True):
-        if not any(a & b == a for b in keep):
-            keep.append(a)
-    cones = [Cone(fan.ambient_dim, tuple(rays[i] for i in bit_indices(a))) for a in keep]
+    cones = [Cone(fan.ambient_dim, tuple(rays[i] for i in bit_indices(a))) for a in maximal_masks(found)]
     return Fan(fan.ambient_dim, cones)
 
 
@@ -291,12 +288,12 @@ def star_subdivision(fan, v):
     if not any(holds):
         raise LatticeError("subdivision centre lies outside the fan support")
     new_cones = []
-    for cone, held in zip(fan.maximal_cones, holds):
+    for k, (cone, held) in enumerate(zip(fan.maximal_cones, holds)):
         if not held:
             new_cones.append(cone)
             continue
-        for nrm, mask in zip(cone.halfspaces()[0], cone.facet_masks()):
+        for nrm, mask in zip(cone.halfspaces()[0], fan.facet_masks(k)):
             if dot(nrm, v) > 0:
-                facet = [cone.generators[i] for i in bit_indices(mask)]
+                facet = [fan.all_rays[i] for i in bit_indices(mask)]
                 new_cones.append(Cone(fan.ambient_dim, tuple(sorted(facet + [v]))))
     return Fan(fan.ambient_dim, new_cones)

@@ -286,6 +286,8 @@ def lc_place_transfer_check(
     models passed in as `model`.
     """
     _require_valid(spec)
+    if samples < 0:
+        raise LatticeError(f"samples must be >= 0, got {samples}")
     if model is None:
         model = build_model(spec, max_rays=max_rays, max_dim=max_dim)
     out = CheckOutcome()

@@ -655,7 +655,9 @@ def suite_volume(seed=None, samples=None):
 
 def run_suite(name, seed, samples=None):
     """Run one named invariant suite; `all` concatenates every suite.  A
-    suite runs its own default sample count unless `samples` is given."""
+    suite runs its own default sample count unless `samples` (>= 0) is given."""
+    if samples is not None and samples < 0:
+        raise LatticeError(f"samples must be >= 0, got {samples}")
     # looked up per call, so a wrapped or patched suite_* function is the one run
     suites = {s: globals()[f"suite_{s}"] for s in SUITES if s != "all"}
     kwargs = {} if samples is None else {"samples": samples}

@@ -409,3 +409,46 @@ def test_help_and_usage_errors_match_a_fresh_parser(argv, tmp_path, capsys):
     assert got == (exc.value.code, captured.out, captured.err, None)
     assert got[0] == (0 if "--help" in argv else EXIT_USAGE)
     assert got[1 if "--help" in argv else 2].startswith("usage: torictower")
+
+
+NOT_DECIMAL = ["２", "1_0", "5_0_0", " 2", "2\n", "+", "0x10", "2.0"]  # int() reads the first five
+INTEGER_FLAGS = [  # (argv with {} for the value, a value every command accepts)
+    (["random", "--p", "{}", "--d", "2"], "2"),
+    (["random", "--p", "2", "--d", "{}"], "2"),
+    (["random", "--p", "2", "--d", "2", "--seed", "{}"], "10"),
+    (["random", "--p", "2", "--d", "2", "--max-exponent", "{}"], "2"),
+    (["fan", "--input", "{tower}", "--level", "{}"], "2"),
+    (["fan", "--input", "{tower}", "--max-rays", "{}"], "500"),
+    (["build", "--input", "{tower}", "--max-dim", "{}"], "6"),
+    (["local-model", "--input", "{tower}", "--level", "{}"], "2"),
+    (["lc-check", "--input", "{tower}", "--samples", "{}"], "0"),
+    (["verify", "--suite", "volume", "--samples", "{}"], "0"),
+    (["base-change", "--input", "{tower}", "--orders", "{},1", "--on-boundary"], "1"),
+]
+
+
+@pytest.mark.parametrize("argv, good", INTEGER_FLAGS)
+def test_integer_flags_follow_the_document_integer_rule(argv, good, tmp_path, capsys):
+    """Every integer flag, and each --orders entry, is ASCII [+-]?[0-9]+ as in
+    a document: `int` would read non-ASCII digits, underscores and spaces."""
+    tower = write_tower(tmp_path, emit_tower(TowerSpec(2, (ProductMove(), ProductMove()))))
+
+    def fill(value):
+        return [a.replace("{tower}", tower).replace("{}", value) for a in argv]
+
+    assert _run(fill(good), capsys, tmp_path)[0] == EXIT_OK
+    for value in NOT_DECIMAL:
+        code, out, err, _ = _run(fill(value), capsys, tmp_path)
+        assert (code, out) == (EXIT_USAGE, ""), value
+        assert "is not a decimal integer" in err, value
+
+
+def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
+    """--samples -7 used to check only the rays, and verify ran none of its
+    sampled checks; --samples 0 still runs, with no samples."""
+    path = write_tower(tmp_path, SIMPLE)
+    for argv in (["lc-check", "--input", path], ["verify", "--suite", "kernel"], ["verify", "--suite", "all"]):
+        code, out, err, _ = _run([*argv, "--samples", "-1"], capsys, tmp_path)
+        assert (code, out) == (EXIT_USAGE, "") and "samples must be >= 0" in err, argv
+    code, out, _, _ = _run(["lc-check", "--input", path, "--samples", "0"], capsys, tmp_path)
+    assert code == EXIT_OK and json.loads(out)["counts"]["checked"] == "2"  # the two rays

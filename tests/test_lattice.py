@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import torictower.lattice
@@ -23,6 +23,7 @@ from torictower.lattice import (
     cones_equal_as_sets,
     det_fraction,
     det_int,
+    dot,
     dual_cone,
     fan_validate,
     halfspace_intersection,
@@ -33,6 +34,7 @@ from torictower.lattice import (
     is_unimodular,
     mat_mul,
     mat_vec,
+    maximal_masks,
     orthant_fan,
     primitive,
     product_fan,
@@ -370,13 +372,15 @@ def test_generated_by_matches_two_pass_oracle_after_unimodular_change_of_coordin
 def test_pointed_form_is_none_exactly_on_cones_with_a_line():
     seen = set()
     for vectors, n in VECTOR_SETS:
-        raw = Cone(n, sorted({primitive(v) for v in vectors if any(v)}))
-        got = raw.pointed_form()
-        assert (got is None) == (not raw.is_strongly_convex())
-        if got is not None:
-            assert _same_cone(got, generated_by_oracle(vectors, n))
-            assert got.halfspaces() is raw.halfspaces()  # shared, not recomputed
-        seen.add(got is None)
+        gens = sorted({primitive(v) for v in vectors if any(v)})
+        want, in_order = generated_by_oracle(vectors, n), Cone(n, gens)
+        for raw in (in_order, Cone(n, gens[::-1])):  # positions are not ray indices
+            got = raw.pointed_form()
+            assert (got is None) == (not raw.is_strongly_convex())
+            if got is not None:  # given in another order, the DD may pick other normals of a flat cone
+                assert _same_cone(got, want) if raw is in_order else got.generators == want.generators
+                assert got.halfspaces() is raw.halfspaces()  # shared, not recomputed
+            seen.add(got is None)
     assert seen == {True, False}
 
 
@@ -578,6 +582,9 @@ CERTIFICATE_FANS = BAD_FANS + [
     REDUNDANT_FAN,
     Fan(2, (Cone(2, ((1, 0), (1, 1), (0, 1))), _gens((1, 1), (-1, 0)))),
     Fan(3, (Cone(3, ((1, 0, 0), (0, 1, 0), (1, 1, 1), (0, 0, 1))), _gens((1, 0, 0), (0, -1, 0)))),
+    # a ray index holding rays of cones the certificate skips (a zero and a
+    # non-primitive generator) and a ray that is no cone's extreme ray
+    Fan(2, (Cone(2, ((0, 0), (2, 4))), Cone(2, ((1, 0), (1, 1), (0, 1))), _gens((0, 1), (-1, 2)))),
     # generators out of lex order, and the zero cone
     UNSORTED_FAN,
     Fan(2, (Cone(2, ()), _gens((1, 0), (0, 1)))),
@@ -711,7 +718,7 @@ def test_fan_keeps_one_cone_listed_in_two_ray_orders():
     assert fan_validate(fan) == fan_validate_oracle(fan)
 
 
-INDEX_FANS = LEVEL_FANS + [CUBE_FAN, projective_fan(3), torus_fan(2), Fan(2, ())]
+INDEX_FANS = LEVEL_FANS + [CUBE_FAN, projective_fan(3), torus_fan(2), Fan(2, ()), REDUNDANT_FAN]
 
 
 def test_fan_face_masks_are_the_faces_of_its_maximal_cones():
@@ -744,3 +751,45 @@ def test_fan_face_mask_matches_geometric_oracle():
                 assert mask == sum(1 << rays.index(g) for g in small.generators)
             outcomes.add(want)
     assert outcomes == {True, False}
+
+
+def _facet_masks_oracle(fan, k):
+    """Per facet normal of maximal cone k, the fan rays of the cone on its hyperplane."""
+    cone = fan.maximal_cones[k]
+    return tuple(
+        sum(1 << i for i, r in enumerate(fan.all_rays) if r in cone.generators and dot(nrm, r) == 0)
+        for nrm in cone.halfspaces()[0]
+    )
+
+
+# raw cones with non-extreme, repeated or unsorted generators, and bad cones
+FACET_FANS = INDEX_FANS + CERTIFICATE_FANS
+
+
+def test_fan_facet_masks_match_geometric_oracle():
+    for fan in FACET_FANS:
+        for k in range(len(fan.maximal_cones)):
+            assert fan.facet_masks(k) == _facet_masks_oracle(fan, k), (fan.maximal_cones, k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_fan_facet_masks_match_geometric_oracle_after_unimodular_change_of_coordinates(data):
+    fan = data.draw(st.sampled_from(CERTIFICATE_FANS))
+    n = fan.ambient_dim
+    u, _ = data.draw(unimodular(n))
+    moved = Fan(n, [Cone(n, [mat_vec(u, g) for g in c.generators]) for c in fan.maximal_cones])
+    for k in range(len(moved.maximal_cones)):
+        assert moved.facet_masks(k) == _facet_masks_oracle(moved, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 63), max_size=12))
+@example([])
+@example([0, 0])
+@example([5, 0, 5, 1, 4, 7, 7])
+def test_maximal_masks_matches_brute_force_inclusion_filter(masks):
+    got = maximal_masks(masks)
+    want = {a for a in masks if not any(a & b == a != b for b in masks)}
+    assert len(got) == len(want) and set(got) == want
+    assert [m.bit_count() for m in got] == sorted((m.bit_count() for m in got), reverse=True)

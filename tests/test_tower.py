@@ -201,6 +201,14 @@ def test_lc_transfer_check_reports():
     assert res.checked == res.passed + res.skipped
 
 
+def test_lc_transfer_check_rejects_a_negative_sample_count():
+    """A negative count used to check the rays alone; 0 still checks them."""
+    spec = TowerSpec(1, (NodeMove((), (2,)),))
+    with pytest.raises(LatticeError, match="samples must be >= 0"):
+        lc_place_transfer_check(spec, samples=-1, seed=0)
+    assert lc_place_transfer_check(spec, samples=0, seed=0).checked == 2
+
+
 def test_lc_transfer_no_violations_on_random_towers():
     rng = random.Random(17)
     for spec in random_towers(40, seed=17):

@@ -1,6 +1,7 @@
 import pytest
 
 import torictower.verify
+from torictower.lattice import LatticeError
 from torictower.tower import CheckOutcome
 from torictower.verify import SUITES, run_suite
 
@@ -25,6 +26,14 @@ def test_suite_all_aggregates():
 def test_unknown_suite():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nonsense", seed=0)
+
+
+@pytest.mark.parametrize("name", SUITES)
+def test_negative_sample_counts_are_rejected(name):
+    """A negative count used to run none of the sampled checks; 0 is valid."""
+    with pytest.raises(LatticeError, match="samples must be >= 0"):
+        run_suite(name, seed=0, samples=-2)
+    assert run_suite(name, seed=0, samples=0).ok()
 
 
 def test_suites_deterministic_for_seed():
