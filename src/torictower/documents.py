@@ -35,26 +35,37 @@ _encode_str = json.encoder.encode_basestring_ascii
 def _canonical_json(obj):
     """json.dumps(obj, indent=2, sort_keys=True) + newline, for JSON values
     with str keys.  json.dumps never runs its C encoder when indenting, so
-    containers are laid out here and only strings go through the C escaper."""
+    containers are laid out here and only strings go through the C escaper.
+    The text of each list of strings is made once per indent: a report that
+    holds one list object in many places (a ray in every face that has it)
+    reuses it."""
     out = []
-    _emit(obj, "\n", out.append)
+    _emit(obj, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
 
 
-def _emit(obj, newline, put):
-    """Append the canonical text of `obj`, nested at the indent `newline` ends in."""
+def _emit(obj, newline, put, texts):
+    """Append the canonical text of `obj`, nested at the indent `newline` ends
+    in; `texts` maps (id, indent) of each list of strings written to its text."""
     if isinstance(obj, str):
         put(_encode_str(obj))
     elif isinstance(obj, (list, tuple)) and obj:
         inner = newline + "  "
-        try:  # a list of strings in one join; the escaper rejects anything else
-            put("[" + inner + ("," + inner).join(map(_encode_str, obj)) + newline + "]")
-        except TypeError:
+        key = id(obj), newline  # obj outlives the emission, so its id is not reused
+        text = texts.get(key)
+        if text is None:
+            try:  # a list of strings in one join; the escaper rejects anything else
+                text = texts[key] = "[" + inner + ("," + inner).join(map(_encode_str, obj)) + newline + "]"
+            except TypeError:
+                pass
+        if text is not None:
+            put(text)
+        else:
             sep = "[" + inner
             for x in obj:
                 put(sep)
-                _emit(x, inner, put)
+                _emit(x, inner, put, texts)
                 sep = "," + inner
             put(newline + "]")
     elif isinstance(obj, dict) and obj:
@@ -62,7 +73,7 @@ def _emit(obj, newline, put):
         sep = "{" + inner
         for key, value in sorted(obj.items()):
             put(sep + _encode_str(key) + ": ")
-            _emit(value, inner, put)
+            _emit(value, inner, put, texts)
             sep = "," + inner
         put(newline + "}")
     else:  # scalars and empty containers: one line, as json.dumps writes them

@@ -9,6 +9,9 @@ double description pass and memoized.
 A face of a canonical cone is determined by its rays, so a face is only
 ever an int bitmask over its fan's ray index (a lone cone is a one-cone
 fan), and containment between faces is subset inclusion, no geometric test.
+A fan built from another one (a subfan of faces, a tower level) can carry a
+rule that derives its facet masks from the other fan's by bit arithmetic,
+in place of a double description pass per cone.
 """
 
 from __future__ import annotations
@@ -203,16 +206,19 @@ def snf(m):
     later d_j, column j is added to column i; the next row form then puts
     gcd(d_i, d_j) at (i, i), so the diagonal falls strictly in lexicographic
     order and the loop ends.  Every step is an `hnf`, which keeps its entries
-    reduced, so they do not grow as a pivoting elimination's can.
+    reduced, so they do not grow as a pivoting elimination's can.  U and V
+    start as the first pass's transforms, so a matrix that one pass
+    diagonalizes pays no product.
     """
     nr = len(m)
     nc = len(m[0]) if nr else 0
-    s, u, v = m, identity_matrix(nr), identity_matrix(nc)
+    s, u, v = m, None, None
     while True:
         s, w = hnf(s)
-        u = mat_mul(w, u)
+        u = w if u is None else mat_mul(w, u)
         t, w = hnf(transpose(s, nc))
-        s, v = transpose(t, nr), mat_mul(v, transpose(w))
+        s, w = transpose(t, nr), transpose(w)
+        v = w if v is None else mat_mul(v, w)
         if any(x for i, row in enumerate(s) for j, x in enumerate(row) if i != j):
             continue
         d = [s[i][i] for i in range(min(nr, nc))]
@@ -475,6 +481,11 @@ def maximal_masks(masks):
     return keep
 
 
+def remap(mask, rays, bit):
+    """A mask over the index of `rays`, as a mask over the ray index `bit`."""
+    return sum(bit[rays[i]] for i in bit_indices(mask))
+
+
 def walk_faces(top, facets, leaf=None):
     """Face masks reached from `top` (included) by intersecting with the
     facet masks `facets`, not descending below a face where `leaf` holds."""
@@ -538,12 +549,14 @@ class Fan:
     the ray index (see ray_index).
 
     all_rays is the deduplicated lex-sorted union of the cones' rays.
-    Construction does not validate; see fan_validate.
+    Construction does not validate; see fan_validate.  `facets`, if given, is
+    a rule facets(fan, k) giving the facet masks of maximal cone k, in any
+    order, from the fan this one was built from (see facet_masks).
     """
 
-    __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "_index", "_facets")
+    __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "_index", "_facets", "_facet_rule")
 
-    def __init__(self, ambient_dim, cones):
+    def __init__(self, ambient_dim, cones, facets=None):
         self.ambient_dim = int(ambient_dim)
         seen = {}
         for c in cones:
@@ -554,6 +567,7 @@ class Fan:
         self.all_rays = tuple(sorted({g for c in self.maximal_cones for g in c.generators}))
         self._index = None
         self._facets = {}
+        self._facet_rule = facets
 
     @classmethod
     def from_cones(cls, ambient_dim, cones):  # no caller in src/; the benchmark traces it
@@ -603,15 +617,22 @@ class Fan:
         return self._index
 
     def facet_masks(self, k):
-        """Per facet normal of maximal cone k, the mask over the ray index of the
-        cone's rays on its hyperplane (memoized; a repeated generator is one bit)."""
+        """The facets of maximal cone k as masks over the ray index, ascending
+        (memoized on the first call).  A fan built with a `facets` rule derives
+        them by bit arithmetic; any other fan takes, per facet normal of the
+        cone (one double description pass), its rays on the hyperplane, a
+        repeated generator as one bit."""
         if k not in self._facets:
-            bit, _ = self.ray_index()
-            gens = self.maximal_cones[k].generators
-            self._facets[k] = tuple(
-                functools.reduce(operator.or_, (bit[g] for g in gens if dot(nrm, g) == 0), 0)
-                for nrm in self.maximal_cones[k].halfspaces()[0]
-            )
+            if self._facet_rule is not None:
+                masks = self._facet_rule(self, k)
+            else:
+                bit, _ = self.ray_index()
+                gens = self.maximal_cones[k].generators
+                masks = (
+                    functools.reduce(operator.or_, (bit[g] for g in gens if dot(nrm, g) == 0), 0)
+                    for nrm in self.maximal_cones[k].halfspaces()[0]
+                )
+            self._facets[k] = tuple(sorted(masks))
         return self._facets[k]
 
     def _is_face(self, k, mask):
@@ -638,8 +659,11 @@ class Fan:
 
 
 def orthant_fan(n):
-    """Fan of affine n-space: the positive orthant and its faces."""
-    return Fan(n, (Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n)))),))
+    """Fan of affine n-space: the positive orthant and its faces.  Its facets
+    are the masks that leave out one ray."""
+    full = (1 << n) - 1
+    cone = Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n))))
+    return Fan(n, (cone,), lambda fan, k: (full & ~(1 << i) for i in range(n)))
 
 
 def torus_fan(n):

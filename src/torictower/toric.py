@@ -24,6 +24,7 @@ from .lattice import (
     mat_vec,
     maximal_masks,
     primitive,
+    remap,
     transpose,
     walk_faces,
 )
@@ -252,8 +253,12 @@ def regularity_subfan(fan, char):
 
     Faces are masks over the fan's ray index.  Each maximal cone's face lattice is
     walked top-down, stopping at the first regular faces; the maximal ones are
-    kept.  Precondition: the maximal cones are canonical and form a fan, as
-    build_model guarantees, so containment between faces is ray-subset inclusion.
+    kept.  A kept face takes as facets the maximal proper faces among its
+    intersections with the facets of a maximal cone it is a face of, since
+    every face is an intersection of facets (Cox-Little-Schenck, §1.2).
+    Precondition: the maximal cones are canonical and form a fan, as
+    build_model guarantees, so containment between faces is ray-subset
+    inclusion.
     """
     char = tuple(char)
     if len(char) != fan.ambient_dim:
@@ -265,14 +270,19 @@ def regularity_subfan(fan, char):
     def is_regular(mask):
         return mask & regular == mask
 
-    found = set()
+    found = {}  # regular face -> a maximal cone it is a face of
     for k, top in enumerate(tops):
-        if is_regular(top):
-            found.add(top)
-            continue
-        found.update(filter(is_regular, walk_faces(top, fan.facet_masks(k), is_regular)))
-    cones = [Cone(fan.ambient_dim, tuple(rays[i] for i in bit_indices(a))) for a in maximal_masks(found)]
-    return Fan(fan.ambient_dim, cones)
+        faces = [top] if is_regular(top) else walk_faces(top, fan.facet_masks(k), is_regular)
+        for a in filter(is_regular, faces):
+            found.setdefault(a, k)
+    kept = {tuple(rays[i] for i in bit_indices(a)): a for a in maximal_masks(found)}
+
+    def facets(sub, j):
+        face = kept[sub.maximal_cones[j].generators]
+        cuts = maximal_masks(face & f for f in fan.facet_masks(found[face]) if face & f != face)
+        return (remap(f, rays, sub.ray_index()[0]) for f in cuts)
+
+    return Fan(fan.ambient_dim, [Cone(fan.ambient_dim, gens) for gens in kept], facets)
 
 
 def star_subdivision(fan, v):
@@ -281,19 +291,20 @@ def star_subdivision(fan, v):
     Precondition: the maximal cones are canonical, strongly convex and form a
     fan.  A maximal cone containing v becomes cone(tau, v) for each facet tau
     with v off its hyperplane (Cox-Little-Schenck §11.1): tau stays a face and v
-    an extreme ray, so tau's rays plus v are canonical generators, with no DD.
+    an extreme ray, so tau's rays, read off its own normal, plus v are canonical
+    generators, with no DD.
     """
     v = primitive(tuple(v))
     holds = [cone.contains(v) for cone in fan.maximal_cones]
     if not any(holds):
         raise LatticeError("subdivision centre lies outside the fan support")
     new_cones = []
-    for k, (cone, held) in enumerate(zip(fan.maximal_cones, holds)):
+    for cone, held in zip(fan.maximal_cones, holds):
         if not held:
             new_cones.append(cone)
             continue
-        for nrm, mask in zip(cone.halfspaces()[0], fan.facet_masks(k)):
+        for nrm in cone.halfspaces()[0]:
             if dot(nrm, v) > 0:
-                facet = [fan.all_rays[i] for i in bit_indices(mask)]
+                facet = [g for g in cone.generators if dot(nrm, g) == 0]
                 new_cones.append(Cone(fan.ambient_dim, tuple(sorted(facet + [v]))))
     return Fan(fan.ambient_dim, new_cones)

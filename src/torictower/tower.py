@@ -19,11 +19,26 @@ generated by (u, 0) and (u, <m,u>) over the rays u of sigma.  This is the
 fan of the chart carved out by the node equation: its dual is the semigroup
 cone spanned by sigma-dual x {0}, the new coordinate, and (m, -1), which
 node_chart_dual_violations cross-checks through an independent dual-cone
-computation.
+computation.  A product move lifts each cone sigma to sigma x cone(e_new).
+
+So each level's face lattice is fixed by the level below, and build_model
+derives every level cone's facets from those below, with no double
+description (see Fan.facet_masks):
+- the orthant of level 1 has the facets that leave out one ray;
+- a regular face tau of a cone sigma has as facets the maximal proper faces
+  among its intersections with the facets of sigma;
+- sigma~ has as facets the maximal masks other than sigma~ itself among the
+  lift G~ = {(v, s) in sigma~ : v in G} of each facet G of sigma (its rays
+  (u, 0) and (u, <m,u>) over u in G), the bottom s = 0 and the top
+  s = <m, v>.  A ray with <m,u> = 0 lifts to one ray; where m vanishes on
+  sigma, the bottom and top are all of sigma~ and the lifts are its facets;
+- sigma x cone(e_new) has the facets F x cone(e_new) for each facet F of
+  sigma, and sigma x {0}; over the zero cone that is the zero face alone.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -40,10 +55,12 @@ from .lattice import (
     dot,
     dual_cone,
     is_zero,
+    maximal_masks,
     orthant_fan,
     primitive,
     product_fan,
     projective_fan,
+    remap,
     unit_vector,
 )
 from .toric import (
@@ -211,30 +228,54 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     for move in spec.moves:
         prev = levels[-1].fan
         n = prev.ambient_dim
-        new_coord = unit_vector(n + 1, n)
+        lifts = {}  # generators of a level cone -> index of the cone below it
         if isinstance(move, ProductMove):
-            cones = []
-            for cone in prev.maximal_cones:
-                gens = [g + (0,) for g in cone.generators] + [new_coord]
-                cones.append(Cone(n + 1, tuple(sorted(gens))))
-            fan = Fan(n + 1, cones)
+            new_coord = unit_vector(n + 1, n)
+            for k, cone in enumerate(prev.maximal_cones):
+                lifts[tuple(sorted([g + (0,) for g in cone.generators] + [new_coord]))] = k
+            rule = functools.partial(_product_facets, prev, lifts)
         else:
             m = move.lattice_exponents()
             sub = regularity_subfan(prev, m)
-            cones = []
-            for cone in sub.maximal_cones:
-                gens = set()
-                for u in cone.generators:
-                    gens.add(u + (0,))
-                    gens.add(u + (dot(m, u),))
-                cones.append(Cone(n + 1, tuple(sorted(gens))))
-            fan = Fan(n + 1, cones)
+            for k, cone in enumerate(sub.maximal_cones):
+                lifts[tuple(sorted({u + (s,) for u in cone.generators for s in (0, dot(m, u))}))] = k
+            rule = functools.partial(_node_chart_facets, sub, m, lifts)
+        fan = Fan(n + 1, [Cone(n + 1, gens) for gens in lifts], rule)
         if len(fan.all_rays) > max_rays:
             raise ResourceCapError(
                 f"level fan has {len(fan.all_rays)} rays, exceeding cap {max_rays}"
             )
         levels.append(TowerLevel(fan=fan))
     return TowerModel(spec=spec, levels=tuple(levels))
+
+
+def _product_facets(below, lifts, fan, k):
+    """The facets of level cone k = sigma x cone(e_new), sigma a cone of
+    `below`: F x cone(e_new) for each facet F of sigma, and sigma x {0}."""
+    j = lifts[fan.maximal_cones[k].generators]
+    bit = fan.ray_index()[0]
+    rays = [u + (0,) for u in below.all_rays]
+    e_new = bit[unit_vector(fan.ambient_dim, fan.ambient_dim - 1)]
+    sigma = remap(below.ray_index()[1][j], rays, bit)
+    return [remap(f, rays, bit) | e_new for f in below.facet_masks(j)] + [sigma]
+
+
+def _node_chart_facets(sub, m, lifts, fan, k):
+    """The facets of level cone k = sigma~, the chart over a cone tau of the
+    regularity subfan `sub`: the maximal masks other than sigma~ itself among
+    the lift of each facet of tau, the bottom s = 0 and the top s = <m, u>."""
+    j = lifts[fan.maximal_cones[k].generators]
+    bit = fan.ray_index()[0]
+    tau = sub.ray_index()[1][j]
+    bottom = [u + (0,) for u in sub.all_rays]
+    top = [u + (dot(m, u),) for u in sub.all_rays]
+
+    def lift(mask):
+        return remap(mask, bottom, bit) | remap(mask, top, bit)
+
+    full = lift(tau)
+    candidates = [lift(g) for g in sub.facet_masks(j)] + [remap(tau, bottom, bit), remap(tau, top, bit)]
+    return maximal_masks(c for c in candidates if c != full)
 
 
 def projective_model(spec):

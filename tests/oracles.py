@@ -14,7 +14,8 @@ elimination, and the lc-place transfer check evaluated per
 vector as the log discrepancy -<m_sigma, e> on both fans, fan
 validation that re-canonicalises every cone and intersects every pair of
 maximal cones by double description, the local-model report built
-from `Cone.faces` with one membership test per face, a canonical cone from
+from `Cone.faces` with one membership test per face, the facet masks of a
+level cone from a double description pass on its rays, a canonical cone from
 two double description passes (halfspaces, then their extreme rays), a
 pullback that finds the target cone of each source ray by its own scan, the
 double description without the adjacency pre-filter, and a normalized
@@ -131,6 +132,17 @@ def faces_oracle(cone):
     for subset in sorted(seen, key=lambda s: (len(s), tuple(sorted(s)))):
         out.append(Cone(cone.ambient_dim, tuple(sorted(rays[i] for i in subset))))
     return out
+
+
+def facet_masks_oracle(fan, k):
+    """The facets of maximal cone k of `fan` in the order of `Fan.facet_masks`:
+    per facet normal of one double description pass, the fan rays of the
+    cone on its hyperplane."""
+    cone = fan.maximal_cones[k]
+    return tuple(sorted(
+        sum(1 << i for i, r in enumerate(fan.all_rays) if r in cone.generators and dot(nrm, r) == 0)
+        for nrm in halfspace_intersection(cone.generators, cone.ambient_dim)[0]
+    ))
 
 
 def is_face_of_oracle(small, big):

@@ -1,0 +1,150 @@
+"""The facet masks build_model derives, against a double description per cone.
+
+A level fan takes each cone's facets from the level below (see
+`Fan.facet_masks` and the `tower` module docstring), so the net is every
+cone of every level fan and of every regularity subfan a node move lifts, on
+every tower over base dimension p <= 2 of depth 2 or 3 with node exponents
+in [-2, 2] (3,464 towers), the near-cap stress tower, 30 draws of the stress
+shape, the 8-cube tower and depth-5 draws where moves lift several cones; and on the regularity subfans of complete fans.  The p = 1, depth 4
+extension (19,656 more towers) runs outside tier-1, and exits 1 on a
+mismatch:
+
+    PYTHONPATH=src python tests/test_facet_net.py 1 4
+"""
+
+import itertools
+import random
+import sys
+
+import torictower.lattice
+from oracles import facet_masks_oracle, star_subdivision_oracle
+from test_golden import STRESS_TOWER, run_cli
+from torictower.documents import emit_tower
+from torictower.lattice import Fan, product_fan, projective_fan
+from torictower.toric import regularity_subfan, star_subdivision
+from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
+
+SPAN = range(-2, 3)
+
+
+def small_towers(p, depth):
+    """Every tower over base dimension p of this depth with node exponents in SPAN."""
+    choices = [
+        [ProductMove()] + [NodeMove(e[p:], e[:p]) for e in itertools.product(SPAN, repeat=p + k)]
+        for k in range(depth - 1)
+    ]
+    return [TowerSpec(p, moves) for moves in itertools.product(*choices)]
+
+
+def shaped_tower(rng):
+    """A tower of shape N N P N N X over p = 2: growth node exponents in
+    {1, 2}, final node exponents in {-1, 1} (the benchmark's stress shape)."""
+    moves = []
+    for k, kind in enumerate("NNPNNX"):
+        values = (1, 2) if kind == "N" else (-1, 1)
+        if kind == "P":
+            moves.append(ProductMove())
+        else:
+            alpha = tuple(rng.choice(values) for _ in range(k))
+            moves.append(NodeMove(alpha, tuple(rng.choice(values) for _ in range(2))))
+    return TowerSpec(2, tuple(moves))
+
+
+# seven node moves with t = (1, 1): the top fan is one cone over an 8-cube
+CUBE_TOWER = TowerSpec(2, tuple(NodeMove((0,) * k, (1, 1)) for k in range(7)))
+
+
+def facet_mismatches(specs):
+    """(number of cones, [(tower, fan, cone index)] whose derived facet masks
+    differ from the oracle's), over the level fans and the regularity subfan
+    of the level below each node move."""
+    cones, bad = 0, []
+    for spec in specs:
+        levels = build_model(spec).levels
+        fans = [(f"level {i + 1}", level.fan) for i, level in enumerate(levels)]
+        fans += [(f"regular in level {i + 1}", regularity_subfan(levels[i].fan, move.lattice_exponents()))
+                 for i, move in enumerate(spec.moves) if isinstance(move, NodeMove)]
+        for where, fan in fans:
+            for k in range(len(fan.maximal_cones)):
+                cones += 1
+                if fan.facet_masks(k) != facet_masks_oracle(fan, k):
+                    bad.append((spec, where, k))
+    return cones, bad
+
+
+def test_derived_facet_masks_match_oracle_on_every_small_tower():
+    specs = [spec for p in (1, 2) for depth in (2, 3) for spec in small_towers(p, depth)]
+    assert len(specs) == 3464
+    cones, bad = facet_mismatches(specs)
+    assert bad == [] and cones > len(specs)
+
+
+def test_derived_facet_masks_match_oracle_on_near_cap_towers():
+    rng = random.Random(20261018)
+    specs = [STRESS_TOWER, CUBE_TOWER] + [shaped_tower(rng) for _ in range(30)]
+    assert facet_mismatches(specs)[1] == []
+    assert len(build_model(CUBE_TOWER).levels[-1].fan.all_rays) == 256
+
+
+def test_derived_facet_masks_match_oracle_where_a_move_meets_several_cones():
+    # below depth 4 every move lifts a one-cone level; here level 2 is a cone
+    # over a square, so levels 3 and 4 often have several cones
+    rng = random.Random(20261020)
+    draw = lambda n: tuple(rng.randint(-2, 2) for _ in range(n))  # noqa: E731
+    specs = [
+        TowerSpec(2, (NodeMove((), (rng.randint(1, 2), rng.randint(1, 2))), NodeMove(draw(1), draw(2)),
+                      NodeMove(draw(2), draw(2)), ProductMove()))
+        for _ in range(300)
+    ]
+    models = [build_model(spec) for spec in specs]
+    assert sum(len(model.levels[2].fan.maximal_cones) > 1 for model in models) >= 30
+    assert sum(len(model.levels[3].fan.maximal_cones) > 1 for model in models) >= 30
+    assert facet_mismatches(specs)[1] == []
+
+
+def test_regularity_subfan_facets_match_oracle_on_complete_fans():
+    for fan in [projective_fan(n) for n in (2, 3, 4)] + [product_fan(projective_fan(1), projective_fan(2))]:
+        for m in itertools.product(range(-1, 2), repeat=fan.ambient_dim):
+            sub = regularity_subfan(fan, m)
+            for k in range(len(sub.maximal_cones)):
+                assert sub.facet_masks(k) == facet_masks_oracle(sub, k), (fan, m, k)
+
+
+def test_star_subdivision_of_derived_level_fans_matches_oracle():
+    rng = random.Random(20261019)
+    specs = small_towers(2, 3)[::97] + [shaped_tower(rng)]
+    subdivided = 0
+    for spec in specs:
+        for level in build_model(spec).levels[:5]:
+            fan = level.fan
+            cone = rng.choice(fan.maximal_cones)
+            if not cone.generators:
+                continue
+            subset = rng.sample(cone.generators, rng.randint(1, len(cone.generators)))
+            coeffs = [rng.randint(1, 2) for _ in subset]
+            v = tuple(sum(c * g[i] for c, g in zip(coeffs, subset)) for i in range(fan.ambient_dim))
+            assert star_subdivision(fan, v) == star_subdivision_oracle(fan, v), (spec, v)
+            subdivided += 1
+    assert subdivided > 50
+
+
+def test_build_model_and_local_model_run_no_double_description(monkeypatch):
+    calls = []
+    inner = torictower.lattice.halfspace_intersection
+    monkeypatch.setattr(torictower.lattice, "halfspace_intersection", lambda *a: calls.append(a) or inner(*a))
+    levels = build_model(STRESS_TOWER).levels
+    for level in levels:
+        level.fan.face_masks()
+    assert run_cli(["local-model", "--input", "-"], emit_tower(STRESS_TOWER))["exit"] == 0
+    assert calls == []
+    top = levels[-1].fan
+    Fan(top.ambient_dim, top.maximal_cones).facet_masks(0)  # the same cone, no rule: one DD
+    assert len(calls) == 1
+
+
+if __name__ == "__main__":
+    p, depth = map(int, sys.argv[1:])
+    specs = small_towers(p, depth)
+    cones, bad = facet_mismatches(specs)
+    print(f"p = {p}, depth {depth}: {len(specs)} towers, {cones} cones, {len(bad)} mismatches")
+    sys.exit(1 if bad else 0)

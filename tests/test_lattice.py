@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import torictower.lattice
 from oracles import (
     faces_oracle,
+    facet_masks_oracle,
     fan_validate_oracle,
     generated_by_oracle,
     halfspace_intersection_oracle,
@@ -753,15 +754,6 @@ def test_fan_face_mask_matches_geometric_oracle():
     assert outcomes == {True, False}
 
 
-def _facet_masks_oracle(fan, k):
-    """Per facet normal of maximal cone k, the fan rays of the cone on its hyperplane."""
-    cone = fan.maximal_cones[k]
-    return tuple(
-        sum(1 << i for i, r in enumerate(fan.all_rays) if r in cone.generators and dot(nrm, r) == 0)
-        for nrm in cone.halfspaces()[0]
-    )
-
-
 # raw cones with non-extreme, repeated or unsorted generators, and bad cones
 FACET_FANS = INDEX_FANS + CERTIFICATE_FANS
 
@@ -769,7 +761,7 @@ FACET_FANS = INDEX_FANS + CERTIFICATE_FANS
 def test_fan_facet_masks_match_geometric_oracle():
     for fan in FACET_FANS:
         for k in range(len(fan.maximal_cones)):
-            assert fan.facet_masks(k) == _facet_masks_oracle(fan, k), (fan.maximal_cones, k)
+            assert fan.facet_masks(k) == facet_masks_oracle(fan, k), (fan.maximal_cones, k)
 
 
 @settings(max_examples=80, deadline=None)
@@ -780,7 +772,7 @@ def test_fan_facet_masks_match_geometric_oracle_after_unimodular_change_of_coord
     u, _ = data.draw(unimodular(n))
     moved = Fan(n, [Cone(n, [mat_vec(u, g) for g in c.generators]) for c in fan.maximal_cones])
     for k in range(len(moved.maximal_cones)):
-        assert moved.facet_masks(k) == _facet_masks_oracle(moved, k)
+        assert moved.facet_masks(k) == facet_masks_oracle(moved, k)
 
 
 @settings(max_examples=300, deadline=None)
