@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .lattice import ResourceCapError
+from .lattice import DEFAULT_MAX_DIM, ResourceCapError
 from .polytope import ProjectiveDivisorData
 from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec, validate_tower
 
@@ -81,7 +81,10 @@ def _emit(obj, newline, put, texts):
 
 
 def encode_int(x):
-    return str(int(x))
+    try:
+        return str(int(x))
+    except ValueError:  # more digits than the interpreter's int-to-str limit
+        raise ResourceCapError("result has too many digits to print") from None
 
 
 def encode_rational(x):
@@ -224,9 +227,13 @@ def parse_tower(text):
 def random_tower(p, d, max_exponent, seed):
     """Deterministic random tower: d-1 moves, each uniformly Product or Node,
     Node exponents uniform in [-max_exponent, max_exponent] (the trivial
-    character is allowed)."""
+    character is allowed).  The draws grow as d^2, and a tower of dimension
+    p + d - 1 over DEFAULT_MAX_DIM cannot be built, so that is a cap error
+    before any draw."""
     if p < 1 or d < 1 or max_exponent < 1:
         raise TowerDocumentError("random_tower requires p >= 1, d >= 1, max_exponent >= 1")
+    if p + d - 1 > DEFAULT_MAX_DIM:
+        raise ResourceCapError(f"tower dimension p + d - 1 exceeds cap {DEFAULT_MAX_DIM}")
     rng = random.Random(seed)
     moves = []
     for k in range(d - 1):

@@ -1,10 +1,9 @@
 """Exact integer linear algebra and rational polyhedral cones and fans.
 
-Everything here is exact: lattice vectors are tuples of Python ints,
-rational data uses fractions.Fraction, and there is no floating point
-anywhere.  Cones are stored by generators; the supporting-halfspace
-description (facet normals plus equations) is derived on demand by a
-double description pass and memoized.
+Everything here is exact: lattice vectors are tuples of Python ints, and
+there is no floating point anywhere.  Cones are stored by generators; the
+supporting-halfspace description (facet normals plus equations) is derived
+on demand by a double description pass and memoized.
 
 A face of a canonical cone is determined by its rays, so a face is only
 ever an int bitmask over its fan's ray index (a lone cone is a one-cone
@@ -20,7 +19,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 Vector = tuple  # lattice vector: tuple of ints
 Matrix = tuple  # integer matrix: tuple of row tuples
@@ -238,29 +236,6 @@ def kernel_basis(m, ncols):
     return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
 
-def det_fraction(rows):
-    """Exact determinant of a square matrix with Fraction/int entries."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for k in range(n):
-        pr = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != k:
-            a[k], a[pr] = a[pr], a[k]
-            det = -det
-        det *= a[k][k]
-        inv = 1 / a[k][k]
-        for i in range(k + 1, n):
-            if a[i][k] != 0:
-                f = a[i][k] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return det
-
-
 # ---------------------------------------------------------------------------
 # double description
 
@@ -468,8 +443,14 @@ class Cone:
 
 
 def bit_indices(mask):
-    """The indices of the set bits of `mask`, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+    """The indices of the set bits of `mask`, ascending, one lowest set bit
+    at a time."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
 
 
 def maximal_masks(masks):

@@ -2,11 +2,14 @@
 
 Each suite replays an invariant family on seeded random instances and
 aggregates violations instead of raising.  The oracles here deliberately
-take different routes from the production code: HNF via literal elementary
-row operations (repeated subtraction), dual cones via facet-subset
-enumeration, cone membership via Fourier-Motzkin elimination, invariant
-factors via minor gcds, and the simplicial log-discrepancy formula via
-Cramer's rule.
+take different routes from the production code, all over integers: HNF via
+literal elementary row operations (repeated subtraction), invariant factors
+via gcds of minors, dual cones via (n-1)-subset kernel vectors from signed
+cofactors, cone membership via Fourier-Motzkin elimination on gcd-reduced
+integer rows, and the simplicial log-discrepancy formula via Cramer's rule
+with one fraction per term.  Every determinant is the Leibniz formula; the
+oracles share no code with `hnf`, the double description or the Bareiss
+steps.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .lattice import (
     Cone,
     Fan,
     LatticeError,
-    det_fraction,
+    det_int,
     dot,
     dual_cone,
     fan_validate,
@@ -142,6 +145,18 @@ def hnf_elementary_oracle(m):
     return tuple(tuple(row) for row in rows)
 
 
+def _leibniz_det(m):
+    """The Leibniz formula: the sum over permutations s of sign(s) times
+    prod_i m[i][s(i)], the sign from the count of inversions."""
+    total = 0
+    for perm in itertools.permutations(range(len(m))):
+        term = -1 if sum(a > b for a, b in itertools.combinations(perm, 2)) % 2 else 1
+        for row, j in zip(m, perm):
+            term *= row[j]
+        total += term
+    return total
+
+
 def invariant_factors_minor_oracle(m):
     """Invariant factors from gcds of k x k minors."""
     nr = len(m)
@@ -152,8 +167,7 @@ def invariant_factors_minor_oracle(m):
         g = 0
         for rows in itertools.combinations(range(nr), k):
             for cols in itertools.combinations(range(nc), k):
-                sub = [[Fraction(m[i][j]) for j in cols] for i in rows]
-                g = math.gcd(g, abs(int(det_fraction(sub))))
+                g = math.gcd(g, _leibniz_det([[m[i][j] for j in cols] for i in rows]))
         if g == 0:
             factors.append(0)
         else:
@@ -168,104 +182,60 @@ def dual_cone_facet_oracle(generators, n):
     Only valid for full-dimensional pointed input cones (the dual is then
     pointed and full-dimensional).  A kernel vector of a rank-(n-1) subset
     that evaluates >= 0 on every generator supports a facet, hence is an
-    extreme ray of the dual; all extreme rays arise this way.
+    extreme ray of the dual; all extreme rays arise this way.  The kernel
+    vector is the signed cofactors w_j = (-1)^j det(subset without column j),
+    zero exactly when the subset has rank below n-1.
     """
     candidates = set()
     for subset in itertools.combinations(generators, n - 1):
-        rows = [[Fraction(x) for x in g] for g in subset]
-        # kernel of the subset via Cramer with one pivot column freed
-        for free in range(n):
-            cols = [j for j in range(n) if j != free]
-            sub = [[row[j] for j in cols] for row in rows]
-            if len(sub) != n - 1:
-                break
-            denom = det_fraction(sub)
-            if denom == 0:
-                continue
-            rhs = [-row[free] for row in rows]
-            sol = []
-            for j in range(n - 1):
-                num = det_fraction([
-                    [sub[i][jj] if jj != j else rhs[i] for jj in range(n - 1)]
-                    for i in range(n - 1)
-                ])
-                sol.append(num / denom)
-            vec = [Fraction(0)] * n
-            vec[free] = Fraction(1)
-            for j, c in zip(cols, sol):
-                vec[j] = c
-            den = math.lcm(*(f.denominator for f in vec))
-            ivec = tuple(int(f * den) for f in vec)
-            for cand in (ivec, vneg(ivec)):
-                if all(dot(cand, g) >= 0 for g in generators):
-                    candidates.add(primitive(cand))
-            break
-    return tuple(sorted(candidates))
-
-
-def _fm_normalize(rows):
-    """Scale each constraint to primitive integer form and deduplicate."""
-    seen = set()
-    out = []
-    for row in rows:
-        den = math.lcm(*(f.denominator for f in row))
-        ints = tuple(int(f * den) for f in row)
-        if all(x == 0 for x in ints):
+        w = tuple(
+            (-1) ** j * _leibniz_det([g[:j] + g[j + 1:] for g in subset]) for j in range(n)
+        )
+        if not any(w):
             continue
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        ints = tuple(x // g for x in ints)
-        if ints not in seen:
-            seen.add(ints)
-            out.append([Fraction(x) for x in ints])
-    return out
+        for cand in (w, vneg(w)):
+            if all(dot(cand, g) >= 0 for g in generators):
+                candidates.add(primitive(cand))
+    return tuple(sorted(candidates))
 
 
 def in_cone_fm(generators, v):
     """Membership of v in cone(generators) by Fourier-Motzkin elimination.
 
     Feasibility of {x >= 0 : sum x_i g_i = v}, eliminating one multiplier at
-    a time over exact rationals; no linear programming involved.
+    a time over integer rows, each divided by its gcd; no linear programming
+    involved.
     """
     k = len(generators)
     n = len(v)
     # constraints: coeffs over x_1..x_k plus constant, meaning sum + const >= 0
-    cons = []
-    for i in range(k):
-        cons.append([Fraction(1) if j == i else Fraction(0) for j in range(k)] + [Fraction(0)])
+    cons = [tuple(int(j == i) for j in range(k)) + (0,) for i in range(k)]
     for row in range(n):
-        eq = [Fraction(g[row]) for g in generators] + [Fraction(-v[row])]
-        cons.append(list(eq))
-        cons.append([-c for c in eq])
+        eq = tuple(g[row] for g in generators) + (-v[row],)
+        cons += [eq, vneg(eq)]
     for var in range(k):
-        cons = _fm_normalize(cons)
+        cons = list(dict.fromkeys(primitive(c) for c in cons if any(c)))
         pos = [c for c in cons if c[var] > 0]
         neg = [c for c in cons if c[var] < 0]
-        zero = [c for c in cons if c[var] == 0]
-        new = list(zero)
+        cons = [c for c in cons if c[var] == 0]
         for cp in pos:
             for cn in neg:
-                combo = [a * (-cn[var]) + b * cp[var] for a, b in zip(cp, cn)]
-                new.append(combo)
-        cons = new
+                cons.append(tuple(a * (-cn[var]) + b * cp[var] for a, b in zip(cp, cn)))
     return all(c[-1] >= 0 for c in cons)
 
 
 def simplicial_log_discrepancy_oracle(rays, boundary_coeffs, e):
-    """Sum alpha_i (1 - b_i) with e = sum alpha_i u_i solved by Cramer's rule."""
+    """Sum alpha_i (1 - b_i) with e = sum alpha_i u_i solved by Cramer's rule
+    over integer determinants."""
     n = len(e)
-    a = [[Fraction(rays[j][i]) for j in range(n)] for i in range(n)]
-    d = det_fraction(a)
+    a = [[rays[j][i] for j in range(n)] for i in range(n)]
+    d = _leibniz_det(a)
     if d == 0:
         raise LatticeError("rays are not simplicial")
     total = Fraction(0)
     for j in range(n):
-        num = det_fraction([
-            [a[i][jj] if jj != j else Fraction(e[i]) for jj in range(n)]
-            for i in range(n)
-        ])
-        total += (num / d) * (1 - Fraction(boundary_coeffs[j]))
+        num = _leibniz_det([row[:j] + [x] + row[j + 1:] for row, x in zip(a, e)])
+        total += Fraction(num, d) * (1 - Fraction(boundary_coeffs[j]))
     return total
 
 
@@ -287,8 +257,6 @@ def _random_pointed_cone(rng, n, max_entry=5, max_gens=None):
 
 
 def _random_simplicial_cone(rng, n, max_entry=4):
-    from .lattice import det_int
-
     while True:
         gens = []
         while len(gens) < n:

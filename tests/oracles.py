@@ -21,8 +21,11 @@ pullback that finds the target cone of each source ray by its own scan, the
 double description without the adjacency pre-filter, and a normalized
 volume from one double description pass on the points and a full
 determinant per simplex.  They are slow and independent of the
-production code, so the property tests compare the two.  `unimodular` draws
-the changes of coordinates for the metamorphic tests.
+production code, so the property tests compare the two.  The `Fraction`
+versions of the `torictower.verify` oracles (minor gcds, dual-cone facets,
+Fourier-Motzkin membership and the simplicial log-discrepancy formula, over
+`det_fraction`) live here too, as references for its integer oracles.
+`unimodular` draws the changes of coordinates for the metamorphic tests.
 """
 
 import itertools
@@ -39,7 +42,6 @@ from torictower.lattice import (
     Violation,
     bit_indices,
     content,
-    det_fraction,
     det_int,
     dot,
     halfspace_intersection,
@@ -706,6 +708,155 @@ def halfspace_intersection_oracle(constraints, n):
         lineality = kernel_basis(tuple(processed), n)
     return out_rays, tuple(lineality)
 
+
+def det_fraction(rows):
+    """Exact determinant of a square matrix with Fraction/int entries."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    a = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for k in range(n):
+        pr = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != k:
+            a[k], a[pr] = a[pr], a[k]
+            det = -det
+        det *= a[k][k]
+        inv = 1 / a[k][k]
+        for i in range(k + 1, n):
+            if a[i][k] != 0:
+                f = a[i][k] * inv
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def invariant_factors_minor_fraction(m):
+    """Invariant factors from gcds of k x k minors."""
+    nr = len(m)
+    nc = len(m[0]) if nr else 0
+    factors = []
+    prev = 1
+    for k in range(1, min(nr, nc) + 1):
+        g = 0
+        for rows in itertools.combinations(range(nr), k):
+            for cols in itertools.combinations(range(nc), k):
+                sub = [[Fraction(m[i][j]) for j in cols] for i in rows]
+                g = math.gcd(g, abs(int(det_fraction(sub))))
+        if g == 0:
+            factors.append(0)
+        else:
+            factors.append(g // prev)
+            prev = g
+    return tuple(factors)
+
+
+def dual_cone_facet_fraction(generators, n):
+    """Extreme rays of {m : <m,v> >= 0} by (n-1)-subset kernel enumeration.
+
+    Only valid for full-dimensional pointed input cones (the dual is then
+    pointed and full-dimensional).  A kernel vector of a rank-(n-1) subset
+    that evaluates >= 0 on every generator supports a facet, hence is an
+    extreme ray of the dual; all extreme rays arise this way.
+    """
+    candidates = set()
+    for subset in itertools.combinations(generators, n - 1):
+        rows = [[Fraction(x) for x in g] for g in subset]
+        # kernel of the subset via Cramer with one pivot column freed
+        for free in range(n):
+            cols = [j for j in range(n) if j != free]
+            sub = [[row[j] for j in cols] for row in rows]
+            if len(sub) != n - 1:
+                break
+            denom = det_fraction(sub)
+            if denom == 0:
+                continue
+            rhs = [-row[free] for row in rows]
+            sol = []
+            for j in range(n - 1):
+                num = det_fraction([
+                    [sub[i][jj] if jj != j else rhs[i] for jj in range(n - 1)]
+                    for i in range(n - 1)
+                ])
+                sol.append(num / denom)
+            vec = [Fraction(0)] * n
+            vec[free] = Fraction(1)
+            for j, c in zip(cols, sol):
+                vec[j] = c
+            den = math.lcm(*(f.denominator for f in vec))
+            ivec = tuple(int(f * den) for f in vec)
+            for cand in (ivec, vneg(ivec)):
+                if all(dot(cand, g) >= 0 for g in generators):
+                    candidates.add(primitive(cand))
+            break
+    return tuple(sorted(candidates))
+
+
+def _fm_normalize(rows):
+    """Scale each constraint to primitive integer form and deduplicate."""
+    seen = set()
+    out = []
+    for row in rows:
+        den = math.lcm(*(f.denominator for f in row))
+        ints = tuple(int(f * den) for f in row)
+        if all(x == 0 for x in ints):
+            continue
+        g = 0
+        for x in ints:
+            g = math.gcd(g, abs(x))
+        ints = tuple(x // g for x in ints)
+        if ints not in seen:
+            seen.add(ints)
+            out.append([Fraction(x) for x in ints])
+    return out
+
+
+def in_cone_fm_fraction(generators, v):
+    """Membership of v in cone(generators) by Fourier-Motzkin elimination.
+
+    Feasibility of {x >= 0 : sum x_i g_i = v}, eliminating one multiplier at
+    a time over exact rationals; no linear programming involved.
+    """
+    k = len(generators)
+    n = len(v)
+    # constraints: coeffs over x_1..x_k plus constant, meaning sum + const >= 0
+    cons = []
+    for i in range(k):
+        cons.append([Fraction(1) if j == i else Fraction(0) for j in range(k)] + [Fraction(0)])
+    for row in range(n):
+        eq = [Fraction(g[row]) for g in generators] + [Fraction(-v[row])]
+        cons.append(list(eq))
+        cons.append([-c for c in eq])
+    for var in range(k):
+        cons = _fm_normalize(cons)
+        pos = [c for c in cons if c[var] > 0]
+        neg = [c for c in cons if c[var] < 0]
+        zero = [c for c in cons if c[var] == 0]
+        new = list(zero)
+        for cp in pos:
+            for cn in neg:
+                combo = [a * (-cn[var]) + b * cp[var] for a, b in zip(cp, cn)]
+                new.append(combo)
+        cons = new
+    return all(c[-1] >= 0 for c in cons)
+
+
+def simplicial_log_discrepancy_fraction(rays, boundary_coeffs, e):
+    """Sum alpha_i (1 - b_i) with e = sum alpha_i u_i solved by Cramer's rule."""
+    n = len(e)
+    a = [[Fraction(rays[j][i]) for j in range(n)] for i in range(n)]
+    d = det_fraction(a)
+    if d == 0:
+        raise LatticeError("rays are not simplicial")
+    total = Fraction(0)
+    for j in range(n):
+        num = det_fraction([
+            [a[i][jj] if jj != j else Fraction(e[i]) for jj in range(n)]
+            for i in range(n)
+        ])
+        total += (num / d) * (1 - Fraction(boundary_coeffs[j]))
+    return total
 
 
 @st.composite

@@ -7,12 +7,14 @@ import json
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from test_golden import SEED
-from torictower.cli import EXIT_VIOLATIONS, main
-from torictower.documents import emit_tower
+from torictower.cli import EXIT_RESOURCE, EXIT_VIOLATIONS, main
+from torictower.documents import emit_tower, random_tower
+from torictower.lattice import DEFAULT_MAX_DIM, ResourceCapError
 from torictower.verify import random_towers
 
 TOWER_DOCS = [json.loads(emit_tower(spec)) for spec in random_towers(12, SEED)]
@@ -111,3 +113,32 @@ def test_every_document_gets_a_contract_exit_code(case):
     assert code in (0, 1, 2, 3)
     if code == EXIT_VIOLATIONS:
         assert json.loads(out)["violations"]
+
+
+# five node moves with every exponent 10^999: the tower fits the caps and
+# builds, but its ray coordinates multiply across levels past the
+# interpreter's int-to-str digit limit
+HUGE = str(10**999)
+DIGIT_LIMIT_TOWER = json.dumps({
+    "base_dim": "1",
+    "moves": [{"type": "node", "alpha_exponents": [HUGE] * i, "t_exponents": [HUGE]} for i in range(5)],
+})
+
+
+@pytest.mark.parametrize("command", ["fan", "map-to-proj", "local-model"])
+def test_a_report_past_the_digit_limit_is_a_cap(command):
+    assert run_main(["build", "--max-dim", "6", "--max-rays", "60"], DIGIT_LIMIT_TOWER)[0] == 0
+    assert run_main([command, "--max-dim", "6", "--max-rays", "60"], DIGIT_LIMIT_TOWER) == (EXIT_RESOURCE, "")
+
+
+def test_a_base_change_past_the_digit_limit_is_a_cap():
+    order = "1" + "0" * 2999
+    doc = json.dumps({"base_dim": "1", "moves": [{"type": "node", "alpha_exponents": [], "t_exponents": [order]}]})
+    assert run_main(["base-change", "--orders", order, "--on-boundary"], doc) == (EXIT_RESOURCE, "")
+
+
+def test_random_over_the_dimension_cap_is_a_cap_before_any_draw():
+    assert run_main(["random", "--p", "1", "--d", "100000"], "") == (EXIT_RESOURCE, "")
+    assert run_main(["random", "--p", "3", "--d", str(DEFAULT_MAX_DIM - 2)], "")[0] == 0
+    with pytest.raises(ResourceCapError):
+        random_tower(DEFAULT_MAX_DIM, 2, 3, 0)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -6,12 +7,17 @@ from hypothesis import strategies as st
 
 import torictower.lattice
 from oracles import (
+    det_fraction,
+    dual_cone_facet_fraction,
     faces_oracle,
     facet_masks_oracle,
     fan_validate_oracle,
     generated_by_oracle,
     halfspace_intersection_oracle,
+    in_cone_fm_fraction,
+    invariant_factors_minor_fraction,
     is_face_of_oracle,
+    simplicial_log_discrepancy_fraction,
     snf_oracle,
     unimodular,
 )
@@ -22,7 +28,6 @@ from torictower.lattice import (
     ResourceCapError,
     bit_indices,
     cones_equal_as_sets,
-    det_fraction,
     det_int,
     dot,
     dual_cone,
@@ -56,6 +61,7 @@ from torictower.verify import (
     invariant_factors_minor_oracle,
     is_row_hnf,
     random_towers,
+    simplicial_log_discrepancy_oracle,
 )
 
 
@@ -155,6 +161,20 @@ def test_snf_returns_where_the_elimination_grows_without_bound():
     assert mat_mul(mat_mul(u, m), v) == s
 
 
+@st.composite
+def small_matrices(draw):
+    nr, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    return tuple(tuple(draw(st.integers(-6, 6)) for _ in range(nc)) for _ in range(nr))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_matrices())
+@example(((0, 0), (0, 0)))
+@example(((2, 4, 6), (1, 2, 3)))
+def test_minor_gcd_oracle_matches_fraction_reference(m):
+    assert invariant_factors_minor_oracle(m) == invariant_factors_minor_fraction(m)
+
+
 # --- primitive ---------------------------------------------------------
 
 
@@ -226,6 +246,20 @@ def test_dual_cone_involution_and_oracle_random():
         assert dual_cone(dual_cone(c)).generators == c.generators
         if c.dim() == n:
             assert dual_cone_facet_oracle(c.generators, n) == dual_cone(c).generators
+
+
+def _vector_lists(n, max_size):
+    return st.lists(st.tuples(*[st.integers(-3, 3)] * n), max_size=max_size)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), _vector_lists(n, n + 2))))
+@example((2, [(1, 0), (1, 2)]))
+@example((3, [(1, 0, 0), (2, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]))
+def test_dual_cone_facet_oracle_matches_fraction_reference(case):
+    """Any vector list, repeats, zero vectors and lines included."""
+    n, gens = case
+    assert dual_cone_facet_oracle(gens, n) == dual_cone_facet_fraction(gens, n)
 
 
 def test_halfspace_intersection_of_redundant_rows_matches_oracle():
@@ -318,6 +352,44 @@ def test_cone_contains_against_fourier_motzkin():
             continue
         v = tuple(rng.randint(-6, 6) for _ in range(n))
         assert c.contains(v) == in_cone_fm(c.generators, v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.tuples(_vector_lists(n, n + 1), st.tuples(*[st.integers(-6, 6)] * n))
+    )
+)
+@example(([(1, 0), (-1, 0)], (5, 0)))
+@example(([(1, 0), (-2, 3)], (-3, 1)))  # the second row fixes x_2 = 1/3, so x_1 = -7/3
+@example(([], (0, 0, 0)))
+def test_in_cone_fm_matches_fraction_reference(case):
+    """The suite's shapes: n <= 3 and at most n + 1 generators.  Beyond them
+    the Fraction elimination's row count blows up."""
+    gens, v = case
+    assert in_cone_fm(gens, v) == in_cone_fm_fraction(gens, v)
+
+
+@st.composite
+def simplicial_cases(draw):
+    n = draw(st.integers(1, 3))
+    rays = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * n), min_size=n, max_size=n))
+    coeffs = [Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 4))) for _ in range(n)]
+    return rays, coeffs, draw(st.tuples(*[st.integers(-6, 6)] * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(simplicial_cases())
+@example(([(1, 0), (2, 0)], [Fraction(1), Fraction(0)], (1, 1)))
+def test_simplicial_log_discrepancy_oracle_matches_fraction_reference(case):
+    rays, coeffs, e = case
+    try:
+        expected = simplicial_log_discrepancy_fraction(rays, coeffs, e)
+    except LatticeError:
+        with pytest.raises(LatticeError):
+            simplicial_log_discrepancy_oracle(rays, coeffs, e)
+        return
+    assert simplicial_log_discrepancy_oracle(rays, coeffs, e) == expected
 
 
 # --- canonical cones: one double description pass ----------------------
@@ -785,3 +857,17 @@ def test_maximal_masks_matches_brute_force_inclusion_filter(masks):
     want = {a for a in masks if not any(a & b == a != b for b in masks)}
     assert len(got) == len(want) and set(got) == want
     assert [m.bit_count() for m in got] == sorted((m.bit_count() for m in got), reverse=True)
+
+
+MASKS = st.one_of(
+    st.integers(0, 2**300 - 1),
+    st.lists(st.integers(0, 299), max_size=12).map(lambda bits: sum(1 << i for i in set(bits))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(MASKS)
+@example(0)
+@example(1 << 299)
+def test_bit_indices_matches_a_scan_of_every_bit(mask):
+    assert bit_indices(mask) == tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
