@@ -17,8 +17,6 @@ from .documents import (
     Report,
     TowerDocumentError,
     emit_tower,
-    encode_int,
-    encode_rational,
     parse_divisor,
     parse_int,
     parse_tower,
@@ -62,9 +60,9 @@ def _write_output(path, text):
 
 def _fan_document(fan):  # every fan written here lists its cones' rays in lex order
     return {
-        "ambient_dim": encode_int(fan.ambient_dim),
-        "rays": [[encode_int(x) for x in r] for r in fan.all_rays],
-        "maximal_cones": [[encode_int(i) for i in bit_indices(top)] for top in fan.ray_index()[1]],
+        "ambient_dim": fan.ambient_dim,
+        "rays": fan.all_rays,
+        "maximal_cones": [bit_indices(top) for top in fan.ray_index()[1]],
     }
 
 
@@ -77,13 +75,13 @@ def cmd_build(args):
     model = _load_model(args)
     report = Report(command="build", seed=args.seed)
     report.data = {
-        "base_dim": encode_int(model.spec.base_dim),
-        "depth": encode_int(model.depth),
+        "base_dim": model.spec.base_dim,
+        "depth": model.depth,
         "levels": [
             {
-                "ambient_dim": encode_int(level.fan.ambient_dim),
-                "ray_count": encode_int(len(level.fan.all_rays)),
-                "maximal_cone_count": encode_int(len(level.fan.maximal_cones)),
+                "ambient_dim": level.fan.ambient_dim,
+                "ray_count": len(level.fan.all_rays),
+                "maximal_cone_count": len(level.fan.maximal_cones),
             }
             for level in model.levels
         ],
@@ -100,7 +98,7 @@ def cmd_fan(args):
     report = Report(command="fan", seed=args.seed)
     report.data = {
         "levels": [
-            {"level": encode_int(i + 1), **_fan_document(model.levels[i].fan)}
+            {"level": i + 1, **_fan_document(model.levels[i].fan)}
             for i in levels
         ]
     }
@@ -117,10 +115,10 @@ def cmd_map_to_proj(args):
     n = proj.ambient_dim
     report.data = {  # shared torus coordinates and the full toric boundary of P
         "fan": _fan_document(proj),
-        "identification": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
-        "boundary_coefficients": {str(list(r)): "1" for r in proj.all_rays},
+        "identification": [[int(i == j) for j in range(n)] for i in range(n)],
+        "boundary_coefficients": {str(list(r)): 1 for r in proj.all_rays},
         "level_d_rays_in_support": [
-            {"ray": [encode_int(x) for x in r], "supported": ok}
+            {"ray": r, "supported": ok}
             for r, ok in zip(rays, supported)
         ],
     }
@@ -160,24 +158,20 @@ def cmd_local_model(args):
         fan = model.levels[level - 1].fan
         move = model.spec.moves[level - 2]
         classify = orbit_classifier(move, fan.all_rays)
-        rays = [[encode_int(x) for x in g] for g in fan.all_rays]
         character = None
         if isinstance(move, NodeMove):
-            character = {
-                "alpha_exponents": [encode_int(x) for x in move.alpha_exponents],
-                "t_exponents": [encode_int(x) for x in move.t_exponents],
-            }
+            character = {"alpha_exponents": move.alpha_exponents, "t_exponents": move.t_exponents}
         entries = []
         # (size, ray indices) is the (size, generators) order: all_rays is lex-sorted
         for _, face, mask in sorted((m.bit_count(), bit_indices(m), m) for m in fan.face_masks()):
             lm = classify(mask)
-            entry = {"rays": [rays[i] for i in face], "kind": lm.kind}
+            entry = {"rays": [fan.all_rays[i] for i in face], "kind": lm.kind}
             if lm.node_character is not None:
                 entry["node_character"] = character
             entries.append(entry)
             report.checked += 1
             report.passed += 1
-        data_levels.append({"level": encode_int(level), "cones": entries})
+        data_levels.append({"level": level, "cones": entries})
     report.data = {"levels": data_levels}
     return report
 
@@ -185,14 +179,14 @@ def cmd_local_model(args):
 def cmd_degree(args):
     data = parse_divisor(_read_input(args.input))
     report = Report(command="degree", seed=args.seed, checked=1, passed=1)
-    report.data = {"relative_degree": encode_rational(relative_degree_on_P(data))}
+    report.data = {"relative_degree": relative_degree_on_P(data)}
     return report
 
 
 def cmd_volume(args):
     data = parse_divisor(_read_input(args.input))
     report = Report(command="volume", seed=args.seed, checked=1, passed=1)
-    report.data = {"relative_volume": encode_rational(relative_volume_on_P(data))}
+    report.data = {"relative_volume": relative_volume_on_P(data)}
     return report
 
 

@@ -1,12 +1,14 @@
 """Tower and divisor document formats, seeded random tower generation, and reports.
 
-Documents and reports are UTF-8 JSON.  All integers (and rationals, as
-"p/q") are serialized as decimal strings so arbitrary precision survives
-any consumer; parsing accepts bare JSON integers as well.  Serialization
-is canonical - sorted keys, fixed indentation - so identical inputs and
-seeds produce byte-identical output.  Wall-clock timing is carried on the
-Report object but kept out of the canonical bytes unless explicitly
-requested, to preserve byte-for-byte determinism.
+Documents and reports are UTF-8 JSON.  The one emitter, _canonical_json,
+writes every integer (and rational, as "p/q") as a decimal string so
+arbitrary precision survives any consumer: callers hand it ints and
+Fractions, never their text, and one past the int-to-str digit limit is a
+ResourceCapError.  Parsing accepts bare JSON integers as well.
+Serialization is canonical - sorted keys, fixed indentation - so identical
+inputs and seeds produce byte-identical output.  Wall-clock timing is
+carried on the Report object but kept out of the canonical bytes unless
+explicitly requested, to preserve byte-for-byte determinism.
 """
 
 from __future__ import annotations
@@ -34,29 +36,43 @@ _encode_str = json.encoder.encode_basestring_ascii
 
 def _canonical_json(obj):
     """json.dumps(obj, indent=2, sort_keys=True) + newline, for JSON values
-    with str keys.  json.dumps never runs its C encoder when indenting, so
-    containers are laid out here and only strings go through the C escaper.
-    The text of each list of strings is made once per indent: a report that
-    holds one list object in many places (a ray in every face that has it)
-    reuses it."""
+    with str keys, where every int (not bool) and Fraction is written as a
+    quoted decimal string, "p/q" for a non-integral rational.  json.dumps
+    never runs its C encoder when indenting, so containers are laid out here
+    and only strings go through the C escaper.  The text of each list of
+    scalars is made once per indent: a report that holds one list object in
+    many places (a ray in every face that has it) reuses it."""
     out = []
     _emit(obj, "\n", out.append, {})
     out.append("\n")
     return "".join(out)
 
 
+def _scalar(x):
+    """The text of a scalar or an empty container; TypeError for any other
+    list, tuple or dict."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        try:
+            return '"' + str(x) + '"'
+        except ValueError:  # more digits than the interpreter's int-to-str limit
+            raise ResourceCapError("result has too many digits to print") from None
+    if x and isinstance(x, (list, tuple, dict)):
+        raise TypeError("not a scalar")
+    return json.dumps(x)
+
+
 def _emit(obj, newline, put, texts):
     """Append the canonical text of `obj`, nested at the indent `newline` ends
-    in; `texts` maps (id, indent) of each list of strings written to its text."""
-    if isinstance(obj, str):
-        put(_encode_str(obj))
-    elif isinstance(obj, (list, tuple)) and obj:
+    in; `texts` maps (id, indent) of each list of scalars written to its text."""
+    if isinstance(obj, (list, tuple)) and obj:
         inner = newline + "  "
         key = id(obj), newline  # obj outlives the emission, so its id is not reused
         text = texts.get(key)
-        if text is None:
-            try:  # a list of strings in one join; the escaper rejects anything else
-                text = texts[key] = "[" + inner + ("," + inner).join(map(_encode_str, obj)) + newline + "]"
+        if text is None and not isinstance(obj[0], (list, tuple, dict)):
+            try:  # a list of scalars in one join; _scalar rejects anything else
+                text = texts[key] = "[" + inner + ("," + inner).join(map(_scalar, obj)) + newline + "]"
             except TypeError:
                 pass
         if text is not None:
@@ -76,22 +92,8 @@ def _emit(obj, newline, put, texts):
             _emit(value, inner, put, texts)
             sep = "," + inner
         put(newline + "}")
-    else:  # scalars and empty containers: one line, as json.dumps writes them
-        put(json.dumps(obj))
-
-
-def encode_int(x):
-    try:
-        return str(int(x))
-    except ValueError:  # more digits than the interpreter's int-to-str limit
-        raise ResourceCapError("result has too many digits to print") from None
-
-
-def encode_rational(x):
-    try:
-        return str(Fraction(x))
-    except ValueError:  # more digits than the interpreter's int-to-str limit
-        raise ResourceCapError("result has too many digits to print") from None
+    else:  # scalars and empty containers: one line
+        put(_scalar(obj))
 
 
 _decimal = re.compile(r"[+-]?[0-9]+").fullmatch  # ASCII digits only: no spaces, `_` or `２`
@@ -129,16 +131,11 @@ def emit_tower(spec):
             moves.append(
                 {
                     "type": "node",
-                    "alpha_exponents": [encode_int(x) for x in move.alpha_exponents],
-                    "t_exponents": [encode_int(x) for x in move.t_exponents],
+                    "alpha_exponents": move.alpha_exponents,
+                    "t_exponents": move.t_exponents,
                 }
             )
-    doc = {
-        "format_version": encode_int(FORMAT_VERSION),
-        "base_dim": encode_int(spec.base_dim),
-        "moves": moves,
-    }
-    return _canonical_json(doc)
+    return _canonical_json({"format_version": FORMAT_VERSION, "base_dim": spec.base_dim, "moves": moves})
 
 
 def load_json_object(text):
@@ -258,12 +255,8 @@ class Report(CheckOutcome):
     def to_dict(self, include_timing=False):
         out = {
             "command": self.command,
-            "seed": None if self.seed is None else encode_int(self.seed),
-            "counts": {
-                "checked": encode_int(self.checked),
-                "passed": encode_int(self.passed),
-                "skipped": encode_int(self.skipped),
-            },
+            "seed": self.seed,
+            "counts": {"checked": self.checked, "passed": self.passed, "skipped": self.skipped},
             "violations": self.violations,
         }
         if self.data:

@@ -25,6 +25,7 @@ Matrix = tuple  # integer matrix: tuple of row tuples
 
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
+MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
 
 
 class LatticeError(ValueError):
@@ -32,7 +33,7 @@ class LatticeError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A configured dimension or ray-count cap was exceeded."""
+    """A dimension, ray-count, sample-count or digit cap was exceeded."""
 
 
 @dataclass(frozen=True)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -49,6 +50,7 @@ from .lattice import (
     DEFAULT_MAX_RAYS,
     Fan,
     LatticeError,
+    MAX_SAMPLES,
     ResourceCapError,
     Violation,
     cones_equal_as_sets,
@@ -213,12 +215,27 @@ def _require_valid(spec):
         raise LatticeError("invalid tower spec: " + "; ".join(v.detail for v in violations))
 
 
+@functools.cache
+def _power_of_ten(k):
+    return 10**k
+
+
+def _check_digits(values):
+    """ResourceCapError when an int in `values` has more decimal digits than
+    the interpreter prints (sys.get_int_max_str_digits(); 0 is no limit), so
+    no later step computes with a number that no report could hold."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(abs(v) >= _power_of_ten(limit) for v in values):
+        raise ResourceCapError(f"a coordinate has more than {limit} decimal digits")
+
+
 def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     """Realize the tower as one fan per level; level i+1 maps to level i by
     dropping the last coordinate.
 
     Raises ResourceCapError when the top level's ambient dimension p + d - 1
-    exceeds max_dim, or a level fan has more than max_rays rays.
+    exceeds max_dim, a level fan has more than max_rays rays, or a node
+    move's new coordinate <m, u> has more digits than the interpreter prints.
     """
     _require_valid(spec)
     ambient = spec.base_dim + spec.depth - 1
@@ -237,8 +254,10 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
         else:
             m = move.lattice_exponents()
             sub = regularity_subfan(prev, m)
+            height = {u: dot(m, u) for u in sub.all_rays}
+            _check_digits(height.values())
             for k, cone in enumerate(sub.maximal_cones):
-                lifts[tuple(sorted({u + (s,) for u in cone.generators for s in (0, dot(m, u))}))] = k
+                lifts[tuple(sorted({u + (s,) for u in cone.generators for s in (0, height[u])}))] = k
             rule = functools.partial(_node_chart_facets, sub, m, lifts)
         fan = Fan(n + 1, [Cone(n + 1, gens) for gens in lifts], rule)
         if len(fan.all_rays) > max_rays:
@@ -329,6 +348,8 @@ def lc_place_transfer_check(
     _require_valid(spec)
     if samples < 0:
         raise LatticeError(f"samples must be >= 0, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ResourceCapError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
     if model is None:
         model = build_model(spec, max_rays=max_rays, max_dim=max_dim)
     out = CheckOutcome()
@@ -360,7 +381,9 @@ def base_change_to_curve(spec, germ):
     Each node character with t-exponents (n_1..n_p) becomes a character in
     the single parameter t with exponent sum(c_j * n_j); alpha exponents and
     product moves are untouched.  Unit factors never change exponents, so the
-    germ is fully described by its vanishing orders and boundary flag.
+    germ is fully described by its vanishing orders and boundary flag.  A
+    new exponent with more digits than the interpreter prints is a
+    ResourceCapError.
     """
     _require_valid(spec)
     if len(germ.orders) != spec.base_dim:
@@ -379,6 +402,7 @@ def base_change_to_curve(spec, germ):
             moves.append(move)
         else:
             t_exp = sum(c * nu for c, nu in zip(germ.orders, move.t_exponents))
+            _check_digits((t_exp,))
             moves.append(
                 NodeMove(
                     alpha_exponents=tuple(move.alpha_exponents),

@@ -24,6 +24,8 @@ from .lattice import (
     Cone,
     Fan,
     LatticeError,
+    MAX_SAMPLES,
+    ResourceCapError,
     det_int,
     dot,
     dual_cone,
@@ -623,9 +625,12 @@ def suite_volume(seed=None, samples=None):
 
 def run_suite(name, seed, samples=None):
     """Run one named invariant suite; `all` concatenates every suite.  A
-    suite runs its own default sample count unless `samples` (>= 0) is given."""
+    suite runs its own default sample count unless `samples` (0 to
+    MAX_SAMPLES) is given."""
     if samples is not None and samples < 0:
         raise LatticeError(f"samples must be >= 0, got {samples}")
+    if samples is not None and samples > MAX_SAMPLES:
+        raise ResourceCapError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
     # looked up per call, so a wrapped or patched suite_* function is the one run
     suites = {s: globals()[f"suite_{s}"] for s in SUITES if s != "all"}
     kwargs = {} if samples is None else {"samples": samples}

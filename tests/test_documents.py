@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from torictower.documents import (
     random_tower,
     report_from_outcome,
 )
+from torictower.lattice import ResourceCapError
 from torictower.tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
 
 
@@ -135,24 +137,52 @@ def test_report_is_a_check_outcome_and_keeps_what_it_is_built_from():
 
 # escapes, control characters, non-ASCII and astral text
 TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZ09é€😀\u2028') | st.characters(), max_size=8)
-SCALARS = (
-    TEXT
-    | st.none()
-    | st.booleans()
-    | st.integers(-(10**40), 10**40)
-    | st.floats(allow_nan=True, allow_infinity=True)
-)
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=4).map(tuple)
-    | st.lists(TEXT, max_size=4)
-    | st.dictionaries(TEXT, inner, max_size=4),
-    max_leaves=30,
-)
+NUMBER_FREE_SCALARS = TEXT | st.none() | st.booleans() | st.floats(allow_nan=True, allow_infinity=True)
+NUMBERS = st.integers(-(10**40), 10**40) | st.fractions()
+
+
+def _json_values(scalars):
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.lists(scalars, max_size=4)  # the emitter joins a list of scalars at once
+        | st.dictionaries(TEXT, inner, max_size=4),
+        max_leaves=30,
+    )
+
+
+def _numbers_as_text(value):
+    """`value` with every int (not bool) and Fraction replaced by its str."""
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [_numbers_as_text(x) for x in value]
+    if isinstance(value, dict):
+        return {k: _numbers_as_text(v) for k, v in value.items()}
+    return value
 
 
 @settings(max_examples=200, deadline=None)
-@given(JSON_VALUES)
+@given(_json_values(NUMBER_FREE_SCALARS | NUMBERS))
 def test_canonical_json_equals_indented_json_dumps(value):
+    """The emitter is json.dumps with every number written as a decimal string."""
+    expected = json.dumps(_numbers_as_text(value), indent=2, sort_keys=True) + "\n"
+    assert _canonical_json(value) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values(NUMBER_FREE_SCALARS))
+def test_canonical_json_of_number_free_values_is_indented_json_dumps(value):
     assert _canonical_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def test_canonical_json_writes_numbers_as_decimal_strings_and_caps_their_digits():
+    assert _canonical_json([True, False, 1, -2, Fraction(6, 4), Fraction(-3), None]) == (
+        '[\n  true,\n  false,\n  "1",\n  "-2",\n  "3/2",\n  "-3",\n  null\n]\n'
+    )
+    assert _canonical_json(True) == "true\n" and _canonical_json({"k": 7}) == '{\n  "k": "7"\n}\n'
+    for huge in (10**5000, Fraction(10**5000, 3)):
+        for value in (huge, [huge], [[huge]], {"k": huge}):
+            with pytest.raises(ResourceCapError, match="too many digits"):
+                _canonical_json(value)

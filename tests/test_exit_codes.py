@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from test_golden import SEED
 from torictower.cli import EXIT_RESOURCE, EXIT_VIOLATIONS, main
 from torictower.documents import emit_tower, random_tower
-from torictower.lattice import DEFAULT_MAX_DIM, ResourceCapError
+from torictower.lattice import DEFAULT_MAX_DIM, MAX_SAMPLES, ResourceCapError
 from torictower.verify import random_towers
 
 TOWER_DOCS = [json.loads(emit_tower(spec)) for spec in random_towers(12, SEED)]
@@ -115,9 +115,9 @@ def test_every_document_gets_a_contract_exit_code(case):
         assert json.loads(out)["violations"]
 
 
-# five node moves with every exponent 10^999: the tower fits the caps and
-# builds, but its ray coordinates multiply across levels past the
-# interpreter's int-to-str digit limit
+# five node moves with every exponent 10^999: the tower fits the dimension
+# and ray caps, but its ray coordinates multiply across levels past the
+# interpreter's int-to-str digit limit, which build_model caps
 HUGE = str(10**999)
 DIGIT_LIMIT_TOWER = json.dumps({
     "base_dim": "1",
@@ -125,10 +125,13 @@ DIGIT_LIMIT_TOWER = json.dumps({
 })
 
 
-@pytest.mark.parametrize("command", ["fan", "map-to-proj", "local-model"])
+@pytest.mark.parametrize("command", ["build", "fan", "map-to-proj", "local-model", "lc-check"])
 def test_a_report_past_the_digit_limit_is_a_cap(command):
-    assert run_main(["build", "--max-dim", "6", "--max-rays", "60"], DIGIT_LIMIT_TOWER)[0] == 0
     assert run_main([command, "--max-dim", "6", "--max-rays", "60"], DIGIT_LIMIT_TOWER) == (EXIT_RESOURCE, "")
+    # one move fewer stays inside the limit
+    shorter = json.loads(DIGIT_LIMIT_TOWER)
+    del shorter["moves"][-1]
+    assert run_main([command, "--max-dim", "6", "--max-rays", "60"], json.dumps(shorter))[0] in (0, 1)
 
 
 def test_a_base_change_past_the_digit_limit_is_a_cap():
@@ -142,3 +145,23 @@ def test_random_over_the_dimension_cap_is_a_cap_before_any_draw():
     assert run_main(["random", "--p", "3", "--d", str(DEFAULT_MAX_DIM - 2)], "")[0] == 0
     with pytest.raises(ResourceCapError):
         random_tower(DEFAULT_MAX_DIM, 2, 3, 0)
+
+
+def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
+    import torictower.tower as tower
+    import torictower.verify as verify
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("no model is built and no sample drawn over the sample cap")
+
+    spec = random_tower(2, 3, 2, 7)
+    assert run_main(["lc-check", "--samples", str(MAX_SAMPLES)], emit_tower(spec))[0] == 0
+    for name in ("build_model", "sample_primitive_vectors"):
+        monkeypatch.setattr(tower, name, forbidden)
+    for name in verify.SUITES[:-1]:
+        monkeypatch.setattr(verify, f"suite_{name}", forbidden)
+    assert run_main(["lc-check", "--samples", str(MAX_SAMPLES + 1)], emit_tower(spec)) == (EXIT_RESOURCE, "")
+    for suite in verify.SUITES:
+        assert run_main(["verify", "--suite", suite, "--samples", str(MAX_SAMPLES + 1)], "") == (EXIT_RESOURCE, "")
+    with pytest.raises(ResourceCapError):
+        tower.lc_place_transfer_check(spec, samples=MAX_SAMPLES + 1, seed=0)

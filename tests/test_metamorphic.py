@@ -7,6 +7,11 @@ permutes the first p coordinates of every level lattice.  The character
 level fan is the image of the old one, and `build`, `fan`, `map-to-proj` and
 `local-model` agree after relabeling.  `lc-check` is left out: its samples
 follow the cone order, which the relabeling does not keep.
+
+Appending a product move multiplies the top level by an affine line: every
+earlier level is unchanged, each maximal cone sigma gives the one maximal
+cone sigma x cone(e_new), and each face F gives the two faces F and
+F + cone(e_new).
 """
 
 import dataclasses
@@ -18,7 +23,7 @@ import pytest
 
 from test_exit_codes import run_main
 from torictower.documents import emit_tower, random_tower
-from torictower.tower import NodeMove
+from torictower.tower import NodeMove, ProductMove, build_model
 
 P = 3
 TOWERS = 300
@@ -76,3 +81,14 @@ def test_permuting_the_base_coordinates_relabels_every_report(pi):
         assert _relabeled(pi, before) == _relabeled(identity, after)
         moved += before["fan"] != after["fan"]
     assert moved  # some towers are not symmetric in t_1..t_p, so the relation is tested
+
+
+def test_appending_a_product_move_doubles_the_top_faces():
+    for seed in range(TOWERS):
+        spec = random_tower(P, 4, 2, seed)
+        before = build_model(spec).levels
+        after = build_model(dataclasses.replace(spec, moves=spec.moves + (ProductMove(),))).levels
+        assert [level.fan for level in after[:-1]] == [level.fan for level in before]
+        top, new_top = before[-1].fan, after[-1].fan
+        assert len(new_top.maximal_cones) == len(top.maximal_cones)
+        assert len(new_top.face_masks()) == 2 * len(top.face_masks())

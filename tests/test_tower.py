@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import sympy
 
 from oracles import lc_place_transfer_check_oracle
 from test_golden import STRESS_TOWER
+from torictower.documents import report_from_outcome
 from torictower.lattice import (
     Cone,
     Fan,
@@ -281,6 +283,19 @@ def test_lc_check_matches_oracle_on_top_fans_outside_the_projective_support():
             for v in got.violations:
                 assert min(v["vector"][: spec.base_dim]) < 0 and v["origin"] in ("ray", "sample")
     assert flagged >= 40
+
+
+def test_lc_check_report_writes_witness_vectors_as_decimal_strings():
+    spec = TowerSpec(2, (NodeMove((), (1, 2)), ProductMove()))
+    model = build_model(spec)
+    flip = [list(r) for r in identity_matrix(4)]
+    flip[1][1] = -1
+    forged = _with_top_fan_moved(model, flip)
+    outcome = lc_place_transfer_check(spec, samples=20, seed=3, model=forged)
+    violations = json.loads(report_from_outcome("lc-check", outcome, seed=3).to_json())["violations"]
+    assert violations
+    for v, witness in zip(violations, outcome.violations):
+        assert v["vector"] == [str(x) for x in witness["vector"]]
 
 
 def test_lc_check_calls_neither_cartier_data_nor_projective_model(monkeypatch):
