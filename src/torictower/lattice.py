@@ -45,41 +45,40 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# vectors
+# vectors: hot in the double description, so each helper is one C-level
+# builtin (references in tests/oracles.py).  vscale keeps binary-operator
+# dispatch: verify scales Fraction entries by ints and ints by Fractions.
 
 
 def dot(a, b):
     if len(a) != len(b):
         raise LatticeError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(operator.mul, a, b))
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def vneg(a):
-    return tuple(-x for x in a)
+    return tuple(map(operator.neg, a))
 
 
 def vscale(k, a):
-    return tuple(k * x for x in a)
+    return tuple([k * x for x in a])
 
 
 def is_zero(a):
-    return all(x == 0 for x in a)
+    return not any(a)
 
 
 def content(a):
     """gcd of the entries (0 for the zero vector)."""
-    g = 0
-    for x in a:
-        g = math.gcd(g, abs(x))
-    return g
+    return math.gcd(*a)
 
 
 def primitive(v):
@@ -93,7 +92,7 @@ def primitive(v):
 
 
 def unit_vector(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
+    return (0,) * i + (1,) + (0,) * (n - i - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,7 @@ class Cone:
 
     def __init__(self, ambient_dim, generators=()):
         self.ambient_dim = int(ambient_dim)
-        gens = tuple(tuple(int(x) for x in g) for g in generators)
+        gens = tuple(tuple(map(int, g)) for g in generators)
         for g in gens:
             if len(g) != self.ambient_dim:
                 raise LatticeError(

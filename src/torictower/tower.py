@@ -313,24 +313,6 @@ def in_projective_support(spec, v):
     return min(v[: spec.base_dim]) >= 0
 
 
-def sample_primitive_vectors(fan, samples, rng):
-    """Seeded primitive vectors in the fan support: per sample, a random
-    maximal cone and a random non-negative integer combination (entries <= 10)
-    of its rays, primitivized.  Yields None for degenerate (zero) draws."""
-    cones = fan.maximal_cones
-    for _ in range(samples):
-        cone = cones[rng.randrange(len(cones))]
-        if not cone.generators:
-            yield None
-            continue
-        v = (0,) * fan.ambient_dim
-        for u in cone.generators:
-            c = rng.randint(0, 10)
-            if c:
-                v = tuple(x + c * y for x, y in zip(v, u))
-        yield None if is_zero(v) else primitive(v)
-
-
 def lc_place_transfer_check(
     spec, samples, seed, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM, model=None
 ):
@@ -341,9 +323,16 @@ def lc_place_transfer_check(
     sides.  What is left is the fan-level claim |Sigma_V| within |Sigma_P| =
     {x_1..x_p >= 0}: every ray of the level-d fan and `samples` seeded
     primitive vectors in its support must pass that sign test, or give a
-    "no-centre-on-P" violation carrying the vector.  On build_model output it
-    holds by construction (every ray keeps x_1..x_p >= 0); the test guards
-    models passed in as `model`.
+    "no-centre-on-P" violation carrying the vector.  A sample is a random
+    maximal cone and a random non-negative integer combination (entries
+    <= 10) of its rays, primitivized; an all-zero draw, or any draw from the
+    zero cone, is a skip.  The sign test cuts out a convex cone, so each cone
+    decides its samples once: when its rays pass and w = the sum of its rays
+    has <w, g> > 0 on every ray g, no nonzero draw sums to zero and every one
+    passes, with no vector built.  Only a draw from any other cone is built
+    and tested.  On build_model output the claim holds by construction
+    (every ray keeps x_1..x_p >= 0); the test guards models passed in as
+    `model`.
     """
     _require_valid(spec)
     if samples < 0:
@@ -355,23 +344,40 @@ def lc_place_transfer_check(
     out = CheckOutcome()
     fan_v = model.levels[-1].fan
     rng = random.Random(seed)
-    vectors = [("ray", r) for r in fan_v.all_rays]
-    vectors += [
-        ("sample", v) for v in sample_primitive_vectors(fan_v, samples, rng)
-    ]
-    for origin, e in vectors:
+
+    def sign_test(origin, e):
         out.checked += 1
         if e is None:
             out.add_skip("degenerate sample (zero vector)", origin=origin)
-        elif not in_projective_support(spec, e):
+        elif in_projective_support(spec, e):
+            out.passed += 1
+        else:
             out.add_violation(
                 "no-centre-on-P",
                 "vector lies in |Sigma_V| but not in |Sigma_P|",
                 vector=list(e),
                 origin=origin,
             )
-        else:
+
+    for r in fan_v.all_rays:
+        sign_test("ray", r)
+    cones = [c.generators for c in fan_v.maximal_cones]
+    safe = []
+    for gens in cones:
+        w = tuple(map(sum, zip(*gens)))
+        safe.append(all(in_projective_support(spec, g) and dot(w, g) > 0 for g in gens))
+    for _ in range(samples):
+        k = rng.randrange(len(cones))
+        draws = [rng.randrange(11) for _ in cones[k]]  # the stream of randint(0, 10)
+        if safe[k] and any(draws):
+            out.checked += 1
             out.passed += 1
+            continue
+        v = (0,) * fan_v.ambient_dim
+        for c, u in zip(draws, cones[k]):
+            if c:
+                v = tuple(x + c * y for x, y in zip(v, u))
+        sign_test("sample", None if is_zero(v) else primitive(v))
     return out
 
 

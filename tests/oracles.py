@@ -24,7 +24,10 @@ determinant per simplex.  They are slow and independent of the
 production code, so the property tests compare the two.  The `Fraction`
 versions of the `torictower.verify` oracles (minor gcds, dual-cone facets,
 Fourier-Motzkin membership and the simplicial log-discrepancy formula, over
-`det_fraction`) live here too, as references for its integer oracles.
+`det_fraction`) live here too, as references for its integer oracles, and
+so do the generator-expression definitions of the lattice vector helpers,
+the references for their builtin forms, and the lc sampler that builds and
+primitivizes every sample vector.
 `unimodular` draws the changes of coordinates for the metamorphic tests.
 """
 
@@ -74,8 +77,44 @@ from torictower.tower import (
     build_model,
     local_model_at,
     projective_model,
-    sample_primitive_vectors,
 )
+
+
+def dot_oracle(a, b):
+    if len(a) != len(b):
+        raise LatticeError(f"dimension mismatch: {len(a)} vs {len(b)}")
+    return sum(x * y for x, y in zip(a, b))
+
+
+def vadd_oracle(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vsub_oracle(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vneg_oracle(a):
+    return tuple(-x for x in a)
+
+
+def vscale_oracle(k, a):
+    return tuple(k * x for x in a)
+
+
+def is_zero_oracle(a):
+    return all(x == 0 for x in a)
+
+
+def content_oracle(a):
+    g = 0
+    for x in a:
+        g = math.gcd(g, abs(x))
+    return g
+
+
+def unit_vector_oracle(n, i):
+    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def generated_by_oracle(vectors, ambient_dim=None):
@@ -510,6 +549,24 @@ def normalized_volume_oracle(polytope):
         rows = [[Fraction(x) - Fraction(y) for x, y in zip(v, v0)] for v in simplex[1:]]
         total += abs(det_fraction(rows))
     return total
+
+
+def sample_primitive_vectors(fan, samples, rng):
+    """Seeded primitive vectors in the fan support: per sample, a random
+    maximal cone and a random non-negative integer combination (entries <= 10)
+    of its rays, primitivized.  Yields None for degenerate (zero) draws."""
+    cones = fan.maximal_cones
+    for _ in range(samples):
+        cone = cones[rng.randrange(len(cones))]
+        if not cone.generators:
+            yield None
+            continue
+        v = (0,) * fan.ambient_dim
+        for u in cone.generators:
+            c = rng.randint(0, 10)
+            if c:
+                v = tuple(x + c * y for x, y in zip(v, u))
+        yield None if is_zero(v) else primitive(v)
 
 
 def lc_place_transfer_check_oracle(spec, samples, seed, model=None):

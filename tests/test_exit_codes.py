@@ -5,6 +5,7 @@ runs in process and must raise nothing, whatever the document holds."""
 import io
 import json
 import sys
+import types
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -156,8 +157,9 @@ def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
 
     spec = random_tower(2, 3, 2, 7)
     assert run_main(["lc-check", "--samples", str(MAX_SAMPLES)], emit_tower(spec))[0] == 0
-    for name in ("build_model", "sample_primitive_vectors"):
-        monkeypatch.setattr(tower, name, forbidden)
+    # lc_place_transfer_check draws every sample from its own random.Random
+    monkeypatch.setattr(tower, "build_model", forbidden)
+    monkeypatch.setattr(tower, "random", types.SimpleNamespace(Random=forbidden))
     for name in verify.SUITES[:-1]:
         monkeypatch.setattr(verify, f"suite_{name}", forbidden)
     assert run_main(["lc-check", "--samples", str(MAX_SAMPLES + 1)], emit_tower(spec)) == (EXIT_RESOURCE, "")
@@ -165,3 +167,40 @@ def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
         assert run_main(["verify", "--suite", suite, "--samples", str(MAX_SAMPLES + 1)], "") == (EXIT_RESOURCE, "")
     with pytest.raises(ResourceCapError):
         tower.lc_place_transfer_check(spec, samples=MAX_SAMPLES + 1, seed=0)
+
+
+@st.composite
+def towers_growing_across_levels(draw):
+    """(argv, document text): a tower of 3 to 6 node moves over p = 1 or 2
+    whose exponents are 0 or +/- powers of ten of up to 1,501 digits.  Each
+    exponent fits the int-to-str digit limit; ray coordinates multiply across
+    levels and pass it only after a few levels.  The caps keep every model
+    under 60 rays, so no example starts a large enumeration."""
+    p = draw(st.integers(1, 2))
+    exponent = st.one_of(
+        st.just(0),
+        st.tuples(st.sampled_from([1, 1, 1, -1]), st.integers(0, 1500)).map(lambda sk: sk[0] * 10 ** sk[1]),
+    )
+    moves = [
+        {"type": "node", "alpha_exponents": [str(draw(exponent)) for _ in range(i)],
+         "t_exponents": [str(draw(exponent)) for _ in range(p)]}
+        for i in range(draw(st.integers(3, 6)))
+    ]
+    command = draw(st.sampled_from(TOWER_COMMANDS + [["base-change", "--on-boundary", "--orders"]]))
+    if command[0] == "base-change":
+        # an order of up to 4,001 digits times an exponent can pass the limit too
+        orders = [str(10 ** draw(st.integers(0, 4000))) for _ in range(p)]
+        command = command + [",".join(orders)]
+    return command, json.dumps({"base_dim": str(p), "moves": moves})
+
+
+@settings(max_examples=40, deadline=None)
+@given(towers_growing_across_levels())
+def test_exponents_that_grow_across_levels_get_a_contract_exit_code(case):
+    argv, text = case
+    code, out = run_main(argv, text)
+    assert code in (0, EXIT_VIOLATIONS, EXIT_RESOURCE)
+    if code == EXIT_VIOLATIONS:
+        assert json.loads(out)["violations"]
+    if code == EXIT_RESOURCE:
+        assert out == ""

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import torictower.lattice
 from oracles import (
+    content_oracle,
     det_fraction,
+    dot_oracle,
     dual_cone_facet_fraction,
     faces_oracle,
     facet_masks_oracle,
@@ -17,9 +19,15 @@ from oracles import (
     in_cone_fm_fraction,
     invariant_factors_minor_fraction,
     is_face_of_oracle,
+    is_zero_oracle,
     simplicial_log_discrepancy_fraction,
     snf_oracle,
     unimodular,
+    unit_vector_oracle,
+    vadd_oracle,
+    vneg_oracle,
+    vscale_oracle,
+    vsub_oracle,
 )
 from torictower.lattice import (
     Cone,
@@ -28,6 +36,7 @@ from torictower.lattice import (
     ResourceCapError,
     bit_indices,
     cones_equal_as_sets,
+    content,
     det_int,
     dot,
     dual_cone,
@@ -38,6 +47,7 @@ from torictower.lattice import (
     intersect_cones,
     is_face_of,
     is_unimodular,
+    is_zero,
     mat_mul,
     mat_vec,
     maximal_masks,
@@ -48,9 +58,11 @@ from torictower.lattice import (
     snf,
     torus_fan,
     transpose,
+    unit_vector,
     vadd,
     vneg,
     vscale,
+    vsub,
 )
 from torictower.toric import star_subdivision
 from torictower.tower import build_model
@@ -198,6 +210,56 @@ def test_primitive_scaling_invariance():
             continue
         k = rng.randint(1, 9)
         assert primitive(vscale(k, v)) == primitive(v)
+
+
+# --- vector kernels ----------------------------------------------------
+
+# small entries (so zeros and equal entries are common), and entries past 2**64
+ENTRIES = st.one_of(st.integers(-3, 3), st.integers(), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
+
+
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(0, 6))
+    vector = st.lists(ENTRIES, min_size=n, max_size=n).map(tuple)
+    return draw(vector), draw(vector)
+
+
+@settings(max_examples=500, deadline=None)
+@given(vector_pairs(), ENTRIES)
+@example(((), ()), 5)
+@example(((0, 0, 0), (0, -1, 0)), 0)
+@example(((2**64 + 1, -(2**65), 6), (-(2**70), 3, 2**64)), -(2**66))
+def test_vector_kernels_match_their_generator_definitions(pair, k):
+    a, b = pair
+    assert dot(a, b) == dot_oracle(a, b)
+    assert vadd(a, b) == vadd_oracle(a, b)
+    assert vsub(a, b) == vsub_oracle(a, b)
+    assert vneg(a) == vneg_oracle(a)
+    assert vscale(k, a) == vscale_oracle(k, a)
+    assert is_zero(a) == is_zero_oracle(a)
+    assert content(a) == content_oracle(a)
+    assert content(a) >= 0
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))))
+def test_unit_vector_matches_its_generator_definition(case):
+    assert unit_vector(*case) == unit_vector_oracle(*case)
+
+
+def test_vscale_keeps_binary_operator_dispatch():
+    # int * Fraction goes through Fraction.__rmul__; int.__mul__ alone gives NotImplemented
+    assert vscale(2, (Fraction(1, 2), Fraction(-3, 4), 0)) == (1, Fraction(-3, 2), 0)
+    assert vscale(Fraction(1, 3), (3, -6, 1)) == (1, -2, Fraction(1, 3))
+    assert all(isinstance(x, Fraction) for x in vscale(Fraction(1, 3), (3, -6, 1)))
+
+
+def test_dot_rejects_vectors_of_different_lengths():
+    with pytest.raises(LatticeError, match="dimension mismatch: 2 vs 1"):
+        dot((1, 2), (1,))
+    with pytest.raises(LatticeError):
+        dot((), (0,))
+    assert dot((), ()) == 0
 
 
 # --- dual cones --------------------------------------------------------
