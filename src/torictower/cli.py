@@ -210,7 +210,8 @@ def _integer(text):
 @functools.cache
 def build_parser():
     """The argument parser, built on the first call and reused by every later
-    `main` call in the process (parsing keeps no state between calls)."""
+    `main` call in the process (parsing keeps no state between calls).  Its
+    `commands` attribute maps each subcommand name to its subparser."""
     parser = argparse.ArgumentParser(
         prog="torictower",
         description="Exact combinatorial engine for special toric towers.",
@@ -289,11 +290,16 @@ def build_parser():
     common(p, "--seed", "--timing")
     p.set_defaults(func=cmd_verify)
 
+    parser.commands = sub.choices  # name -> subparser, for main's one-pass parse
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    # a subcommand parses its own arguments; the top level would parse them again
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     start = time.monotonic()
     try:
         result = args.func(args)  # a Report, or the text of a tower document

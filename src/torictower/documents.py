@@ -48,12 +48,17 @@ def _canonical_json(obj):
     return "".join(out)
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}  # read only for a bool or None: 1 == True
+
+
 def _scalar(x):
     """The text of a scalar or an empty container; TypeError for any other
     list, tuple or dict."""
     if isinstance(x, str):
         return _encode_str(x)
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+    if x is None or x is True or x is False:
+        return _CONSTANTS[x]
+    if isinstance(x, (int, Fraction)):
         try:
             return '"' + str(x) + '"'
         except ValueError:  # more digits than the interpreter's int-to-str limit
@@ -88,8 +93,11 @@ def _emit(obj, newline, put, texts):
         inner = newline + "  "
         sep = "{" + inner
         for key, value in sorted(obj.items()):
-            put(sep + _encode_str(key) + ": ")
-            _emit(value, inner, put, texts)
+            if value and isinstance(value, (list, tuple, dict)):
+                put(sep + _encode_str(key) + ": ")
+                _emit(value, inner, put, texts)
+            else:  # a scalar or an empty container goes on the key's line
+                put(sep + _encode_str(key) + ": " + _scalar(value))
             sep = "," + inner
         put(newline + "}")
     else:  # scalars and empty containers: one line

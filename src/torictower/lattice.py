@@ -253,10 +253,15 @@ def halfspace_intersection(constraints, n):
     k = n - len(lineality), and adjacent rays span a 2-face, whose tight rows
     have rank k - 2, so a pair with fewer common tight rows skips the scan.
     A count bounds a rank, also with implicit equalities (a and -a) or repeats.
+
+    A lineality vector or ray v whose pairing with the new row is 0 is kept as
+    it is: its combination s0*v - 0*l0 is s0*v, and v is already primitive (a
+    unit vector, l0, or a primitive combination), so primitive(s0*v) is v.
     """
     lineality = [unit_vector(n, i) for i in range(n)]
     rays = []  # (vector, tight-bitmask over processed constraints)
     processed = []
+    mul = operator.mul  # pairings skip dot's length check: every row and ray has length n
     for a in constraints:
         a = tuple(a)
         if len(a) != n:
@@ -264,29 +269,27 @@ def halfspace_intersection(constraints, n):
         if is_zero(a):
             continue
         bit = 1 << len(processed)
-        lvals = [dot(a, l) for l in lineality]
+        lvals = [sum(map(mul, a, l)) for l in lineality]
         j0 = next((j for j, s in enumerate(lvals) if s != 0), None)
         if j0 is not None:
             l0, s0 = lineality[j0], lvals[j0]
             if s0 < 0:
                 l0, s0 = vneg(l0), -s0
-            new_lin = []
-            for j, (l, s) in enumerate(zip(lineality, lvals)):
-                if j != j0:
-                    new_lin.append(primitive(vsub(vscale(s0, l), vscale(s, l0))))
-            full = bit - 1  # tight on every previously processed constraint
+            lineality = [
+                l if s == 0 else _primitive_combination(s0, l, s, l0)
+                for j, (l, s) in enumerate(zip(lineality, lvals))
+                if j != j0
+            ]
             new_rays = []
             for r, mask in rays:
-                rv = dot(a, r)
-                r2 = primitive(vsub(vscale(s0, r), vscale(rv, l0)))
-                new_rays.append((r2, mask | bit))
-            new_rays.append((l0, full))
+                rv = sum(map(mul, a, r))
+                new_rays.append((r if rv == 0 else _primitive_combination(s0, r, rv, l0), mask | bit))
+            new_rays.append((l0, bit - 1))  # tight on every previously processed row
             rays = new_rays
-            lineality = new_lin
         else:
             pos, zero, neg = [], [], []
             for r, mask in rays:
-                rv = dot(a, r)
+                rv = sum(map(mul, a, r))
                 if rv > 0:
                     pos.append((r, mask, rv))
                 elif rv < 0:
@@ -303,11 +306,10 @@ def halfspace_intersection(constraints, n):
                             (t & ~mr) == 0 for r, mr in rays if r is not p and r is not q
                         ):
                             continue
-                        w = vsub(vscale(pv, q), vscale(qv, p))
-                        if is_zero(w):
-                            continue
                         # exact: <c, w> = pv<c, q> - qv<c, p>, both terms >= 0
-                        combos.setdefault(primitive(w), t | bit)
+                        w = _primitive_combination(pv, q, qv, p)
+                        if w is not None:
+                            combos.setdefault(w, t | bit)
                 rays = [(r, m) for r, m, _ in pos] + zero + sorted(combos.items())
             else:
                 rays = [(r, m) for r, m, _ in pos] + zero
@@ -316,6 +318,15 @@ def halfspace_intersection(constraints, n):
     if lineality:
         lineality = kernel_basis(tuple(processed), n)
     return out_rays, tuple(lineality)
+
+
+def _primitive_combination(a, x, b, y):
+    """primitive(a*x - b*y) in one pass, or None when it is zero."""
+    w = [a * p - b * q for p, q in zip(x, y)]
+    g = math.gcd(*w)
+    if g == 1:
+        return tuple(w)
+    return tuple([c // g for c in w]) if g else None
 
 
 def _halfspace_cone(constraints, n):

@@ -234,14 +234,15 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     dropping the last coordinate.
 
     Raises ResourceCapError when the top level's ambient dimension p + d - 1
-    exceeds max_dim, a level fan has more than max_rays rays, or a node
-    move's new coordinate <m, u> has more digits than the interpreter prints.
+    exceeds max_dim, a level fan (the level-1 orthant too) has more than
+    max_rays rays, or a node move's new coordinate <m, u> has more digits
+    than the interpreter prints.
     """
     _require_valid(spec)
     ambient = spec.base_dim + spec.depth - 1
     if ambient > max_dim:
         raise ResourceCapError(f"tower ambient dimension {ambient} exceeds cap {max_dim}")
-    levels = [TowerLevel(fan=orthant_fan(spec.base_dim))]
+    levels = [_capped_level(orthant_fan(spec.base_dim), max_rays)]
     for move in spec.moves:
         prev = levels[-1].fan
         n = prev.ambient_dim
@@ -260,12 +261,14 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
                 lifts[tuple(sorted({u + (s,) for u in cone.generators for s in (0, height[u])}))] = k
             rule = functools.partial(_node_chart_facets, sub, m, lifts)
         fan = Fan(n + 1, [Cone(n + 1, gens) for gens in lifts], rule)
-        if len(fan.all_rays) > max_rays:
-            raise ResourceCapError(
-                f"level fan has {len(fan.all_rays)} rays, exceeding cap {max_rays}"
-            )
-        levels.append(TowerLevel(fan=fan))
+        levels.append(_capped_level(fan, max_rays))
     return TowerModel(spec=spec, levels=tuple(levels))
+
+
+def _capped_level(fan, max_rays):
+    if len(fan.all_rays) > max_rays:
+        raise ResourceCapError(f"level fan has {len(fan.all_rays)} rays, exceeding cap {max_rays}")
+    return TowerLevel(fan=fan)
 
 
 def _product_facets(below, lifts, fan, k):
@@ -313,6 +316,18 @@ def in_projective_support(spec, v):
     return min(v[: spec.base_dim]) >= 0
 
 
+def _below(bits, n):
+    """The draw of random.Random.randrange(n), from its getrandbits: k =
+    n.bit_length() bits, drawn again while the result is >= n."""
+    if n < 1:  # as randrange(0) does; bits(0) is always 0, which would never end
+        raise ValueError("empty range")
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def lc_place_transfer_check(
     spec, samples, seed, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM, model=None
 ):
@@ -330,9 +345,10 @@ def lc_place_transfer_check(
     decides its samples once: when its rays pass and w = the sum of its rays
     has <w, g> > 0 on every ray g, no nonzero draw sums to zero and every one
     passes, with no vector built.  Only a draw from any other cone is built
-    and tested.  On build_model output the claim holds by construction
-    (every ray keeps x_1..x_p >= 0); the test guards models passed in as
-    `model`.
+    and tested.  `_below` makes the draws: randrange's stream, straight from
+    the Mersenne Twister bits.  On build_model output the claim holds by
+    construction (every ray keeps x_1..x_p >= 0); the test guards models
+    passed in as `model`.
     """
     _require_valid(spec)
     if samples < 0:
@@ -366,9 +382,10 @@ def lc_place_transfer_check(
     for gens in cones:
         w = tuple(map(sum, zip(*gens)))
         safe.append(all(in_projective_support(spec, g) and dot(w, g) > 0 for g in gens))
+    bits = rng.getrandbits
     for _ in range(samples):
-        k = rng.randrange(len(cones))
-        draws = [rng.randrange(11) for _ in cones[k]]  # the stream of randint(0, 10)
+        k = _below(bits, len(cones))
+        draws = [_below(bits, 11) for _ in cones[k]]  # the stream of randint(0, 10)
         if safe[k] and any(draws):
             out.checked += 1
             out.passed += 1

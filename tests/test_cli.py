@@ -326,10 +326,9 @@ def _run(argv, capsys, tmp_path):
     return code, captured.out, captured.err, written
 
 
-def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
-    path = write_tower(tmp_path, SIMPLE)
-    out_path = str(tmp_path / "out.json")
-    calls = [
+def _parser_calls(path, out_path):
+    """argv lists over most subcommands, with their defaults and their flags."""
+    return [
         ["lc-check", "--input", path, "--samples", "7", "--seed", "5", "--timing"],
         ["lc-check", "--input", path],
         ["fan", "--input", path, "--level", "2", "--output", out_path],
@@ -345,6 +344,11 @@ def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
         ["random", "--p", "2", "--d", "3", "--seed", "7", "--max-exponent", "2"],
         ["random", "--p", "1", "--d", "2"],
     ]
+
+
+def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
+    path = write_tower(tmp_path, SIMPLE)
+    calls = _parser_calls(path, str(tmp_path / "out.json"))
     shared = build_parser()
     assert build_parser() is shared
     fresh = []
@@ -370,6 +374,32 @@ def test_parser_is_reused_without_carrying_state(tmp_path, capsys):
     assert (fresh[8][0], fresh[9][0]) == (EXIT_RESOURCE, EXIT_OK)
 
 
+def test_a_subcommand_parses_its_own_arguments():
+    """main hands argv[1:] to the subcommand's parser; that parse is the
+    top-level one without `command`, for every subcommand."""
+    parser = build_parser()
+    argvs = _parser_calls("tower.json", "out.json") + [
+        ["map-to-proj", "--input", "-", "--max-dim", "4", "--max-rays", "9", "--timing"],
+        ["degree", "--input", "divisor.json", "--seed", "2"],
+        ["volume", "--timing", "--output", "-"],
+        ["verify"],
+        ["base-change", "--orders", "1,2", "--off-boundary"],
+    ] + [[a.replace("{tower}", "t.json").replace("{}", good) for a in argv] for argv, good in INTEGER_FLAGS]
+    assert {argv[0] for argv in argvs} == set(parser.commands)
+    for argv in argvs:
+        top = vars(parser.parse_args(argv))
+        assert top.pop("command") == argv[0]
+        assert vars(parser.commands[argv[0]].parse_args(argv[1:])) == top, argv
+
+
+@pytest.mark.parametrize("command", ["build", "lc-check", "verify"])
+def test_an_unrecognized_flag_is_reported_by_its_subcommand(command, tmp_path, capsys):
+    code, out, err, written = _run([command, "--no-such-flag", "7"], capsys, tmp_path)
+    assert (code, out, written) == (EXIT_USAGE, "", None)
+    assert err.startswith(f"usage: torictower {command} ")
+    assert err.endswith(f"torictower {command}: error: unrecognized arguments: --no-such-flag 7\n")
+
+
 UNREAD_FLAGS = [  # flags no handler of the command reads, so none is accepted
     (command, flag)
     for command in ("degree", "volume", "random", "base-change", "verify")
@@ -390,7 +420,9 @@ def test_unread_flags_are_usage_errors(command, flag, tmp_path, capsys):
     "argv",
     [
         ["--help"],
+        ["-h"],
         ["lc-check", "--help"],
+        ["verify", "-h"],
         ["base-change", "--help"],
         [],
         ["no-such-command"],
@@ -407,8 +439,9 @@ def test_help_and_usage_errors_match_a_fresh_parser(argv, tmp_path, capsys):
         build_parser.__wrapped__().parse_args(argv)
     captured = capsys.readouterr()
     assert got == (exc.value.code, captured.out, captured.err, None)
-    assert got[0] == (0 if "--help" in argv else EXIT_USAGE)
-    assert got[1 if "--help" in argv else 2].startswith("usage: torictower")
+    helps = "--help" in argv or "-h" in argv
+    assert got[0] == (0 if helps else EXIT_USAGE)
+    assert got[1 if helps else 2].startswith("usage: torictower")
 
 
 NOT_DECIMAL = ["２", "1_0", "5_0_0", " 2", "2\n", "+", "0x10", "2.0"]  # int() reads the first five

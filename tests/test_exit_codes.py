@@ -135,6 +135,14 @@ def test_a_report_past_the_digit_limit_is_a_cap(command):
     assert run_main([command, "--max-dim", "6", "--max-rays", "60"], json.dumps(shorter))[0] in (0, 1)
 
 
+def test_the_ray_cap_holds_level_one():
+    """--max-rays is a per-level cap, and the level-1 orthant of a base_dim 3
+    tower has 3 rays."""
+    doc = '{"base_dim": "3", "moves": []}'
+    assert run_main(["build", "--max-rays", "2"], doc) == (EXIT_RESOURCE, "")
+    assert run_main(["build", "--max-rays", "3"], doc)[0] == 0
+
+
 def test_a_base_change_past_the_digit_limit_is_a_cap():
     order = "1" + "0" * 2999
     doc = json.dumps({"base_dim": "1", "moves": [{"type": "node", "alpha_exponents": [], "t_exponents": [order]}]})

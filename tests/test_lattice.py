@@ -349,10 +349,17 @@ def constraint_rows(draw):
     """Rows for the DD with the cases the adjacency pre-filter must survive:
     zero, repeated and redundant rows, opposite pairs a, -a (implicit
     equalities), rows confined to a hyperplane (the cone carries a line),
-    and the GL_n(Z) image of all of it."""
+    and the GL_n(Z) image of all of it.  Sparse rows (most entries 0, unit
+    vectors and their negations, entries up to 2**64) make many zero
+    pairings, whose vectors the DD keeps as they are, and large gcds."""
     n = draw(st.integers(2, 5))
     entry = st.integers(-3, 3)
+    if draw(st.booleans()):
+        big = st.one_of(st.sampled_from([2**64, -(2**64)]), st.integers(-(2**64), 2**64))
+        entry = st.one_of(st.just(0), st.just(0), st.sampled_from([1, -1]), big)
     rows = draw(st.lists(st.tuples(*[entry] * n), max_size=n + 5))
+    units = st.tuples(st.sampled_from([1, -1]), st.integers(0, n - 1))
+    rows += [vscale(sign, unit_vector(n, i)) for sign, i in draw(st.lists(units, max_size=n))]
     if rows and draw(st.booleans()):  # confine to x_0 = 0, so e_0 is lineality
         rows = [(0,) + r[1:] for r in rows]
     picks = st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=4) if rows else st.just([])

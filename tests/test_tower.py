@@ -45,6 +45,7 @@ from torictower.tower import (
     torus_splitting_check,
     validate_tower,
 )
+from torictower.tower import _below
 from torictower.verify import random_towers
 
 
@@ -132,6 +133,15 @@ def test_build_ray_cap():
     spec = TowerSpec(3, (node((), (1, 1, 1)), node((1,), (1, 1, 1))))
     with pytest.raises(ResourceCapError):
         build_model(spec, max_rays=3)
+
+
+def test_build_ray_cap_holds_the_level_one_orthant():
+    """Level 1 is a level too: its p rays count against the per-level cap."""
+    with pytest.raises(ResourceCapError, match="^level fan has 3 rays, exceeding cap 2$"):
+        build_model(TowerSpec(3, ()), max_rays=2)
+    with pytest.raises(ResourceCapError, match="^level fan has 3 rays, exceeding cap 1$"):
+        build_model(TowerSpec(3, (ProductMove(),)), max_rays=1)
+    assert len(build_model(TowerSpec(3, ()), max_rays=3).levels[0].fan.all_rays) == 3
 
 
 def test_build_dimension_cap():
@@ -243,6 +253,19 @@ def test_lc_check_matches_per_vector_oracle_on_random_towers():
             assert got.ok() and got.checked == got.passed + got.skipped
             skipped += got.skipped
     assert skipped > 0
+
+
+def test_lc_draws_are_the_randrange_stream():
+    """`_below` is CPython's randrange(n) draw on the same generator, so the
+    lc samples, counts and goldens stay those of randrange and randint(0, 10)."""
+    for seed in range(40):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in range(1, 65):
+            assert [_below(ours.getrandbits, n) for _ in range(25)] == [ref.randrange(n) for _ in range(25)]
+        ours, ref = random.Random(seed), random.Random(seed)
+        assert [_below(ours.getrandbits, 11) for _ in range(500)] == [ref.randint(0, 10) for _ in range(500)]
+    with pytest.raises(ValueError):
+        _below(random.Random(0).getrandbits, 0)
 
 
 def test_lc_check_matches_per_vector_oracle_on_the_stress_tower():
