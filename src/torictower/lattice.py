@@ -26,6 +26,7 @@ Matrix = tuple  # integer matrix: tuple of row tuples
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
+MAX_FACES = 100_000  # per Fan.face_masks walk or regularity_subfan search; the largest measured is 13,088
 
 
 class LatticeError(ValueError):
@@ -33,7 +34,7 @@ class LatticeError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A dimension, ray-count, sample-count or digit cap was exceeded."""
+    """A dimension, ray-count, sample-count, face-count or digit cap was exceeded."""
 
 
 @dataclass(frozen=True)
@@ -478,21 +479,23 @@ def remap(mask, rays, bit):
     return sum(bit[rays[i]] for i in bit_indices(mask))
 
 
-def walk_faces(top, facets, leaf=None):
-    """Face masks reached from `top` (included) by intersecting with the
-    facet masks `facets`, not descending below a face where `leaf` holds."""
-    seen = {top}
+def walk_faces(top, facets, seen):
+    """Add to the set `seen` the face masks reached from `top` (included) by
+    intersecting with the facet masks `facets`.  A face
+    already in `seen` is not walked again: the faces below a face are those
+    of any cone it is a face of, so a fan walks a shared face once.
+    ResourceCapError once `seen` holds more than MAX_FACES faces."""
+    seen.add(top)
     stack = [top]
     while stack:
         cur = stack.pop()
-        if leaf is not None and leaf(cur):
-            continue
         for f in facets:
             sub = cur & f
             if sub not in seen:
                 seen.add(sub)
                 stack.append(sub)
-    return seen
+        if len(seen) > MAX_FACES:
+            raise ResourceCapError(f"face walk passed the cap of {MAX_FACES} faces")
 
 
 def dual_cone(c, max_dim=DEFAULT_MAX_DIM):
@@ -635,9 +638,12 @@ class Fan:
         return mask & top == mask and functools.reduce(operator.and_, facets, top) == mask
 
     def face_masks(self):
-        """Every face of the fan once, as a mask over the ray index."""
-        _, tops = self.ray_index()
-        return set().union(*(walk_faces(top, self.facet_masks(k)) for k, top in enumerate(tops)))
+        """Every face of the fan once, as a mask over the ray index, from one
+        walk over all maximal cones (ResourceCapError past MAX_FACES)."""
+        seen = set()
+        for k, top in enumerate(self.ray_index()[1]):
+            walk_faces(top, self.facet_masks(k), seen)
+        return seen
 
     def face_mask(self, cone):
         """The mask over the ray index of `cone` (its rays in any order) if it

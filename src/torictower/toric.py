@@ -14,9 +14,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import (
+    MAX_FACES,
     Cone,
     Fan,
     LatticeError,
+    ResourceCapError,
     bit_indices,
     dot,
     hnf,
@@ -26,7 +28,6 @@ from .lattice import (
     primitive,
     remap,
     transpose,
-    walk_faces,
 )
 
 Character = tuple  # exponent vector in the character lattice M
@@ -251,11 +252,16 @@ def regularity_subfan(fan, char):
     """The subfan where the character is regular: all cones sigma with
     <m, u> >= 0 on every ray u of sigma, i.e. m in the dual of sigma.
 
-    Faces are masks over the fan's ray index.  Each maximal cone's face lattice is
-    walked top-down, stopping at the first regular faces; the maximal ones are
-    kept.  A kept face takes as facets the maximal proper faces among its
-    intersections with the facets of a maximal cone it is a face of, since
-    every face is an intersection of facets (Cox-Little-Schenck, §1.2).
+    Faces are masks over the fan's ray index.  Each maximal cone is searched
+    top-down: a face that holds a ray u with <m, u> < 0 steps, for the lowest
+    such ray r, only to its intersections with the cone's facets that miss r,
+    and a face with none is kept; the maximal kept faces form the subfan.
+    No regular face G is lost: G is the intersection of the facets that
+    contain it, and one of them misses r (Cox-Little-Schenck, §1.2).  A face
+    shared by several maximal cones is searched once, and ResourceCapError
+    is raised past MAX_FACES faces.  A kept face takes as facets the maximal
+    proper faces among its intersections with the facets of a maximal cone
+    it is a face of, since every face is an intersection of facets.
     Precondition: the maximal cones are canonical and form a fan, as
     build_model guarantees, so containment between faces is ray-subset
     inclusion.
@@ -265,16 +271,29 @@ def regularity_subfan(fan, char):
         raise LatticeError("character dimension does not match fan")
     rays = fan.all_rays
     bit, tops = fan.ray_index()
-    regular = sum(b for u, b in bit.items() if dot(char, u) >= 0)
-
-    def is_regular(mask):
-        return mask & regular == mask
+    irregular = sum(b for u, b in bit.items() if dot(char, u) < 0)
 
     found = {}  # regular face -> a maximal cone it is a face of
+    seen = set()
     for k, top in enumerate(tops):
-        faces = [top] if is_regular(top) else walk_faces(top, fan.facet_masks(k), is_regular)
-        for a in filter(is_regular, faces):
-            found.setdefault(a, k)
+        cone_facets = fan.facet_masks(k) if top & irregular else ()
+        seen.add(top)
+        stack = [top]
+        while stack:
+            cur = stack.pop()
+            bad = cur & irregular
+            if not bad:
+                found.setdefault(cur, k)
+                continue
+            low = bad & -bad
+            for f in cone_facets:
+                if not f & low:
+                    sub = cur & f
+                    if sub not in seen:
+                        seen.add(sub)
+                        stack.append(sub)
+            if len(seen) > MAX_FACES:
+                raise ResourceCapError(f"regular-face search passed the cap of {MAX_FACES} faces")
     kept = {tuple(rays[i] for i in bit_indices(a)): a for a in maximal_masks(found)}
 
     def facets(sub, j):

@@ -10,8 +10,9 @@ A node move's character over the level-(i-1) torus therefore has exponent
 vector t_exponents + alpha_exponents in these coordinates.
 
 A node move with character exponent m first restricts the previous level
-to the regularity subfan (cones with <m,u> >= 0 on all rays); each
-surviving cone sigma then lifts to
+to the regularity subfan (cones with <m,u> >= 0 on all rays), which a
+directed search finds without walking every face that holds a ray with
+<m,u> < 0 (see regularity_subfan); each surviving cone sigma then lifts to
 
     sigma~ = {(v, s) : v in sigma, 0 <= s <= <m, v>},
 

@@ -27,7 +27,9 @@ Fourier-Motzkin membership and the simplicial log-discrepancy formula, over
 `det_fraction`) live here too, as references for its integer oracles, and
 so do the generator-expression definitions of the lattice vector helpers,
 the references for their builtin forms, and the lc sampler that builds and
-primitivizes every sample vector.
+primitivizes every sample vector.  The mask walks that the face kernels
+replaced are here as well: a fan's faces as the union of one walk per
+maximal cone, and a regularity subfan from a walk of every non-regular face.
 `unimodular` draws the changes of coordinates for the metamorphic tests.
 """
 
@@ -54,8 +56,10 @@ from torictower.lattice import (
     is_zero,
     kernel_basis,
     mat_vec,
+    maximal_masks,
     primitive,
     rank_int,
+    remap,
     unit_vector,
     vneg,
     vscale,
@@ -184,6 +188,56 @@ def facet_masks_oracle(fan, k):
         sum(1 << i for i, r in enumerate(fan.all_rays) if r in cone.generators and dot(nrm, r) == 0)
         for nrm in halfspace_intersection(cone.generators, cone.ambient_dim)[0]
     ))
+
+
+def walk_faces_oracle(top, facets, leaf=None):
+    """Face masks reached from `top` (included) by intersecting with the
+    facet masks `facets`, not descending below a face where `leaf` holds."""
+    seen = {top}
+    stack = [top]
+    while stack:
+        cur = stack.pop()
+        if leaf is not None and leaf(cur):
+            continue
+        for f in facets:
+            sub = cur & f
+            if sub not in seen:
+                seen.add(sub)
+                stack.append(sub)
+    return seen
+
+
+def face_masks_oracle(fan):
+    """Every face of `fan` as a mask, the union of one walk per maximal cone."""
+    _, tops = fan.ray_index()
+    return set().union(*(walk_faces_oracle(top, fan.facet_masks(k)) for k, top in enumerate(tops)))
+
+
+def regularity_subfan_walk_oracle(fan, char):
+    """The regularity subfan from a walk of each maximal cone's face lattice
+    that stops at the first regular faces, with the facet rule of
+    `regularity_subfan`."""
+    char = tuple(char)
+    rays = fan.all_rays
+    bit, tops = fan.ray_index()
+    regular = sum(b for u, b in bit.items() if dot(char, u) >= 0)
+
+    def is_regular(mask):
+        return mask & regular == mask
+
+    found = {}  # regular face -> a maximal cone it is a face of
+    for k, top in enumerate(tops):
+        faces = [top] if is_regular(top) else walk_faces_oracle(top, fan.facet_masks(k), is_regular)
+        for a in filter(is_regular, faces):
+            found.setdefault(a, k)
+    kept = {tuple(rays[i] for i in bit_indices(a)): a for a in maximal_masks(found)}
+
+    def facets(sub, j):
+        face = kept[sub.maximal_cones[j].generators]
+        cuts = maximal_masks(face & f for f in fan.facet_masks(found[face]) if face & f != face)
+        return (remap(f, rays, sub.ray_index()[0]) for f in cuts)
+
+    return Fan(fan.ambient_dim, [Cone(fan.ambient_dim, gens) for gens in kept], facets)
 
 
 def is_face_of_oracle(small, big):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_golden import SEED
+from test_golden import SEED, STRESS_TOWER
 from torictower.cli import EXIT_RESOURCE, EXIT_VIOLATIONS, main
 from torictower.documents import emit_tower, random_tower
 from torictower.lattice import DEFAULT_MAX_DIM, MAX_SAMPLES, ResourceCapError
@@ -175,6 +175,20 @@ def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
         assert run_main(["verify", "--suite", suite, "--samples", str(MAX_SAMPLES + 1)], "") == (EXIT_RESOURCE, "")
     with pytest.raises(ResourceCapError):
         tower.lc_place_transfer_check(spec, samples=MAX_SAMPLES + 1, seed=0)
+
+
+def test_face_walks_past_the_face_cap_are_a_cap(monkeypatch):
+    import torictower.lattice as lattice
+    import torictower.toric as toric
+
+    doc = emit_tower(STRESS_TOWER)  # its level fans have up to 2,972 faces, its searches 78
+    assert run_main(["local-model"], doc)[0] == 0
+    monkeypatch.setattr(lattice, "MAX_FACES", 100)
+    assert run_main(["build"], doc)[0] == 0  # build walks no face lattice
+    assert run_main(["local-model"], doc) == (EXIT_RESOURCE, "")
+    monkeypatch.setattr(toric, "MAX_FACES", 50)
+    assert run_main(["build"], doc) == (EXIT_RESOURCE, "")
+    assert run_main(["local-model"], doc) == (EXIT_RESOURCE, "")
 
 
 @st.composite
