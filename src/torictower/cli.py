@@ -219,6 +219,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {  # the flags a command's handler reads, besides --output
+        "--input": dict(default=None, help="input document ('-' for stdin)"),
         "--seed": dict(type=_integer, default=0, help="random seed"),
         "--max-dim": dict(type=_integer, default=DEFAULT_MAX_DIM, help="dimension cap"),
         "--max-rays": dict(type=_integer, default=DEFAULT_MAX_RAYS, help="ray-count cap"),
@@ -231,50 +232,42 @@ def build_parser():
             p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("build", help="build the tower model and summarize its levels")
-    p.add_argument("--input", default=None, help="tower document ('-' for stdin)")
     common(p, *shared)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("fan", help="print level fans")
-    p.add_argument("--input", default=None)
     p.add_argument("--level", type=_integer, default=None, help="single level to print")
     common(p, *shared)
     p.set_defaults(func=cmd_fan)
 
     p = sub.add_parser("map-to-proj", help="the congruent projective-space model")
-    p.add_argument("--input", default=None)
     common(p, *shared)
     p.set_defaults(func=cmd_map_to_proj)
 
     p = sub.add_parser("base-change", help="base change the tower to a curve germ")
-    p.add_argument("--input", default=None)
     p.add_argument("--orders", required=True, help="comma-separated vanishing orders c_1,..,c_p")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--on-boundary", dest="on_boundary", action="store_true")
     group.add_argument("--off-boundary", dest="on_boundary", action="store_false")
-    common(p)
+    common(p, "--input")
     p.set_defaults(func=cmd_base_change)
 
     p = sub.add_parser("lc-check", help="lc-place transfer check")
-    p.add_argument("--input", default=None)
     p.add_argument("--samples", type=_integer, default=50)
     common(p, *shared)
     p.set_defaults(func=cmd_lc_check)
 
     p = sub.add_parser("local-model", help="classify torus orbits per level")
-    p.add_argument("--input", default=None)
     p.add_argument("--level", type=_integer, default=None)
     common(p, *shared)
     p.set_defaults(func=cmd_local_model)
 
     p = sub.add_parser("degree", help="relative degree on a projective fiber")
-    p.add_argument("--input", default=None)
-    common(p, "--seed", "--timing")
+    common(p, "--input", "--seed", "--timing")
     p.set_defaults(func=cmd_degree)
 
     p = sub.add_parser("volume", help="relative volume on a projective fiber")
-    p.add_argument("--input", default=None)
-    common(p, "--seed", "--timing")
+    common(p, "--input", "--seed", "--timing")
     p.set_defaults(func=cmd_volume)
 
     p = sub.add_parser("random", help="generate a seeded random tower document")

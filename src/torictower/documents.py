@@ -18,7 +18,6 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .lattice import DEFAULT_MAX_DIM, ResourceCapError
 from .polytope import ProjectiveDivisorData
@@ -256,9 +255,9 @@ class Report(CheckOutcome):
     """Machine-readable command report: a CheckOutcome plus command, seed and data."""
 
     command: str
-    seed: Optional[int] = None
+    seed: int | None = None
     data: dict = field(default_factory=dict)
-    elapsed_ms: Optional[float] = None
+    elapsed_ms: float | None = None
 
     def to_dict(self, include_timing=False):
         out = {

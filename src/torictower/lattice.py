@@ -20,9 +20,6 @@ import math
 import operator
 from dataclasses import dataclass
 
-Vector = tuple  # lattice vector: tuple of ints
-Matrix = tuple  # integer matrix: tuple of row tuples
-
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
@@ -59,10 +56,6 @@ def dot(a, b):
 
 def vadd(a, b):
     return tuple(map(operator.add, a, b))
-
-
-def vsub(a, b):
-    return tuple(map(operator.sub, a, b))
 
 
 def vneg(a):
@@ -444,7 +437,7 @@ class Cone:
         cone._halfspaces = self.halfspaces()
         return cone
 
-    def faces(self):
+    def faces(self):  # no caller in src/; the benchmark traces it
         """All faces (itself and the zero cone included), canonical: the face
         masks of the one-cone fan by (size, ray indices).  For a canonical cone
         (its extreme rays in lex order, as every cone this module builds) that
@@ -662,11 +655,6 @@ def orthant_fan(n):
     full = (1 << n) - 1
     cone = Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n))))
     return Fan(n, (cone,), lambda fan, k: (full & ~(1 << i) for i in range(n)))
-
-
-def torus_fan(n):
-    """Fan of the n-torus: the zero cone only."""
-    return Fan(n, (Cone(n, ()),))
 
 
 def projective_fan(n):

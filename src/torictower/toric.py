@@ -30,8 +30,6 @@ from .lattice import (
     transpose,
 )
 
-Character = tuple  # exponent vector in the character lattice M
-
 
 class NoCentreError(Exception):
     """The valuation vector lies outside the fan support."""

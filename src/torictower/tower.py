@@ -43,7 +43,6 @@ import functools
 import random
 import sys
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 from .lattice import (
     Cone,
@@ -93,9 +92,6 @@ class NodeMove:
         return tuple(self.t_exponents) + tuple(self.alpha_exponents)
 
 
-Move = Union[ProductMove, NodeMove]
-
-
 @dataclass(frozen=True)
 class TowerSpec:
     """Symbolic tower description: base dimension and ordered moves.
@@ -126,7 +122,7 @@ class LocalModel:
     """Fibration-local classification of a torus orbit at some level."""
 
     kind: str  # "smooth_plain" | "smooth_on_section" | "node"
-    node_character: Optional[NodeMove] = None
+    node_character: NodeMove | None = None
 
 
 @dataclass(frozen=True)
@@ -459,7 +455,7 @@ def orbit_classifier(move, rays):
     return lambda mask: node if mask & alpha and mask & alpha_prime else plain
 
 
-def local_model_at(model, level, cone):
+def local_model_at(model, level, cone):  # no caller in src/; the benchmark traces it
     """Classify the torus orbit of a level-`level` cone relative to the
     fibration to the previous level, by `orbit_classifier`.
 

@@ -502,14 +502,7 @@ def suite_lc(seed, samples=200):
     rng = random.Random(seed)
     for idx, spec in enumerate(random_towers(samples, seed)):
         res = lc_place_transfer_check(spec, samples=LC_SAMPLES_PER_TOWER, seed=rng.randrange(2**32))
-        out.checked += res.checked
-        out.passed += res.passed
-        for s in res.skips:
-            out.add_skip(**s, tower=idx)
-        for v in res.violations:
-            out.add_violation(v["kind"], f"tower {idx}: {v['detail']}", tower=idx, **{
-                k: val for k, val in v.items() if k not in ("kind", "detail")
-            })
+        out.merge(res, tower=idx)
     return out
 
 

@@ -30,7 +30,8 @@ the references for their builtin forms, and the lc sampler that builds and
 primitivizes every sample vector.  The mask walks that the face kernels
 replaced are here as well: a fan's faces as the union of one walk per
 maximal cone, and a regularity subfan from a walk of every non-regular face.
-`unimodular` draws the changes of coordinates for the metamorphic tests.
+`unimodular` draws the changes of coordinates for the metamorphic tests,
+and `torus_fan` builds the zero-cone fan that only tests use.
 """
 
 import itertools
@@ -63,7 +64,6 @@ from torictower.lattice import (
     unit_vector,
     vneg,
     vscale,
-    vsub,
 )
 from torictower.polytope import LatticePolytope, UnboundedPolytopeError
 from torictower.toric import (
@@ -119,6 +119,11 @@ def content_oracle(a):
 
 def unit_vector_oracle(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
+
+
+def torus_fan(n):
+    """Fan of the n-torus: the zero cone only."""
+    return Fan(n, (Cone(n, ()),))
 
 
 def generated_by_oracle(vectors, ambient_dim=None):
@@ -775,12 +780,12 @@ def halfspace_intersection_oracle(constraints, n):
             new_lin = []
             for j, (l, s) in enumerate(zip(lineality, lvals)):
                 if j != j0:
-                    new_lin.append(primitive(vsub(vscale(s0, l), vscale(s, l0))))
+                    new_lin.append(primitive(vsub_oracle(vscale(s0, l), vscale(s, l0))))
             full = bit - 1  # tight on every previously processed constraint
             new_rays = []
             for r, mask in rays:
                 rv = dot(a, r)
-                r2 = primitive(vsub(vscale(s0, r), vscale(rv, l0)))
+                r2 = primitive(vsub_oracle(vscale(s0, r), vscale(rv, l0)))
                 new_rays.append((r2, mask | bit))
             new_rays.append((l0, full))
             rays = new_rays
@@ -805,7 +810,7 @@ def halfspace_intersection_oracle(constraints, n):
                         )
                         if blocked:
                             continue
-                        w = vsub(vscale(pv, q), vscale(qv, p))
+                        w = vsub_oracle(vscale(pv, q), vscale(qv, p))
                         if is_zero(w):
                             continue
                         # exact: <c, w> = pv<c, q> - qv<c, p>, both terms >= 0

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -485,3 +488,21 @@ def test_negative_sample_counts_are_usage_errors(tmp_path, capsys):
         assert (code, out) == (EXIT_USAGE, "") and "samples must be >= 0" in err, argv
     code, out, _, _ = _run(["lc-check", "--input", path, "--samples", "0"], capsys, tmp_path)
     assert code == EXIT_OK and json.loads(out)["counts"]["checked"] == "2"  # the two rays
+
+
+def test_importing_the_cli_loads_every_module_the_benchmark_reads():
+    """The benchmark imports only `torictower.cli`, then reads the `verify` and
+    `polytope` modules from `sys.modules` and traces `torictower.fan_validate`:
+    `cli` must import every module at load time, not inside its commands."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = (
+        "import json, sys, torictower, torictower.cli, torictower.lattice\n"
+        "print(json.dumps([sorted(m for m in sys.modules if m.startswith('torictower.')),\n"
+        "                  torictower.fan_validate is torictower.lattice.fan_validate]))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    modules, same = json.loads(out.stdout)
+    names = ("cli", "documents", "lattice", "polytope", "toric", "tower", "verify")
+    assert {f"torictower.{name}" for name in names} <= set(modules)
+    assert same is True

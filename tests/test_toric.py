@@ -14,6 +14,7 @@ from oracles import (
     pullback_divisor_oracle,
     regularity_subfan_oracle,
     star_subdivision_oracle,
+    torus_fan,
     unimodular,
 )
 from torictower.lattice import (
@@ -29,7 +30,6 @@ from torictower.lattice import (
     primitive,
     product_fan,
     projective_fan,
-    torus_fan,
     transpose,
     unit_vector,
     vadd,

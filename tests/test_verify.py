@@ -92,6 +92,25 @@ def test_run_suite_all_tags_each_violation_with_its_suite(monkeypatch):
     assert total.violations == [{"kind": "k", "detail": "d", "suite": "volume"}]
 
 
+def test_suite_lc_merges_each_towers_outcome_with_its_index(monkeypatch):
+    def fake_check(spec, samples, seed):
+        res = CheckOutcome(checked=3, passed=1)
+        res.add_violation("no-centre-on-P", "d", vector=[1, -1], origin="sample")
+        res.add_skip("degenerate sample (zero vector)", origin="sample")
+        return res
+
+    monkeypatch.setattr(torictower.verify, "lc_place_transfer_check", fake_check)
+    out = torictower.verify.suite_lc(seed=1, samples=2)
+    assert (out.checked, out.passed, out.skipped) == (6, 2, 2)
+    assert out.violations == [
+        {"kind": "no-centre-on-P", "detail": "d", "vector": [1, -1], "origin": "sample", "tower": idx}
+        for idx in (0, 1)
+    ]
+    assert out.skips == [
+        {"reason": "degenerate sample (zero vector)", "origin": "sample", "tower": idx} for idx in (0, 1)
+    ]
+
+
 @pytest.mark.parametrize("name, samples", [("lc", None), ("toric", None), ("all", 10)])
 def test_every_skip_keeps_its_reason(name, samples):
     """A suite's skip count is its list of skip reasons; lc tags each with its tower."""
