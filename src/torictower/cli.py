@@ -21,10 +21,9 @@ from .documents import (
     parse_int,
     parse_tower,
     random_tower,
-    report_from_outcome,
 )
 from .lattice import DEFAULT_MAX_DIM, DEFAULT_MAX_RAYS, LatticeError, ResourceCapError, bit_indices
-from .polytope import ProjectiveDivisorData, relative_degree_on_P, relative_volume_on_P
+from .polytope import relative_degree_on_P, relative_volume_on_P
 from .tower import (
     CurveGermData,
     NodeMove,
@@ -142,7 +141,7 @@ def cmd_lc_check(args):
     outcome = lc_place_transfer_check(
         spec, samples=args.samples, seed=args.seed, max_rays=args.max_rays, max_dim=args.max_dim
     )
-    return report_from_outcome("lc-check", outcome, seed=args.seed)
+    return Report(command="lc-check", seed=args.seed).merge(outcome)
 
 
 def cmd_local_model(args):
@@ -176,17 +175,10 @@ def cmd_local_model(args):
     return report
 
 
-def cmd_degree(args):
+def cmd_divisor(command, formula, args):
     data = parse_divisor(_read_input(args.input))
-    report = Report(command="degree", seed=args.seed, checked=1, passed=1)
-    report.data = {"relative_degree": relative_degree_on_P(data)}
-    return report
-
-
-def cmd_volume(args):
-    data = parse_divisor(_read_input(args.input))
-    report = Report(command="volume", seed=args.seed, checked=1, passed=1)
-    report.data = {"relative_volume": relative_volume_on_P(data)}
+    report = Report(command=command, seed=args.seed, checked=1, passed=1)
+    report.data = {f"relative_{command}": formula(data)}
     return report
 
 
@@ -196,7 +188,7 @@ def cmd_random(args):
 
 def cmd_verify(args):
     outcome = run_suite(args.suite, seed=args.seed, samples=args.samples)
-    return report_from_outcome(f"verify:{args.suite}", outcome, seed=args.seed)
+    return Report(command=f"verify:{args.suite}", seed=args.seed).merge(outcome)
 
 
 def _integer(text):
@@ -262,13 +254,10 @@ def build_parser():
     common(p, *shared)
     p.set_defaults(func=cmd_local_model)
 
-    p = sub.add_parser("degree", help="relative degree on a projective fiber")
-    common(p, "--input", "--seed", "--timing")
-    p.set_defaults(func=cmd_degree)
-
-    p = sub.add_parser("volume", help="relative volume on a projective fiber")
-    common(p, "--input", "--seed", "--timing")
-    p.set_defaults(func=cmd_volume)
+    for name, formula in (("degree", relative_degree_on_P), ("volume", relative_volume_on_P)):
+        p = sub.add_parser(name, help=f"relative {name} on a projective fiber")
+        common(p, "--input", "--seed", "--timing")
+        p.set_defaults(func=functools.partial(cmd_divisor, name, formula))
 
     p = sub.add_parser("random", help="generate a seeded random tower document")
     p.add_argument("--p", type=_integer, required=True, help="base dimension")
@@ -302,15 +291,12 @@ def main(argv=None):
         result.elapsed_ms = (time.monotonic() - start) * 1000.0
         _write_output(args.output, result.to_json(include_timing=args.timing))
         return EXIT_OK if result.ok() else EXIT_VIOLATIONS
-    except (TowerDocumentError, LatticeError) as exc:
+    except (TowerDocumentError, LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -19,9 +19,9 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import DEFAULT_MAX_DIM, ResourceCapError
+from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError
 from .polytope import ProjectiveDivisorData
-from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec, validate_tower
+from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
 
 FORMAT_VERSION = 1
 
@@ -219,13 +219,10 @@ def parse_tower(text):
             )
         else:
             raise TowerDocumentError(f"{where}: unknown move type {kind!r}")
-    spec = TowerSpec(base_dim=base_dim, moves=tuple(moves))
-    violations = validate_tower(spec)
-    if violations:
-        raise TowerDocumentError(
-            "invalid tower: " + "; ".join(v.detail for v in violations)
-        )
-    return spec
+    try:
+        return TowerSpec(base_dim=base_dim, moves=tuple(moves))
+    except LatticeError as exc:  # the tower rules, which TowerSpec checks
+        raise TowerDocumentError(str(exc)) from None
 
 
 def random_tower(p, d, max_exponent, seed):
@@ -274,7 +271,3 @@ class Report(CheckOutcome):
 
     def to_json(self, include_timing=False):
         return _canonical_json(self.to_dict(include_timing=include_timing))
-
-
-def report_from_outcome(command, outcome, seed=None):
-    return Report(command=command, seed=seed).merge(outcome)

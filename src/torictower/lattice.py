@@ -36,7 +36,7 @@ class ResourceCapError(RuntimeError):
 
 @dataclass(frozen=True)
 class Violation:
-    """One validation failure; validators return lists of these instead of raising."""
+    """One fan_validate failure; fan_validate returns a list of these instead of raising."""
 
     kind: str
     detail: str
@@ -222,11 +222,10 @@ def snf(m):
 
 
 def kernel_basis(m, ncols):
-    """HNF basis (rows) of the integer kernel {x : m*x = 0}."""
-    mt = transpose(m, ncols=ncols)
-    if not mt:
-        mt = tuple(() for _ in range(ncols))
-    h, u = hnf(mt)
+    """A basis (rows) of the integer kernel {x : m*x = 0}, not in Hermite form:
+    the ncols - rank(m) rows of the unimodular U, U*m^T = H, where H is zero,
+    so they are saturated (every invariant factor is 1)."""
+    h, u = hnf(transpose(m, ncols=ncols))
     return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
 
@@ -238,7 +237,8 @@ def halfspace_intersection(constraints, n):
     """V-description of the cone {x in R^n : <a, x> >= 0 for every a}.
 
     Returns (rays, lineality): the extreme rays of the pointed part (primitive,
-    lex-sorted) and an HNF basis of the lineality space.  Double description
+    lex-sorted) and a saturated basis of the lineality space (kernel_basis of
+    the processed rows, so in general not in Hermite form).  Double description
     with incremental lineality reduction; the adjacency test is the standard
     combinatorial one, valid because the ray list stays minimal at every step.
     Deterministic: first-index pivoting, lexicographically sorted output.

@@ -35,14 +35,6 @@ class NoCentreError(Exception):
     """The valuation vector lies outside the fan support."""
 
 
-class NotQCartierError(Exception):
-    """A divisor needed as Q-Cartier is not; carries the offending cone."""
-
-    def __init__(self, failure):
-        super().__init__(failure.message)
-        self.failure = failure
-
-
 class FanMapError(ValueError):
     """A lattice map does not send the source fan into the target fan."""
 
@@ -145,12 +137,14 @@ class CartierData:
         return None if k is None else dot(self.vectors[k], v)
 
 
-@dataclass(frozen=True)
-class NotQCartier:
-    """Structured failure value: the divisor is not Q-Cartier on `cone`."""
+class NotQCartier(Exception):
+    """The divisor is not Q-Cartier on `cone`: cartier_data returns it as its
+    failure value, and pullback_divisor and log_discrepancy raise it."""
 
-    cone: Cone
-    message: str
+    def __init__(self, cone, message):
+        super().__init__(message)
+        self.cone = cone
+        self.message = message
 
 
 def cartier_data(fan, divisor):
@@ -211,7 +205,7 @@ def pullback_divisor(lattice_map, source, target, divisor):
     """
     cd = cartier_data(target, divisor)
     if isinstance(cd, NotQCartier):
-        raise NotQCartierError(cd)
+        raise cd
     coeffs = {}
     for cone in source.maximal_cones:
         images = [mat_vec(lattice_map, g) for g in cone.generators]
@@ -229,7 +223,7 @@ def log_discrepancy(fan, boundary, e):
     """Log discrepancy a(E, X, B) of the toric valuation with primitive vector e.
 
     Accepts non-primitive e (normalized first).  Raises NoCentreError when e
-    lies outside the fan support and NotQCartierError when K_X + B is not
+    lies outside the fan support and NotQCartier when K_X + B is not
     Q-Cartier; batch harnesses catch both and aggregate.
     """
     e = tuple(e)
@@ -239,7 +233,7 @@ def log_discrepancy(fan, boundary, e):
     kb = canonical_divisor(fan) + boundary
     cd = cartier_data(fan, kb)
     if isinstance(cd, NotQCartier):
-        raise NotQCartierError(cd)
+        raise cd
     val = cd.evaluate(e)
     if val is None:
         raise NoCentreError("valuation has no centre")

@@ -52,7 +52,6 @@ from .lattice import (
     LatticeError,
     MAX_SAMPLES,
     ResourceCapError,
-    Violation,
     cones_equal_as_sets,
     dot,
     dual_cone,
@@ -97,11 +96,37 @@ class TowerSpec:
     """Symbolic tower description: base dimension and ordered moves.
 
     Move k (0-based) builds level k+2; a node move there may reference the
-    variables a_2..a_(k+1), so its alpha_exponents must have length k.
+    variables a_2..a_(k+1), so its alpha_exponents must have length k and its
+    t_exponents base_dim; construction raises LatticeError naming each failure.
     """
 
     base_dim: int
     moves: tuple
+
+    def __post_init__(self):
+        details = []
+        if self.base_dim < 1:
+            details.append(f"base_dim {self.base_dim} must be >= 1")
+        for k, move in enumerate(self.moves):
+            level = k + 2
+            if isinstance(move, ProductMove):
+                continue
+            if not isinstance(move, NodeMove):
+                details.append(f"move {k} has unknown type {type(move).__name__}")
+                continue
+            if len(move.alpha_exponents) != k:
+                details.append(
+                    f"move {k} (level {level}): alpha_exponents has length "
+                    f"{len(move.alpha_exponents)}, expected {k} "
+                    f"(only a_2..a_{level - 1} are defined)"
+                )
+            if len(move.t_exponents) != self.base_dim:
+                details.append(
+                    f"move {k} (level {level}): t_exponents has length "
+                    f"{len(move.t_exponents)}, expected {self.base_dim}"
+                )
+        if details:
+            raise LatticeError("invalid tower: " + "; ".join(details))
 
     @property
     def depth(self):
@@ -174,44 +199,6 @@ class CheckOutcome:
         return self
 
 
-def validate_tower(spec):
-    """Violations of the tower invariants; empty list means valid."""
-    violations = []
-    if spec.base_dim < 1:
-        violations.append(Violation("base-dim", f"base_dim {spec.base_dim} must be >= 1"))
-    for k, move in enumerate(spec.moves):
-        level = k + 2
-        if isinstance(move, ProductMove):
-            continue
-        if not isinstance(move, NodeMove):
-            violations.append(Violation("move-type", f"move {k} has unknown type {type(move).__name__}"))
-            continue
-        if len(move.alpha_exponents) != k:
-            violations.append(
-                Violation(
-                    "alpha-arity",
-                    f"move {k} (level {level}): alpha_exponents has length "
-                    f"{len(move.alpha_exponents)}, expected {k} "
-                    f"(only a_2..a_{level - 1} are defined)",
-                )
-            )
-        if len(move.t_exponents) != spec.base_dim:
-            violations.append(
-                Violation(
-                    "t-arity",
-                    f"move {k} (level {level}): t_exponents has length "
-                    f"{len(move.t_exponents)}, expected {spec.base_dim}",
-                )
-            )
-    return violations
-
-
-def _require_valid(spec):
-    violations = validate_tower(spec)
-    if violations:
-        raise LatticeError("invalid tower spec: " + "; ".join(v.detail for v in violations))
-
-
 @functools.cache
 def _power_of_ten(k):
     return 10**k
@@ -235,7 +222,6 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     max_rays rays, or a node move's new coordinate <m, u> has more digits
     than the interpreter prints.
     """
-    _require_valid(spec)
     ambient = spec.base_dim + spec.depth - 1
     if ambient > max_dim:
         raise ResourceCapError(f"tower ambient dimension {ambient} exceeds cap {max_dim}")
@@ -301,7 +287,6 @@ def projective_model(spec):
     """The fan of the congruent birational model A^p x P^(d-1) (A^p at d = 1).
     It shares the tower's torus coordinates t_1..t_p, a_2..a_d, so its lattice
     identification is the identity; its boundary is the sum of its ray divisors."""
-    _require_valid(spec)
     p, d = spec.base_dim, spec.depth
     if d == 1:
         return orthant_fan(p)
@@ -347,7 +332,6 @@ def lc_place_transfer_check(
     construction (every ray keeps x_1..x_p >= 0); the test guards models
     passed in as `model`.
     """
-    _require_valid(spec)
     if samples < 0:
         raise LatticeError(f"samples must be >= 0, got {samples}")
     if samples > MAX_SAMPLES:
@@ -405,7 +389,6 @@ def base_change_to_curve(spec, germ):
     new exponent with more digits than the interpreter prints is a
     ResourceCapError.
     """
-    _require_valid(spec)
     if len(germ.orders) != spec.base_dim:
         raise LatticeError(
             f"germ has {len(germ.orders)} orders, tower base dimension is {spec.base_dim}"

@@ -70,7 +70,6 @@ from torictower.toric import (
     CartierData,
     FanMapError,
     NotQCartier,
-    NotQCartierError,
     ToricDivisor,
     boundary_divisor,
     canonical_divisor,
@@ -149,7 +148,7 @@ def pullback_divisor_oracle(lattice_map, source, target, divisor):
     first target cone that contains map*u."""
     cd = cartier_data(target, divisor)
     if isinstance(cd, NotQCartier):
-        raise NotQCartierError(cd)
+        raise cd
     for cone in source.maximal_cones:
         images = [mat_vec(lattice_map, g) for g in cone.generators]
         if not any(all(t.contains(v) for v in images) for t in target.maximal_cones):

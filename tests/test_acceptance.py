@@ -263,10 +263,8 @@ def test_acceptance_8_round_trip_and_determinism():
     # identical seeds give byte-identical reports
     first = run_suite("basechange", seed=SEED)
     second = run_suite("basechange", seed=SEED)
-    from torictower.documents import report_from_outcome
-
-    r1 = report_from_outcome("verify:basechange", first, seed=SEED)
-    r2 = report_from_outcome("verify:basechange", second, seed=SEED)
+    r1 = Report(command="verify:basechange", seed=SEED).merge(first)
+    r2 = Report(command="verify:basechange", seed=SEED).merge(second)
     r1.elapsed_ms, r2.elapsed_ms = 1.0, 2.0  # wall clock must not leak into bytes
     assert r1.to_json().encode() == r2.to_json().encode()
     report(8, "round-trip and determinism", time.monotonic() - start, 5.0)

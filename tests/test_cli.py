@@ -154,6 +154,28 @@ def test_degree_and_volume_commands(tmp_path, capsys):
     assert code == EXIT_OK and json.loads(out)["data"]["relative_volume"] == "9"
 
 
+@pytest.mark.parametrize("command, value", [("degree", "9"), ("volume", "81/4")])
+def test_degree_and_volume_reports_byte_for_byte(command, value, tmp_path, capsys):
+    """The whole canonical report, not only `data`: sum of coefficients 9/2,
+    polarization 2, fiber P^2, so degree 2 * 9/2 and volume (9/2)^2."""
+    path = write_tower(
+        tmp_path,
+        '{"fiber_dim": "2", "hyperplane_coefficients": ["1/2", "1", "3"], "polarization": "2"}',
+        name="div.json",
+    )
+    code, out, _ = run_cli(capsys, command, "--input", path, "--seed", "5")
+    assert code == EXIT_OK
+    assert out == (
+        "{\n"
+        f'  "command": "{command}",\n'
+        '  "counts": {\n    "checked": "1",\n    "passed": "1",\n    "skipped": "0"\n  },\n'
+        f'  "data": {{\n    "relative_{command}": "{value}"\n  }},\n'
+        '  "seed": "5",\n'
+        '  "violations": []\n'
+        "}\n"
+    )
+
+
 def test_verify_command(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "basechange", "--seed", "3")
     assert code == EXIT_OK
@@ -184,6 +206,13 @@ def test_schema_error_exit_code(tmp_path, capsys):
     code, _, err = run_cli(capsys, "build", "--input", path)
     assert code == EXIT_USAGE
     assert "invalid tower" in err
+
+
+def test_a_base_dim_below_one_is_a_usage_error(tmp_path, capsys):
+    path = write_tower(tmp_path, '{"base_dim": "0", "moves": []}', name="bad.json")
+    code, out, err = run_cli(capsys, "build", "--input", path)
+    assert code == EXIT_USAGE and out == ""
+    assert "invalid tower: base_dim 0 must be >= 1" in err
 
 
 def test_resource_cap_exit_code(tmp_path, capsys):

@@ -12,7 +12,6 @@ from torictower.documents import (
     emit_tower,
     parse_tower,
     random_tower,
-    report_from_outcome,
 )
 from torictower.lattice import ResourceCapError
 from torictower.tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
@@ -58,6 +57,11 @@ def test_parse_schema_error_names_move_index():
         parse_tower(text)
 
 
+def test_parse_rejects_a_base_dim_below_one():
+    with pytest.raises(TowerDocumentError, match="^invalid tower: base_dim 0 must be >= 1$"):
+        parse_tower('{"base_dim": "0", "moves": []}')
+
+
 def test_parse_missing_field_error():
     with pytest.raises(TowerDocumentError, match="alpha_exponents"):
         parse_tower('{"base_dim": 1, "moves": [{"type": "node", "t_exponents": [1]}]}')
@@ -96,10 +100,8 @@ def test_random_tower_deterministic():
 
 
 def test_random_tower_validates():
-    from torictower.tower import validate_tower
-
-    for i in range(50):
-        assert validate_tower(random_tower(3, 5, 3, seed=i)) == []
+    for i in range(50):  # TowerSpec checks the tower rules on construction
+        assert random_tower(3, 5, 3, seed=i).depth == 5
 
 
 def test_random_tower_bad_params():
@@ -126,7 +128,7 @@ def test_report_is_a_check_outcome_and_keeps_what_it_is_built_from():
     outcome = CheckOutcome(checked=5, passed=3)
     outcome.add_violation("k", "d", vector=[1, -1])
     outcome.add_skip("degenerate sample (zero vector)", origin="sample")
-    r = report_from_outcome("lc-check", outcome, seed=11)
+    r = Report(command="lc-check", seed=11).merge(outcome)
     assert isinstance(r, CheckOutcome) and not r.ok()
     assert (r.checked, r.passed, r.skipped) == (5, 3, 1)
     assert r.violations == outcome.violations and r.skips == outcome.skips

@@ -48,6 +48,7 @@ from torictower.lattice import (
     is_face_of,
     is_unimodular,
     is_zero,
+    kernel_basis,
     mat_mul,
     mat_vec,
     maximal_masks,
@@ -55,6 +56,7 @@ from torictower.lattice import (
     primitive,
     product_fan,
     projective_fan,
+    rank_int,
     snf,
     transpose,
     unit_vector,
@@ -169,6 +171,21 @@ def test_snf_returns_where_the_elimination_grows_without_bound():
     assert diag == (1, 1, 1, 1, 3) == invariant_factors_minor_oracle(m)
     assert is_unimodular(u) and is_unimodular(v)
     assert mat_mul(mat_mul(u, m), v) == s
+
+
+def test_kernel_basis_rows_are_a_saturated_basis_of_the_kernel():
+    """The rows lie in the kernel, there are ncols - rank of them, and every
+    invariant factor is 1, so they span the whole kernel lattice."""
+    rng = random.Random(20261020)
+    for _ in range(300):
+        nr, nc = rng.randint(0, 4), rng.randint(1, 5)
+        m = [tuple(rng.randint(-6, 6) for _ in range(nc)) for _ in range(nr)]
+        if nr > 1 and rng.random() < 0.3:  # a dependent row
+            m[-1] = vadd(vscale(2, m[0]), m[1])
+        rows = kernel_basis(tuple(m), nc)
+        assert all(not any(mat_vec(m, x)) for x in rows)
+        assert len(rows) == nc - rank_int(m)
+        assert all(f == 1 for f in invariant_factors_minor_oracle(rows))
 
 
 @st.composite

@@ -7,7 +7,7 @@ import sympy
 
 from oracles import lc_place_transfer_check_oracle
 from test_golden import STRESS_TOWER
-from torictower.documents import report_from_outcome
+from torictower.documents import Report
 from torictower.lattice import (
     Cone,
     Fan,
@@ -43,7 +43,6 @@ from torictower.tower import (
     node_chart_dual_violations,
     projective_model,
     torus_splitting_check,
-    validate_tower,
 )
 from torictower.tower import _below
 from torictower.verify import random_towers
@@ -57,25 +56,38 @@ def node(alpha, t):
 
 
 def test_validate_product_tower():
-    assert validate_tower(TowerSpec(1, (ProductMove(),))) == []
+    assert TowerSpec(1, (ProductMove(),)).depth == 2
 
 
 def test_validate_rejects_undefined_alpha():
     # the first move (level 2) may not reference alpha_2
-    spec = TowerSpec(1, (node((1,), (1,)),))
-    kinds = {v.kind for v in validate_tower(spec)}
-    assert "alpha-arity" in kinds
+    with pytest.raises(LatticeError, match=r"move 0 \(level 2\): alpha_exponents has length 1, expected 0"):
+        TowerSpec(1, (node((1,), (1,)),))
 
 
 def test_validate_two_node_tower():
-    spec = TowerSpec(2, (node((), (1, 1)), node((1,), (-1, 0))))
-    assert validate_tower(spec) == []
+    assert TowerSpec(2, (node((), (1, 1)), node((1,), (-1, 0)))).depth == 3
 
 
 def test_validate_t_arity():
-    spec = TowerSpec(2, (node((), (1,)),))
-    kinds = {v.kind for v in validate_tower(spec)}
-    assert "t-arity" in kinds
+    with pytest.raises(LatticeError, match=r"move 0 \(level 2\): t_exponents has length 1, expected 2"):
+        TowerSpec(2, (node((), (1,)),))
+
+
+def test_validate_rejects_base_dim_below_one_with_every_other_failure():
+    with pytest.raises(LatticeError) as info:
+        TowerSpec(0, (node((1,), ()), ProductMove()))
+    assert str(info.value) == (
+        "invalid tower: base_dim 0 must be >= 1; "
+        "move 0 (level 2): alpha_exponents has length 1, expected 0 (only a_2..a_1 are defined)"
+    )
+    with pytest.raises(LatticeError, match="^invalid tower: base_dim 0 must be >= 1$"):
+        TowerSpec(0, ())
+
+
+def test_validate_rejects_a_move_of_unknown_type():
+    with pytest.raises(LatticeError, match="^invalid tower: move 1 has unknown type str$"):
+        TowerSpec(1, (ProductMove(), "node"))
 
 
 # --- build_model -------------------------------------------------------
@@ -315,7 +327,7 @@ def test_lc_check_report_writes_witness_vectors_as_decimal_strings():
     flip[1][1] = -1
     forged = _with_top_fan_moved(model, flip)
     outcome = lc_place_transfer_check(spec, samples=20, seed=3, model=forged)
-    violations = json.loads(report_from_outcome("lc-check", outcome, seed=3).to_json())["violations"]
+    violations = json.loads(Report(command="lc-check", seed=3).merge(outcome).to_json())["violations"]
     assert violations
     for v, witness in zip(violations, outcome.violations):
         assert v["vector"] == [str(x) for x in witness["vector"]]
