@@ -6,8 +6,6 @@ with integers (and rationals) as decimal strings.  Exit codes: 0 success,
 1 violations, 2 usage or parse error, 3 resource cap exceeded.
 """
 
-from __future__ import annotations
-
 import argparse
 import functools
 import sys

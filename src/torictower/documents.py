@@ -11,12 +11,9 @@ carried on the Report object but kept out of the canonical bytes unless
 explicitly requested, to preserve byte-for-byte determinism.
 """
 
-from __future__ import annotations
-
 import json
 import random
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError
@@ -69,8 +66,9 @@ def _scalar(x):
 
 def _emit(obj, newline, put, texts):
     """Append the canonical text of `obj`, nested at the indent `newline` ends
-    in; `texts` maps (id, indent) of each list of scalars written to its text."""
-    if isinstance(obj, (list, tuple)) and obj:
+    in; `texts` maps (id, indent) of each list of scalars written to its text.
+    A tuple subclass (a record) is no array: _scalar raises TypeError on it."""
+    if type(obj) in (list, tuple) and obj:
         inner = newline + "  "
         key = id(obj), newline  # obj outlives the emission, so its id is not reused
         text = texts.get(key)
@@ -247,14 +245,13 @@ def random_tower(p, d, max_exponent, seed):
     return TowerSpec(base_dim=p, moves=tuple(moves))
 
 
-@dataclass(kw_only=True)
 class Report(CheckOutcome):
     """Machine-readable command report: a CheckOutcome plus command, seed and data."""
 
-    command: str
-    seed: int | None = None
-    data: dict = field(default_factory=dict)
-    elapsed_ms: float | None = None
+    def __init__(self, *, command, seed=None, data=None, elapsed_ms=None, **counts):
+        super().__init__(**counts)
+        self.command, self.seed, self.elapsed_ms = command, seed, elapsed_ms
+        self.data = {} if data is None else data
 
     def to_dict(self, include_timing=False):
         out = {

@@ -13,12 +13,10 @@ rule that derives its facet masks from the other fan's by bit arithmetic,
 in place of a double description pass per cone.
 """
 
-from __future__ import annotations
-
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
@@ -34,12 +32,10 @@ class ResourceCapError(RuntimeError):
     """A dimension, ray-count, sample-count, face-count or digit cap was exceeded."""
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(namedtuple("Violation", "kind detail")):
     """One fan_validate failure; fan_validate returns a list of these instead of raising."""
 
-    kind: str
-    detail: str
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

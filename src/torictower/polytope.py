@@ -7,10 +7,8 @@ coordinate hyperplane classes plus a vertical part that contributes
 nothing to the generic fiber.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
@@ -21,7 +19,6 @@ class UnboundedPolytopeError(Exception):
     """The divisor polyhedron has a nonzero recession cone."""
 
 
-@dataclass(frozen=True)
 class LatticePolytope:
     """A polytope by its points (exact rational coordinates, lex-sorted).
 
@@ -31,15 +28,28 @@ class LatticePolytope:
     polytope carries its own, and a bare point list pays one DD pass for them.
     """
 
-    ambient_dim: int
-    vertices: tuple
-    _inequalities: tuple = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = ("ambient_dim", "vertices", "_inequalities")
+
+    def __init__(self, ambient_dim, vertices):
+        self.ambient_dim, self.vertices, self._inequalities = ambient_dim, vertices, None
+
+    def _key(self):
+        return self.ambient_dim, self.vertices
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is LatticePolytope else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"LatticePolytope(ambient_dim={self.ambient_dim!r}, vertices={self.vertices!r})"
 
     def inequalities(self):
         """Integer rows a with the polytope = {x : <a, (x, 1)> >= 0} (memoized)."""
         if self._inequalities is None:
             dual = halfspace_intersection(_homogenized(self.vertices), self.ambient_dim + 1)
-            object.__setattr__(self, "_inequalities", tuple(_halfspace_rows(*dual)))
+            self._inequalities = tuple(_halfspace_rows(*dual))
         return self._inequalities
 
 
@@ -50,8 +60,7 @@ def _homogenized(points):
     return [tuple(int(x * den) for x in v) + (den,) for v, den in zip(points, dens)]
 
 
-@dataclass(frozen=True)
-class ProjectiveDivisorData:
+class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyperplane_coefficients polarization")):
     """A divisor on a projective-space fiber by its hyperplane-class
     coefficients, and the polarization degree a with A = a * hyperplane.
 
@@ -60,22 +69,20 @@ class ProjectiveDivisorData:
     part of the data.
     """
 
-    fiber_dim: int
-    hyperplane_coefficients: tuple
-    polarization: int = 1
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.fiber_dim < 1:
+    def __new__(cls, fiber_dim, hyperplane_coefficients, polarization=1):
+        if fiber_dim < 1:
             raise LatticeError("fiber dimension must be >= 1")
-        if self.fiber_dim > DEFAULT_MAX_DIM:
-            raise ResourceCapError(f"fiber dimension {self.fiber_dim} exceeds configured cap {DEFAULT_MAX_DIM}")
-        if self.polarization < 1:
+        if fiber_dim > DEFAULT_MAX_DIM:
+            raise ResourceCapError(f"fiber dimension {fiber_dim} exceeds configured cap {DEFAULT_MAX_DIM}")
+        if polarization < 1:
             raise LatticeError("polarization degree must be >= 1")
-        object.__setattr__(
-            self,
-            "hyperplane_coefficients",
-            tuple(Fraction(c) for c in self.hyperplane_coefficients),
-        )
+        return super().__new__(cls, fiber_dim, tuple(map(Fraction, hyperplane_coefficients)), polarization)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__
+        return cls(*iterable)
 
 
 def divisor_polytope(fan, divisor):
@@ -100,7 +107,7 @@ def divisor_polytope(fan, divisor):
         raise UnboundedPolytopeError("divisor not bounded above")
     vertices = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays)
     poly = LatticePolytope(ambient_dim=n, vertices=tuple(vertices))
-    object.__setattr__(poly, "_inequalities", tuple(constraints))
+    poly._inequalities = tuple(constraints)
     return poly
 
 

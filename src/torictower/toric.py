@@ -7,10 +7,8 @@ support function restricted to sigma.  This avoids double negation in
 pullback code; the support function value at v is -<m_sigma, v>.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .lattice import (
@@ -117,8 +115,7 @@ def character_divisor(fan, char):
     return ToricDivisor(fan, {r: Fraction(dot(char, r)) for r in fan.all_rays})
 
 
-@dataclass(frozen=True)
-class CartierData:
+class CartierData(namedtuple("CartierData", "fan vectors cartier_index")):
     """Per maximal cone, a rational M-vector m_sigma with <m_sigma, u_i> = d_i,
     plus the least positive integer q such that q*D is Cartier.
 
@@ -127,9 +124,7 @@ class CartierData:
     q is the least common denominator of every entry of every vector.
     """
 
-    fan: Fan
-    vectors: tuple
-    cartier_index: int
+    __slots__ = ()
 
     def evaluate(self, v):
         """<m_sigma, v> for the first maximal cone containing v, or None."""

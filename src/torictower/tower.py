@@ -37,12 +37,10 @@ description (see Fan.facet_masks):
   sigma, and sigma x {0}; over the zero cone that is the zero face alone.
 """
 
-from __future__ import annotations
-
 import functools
 import random
 import sys
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .lattice import (
     Cone,
@@ -70,29 +68,30 @@ from .toric import (
 )
 
 
-@dataclass(frozen=True)
-class ProductMove:
+class ProductMove(namedtuple("ProductMove", "")):
     """Multiply the previous level by an affine line."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class NodeMove:
+    def __bool__(self):  # a move, not an empty sequence
+        return True
+
+
+class NodeMove(namedtuple("NodeMove", "alpha_exponents t_exponents")):
     """Carve the node equation a*a' = lambda out of the previous level.
 
     The character lambda has exponents over (a_2..a_(i-1), t_1..t_p); both
     tuples may contain negative entries and the trivial character is allowed.
     """
 
-    alpha_exponents: tuple
-    t_exponents: tuple
+    __slots__ = ()
 
     def lattice_exponents(self):
         """Exponent vector in level-(i-1) lattice coordinates (t's first)."""
         return tuple(self.t_exponents) + tuple(self.alpha_exponents)
 
 
-@dataclass(frozen=True)
-class TowerSpec:
+class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
     """Symbolic tower description: base dimension and ordered moves.
 
     Move k (0-based) builds level k+2; a node move there may reference the
@@ -100,14 +99,13 @@ class TowerSpec:
     t_exponents base_dim; construction raises LatticeError naming each failure.
     """
 
-    base_dim: int
-    moves: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, base_dim, moves):
         details = []
-        if self.base_dim < 1:
-            details.append(f"base_dim {self.base_dim} must be >= 1")
-        for k, move in enumerate(self.moves):
+        if base_dim < 1:
+            details.append(f"base_dim {base_dim} must be >= 1")
+        for k, move in enumerate(moves):
             level = k + 2
             if isinstance(move, ProductMove):
                 continue
@@ -120,64 +118,64 @@ class TowerSpec:
                     f"{len(move.alpha_exponents)}, expected {k} "
                     f"(only a_2..a_{level - 1} are defined)"
                 )
-            if len(move.t_exponents) != self.base_dim:
+            if len(move.t_exponents) != base_dim:
                 details.append(
                     f"move {k} (level {level}): t_exponents has length "
-                    f"{len(move.t_exponents)}, expected {self.base_dim}"
+                    f"{len(move.t_exponents)}, expected {base_dim}"
                 )
         if details:
             raise LatticeError("invalid tower: " + "; ".join(details))
+        return super().__new__(cls, base_dim, moves)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__
+        return cls(*iterable)
 
     @property
     def depth(self):
         return len(self.moves) + 1
 
 
-@dataclass(frozen=True)
-class CurveGermData:
+class CurveGermData(namedtuple("CurveGermData", "orders on_boundary")):
     """Vanishing orders (c_1..c_p) of the base coordinates along a curve germ,
     and whether the germ centre lies on the boundary of the curve."""
 
-    orders: tuple
-    on_boundary: bool
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LocalModel:
-    """Fibration-local classification of a torus orbit at some level."""
+class LocalModel(namedtuple("LocalModel", "kind node_character", defaults=(None,))):
+    """Fibration-local classification of a torus orbit at some level: kind is
+    "smooth_plain", "smooth_on_section" or "node", the last with its NodeMove."""
 
-    kind: str  # "smooth_plain" | "smooth_on_section" | "node"
-    node_character: NodeMove | None = None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TowerLevel:
+class TowerLevel(namedtuple("TowerLevel", "fan")):
     """One level of a tower model.  Its toric boundary, `boundary_divisor(fan)`,
     and its map to the level below, which drops the last coordinate, follow
     from the fan; neither is stored, so no copy can disagree with the fan."""
 
-    fan: Fan
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TowerModel:
-    spec: TowerSpec
-    levels: tuple
+class TowerModel(namedtuple("TowerModel", "spec levels")):
+    __slots__ = ()
 
     @property
     def depth(self):
         return len(self.levels)
 
 
-@dataclass
 class CheckOutcome:
     """Aggregated result of a batch check: counts plus violation witnesses."""
 
-    checked: int = 0
-    passed: int = 0
-    skipped: int = 0
-    violations: list = field(default_factory=list)
-    skips: list = field(default_factory=list)
+    def __init__(self, checked=0, passed=0, skipped=0, violations=None, skips=None):
+        self.checked, self.passed, self.skipped = checked, passed, skipped
+        self.violations = [] if violations is None else violations
+        self.skips = [] if skips is None else skips
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
     def ok(self):
         return not self.violations

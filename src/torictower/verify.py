@@ -12,8 +12,6 @@ oracles share no code with `hnf`, the double description or the Bareiss
 steps.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random

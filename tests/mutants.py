@@ -23,6 +23,11 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 120  # seconds per pytest run
 LATTICE_AND_VERIFY = ("tests/test_verify.py", "tests/test_lattice.py")
+MAKE_OVERRIDE = (
+    "    @classmethod\n"
+    "    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__\n"
+    "        return cls(*iterable)\n"
+)
 
 MUTANTS = (
     # the DD keeps a lineality vector with pairing 0 as it is
@@ -44,10 +49,18 @@ MUTANTS = (
     ("verify.py", "return all(c[-1] >= 0 for c in cons)", "return all(c[-1] > 0 for c in cons)",
      LATTICE_AND_VERIFY),
     # a TowerSpec rejects a node move with too few t-exponents
-    ("tower.py", "if len(move.t_exponents) != self.base_dim:", "if len(move.t_exponents) > self.base_dim:",
+    ("tower.py", "if len(move.t_exponents) != base_dim:", "if len(move.t_exponents) > base_dim:",
      ("tests/test_tower.py",)),
     # pullback_divisor raises the NotQCartier that cartier_data returns
     ("toric.py", "raise cd\n    coeffs = {}", "pass\n    coeffs = {}", ("tests/test_toric.py",)),
+    # the regularity edit above, which the support-by-lattice-points net must kill on its own
+    ("toric.py", "if dot(char, u) < 0)", "if dot(char, u) <= 0)", ("tests/test_support_net.py",)),
+    # _replace and _make build through __new__, which checks the rules of TowerSpec and ProjectiveDivisorData
+    ("tower.py", MAKE_OVERRIDE, "", ("tests/test_records.py",)),
+    ("polytope.py", MAKE_OVERRIDE, "", ("tests/test_records.py",)),
+    # a ProductMove, a tuple with no fields, is true
+    ("tower.py", "    def __bool__(self):  # a move, not an empty sequence\n        return True\n", "",
+     ("tests/test_records.py",)),
 )
 
 

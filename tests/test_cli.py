@@ -535,3 +535,20 @@ def test_importing_the_cli_loads_every_module_the_benchmark_reads():
     names = ("cli", "documents", "lattice", "polytope", "toric", "tower", "verify")
     assert {f"torictower.{name}" for name in names} <= set(modules)
     assert same is True
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    """Every CLI process pays the import: the records are named tuples and
+    plain classes, so `dataclasses` and the `inspect` it pulls in stay out."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import torictower.cli\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    added = set(json.loads(out.stdout))
+    assert "torictower.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -14,7 +14,6 @@ cone sigma x cone(e_new), and each face F gives the two faces F and
 F + cone(e_new).
 """
 
-import dataclasses
 import itertools
 import json
 from collections import Counter
@@ -32,12 +31,12 @@ PERMUTATIONS = list(itertools.permutations(range(P)))[1:]  # the identity is no 
 
 def _permute_base(spec, pi):
     moves = tuple(
-        dataclasses.replace(mv, t_exponents=tuple(mv.t_exponents[i] for i in pi))
+        mv._replace(t_exponents=tuple(mv.t_exponents[i] for i in pi))
         if isinstance(mv, NodeMove)
         else mv
         for mv in spec.moves
     )
-    return dataclasses.replace(spec, moves=moves)
+    return spec._replace(moves=moves)
 
 
 def _reports(spec):
@@ -87,7 +86,7 @@ def test_appending_a_product_move_doubles_the_top_faces():
     for seed in range(TOWERS):
         spec = random_tower(P, 4, 2, seed)
         before = build_model(spec).levels
-        after = build_model(dataclasses.replace(spec, moves=spec.moves + (ProductMove(),))).levels
+        after = build_model(spec._replace(moves=spec.moves + (ProductMove(),))).levels
         assert [level.fan for level in after[:-1]] == [level.fan for level in before]
         top, new_top = before[-1].fan, after[-1].fan
         assert len(new_top.maximal_cones) == len(top.maximal_cones)
