@@ -70,8 +70,7 @@ def _load_model(args):
 
 def cmd_build(args):
     model = _load_model(args)
-    report = Report(command="build", seed=args.seed)
-    report.data = {
+    data = {
         "base_dim": model.spec.base_dim,
         "depth": model.depth,
         "levels": [
@@ -83,8 +82,7 @@ def cmd_build(args):
             for level in model.levels
         ],
     }
-    report.checked = report.passed = len(model.levels)
-    return report
+    return Report(command="build", seed=args.seed, data=data, checked=model.depth, passed=model.depth)
 
 
 def cmd_fan(args):
@@ -92,15 +90,8 @@ def cmd_fan(args):
     if args.level is not None and not 1 <= args.level <= model.depth:
         raise TowerDocumentError(f"level {args.level} out of range 1..{model.depth}")
     levels = range(model.depth) if args.level is None else [args.level - 1]
-    report = Report(command="fan", seed=args.seed)
-    report.data = {
-        "levels": [
-            {"level": i + 1, **_fan_document(model.levels[i].fan)}
-            for i in levels
-        ]
-    }
-    report.checked = report.passed = len(report.data["levels"])
-    return report
+    data = {"levels": [{"level": i + 1, **_fan_document(model.levels[i].fan)} for i in levels]}
+    return Report(command="fan", seed=args.seed, data=data, checked=len(levels), passed=len(levels))
 
 
 def cmd_map_to_proj(args):
@@ -108,7 +99,7 @@ def cmd_map_to_proj(args):
     proj = projective_model(model.spec)
     rays = model.levels[-1].fan.all_rays
     supported = [in_projective_support(model.spec, r) for r in rays]
-    report = Report(command="map-to-proj", seed=args.seed)
+    report = Report(command="map-to-proj", seed=args.seed, checked=len(rays), passed=sum(supported))
     n = proj.ambient_dim
     report.data = {  # shared torus coordinates and the full toric boundary of P
         "fan": _fan_document(proj),
@@ -119,8 +110,6 @@ def cmd_map_to_proj(args):
             for r, ok in zip(rays, supported)
         ],
     }
-    report.checked = len(rays)
-    report.passed = sum(supported)
     for r, ok in zip(rays, supported):
         if not ok:
             report.add_violation("support", f"ray {list(r)} outside |P|")
@@ -175,9 +164,7 @@ def cmd_local_model(args):
 
 def cmd_divisor(command, formula, args):
     data = parse_divisor(_read_input(args.input))
-    report = Report(command=command, seed=args.seed, checked=1, passed=1)
-    report.data = {f"relative_{command}": formula(data)}
-    return report
+    return Report(command=command, seed=args.seed, checked=1, passed=1, data={f"relative_{command}": formula(data)})
 
 
 def cmd_random(args):

@@ -21,7 +21,7 @@ from collections import namedtuple
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
-MAX_FACES = 100_000  # per Fan.face_masks walk or regularity_subfan search; the largest measured is 13,088
+MAX_FACES = 100_000  # per Fan.face_masks walk, regularity_subfan search or DD ray list; the largest measured is 13,088
 
 
 class LatticeError(ValueError):
@@ -238,6 +238,7 @@ def halfspace_intersection(constraints, n):
     with incremental lineality reduction; the adjacency test is the standard
     combinatorial one, valid because the ray list stays minimal at every step.
     Deterministic: first-index pivoting, lexicographically sorted output.
+    ResourceCapError when a row leaves more than MAX_FACES rays.
 
     Adjacency pre-filter (Fukuda & Prodon, 1996): the processed rows have rank
     k = n - len(lineality), and adjacent rays span a 2-face, whose tight rows
@@ -303,6 +304,8 @@ def halfspace_intersection(constraints, n):
                 rays = [(r, m) for r, m, _ in pos] + zero + sorted(combos.items())
             else:
                 rays = [(r, m) for r, m, _ in pos] + zero
+        if len(rays) > MAX_FACES:
+            raise ResourceCapError(f"double description passed the cap of {MAX_FACES} rays")
         processed.append(a)
     out_rays = tuple(sorted(r for r, _ in rays))
     if lineality:

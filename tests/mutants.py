@@ -61,6 +61,11 @@ MUTANTS = (
     # a ProductMove, a tuple with no fields, is true
     ("tower.py", "    def __bool__(self):  # a move, not an empty sequence\n        return True\n", "",
      ("tests/test_records.py",)),
+    # verify --suite all reaps its kernel child, merges kernel first, and keeps the child's outcome
+    ("verify.py", "            os.waitpid(pid, 0)\n", "            pass\n", ("tests/test_verify.py",)),
+    ("verify.py", '{"kernel": first, **rest}', '{**rest, "kernel": first}', ("tests/test_verify.py",)),
+    ("verify.py", "                result = fn()\n", "                result = CheckOutcome()\n",
+     ("tests/test_verify.py",)),
 )
 
 

@@ -338,6 +338,15 @@ def test_dual_cone_facet_oracle_matches_fraction_reference(case):
     assert dual_cone_facet_oracle(gens, n) == dual_cone_facet_fraction(gens, n)
 
 
+def test_halfspace_intersection_stops_once_its_ray_list_passes_the_cap(monkeypatch):
+    rows = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, -1)]  # three rays, then four after the last row
+    monkeypatch.setattr(torictower.lattice, "MAX_FACES", 3)
+    with pytest.raises(ResourceCapError, match="double description passed the cap of 3 rays"):
+        halfspace_intersection(rows, 3)
+    monkeypatch.setattr(torictower.lattice, "MAX_FACES", 4)
+    assert halfspace_intersection(rows, 3) == (((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)), ())
+
+
 def test_halfspace_intersection_of_redundant_rows_matches_oracle():
     """Unsorted rows with repeats and non-extreme ones: the DD's intermediate
     rays and their tight masks are exercised beyond canonical input."""

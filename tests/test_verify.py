@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import torictower.lattice
 import torictower.verify
-from torictower.lattice import LatticeError
+from torictower.cli import EXIT_RESOURCE, EXIT_USAGE, main
+from torictower.documents import Report
+from torictower.lattice import MAX_SAMPLES, LatticeError, ResourceCapError
 from torictower.tower import CheckOutcome
 from torictower.verify import SUITES, run_suite
 
@@ -119,3 +126,120 @@ def test_every_skip_keeps_its_reason(name, samples):
     assert all(s["reason"] for s in res.skips)
     if name == "lc":
         assert all(isinstance(s["tower"], int) for s in res.skips)
+
+
+def serial_all(seed, samples=None):
+    """The `all` suite as one process runs it: every suite in SUITES order, merged with its name."""
+    kwargs = {} if samples is None else {"samples": samples}
+    total = CheckOutcome()
+    for name in SUITES[:-1]:
+        total.merge(getattr(torictower.verify, f"suite_{name}")(seed, **kwargs), suite=name)
+    return total
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("samples", [0, None])
+def test_all_equals_the_serial_merge_of_the_six_suites(samples):
+    assert run_suite("all", seed=11, samples=samples) == serial_all(11, samples)
+    assert_no_child_left()
+
+
+def test_all_merges_kernel_first_and_tags_each_entry_with_its_suite(monkeypatch):
+    def one_of_each(name):
+        def suite(seed, **kwargs):
+            out = CheckOutcome(checked=2, passed=1)
+            out.add_violation("k", f"from {name}")
+            out.add_skip(f"skipped in {name}")
+            return out
+        return suite
+
+    names = SUITES[:-1]
+    for name in names:
+        monkeypatch.setattr(torictower.verify, f"suite_{name}", one_of_each(name))
+    total = run_suite("all", seed=1)
+    assert names[0] == "kernel"
+    assert total.violations == [{"kind": "k", "detail": f"from {name}", "suite": name} for name in names]
+    assert total.skips == [{"reason": f"skipped in {name}", "suite": name} for name in names]
+    assert (total.checked, total.passed, total.skipped) == (12, 6, 6)
+
+
+def test_verify_all_bytes_equal_a_serial_reference(capsys):
+    assert main(["verify", "--suite", "all", "--seed", "12"]) == 0
+    assert capsys.readouterr().out == Report(command="verify:all", seed=12).merge(serial_all(12)).to_json()
+    assert_no_child_left()
+
+
+def test_a_parent_side_error_kills_and_reaps_the_kernel_child(monkeypatch, capsys):
+    def broken(seed, **kwargs):
+        raise LatticeError("tower suite failed")
+
+    monkeypatch.setattr(torictower.verify, "suite_tower", broken)
+    assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "tower suite failed" in captured.err
+    assert_no_child_left()
+
+
+def test_a_cap_in_the_kernel_child_is_a_cap_in_the_parent(monkeypatch, capsys):
+    def capped(seed, **kwargs):
+        raise ResourceCapError("kernel cap")
+
+    monkeypatch.setattr(torictower.verify, "suite_kernel", capped)
+    assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "resource cap: kernel cap" in captured.err
+    assert_no_child_left()
+
+
+def test_any_base_exception_in_the_kernel_child_is_raised_in_the_parent(monkeypatch):
+    def interrupted(seed, **kwargs):
+        raise KeyboardInterrupt("in the child")
+
+    monkeypatch.setattr(torictower.verify, "suite_kernel", interrupted)
+    with pytest.raises(KeyboardInterrupt, match="in the child"):
+        run_suite("all", seed=1, samples=0)
+    assert_no_child_left()
+
+
+def test_a_kernel_child_that_dies_without_a_result_is_an_error_not_a_hang(monkeypatch, capsys):
+    monkeypatch.setattr(torictower.verify, "suite_kernel", lambda seed, **kwargs: os._exit(5))
+    with pytest.raises(ChildProcessError, match="without sending a result"):
+        run_suite("all", seed=1, samples=0)
+    assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().out == ""
+    assert_no_child_left()
+
+
+def test_without_fork_all_runs_in_process_with_the_same_outcome(monkeypatch):
+    forked = run_suite("all", seed=13, samples=10)
+    monkeypatch.delattr(os, "fork")
+    assert run_suite("all", seed=13, samples=10) == forked == serial_all(13, 10)
+
+
+def test_sample_counts_are_checked_before_any_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked before checking the sample count")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    with pytest.raises(LatticeError, match="samples must be >= 0"):
+        run_suite("all", seed=0, samples=-1)
+    with pytest.raises(ResourceCapError, match="exceeds cap"):
+        run_suite("all", seed=0, samples=MAX_SAMPLES + 1)
+
+
+def test_importing_the_cli_loads_no_pickle():
+    """Only `verify --suite all` pickles, so the fork helper imports pickle itself."""
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(torictower.verify.__file__))}
+    probe = "import sys, torictower.cli; sys.exit(int('pickle' in sys.modules))"
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_a_double_description_past_the_ray_cap_fails_verify_tower_with_exit_3(monkeypatch, capsys):
+    monkeypatch.setattr(torictower.lattice, "MAX_FACES", 3)
+    assert main(["verify", "--suite", "tower", "--seed", "1", "--samples", "5"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == "" and "double description passed the cap of 3 rays" in captured.err
