@@ -38,6 +38,24 @@ class Violation(namedtuple("Violation", "kind detail")):
     __slots__ = ()
 
 
+def check_samples(samples):
+    """The sample-count rule of every check and suite: 0 to MAX_SAMPLES."""
+    if samples < 0:
+        raise LatticeError(f"samples must be >= 0, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ResourceCapError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
+
+
+def _integers(values):
+    """`values` as a tuple of ints by operator.index, which, unlike int(), truncates
+    no float or Fraction: LatticeError names an entry that is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
+        raise LatticeError(f"{bad!r} is not an integer") from None
+
+
 # ---------------------------------------------------------------------------
 # vectors: hot in the double description, so each helper is one C-level
 # builtin (references in tests/oracles.py).  vscale keeps binary-operator
@@ -358,13 +376,11 @@ class Cone:
     __slots__ = ("ambient_dim", "generators", "_halfspaces")
 
     def __init__(self, ambient_dim, generators=()):
-        self.ambient_dim = int(ambient_dim)
-        gens = tuple(tuple(map(int, g)) for g in generators)
+        (self.ambient_dim,) = _integers((ambient_dim,))
+        gens = tuple(map(_integers, generators))
         for g in gens:
             if len(g) != self.ambient_dim:
-                raise LatticeError(
-                    f"generator {g} has dimension {len(g)}, expected {self.ambient_dim}"
-                )
+                raise LatticeError(f"generator {g} has dimension {len(g)}, expected {self.ambient_dim}")
         self.generators = gens
         self._halfspaces = None
 
@@ -544,7 +560,7 @@ class Fan:
     __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "_index", "_facets", "_facet_rule")
 
     def __init__(self, ambient_dim, cones, facets=None):
-        self.ambient_dim = int(ambient_dim)
+        (self.ambient_dim,) = _integers((ambient_dim,))
         seen = {}
         for c in cones:
             if c.ambient_dim != self.ambient_dim:

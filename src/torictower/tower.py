@@ -48,8 +48,8 @@ from .lattice import (
     DEFAULT_MAX_RAYS,
     Fan,
     LatticeError,
-    MAX_SAMPLES,
     ResourceCapError,
+    check_samples,
     cones_equal_as_sets,
     dot,
     dual_cone,
@@ -62,10 +62,7 @@ from .lattice import (
     remap,
     unit_vector,
 )
-from .toric import (
-    cartier_data,  # unused here; the benchmark self-tests trace this binding
-    regularity_subfan,
-)
+from .toric import cartier_data, regularity_subfan  # cartier_data: unused here; the benchmark traces this binding
 
 
 class ProductMove(namedtuple("ProductMove", "")):
@@ -96,7 +93,8 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
 
     Move k (0-based) builds level k+2; a node move there may reference the
     variables a_2..a_(k+1), so its alpha_exponents must have length k and its
-    t_exponents base_dim; construction raises LatticeError naming each failure.
+    t_exponents base_dim, and every exponent is an int; construction raises
+    LatticeError naming each failure.
     """
 
     __slots__ = ()
@@ -106,23 +104,20 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
         if base_dim < 1:
             details.append(f"base_dim {base_dim} must be >= 1")
         for k, move in enumerate(moves):
-            level = k + 2
+            where = f"move {k} (level {k + 2})"
             if isinstance(move, ProductMove):
                 continue
             if not isinstance(move, NodeMove):
                 details.append(f"move {k} has unknown type {type(move).__name__}")
                 continue
             if len(move.alpha_exponents) != k:
-                details.append(
-                    f"move {k} (level {level}): alpha_exponents has length "
-                    f"{len(move.alpha_exponents)}, expected {k} "
-                    f"(only a_2..a_{level - 1} are defined)"
-                )
+                details.append(f"{where}: alpha_exponents has length {len(move.alpha_exponents)}, expected {k} "
+                               f"(only a_2..a_{k + 1} are defined)")
             if len(move.t_exponents) != base_dim:
-                details.append(
-                    f"move {k} (level {level}): t_exponents has length "
-                    f"{len(move.t_exponents)}, expected {base_dim}"
-                )
+                details.append(f"{where}: t_exponents has length {len(move.t_exponents)}, expected {base_dim}")
+            inexact = [e for e in (*move.alpha_exponents, *move.t_exponents) if not isinstance(e, int)]
+            if inexact:
+                details.append(f"{where}: exponent {inexact[0]!r} is not an int")
         if details:
             raise LatticeError("invalid tower: " + "; ".join(details))
         return super().__new__(cls, base_dim, moves)
@@ -326,14 +321,14 @@ def lc_place_transfer_check(
     has <w, g> > 0 on every ray g, no nonzero draw sums to zero and every one
     passes, with no vector built.  Only a draw from any other cone is built
     and tested.  `_below` makes the draws: randrange's stream, straight from
-    the Mersenne Twister bits.  On build_model output the claim holds by
-    construction (every ray keeps x_1..x_p >= 0); the test guards models
-    passed in as `model`.
+    the Mersenne Twister bits.  On build_model output every ray of every level
+    is nonnegative (level 1 has the unit vectors; a product move adds (u, 0)
+    and e_new, a node move (u, 0) and (u, <m,u>) with <m,u> >= 0), so every
+    ray g of a non-empty cone has <w, g> >= <g, g> > 0: every such cone carries
+    the certificate, and no vector is built.  The test guards models passed
+    in as `model`.
     """
-    if samples < 0:
-        raise LatticeError(f"samples must be >= 0, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ResourceCapError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
+    check_samples(samples)
     if model is None:
         model = build_model(spec, max_rays=max_rays, max_dim=max_dim)
     out = CheckOutcome()
@@ -388,15 +383,11 @@ def base_change_to_curve(spec, germ):
     ResourceCapError.
     """
     if len(germ.orders) != spec.base_dim:
-        raise LatticeError(
-            f"germ has {len(germ.orders)} orders, tower base dimension is {spec.base_dim}"
-        )
+        raise LatticeError(f"germ has {len(germ.orders)} orders, tower base dimension is {spec.base_dim}")
     if any(c < 0 for c in germ.orders):
         raise LatticeError("vanishing orders must be non-negative")
     if not germ.on_boundary and any(c != 0 for c in germ.orders):
-        raise LatticeError(
-            "a germ off the boundary has no vanishing: all orders must be 0"
-        )
+        raise LatticeError("a germ off the boundary has no vanishing: all orders must be 0")
     moves = []
     for move in spec.moves:
         if isinstance(move, ProductMove):
@@ -404,12 +395,7 @@ def base_change_to_curve(spec, germ):
         else:
             t_exp = sum(c * nu for c, nu in zip(germ.orders, move.t_exponents))
             _check_digits((t_exp,))
-            moves.append(
-                NodeMove(
-                    alpha_exponents=tuple(move.alpha_exponents),
-                    t_exponents=(t_exp,),
-                )
-            )
+            moves.append(NodeMove(tuple(move.alpha_exponents), (t_exp,)))
     return TowerSpec(base_dim=1, moves=tuple(moves))
 
 

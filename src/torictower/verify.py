@@ -23,8 +23,7 @@ from .lattice import (
     Cone,
     Fan,
     LatticeError,
-    MAX_SAMPLES,
-    ResourceCapError,
+    check_samples,
     det_int,
     dot,
     dual_cone,
@@ -658,10 +657,8 @@ def run_suite(name, seed, samples=None):
     """Run one named invariant suite; `all` merges every suite in SUITES
     order.  A suite runs its own default sample count unless `samples` (0 to
     MAX_SAMPLES) is given."""
-    if samples is not None and samples < 0:
-        raise LatticeError(f"samples must be >= 0, got {samples}")
-    if samples is not None and samples > MAX_SAMPLES:
-        raise ResourceCapError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
+    if samples is not None:
+        check_samples(samples)
     # looked up per call, so a wrapped or patched suite_* function is the one run
     suites = {s: globals()[f"suite_{s}"] for s in SUITES if s != "all"}
     kwargs = {} if samples is None else {"samples": samples}

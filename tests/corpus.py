@@ -1,0 +1,163 @@
+"""The tower corpora of the four tower nets, each model built once per
+process, and the driver that runs every net on the large corpora.
+
+The nets (`test_facet_net`, `test_regular_face_net`, `test_lc_net`,
+`test_support_net`) take built models, so a corpus is built once however
+many nets read it.  Tier-1 runs them on the 3,464 towers over base dimension
+p <= 2 of depth 2 or 3 with node exponents in SPAN (SMALL_CORPUS).  The
+driver, outside tier-1, runs the facet, regular-face and lc nets and the
+certificate invariant on the 19,656 towers over p = 1 of depth 4, then the
+support net on the 3,464 towers; it prints one line per net and exits 1 on
+any mismatch:
+
+    PYTHONPATH=src python tests/corpus.py
+
+A reference pipeline plugs in here: one more net over the same models.
+"""
+
+import functools
+import gc
+import itertools
+import sys
+
+from torictower.lattice import Cone, Fan, dot
+from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
+
+SPAN = range(-2, 3)
+DRIVER_CORPUS = ((1, 4),)  # (p, depth) of the driver's facet, regular-face and lc nets: 19,656 towers
+SMALL_CORPUS = ((1, 2), (1, 3), (2, 2), (2, 3))  # tier-1's nets and the driver's support net: 3,464 towers
+
+
+def small_towers(p, depth):
+    """Every tower over base dimension p of this depth with node exponents in SPAN."""
+    choices = [
+        [ProductMove()] + [NodeMove(e[p:], e[:p]) for e in itertools.product(SPAN, repeat=p + k)]
+        for k in range(depth - 1)
+    ]
+    return [TowerSpec(p, moves) for moves in itertools.product(*choices)]
+
+
+@functools.cache
+def models(p, depth):
+    """The models of `small_towers(p, depth)`, built once per process."""
+    return tuple(build_model(spec) for spec in small_towers(p, depth))
+
+
+def corpus_models(corpus):
+    """The models of every (p, depth) in `corpus`, in that order."""
+    return [model for p, depth in corpus for model in models(p, depth)]
+
+
+def shaped_tower(rng):
+    """A tower of shape N N P N N X over p = 2: growth node exponents in
+    {1, 2}, final node exponents in {-1, 1} (the benchmark's stress shape)."""
+    moves = []
+    for k, kind in enumerate("NNPNNX"):
+        values = (1, 2) if kind == "N" else (-1, 1)
+        if kind == "P":
+            moves.append(ProductMove())
+        else:
+            alpha = tuple(rng.choice(values) for _ in range(k))
+            moves.append(NodeMove(alpha, tuple(rng.choice(values) for _ in range(2))))
+    return TowerSpec(2, tuple(moves))
+
+
+# seven node moves with t = (1, 1): the top fan is one cone over an 8-cube
+CUBE_TOWER = TowerSpec(2, tuple(NodeMove((0,) * k, (1, 1)) for k in range(7)))
+
+# base_dim 2; its top fan has 104 rays and 8 maximal cones.
+STRESS_TOWER = TowerSpec(
+    base_dim=2,
+    moves=(
+        NodeMove((), (2, 2)),
+        NodeMove((0,), (2, 2)),
+        ProductMove(),
+        NodeMove((1, 1, 1), (2, 1)),
+        NodeMove((2, 0, 1, 0), (1, 2)),
+        ProductMove(),
+        NodeMove((2, 2, 2, 0, 1, 0), (1, 2)),
+        NodeMove((1, -1, 1, -1, 1, -1, 1), (1, -1)),
+    ),
+)
+
+
+def _cube_cone_fan(k):
+    """The cone over a k-cube at height 1: 2^k rays, 2k facets."""
+    rays = tuple(sorted(v + (1,) for v in itertools.product((-1, 1), repeat=k)))
+    return Fan(k + 1, (Cone(k + 1, rays),))
+
+
+def certified(gens):
+    """Whether a non-empty cone carries lc-check's certificate: <w, g> > 0
+    for every ray g, w the sum of the rays."""
+    w = tuple(map(sum, zip(*gens)))
+    return all(dot(w, g) > 0 for g in gens)
+
+
+def uncertified_levels(tower_models):
+    """[(tower, level)] where a ray has a negative coordinate or a non-empty
+    maximal cone lacks the certificate.  Every ray of build_model's levels is
+    nonnegative (see `tower.lc_place_transfer_check`), so this is empty."""
+    return [
+        (model.spec, i)
+        for model in tower_models
+        for i, level in enumerate(model.levels, 1)
+        if any(min(ray) < 0 for ray in level.fan.all_rays)
+        or not all(certified(cone.generators) for cone in level.fan.maximal_cones if cone.generators)
+    ]
+
+
+def main():
+    """Run every net on its corpus, print one line per net, and return 1 on any mismatch."""
+    # the corpus lives until the end: build it with the cyclic collector off, then freeze it, so no
+    # collection walks it again (on a 2-core container the build took 2.4 s so, and 5.7-6.7 s without)
+    gc.disable()
+    try:
+        towers = corpus_models(DRIVER_CORPUS)
+        gc.freeze()
+        gc.enable()
+        return run_nets(towers)
+    finally:
+        gc.enable()
+        gc.unfreeze()
+
+
+def run_nets(towers):
+    """Run the facet, regular-face and lc nets and the certificate check on
+    `towers` and the support net on SMALL_CORPUS; print one line per net,
+    and return 1 on any mismatch."""
+    from test_facet_net import facet_mismatches
+    from test_lc_net import lc_mismatches
+    from test_regular_face_net import characters, face_mask_mismatches, regular_face_mismatches, tower_fans
+    from test_support_net import support_mismatches
+
+    cones, bad = facet_mismatches(towers)
+    print(f"facet: {len(towers)} towers, {cones} cones, {len(bad)} mismatches", flush=True)
+    failed = bool(bad)
+
+    fans = tower_fans(towers)
+    cases = characters(fans, 20261204)
+    cones, bad = regular_face_mismatches(cases)
+    bad_fans = face_mask_mismatches([fan for fan, _ in fans])
+    print(f"regular faces: {len(fans)} level fans, {len(cases)} characters, {cones} subfan cones, "
+          f"{len(bad)} subfan and {len(bad_fans)} face-mask mismatches", flush=True)
+    failed |= bool(bad or bad_fans)
+
+    checked, bad = lc_mismatches(towers, 20261105)
+    print(f"lc: {len(towers)} towers, {checked} vectors checked, {len(bad)} mismatches", flush=True)
+    failed |= bool(bad)
+
+    bad = uncertified_levels(towers)
+    levels = sum(len(model.levels) for model in towers)
+    print(f"certificate: {levels} levels, {len(bad)} with a negative ray or an uncertified cone", flush=True)
+    failed |= bool(bad)
+
+    small = corpus_models(SMALL_CORPUS)
+    points, inside, bad = support_mismatches(small)
+    print(f"support: {len(small)} towers, {points} lattice points, {inside} in a level's support, "
+          f"{len(bad)} mismatches", flush=True)
+    return 1 if failed or bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -66,6 +66,12 @@ MUTANTS = (
     ("verify.py", '{"kernel": first, **rest}', '{**rest, "kernel": first}', ("tests/test_verify.py",)),
     ("verify.py", "                result = fn()\n", "                result = CheckOutcome()\n",
      ("tests/test_verify.py",)),
+    # a cone coordinate or dimension that is not an integer is an error, not truncated
+    ("lattice.py", "return tuple(map(operator.index, values))", "return tuple(map(int, values))",
+     ("tests/test_lattice.py::test_cones_and_fans_take_integer_coordinates_only",)),
+    # a node move lifts only rays with <m,u> >= 0, to (u, 0) and (u, <m,u>): every ray of every level is nonnegative
+    ("toric.py", "if dot(char, u) < 0)", "if dot(char, u) < -1)",
+     ("tests/test_lc_net.py::test_every_ray_of_every_tower_level_is_nonnegative",)),
 )
 
 

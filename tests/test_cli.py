@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
+from corpus import STRESS_TOWER
 from oracles import local_model_report_oracle
-from test_golden import STRESS_TOWER
 from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, main
 from torictower.documents import emit_tower
 from torictower.tower import (

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from test_golden import SEED, STRESS_TOWER
+from corpus import STRESS_TOWER
+from test_golden import SEED
 from torictower.cli import EXIT_RESOURCE, EXIT_VIOLATIONS, main
 from torictower.documents import emit_tower, random_tower
 from torictower.lattice import DEFAULT_MAX_DIM, MAX_SAMPLES, ResourceCapError

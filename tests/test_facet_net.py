@@ -5,62 +5,32 @@ A level fan takes each cone's facets from the level below (see
 cone of every level fan and of every regularity subfan a node move lifts, on
 every tower over base dimension p <= 2 of depth 2 or 3 with node exponents
 in [-2, 2] (3,464 towers), the near-cap stress tower, 30 draws of the stress
-shape, the 8-cube tower and depth-5 draws where moves lift several cones; and on the regularity subfans of complete fans.  The p = 1, depth 4
-extension (19,656 more towers) runs outside tier-1, and exits 1 on a
-mismatch:
-
-    PYTHONPATH=src python tests/test_facet_net.py 1 4
+shape, the 8-cube tower and depth-5 draws where moves lift several cones;
+and on the regularity subfans of complete fans.  The towers and their models
+come from `tests/corpus.py`, whose driver runs the p = 1, depth 4 extension
+(19,656 more towers) outside tier-1.
 """
 
 import itertools
 import random
-import sys
 
 import torictower.lattice
+from corpus import CUBE_TOWER, SMALL_CORPUS, STRESS_TOWER, corpus_models, shaped_tower, small_towers
 from oracles import facet_masks_oracle, star_subdivision_oracle
-from test_golden import STRESS_TOWER, run_cli
+from test_golden import run_cli
 from torictower.documents import emit_tower
 from torictower.lattice import Fan, product_fan, projective_fan
 from torictower.toric import regularity_subfan, star_subdivision
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
-SPAN = range(-2, 3)
 
-
-def small_towers(p, depth):
-    """Every tower over base dimension p of this depth with node exponents in SPAN."""
-    choices = [
-        [ProductMove()] + [NodeMove(e[p:], e[:p]) for e in itertools.product(SPAN, repeat=p + k)]
-        for k in range(depth - 1)
-    ]
-    return [TowerSpec(p, moves) for moves in itertools.product(*choices)]
-
-
-def shaped_tower(rng):
-    """A tower of shape N N P N N X over p = 2: growth node exponents in
-    {1, 2}, final node exponents in {-1, 1} (the benchmark's stress shape)."""
-    moves = []
-    for k, kind in enumerate("NNPNNX"):
-        values = (1, 2) if kind == "N" else (-1, 1)
-        if kind == "P":
-            moves.append(ProductMove())
-        else:
-            alpha = tuple(rng.choice(values) for _ in range(k))
-            moves.append(NodeMove(alpha, tuple(rng.choice(values) for _ in range(2))))
-    return TowerSpec(2, tuple(moves))
-
-
-# seven node moves with t = (1, 1): the top fan is one cone over an 8-cube
-CUBE_TOWER = TowerSpec(2, tuple(NodeMove((0,) * k, (1, 1)) for k in range(7)))
-
-
-def facet_mismatches(specs):
+def facet_mismatches(models):
     """(number of cones, [(tower, fan, cone index)] whose derived facet masks
     differ from the oracle's), over the level fans and the regularity subfan
     of the level below each node move."""
     cones, bad = 0, []
-    for spec in specs:
-        levels = build_model(spec).levels
+    for model in models:
+        spec, levels = model.spec, model.levels
         fans = [(f"level {i + 1}", level.fan) for i, level in enumerate(levels)]
         fans += [(f"regular in level {i + 1}", regularity_subfan(levels[i].fan, move.lattice_exponents()))
                  for i, move in enumerate(spec.moves) if isinstance(move, NodeMove)]
@@ -73,16 +43,16 @@ def facet_mismatches(specs):
 
 
 def test_derived_facet_masks_match_oracle_on_every_small_tower():
-    specs = [spec for p in (1, 2) for depth in (2, 3) for spec in small_towers(p, depth)]
-    assert len(specs) == 3464
-    cones, bad = facet_mismatches(specs)
-    assert bad == [] and cones > len(specs)
+    models = corpus_models(SMALL_CORPUS)
+    assert len(models) == 3464
+    cones, bad = facet_mismatches(models)
+    assert bad == [] and cones > len(models)
 
 
 def test_derived_facet_masks_match_oracle_on_near_cap_towers():
     rng = random.Random(20261018)
     specs = [STRESS_TOWER, CUBE_TOWER] + [shaped_tower(rng) for _ in range(30)]
-    assert facet_mismatches(specs)[1] == []
+    assert facet_mismatches(map(build_model, specs))[1] == []
     assert len(build_model(CUBE_TOWER).levels[-1].fan.all_rays) == 256
 
 
@@ -99,7 +69,7 @@ def test_derived_facet_masks_match_oracle_where_a_move_meets_several_cones():
     models = [build_model(spec) for spec in specs]
     assert sum(len(model.levels[2].fan.maximal_cones) > 1 for model in models) >= 30
     assert sum(len(model.levels[3].fan.maximal_cones) > 1 for model in models) >= 30
-    assert facet_mismatches(specs)[1] == []
+    assert facet_mismatches(models)[1] == []
 
 
 def test_regularity_subfan_facets_match_oracle_on_complete_fans():
@@ -140,11 +110,3 @@ def test_build_model_and_local_model_run_no_double_description(monkeypatch):
     top = levels[-1].fan
     Fan(top.ambient_dim, top.maximal_cones).facet_masks(0)  # the same cone, no rule: one DD
     assert len(calls) == 1
-
-
-if __name__ == "__main__":
-    p, depth = map(int, sys.argv[1:])
-    specs = small_towers(p, depth)
-    cones, bad = facet_mismatches(specs)
-    print(f"p = {p}, depth {depth}: {len(specs)} towers, {cones} cones, {len(bad)} mismatches")
-    sys.exit(1 if bad else 0)

@@ -19,29 +19,15 @@ import sys
 
 import pytest
 
+from corpus import STRESS_TOWER
 from torictower.cli import main
 from torictower.documents import emit_tower
 from torictower.lattice import fan_validate
-from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
+from torictower.tower import build_model
 from torictower.verify import random_towers
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "cli_digests.json")
 SEED = 20260810
-
-# base_dim 2; its top fan has 104 rays and 8 maximal cones.
-STRESS_TOWER = TowerSpec(
-    base_dim=2,
-    moves=(
-        NodeMove((), (2, 2)),
-        NodeMove((0,), (2, 2)),
-        ProductMove(),
-        NodeMove((1, 1, 1), (2, 1)),
-        NodeMove((2, 0, 1, 0), (1, 2)),
-        ProductMove(),
-        NodeMove((2, 2, 2, 0, 1, 0), (1, 2)),
-        NodeMove((1, -1, 1, -1, 1, -1, 1), (1, -1)),
-    ),
-)
 
 
 def corpus():

@@ -424,6 +424,19 @@ def test_cone_contains_examples():
     assert not c.contains((0, 1))
 
 
+def test_cones_and_fans_take_integer_coordinates_only():
+    # int() would truncate each of these: a float or Fraction is named, not rounded
+    for bad, make in [
+        ("0.5", lambda: Cone(2, [(0.5, 1), (1, 0)])),
+        (r"Fraction\(3, 2\)", lambda: Cone(2, [(1, 0), (Fraction(3, 2), 1)])),
+        ("2.0", lambda: Cone(2.0, [(1, 0)])),
+        ("2.0", lambda: Fan(2.0, [])),
+    ]:
+        with pytest.raises(LatticeError, match=f"^{bad} is not an integer$"):
+            make()
+    assert Cone(2, [(True, 0), (0, 1)]).generators == ((1, 0), (0, 1))
+
+
 def test_cone_contains_dimension_mismatch():
     c = Cone.generated_by([(1, 0)])
     with pytest.raises(LatticeError):

@@ -5,34 +5,39 @@ the oracle that builds and evaluates every sample vector.
 certificate that every nonzero draw passes (see its docstring); the oracle
 builds every vector from the same draws.  The net is every tower over base
 dimension p <= 2 of depth 2 or 3 with node exponents in [-2, 2] (3,464
-towers, from `test_facet_net.small_towers`), draws of the stress shape, and
-forged top fans whose cones lack the certificate.  The p = 1, depth 4
-extension (19,656 more towers) runs outside tier-1, and exits 1 on a
-mismatch:
-
-    PYTHONPATH=src python tests/test_lc_net.py 1 4
+towers), draws of the stress shape, and forged top fans whose cones lack the
+certificate.  The towers and their models come from `tests/corpus.py`, whose
+driver runs the p = 1, depth 4 extension (19,656 more towers) outside
+tier-1.
 """
 
 import random
-import sys
 
 import pytest
 
 import torictower.tower as tower
+from corpus import (
+    CUBE_TOWER,
+    SMALL_CORPUS,
+    STRESS_TOWER,
+    corpus_models,
+    shaped_tower,
+    small_towers,
+    uncertified_levels,
+)
 from oracles import lc_place_transfer_check_oracle
-from test_facet_net import shaped_tower, small_towers
 from torictower.lattice import Cone, Fan
 from torictower.tower import ProductMove, TowerLevel, TowerModel, TowerSpec, build_model, lc_place_transfer_check
 
 SAMPLES = 20
 
 
-def lc_mismatches(specs, seed):
+def lc_mismatches(models, seed):
     """(number of vectors checked, [(tower, seed)] whose check differs from the oracle's)."""
     rng = random.Random(seed)
     checked, bad = 0, []
-    for spec in specs:
-        model, draw_seed = build_model(spec), rng.randrange(2**32)
+    for model in models:
+        spec, draw_seed = model.spec, rng.randrange(2**32)
         got = lc_place_transfer_check(spec, samples=SAMPLES, seed=draw_seed, model=model)
         if got != lc_place_transfer_check_oracle(spec, samples=SAMPLES, seed=draw_seed, model=model):
             bad.append((spec, draw_seed))
@@ -41,15 +46,15 @@ def lc_mismatches(specs, seed):
 
 
 def test_lc_check_matches_oracle_on_every_small_tower():
-    specs = [spec for p in (1, 2) for depth in (2, 3) for spec in small_towers(p, depth)]
-    assert len(specs) == 3464
-    checked, bad = lc_mismatches(specs, 20261101)
-    assert bad == [] and checked > SAMPLES * len(specs)
+    models = corpus_models(SMALL_CORPUS)
+    assert len(models) == 3464
+    checked, bad = lc_mismatches(models, 20261101)
+    assert bad == [] and checked > SAMPLES * len(models)
 
 
 def test_lc_check_matches_oracle_on_stress_shaped_towers():
     rng = random.Random(20261102)
-    assert lc_mismatches([shaped_tower(rng) for _ in range(20)], 20261103)[1] == []
+    assert lc_mismatches([build_model(shaped_tower(rng)) for _ in range(20)], 20261103)[1] == []
 
 
 def test_lc_check_builds_no_sample_vector_on_tower_models(monkeypatch):
@@ -67,6 +72,15 @@ def test_lc_check_builds_no_sample_vector_on_tower_models(monkeypatch):
         assert got.ok() and got.checked == got.passed + got.skipped
         skipped += got.skipped
     assert skipped > 0
+
+
+def test_every_ray_of_every_tower_level_is_nonnegative():
+    # so every non-empty cone carries the certificate: the test above, on every level of more towers
+    rng = random.Random(20261106)
+    models = corpus_models(SMALL_CORPUS)
+    models += [build_model(spec) for spec in [STRESS_TOWER, CUBE_TOWER] + [shaped_tower(rng) for _ in range(30)]]
+    assert sum(len(model.levels) for model in models) == 10587
+    assert uncertified_levels(models) == []
 
 
 # forged top fans in Z^3 over p = 1, for a tower of two product moves
@@ -103,11 +117,3 @@ def test_lc_check_matches_oracle_on_forged_cones_without_the_certificate(name):
             assert v["vector"][0] < 0
     assert skipped > 0
     assert (violations > 0) == (name == "mixed")
-
-
-if __name__ == "__main__":
-    p, depth = map(int, sys.argv[1:])
-    specs = small_towers(p, depth)
-    checked, bad = lc_mismatches(specs, 20261105)
-    print(f"p = {p}, depth {depth}: {len(specs)} towers, {checked} vectors checked, {len(bad)} mismatches")
-    sys.exit(1 if bad else 0)

@@ -7,33 +7,28 @@ face shared by several maximal cones once; `tests/oracles.py` keeps the
 walk of every non-regular face and the per-cone union.  A subfan matches
 when its maximal cones and the facet masks its rule derives are the
 oracle's.  The net is every level fan of every tower over base dimension
-p <= 2 of depth 2 or 3 with node exponents in [-2, 2] (3,464 towers, from
-`test_facet_net.small_towers`), with the character of the node move above
-it and three seeded characters, the near-cap stress tower, 30 draws of the
-stress shape, the 8-cube tower and the cube-cone fans of
-`tests/test_toric.py`.  The p = 1, depth 4 extension (19,656 more towers)
-runs outside tier-1, and exits 1 on a mismatch:
-
-    PYTHONPATH=src python tests/test_regular_face_net.py 1 4
+p <= 2 of depth 2 or 3 with node exponents in [-2, 2] (3,464 towers), with
+the character of the node move above it and three seeded characters, the
+near-cap stress tower, 30 draws of the stress shape, the 8-cube tower and
+two cube-cone fans.  The towers, their models and the cube-cone fans come
+from `tests/corpus.py`, whose driver runs the p = 1, depth 4 extension
+(19,656 more towers) outside tier-1.
 """
 
 import itertools
 import random
-import sys
 
+from corpus import CUBE_TOWER, SMALL_CORPUS, SPAN, STRESS_TOWER, _cube_cone_fan, corpus_models, shaped_tower
 from oracles import face_masks_oracle, regularity_subfan_walk_oracle
-from test_facet_net import CUBE_TOWER, SPAN, shaped_tower, small_towers
-from test_golden import STRESS_TOWER
-from test_toric import _cube_cone_fan
 from torictower.toric import regularity_subfan
 from torictower.tower import NodeMove, build_model
 
 
-def tower_fans(specs):
+def tower_fans(models):
     """[(level fan, character of the node move above it or None)]."""
     out = []
-    for spec in specs:
-        for level, move in zip(build_model(spec).levels, spec.moves + (None,)):
+    for model in models:
+        for level, move in zip(model.levels, model.spec.moves + (None,)):
             out.append((level.fan, move.lattice_exponents() if isinstance(move, NodeMove) else None))
     return out
 
@@ -67,9 +62,9 @@ def face_mask_mismatches(fans):
 
 
 def test_regular_faces_match_the_walk_on_every_small_tower():
-    specs = [spec for p in (1, 2) for depth in (2, 3) for spec in small_towers(p, depth)]
-    assert len(specs) == 3464
-    fans = tower_fans(specs)
+    models = corpus_models(SMALL_CORPUS)
+    assert len(models) == 3464
+    fans = tower_fans(models)
     cases = characters(fans, 20261201)
     cones, bad = regular_face_mismatches(cases)
     assert bad == [] and cones > len(cases) // 2
@@ -78,7 +73,7 @@ def test_regular_faces_match_the_walk_on_every_small_tower():
 
 def test_regular_faces_match_the_walk_on_near_cap_towers():
     rng = random.Random(20261202)
-    fans = tower_fans([STRESS_TOWER, CUBE_TOWER] + [shaped_tower(rng) for _ in range(30)])
+    fans = tower_fans(map(build_model, [STRESS_TOWER, CUBE_TOWER] + [shaped_tower(rng) for _ in range(30)]))
     cases = characters(fans, 20261203)
     # the stress tower's last move keeps several proper faces of its level-8 cones
     below = build_model(STRESS_TOWER).levels[-2].fan
@@ -94,14 +89,3 @@ def test_regular_faces_match_the_walk_on_cube_cones():
     cases += [(cube4, tuple(rng.randint(-1, 1) for _ in range(5))) for _ in range(60)]
     assert regular_face_mismatches(cases)[1] == []
     assert face_mask_mismatches([cube3, cube4]) == []
-
-
-if __name__ == "__main__":
-    p, depth = map(int, sys.argv[1:])
-    fans = tower_fans(small_towers(p, depth))
-    cases = characters(fans, 20261204)
-    cones, bad = regular_face_mismatches(cases)
-    bad_fans = face_mask_mismatches([fan for fan, _ in fans])
-    print(f"p = {p}, depth {depth}: {len(fans)} level fans, {len(cases)} characters, {cones} subfan cones, "
-          f"{len(bad)} subfan and {len(bad_fans)} face-mask mismatches")
-    sys.exit(1 if bad or bad_fans else 0)

@@ -13,19 +13,17 @@ The level-1 orthant holds exactly the points with no negative coordinate.
 Membership is `verify.in_cone_fm` on every side, a Fourier-Motzkin test that
 shares no code with the double description or the masks.  The net is every
 tower over base dimension p = 1 of depth 2 or 3 with node exponents in
-[-2, 2] (162 towers, from `test_facet_net.small_towers`); all 3,464 towers
-with p <= 2 run outside tier-1, and exit 1 on a mismatch:
-
-    PYTHONPATH=src python tests/test_support_net.py
+[-2, 2] (162 towers).  The towers and their models come from
+`tests/corpus.py`, whose driver runs all 3,464 towers with p <= 2 outside
+tier-1.
 """
 
 import itertools
-import sys
 
+from corpus import corpus_models
 from oracles import regularity_subfan_oracle
-from test_facet_net import small_towers
 from torictower.lattice import dot
-from torictower.tower import NodeMove, build_model
+from torictower.tower import NodeMove
 from torictower.verify import in_cone_fm
 
 BOX = (-1, 0, 1)
@@ -35,12 +33,12 @@ def in_support(fan, x):
     return any(in_cone_fm(cone.generators, x) for cone in fan.maximal_cones)
 
 
-def support_mismatches(specs):
+def support_mismatches(models):
     """(points checked, points in a level's support, [(tower, level, point)]
     where a level fan's support and the construction disagree)."""
     points, inside, bad = 0, 0, []
-    for spec in specs:
-        levels = [level.fan for level in build_model(spec).levels]
+    for model in models:
+        spec, levels = model.spec, [level.fan for level in model.levels]
         for x in itertools.product(BOX, repeat=spec.base_dim):
             got = in_support(levels[0], x)
             points, inside = points + 1, inside + got
@@ -61,15 +59,8 @@ def support_mismatches(specs):
 
 
 def test_level_supports_match_the_construction_on_every_p1_tower():
-    specs = [spec for depth in (2, 3) for spec in small_towers(1, depth)]
-    assert len(specs) == 162
-    points, inside, bad = support_mismatches(specs)
+    models = corpus_models(((1, 2), (1, 3)))
+    assert len(models) == 162
+    points, inside, bad = support_mismatches(models)
     assert bad == []
     assert 0 < inside < points  # the supports are neither empty nor everything
-
-
-if __name__ == "__main__":
-    specs = [spec for p in (1, 2) for depth in (2, 3) for spec in small_towers(p, depth)]
-    points, inside, bad = support_mismatches(specs)
-    print(f"{len(specs)} towers, {points} lattice points, {inside} in a level's support, {len(bad)} mismatches")
-    sys.exit(1 if bad else 0)

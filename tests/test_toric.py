@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import torictower.lattice
 import torictower.toric
+from corpus import _cube_cone_fan
 from oracles import (
     cartier_data_oracle,
     pullback_divisor_oracle,
@@ -292,12 +293,6 @@ def test_regularity_subfan_matches_geometric_oracle():
         for _ in range(3):
             m = tuple(rng.randint(-2, 2) for _ in range(fan.ambient_dim))
             assert regularity_subfan(fan, m) == regularity_subfan_oracle(fan, m)
-
-
-def _cube_cone_fan(k):
-    """The cone over a k-cube at height 1: 2^k rays, 2k facets."""
-    rays = tuple(sorted(v + (1,) for v in itertools.product((-1, 1), repeat=k)))
-    return Fan(k + 1, (Cone(k + 1, rays),))
 
 
 def test_regularity_subfan_matches_geometric_oracle_where_many_faces_survive():

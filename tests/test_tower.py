@@ -5,8 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from corpus import STRESS_TOWER
 from oracles import lc_place_transfer_check_oracle
-from test_golden import STRESS_TOWER
 from torictower.documents import Report
 from torictower.lattice import (
     Cone,
@@ -98,6 +98,12 @@ def test_build_node_t1_is_smooth_plane():
     # its fan is the full cone((1,0),(1,1))
     model = build_model(TowerSpec(1, (node((), (1,)),)))
     assert model.levels[1].fan.maximal_cones[0].generators == ((1, 0), (1, 1))
+
+
+def test_a_float_exponent_is_an_invalid_tower_not_a_truncated_one():
+    # int(1.7) is 1: the exponent-1 tower of the test above, with top rays (1, 0) and (1, 1)
+    with pytest.raises(LatticeError, match=r"^invalid tower: move 0 \(level 2\): exponent 1.7 is not an int$"):
+        build_model(TowerSpec(1, (node((), (1.7,)),)))
 
 
 def test_build_node_t1_squared_is_a1_singularity():
@@ -405,6 +411,9 @@ def test_base_change_errors():
         base_change_to_curve(spec, CurveGermData((1, 0), False))
     with pytest.raises(LatticeError, match="non-negative"):
         base_change_to_curve(spec, CurveGermData((-1, 0), True))
+    # a float order would give a float exponent, and a tower document with an unquoted 1.7
+    with pytest.raises(LatticeError, match="exponent 1.7 is not an int"):
+        base_change_to_curve(spec, CurveGermData((1.7, 0), True))
 
 
 # --- local models and the Jacobian oracle -------------------------------
