@@ -21,7 +21,8 @@ from collections import namedtuple
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
-MAX_FACES = 100_000  # per Fan.face_masks walk, regularity_subfan search or DD ray list; the largest measured is 13,088
+MAX_FACES = 100_000  # per Fan.face_masks walk, regularity_subfan search or DD ray list; the largest measured is 13,088;
+# also per fan_validate pair loop, whose largest on the benchmark is 630 pairs (36 pointed cones)
 
 
 class LatticeError(ValueError):
@@ -441,14 +442,13 @@ class Cone:
     def pointed_form(self):
         """The canonical cone (extreme rays in lex order, these halfspaces)
         of a cone with distinct primitive nonzero generators, or None if it
-        holds a line.  A generator is extreme iff it is a one-ray face of the
-        cone's one-cone fan; when the cone holds a line, so does every face,
-        and no generator passes (Cox-Little-Schenck, §1.2)."""
+        holds a line: `_extreme_mask` on the facet masks of the cone's
+        one-cone fan."""
         fan = Fan(self.ambient_dim, (self,))
-        rays = [g for i, g in enumerate(fan.all_rays) if fan._is_face(0, 1 << i)]
-        if self.generators and not rays:
+        extreme = _extreme_mask(fan.ray_index()[1][0], fan.facet_masks(0))
+        if self.generators and not extreme:
             return None
-        cone = Cone(self.ambient_dim, rays)
+        cone = Cone(self.ambient_dim, [fan.all_rays[i] for i in bit_indices(extreme)])
         cone._halfspaces = self.halfspaces()
         return cone
 
@@ -471,6 +471,20 @@ def bit_indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _extreme_mask(top, facets):
+    """The extreme rays of a cone, as the mask of the rays of `top` where the
+    facet masks `facets` through the ray meet in that ray alone.  Bits of a
+    facet mask outside `top` do not matter.  When the cone holds a line, so
+    does every face, and no ray passes (Cox-Little-Schenck, §1.2)."""
+    out, rest = 0, top
+    while rest:
+        b = rest & -rest
+        rest ^= b
+        if functools.reduce(operator.and_, (f for f in facets if f & b), top) == b:
+            out |= b
+    return out
 
 
 def maximal_masks(masks):
@@ -695,35 +709,31 @@ def product_fan(a, b):
     return Fan(n, cones)
 
 
-def _separation_certificate(fan, cones):
+def _separation_certificate(tables, faces):
     """certified(i, j): a proof by sign tests that the canonical pointed cones
     i and j meet in a common face (Cox-Little-Schenck, Lemma 1.2.13), as mask
-    arithmetic over the ray index of `fan`, which holds their rays.
+    arithmetic over one ray index that holds their rays.
 
     Every row of a cone (facet normals, each equation and its negation) is
-    >= 0 on it; per row, one mask holds the rays where it is = 0 and one where
-    it is <= 0.  Let F_i, F_j be faces of cones i, j with F_i & F_j = i & j, at
-    first the cones themselves.  m = (rows of i <= 0 on F_j) - (rows of j <= 0
-    on F_i) is >= 0 on F_i and <= 0 on F_j, so it vanishes on i & j, and on a
-    ray iff every selected row does: ANDing F_i and F_j with those rows' zero
-    masks gives smaller such faces.  Once both are the same mask, that face is
-    i & j; if they stop shrinking first, there is no proof.
+    >= 0 on it; tables[k] holds, per row of cone k, the masks of the rays
+    where it is = 0 and where it is <= 0, and faces[k] is the mask of the
+    cone's extreme rays.  Let F_i, F_j be faces of cones i, j with
+    F_i & F_j = i & j, at first the cones themselves.  m = (rows of i <= 0 on
+    F_j) - (rows of j <= 0 on F_i) is >= 0 on F_i and <= 0 on F_j, so it
+    vanishes on i & j, and on a ray iff every selected row does: ANDing F_i
+    and F_j with those rows' zero masks gives smaller such faces.  Once both
+    are the same mask, that face is i & j; if they stop shrinking first,
+    there is no proof.
     """
-    bit, _ = fan.ray_index()
-    zero, nonpos = [], []  # per cone, per row: the rays where it is = 0 and <= 0
-    for c in cones:
-        vals = [[dot(r, g) for g in fan.all_rays] for r in _halfspace_rows(*c.halfspaces())]
-        zero.append([sum(1 << i for i, x in enumerate(v) if x == 0) for v in vals])
-        nonpos.append([sum(1 << i for i, x in enumerate(v) if x <= 0) for v in vals])
-    faces = [sum(map(bit.get, c.generators)) for c in cones]
-
-    def selected(k, face):  # the zero masks of cone k's rows that are <= 0 on `face`
-        return [z for z, np in zip(zero[k], nonpos[k]) if np & face == face]
 
     def certified(i, j):
         face_i, face_j = faces[i], faces[j]
-        while True:  # -1 keeps every ray
-            tight = functools.reduce(operator.and_, selected(i, face_j) + selected(j, face_i), -1)
+        while True:
+            tight = -1  # keeps every ray; ANDs the zero masks of the rows <= 0 on the other face
+            for k, face in ((i, face_j), (j, face_i)):
+                for z, np in tables[k]:
+                    if np & face == face:
+                        tight &= z
             sub_i, sub_j = face_i & tight, face_j & tight
             if sub_i == sub_j:
                 return True
@@ -737,17 +747,24 @@ def _separation_certificate(fan, cones):
 def fan_validate(fan):
     """Validation report for a fan; an empty list means valid.
 
-    Checks primitive, nonzero, pairwise-distinct generators; takes each
-    cone's strong convexity and canonical form from one `Cone.pointed_form`
-    (no rank test, no second double description); and checks that any two
-    maximal cones intersect in a common face.  The separation lemma
-    certificate (Cox-Little-Schenck, Lemma 1.2.13) is only sufficient: a
-    pair without one is intersected by double description, and only that
-    fallback reports "intersection not a face".
+    Checks primitive, nonzero, pairwise-distinct generators, then builds each
+    remaining cone's sign table once: per row of its memoized halfspaces, the
+    masks over `fan.all_rays` where the row is = 0 and <= 0.  Its facet
+    normals' zero masks give its extreme rays by `_extreme_mask`, the rule of
+    `Cone.pointed_form`, so a cone with none contains a line (no rank test,
+    no second double description).  Any two maximal cones must intersect in
+    a common face.  The separation lemma certificate (Cox-Little-Schenck,
+    Lemma 1.2.13) reads the sign tables and is only sufficient: a pair
+    without one is intersected by double description, on canonical cones
+    built for that pair alone, and only that fallback reports "intersection
+    not a face".  ResourceCapError when the pointed cones make more than
+    MAX_FACES pairs.
     """
     violations = []
-    canonical = {}
-    for c in fan.maximal_cones:
+    mul = operator.mul  # pairings skip dot's length check: Cone and Fan fix every length
+    bit, tops = fan.ray_index()
+    cones, tables, faces = [], [], []
+    for c, top in zip(fan.maximal_cones, tops):
         ok = True
         seen = set()
         for g in c.generators:
@@ -762,20 +779,40 @@ def fan_validate(fan):
                 violations.append(Violation("duplicate ray", f"ray {list(g)} listed twice in a cone"))
                 ok = False
             seen.add(g)
-        pointed = c.pointed_form() if ok else None
-        if pointed is not None:
-            canonical[c] = pointed
-        elif ok:
-            violations.append(
-                Violation("not strongly convex", f"cone {list(c.generators)} contains a line")
-            )
-    cones = [c for c in fan.maximal_cones if c in canonical]
-    certified = _separation_certificate(fan, [canonical[c] for c in cones])
+        if not ok:
+            continue
+        normals, equations = c.halfspaces()
+        table = []  # per row: (rays where it is = 0, rays where it is <= 0)
+        for row in _halfspace_rows(normals, equations):
+            z = np = 0
+            for g, b in bit.items():
+                x = sum(map(mul, row, g))
+                if x <= 0:
+                    np |= b
+                    if not x:
+                        z |= b
+            table.append((z, np))
+        extreme = _extreme_mask(top, [z for z, _ in table[:len(normals)]])
+        if c.generators and not extreme:
+            violations.append(Violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
+            continue
+        cones.append(c)
+        tables.append(table)
+        faces.append(extreme)
+    if len(cones) * (len(cones) - 1) // 2 > MAX_FACES:
+        raise ResourceCapError(f"fan validation passed the cap of {MAX_FACES} cone pairs")
+
+    def canonical(k):  # the extreme rays of cone k in lex order, with its halfspaces
+        cone = Cone(fan.ambient_dim, [fan.all_rays[i] for i in bit_indices(faces[k])])
+        cone._halfspaces = cones[k].halfspaces()
+        return cone
+
+    certified = _separation_certificate(tables, faces)
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             if certified(i, j):
                 continue
-            a, b = canonical[cones[i]], canonical[cones[j]]
+            a, b = canonical(i), canonical(j)
             inter = intersect_cones(a, b)
             if not (is_face_of(inter, a) and is_face_of(inter, b)):
                 violations.append(Violation("intersection not a face", (

@@ -37,6 +37,9 @@ class FanMapError(ValueError):
     """A lattice map does not send the source fan into the target fan."""
 
 
+_ZERO = Fraction(0)
+
+
 class ToricDivisor:
     """Torus-invariant Q-divisor: rational coefficients on the fan's rays.
 
@@ -60,7 +63,7 @@ class ToricDivisor:
         self._coeffs = {ray: coeffs[ray] for ray in sorted(coeffs)}
 
     def coefficient(self, ray):
-        return self._coeffs.get(tuple(ray), Fraction(0))
+        return self._coeffs.get(tuple(ray), _ZERO)
 
     def coefficients(self):
         return dict(self._coeffs)
@@ -70,7 +73,7 @@ class ToricDivisor:
             raise LatticeError("divisors live on different fans")
         out = dict(self._coeffs)
         for ray, c in other._coeffs.items():
-            out[ray] = out.get(ray, Fraction(0)) + c
+            out[ray] = out.get(ray, _ZERO) + c
         return ToricDivisor(self.fan, out)
 
     def __sub__(self, other):
@@ -146,29 +149,34 @@ def cartier_data(fan, divisor):
     """Solve the Cartier data of a toric divisor exactly, by one integer
     Hermite form H = w*A^T per maximal cone, A the matrix of its rays u_i.
 
-    With D = den*d integral, m = w^T*y turns <m, u_i> = d_i into H^T*y = D/den,
-    which is lower echelon: row c of H has its pivot at ray p_c, so forward
-    substitution gives y_c from D_p_c and the y_c' before it.  It runs fraction
-    free on Y = t*y, scaling by each pivot, so m = w^T*Y/(t*den); the free
+    One pass over the fan's rays gives the divisor's common denominator den
+    and its integer numerators D = den*d, so a cone only looks D up.  Then
+    m = w^T*y turns <m, u_i> = d_i into H^T*y = D/den, which is lower
+    echelon: row c of H has its pivot at ray p_c, so forward substitution
+    gives y_c from D_p_c and the y_c' before it.  It runs fraction free on
+    Y = t*y, scaling by each pivot, so m = w^T*Y/(t*den); the free
     coordinates of y are 0, and the solution is unique on full-dimensional
     cones.  The cone is Q-Cartier iff <m, u_i> = d_i holds on every ray.
     Since w is unimodular, the least q with q*m integral, the cone's Cartier
-    index, is t*den / gcd(t*den, *M) for M = w^T*Y.  A cone on whose rays D
-    vanishes, the zero cone among them, gets m = 0 with no Hermite form.
+    index, is t*den / gcd(t*den, *M) for M = w^T*Y.  D, Y, M and t*den scale
+    together, so a den larger than the cone's own changes neither m nor the
+    index.  A cone on whose rays D vanishes, the zero cone among them, gets
+    m = 0 with no Hermite form.
 
     Returns CartierData, or NotQCartier naming the first cone where the
     system has no rational solution.
     """
     n = fan.ambient_dim
+    values = [divisor.coefficient(u) for u in fan.all_rays]
+    den = math.lcm(*(d.denominator for d in values))
+    numerators = {u: d.numerator * (den // d.denominator) for u, d in zip(fan.all_rays, values)}
     vectors = []
     q = 1
     for cone in fan.maximal_cones:
         rays = cone.generators
-        values = [divisor.coefficient(u) for u in rays]
-        den = math.lcm(*(d.denominator for d in values))
-        big_d = [d.numerator * (den // d.denominator) for d in values]
+        big_d = [numerators[u] for u in rays]
         if not any(big_d):  # the zero cone, or D vanishes on every ray: m = 0
-            vectors.append((Fraction(0),) * n)
+            vectors.append((_ZERO,) * n)
             continue
         h, w = hnf(transpose(rays))
         y, t = [], 1

@@ -93,15 +93,17 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
 
     Move k (0-based) builds level k+2; a node move there may reference the
     variables a_2..a_(k+1), so its alpha_exponents must have length k and its
-    t_exponents base_dim, and every exponent is an int; construction raises
-    LatticeError naming each failure.
+    t_exponents base_dim.  base_dim and every exponent are ints; construction
+    raises LatticeError naming each failure.
     """
 
     __slots__ = ()
 
     def __new__(cls, base_dim, moves):
         details = []
-        if base_dim < 1:
+        if not isinstance(base_dim, int):
+            details.append(f"base_dim {base_dim!r} is not an int")
+        elif base_dim < 1:
             details.append(f"base_dim {base_dim} must be >= 1")
         for k, move in enumerate(moves):
             where = f"move {k} (level {k + 2})"
@@ -384,6 +386,9 @@ def base_change_to_curve(spec, germ):
     """
     if len(germ.orders) != spec.base_dim:
         raise LatticeError(f"germ has {len(germ.orders)} orders, tower base dimension is {spec.base_dim}")
+    inexact = [c for c in germ.orders if not isinstance(c, int)]
+    if inexact:
+        raise LatticeError(f"vanishing order {inexact[0]!r} is not an int")
     if any(c < 0 for c in germ.orders):
         raise LatticeError("vanishing orders must be non-negative")
     if not germ.on_boundary and any(c != 0 for c in germ.orders):

@@ -4,13 +4,15 @@
 
 Each entry is (file under src/torictower, old text, new text, test
 selection).  For each entry the script copies `src/` to a temporary
-directory, replaces the old text, which must occur exactly once, and runs
-the selection with pytest against the copy.  A mutant is killed when the
-selection fails (a run past TIMEOUT seconds counts as killed too: the mutant
-hangs).  Before any mutant, every selection must pass on the unmutated copy,
-so a broken selection cannot kill anything.  The script exits 1 on a
-surviving mutant, on an old text that no longer matches exactly once, and on
-a selection that fails unmutated or cannot run.
+directory of its own, replaces the old text, which must occur exactly once,
+and runs the selection with pytest against the copy.  A mutant is killed
+when the selection fails (a run past TIMEOUT seconds counts as killed too:
+the mutant hangs).  Before any mutant, every selection must pass on the
+unmutated copy, so a broken selection cannot kill anything.  The unmutated
+runs, and then the mutants, run os.cpu_count() at a time; the lines print in
+MUTANTS order.  The script exits 1 on a surviving mutant, on an old text
+that no longer matches exactly once, and on a selection that fails
+unmutated or cannot run.
 """
 
 import os
@@ -19,6 +21,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 120  # seconds per pytest run
@@ -72,6 +75,22 @@ MUTANTS = (
     # a node move lifts only rays with <m,u> >= 0, to (u, 0) and (u, <m,u>): every ray of every level is nonnegative
     ("toric.py", "if dot(char, u) < 0)", "if dot(char, u) < -1)",
      ("tests/test_lc_net.py::test_every_ray_of_every_tower_level_is_nonnegative",)),
+    # a generator is extreme iff the facets through it meet in it alone
+    ("lattice.py", "(f for f in facets if f & b)", "(f for f in facets if f & top)",
+     ("tests/test_lattice.py::test_fan_validate_matches_all_pairs_oracle_on_defective_fans",)),
+    # fan_validate raises past MAX_FACES pairs of pointed cones, not at MAX_FACES
+    ("lattice.py", "if len(cones) * (len(cones) - 1) // 2 > MAX_FACES:",
+     "if len(cones) * (len(cones) - 1) // 2 >= MAX_FACES:",
+     ("tests/test_lattice.py::test_fan_validate_caps_its_cone_pairs",)),
+    ("lattice.py", "if len(cones) * (len(cones) - 1) // 2 > MAX_FACES:", "if False:",
+     ("tests/test_lattice.py::test_fan_validate_caps_its_cone_pairs",)),
+    # cartier_data scales each numerator to the divisor's common denominator
+    ("toric.py", "d.numerator * (den // d.denominator)", "d.numerator",
+     ("tests/test_toric.py::test_cartier_data_matches_elimination_oracle",)),
+    # base_dim and every germ order are ints
+    ("tower.py", 'if not isinstance(base_dim, int):\n            details.append(f"base_dim {base_dim!r} is not an int")\n'
+     "        elif base_dim < 1:", "if base_dim < 1:", ("tests/test_records.py",)),
+    ("tower.py", "if not isinstance(c, int)]", "if False]", ("tests/test_tower.py::test_base_change_errors",)),
 )
 
 
@@ -93,9 +112,35 @@ def copy_src(tmp, name):
     return src
 
 
+def run_mutant(tmp, k):
+    """The report line of mutant k, and whether it counts as a failure."""
+    name, old, new, selection = MUTANTS[k]
+    label = f"{name}: {old!r} -> {new!r}"
+    src = copy_src(tmp, f"mutant{k}")
+    try:
+        path = os.path.join(src, "torictower", name)
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        if text.count(old) != 1:
+            return f"STALE   {label}: old text occurs {text.count(old)} times", True
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(old, new))
+        start = time.monotonic()
+        code = run_selection(src, selection)
+        took = f"({time.monotonic() - start:.1f} s)"
+    finally:
+        shutil.rmtree(src)
+    if code == 0:
+        return f"SURVIVED {label} {took}", True
+    if code in (1, None):
+        return f"killed  {label} {took}{' by timeout' if code is None else ''}", False
+    return f"BROKEN  {label}: pytest exit code {code} {took}", True
+
+
 def main():
     failures = 0
-    with tempfile.TemporaryDirectory(prefix="torictower-mutants-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="torictower-mutants-") as tmp, \
+            ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
         clean = copy_src(tmp, "clean")
         probe = [sys.executable, "-c", "import torictower; print(torictower.__file__)"]
         loaded = subprocess.run(probe, env={**os.environ, "PYTHONPATH": clean},
@@ -103,34 +148,14 @@ def main():
         if not loaded.startswith(clean):
             print(f"the tests would import torictower from {loaded.strip()!r}, not the copy")
             return 1
-        for selection in sorted({entry[3] for entry in MUTANTS}):
-            if run_selection(clean, selection) != 0:
+        selections = sorted({entry[3] for entry in MUTANTS})
+        for selection, code in zip(selections, pool.map(lambda sel: run_selection(clean, sel), selections)):
+            if code != 0:
                 print(f"BROKEN  {' '.join(selection)} fails unmutated")
                 failures += 1
-        for k, (name, old, new, selection) in enumerate(MUTANTS):
-            label = f"{name}: {old!r} -> {new!r}"
-            src = copy_src(tmp, f"mutant{k}")
-            path = os.path.join(src, "torictower", name)
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
-            if text.count(old) != 1:
-                print(f"STALE   {label}: old text occurs {text.count(old)} times")
-                failures += 1
-                continue
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text.replace(old, new))
-            start = time.monotonic()
-            code = run_selection(src, selection)
-            took = f"({time.monotonic() - start:.1f} s)"
-            if code == 0:
-                print(f"SURVIVED {label} {took}")
-                failures += 1
-            elif code in (1, None):
-                print(f"killed  {label} {took}{' by timeout' if code is None else ''}")
-            else:
-                print(f"BROKEN  {label}: pytest exit code {code} {took}")
-                failures += 1
-            shutil.rmtree(src)
+        for line, failed in pool.map(lambda k: run_mutant(tmp, k), range(len(MUTANTS))):
+            print(line, flush=True)
+            failures += failed
     print(f"{len(MUTANTS)} mutants, {failures} failures")
     return 1 if failures else 0
 

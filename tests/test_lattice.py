@@ -809,6 +809,64 @@ def test_fan_validate_matches_all_pairs_oracle(monkeypatch):
     assert len(fallbacks) > kinds.count("intersection not a face")
 
 
+def _defective_fans(count, seed):
+    """Fans of two to five cones in dimensions 1..4, each cone drawn
+    canonical (some hold a line) and then, at random, given a line, a
+    redundant generator, a repeated generator, a non-primitive generator or
+    a zero generator, or replaced by the zero cone.  Random cones mostly
+    overlap."""
+    rng = random.Random(seed)
+    fans = []
+    while len(fans) < count:
+        n = rng.randint(1, 4)
+        cones = []
+        for _ in range(rng.randint(2, 5)):
+            vectors = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n + 1))]
+            gens = list(Cone.generated_by(vectors, n).generators)
+            g = rng.choice(gens) if gens else unit_vector(n, 0)
+            defect = rng.choice(("none",) * 4 + ("line", "redundant", "repeated", "scaled", "zero ray", "zero cone"))
+            if defect == "line" and vneg(g) not in gens:
+                gens.append(vneg(g))
+            elif defect == "redundant" and len(gens) > 1 and any(vadd(gens[0], gens[1])):
+                gens.append(primitive(vadd(gens[0], gens[1])))
+            elif defect == "repeated":
+                gens.append(g)
+            elif defect == "scaled":
+                gens.append(vscale(2, g))
+            elif defect == "zero ray":
+                gens.append((0,) * n)
+            elif defect == "zero cone":
+                gens = []
+            cones.append(Cone(n, sorted(gens)))
+        fans.append(Fan(n, cones))
+    return fans
+
+
+def test_fan_validate_matches_all_pairs_oracle_on_defective_fans(monkeypatch):
+    fallbacks = _counting_intersections(monkeypatch)
+    kinds, valid = [], 0
+    for fan in _defective_fans(250, 20261019):
+        got = fan_validate(fan)
+        assert got == fan_validate_oracle(fan), fan.maximal_cones
+        kinds += [v.kind for v in got]
+        valid += not got
+    assert set(kinds) == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
+    assert valid and len(fallbacks) > kinds.count("intersection not a face")
+
+
+def test_fan_validate_caps_its_cone_pairs(monkeypatch):
+    """The four cones of P^3 make six pairs, at the cap; a fifth cone with a
+    line makes no pair; a subdivided P^3 passes the cap."""
+    subdivided = _subdivided_fans(20261018)[0]
+    with_line = Fan(3, projective_fan(3).maximal_cones + (Cone(3, ((-1, 0, 0), (0, 1, 0), (1, 0, 0))),))
+    assert len(subdivided.maximal_cones) > 4
+    monkeypatch.setattr(torictower.lattice, "MAX_FACES", 6)
+    assert fan_validate(projective_fan(3)) == []
+    assert [v.kind for v in fan_validate(with_line)] == ["not strongly convex"]
+    with pytest.raises(ResourceCapError, match="cap of 6 cone pairs"):
+        fan_validate(subdivided)
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_fan_validate_matches_all_pairs_oracle_after_unimodular_change_of_coordinates(data):
@@ -848,16 +906,19 @@ def test_fan_validate_certifies_valid_fans_without_double_description(monkeypatc
 
 
 def test_fan_validate_keeps_canonical_cones(monkeypatch):
-    """Canonical forms and strong convexity come from `Cone.pointed_form`:
-    no `generated_by`, not even for REDUNDANT_FAN's redundant ray (1, 1),
-    and no Hermite form on these full-dimensional cones."""
+    """Extreme rays and strong convexity come from each cone's sign table,
+    by the rule `Cone.pointed_form` uses, without calling it: no
+    `pointed_form` and no `generated_by`, not even for REDUNDANT_FAN's
+    redundant ray (1, 1), and no Hermite form on these full-dimensional
+    cones."""
     calls = []
-    inner, inner_hnf = Cone.generated_by, torictower.lattice.hnf
+    inner, inner_hnf, inner_pointed = Cone.generated_by, torictower.lattice.hnf, Cone.pointed_form
     monkeypatch.setattr(Cone, "generated_by", staticmethod(lambda *a: calls.append("generated_by") or inner(*a)))
+    monkeypatch.setattr(Cone, "pointed_form", lambda self: calls.append("pointed_form") or inner_pointed(self))
     monkeypatch.setattr(torictower.lattice, "hnf", lambda *a: calls.append("hnf") or inner_hnf(*a))
     Cone.generated_by([(1,)])
     torictower.lattice.rank_int(((1,),))
-    assert calls == ["generated_by", "hnf"]  # the wrappers count
+    assert calls == ["generated_by", "pointed_form", "hnf"]  # the wrappers count
     calls.clear()
     assert fan_validate(REDUNDANT_FAN) == []
     assert sorted(v.kind for v in fan_validate(BAD_FANS[-1])) == ["not strongly convex"]

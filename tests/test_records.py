@@ -62,6 +62,7 @@ BAD_SPECS = [
     ((1, (NodeMove((1,), (1,)),)), "alpha_exponents has length 1, expected 0"),
     ((1, ("product",)), "unknown type str"),
     ((1, (NodeMove((), (1.7,)),)), "exponent 1.7 is not an int"),
+    ((1.5, ()), "base_dim 1.5 is not an int"),
 ]
 
 

@@ -426,7 +426,8 @@ def _cartier_cases(seed):
     """On subdivided complete fans (simplicial and not) and on level fans: a
     random rational divisor, a rational multiple of a character divisor
     (Q-Cartier everywhere), and that multiple moved on one ray (Q-Cartier
-    exactly on the simplicial cones through it)."""
+    exactly on the simplicial cones through it).  Last, a divisor on
+    P^1 x P^1 whose cones need the denominators 2, 3, 6 and 1."""
     rng = random.Random(seed)
     fans = []
     for fan in SUBDIVISION_FANS:
@@ -442,7 +443,8 @@ def _cartier_cases(seed):
         if fan.all_rays:
             bump = ToricDivisor(fan, {rng.choice(fan.all_rays): Fraction(1, rng.randint(1, 3))})
             cases += [(fan, principal + bump), (fan, bump)]  # bump vanishes off its ray's star
-    return cases
+    square = product_fan(P1, P1)
+    return cases + [(square, ToricDivisor(square, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}))]
 
 
 CARTIER_CASES = _cartier_cases(20261018)

@@ -411,9 +411,12 @@ def test_base_change_errors():
         base_change_to_curve(spec, CurveGermData((1, 0), False))
     with pytest.raises(LatticeError, match="non-negative"):
         base_change_to_curve(spec, CurveGermData((-1, 0), True))
-    # a float order would give a float exponent, and a tower document with an unquoted 1.7
-    with pytest.raises(LatticeError, match="exponent 1.7 is not an int"):
+    # a float order would give a float exponent, and a tower document with an
+    # unquoted 1.7; it is an error also on a tower with no node move to carry it
+    with pytest.raises(LatticeError, match="vanishing order 1.7 is not an int"):
         base_change_to_curve(spec, CurveGermData((1.7, 0), True))
+    with pytest.raises(LatticeError, match="vanishing order 1.7 is not an int"):
+        base_change_to_curve(TowerSpec(1, (ProductMove(),)), CurveGermData((1.7,), True))
 
 
 # --- local models and the Jacobian oracle -------------------------------
