@@ -20,7 +20,7 @@ from .documents import (
     parse_tower,
     random_tower,
 )
-from .lattice import DEFAULT_MAX_DIM, DEFAULT_MAX_RAYS, LatticeError, ResourceCapError, bit_indices
+from .lattice import DEFAULT_MAX_DIM, DEFAULT_MAX_RAYS, LatticeError, ResourceCapError, bit_indices, check_samples
 from .polytope import relative_degree_on_P, relative_volume_on_P
 from .tower import (
     CurveGermData,
@@ -124,10 +124,8 @@ def cmd_base_change(args):
 
 
 def cmd_lc_check(args):
-    spec = parse_tower(_read_input(args.input))
-    outcome = lc_place_transfer_check(
-        spec, samples=args.samples, seed=args.seed, max_rays=args.max_rays, max_dim=args.max_dim
-    )
+    check_samples(args.samples)  # a cap before any build
+    outcome = lc_place_transfer_check(_load_model(args), samples=args.samples, seed=args.seed)
     return Report(command="lc-check", seed=args.seed).merge(outcome)
 
 

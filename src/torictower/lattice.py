@@ -22,7 +22,8 @@ DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
 MAX_FACES = 100_000  # per Fan.face_masks walk, regularity_subfan search or DD ray list; the largest measured is 13,088;
-# also per fan_validate pair loop, whose largest on the benchmark is 630 pairs (36 pointed cones)
+# also per fan_validate pair loop, whose largest on the benchmark is 630 pairs (36 pointed cones),
+# and per normalized_volume triangulation, whose largest on the benchmark pops 1,290 faces
 
 
 class LatticeError(ValueError):
@@ -473,16 +474,24 @@ def bit_indices(mask):
     return tuple(out)
 
 
+def _face_hull(mask, top, facets):
+    """The one face rule (Cox-Little-Schenck, §1.2): the face of the cone with
+    rays `top` and facet masks `facets` spanned by `mask`, as `top` ANDed with
+    the facets that contain `mask`.  A mask is a face iff it is its own hull
+    (a mask outside `top` never is), and a ray is extreme iff its hull is that
+    ray alone.  Bits of a facet mask outside `top` do not matter."""
+    return functools.reduce(operator.and_, (f for f in facets if f & mask == mask), top)
+
+
 def _extreme_mask(top, facets):
-    """The extreme rays of a cone, as the mask of the rays of `top` where the
-    facet masks `facets` through the ray meet in that ray alone.  Bits of a
-    facet mask outside `top` do not matter.  When the cone holds a line, so
-    does every face, and no ray passes (Cox-Little-Schenck, §1.2)."""
+    """The extreme rays of a cone, as the mask of the rays of `top` whose face
+    hull is the ray alone.  When the cone holds a line, so does every face,
+    and no ray passes."""
     out, rest = 0, top
     while rest:
         b = rest & -rest
         rest ^= b
-        if functools.reduce(operator.and_, (f for f in facets if f & b), top) == b:
+        if _face_hull(b, top, facets) == b:
             out |= b
     return out
 
@@ -530,16 +539,7 @@ def dual_cone(c, max_dim=DEFAULT_MAX_DIM):
     return _halfspace_cone(c.generators, c.ambient_dim)
 
 
-def cones_equal_as_sets(a, b):
-    """Set equality of two cones via mutual generator containment."""
-    if a.ambient_dim != b.ambient_dim:
-        return False
-    return all(b.contains(g) for g in a.generators) and all(
-        a.contains(g) for g in b.generators
-    )
-
-
-def is_face_of(small, big):
+def is_face_of(small, big):  # no caller in src/; the benchmark traces it
     """Whether the cone `small` is a face of the canonical cone `big`.
 
     `small` may list its extreme rays in any order; `big` must be canonical
@@ -653,11 +653,8 @@ class Fan:
         return self._facets[k]
 
     def _is_face(self, k, mask):
-        """Whether `mask` is a face of maximal cone k: it lies inside the cone
-        and equals the intersection of the cone's facet masks containing it."""
-        top = self.ray_index()[1][k]
-        facets = (f for f in self.facet_masks(k) if mask & f == mask)
-        return mask & top == mask and functools.reduce(operator.and_, facets, top) == mask
+        """Whether `mask` is a face of maximal cone k: its own `_face_hull`."""
+        return _face_hull(mask, self.ray_index()[1][k], self.facet_masks(k)) == mask
 
     def face_masks(self):
         """Every face of the fan once, as a mask over the ray index, from one
@@ -755,15 +752,15 @@ def fan_validate(fan):
     no second double description).  Any two maximal cones must intersect in
     a common face.  The separation lemma certificate (Cox-Little-Schenck,
     Lemma 1.2.13) reads the sign tables and is only sufficient: a pair
-    without one is intersected by double description, on canonical cones
-    built for that pair alone, and only that fallback reports "intersection
-    not a face".  ResourceCapError when the pointed cones make more than
-    MAX_FACES pairs.
+    without one is intersected by double description on the two cones'
+    memoized halfspaces, and the mask of its rays must be a face of both by
+    `_face_hull`.  Only that fallback reports "intersection not a face".
+    ResourceCapError when the pointed cones make more than MAX_FACES pairs.
     """
     violations = []
     mul = operator.mul  # pairings skip dot's length check: Cone and Fan fix every length
     bit, tops = fan.ray_index()
-    cones, tables, faces = [], [], []
+    cones, tables, faces, facets = [], [], [], []
     for c, top in zip(fan.maximal_cones, tops):
         ok = True
         seen = set()
@@ -792,29 +789,27 @@ def fan_validate(fan):
                     if not x:
                         z |= b
             table.append((z, np))
-        extreme = _extreme_mask(top, [z for z, _ in table[:len(normals)]])
+        zeros = [z for z, _ in table[:len(normals)]]
+        extreme = _extreme_mask(top, zeros)
         if c.generators and not extreme:
             violations.append(Violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
             continue
         cones.append(c)
         tables.append(table)
         faces.append(extreme)
+        facets.append(zeros)
     if len(cones) * (len(cones) - 1) // 2 > MAX_FACES:
         raise ResourceCapError(f"fan validation passed the cap of {MAX_FACES} cone pairs")
-
-    def canonical(k):  # the extreme rays of cone k in lex order, with its halfspaces
-        cone = Cone(fan.ambient_dim, [fan.all_rays[i] for i in bit_indices(faces[k])])
-        cone._halfspaces = cones[k].halfspaces()
-        return cone
 
     certified = _separation_certificate(tables, faces)
     for i in range(len(cones)):
         for j in range(i + 1, len(cones)):
             if certified(i, j):
                 continue
-            a, b = canonical(i), canonical(j)
-            inter = intersect_cones(a, b)
-            if not (is_face_of(inter, a) and is_face_of(inter, b)):
+            inter = intersect_cones(cones[i], cones[j])
+            bits = [bit.get(g, 0) for g in inter.generators]  # 0: a ray of neither cone
+            mask = sum(bits)
+            if not (all(bits) and all(_face_hull(mask, faces[k], facets[k]) == mask for k in (i, j))):
                 violations.append(Violation("intersection not a face", (
                     f"cones {list(cones[i].generators)} and {list(cones[j].generators)} "
                     f"meet in {list(inter.generators)} which is not a common face")))

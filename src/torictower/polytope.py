@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
+from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
 from .lattice import _halfspace_rows, halfspace_intersection, maximal_masks
 
 
@@ -123,6 +123,7 @@ def normalized_volume(polytope):
     for all simplices below it; a leaf finishes its (d + 1)-square block and
     adds |det| / prod(den).  An apex lies off the affine hull of every face
     below it, so the apexes are independent and their residuals nonzero.
+    ResourceCapError once the call has popped more than MAX_FACES faces.
     """
     rows = _homogenized(polytope.vertices)
     if not rows:
@@ -131,7 +132,11 @@ def normalized_volume(polytope):
     total = {}  # sum of |det| per denominator
     # (face, its dimension, residual rows of its points, last pivot, dens of the apexes above it)
     stack = [((1 << len(rows)) - 1, polytope.ambient_dim, dict(enumerate(rows)), 1, 1)]
+    popped = 0
     while stack:
+        popped += 1
+        if popped > MAX_FACES:
+            raise ResourceCapError(f"triangulation passed the cap of {MAX_FACES} faces")
         face, dim, residual, prev, dens = stack.pop()
         points = bit_indices(face)
         if len(points) == dim + 1:

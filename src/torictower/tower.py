@@ -18,9 +18,9 @@ directed search finds without walking every face that holds a ray with
 
 generated by (u, 0) and (u, <m,u>) over the rays u of sigma.  This is the
 fan of the chart carved out by the node equation: its dual is the semigroup
-cone spanned by sigma-dual x {0}, the new coordinate, and (m, -1), which
-node_chart_dual_violations cross-checks through an independent dual-cone
-computation.  A product move lifts each cone sigma to sigma x cone(e_new).
+cone spanned by sigma-dual x {0}, the new coordinate, and (m, -1), whose
+dual node_chart_dual_violations checks is sigma~ again (biduality).  A
+product move lifts each cone sigma to sigma x cone(e_new).
 
 So each level's face lattice is fixed by the level below, and build_model
 derives every level cone's facets from those below, with no double
@@ -50,7 +50,6 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     check_samples,
-    cones_equal_as_sets,
     dot,
     dual_cone,
     is_zero,
@@ -88,20 +87,25 @@ class NodeMove(namedtuple("NodeMove", "alpha_exponents t_exponents")):
         return tuple(self.t_exponents) + tuple(self.alpha_exponents)
 
 
+def _is_int(x):
+    """An int, not a bool: True builds as 1 but no tower document holds `true`."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
     """Symbolic tower description: base dimension and ordered moves.
 
     Move k (0-based) builds level k+2; a node move there may reference the
     variables a_2..a_(k+1), so its alpha_exponents must have length k and its
-    t_exponents base_dim.  base_dim and every exponent are ints; construction
-    raises LatticeError naming each failure.
+    t_exponents base_dim.  base_dim and every exponent are ints, not bools;
+    construction raises LatticeError naming each failure.
     """
 
     __slots__ = ()
 
     def __new__(cls, base_dim, moves):
         details = []
-        if not isinstance(base_dim, int):
+        if not _is_int(base_dim):
             details.append(f"base_dim {base_dim!r} is not an int")
         elif base_dim < 1:
             details.append(f"base_dim {base_dim} must be >= 1")
@@ -117,7 +121,7 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
                                f"(only a_2..a_{k + 1} are defined)")
             if len(move.t_exponents) != base_dim:
                 details.append(f"{where}: t_exponents has length {len(move.t_exponents)}, expected {base_dim}")
-            inexact = [e for e in (*move.alpha_exponents, *move.t_exponents) if not isinstance(e, int)]
+            inexact = [e for e in (*move.alpha_exponents, *move.t_exponents) if not _is_int(e)]
             if inexact:
                 details.append(f"{where}: exponent {inexact[0]!r} is not an int")
         if details:
@@ -305,10 +309,8 @@ def _below(bits, n):
     return r
 
 
-def lc_place_transfer_check(
-    spec, samples, seed, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM, model=None
-):
-    """Check that toric valuations of (V_d, C_d) are lc places of (P, G).
+def lc_place_transfer_check(model, samples, seed):
+    """Check that toric valuations of the model's (V_d, C_d) are lc places of (P, G).
 
     Both pairs are log Calabi-Yau: K + C has coefficient -1 + 1 = 0 on every
     ray, so K + C is the zero divisor and every log discrepancy is 0 on both
@@ -327,12 +329,11 @@ def lc_place_transfer_check(
     is nonnegative (level 1 has the unit vectors; a product move adds (u, 0)
     and e_new, a node move (u, 0) and (u, <m,u>) with <m,u> >= 0), so every
     ray g of a non-empty cone has <w, g> >= <g, g> > 0: every such cone carries
-    the certificate, and no vector is built.  The test guards models passed
-    in as `model`.
+    the certificate, and no vector is built.  The test guards any other
+    model, such as a forged one.  The sample count is checked first.
     """
     check_samples(samples)
-    if model is None:
-        model = build_model(spec, max_rays=max_rays, max_dim=max_dim)
+    spec = model.spec
     out = CheckOutcome()
     fan_v = model.levels[-1].fan
     rng = random.Random(seed)
@@ -386,7 +387,7 @@ def base_change_to_curve(spec, germ):
     """
     if len(germ.orders) != spec.base_dim:
         raise LatticeError(f"germ has {len(germ.orders)} orders, tower base dimension is {spec.base_dim}")
-    inexact = [c for c in germ.orders if not isinstance(c, int)]
+    inexact = [c for c in germ.orders if not _is_int(c)]
     if inexact:
         raise LatticeError(f"vanishing order {inexact[0]!r} is not an int")
     if any(c < 0 for c in germ.orders):
@@ -493,9 +494,12 @@ def node_chart_dual_violations(model):
     """Cross-check each node-move chart against its semigroup presentation.
 
     For every maximal cone sigma~ of a node level, the dual of sigma~ must
-    equal cone(sigma-dual x {0}, e_new, (m, -1)) where sigma is the projected
-    cone.  Both sides go through independent dual-cone computations, capped
-    at the model's top dimension, which build_model already held to its cap.
+    equal P = cone(sigma-dual x {0}, e_new, (m, -1)), where sigma is spanned
+    by the projected generators; by biduality, P-dual must be sigma~.  Two
+    double description passes, sigma-dual and P-dual, capped at the model's
+    top dimension (build_model held it to its cap), give P-dual's canonical
+    generators, which must equal the chart's: build_model made those
+    canonical, and sigma~ is pointed.
     """
     out = CheckOutcome()
     max_dim = model.levels[-1].fan.ambient_dim
@@ -507,14 +511,10 @@ def node_chart_dual_violations(model):
         m = move.lattice_exponents()
         for cone in level.fan.maximal_cones:
             out.checked += 1
-            sigma = Cone.generated_by([g[:n_prev] for g in cone.generators], n_prev)
-            sigma_dual = dual_cone(sigma, max_dim)
-            expected_gens = [g + (0,) for g in sigma_dual.generators]
-            expected_gens.append(unit_vector(n_prev + 1, n_prev))
-            expected_gens.append(tuple(m) + (-1,))
-            expected = Cone.generated_by(expected_gens, n_prev + 1)
-            actual = dual_cone(cone, max_dim)
-            if cones_equal_as_sets(actual, expected):
+            sigma_dual = dual_cone(Cone(n_prev, [g[:n_prev] for g in cone.generators]), max_dim)
+            presentation = [g + (0,) for g in sigma_dual.generators]
+            presentation += [unit_vector(n_prev + 1, n_prev), tuple(m) + (-1,)]
+            if dual_cone(Cone(n_prev + 1, presentation), max_dim).generators == cone.generators:
                 out.passed += 1
             else:
                 out.add_violation(

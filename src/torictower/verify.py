@@ -499,7 +499,7 @@ def suite_lc(seed, samples=200):
     out = CheckOutcome()
     rng = random.Random(seed)
     for idx, spec in enumerate(random_towers(samples, seed)):
-        res = lc_place_transfer_check(spec, samples=LC_SAMPLES_PER_TOWER, seed=rng.randrange(2**32))
+        res = lc_place_transfer_check(build_model(spec), samples=LC_SAMPLES_PER_TOWER, seed=rng.randrange(2**32))
         out.merge(res, tower=idx)
     return out
 

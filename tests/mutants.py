@@ -76,8 +76,15 @@ MUTANTS = (
     ("toric.py", "if dot(char, u) < 0)", "if dot(char, u) < -1)",
      ("tests/test_lc_net.py::test_every_ray_of_every_tower_level_is_nonnegative",)),
     # a generator is extreme iff the facets through it meet in it alone
-    ("lattice.py", "(f for f in facets if f & b)", "(f for f in facets if f & top)",
+    ("lattice.py", "if _face_hull(b, top, facets) == b:", "if _face_hull(0, top, facets) == b:",
      ("tests/test_lattice.py::test_fan_validate_matches_all_pairs_oracle_on_defective_fans",)),
+    # the face hull of a mask takes only the facets that hold all of it
+    ("lattice.py", "if f & mask == mask)", "if f & mask)", ("tests/test_lattice.py",)),
+    # a fallback intersection with a ray outside the ray index is no face
+    ("lattice.py", "if not (all(bits) and all(", "if not (all(", ("tests/test_lattice.py",)),
+    # the node chart's semigroup presentation holds (m, -1)
+    ("tower.py", "presentation += [unit_vector(n_prev + 1, n_prev), tuple(m) + (-1,)]",
+     "presentation += [unit_vector(n_prev + 1, n_prev)]", ("tests/test_tower.py",)),
     # fan_validate raises past MAX_FACES pairs of pointed cones, not at MAX_FACES
     ("lattice.py", "if len(cones) * (len(cones) - 1) // 2 > MAX_FACES:",
      "if len(cones) * (len(cones) - 1) // 2 >= MAX_FACES:",
@@ -88,9 +95,18 @@ MUTANTS = (
     ("toric.py", "d.numerator * (den // d.denominator)", "d.numerator",
      ("tests/test_toric.py::test_cartier_data_matches_elimination_oracle",)),
     # base_dim and every germ order are ints
-    ("tower.py", 'if not isinstance(base_dim, int):\n            details.append(f"base_dim {base_dim!r} is not an int")\n'
+    ("tower.py", 'if not _is_int(base_dim):\n            details.append(f"base_dim {base_dim!r} is not an int")\n'
      "        elif base_dim < 1:", "if base_dim < 1:", ("tests/test_records.py",)),
-    ("tower.py", "if not isinstance(c, int)]", "if False]", ("tests/test_tower.py::test_base_change_errors",)),
+    ("tower.py", "if not _is_int(c)]", "if False]", ("tests/test_tower.py::test_base_change_errors",)),
+    # and none of base_dim, an exponent or a germ order is a bool
+    ("tower.py", "if not _is_int(base_dim):", "if not isinstance(base_dim, int):", ("tests/test_records.py",)),
+    ("tower.py", "if not _is_int(e)]", "if not isinstance(e, int)]", ("tests/test_records.py",)),
+    ("tower.py", "if not _is_int(c)]", "if not isinstance(c, int)]", ("tests/test_tower.py::test_base_change_errors",)),
+    # normalized_volume raises past MAX_FACES popped faces, not at MAX_FACES
+    ("polytope.py", "if popped > MAX_FACES:", "if popped >= MAX_FACES:",
+     ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
+    ("polytope.py", "if popped > MAX_FACES:", "if False:",
+     ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
 )
 
 

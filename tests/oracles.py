@@ -77,7 +77,6 @@ from torictower.toric import (
 )
 from torictower.tower import (
     CheckOutcome,
-    build_model,
     local_model_at,
     projective_model,
 )
@@ -242,6 +241,13 @@ def regularity_subfan_walk_oracle(fan, char):
         return (remap(f, rays, sub.ray_index()[0]) for f in cuts)
 
     return Fan(fan.ambient_dim, [Cone(fan.ambient_dim, gens) for gens in kept], facets)
+
+
+def cones_equal_as_sets(a, b):
+    """Set equality of two cones via mutual generator containment."""
+    if a.ambient_dim != b.ambient_dim:
+        return False
+    return all(b.contains(g) for g in a.generators) and all(a.contains(g) for g in b.generators)
 
 
 def is_face_of_oracle(small, big):
@@ -627,13 +633,12 @@ def sample_primitive_vectors(fan, samples, rng):
         yield None if is_zero(v) else primitive(v)
 
 
-def lc_place_transfer_check_oracle(spec, samples, seed, model=None):
+def lc_place_transfer_check_oracle(model, samples, seed):
     """Every ray and seeded sample of the level-d fan evaluated as a log
     discrepancy on (V_d, C_d) and on (P, G): the Cartier data of K + boundary
     at the first maximal cone that contains the vector, found by
     `Cone.contains`.  Counts, skips and violations as `lc_place_transfer_check`."""
-    if model is None:
-        model = build_model(spec)
+    spec = model.spec
     out = CheckOutcome()
     fan_v = model.levels[-1].fan
     fan_p = projective_model(spec)

@@ -174,7 +174,7 @@ def test_acceptance_4_lc_place_transfer():
     rng = random.Random(SEED)
     violations = []
     for spec in shared_towers():
-        res = lc_place_transfer_check(spec, samples=50, seed=rng.randrange(2**32))
+        res = lc_place_transfer_check(build_model(spec), samples=50, seed=rng.randrange(2**32))
         violations.extend(res.violations)
     assert violations == []
     report(4, "lc-place transfer", time.monotonic() - start, 120.0)

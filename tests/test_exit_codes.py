@@ -158,6 +158,7 @@ def test_random_over_the_dimension_cap_is_a_cap_before_any_draw():
 
 
 def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
+    import torictower.cli as cli
     import torictower.tower as tower
     import torictower.verify as verify
 
@@ -166,7 +167,10 @@ def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
 
     spec = random_tower(2, 3, 2, 7)
     assert run_main(["lc-check", "--samples", str(MAX_SAMPLES)], emit_tower(spec))[0] == 0
-    # lc_place_transfer_check draws every sample from its own random.Random
+    model = tower.build_model(spec)
+    # lc-check builds its model through the cli's binding, and lc_place_transfer_check
+    # draws every sample from its own random.Random
+    monkeypatch.setattr(cli, "build_model", forbidden)
     monkeypatch.setattr(tower, "build_model", forbidden)
     monkeypatch.setattr(tower, "random", types.SimpleNamespace(Random=forbidden))
     for name in verify.SUITES[:-1]:
@@ -175,7 +179,7 @@ def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
     for suite in verify.SUITES:
         assert run_main(["verify", "--suite", suite, "--samples", str(MAX_SAMPLES + 1)], "") == (EXIT_RESOURCE, "")
     with pytest.raises(ResourceCapError):
-        tower.lc_place_transfer_check(spec, samples=MAX_SAMPLES + 1, seed=0)
+        tower.lc_place_transfer_check(model, samples=MAX_SAMPLES + 1, seed=0)
 
 
 def test_face_walks_past_the_face_cap_are_a_cap(monkeypatch):

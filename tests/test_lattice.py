@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import torictower.lattice
 from oracles import (
+    cones_equal_as_sets,
     content_oracle,
     det_fraction,
     dot_oracle,
@@ -35,7 +36,6 @@ from torictower.lattice import (
     LatticeError,
     ResourceCapError,
     bit_indices,
-    cones_equal_as_sets,
     content,
     det_int,
     dot,
@@ -852,6 +852,26 @@ def test_fan_validate_matches_all_pairs_oracle_on_defective_fans(monkeypatch):
         valid += not got
     assert set(kinds) == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
     assert valid and len(fallbacks) > kinds.count("intersection not a face")
+
+
+def test_fan_validate_fallback_reads_its_sign_tables(monkeypatch):
+    """A pair without a certificate is intersected from the two cones as
+    they are, and `_face_hull` on their sign tables decides the face test:
+    no `is_face_of`, no `Fan` built and no `Cone.generated_by` call."""
+    fans = CERTIFICATE_FANS + _random_cone_pairs(150, 20261020)
+    want = [fan_validate_oracle(fan) for fan in fans]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the fallback rebuilt a cone or a fan")
+
+    fallbacks = _counting_intersections(monkeypatch)
+    monkeypatch.setattr(torictower.lattice, "is_face_of", forbidden)
+    monkeypatch.setattr(torictower.lattice, "Fan", forbidden)
+    monkeypatch.setattr(Cone, "generated_by", staticmethod(forbidden))
+    got = [fan_validate(fan) for fan in fans]
+    assert got == want
+    kinds = [v.kind for violations in got for v in violations]
+    assert len(fallbacks) > kinds.count("intersection not a face") > 0
 
 
 def test_fan_validate_caps_its_cone_pairs(monkeypatch):

@@ -38,8 +38,8 @@ def lc_mismatches(models, seed):
     checked, bad = 0, []
     for model in models:
         spec, draw_seed = model.spec, rng.randrange(2**32)
-        got = lc_place_transfer_check(spec, samples=SAMPLES, seed=draw_seed, model=model)
-        if got != lc_place_transfer_check_oracle(spec, samples=SAMPLES, seed=draw_seed, model=model):
+        got = lc_place_transfer_check(model, samples=SAMPLES, seed=draw_seed)
+        if got != lc_place_transfer_check_oracle(model, samples=SAMPLES, seed=draw_seed):
             bad.append((spec, draw_seed))
         checked += got.checked
     return checked, bad
@@ -67,8 +67,8 @@ def test_lc_check_builds_no_sample_vector_on_tower_models(monkeypatch):
     models = [build_model(spec) for spec in specs]
     monkeypatch.setattr(tower, "primitive", forbidden)
     skipped = 0
-    for spec, model in zip(specs, models):
-        got = lc_place_transfer_check(spec, samples=SAMPLES, seed=rng.randrange(2**32), model=model)
+    for model in models:
+        got = lc_place_transfer_check(model, samples=SAMPLES, seed=rng.randrange(2**32))
         assert got.ok() and got.checked == got.passed + got.skipped
         skipped += got.skipped
     assert skipped > 0
@@ -109,8 +109,8 @@ def test_lc_check_matches_oracle_on_forged_cones_without_the_certificate(name):
     model = forged_model(FORGED[name])
     skipped = violations = 0
     for seed in range(4):
-        got = lc_place_transfer_check(SPEC, samples=200, seed=seed, model=model)
-        assert got == lc_place_transfer_check_oracle(SPEC, samples=200, seed=seed, model=model)
+        got = lc_place_transfer_check(model, samples=200, seed=seed)
+        assert got == lc_place_transfer_check_oracle(model, samples=200, seed=seed)
         skipped += got.skipped
         violations += len(got.violations)
         for v in got.violations:

@@ -137,6 +137,19 @@ def test_lower_dimensional_polytope_has_zero_volume():
     assert normalized_volume(seg) == 0
 
 
+def test_normalized_volume_caps_its_triangulation_stack(monkeypatch):
+    """The unit cube's pulling triangulation pops 10 faces: the cube, its 3
+    facets away from the apex, and 2 edges of each, the leaves of its 6
+    simplices.  One call may pop MAX_FACES faces, and raises past them."""
+    fan = product_fan(product_fan(projective_fan(1), projective_fan(1)), projective_fan(1))
+    cube = divisor_polytope(fan, ToricDivisor(fan, {unit_vector(3, i): 1 for i in range(3)}))
+    monkeypatch.setattr(torictower.polytope, "MAX_FACES", 10)
+    assert normalized_volume(cube) == 6
+    monkeypatch.setattr(torictower.polytope, "MAX_FACES", 9)
+    with pytest.raises(ResourceCapError, match="^triangulation passed the cap of 9 faces$"):
+        normalized_volume(cube)
+
+
 # --- against the oracles on star-subdivided complete fans ----------------
 
 

@@ -63,6 +63,10 @@ BAD_SPECS = [
     ((1, ("product",)), "unknown type str"),
     ((1, (NodeMove((), (1.7,)),)), "exponent 1.7 is not an int"),
     ((1.5, ()), "base_dim 1.5 is not an int"),
+    # a bool is an int to isinstance, but a tower document cannot hold one
+    ((True, ()), "base_dim True is not an int"),
+    ((1, (NodeMove((), (True,)),)), r"move 0 \(level 2\): exponent True is not an int"),
+    ((1, (ProductMove(), NodeMove((False,), (1,)))), r"move 1 \(level 3\): exponent False is not an int"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from corpus import STRESS_TOWER
-from oracles import lc_place_transfer_check_oracle
+from oracles import cones_equal_as_sets, lc_place_transfer_check_oracle
 from torictower.documents import Report
 from torictower.lattice import (
     Cone,
@@ -112,8 +112,6 @@ def test_build_node_t1_squared_is_a1_singularity():
     assert cone.generators == ((1, 0), (1, 2))
     # semigroup oracle: the dual equals cone((1,0),(0,1),(2,-1)) as a set;
     # (1,0) spans t = a*a' and is interior, so the extreme rays are the other two
-    from torictower.lattice import cones_equal_as_sets
-
     dual = dual_cone(cone)
     assert cones_equal_as_sets(dual, Cone.generated_by([(1, 0), (0, 1), (2, -1)]))
     assert dual.generators == ((0, 1), (2, -1))
@@ -147,6 +145,50 @@ def test_node_chart_dual_violations_keeps_the_build_cap():
     assert outcome.ok() and outcome.checked == outcome.passed == 1
 
 
+def _with_chart_rays(model, level, old, new):
+    """`model` with the ray `old` of every cone of level `level` replaced by `new`."""
+    fan = model.levels[level - 1].fan
+    n = fan.ambient_dim
+    cones = [Cone(n, tuple(sorted(new if g == old else g for g in c.generators))) for c in fan.maximal_cones]
+    levels = list(model.levels)
+    levels[level - 1] = TowerLevel(fan=Fan(n, cones))
+    return TowerModel(spec=model.spec, levels=tuple(levels))
+
+
+def test_node_chart_dual_violations_flags_a_wrong_top_lift():
+    # t^2 lifts the ray (1,) to (1, 0) and (1, 2); a chart with (1, 3) is not the node's
+    model = build_model(TowerSpec(1, (node((), (2,)),)))
+    forged = _with_chart_rays(model, 2, (1, 2), (1, 3))
+    assert forged.levels[1].fan.maximal_cones[0].generators == ((1, 0), (1, 3))
+    outcome = node_chart_dual_violations(forged)
+    assert (outcome.checked, outcome.passed) == (1, 0)
+    assert [(v["kind"], v["level"]) for v in outcome.violations] == [("node-chart-dual", 2)]
+    # the same at level 3 of a deeper tower, whose level 2 stays right
+    model = build_model(TowerSpec(1, (node((), (1,)), node((1,), (1,)))))
+    assert node_chart_dual_violations(model).ok()
+    top = max(model.levels[2].fan.all_rays, key=lambda g: g[-1])
+    forged = _with_chart_rays(model, 3, top, top[:-1] + (top[-1] + 1,))
+    outcome = node_chart_dual_violations(forged)
+    assert outcome.checked == node_chart_dual_violations(model).checked
+    assert outcome.violations and {(v["kind"], v["level"]) for v in outcome.violations} == {("node-chart-dual", 3)}
+
+
+def test_node_chart_dual_violations_runs_two_double_descriptions_per_chart(monkeypatch):
+    import torictower.lattice as lattice
+
+    models = [build_model(spec) for spec in random_towers(40, 20260810)]
+    calls = []
+    inner = lattice.halfspace_intersection
+    monkeypatch.setattr(lattice, "halfspace_intersection", lambda *a: calls.append(a) or inner(*a))
+    charts = []
+    for model in models:
+        calls.clear()
+        outcome = node_chart_dual_violations(model)
+        assert outcome.ok() and len(calls) == 2 * outcome.checked
+        charts.append(outcome.checked)
+    assert sum(charts) == 40 and max(charts) == 3
+
+
 def test_build_ray_cap():
     spec = TowerSpec(3, (node((), (1, 1, 1)), node((1,), (1, 1, 1))))
     with pytest.raises(ResourceCapError):
@@ -167,10 +209,8 @@ def test_build_dimension_cap():
     message = "^tower ambient dimension 4 exceeds cap 3$"
     with pytest.raises(ResourceCapError, match=message):
         build_model(spec, max_dim=3)
-    with pytest.raises(ResourceCapError, match=message):
-        lc_place_transfer_check(spec, samples=1, seed=0, max_dim=3)
     assert build_model(spec, max_dim=4).levels[-1].fan.ambient_dim == 4
-    assert lc_place_transfer_check(spec, samples=1, seed=0, max_dim=4).ok()
+    assert lc_place_transfer_check(build_model(spec, max_dim=4), samples=1, seed=0).ok()
 
 
 def test_node_ray_bounds_invariant():
@@ -225,7 +265,7 @@ def test_lc_transfer_worked_example():
 
 
 def test_lc_transfer_check_reports():
-    res = lc_place_transfer_check(TowerSpec(1, (node((), (2,)),)), samples=25, seed=11)
+    res = lc_place_transfer_check(build_model(TowerSpec(1, (node((), (2,)),))), samples=25, seed=11)
     assert res.ok()
     assert res.passed > 0
     assert res.checked == res.passed + res.skipped
@@ -233,16 +273,16 @@ def test_lc_transfer_check_reports():
 
 def test_lc_transfer_check_rejects_a_negative_sample_count():
     """A negative count used to check the rays alone; 0 still checks them."""
-    spec = TowerSpec(1, (NodeMove((), (2,)),))
+    model = build_model(TowerSpec(1, (NodeMove((), (2,)),)))
     with pytest.raises(LatticeError, match="samples must be >= 0"):
-        lc_place_transfer_check(spec, samples=-1, seed=0)
-    assert lc_place_transfer_check(spec, samples=0, seed=0).checked == 2
+        lc_place_transfer_check(model, samples=-1, seed=0)
+    assert lc_place_transfer_check(model, samples=0, seed=0).checked == 2
 
 
 def test_lc_transfer_no_violations_on_random_towers():
     rng = random.Random(17)
     for spec in random_towers(40, seed=17):
-        res = lc_place_transfer_check(spec, samples=20, seed=rng.randrange(2**32))
+        res = lc_place_transfer_check(build_model(spec), samples=20, seed=rng.randrange(2**32))
         assert res.ok(), res.violations
 
 
@@ -264,10 +304,11 @@ def test_lc_check_matches_per_vector_oracle_on_random_towers():
     assert any(len(spec.moves) == 0 for spec in towers) and max(len(s.moves) for s in towers) >= 3
     skipped = 0
     for spec in towers:
+        model = build_model(spec)
         for _ in range(3):
             seed = rng.randrange(2**32)
-            got = lc_place_transfer_check(spec, samples=20, seed=seed)
-            assert got == lc_place_transfer_check_oracle(spec, samples=20, seed=seed)
+            got = lc_place_transfer_check(model, samples=20, seed=seed)
+            assert got == lc_place_transfer_check_oracle(model, samples=20, seed=seed)
             assert got.ok() and got.checked == got.passed + got.skipped
             skipped += got.skipped
     assert skipped > 0
@@ -287,17 +328,18 @@ def test_lc_draws_are_the_randrange_stream():
 
 
 def test_lc_check_matches_per_vector_oracle_on_the_stress_tower():
+    model = build_model(STRESS_TOWER)
     for seed in (1, 2, 3):
-        got = lc_place_transfer_check(STRESS_TOWER, samples=50, seed=seed)
-        assert got == lc_place_transfer_check_oracle(STRESS_TOWER, samples=50, seed=seed)
+        got = lc_place_transfer_check(model, samples=50, seed=seed)
+        assert got == lc_place_transfer_check_oracle(model, samples=50, seed=seed)
         assert got.ok() and got.checked == 104 + 50
 
 
 def test_lc_check_on_a_zero_cone_top_fan_skips_every_sample():
-    spec = TowerSpec(1, (node((), (-1,)),))  # t^-1 is regular on no ray of A^1
-    assert build_model(spec).levels[-1].fan.maximal_cones == (Cone(2, ()),)
-    got = lc_place_transfer_check(spec, samples=30, seed=4)
-    assert got == lc_place_transfer_check_oracle(spec, samples=30, seed=4)
+    model = build_model(TowerSpec(1, (node((), (-1,)),)))  # t^-1 is regular on no ray of A^1
+    assert model.levels[-1].fan.maximal_cones == (Cone(2, ()),)
+    got = lc_place_transfer_check(model, samples=30, seed=4)
+    assert got == lc_place_transfer_check_oracle(model, samples=30, seed=4)
     assert (got.checked, got.passed, got.skipped, got.violations) == (30, 0, 30, [])
     assert {s["reason"] for s in got.skips} == {"degenerate sample (zero vector)"}
 
@@ -316,8 +358,8 @@ def test_lc_check_matches_oracle_on_top_fans_outside_the_projective_support():
         for u in (flip, shear) if n > 1 else (flip,):
             forged = _with_top_fan_moved(model, u)
             seed = rng.randrange(2**32)
-            got = lc_place_transfer_check(spec, samples=15, seed=seed, model=forged)
-            assert got == lc_place_transfer_check_oracle(spec, samples=15, seed=seed, model=forged)
+            got = lc_place_transfer_check(forged, samples=15, seed=seed)
+            assert got == lc_place_transfer_check_oracle(forged, samples=15, seed=seed)
             kinds = {v["kind"] for v in got.violations}
             assert kinds <= {"no-centre-on-P"}
             flagged += bool(kinds)
@@ -332,7 +374,7 @@ def test_lc_check_report_writes_witness_vectors_as_decimal_strings():
     flip = [list(r) for r in identity_matrix(4)]
     flip[1][1] = -1
     forged = _with_top_fan_moved(model, flip)
-    outcome = lc_place_transfer_check(spec, samples=20, seed=3, model=forged)
+    outcome = lc_place_transfer_check(forged, samples=20, seed=3)
     violations = json.loads(Report(command="lc-check", seed=3).merge(outcome).to_json())["violations"]
     assert violations
     for v, witness in zip(violations, outcome.violations):
@@ -355,8 +397,8 @@ def test_lc_check_calls_neither_cartier_data_nor_projective_model(monkeypatch):
         n = model.levels[-1].fan.ambient_dim
         flip = [list(r) for r in identity_matrix(n)]
         flip[spec.base_dim - 1][spec.base_dim - 1] = -1
-        for forged in (None, _with_top_fan_moved(model, flip)):
-            got = lc_place_transfer_check(spec, samples=10, seed=rng.randrange(2**32), model=forged)
+        for checked in (model, _with_top_fan_moved(model, flip)):
+            got = lc_place_transfer_check(checked, samples=10, seed=rng.randrange(2**32))
             assert got.checked == got.passed + got.skipped + len(got.violations)
             flagged += not got.ok()
     assert flagged > 0
@@ -417,6 +459,9 @@ def test_base_change_errors():
         base_change_to_curve(spec, CurveGermData((1.7, 0), True))
     with pytest.raises(LatticeError, match="vanishing order 1.7 is not an int"):
         base_change_to_curve(TowerSpec(1, (ProductMove(),)), CurveGermData((1.7,), True))
+    # True is an int to isinstance, and would give a t-exponent of 2 here
+    with pytest.raises(LatticeError, match="vanishing order True is not an int"):
+        base_change_to_curve(TowerSpec(1, (node((), (2,)),)), CurveGermData((True,), True))
 
 
 # --- local models and the Jacobian oracle -------------------------------

@@ -100,7 +100,7 @@ def test_run_suite_all_tags_each_violation_with_its_suite(monkeypatch):
 
 
 def test_suite_lc_merges_each_towers_outcome_with_its_index(monkeypatch):
-    def fake_check(spec, samples, seed):
+    def fake_check(model, samples, seed):
         res = CheckOutcome(checked=3, passed=1)
         res.add_violation("no-centre-on-P", "d", vector=[1, -1], origin="sample")
         res.add_skip("degenerate sample (zero vector)", origin="sample")
