@@ -3,7 +3,9 @@
 Everything here is exact: lattice vectors are tuples of Python ints, and
 there is no floating point anywhere.  Cones are stored by generators; the
 supporting-halfspace description (facet normals plus equations) is derived
-on demand by a double description pass and memoized.
+on demand by a double description pass and memoized; `Cone.halfspaces` is
+the only caller of that pass here, and a cone's dual, dimension, extreme rays
+and faces are read off its memo.
 
 A face of a canonical cone is determined by its rays, so a face is only
 ever an int bitmask over its fan's ray index (a lone cone is a one-cone
@@ -40,8 +42,15 @@ class Violation(namedtuple("Violation", "kind detail")):
     __slots__ = ()
 
 
+def _is_int(x):
+    """An int, not a bool: True builds as 1 but no tower document holds `true`."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def check_samples(samples):
-    """The sample-count rule of every check and suite: 0 to MAX_SAMPLES."""
+    """The sample-count rule of every check and suite: an int from 0 to MAX_SAMPLES."""
+    if not _is_int(samples):
+        raise LatticeError(f"samples {samples!r} is not an int")
     if samples < 0:
         raise LatticeError(f"samples must be >= 0, got {samples}")
     if samples > MAX_SAMPLES:
@@ -198,13 +207,6 @@ def hnf(m):
     return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
 
 
-def rank_int(m):
-    if not m or not m[0]:
-        return 0
-    h, _ = hnf(m)
-    return sum(1 for row in h if any(row))
-
-
 def snf(m):
     """Smith normal form, by alternating Hermite forms (Kannan & Bachem 1979).
 
@@ -342,14 +344,14 @@ def _primitive_combination(a, x, b, y):
     return tuple([c // g for c in w]) if g else None
 
 
-def _halfspace_cone(constraints, n):
-    """The canonical cone {x : <a, x> >= 0 for every a}: extreme rays, +/- lineality."""
-    rays, lin = halfspace_intersection(constraints, n)
+def _dual(c):
+    """The canonical dual of c from its memoized halfspaces: extreme rays, +/- lineality."""
+    rays, lin = c.halfspaces()
     gens = list(rays)
     for l in lin:
         gens.append(primitive(l))
         gens.append(primitive(vneg(l)))
-    return Cone(n, tuple(sorted(gens)))
+    return Cone(c.ambient_dim, tuple(sorted(gens)))
 
 
 def _halfspace_rows(normals, equations):
@@ -390,7 +392,7 @@ class Cone:
     def generated_by(cls, vectors, ambient_dim=None):
         """Canonical cone spanned by arbitrary vectors, by `pointed_form` on
         their distinct primitive directions: one double description pass, and
-        a second, for the +/- lineality basis, only if the cone holds a line."""
+        a second, the `_dual` of its halfspace rows, only if it holds a line."""
         vectors = [tuple(v) for v in vectors]
         if ambient_dim is None:
             if not vectors:
@@ -399,7 +401,7 @@ class Cone:
         raw = cls(ambient_dim, sorted({primitive(v) for v in vectors if not is_zero(v)}))
         cone = raw.pointed_form()
         if cone is None:
-            cone = _halfspace_cone(_halfspace_rows(*raw.halfspaces()), ambient_dim)
+            cone = _dual(Cone(ambient_dim, _halfspace_rows(*raw.halfspaces())))
             cone._halfspaces = raw.halfspaces()
         return cone
 
@@ -433,12 +435,8 @@ class Cone:
         )
 
     def dim(self):
-        return rank_int(self.generators)
-
-    def is_strongly_convex(self):
-        normals, equations = self.halfspaces()
-        rows = tuple(normals) + tuple(equations)
-        return rank_int(rows) == self.ambient_dim
+        """n - dim of the orthogonal space (Cox-Little-Schenck, §1.2): n less the equations."""
+        return self.ambient_dim - len(self.halfspaces()[1])
 
     def pointed_form(self):
         """The canonical cone (extreme rays in lex order, these halfspaces)
@@ -531,12 +529,13 @@ def walk_faces(top, facets, seen):
 
 def dual_cone(c, max_dim=DEFAULT_MAX_DIM):
     """The dual cone {m : <m,v> >= 0 for all v in c}, by primitive extreme rays
-    (plus a +/- lineality basis when the dual is not strongly convex)."""
+    (plus a +/- lineality basis when the dual is not strongly convex): `_dual`
+    of c's memo, so that basis depends on the generators the memo came from."""
     if c.ambient_dim > max_dim:
         raise ResourceCapError(
             f"ambient dimension {c.ambient_dim} exceeds configured cap {max_dim}"
         )
-    return _halfspace_cone(c.generators, c.ambient_dim)
+    return _dual(c)
 
 
 def is_face_of(small, big):  # no caller in src/; the benchmark traces it
@@ -550,11 +549,12 @@ def is_face_of(small, big):  # no caller in src/; the benchmark traces it
 
 
 def intersect_cones(a, b):
-    """The intersection cone, canonical.  Exact, via double description."""
+    """The intersection cone, canonical: the `_dual` of the cone that both
+    cones' halfspace rows generate (one double description pass)."""
     if a.ambient_dim != b.ambient_dim:
         raise LatticeError("ambient dimension mismatch")
     rows = _halfspace_rows(*a.halfspaces()) + _halfspace_rows(*b.halfspaces())
-    return _halfspace_cone(rows, a.ambient_dim)
+    return _dual(Cone(a.ambient_dim, rows))
 
 
 # ---------------------------------------------------------------------------

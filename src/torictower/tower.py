@@ -49,6 +49,7 @@ from .lattice import (
     Fan,
     LatticeError,
     ResourceCapError,
+    _is_int,
     check_samples,
     dot,
     dual_cone,
@@ -85,11 +86,6 @@ class NodeMove(namedtuple("NodeMove", "alpha_exponents t_exponents")):
     def lattice_exponents(self):
         """Exponent vector in level-(i-1) lattice coordinates (t's first)."""
         return tuple(self.t_exponents) + tuple(self.alpha_exponents)
-
-
-def _is_int(x):
-    """An int, not a bool: True builds as 1 but no tower document holds `true`."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):

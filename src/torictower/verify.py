@@ -251,33 +251,32 @@ def _random_pointed_cone(rng, n, max_entry=5, max_gens=None):
             v = tuple(rng.randint(-max_entry, max_entry) for _ in range(n))
             if not is_zero(v):
                 gens.append(v)
-        cone = Cone.generated_by(gens, n)
-        if cone.is_strongly_convex() and cone.generators:
+        # generated_by's first pass alone: a draw that holds a line needs no second
+        cone = Cone(n, sorted({primitive(v) for v in gens})).pointed_form()
+        if cone is not None:
             return cone
 
 
-def _random_simplicial_cone(rng, n, max_entry=4):
+def _random_simplicial_cone(rng, n):
     while True:
         gens = []
         while len(gens) < n:
-            v = tuple(rng.randint(0, max_entry) for _ in range(n))
+            v = tuple(rng.randint(0, 4) for _ in range(n))
             if not is_zero(v):
                 gens.append(primitive(v))
-        if det_int(tuple(gens)) == 0:
-            continue
-        cone = Cone.generated_by(gens, n)
-        if len(cone.generators) == n and cone.is_strongly_convex():
-            return cone
+        if det_int(tuple(gens)) != 0:
+            # n independent primitive rays are distinct and extreme: a pointed n-cone with n rays
+            return Cone.generated_by(gens, n)
 
 
-def random_towers(count, seed, max_p=3, max_d=5, max_exponent=3):
-    """The seeded tower family used by the tower and lc suites."""
+def random_towers(count, seed):
+    """The seeded tower family of the tower and lc suites: p in 1..3, d in 1..5, exponents in -3..3."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        p = rng.randint(1, max_p)
-        d = rng.randint(1, max_d)
-        out.append(random_tower(p, d, max_exponent, rng.randrange(2**32)))
+        p = rng.randint(1, 3)
+        d = rng.randint(1, 5)
+        out.append(random_tower(p, d, 3, rng.randrange(2**32)))
     return out
 
 
@@ -665,9 +664,9 @@ def run_suite(name, seed, samples=None):
     if name in suites:
         return suites[name](seed, **kwargs)
     if name == "all":
-        # kernel (0.27 s at seed 11) runs in one forked child while the other five (0.31 s: tower
-        # 0.19, toric 0.06, lc 0.05, basechange and volume 0.01) run here: one child balances two
-        # cores, and no split into more children finishes before kernel's 0.27 s on any core count
+        # kernel (0.26 s at seed 11, 2-core machine) runs in one forked child while the other five
+        # (0.28 s: tower 0.14, toric 0.07, lc 0.05, basechange and volume 0.01) run here: one child
+        # balances two cores, and no split into more children finishes before kernel's 0.26 s
         kernel = suites.pop("kernel")
         first, rest = _beside(lambda: kernel(seed, **kwargs),
                               lambda: {sub: suite(seed, **kwargs) for sub, suite in suites.items()})

@@ -107,6 +107,23 @@ MUTANTS = (
      ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
     ("polytope.py", "if popped > MAX_FACES:", "if False:",
      ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
+    # a dual holds each lineality vector and its negation
+    ("lattice.py", "gens.append(primitive(vneg(l)))", "gens.append(primitive(l))", ("tests/test_lattice.py",)),
+    # a cone's dimension is n less its equations, not its facet normals
+    ("lattice.py", "len(self.halfspaces()[1])", "len(self.halfspaces()[0])",
+     ("tests/test_lattice.py::test_dim_is_the_rank_of_the_generators",)),
+    # a sample count is an int, not a float or a bool
+    ("lattice.py", "if not _is_int(samples):", "if False:",
+     ("tests/test_verify.py::test_sample_counts_that_are_not_ints_are_rejected",
+      "tests/test_tower.py::test_lc_transfer_check_rejects_a_sample_count_that_is_not_an_int")),
+    # a level cone projects into a cone below and holds at most one fiber ray
+    ("tower.py", "if len(fiber_rays) > 1:", "if len(fiber_rays) > 2:",
+     ("tests/test_tower.py::test_torus_splitting_detects_bad_projection_and_fiber",)),
+    ("tower.py", "if nonzero and prev.fan.cone_index(*nonzero) is None:", "if False:",
+     ("tests/test_tower.py::test_torus_splitting_detects_bad_projection_and_fiber",)),
+    # map-to-proj reports a top ray outside |P|
+    ("cli.py", 'if not ok:\n            report.add_violation("support"', 'if False:\n            report.add_violation("support"',
+     ("tests/test_cli.py::test_map_to_proj_reports_a_top_ray_outside_the_support",)),
 )
 
 

@@ -31,7 +31,9 @@ primitivizes every sample vector.  The mask walks that the face kernels
 replaced are here as well: a fan's faces as the union of one walk per
 maximal cone, and a regularity subfan from a walk of every non-regular face.
 `unimodular` draws the changes of coordinates for the metamorphic tests,
-and `torus_fan` builds the zero-cone fan that only tests use.
+and `torus_fan` builds the zero-cone fan that only tests use.  `rank_int`
+and `is_strongly_convex` are the Hermite-form rank tests, the references for
+pointedness by extreme rays and for `Cone.dim` from the memoized equations.
 """
 
 import itertools
@@ -51,6 +53,7 @@ from torictower.lattice import (
     det_int,
     dot,
     halfspace_intersection,
+    hnf,
     identity_matrix,
     intersect_cones,
     is_face_of,
@@ -59,7 +62,6 @@ from torictower.lattice import (
     mat_vec,
     maximal_masks,
     primitive,
-    rank_int,
     remap,
     unit_vector,
     vneg,
@@ -341,7 +343,7 @@ def fan_validate_oracle(fan):
                 violations.append(Violation("duplicate ray", f"ray {list(g)} listed twice in a cone"))
                 ok = False
             seen.add(g)
-        if ok and not c.is_strongly_convex():
+        if ok and not is_strongly_convex(c):
             violations.append(Violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
             ok = False
         if ok:
@@ -525,6 +527,20 @@ def cartier_data_oracle(fan, divisor):
         q = math.lcm(q, cone_q)
         vectors.append(sol)
     return CartierData(fan, tuple(vectors), q)
+
+
+def rank_int(m):
+    """The rank of an integer matrix: the nonzero rows of its Hermite form."""
+    if not m or not m[0]:
+        return 0
+    h, _ = hnf(m)
+    return sum(1 for row in h if any(row))
+
+
+def is_strongly_convex(cone):
+    """Whether `cone` holds no line: its facet normals and equations have rank n."""
+    normals, equations = cone.halfspaces()
+    return rank_int(tuple(normals) + tuple(equations)) == cone.ambient_dim
 
 
 def divisor_polytope_oracle(fan, divisor):

@@ -6,13 +6,17 @@ import sys
 
 import pytest
 
+import torictower.cli
 from corpus import STRESS_TOWER
 from oracles import local_model_report_oracle
 from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, main
 from torictower.documents import emit_tower
+from torictower.lattice import Cone, Fan, orthant_fan
 from torictower.tower import (
     NodeMove,
     ProductMove,
+    TowerLevel,
+    TowerModel,
     TowerSpec,
     build_model,
     in_projective_support,
@@ -89,6 +93,19 @@ def test_map_to_proj_support_is_the_sign_test(tmp_path, capsys):
             assert got == (fan.cone_index(v) is not None), (spec, v)
             outcomes.add((got, min(v[: spec.base_dim])))
     assert {(True, 0), (False, -1)} <= outcomes
+
+
+def test_map_to_proj_reports_a_top_ray_outside_the_support(tmp_path, capsys, monkeypatch):
+    """A forged model whose top fan has a ray with x_1 < 0 is a "support"
+    violation, exit 1; build_model never makes one."""
+    forged = Fan(2, (Cone(2, ((-1, 0), (0, 1))),))
+    monkeypatch.setattr(torictower.cli, "build_model",
+                        lambda spec, **caps: TowerModel(spec, (TowerLevel(orthant_fan(1)), TowerLevel(forged))))
+    code, out, _ = run_cli(capsys, "map-to-proj", "--input", write_tower(tmp_path, SIMPLE))
+    assert code == EXIT_VIOLATIONS
+    doc = json.loads(out)
+    assert [v["kind"] for v in doc["violations"]] == ["support"]
+    assert [e["supported"] for e in doc["data"]["level_d_rays_in_support"]] == [False, True]
 
 
 def test_base_change_command(tmp_path, capsys):

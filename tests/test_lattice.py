@@ -20,7 +20,9 @@ from oracles import (
     in_cone_fm_fraction,
     invariant_factors_minor_fraction,
     is_face_of_oracle,
+    is_strongly_convex,
     is_zero_oracle,
+    rank_int,
     simplicial_log_discrepancy_fraction,
     snf_oracle,
     torus_fan,
@@ -56,7 +58,6 @@ from torictower.lattice import (
     primitive,
     product_fan,
     projective_fan,
-    rank_int,
     snf,
     transpose,
     unit_vector,
@@ -316,7 +317,7 @@ def test_dual_cone_involution_and_oracle_random():
             if any(v):
                 gens.append(v)
         c = Cone.generated_by(gens, n)
-        if not c.is_strongly_convex() or not c.generators:
+        if not is_strongly_convex(c) or not c.generators:
             continue
         checked += 1
         assert dual_cone(dual_cone(c)).generators == c.generators
@@ -361,7 +362,7 @@ def test_halfspace_intersection_of_redundant_rows_matches_oracle():
             if any(v):
                 gens.append(v)
         c = Cone.generated_by(gens, n)
-        if c.dim() < n or not c.is_strongly_convex():
+        if c.dim() < n or not is_strongly_convex(c):
             continue
         checked += 1
         assert halfspace_intersection(gens, n) == (dual_cone_facet_oracle(gens, n), ())
@@ -453,7 +454,7 @@ def test_cone_contains_against_fourier_motzkin():
             if any(v):
                 gens.append(v)
         c = Cone.generated_by(gens, n)
-        if not c.is_strongly_convex():
+        if not is_strongly_convex(c):
             continue
         v = tuple(rng.randint(-6, 6) for _ in range(n))
         assert c.contains(v) == in_cone_fm(c.generators, v)
@@ -533,7 +534,7 @@ def test_generated_by_matches_two_pass_oracle():
     for vectors, n in VECTOR_SETS:
         want = generated_by_oracle(vectors, n)
         assert _same_cone(Cone.generated_by(vectors, n), want), (vectors, n)
-        lines += not want.is_strongly_convex()
+        lines += not is_strongly_convex(want)
         lower_dim += bool(want.halfspaces()[1])
     assert lines > 150 and lower_dim > 150
 
@@ -554,7 +555,7 @@ def test_pointed_form_is_none_exactly_on_cones_with_a_line():
         want, in_order = generated_by_oracle(vectors, n), Cone(n, gens)
         for raw in (in_order, Cone(n, gens[::-1])):  # positions are not ray indices
             got = raw.pointed_form()
-            assert (got is None) == (not raw.is_strongly_convex())
+            assert (got is None) == (not is_strongly_convex(raw))
             if got is not None:  # given in another order, the DD may pick other normals of a flat cone
                 assert _same_cone(got, want) if raw is in_order else got.generators == want.generators
                 assert got.halfspaces() is raw.halfspaces()  # shared, not recomputed
@@ -570,7 +571,18 @@ def test_generated_by_runs_one_double_description_on_pointed_input(monkeypatch):
         calls.clear()
         cone = Cone.generated_by(vectors, n)
         cone.halfspaces()
-        assert len(calls) == (1 if cone.is_strongly_convex() else 2), (vectors, n)
+        assert len(calls) == (1 if is_strongly_convex(cone) else 2), (vectors, n)
+
+
+def test_dim_is_the_rank_of_the_generators():
+    """Cone.dim, read off the memoized equations, is the Hermite rank of the
+    generators, on raw and canonical cones, with and without a line."""
+    dims = set()
+    for vectors, n in VECTOR_SETS:
+        want = rank_int(tuple(vectors))
+        assert Cone(n, vectors).dim() == Cone.generated_by(vectors, n).dim() == want, (vectors, n)
+        dims.add((want, n))
+    assert {(0, 1), (1, 2), (2, 2), (2, 3), (3, 3)} <= dims
 
 
 # --- faces as ray bitmasks ---------------------------------------------
@@ -601,7 +613,7 @@ def _sample_cones():
 
 def test_faces_match_geometric_oracle():
     cones = _sample_cones()
-    assert any(not c.is_strongly_convex() for c in cones)
+    assert any(not is_strongly_convex(c) for c in cones)
     for c in cones:
         assert c.faces() == faces_oracle(c)
 
@@ -634,7 +646,7 @@ def test_faces_commute_with_unimodular_change_of_coordinates(data):
     n = data.draw(st.integers(1, 4))
     vector = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
     cone = Cone.generated_by(data.draw(st.lists(vector, min_size=1, max_size=n + 3)), n)
-    assume(cone.is_strongly_convex())
+    assume(is_strongly_convex(cone))
     u, _ = data.draw(unimodular(n))
     image = Cone.generated_by([mat_vec(u, g) for g in cone.generators], n)
     expected = sorted(tuple(sorted(mat_vec(u, g) for g in f.generators)) for f in cone.faces())
@@ -937,7 +949,7 @@ def test_fan_validate_keeps_canonical_cones(monkeypatch):
     monkeypatch.setattr(Cone, "pointed_form", lambda self: calls.append("pointed_form") or inner_pointed(self))
     monkeypatch.setattr(torictower.lattice, "hnf", lambda *a: calls.append("hnf") or inner_hnf(*a))
     Cone.generated_by([(1,)])
-    torictower.lattice.rank_int(((1,),))
+    torictower.lattice.kernel_basis(((1,),), 1)
     assert calls == ["generated_by", "pointed_form", "hnf"]  # the wrappers count
     calls.clear()
     assert fan_validate(REDUNDANT_FAN) == []

@@ -12,6 +12,7 @@ import torictower.toric
 from corpus import _cube_cone_fan
 from oracles import (
     cartier_data_oracle,
+    is_strongly_convex,
     pullback_divisor_oracle,
     regularity_subfan_oracle,
     star_subdivision_oracle,
@@ -68,7 +69,7 @@ def simplicial_cone(rng, n, max_entry=4):
         if det_int(tuple(gens)) == 0:
             continue
         cone = Cone.generated_by(gens, n)
-        if len(cone.generators) == n and cone.is_strongly_convex():
+        if len(cone.generators) == n and is_strongly_convex(cone):
             return cone
 
 

@@ -7,7 +7,7 @@ import sympy
 
 from corpus import STRESS_TOWER
 from oracles import cones_equal_as_sets, lc_place_transfer_check_oracle
-from torictower.documents import Report
+from torictower.documents import Report, random_tower
 from torictower.lattice import (
     Cone,
     Fan,
@@ -279,6 +279,14 @@ def test_lc_transfer_check_rejects_a_negative_sample_count():
     assert lc_place_transfer_check(model, samples=0, seed=0).checked == 2
 
 
+@pytest.mark.parametrize("samples", [2.5, True])
+def test_lc_transfer_check_rejects_a_sample_count_that_is_not_an_int(samples):
+    """A float is no count, and True is no count of 1."""
+    model = build_model(TowerSpec(1, (NodeMove((), (2,)),)))
+    with pytest.raises(LatticeError, match=f"samples {samples!r} is not an int"):
+        lc_place_transfer_check(model, samples=samples, seed=0)
+
+
 def test_lc_transfer_no_violations_on_random_towers():
     rng = random.Random(17)
     for spec in random_towers(40, seed=17):
@@ -426,7 +434,8 @@ def test_base_change_examples():
 
 
 def test_base_change_identity_for_unit_order():
-    for spec in random_towers(20, seed=31, max_p=1):
+    for i in range(20):
+        spec = random_tower(1, 1 + i % 5, 3, seed=31 + i)
         assert base_change_to_curve(spec, CurveGermData((1,), True)) == spec
 
 
@@ -624,6 +633,20 @@ def test_torus_splitting_detects_bad_fiber():
     res = torus_splitting_check(model)
     assert (res.checked, res.passed) == (1, 0)
     assert [(v["kind"], v["level"]) for v in res.violations] == [("splitting", 2)]
+
+
+@pytest.mark.parametrize("kind, rays", [
+    ("projection", ((-1, 0), (0, 1))),  # (-1,) lies in no cone of the orthant A^1
+    ("fiber", ((0, -1), (0, 1), (1, 0))),  # two rays over the zero cone
+])
+def test_torus_splitting_detects_bad_projection_and_fiber(kind, rays):
+    model = TowerModel(
+        spec=TowerSpec(1, (ProductMove(),)),
+        levels=(TowerLevel(fan=orthant_fan(1)), TowerLevel(fan=Fan(2, (Cone(2, rays),)))),
+    )
+    res = torus_splitting_check(model)
+    assert (res.checked, res.passed) == (1, 0)
+    assert [(v["kind"], v["level"]) for v in res.violations] == [(kind, 2)]
 
 
 def test_torus_splitting_depth_one_vacuous():

@@ -43,6 +43,13 @@ def test_negative_sample_counts_are_rejected(name):
     assert run_suite(name, seed=0, samples=0).ok()
 
 
+@pytest.mark.parametrize("samples", [2.5, True])
+def test_sample_counts_that_are_not_ints_are_rejected(samples):
+    """A float is no count, and True is no count of 1."""
+    with pytest.raises(LatticeError, match=f"samples {samples!r} is not an int"):
+        run_suite("tower", seed=1, samples=samples)
+
+
 def test_suites_deterministic_for_seed():
     a = run_suite("lc", seed=31, samples=15)
     b = run_suite("lc", seed=31, samples=15)
