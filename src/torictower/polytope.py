@@ -8,7 +8,7 @@ nothing to the generic fiber.
 """
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
@@ -24,14 +24,15 @@ class LatticePolytope:
 
     `divisor_polytope` lists exactly the vertices; `normalized_volume` also
     accepts points that are not vertices, which leave the volume unchanged.
-    Its inequality rows are memoized outside equality, hash and repr: a divisor
-    polytope carries its own, and a bare point list pays one DD pass for them.
+    Its integer point rows and its inequality rows are memoized outside
+    equality, hash and repr: a divisor polytope carries both from its one DD
+    pass, and a bare point list pays one DD pass for its inequalities.
     """
 
-    __slots__ = ("ambient_dim", "vertices", "_inequalities")
+    __slots__ = ("ambient_dim", "vertices", "_rows", "_inequalities")
 
     def __init__(self, ambient_dim, vertices):
-        self.ambient_dim, self.vertices, self._inequalities = ambient_dim, vertices, None
+        self.ambient_dim, self.vertices, self._rows, self._inequalities = ambient_dim, vertices, None, None
 
     def _key(self):
         return self.ambient_dim, self.vertices
@@ -45,10 +46,16 @@ class LatticePolytope:
     def __repr__(self):
         return f"LatticePolytope(ambient_dim={self.ambient_dim!r}, vertices={self.vertices!r})"
 
+    def rows(self):
+        """The `_homogenized` rows (w, den) of the points (memoized)."""
+        if self._rows is None:
+            self._rows = _homogenized(self.vertices)
+        return self._rows
+
     def inequalities(self):
         """Integer rows a with the polytope = {x : <a, (x, 1)> >= 0} (memoized)."""
         if self._inequalities is None:
-            dual = halfspace_intersection(_homogenized(self.vertices), self.ambient_dim + 1)
+            dual = halfspace_intersection(self.rows(), self.ambient_dim + 1)
             self._inequalities = tuple(_halfspace_rows(*dual))
         return self._inequalities
 
@@ -57,7 +64,7 @@ def _homogenized(points):
     """(w, den) with w / den = v and den > 0 minimal, per distinct point v in lex order."""
     points = sorted({tuple(map(Fraction, v)) for v in points})
     dens = [math.lcm(*(x.denominator for x in v)) for v in points]
-    return [tuple(int(x * den) for x in v) + (den,) for v, den in zip(points, dens)]
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in v) + (den,) for v, den in zip(points, dens))
 
 
 class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyperplane_coefficients polarization")):
@@ -93,8 +100,9 @@ def divisor_polytope(fan, divisor):
     s > 0 are the vertices m / s.  A ray with s = 0 or a lineality direction
     is a nonzero recession direction, so the rays must span R^n positively
     (the fan is complete in the fiber directions); otherwise a structured
-    failure is raised, also when P_D is empty.  The polytope carries these
-    rows as its inequalities, so its volume needs no second pass.
+    failure is raised, also when P_D is empty.  The polytope carries the
+    constraint rows as its inequalities and the rays as its point rows, so
+    its volume needs no second pass and no conversion.
     """
     n = fan.ambient_dim
     constraints = []
@@ -105,9 +113,11 @@ def divisor_polytope(fan, divisor):
     rays, lineality = halfspace_intersection(constraints, n + 1)
     if lineality or any(r[-1] == 0 for r in rays):
         raise UnboundedPolytopeError("divisor not bounded above")
-    vertices = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rays)
-    poly = LatticePolytope(ambient_dim=n, vertices=tuple(vertices))
-    poly._inequalities = tuple(constraints)
+    # a primitive ray (m, s) is the row of m / s: gcd(m, s) = 1 forces den = s; the sort is
+    # keyed on the vertex, since comparing (vertex, ray) pairs compares each vertex pair twice
+    pairs = sorted(((tuple(Fraction(x, r[-1]) for x in r[:-1]), r) for r in rays), key=lambda pair: pair[0])
+    poly = LatticePolytope(ambient_dim=n, vertices=tuple(v for v, _ in pairs))
+    poly._rows, poly._inequalities = tuple(r for _, r in pairs), tuple(constraints)
     return poly
 
 
@@ -115,42 +125,56 @@ def normalized_volume(polytope):
     """n! times the Euclidean volume, exact.  Empty or lower-dimensional
     polytopes have volume 0.
 
-    A pulling triangulation on the point masks of `polytope.inequalities()`
-    (no DD for a divisor polytope).  The facets of a face G are the inclusion-
-    maximal proper nonempty G & F over the masks F (a non-facet row masks to
-    a face inside a facet), the apex is G's lowest point, and a d-face with
-    d + 1 points is a simplex.  Each apex is eliminated once (`bareiss_step`)
-    for all simplices below it; a leaf finishes its (d + 1)-square block and
-    adds |det| / prod(den).  An apex lies off the affine hull of every face
-    below it, so the apexes are independent and their residuals nonzero.
-    ResourceCapError once the call has popped more than MAX_FACES faces.
+    A pulling triangulation on `polytope.rows()` and the point masks of
+    `polytope.inequalities()` (no DD and no conversion for a divisor
+    polytope).  The facets of a face G are the inclusion-maximal proper
+    nonempty G & F over the masks F (a non-facet row masks to a face inside a
+    facet); a stacked face carries the masks that properly cut its parent.
+    The apex is G's lowest point, and a d-face with d + 1 points is a simplex.
+    Each apex is eliminated once (`bareiss_step`) for all simplices below it;
+    a leaf finishes its (d + 1)-square block and adds |det| / prod(den), and a
+    polygon finishes each two-point edge from the edge's two residual rows.
+    An apex lies off the affine hull of every face below it, so the apexes are
+    independent and their residuals nonzero.  ResourceCapError once the call
+    has popped more than MAX_FACES faces, a closed-form edge counting as one.
     """
-    rows = _homogenized(polytope.vertices)
+    rows = polytope.rows()
     if not rows:
         return Fraction(0)
-    facets = {sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in polytope.inequalities()}
-    total = {}  # sum of |det| per denominator
-    # (face, its dimension, residual rows of its points, last pivot, dens of the apexes above it)
-    stack = [((1 << len(rows)) - 1, polytope.ambient_dim, dict(enumerate(rows)), 1, 1)]
+    masks = {sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in polytope.inequalities()}
+    total = defaultdict(int)  # sum of |det| per denominator
+    # (face, its dimension, residual rows of its points, last pivot, dens of the apexes above it,
+    # the masks that properly cut its parent)
+    stack = [((1 << len(rows)) - 1, polytope.ambient_dim, dict(enumerate(rows)), 1, 1, masks)]
     popped = 0
     while stack:
         popped += 1
-        if popped > MAX_FACES:
-            raise ResourceCapError(f"triangulation passed the cap of {MAX_FACES} faces")
-        face, dim, residual, prev, dens = stack.pop()
+        face, dim, residual, prev, dens, cuts = stack.pop()
         points = bit_indices(face)
         if len(points) == dim + 1:
             den = dens * math.prod(rows[i][-1] for i in points)
-            total[den] = total.get(den, 0) + abs(det_int([residual[i] for i in points], prev))
-            continue
-        apex, rest = points[0], points[1:]
-        pivot = residual[apex]
-        c = next(j for j, x in enumerate(pivot) if x)  # the apexes are independent
-        below = dict(zip(rest, bareiss_step(pivot, c, prev, [residual[i] for i in rest])))
-        for sub in maximal_masks({face & f for f in facets} - {0, face}):
-            if not sub >> apex & 1:
-                stack.append((sub, dim - 1, below, pivot[c], dens * rows[apex][-1]))
-    return sum((Fraction(v, den) for den, v in total.items()), Fraction(0))
+            total[den] += abs(det_int([residual[i] for i in points], prev))
+        else:
+            apex, rest = points[0], points[1:]
+            pivot = residual[apex]
+            c = next(j for j, x in enumerate(pivot) if x)  # the apexes are independent
+            below = dict(zip(rest, bareiss_step(pivot, c, prev, [residual[i] for i in rest])))
+            p, dens = pivot[c], dens * rows[apex][-1]
+            cuts = {face & f for f in cuts} - {0, face}
+            for sub in maximal_masks(cuts):
+                if sub >> apex & 1:
+                    continue
+                if dim == 2 and sub.bit_count() == 2:  # an edge of a polygon: its triangle with the apex
+                    popped += 1
+                    i, j = bit_indices(sub)
+                    (a, b), (x, y) = below[i], below[j]
+                    total[dens * rows[i][-1] * rows[j][-1]] += abs((a * y - b * x) // p)
+                else:
+                    stack.append((sub, dim - 1, below, p, dens, cuts))
+        if popped > MAX_FACES:
+            raise ResourceCapError(f"triangulation passed the cap of {MAX_FACES} faces")
+    lcd = math.lcm(*total)
+    return Fraction(sum(v * (lcd // den) for den, v in total.items()), lcd)
 
 
 def relative_degree_on_P(data):

@@ -233,8 +233,9 @@ def log_discrepancy(fan, boundary, e):
     if is_zero(e):
         raise LatticeError("valuation vector must be nonzero")
     e = primitive(e)
-    kb = canonical_divisor(fan) + boundary
-    cd = cartier_data(fan, kb)
+    if boundary.fan != fan:
+        raise LatticeError("divisors live on different fans")
+    cd = cartier_data(fan, ToricDivisor(fan, {u: boundary.coefficient(u) - 1 for u in fan.all_rays}))
     if isinstance(cd, NotQCartier):
         raise cd
     val = cd.evaluate(e)

@@ -288,6 +288,7 @@ def suite_kernel(seed, samples=200):
     """HNF against the elementary-operation oracle (all 2x2 with entries in
     [-3,3], plus random shapes), SNF against minor gcds, dual-cone involution
     and the facet-enumeration oracle, cone membership against Fourier-Motzkin."""
+    check_samples(samples)
     out = CheckOutcome()
     span = range(-3, 4)
     for a in span:
@@ -369,6 +370,7 @@ def suite_toric(seed, samples=60):
     """Log discrepancies against the Cramer-solved simplicial formula and
     star-subdivision pullback compatibility; divisor homomorphism; pullback
     functoriality; canonical + boundary Cartier with index 1."""
+    check_samples(samples)
     out = CheckOutcome()
     rng = random.Random(seed)
     for _ in range(samples):
@@ -442,6 +444,7 @@ def suite_tower(seed, samples=200):
     """Construction soundness on seeded random towers: fan_validate at every
     level, torus splitting, K+C Cartier with index 1, node ray bounds, and the
     sigma-tilde dual-cone cross-check."""
+    check_samples(samples)
     out = CheckOutcome()
     for idx, spec in enumerate(random_towers(samples, seed)):
         out.checked += 1
@@ -495,6 +498,7 @@ def suite_tower(seed, samples=200):
 def suite_lc(seed, samples=200):
     """lc-place transfer on the seeded tower family: every level-d ray plus
     LC_SAMPLES_PER_TOWER sampled interior vectors must lie in |Sigma_P|."""
+    check_samples(samples)
     out = CheckOutcome()
     rng = random.Random(seed)
     for idx, spec in enumerate(random_towers(samples, seed)):
@@ -507,6 +511,7 @@ def suite_basechange(seed, samples=100):
     """Base-change transform: node exponents recomputed independently,
     p=1 c=(1) identity, off-boundary germs force zero exponents, and
     linearity in the vanishing orders."""
+    check_samples(samples)
     out = CheckOutcome()
     rng = random.Random(seed)
     for _ in range(samples):

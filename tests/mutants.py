@@ -107,6 +107,21 @@ MUTANTS = (
      ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
     ("polytope.py", "if popped > MAX_FACES:", "if False:",
      ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
+    # a polygon's closed-form triangle is |det|, its edges through the apex are no triangles,
+    # and an edge with a third collinear point takes the general path
+    ("polytope.py", "abs((a * y - b * x) // p)", "(a * y - b * x) // p",
+     ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
+    ("polytope.py", "if sub >> apex & 1:", "if sub >> apex & 1 and dim != 2:",
+     ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
+    ("polytope.py", "sub.bit_count() == 2", "sub.bit_count() >= 2",
+     ("tests/test_polytope.py::test_edges_with_a_collinear_midpoint_match_the_oracle",)),
+    # the per-denominator sums are brought to one denominator
+    ("polytope.py", "lcd // den", "lcd", ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
+    # a divisor polytope's rows follow its vertex order
+    ("polytope.py", "tuple(r for _, r in pairs)", "tuple(rays)",
+     ("tests/test_polytope.py::test_divisor_polytope_rows_are_its_homogenized_vertices",)),
+    # and the package divides no int by true division
+    ("polytope.py", "(a * y - b * x) // p", "(a * y - b * x) / p", ("tests/test_exactness.py",)),
     # a dual holds each lineality vector and its negation
     ("lattice.py", "gens.append(primitive(vneg(l)))", "gens.append(primitive(l))", ("tests/test_lattice.py",)),
     # a cone's dimension is n less its equations, not its facet normals
@@ -116,6 +131,10 @@ MUTANTS = (
     ("lattice.py", "if not _is_int(samples):", "if False:",
      ("tests/test_verify.py::test_sample_counts_that_are_not_ints_are_rejected",
       "tests/test_tower.py::test_lc_transfer_check_rejects_a_sample_count_that_is_not_an_int")),
+    # a sampled suite called directly applies the sample rule itself
+    ("verify.py", 'sigma-tilde dual-cone cross-check."""\n    check_samples(samples)\n',
+     'sigma-tilde dual-cone cross-check."""\n',
+     ("tests/test_verify.py::test_sampled_suites_called_directly_apply_the_sample_rule",)),
     # a level cone projects into a cone below and holds at most one fiber ray
     ("tower.py", "if len(fiber_rays) > 1:", "if len(fiber_rays) > 2:",
      ("tests/test_tower.py::test_torus_splitting_detects_bad_projection_and_fiber",)),

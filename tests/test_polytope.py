@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -342,6 +343,29 @@ def test_points_that_are_not_vertices_leave_the_volume_unchanged():
         assert normalized_volume(LatticePolytope(n, padded)) == normalized_volume(poly)
         repeated = tuple(sorted(verts + verts[::2]))
         assert normalized_volume(LatticePolytope(n, repeated)) == normalized_volume(poly)
+
+
+def test_edges_with_a_collinear_midpoint_match_the_oracle():
+    """Every edge of the unit square, and of each square facet of the unit
+    cube, holds its midpoint: a polygon cut with three points takes the
+    general path, not the closed-form edge."""
+    for n in (2, 3):
+        corners = [tuple(map(Fraction, c)) for c in itertools.product((0, 1), repeat=n)]
+        midpoints = {
+            tuple((x + y) / 2 for x, y in zip(v, w))
+            for v, w in itertools.combinations(corners, 2)
+            if sum(x != y for x, y in zip(v, w)) == 1
+        }
+        poly = LatticePolytope(n, tuple(sorted(set(corners) | midpoints)))
+        assert normalized_volume(poly) == normalized_volume_oracle(poly) == math.factorial(n)
+
+
+def test_divisor_polytope_rows_are_its_homogenized_vertices():
+    """The DD's primitive rays, in vertex order, are the rows a bare point
+    list would compute, so a divisor polytope's volume converts nothing."""
+    for fan, divisor in CASES:
+        poly = divisor_polytope(fan, divisor)
+        assert poly.rows() == _homogenized(poly.vertices) == LatticePolytope(fan.ambient_dim, poly.vertices).rows()
 
 
 def test_one_double_description_pass_per_polytope(monkeypatch):

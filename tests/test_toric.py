@@ -226,6 +226,12 @@ def test_log_discrepancy_zero_vector():
         log_discrepancy(A2, ToricDivisor(A2), (0, 0))
 
 
+def test_log_discrepancy_rejects_a_boundary_on_another_fan():
+    other = Fan(2, (Cone.generated_by([(1, 0), (1, 2)]),))
+    with pytest.raises(LatticeError, match="^divisors live on different fans$"):
+        log_discrepancy(A2, ToricDivisor(other, {(1, 2): 1}), (1, 1))
+
+
 def test_log_discrepancy_simplicial_formula():
     rng = random.Random(42)
     for _ in range(60):

@@ -50,6 +50,15 @@ def test_sample_counts_that_are_not_ints_are_rejected(samples):
         run_suite("tower", seed=1, samples=samples)
 
 
+@pytest.mark.parametrize("name", ["kernel", "toric", "tower", "lc", "basechange"])
+@pytest.mark.parametrize("samples", [2.5, True, -1])
+def test_sampled_suites_called_directly_apply_the_sample_rule(name, samples):
+    """A suite called without run_suite still rejects a float, a bool and a
+    negative count, before it draws anything."""
+    with pytest.raises(LatticeError, match="samples"):
+        getattr(torictower.verify, f"suite_{name}")(1, samples=samples)
+
+
 def test_suites_deterministic_for_seed():
     a = run_suite("lc", seed=31, samples=15)
     b = run_suite("lc", seed=31, samples=15)
