@@ -10,9 +10,9 @@ and faces are read off its memo.
 A face of a canonical cone is determined by its rays, so a face is only
 ever an int bitmask over its fan's ray index (a lone cone is a one-cone
 fan), and containment between faces is subset inclusion, no geometric test.
-A fan built from another one (a subfan of faces, a tower level) can carry a
-rule that derives its facet masks from the other fan's by bit arithmetic,
-in place of a double description pass per cone.
+A fan whose cones lift faces of another (a subfan, a tower level) is a
+`derived_fan`: one rule derives its facet masks from the other fan's by bit
+arithmetic, in place of a double description pass per cone.
 """
 
 import functools
@@ -23,9 +23,9 @@ from collections import namedtuple
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
-MAX_FACES = 100_000  # per Fan.face_masks walk, regularity_subfan search or DD ray list; the largest measured is 13,088;
-# also per fan_validate pair loop, whose largest on the benchmark is 630 pairs (36 pointed cones),
-# and per normalized_volume triangulation, whose largest on the benchmark pops 1,290 faces
+MAX_FACES = 100_000  # per Fan.face_masks walk (largest measured: 19,612 faces, the top of tests/corpus.py's
+# near_cap_tower(57), the most of its seeds 0-99), regularity_subfan search, DD ray list, fan_validate pair loop
+# (benchmark's largest: 630 pairs of 36 pointed cones) and normalized_volume triangulation (1,290 popped faces)
 
 
 class LatticeError(ValueError):
@@ -498,14 +498,12 @@ def maximal_masks(masks):
     """The inclusion-maximal masks among `masks`, each once, largest first."""
     keep = []
     for a in sorted(masks, key=int.bit_count, reverse=True):
-        if not any(a & b == a for b in keep):
+        for b in keep:
+            if a & b == a:
+                break
+        else:
             keep.append(a)
     return keep
-
-
-def remap(mask, rays, bit):
-    """A mask over the index of `rays`, as a mask over the ray index `bit`."""
-    return sum(bit[rays[i]] for i in bit_indices(mask))
 
 
 def walk_faces(top, facets, seen):
@@ -681,6 +679,45 @@ def orthant_fan(n):
     full = (1 << n) - 1
     cone = Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n))))
     return Fan(n, (cone,), lambda fan, k: (full & ~(1 << i) for i in range(n)))
+
+
+def derived_fan(source, ambient_dim, faces, images, apex=None):
+    """The fan whose maximal cones lift faces of `source`, its facet masks
+    derived from `source`'s: no double description.  `faces` lists pairs
+    (k, tau), tau a face mask of maximal cone k of `source`; None lifts each
+    maximal cone whole, read off its generators.  A mask lifts to the images
+    of its rays under each one-to-one function in `images`, plus `apex` if
+    given.  Every face is an intersection of facets (Cox-Little-Schenck,
+    §1.2), so the facets of the lift of tau are the maximal masks, other than
+    the lift, among the lifts of the cuts tau & f (f a facet of cone k) and
+    the images of tau under each function alone.  Precondition: the lifts
+    are distinct canonical cones that form a fan, and each facet of a lift
+    is such a lift or image (as for a subfan, a product and a node chart)."""
+    rays = source.all_rays
+    if faces is None:
+        faces = [(k, None) for k in range(len(source.maximal_cones))]
+    lifts = []
+    for k, tau in faces:
+        face = source.maximal_cones[k].generators if tau is None else [rays[u] for u in bit_indices(tau)]
+        gens = [img(u) for img in images for u in face] + ([] if apex is None else [apex])
+        lifts.append((tuple(sorted(gens if len(images) == 1 else set(gens))), k, tau))
+    lifts.sort()  # the order of the fan's maximal cones: distinct lifts never tie
+    rule = functools.partial(_derived_facets, source, [(k, tau) for _, k, tau in lifts], images, apex)
+    return Fan(ambient_dim, [Cone(ambient_dim, gens) for gens, _, _ in lifts], rule)
+
+
+def _derived_facets(source, faces, images, apex, fan, j):
+    """The facet masks of maximal cone j of a `derived_fan`, the lift of the
+    face faces[j] = (k, tau) of `source`."""
+    bit, tops = fan.ray_index()
+    k, tau = faces[j]
+    idx = bit_indices(source.ray_index()[1][k] if tau is None else tau)
+    each = [[bit[img(source.all_rays[u])] for u in idx] for img in images]  # per function: the bits of tau's rays' images
+    lift = [functools.reduce(operator.or_, bits) for bits in zip(*each)]
+    base = 0 if apex is None else bit[apex]
+    candidates = [sum([b for u, b in zip(idx, lift) if f >> u & 1], base) for f in source.facet_masks(k)]
+    candidates += map(sum, each)
+    return maximal_masks([c for c in candidates if c != tops[j]])
 
 
 def projective_fan(n):

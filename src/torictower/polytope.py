@@ -12,7 +12,8 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
-from .lattice import _halfspace_rows, halfspace_intersection, maximal_masks
+from .lattice import _halfspace_rows, _is_int, halfspace_intersection, maximal_masks
+from .toric import _same_fan
 
 
 class UnboundedPolytopeError(Exception):
@@ -79,6 +80,9 @@ class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyper
     __slots__ = ()
 
     def __new__(cls, fiber_dim, hyperplane_coefficients, polarization=1):
+        for name, value in (("fiber dimension", fiber_dim), ("polarization degree", polarization)):
+            if not _is_int(value):
+                raise LatticeError(f"{name} {value!r} is not an int")
         if fiber_dim < 1:
             raise LatticeError("fiber dimension must be >= 1")
         if fiber_dim > DEFAULT_MAX_DIM:
@@ -102,8 +106,9 @@ def divisor_polytope(fan, divisor):
     (the fan is complete in the fiber directions); otherwise a structured
     failure is raised, also when P_D is empty.  The polytope carries the
     constraint rows as its inequalities and the rays as its point rows, so
-    its volume needs no second pass and no conversion.
-    """
+    its volume needs no second pass and no conversion.  Another fan's
+    divisor is a LatticeError."""
+    _same_fan(fan, divisor)
     n = fan.ambient_dim
     constraints = []
     for u in fan.all_rays:

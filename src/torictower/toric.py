@@ -1,5 +1,6 @@
 """Toric varieties as fans: divisors, support functions, Cartier data,
-principal divisors of characters, regularity subfans, log discrepancies.
+principal divisors of characters, regularity subfans (each the derived fan
+of its kept faces, see lattice.derived_fan), log discrepancies.
 
 Sign convention: Cartier data is stored as the vector m_sigma with
 <m_sigma, u_i> = d_i on each ray u_i of sigma, i.e. the negative of the
@@ -17,14 +18,14 @@ from .lattice import (
     Fan,
     LatticeError,
     ResourceCapError,
-    bit_indices,
+    _integers,
+    derived_fan,
     dot,
     hnf,
     is_zero,
     mat_vec,
     maximal_masks,
     primitive,
-    remap,
     transpose,
 )
 
@@ -69,8 +70,7 @@ class ToricDivisor:
         return dict(self._coeffs)
 
     def __add__(self, other):
-        if self.fan != other.fan:
-            raise LatticeError("divisors live on different fans")
+        _same_fan(self.fan, other)
         out = dict(self._coeffs)
         for ray, c in other._coeffs.items():
             out[ray] = out.get(ray, _ZERO) + c
@@ -100,6 +100,12 @@ class ToricDivisor:
         return f"ToricDivisor({self._coeffs})"
 
 
+def _same_fan(fan, divisor):
+    """LatticeError unless `divisor` lives on `fan` (tested for identity first)."""
+    if divisor.fan is not fan and divisor.fan != fan:
+        raise LatticeError("divisors live on different fans")
+
+
 def boundary_divisor(fan):
     """The toric boundary: coefficient 1 on every ray."""
     return ToricDivisor(fan, {r: Fraction(1) for r in fan.all_rays})
@@ -112,7 +118,7 @@ def canonical_divisor(fan):
 
 def character_divisor(fan, char):
     """Principal divisor of a character: coefficient <m, u> on each ray u."""
-    char = tuple(char)
+    char = _integers(char)
     if len(char) != fan.ambient_dim:
         raise LatticeError("character dimension does not match fan")
     return ToricDivisor(fan, {r: Fraction(dot(char, r)) for r in fan.all_rays})
@@ -164,8 +170,9 @@ def cartier_data(fan, divisor):
     m = 0 with no Hermite form.
 
     Returns CartierData, or NotQCartier naming the first cone where the
-    system has no rational solution.
+    system has no rational solution; LatticeError for another fan's divisor.
     """
+    _same_fan(fan, divisor)
     n = fan.ambient_dim
     values = [divisor.coefficient(u) for u in fan.all_rays]
     den = math.lcm(*(d.denominator for d in values))
@@ -229,12 +236,11 @@ def log_discrepancy(fan, boundary, e):
     lies outside the fan support and NotQCartier when K_X + B is not
     Q-Cartier; batch harnesses catch both and aggregate.
     """
-    e = tuple(e)
+    e = _integers(e)
     if is_zero(e):
         raise LatticeError("valuation vector must be nonzero")
     e = primitive(e)
-    if boundary.fan != fan:
-        raise LatticeError("divisors live on different fans")
+    _same_fan(fan, boundary)
     cd = cartier_data(fan, ToricDivisor(fan, {u: boundary.coefficient(u) - 1 for u in fan.all_rays}))
     if isinstance(cd, NotQCartier):
         raise cd
@@ -255,19 +261,19 @@ def regularity_subfan(fan, char):
     No regular face G is lost: G is the intersection of the facets that
     contain it, and one of them misses r (Cox-Little-Schenck, §1.2).  A face
     shared by several maximal cones is searched once, and ResourceCapError
-    is raised past MAX_FACES faces.  A kept face takes as facets the maximal
-    proper faces among its intersections with the facets of a maximal cone
-    it is a face of, since every face is an intersection of facets.
-    Precondition: the maximal cones are canonical and form a fan, as
-    build_model guarantees, so containment between faces is ray-subset
-    inclusion.
+    is raised past MAX_FACES faces.  The subfan is the `derived_fan` of the
+    kept faces under the identity; a character regular on every ray keeps
+    the fan itself.  Precondition: the maximal cones are canonical and form
+    a fan, as build_model guarantees, so containment between faces is
+    ray-subset inclusion.
     """
-    char = tuple(char)
+    char = _integers(char)
     if len(char) != fan.ambient_dim:
         raise LatticeError("character dimension does not match fan")
-    rays = fan.all_rays
     bit, tops = fan.ray_index()
     irregular = sum(b for u, b in bit.items() if dot(char, u) < 0)
+    if not irregular:
+        return fan
 
     found = {}  # regular face -> a maximal cone it is a face of
     seen = set()
@@ -290,14 +296,7 @@ def regularity_subfan(fan, char):
                         stack.append(sub)
             if len(seen) > MAX_FACES:
                 raise ResourceCapError(f"regular-face search passed the cap of {MAX_FACES} faces")
-    kept = {tuple(rays[i] for i in bit_indices(a)): a for a in maximal_masks(found)}
-
-    def facets(sub, j):
-        face = kept[sub.maximal_cones[j].generators]
-        cuts = maximal_masks(face & f for f in fan.facet_masks(found[face]) if face & f != face)
-        return (remap(f, rays, sub.ray_index()[0]) for f in cuts)
-
-    return Fan(fan.ambient_dim, [Cone(fan.ambient_dim, gens) for gens in kept], facets)
+    return derived_fan(fan, fan.ambient_dim, [(found[a], a) for a in maximal_masks(found)], [lambda u: u])
 
 
 def star_subdivision(fan, v):
@@ -309,7 +308,7 @@ def star_subdivision(fan, v):
     an extreme ray, so tau's rays, read off its own normal, plus v are canonical
     generators, with no DD.
     """
-    v = primitive(tuple(v))
+    v = primitive(_integers(v))
     holds = [cone.contains(v) for cone in fan.maximal_cones]
     if not any(holds):
         raise LatticeError("subdivision centre lies outside the fan support")

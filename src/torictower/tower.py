@@ -24,17 +24,10 @@ product move lifts each cone sigma to sigma x cone(e_new).
 
 So each level's face lattice is fixed by the level below, and build_model
 derives every level cone's facets from those below, with no double
-description (see Fan.facet_masks):
-- the orthant of level 1 has the facets that leave out one ray;
-- a regular face tau of a cone sigma has as facets the maximal proper faces
-  among its intersections with the facets of sigma;
-- sigma~ has as facets the maximal masks other than sigma~ itself among the
-  lift G~ = {(v, s) in sigma~ : v in G} of each facet G of sigma (its rays
-  (u, 0) and (u, <m,u>) over u in G), the bottom s = 0 and the top
-  s = <m, v>.  A ray with <m,u> = 0 lifts to one ray; where m vanishes on
-  sigma, the bottom and top are all of sigma~ and the lifts are its facets;
-- sigma x cone(e_new) has the facets F x cone(e_new) for each facet F of
-  sigma, and sigma x {0}; over the zero cone that is the zero face alone.
+description: the orthant of level 1 has the facets that leave out one ray,
+and every other fan is a `lattice.derived_fan` (a regularity subfan by the
+identity, a product level by u -> (u, 0) with apex e_new, a node level by
+u -> (u, 0) and u -> (u, <m, u>)).
 """
 
 import functools
@@ -46,20 +39,18 @@ from .lattice import (
     Cone,
     DEFAULT_MAX_DIM,
     DEFAULT_MAX_RAYS,
-    Fan,
     LatticeError,
     ResourceCapError,
     _is_int,
     check_samples,
+    derived_fan,
     dot,
     dual_cone,
     is_zero,
-    maximal_masks,
     orthant_fan,
     primitive,
     product_fan,
     projective_fan,
-    remap,
     unit_vector,
 )
 from .toric import cartier_data, regularity_subfan  # cartier_data: unused here; the benchmark traces this binding
@@ -223,22 +214,16 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     levels = [_capped_level(orthant_fan(spec.base_dim), max_rays)]
     for move in spec.moves:
         prev = levels[-1].fan
-        n = prev.ambient_dim
-        lifts = {}  # generators of a level cone -> index of the cone below it
-        if isinstance(move, ProductMove):
-            new_coord = unit_vector(n + 1, n)
-            for k, cone in enumerate(prev.maximal_cones):
-                lifts[tuple(sorted([g + (0,) for g in cone.generators] + [new_coord]))] = k
-            rule = functools.partial(_product_facets, prev, lifts)
-        else:
+        n = prev.ambient_dim + 1
+        if isinstance(move, ProductMove):  # sigma x cone(e_new)
+            fan = derived_fan(prev, n, None, [lambda u: u + (0,)], unit_vector(n, n - 1))
+        else:  # sigma~, over each cone sigma of the regularity subfan
             m = move.lattice_exponents()
             sub = regularity_subfan(prev, m)
             height = {u: dot(m, u) for u in sub.all_rays}
             _check_digits(height.values())
-            for k, cone in enumerate(sub.maximal_cones):
-                lifts[tuple(sorted({u + (s,) for u in cone.generators for s in (0, height[u])}))] = k
-            rule = functools.partial(_node_chart_facets, sub, m, lifts)
-        fan = Fan(n + 1, [Cone(n + 1, gens) for gens in lifts], rule)
+            # h=height binds this move's heights: facet rules run after the loop has moved on
+            fan = derived_fan(sub, n, None, [lambda u: u + (0,), lambda u, h=height: u + (h[u],)])
         levels.append(_capped_level(fan, max_rays))
     return TowerModel(spec=spec, levels=tuple(levels))
 
@@ -247,35 +232,6 @@ def _capped_level(fan, max_rays):
     if len(fan.all_rays) > max_rays:
         raise ResourceCapError(f"level fan has {len(fan.all_rays)} rays, exceeding cap {max_rays}")
     return TowerLevel(fan=fan)
-
-
-def _product_facets(below, lifts, fan, k):
-    """The facets of level cone k = sigma x cone(e_new), sigma a cone of
-    `below`: F x cone(e_new) for each facet F of sigma, and sigma x {0}."""
-    j = lifts[fan.maximal_cones[k].generators]
-    bit = fan.ray_index()[0]
-    rays = [u + (0,) for u in below.all_rays]
-    e_new = bit[unit_vector(fan.ambient_dim, fan.ambient_dim - 1)]
-    sigma = remap(below.ray_index()[1][j], rays, bit)
-    return [remap(f, rays, bit) | e_new for f in below.facet_masks(j)] + [sigma]
-
-
-def _node_chart_facets(sub, m, lifts, fan, k):
-    """The facets of level cone k = sigma~, the chart over a cone tau of the
-    regularity subfan `sub`: the maximal masks other than sigma~ itself among
-    the lift of each facet of tau, the bottom s = 0 and the top s = <m, u>."""
-    j = lifts[fan.maximal_cones[k].generators]
-    bit = fan.ray_index()[0]
-    tau = sub.ray_index()[1][j]
-    bottom = [u + (0,) for u in sub.all_rays]
-    top = [u + (dot(m, u),) for u in sub.all_rays]
-
-    def lift(mask):
-        return remap(mask, bottom, bit) | remap(mask, top, bit)
-
-    full = lift(tau)
-    candidates = [lift(g) for g in sub.facet_masks(j)] + [remap(tau, bottom, bit), remap(tau, top, bit)]
-    return maximal_masks(c for c in candidates if c != full)
 
 
 def projective_model(spec):

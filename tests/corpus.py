@@ -18,6 +18,7 @@ A reference pipeline plugs in here: one more net over the same models.
 import functools
 import gc
 import itertools
+import random
 import sys
 
 from torictower.lattice import Cone, Fan, dot
@@ -79,6 +80,20 @@ STRESS_TOWER = TowerSpec(
         NodeMove((1, -1, 1, -1, 1, -1, 1), (1, -1)),
     ),
 )
+
+
+def near_cap_tower(seed):
+    """A node-only tower near the caps: base dimension p in 1..3, depth
+    11 - p (top dimension 10), every exponent in 0..3; move k draws its k
+    alpha exponents, then its p t exponents.  Seed 57 gives p = 1 and a top
+    fan of one cone with 500 rays."""
+    rng = random.Random(seed)
+    p = rng.randint(1, 3)
+    moves = []
+    for k in range(10 - p):
+        alpha = tuple(rng.randint(0, 3) for _ in range(k))
+        moves.append(NodeMove(alpha, tuple(rng.randint(0, 3) for _ in range(p))))
+    return TowerSpec(p, tuple(moves))
 
 
 def _cube_cone_fan(k):

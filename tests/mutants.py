@@ -26,6 +26,8 @@ from concurrent.futures import ThreadPoolExecutor
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 120  # seconds per pytest run
 LATTICE_AND_VERIFY = ("tests/test_verify.py", "tests/test_lattice.py")
+BAD_TORIC = "tests/test_toric.py::test_bad_toric_inputs_are_lattice_errors"
+CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError("character dimension does not match fan")\n'
 MAKE_OVERRIDE = (
     "    @classmethod\n"
     "    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__\n"
@@ -40,8 +42,14 @@ MUTANTS = (
      ("tests/test_regular_face_net.py", "tests/test_toric.py")),
     # the regular-face search steps only to facets that miss the lowest irregular ray
     ("toric.py", "if not f & low:", "if f & low:", ("tests/test_regular_face_net.py",)),
-    # a product level keeps the facet sigma x {0}
-    ("tower.py", "for f in below.facet_masks(j)] + [sigma]", "for f in below.facet_masks(j)]",
+    # a product level keeps the facet sigma x {0}, the image of sigma under u -> (u, 0) without the apex
+    ("lattice.py", "    candidates += map(sum, each)\n", "    candidates += map(sum, each) if apex is None else ()\n",
+     ("tests/test_facet_net.py",)),
+    # a derived fan's facet candidates hold the images of tau under each map alone,
+    # its cuts lift with the apex, and the lift itself is no facet of its own
+    ("lattice.py", "    candidates += map(sum, each)\n", "", ("tests/test_facet_net.py",)),
+    ("lattice.py", "if f >> u & 1], base)", "if f >> u & 1])", ("tests/test_facet_net.py",)),
+    ("lattice.py", "maximal_masks([c for c in candidates if c != tops[j]])", "maximal_masks(candidates)",
      ("tests/test_facet_net.py",)),
     # a cone is safe only with its certificate <w, g> > 0
     ("tower.py", "in_projective_support(spec, g) and dot(w, g) > 0 for g in gens",
@@ -140,6 +148,21 @@ MUTANTS = (
      ("tests/test_tower.py::test_torus_splitting_detects_bad_projection_and_fiber",)),
     ("tower.py", "if nonzero and prev.fan.cone_index(*nonzero) is None:", "if False:",
      ("tests/test_tower.py::test_torus_splitting_detects_bad_projection_and_fiber",)),
+    # a valuation, a subdivision centre and a character are integer vectors
+    ("toric.py", "    e = _integers(e)\n", "    e = tuple(e)\n", (BAD_TORIC,)),
+    ("toric.py", "v = primitive(_integers(v))", "v = primitive(tuple(v))", (BAD_TORIC,)),
+    ("toric.py", "    char = _integers(char)\n" + CHAR_LENGTH + "    bit, tops",
+     "    char = tuple(char)\n" + CHAR_LENGTH + "    bit, tops", (BAD_TORIC,)),
+    ("toric.py", "    char = _integers(char)\n" + CHAR_LENGTH + "    return ToricDivisor",
+     "    char = tuple(char)\n" + CHAR_LENGTH + "    return ToricDivisor", (BAD_TORIC,)),
+    # a fiber dimension and a polarization degree are ints
+    ("polytope.py", "            if not _is_int(value):", "            if False:", ("tests/test_records.py",)),
+    # Cartier data and a divisor polytope take a divisor on their own fan, or on an equal one
+    ("toric.py", "    _same_fan(fan, divisor)\n    n = fan.ambient_dim\n", "    n = fan.ambient_dim\n", (BAD_TORIC,)),
+    ("polytope.py", "    _same_fan(fan, divisor)\n    n = fan.ambient_dim\n", "    n = fan.ambient_dim\n",
+     ("tests/test_polytope.py::test_divisor_polytope_rejects_a_divisor_on_another_fan",)),
+    ("toric.py", "if divisor.fan is not fan and divisor.fan != fan:", "if divisor.fan is not fan:",
+     ("tests/test_toric.py::test_a_divisor_on_an_equal_fan_is_on_the_fan",)),
     # map-to-proj reports a top ray outside |P|
     ("cli.py", 'if not ok:\n            report.add_violation("support"', 'if False:\n            report.add_violation("support"',
      ("tests/test_cli.py::test_map_to_proj_reports_a_top_ray_outside_the_support",)),

@@ -62,7 +62,6 @@ from torictower.lattice import (
     mat_vec,
     maximal_masks,
     primitive,
-    remap,
     unit_vector,
     vneg,
     vscale,
@@ -216,6 +215,11 @@ def face_masks_oracle(fan):
     """Every face of `fan` as a mask, the union of one walk per maximal cone."""
     _, tops = fan.ray_index()
     return set().union(*(walk_faces_oracle(top, fan.facet_masks(k)) for k, top in enumerate(tops)))
+
+
+def remap(mask, rays, bit):
+    """A mask over the index of `rays`, as a mask over the ray index `bit`."""
+    return sum(bit[rays[i]] for i in bit_indices(mask))
 
 
 def regularity_subfan_walk_oracle(fan, char):

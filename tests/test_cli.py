@@ -139,6 +139,13 @@ def test_local_model_command(tmp_path, capsys):
     assert kinds[()] == "smooth_plain"
 
 
+@pytest.mark.parametrize("command, level", [("fan", "0"), ("fan", "3"), ("local-model", "1"), ("local-model", "3")])
+def test_a_level_out_of_range_is_a_usage_error(command, level, tmp_path, capsys):
+    path = write_tower(tmp_path, SIMPLE)  # depth 2: fan takes levels 1..2, local-model 2..2
+    code, out, err = run_cli(capsys, command, "--input", path, "--level", level)
+    assert code == EXIT_USAGE and out == "" and f"level {level} out of range" in err
+
+
 PRODUCT_ONLY = TowerSpec(2, (ProductMove(), ProductMove()))
 ZERO_TOP = TowerSpec(1, (NodeMove((), (-1,)),))  # the character has a pole on the only ray
 

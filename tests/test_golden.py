@@ -2,10 +2,12 @@
 
 `golden/cli_digests.json` holds the exit code and the sha256 of stdout
 (timing off) of `build`, `fan`, `map-to-proj`, `local-model`,
-`lc-check --samples 50 --seed 1` and `base-change` on the near-cap stress
-tower and on `verify.random_towers(12, 20260810)`, plus
-`verify --suite all --seed 20260810`.  Re-record only after an intended
-change of output:
+`lc-check --samples 50 --seed 1` and `base-change` on the stress tower, the
+8-cube tower, the 500-ray near-cap draw `near_cap_tower(57)` and
+`verify.random_towers(12, 20260810)`, plus `verify --suite all --seed
+20260810`.  The near-cap and cube entries pin the largest reports
+(`local-model` writes 87.9 MB on the near-cap draw).  Re-record only after
+an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py --record
 """
@@ -19,7 +21,7 @@ import sys
 
 import pytest
 
-from corpus import STRESS_TOWER
+from corpus import CUBE_TOWER, STRESS_TOWER, near_cap_tower
 from torictower.cli import main
 from torictower.documents import emit_tower
 from torictower.lattice import fan_validate
@@ -32,7 +34,7 @@ SEED = 20260810
 
 def corpus():
     """(case name, argv, stdin text) for every recorded command."""
-    towers = [("stress", STRESS_TOWER)]
+    towers = [("stress", STRESS_TOWER), ("cube", CUBE_TOWER), ("nearcap57", near_cap_tower(57))]
     towers += [(f"random{i:02d}", spec) for i, spec in enumerate(random_towers(12, SEED))]
     out = []
     for name, spec in towers:

@@ -444,6 +444,18 @@ def test_cone_contains_dimension_mismatch():
         c.contains((1, 0, 0))
 
 
+@pytest.mark.parametrize("message, call", [
+    (r"generator \(1,\) has dimension 1, expected 2", lambda: Cone(2, [(1,)])),
+    ("cone ambient dimension does not match fan", lambda: Fan(2, [Cone(3, ())])),
+    ("ambient_dim required for a cone with no generators", lambda: Cone.generated_by([])),
+    ("ambient dimension mismatch", lambda: intersect_cones(Cone(2, [(1, 0)]), Cone(3, [(1, 0, 0)]))),
+    ("constraint has dimension 1, expected 2", lambda: halfspace_intersection([(1,)], 2)),
+], ids=["generator", "fan", "no-generators", "intersect", "constraint"])
+def test_dimension_mismatches_are_lattice_errors(message, call):
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        call()
+
+
 def test_cone_contains_against_fourier_motzkin():
     rng = random.Random(99)
     for _ in range(120):

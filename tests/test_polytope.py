@@ -462,3 +462,9 @@ def test_volume_monotone_in_coefficients():
             bumped[axis] += 1
             v1 = relative_volume_on_P(ProjectiveDivisorData(3, tuple(map(Fraction, bumped))))
             assert v1 >= v0
+
+
+def test_divisor_polytope_rejects_a_divisor_on_another_fan():
+    p2 = projective_fan(2)
+    with pytest.raises(LatticeError, match="^divisors live on different fans$"):
+        divisor_polytope(p2, boundary_divisor(projective_fan(1)))

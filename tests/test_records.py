@@ -100,6 +100,9 @@ BAD_DIVISORS = [
     ((0, (1,), 1), LatticeError, "fiber dimension must be >= 1"),
     ((11, (1,), 1), ResourceCapError, "exceeds configured cap"),
     ((2, (1,), 0), LatticeError, "polarization degree must be >= 1"),
+    ((2.5, (2,), 1), LatticeError, "fiber dimension 2.5 is not an int"),
+    ((True, (2,), 1), LatticeError, "fiber dimension True is not an int"),
+    ((2, (2,), 1.5), LatticeError, "polarization degree 1.5 is not an int"),
 ]
 
 

@@ -226,6 +226,39 @@ def test_log_discrepancy_zero_vector():
         log_discrepancy(A2, ToricDivisor(A2), (0, 0))
 
 
+P2 = projective_fan(2)
+BAD_TORIC_INPUTS = {
+    # a coordinate that is not an integer is named, not rounded or passed on
+    "float-valuation": ("1.5 is not an integer", lambda: log_discrepancy(P2, boundary_divisor(P2), (1.5, 0))),
+    "float-centre": ("1.5 is not an integer", lambda: star_subdivision(P2, (1.5, 1))),
+    "float-regularity-character": ("0.5 is not an integer", lambda: regularity_subfan(P2, (0.5, 1))),
+    "float-principal-character": ("0.5 is not an integer", lambda: character_divisor(P2, (0.5, 1))),
+    # a divisor from another fan is not read as zero
+    "cartier-other-fan": ("divisors live on different fans",
+                          lambda: cartier_data(P2, boundary_divisor(projective_fan(3)))),
+    "sum-other-fan": ("divisors live on different fans", lambda: boundary_divisor(P2) + boundary_divisor(P1)),
+    # a character of the wrong length, a centre outside the support
+    "long-regularity-character": ("character dimension does not match fan",
+                                  lambda: regularity_subfan(P2, (1, 1, 1))),
+    "short-principal-character": ("character dimension does not match fan", lambda: character_divisor(P2, (1,))),
+    "centre-outside": ("subdivision centre lies outside the fan support",
+                       lambda: star_subdivision(orthant_fan(2), (-1, 0))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_TORIC_INPUTS))
+def test_bad_toric_inputs_are_lattice_errors(case):
+    message, call = BAD_TORIC_INPUTS[case]
+    with pytest.raises(LatticeError, match=f"^{message}$"):
+        call()
+
+
+def test_a_divisor_on_an_equal_fan_is_on_the_fan():
+    twin = projective_fan(2)
+    assert twin is not P2
+    assert cartier_data(P2, boundary_divisor(twin)) == cartier_data(P2, boundary_divisor(P2))
+
+
 def test_log_discrepancy_rejects_a_boundary_on_another_fan():
     other = Fan(2, (Cone.generated_by([(1, 0), (1, 2)]),))
     with pytest.raises(LatticeError, match="^divisors live on different fans$"):

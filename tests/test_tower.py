@@ -543,6 +543,12 @@ def test_local_model_base_level_error():
         local_model_at(model, 1, Cone(1, ((1,),)))
 
 
+def test_local_model_level_past_the_depth_error():
+    model = build_model(TowerSpec(1, (ProductMove(),)))
+    with pytest.raises(LatticeError, match=r"^level 3 out of range 2\.\.2$"):
+        local_model_at(model, 3, Cone(3, ((0, 0, 1),)))
+
+
 def test_local_model_requires_fan_membership():
     model = build_model(TowerSpec(1, (node((), (2,)),)))
     with pytest.raises(LatticeError, match="does not belong"):
