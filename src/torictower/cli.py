@@ -136,7 +136,6 @@ def cmd_local_model(args):
     if args.level is not None and not 2 <= args.level <= model.depth:
         raise TowerDocumentError(f"level {args.level} out of range 2..{model.depth}")
     levels = range(2, model.depth + 1) if args.level is None else [args.level]
-    report = Report(command="local-model", seed=args.seed)
     data_levels = []
     for level in levels:
         fan = model.levels[level - 1].fan
@@ -153,11 +152,9 @@ def cmd_local_model(args):
             if lm.node_character is not None:
                 entry["node_character"] = character
             entries.append(entry)
-            report.checked += 1
-            report.passed += 1
         data_levels.append({"level": level, "cones": entries})
-    report.data = {"levels": data_levels}
-    return report
+    n = sum(len(level["cones"]) for level in data_levels)  # every face entry is one passed check
+    return Report(command="local-model", seed=args.seed, data={"levels": data_levels}, checked=n, passed=n)
 
 
 def cmd_divisor(command, formula, args):

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
 from .lattice import _halfspace_rows, _is_int, halfspace_intersection, maximal_masks
-from .toric import _same_fan
+from .toric import _rational, _same_fan
 
 
 class UnboundedPolytopeError(Exception):
@@ -89,7 +89,7 @@ class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyper
             raise ResourceCapError(f"fiber dimension {fiber_dim} exceeds configured cap {DEFAULT_MAX_DIM}")
         if polarization < 1:
             raise LatticeError("polarization degree must be >= 1")
-        return super().__new__(cls, fiber_dim, tuple(map(Fraction, hyperplane_coefficients)), polarization)
+        return super().__new__(cls, fiber_dim, tuple(map(_rational, hyperplane_coefficients)), polarization)
 
     @classmethod
     def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__

@@ -19,6 +19,7 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     _integers,
+    _is_int,
     derived_fan,
     dot,
     hnf,
@@ -41,6 +42,28 @@ class FanMapError(ValueError):
 _ZERO = Fraction(0)
 
 
+def _decimal(text):
+    """Whether `text` is [+-]?[0-9]+ in ASCII: no `.`, `e`, `_`, space or `２`."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    return digits.isascii() and digits.isdigit()
+
+
+def _rational(value):
+    """The rule of every divisor coefficient: an int (not a bool), a Fraction,
+    or an ASCII decimal string `p` or `p/q`, as a Fraction.  Anything else is
+    a LatticeError, so no float's binary expansion and no exponent string's
+    huge integer is ever built."""
+    if isinstance(value, Fraction) or _is_int(value):
+        return Fraction(value)
+    p, slash, q = value.partition("/") if isinstance(value, str) else ("", "", "")
+    if _decimal(p) and (_decimal(q) or not slash):
+        try:
+            return Fraction(int(p), int(q or 1))
+        except (ValueError, ZeroDivisionError):  # more digits than int() reads, or q = 0
+            pass
+    raise LatticeError(f"coefficient {value!r} is not an int, a Fraction or a decimal string p or p/q")
+
+
 class ToricDivisor:
     """Torus-invariant Q-divisor: rational coefficients on the fan's rays.
 
@@ -58,7 +81,7 @@ class ToricDivisor:
             ray = tuple(ray)
             if ray not in rays:
                 raise LatticeError(f"ray {list(ray)} does not belong to the fan")
-            c = Fraction(c)
+            c = _rational(c)
             if c != 0:
                 coeffs[ray] = c
         self._coeffs = {ray: coeffs[ray] for ray in sorted(coeffs)}
@@ -83,7 +106,7 @@ class ToricDivisor:
         return ToricDivisor(self.fan, {r: -c for r, c in self._coeffs.items()})
 
     def scale(self, k):
-        k = Fraction(k)
+        k = _rational(k)
         return ToricDivisor(self.fan, {r: k * c for r, c in self._coeffs.items()})
 
     def is_zero(self):

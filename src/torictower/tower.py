@@ -155,7 +155,12 @@ class TowerModel(namedtuple("TowerModel", "spec levels")):
 
 
 class CheckOutcome:
-    """Aggregated result of a batch check: counts plus violation witnesses."""
+    """Aggregated result of a batch check: counts plus violation witnesses.
+
+    `check` and `skip` are the one rule that counts a check; `add_violation`
+    and `add_skip` only append (`add_skip` counts the skip, not the check),
+    and a bulk count enters through the constructor or `merge`.
+    """
 
     def __init__(self, checked=0, passed=0, skipped=0, violations=None, skips=None):
         self.checked, self.passed, self.skipped = checked, passed, skipped
@@ -167,6 +172,20 @@ class CheckOutcome:
 
     def ok(self):
         return not self.violations
+
+    def check(self, ok, kind=None, detail=None, **witness):
+        """Count one check: passed if `ok`, else failed with this violation,
+        or with none when `kind` is None (the check added its violations)."""
+        self.checked += 1
+        if ok:
+            self.passed += 1
+        elif kind is not None:
+            self.add_violation(kind, detail, **witness)
+
+    def skip(self, reason, **witness):
+        """Count one check, skipped for `reason`."""
+        self.checked += 1
+        self.add_skip(reason, **witness)
 
     def add_violation(self, kind, detail, **witness):
         self.violations.append({"kind": kind, "detail": detail, **witness})
@@ -291,18 +310,11 @@ def lc_place_transfer_check(model, samples, seed):
     rng = random.Random(seed)
 
     def sign_test(origin, e):
-        out.checked += 1
         if e is None:
-            out.add_skip("degenerate sample (zero vector)", origin=origin)
-        elif in_projective_support(spec, e):
-            out.passed += 1
+            out.skip("degenerate sample (zero vector)", origin=origin)
         else:
-            out.add_violation(
-                "no-centre-on-P",
-                "vector lies in |Sigma_V| but not in |Sigma_P|",
-                vector=list(e),
-                origin=origin,
-            )
+            out.check(in_projective_support(spec, e), "no-centre-on-P",
+                      "vector lies in |Sigma_V| but not in |Sigma_P|", vector=list(e), origin=origin)
 
     for r in fan_v.all_rays:
         sign_test("ray", r)
@@ -312,19 +324,19 @@ def lc_place_transfer_check(model, samples, seed):
         w = tuple(map(sum, zip(*gens)))
         safe.append(all(in_projective_support(spec, g) and dot(w, g) > 0 for g in gens))
     bits = rng.getrandbits
+    certified = 0
     for _ in range(samples):
         k = _below(bits, len(cones))
         draws = [_below(bits, 11) for _ in cones[k]]  # the stream of randint(0, 10)
         if safe[k] and any(draws):
-            out.checked += 1
-            out.passed += 1
+            certified += 1
             continue
         v = (0,) * fan_v.ambient_dim
         for c, u in zip(draws, cones[k]):
             if c:
                 v = tuple(x + c * y for x, y in zip(v, u))
         sign_test("sample", None if is_zero(v) else primitive(v))
-    return out
+    return out.merge(CheckOutcome(checked=certified, passed=certified))
 
 
 def base_change_to_curve(spec, germ):
@@ -408,16 +420,11 @@ def torus_splitting_check(model):
         level = model.levels[i]
         prev = model.levels[i - 1]
         n_prev = prev.fan.ambient_dim
-        out.checked += 1
         if level.fan.ambient_dim != n_prev + 1:
-            out.add_violation(
-                "splitting",
-                f"level {i + 1}: projection is not the coordinate projection "
-                "dropping one new coordinate",
-                level=i + 1,
-            )
+            out.check(False, "splitting", f"level {i + 1}: projection is not the coordinate projection "
+                      "dropping one new coordinate", level=i + 1)
             continue
-        ok = True
+        before = len(out.violations)
         for cone in level.fan.maximal_cones:
             nonzero = [g[:n_prev] for g in cone.generators if not is_zero(g[:n_prev])]
             if nonzero and prev.fan.cone_index(*nonzero) is None:
@@ -427,7 +434,6 @@ def torus_splitting_check(model):
                     "into a cone of the previous level",
                     level=i + 1,
                 )
-                ok = False
             fiber_rays = [g for g in cone.generators if is_zero(g[:n_prev])]
             if len(fiber_rays) > 1:
                 out.add_violation(
@@ -436,9 +442,7 @@ def torus_splitting_check(model):
                     f"{len(fiber_rays)} independent fiber rays",
                     level=i + 1,
                 )
-                ok = False
-        if ok:
-            out.passed += 1
+        out.check(len(out.violations) == before)
     return out
 
 
@@ -462,17 +466,10 @@ def node_chart_dual_violations(model):
         n_prev = model.levels[i].fan.ambient_dim
         m = move.lattice_exponents()
         for cone in level.fan.maximal_cones:
-            out.checked += 1
             sigma_dual = dual_cone(Cone(n_prev, [g[:n_prev] for g in cone.generators]), max_dim)
             presentation = [g + (0,) for g in sigma_dual.generators]
             presentation += [unit_vector(n_prev + 1, n_prev), tuple(m) + (-1,)]
-            if dual_cone(Cone(n_prev + 1, presentation), max_dim).generators == cone.generators:
-                out.passed += 1
-            else:
-                out.add_violation(
-                    "node-chart-dual",
-                    f"dual of node chart {list(cone.generators)} does not match the "
-                    "semigroup presentation",
-                    level=i + 2,
-                )
+            out.check(dual_cone(Cone(n_prev + 1, presentation), max_dim).generators == cone.generators,
+                      "node-chart-dual", f"dual of node chart {list(cone.generators)} does not match the "
+                      "semigroup presentation", level=i + 2)
     return out

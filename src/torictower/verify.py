@@ -297,60 +297,37 @@ def suite_kernel(seed, samples=200):
                 for d in span:
                     m = ((a, b), (c, d))
                     h, u = hnf(m)
-                    out.checked += 1
                     expected = hnf_elementary_oracle(m)
-                    if (
-                        h != expected
-                        or not is_row_hnf(h)
-                        or not is_unimodular(u)
-                        or mat_mul(u, m) != h
-                    ):
-                        out.add_violation("hnf", f"HNF mismatch on {m}: {h} vs oracle {expected}")
+                    if h == expected and is_row_hnf(h) and is_unimodular(u) and mat_mul(u, m) == h:
+                        out.check(True)  # 2,401 checks: the detail is formatted only on a failure
                     else:
-                        out.passed += 1
+                        out.check(False, "hnf", f"HNF mismatch on {m}: {h} vs oracle {expected}")
     rng = random.Random(seed)
     for _ in range(samples):
         nr, nc = rng.randint(1, 3), rng.randint(1, 3)
         m = tuple(tuple(rng.randint(-5, 5) for _ in range(nc)) for _ in range(nr))
         h, u = hnf(m)
-        out.checked += 1
         if not (is_unimodular(u) and mat_mul(u, m) == h and is_row_hnf(h)):
-            out.add_violation("hnf", f"HNF certificate failed on {m}")
+            out.check(False, "hnf", f"HNF certificate failed on {m}")
             continue
         s, us, vs = snf(m)
         diag = tuple(s[i][i] for i in range(min(nr, nc)))
-        if (
-            not is_unimodular(us)
-            or not is_unimodular(vs)
-            or mat_mul(mat_mul(us, m), vs) != s
-            or diag != invariant_factors_minor_oracle(m)
-        ):
-            out.add_violation("snf", f"SNF mismatch on {m}")
-            continue
-        out.passed += 1
+        out.check(is_unimodular(us) and is_unimodular(vs) and mat_mul(mat_mul(us, m), vs) == s
+                  and diag == invariant_factors_minor_oracle(m), "snf", f"SNF mismatch on {m}")
     for _ in range(samples):
         n = rng.randint(2, 4)
         cone = _random_pointed_cone(rng, n)
-        out.checked += 1
-        dd = dual_cone(dual_cone(cone))
-        if dd.generators != cone.generators:
-            out.add_violation("dual-involution", f"dual dual differs on {cone.generators}")
+        if dual_cone(dual_cone(cone)).generators != cone.generators:
+            out.check(False, "dual-involution", f"dual dual differs on {cone.generators}")
             continue
-        if cone.dim() == n:
-            oracle = dual_cone_facet_oracle(cone.generators, n)
-            if tuple(sorted(oracle)) != dual_cone(cone).generators:
-                out.add_violation("dual-oracle", f"facet oracle differs on {cone.generators}")
-                continue
-        out.passed += 1
+        out.check(cone.dim() != n or tuple(sorted(dual_cone_facet_oracle(cone.generators, n)))
+                  == dual_cone(cone).generators, "dual-oracle", f"facet oracle differs on {cone.generators}")
     for _ in range(samples):
         n = rng.randint(2, 3)
         cone = _random_pointed_cone(rng, n, max_entry=3, max_gens=n + 1)
         v = tuple(rng.randint(-6, 6) for _ in range(n))
-        out.checked += 1
-        if cone.contains(v) != in_cone_fm(cone.generators, v):
-            out.add_violation("contains", f"membership mismatch: {v} in {cone.generators}")
-        else:
-            out.passed += 1
+        out.check(cone.contains(v) == in_cone_fm(cone.generators, v),
+                  "contains", f"membership mismatch: {v} in {cone.generators}")
     # primitive(k*v) = primitive(v)
     for _ in range(samples):
         n = rng.randint(1, 4)
@@ -358,11 +335,8 @@ def suite_kernel(seed, samples=200):
         if is_zero(v):
             continue
         k = rng.randint(1, 9)
-        out.checked += 1
-        if primitive(vscale(k, v)) != primitive(v):
-            out.add_violation("primitive", f"primitive({k}*{v}) != primitive({v})")
-        else:
-            out.passed += 1
+        out.check(primitive(vscale(k, v)) == primitive(v),
+                  "primitive", f"primitive({k}*{v}) != primitive({v})")
     return out
 
 
@@ -383,9 +357,8 @@ def suite_toric(seed, samples=60):
         e = (0,) * n
         for l, g in zip(lam, cone.generators):
             e = vadd(e, vscale(l, g))
-        out.checked += 1
         if is_zero(e):
-            out.add_skip("zero valuation vector (every lambda is 0)", cone=list(cone.generators))
+            out.skip("zero valuation vector (every lambda is 0)", cone=list(cone.generators))
             continue
         a = log_discrepancy(fan, bdiv, e)
         ep = primitive(e)
@@ -393,50 +366,36 @@ def suite_toric(seed, samples=60):
             cone.generators, [coeffs[r] for r in cone.generators], ep
         )
         if a != expected:
-            out.add_violation("simplicial", f"a={a} but formula gives {expected}", cone=list(cone.generators))
+            out.check(False, "simplicial", f"a={a} but formula gives {expected}", cone=list(cone.generators))
             continue
         # star subdivision at an interior vector, crepant boundary transported
         centre = primitive(tuple(sum(g[i] for g in cone.generators) for i in range(n)))
         refined = star_subdivision(fan, centre)
         kb = canonical_divisor(fan) + bdiv
         refined_b = pullback_divisor(identity_matrix(n), refined, fan, kb) - canonical_divisor(refined)
-        if log_discrepancy(refined, refined_b, e) != a:
-            out.add_violation("subdivision", "log discrepancy changed under star subdivision",
-                              cone=list(cone.generators), vector=list(e))
-            continue
-        out.passed += 1
+        out.check(log_discrepancy(refined, refined_b, e) == a, "subdivision", "log discrepancy changed under "
+                  "star subdivision", cone=list(cone.generators), vector=list(e))
     # character divisor is a homomorphism
     fan = orthant_fan(3)
     for _ in range(samples):
         l = tuple(rng.randint(-4, 4) for _ in range(3))
         m = tuple(rng.randint(-4, 4) for _ in range(3))
-        out.checked += 1
-        if character_divisor(fan, vadd(l, m)) != character_divisor(fan, l) + character_divisor(fan, m):
-            out.add_violation("character", f"Div({l}+{m}) != Div({l}) + Div({m})")
-        else:
-            out.passed += 1
+        out.check(character_divisor(fan, vadd(l, m)) == character_divisor(fan, l) + character_divisor(fan, m),
+                  "character", f"Div({l}+{m}) != Div({l}) + Div({m})")
     # pullback functoriality on P^1 multiplication maps
     p1 = projective_fan(1)
     d0 = ToricDivisor(p1, {(1,): 1})
     for _ in range(samples):
         j, k = rng.randint(1, 4), rng.randint(1, 4)
-        out.checked += 1
         step = pullback_divisor(((k,),), p1, p1, pullback_divisor(((j,),), p1, p1, d0))
         composite = pullback_divisor(((j * k,),), p1, p1, d0)
-        if step != composite:
-            out.add_violation("functoriality", f"pullback by {j} then {k} differs from {j*k}")
-        else:
-            out.passed += 1
+        out.check(step == composite, "functoriality", f"pullback by {j} then {k} differs from {j*k}")
     # canonical + boundary is Cartier with index 1 on every fan we can see
     for f in (orthant_fan(2), projective_fan(2), projective_fan(3)):
-        out.checked += 1
         cd = cartier_data(f, canonical_divisor(f) + boundary_divisor(f))
-        if not isinstance(cd, CartierData) or cd.cartier_index != 1 or any(
-            any(x != 0 for x in m) for m in cd.vectors
-        ):
-            out.add_violation("lc-couple", f"K+D not trivially Cartier on {f}")
-        else:
-            out.passed += 1
+        out.check(isinstance(cd, CartierData) and cd.cartier_index == 1
+                  and all(x == 0 for m in cd.vectors for x in m), "lc-couple",
+                  f"K+D not trivially Cartier on {f}")
     return out
 
 
@@ -447,18 +406,15 @@ def suite_tower(seed, samples=200):
     check_samples(samples)
     out = CheckOutcome()
     for idx, spec in enumerate(random_towers(samples, seed)):
-        out.checked += 1
         model = build_model(spec)
-        bad = False
+        before = len(out.violations)
         for li, level in enumerate(model.levels):
             violations = fan_validate(level.fan)
             if violations:
                 out.add_violation("fan", f"tower {idx} level {li + 1}: {violations[0].detail}", tower=idx)
-                bad = True
             cd = cartier_data(level.fan, canonical_divisor(level.fan) + boundary_divisor(level.fan))
             if not isinstance(cd, CartierData) or cd.cartier_index != 1:
                 out.add_violation("cartier", f"tower {idx} level {li + 1}: K+C not Cartier with q=1", tower=idx)
-                bad = True
         for li, move in enumerate(model.spec.moves):
             fan = model.levels[li + 1].fan
             prev_dim = model.levels[li].fan.ambient_dim
@@ -471,7 +427,6 @@ def suite_tower(seed, samples=200):
                             f"tower {idx} level {li + 2}: ray {list(ray)} outside 0 <= t <= <m,v>",
                             tower=idx,
                         )
-                        bad = True
             else:
                 new_coord = unit_vector(prev_dim + 1, prev_dim)
                 for ray in fan.all_rays:
@@ -481,17 +436,13 @@ def suite_tower(seed, samples=200):
                             f"tower {idx} level {li + 2}: unexpected new ray {list(ray)}",
                             tower=idx,
                         )
-                        bad = True
         split = torus_splitting_check(model)
         if not split.ok():
             out.add_violation("splitting", f"tower {idx}: {split.violations[0]['detail']}", tower=idx)
-            bad = True
         duals = node_chart_dual_violations(model)
         if not duals.ok():
             out.add_violation("node-dual", f"tower {idx}: {duals.violations[0]['detail']}", tower=idx)
-            bad = True
-        if not bad:
-            out.passed += 1
+        out.check(len(out.violations) == before)
     return out
 
 
@@ -521,7 +472,6 @@ def suite_basechange(seed, samples=100):
         on_boundary = rng.randrange(2) == 0
         orders = tuple(rng.randint(0, 3) for _ in range(p)) if on_boundary else (0,) * p
         germ = CurveGermData(orders=orders, on_boundary=on_boundary)
-        out.checked += 1
         changed = base_change_to_curve(spec, germ)
         ok = changed.base_dim == 1 and len(changed.moves) == len(spec.moves)
         for mv, new in zip(spec.moves, changed.moves):
@@ -534,7 +484,7 @@ def suite_basechange(seed, samples=100):
             if not on_boundary:
                 ok = ok and new.t_exponents == (0,)
         if not ok:
-            out.add_violation("basechange", f"transform mismatch for orders {orders}")
+            out.check(False, "basechange", f"transform mismatch for orders {orders}")
             continue
         # linearity in the orders
         if on_boundary:
@@ -543,22 +493,15 @@ def suite_basechange(seed, samples=100):
             both = base_change_to_curve(
                 spec, CurveGermData(tuple(a + b for a, b in zip(orders, orders2)), True)
             )
-            for m1, m2, m3 in zip(changed.moves, changed2.moves, both.moves):
-                if isinstance(m1, NodeMove):
-                    if m3.t_exponents[0] != m1.t_exponents[0] + m2.t_exponents[0]:
-                        ok = False
-        if ok:
-            out.passed += 1
-        else:
-            out.add_violation("basechange-linearity", "transform not linear in the orders")
+            ok = all(m3.t_exponents[0] == m1.t_exponents[0] + m2.t_exponents[0]
+                     for m1, m2, m3 in zip(changed.moves, changed2.moves, both.moves)
+                     if isinstance(m1, NodeMove))
+        out.check(ok, "basechange-linearity", "transform not linear in the orders")
     # p=1, c=(1) identity
     for _ in range(20):
         spec = random_tower(1, rng.randint(1, 5), 3, rng.randrange(2**32))
-        out.checked += 1
-        if base_change_to_curve(spec, CurveGermData((1,), True)) != spec:
-            out.add_violation("basechange-identity", "p=1, c=(1) transform is not the identity")
-        else:
-            out.passed += 1
+        out.check(base_change_to_curve(spec, CurveGermData((1,), True)) == spec,
+                  "basechange-identity", "p=1, c=(1) transform is not the identity")
     return out
 
 
@@ -571,37 +514,27 @@ def suite_volume(seed=None, samples=None):
         fan = projective_fan(n)
         ray = unit_vector(n, 0)
         for k in range(1, 4):
-            out.checked += 1
             poly = divisor_polytope(fan, ToricDivisor(fan, {ray: k}))
-            if normalized_volume(poly) != Fraction(k) ** n:
-                out.add_violation("volume", f"vol(P_{{{k}H}}) on P^{n} != {k}^{n}")
-                continue
-            out.passed += 1
+            out.check(normalized_volume(poly) == Fraction(k) ** n,
+                      "volume", f"vol(P_{{{k}H}}) on P^{n} != {k}^{n}")
     for n in range(1, 5):
         for a in range(1, 4):
             for deg in range(0, 4):
-                out.checked += 1
                 data = ProjectiveDivisorData(
                     fiber_dim=n, hyperplane_coefficients=(Fraction(deg),), polarization=a
                 )
                 if relative_degree_on_P(data) != Fraction(deg) * a ** (n - 1):
-                    out.add_violation("degree", f"deg on P^{n} with a={a}, d={deg} wrong")
+                    out.check(False, "degree", f"deg on P^{n} with a={a}, d={deg} wrong")
                     continue
-                if relative_volume_on_P(data) != Fraction(deg) ** n:
-                    out.add_violation("volume", f"vol on P^{n} with d={deg} wrong")
-                    continue
-                out.passed += 1
+                out.check(relative_volume_on_P(data) == Fraction(deg) ** n,
+                          "volume", f"vol on P^{n} with d={deg} wrong")
     # additivity and homogeneity
-    out.checked += 1
     d1 = ProjectiveDivisorData(2, (1, 2), polarization=3)
     d2 = ProjectiveDivisorData(2, (Fraction(1, 2),), polarization=3)
     dsum = ProjectiveDivisorData(2, (1, 2, Fraction(1, 2)), polarization=3)
-    if relative_degree_on_P(dsum) == relative_degree_on_P(d1) + relative_degree_on_P(d2):
-        out.passed += 1
-    else:
-        out.add_violation("degree-additive", "relative degree not additive in D")
+    out.check(relative_degree_on_P(dsum) == relative_degree_on_P(d1) + relative_degree_on_P(d2),
+              "degree-additive", "relative degree not additive in D")
     # monotonicity audit: vol of (A + H + G)|_fiber non-decreasing per coefficient
-    out.checked += 1
     monotone = True
     for base in itertools.product(range(0, 3), repeat=3):
         v0 = relative_volume_on_P(ProjectiveDivisorData(3, tuple(map(Fraction, base))))
@@ -611,10 +544,7 @@ def suite_volume(seed=None, samples=None):
             v1 = relative_volume_on_P(ProjectiveDivisorData(3, tuple(map(Fraction, bumped))))
             if v1 < v0:
                 monotone = False
-    if monotone:
-        out.passed += 1
-    else:
-        out.add_violation("monotonicity", "relative volume decreased in a coefficient")
+    out.check(monotone, "monotonicity", "relative volume decreased in a coefficient")
     return out
 
 

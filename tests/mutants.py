@@ -166,6 +166,18 @@ MUTANTS = (
     # map-to-proj reports a top ray outside |P|
     ("cli.py", 'if not ok:\n            report.add_violation("support"', 'if False:\n            report.add_violation("support"',
      ("tests/test_cli.py::test_map_to_proj_reports_a_top_ray_outside_the_support",)),
+    # the one check rule: a failed check is not passed, and a skip is a check
+    ("tower.py", "        if ok:\n            self.passed += 1\n",
+     "        self.passed += 1\n        if ok:\n            pass\n", ("tests/test_violations.py",)),
+    ("tower.py", "        self.checked += 1\n        self.add_skip(", "        self.add_skip(", ("tests/test_violations.py",)),
+    # a tower with a violation fails its check, and each certified lc draw is a passed check
+    ("verify.py", "        out.check(len(out.violations) == before)\n", "        out.check(True)\n",
+     ("tests/test_violations.py",)),
+    ("tower.py", "            certified += 1\n", "            pass\n",
+     ("tests/test_tower.py::test_lc_check_matches_per_vector_oracle_on_random_towers",)),
+    # a float coefficient is an error, not its binary expansion
+    ("toric.py", "if isinstance(value, Fraction) or _is_int(value):",
+     "if isinstance(value, (Fraction, float)) or _is_int(value):", (BAD_TORIC, "tests/test_records.py")),
 )
 
 

@@ -103,6 +103,11 @@ BAD_DIVISORS = [
     ((2.5, (2,), 1), LatticeError, "fiber dimension 2.5 is not an int"),
     ((True, (2,), 1), LatticeError, "fiber dimension True is not an int"),
     ((2, (2,), 1.5), LatticeError, "polarization degree 1.5 is not an int"),
+    # a coefficient is an int, a Fraction or a decimal string p or p/q: no float, exponent, bool or q = 0
+    ((2, (0.1,), 1), LatticeError, "coefficient 0.1 is not an int, a Fraction or a decimal string"),
+    ((2, ("1e5",), 1), LatticeError, "coefficient '1e5' is not an int"),
+    ((2, (1, True), 1), LatticeError, "coefficient True is not an int"),
+    ((2, ("1/0",), 1), LatticeError, "coefficient '1/0' is not an int"),
 ]
 
 
@@ -114,7 +119,7 @@ def test_projective_divisor_data_checks_its_rules_on_every_construction_path(arg
     with pytest.raises(error, match=message):
         ProjectiveDivisorData._make(args)
     with pytest.raises(error, match=message):
-        good._replace(fiber_dim=args[0], polarization=args[2])
+        good._replace(fiber_dim=args[0], hyperplane_coefficients=args[1], polarization=args[2])
 
 
 def test_projective_divisor_data_holds_fractions_on_every_construction_path():

@@ -227,6 +227,7 @@ def test_log_discrepancy_zero_vector():
 
 
 P2 = projective_fan(2)
+NOT_RATIONAL = "is not an int, a Fraction or a decimal string p or p/q"
 BAD_TORIC_INPUTS = {
     # a coordinate that is not an integer is named, not rounded or passed on
     "float-valuation": ("1.5 is not an integer", lambda: log_discrepancy(P2, boundary_divisor(P2), (1.5, 0))),
@@ -243,6 +244,13 @@ BAD_TORIC_INPUTS = {
     "short-principal-character": ("character dimension does not match fan", lambda: character_divisor(P2, (1,))),
     "centre-outside": ("subdivision centre lies outside the fan support",
                        lambda: star_subdivision(orthant_fan(2), (-1, 0))),
+    # a coefficient is an int, a Fraction or a decimal string p or p/q: a float is not read as its binary
+    # expansion, and an exponent string builds no huge integer
+    "float-coefficient": (f"coefficient 0.1 {NOT_RATIONAL}", lambda: ToricDivisor(P2, {(0, 1): 0.1})),
+    "exponent-coefficient": (f"coefficient '1e5' {NOT_RATIONAL}", lambda: ToricDivisor(P2, {(0, 1): "1e5"})),
+    "bool-coefficient": (f"coefficient True {NOT_RATIONAL}", lambda: ToricDivisor(P2, [((0, 1), True)])),
+    "zero-denominator": (f"coefficient '1/0' {NOT_RATIONAL}", lambda: ToricDivisor(P2, {(0, 1): "1/0"})),
+    "float-scale": (f"coefficient 0.5 {NOT_RATIONAL}", lambda: boundary_divisor(P2).scale(0.5)),
 }
 
 

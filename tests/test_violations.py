@@ -1,11 +1,11 @@
-"""Every violation a check can report, pinned: kind, detail text, witness
-keys, skips and the three counts.
+"""Every violation a check can report, pinned: kind, detail text and
+witnesses, each skip, and the three counts.
 
 No clean run reaches a suite's violation lines, so the goldens cannot see
 their text.  Each case here patches the engine function one check reads so
 that one call of it (or each call, where noted) returns a wrong answer, runs
-the check, and compares what it reports with the record below.  Record again
-only after an intended change of a violation's text:
+the check, and compares what it reports with `golden/violations.json`.
+Record again only after an intended change of a violation's text:
 
     PYTHONPATH=src python tests/test_violations.py --record
 """
@@ -64,43 +64,43 @@ ONE_NODE = TowerSpec(1, (NodeMove((), (2,)),))
 PRODUCT_THEN_NODE = TowerSpec(1, (ProductMove(), NodeMove((1,), (1,))))
 
 
-def _kernel(seed=5, samples=3):
-    return lambda: verify.suite_kernel(seed, samples=samples)
+def _kernel():
+    return verify.suite_kernel(5, samples=3)
 
 
 def case_hnf(mp):  # the first 2x2 of the exhaustive loop
     wrong_at(mp, verify, "hnf", lambda real, m: (((9, 9), (9, 9)), real(m)[1]))
-    return _kernel()()
+    return _kernel()
 
 
 def case_hnf_certificate(mp):  # the first random matrix, after the 7^4 exhaustive 2x2s
     wrong_at(mp, verify, "hnf", _swapped_rows, calls=(7**4 + 1,), when=lambda m: any(any(r) for r in m))
-    return _kernel()()
+    return _kernel()
 
 
 def case_snf(mp):
     wrong_at(mp, verify, "snf", lambda real, m: (m, *real(m)[1:]))
-    return _kernel()()
+    return _kernel()
 
 
 def case_dual_involution(mp):
     wrong_at(mp, verify, "dual_cone", _wrong_dual)
-    return _kernel()()
+    return _kernel()
 
 
 def case_dual_oracle(mp):  # dual_cone(dual_cone(c)) is c again, but dual_cone(c) is not the dual
     wrong_at(mp, verify, "dual_cone", _wrong_dual, calls=EVERY)
-    return _kernel()()
+    return _kernel()
 
 
 def case_contains(mp):
     wrong_at(mp, Cone, "contains", lambda real, cone, v: not real(cone, v))
-    return _kernel()()
+    return _kernel()
 
 
 def case_primitive(mp):
     wrong_at(mp, verify, "vscale", lambda real, k, v: tuple(-x for x in real(k, v)))
-    return _kernel()()
+    return _kernel()
 
 
 def case_simplicial(mp):
@@ -129,8 +129,8 @@ def case_lc_couple(mp):
     return verify.suite_toric(3, samples=0)
 
 
-def _tower(seed=11, samples=2):
-    return verify.suite_tower(seed, samples=samples)
+def _tower():
+    return verify.suite_tower(11, samples=2)
 
 
 def case_fan(mp):
