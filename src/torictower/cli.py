@@ -271,7 +271,7 @@ def main(argv=None):
         result.elapsed_ms = (time.monotonic() - start) * 1000.0
         _write_output(args.output, result.to_json(include_timing=args.timing))
         return EXIT_OK if result.ok() else EXIT_VIOLATIONS
-    except (TowerDocumentError, LatticeError, OSError) as exc:
+    except (LatticeError, OSError) as exc:  # TowerDocumentError is a LatticeError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceCapError as exc:

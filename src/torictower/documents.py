@@ -13,17 +13,16 @@ explicitly requested, to preserve byte-for-byte determinism.
 
 import json
 import random
-import re
 from fractions import Fraction
 
-from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError
+from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, _decimal_int
 from .polytope import ProjectiveDivisorData
 from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
 
 FORMAT_VERSION = 1
 
 
-class TowerDocumentError(ValueError):
+class TowerDocumentError(LatticeError):
     """Malformed or schema-violating tower document; message carries context."""
 
 
@@ -101,9 +100,6 @@ def _emit(obj, newline, put, texts):
         put(_scalar(obj))
 
 
-_decimal = re.compile(r"[+-]?[0-9]+").fullmatch  # ASCII digits only: no spaces, `_` or `２`
-
-
 def parse_int(value, where):
     """A bare JSON integer, or a string of ASCII decimal digits with an optional sign."""
     if isinstance(value, bool):
@@ -111,11 +107,9 @@ def parse_int(value, where):
     if isinstance(value, int):
         return value
     if isinstance(value, str):
-        try:
-            if _decimal(value):
-                return int(value)
-        except ValueError:  # more digits than the interpreter's int-to-str limit
-            pass
+        n = _decimal_int(value)
+        if n is not None:
+            return n
         raise TowerDocumentError(f"{where}: {value!r} is not a decimal integer")
     raise TowerDocumentError(f"{where}: expected an integer or decimal string, got {type(value).__name__}")
 
@@ -155,15 +149,6 @@ def load_json_object(text):
     return doc
 
 
-def _coefficient(value, where):
-    """A bare JSON integer or a decimal string `p` or `p/q`; no exponents,
-    which would build a huge integer before any cap."""
-    if isinstance(value, str) and "/" in value:
-        p, q = value.split("/", 1)
-        return Fraction(parse_int(p, where), parse_int(q, where))
-    return Fraction(parse_int(value, where))
-
-
 def parse_divisor(text):
     """Parse divisor data by the tower document rules; unknown keys are ignored."""
     doc = load_json_object(text)
@@ -175,12 +160,10 @@ def parse_divisor(text):
             raise TowerDocumentError("hyperplane_coefficients: expected a list")
         return ProjectiveDivisorData(
             fiber_dim=parse_int(doc["fiber_dim"], "fiber_dim"),
-            hyperplane_coefficients=tuple(
-                _coefficient(c, f"hyperplane_coefficients[{i}]") for i, c in enumerate(coeffs)
-            ),
+            hyperplane_coefficients=coeffs,
             polarization=parse_int(doc.get("polarization", 1), "polarization"),
         )
-    except (ValueError, ZeroDivisionError) as exc:  # TowerDocumentError is a ValueError
+    except LatticeError as exc:  # TowerDocumentError is a LatticeError
         raise TowerDocumentError(f"bad divisor data: {exc}") from None
 
 

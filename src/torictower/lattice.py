@@ -19,6 +19,7 @@ import functools
 import math
 import operator
 from collections import namedtuple
+from fractions import Fraction
 
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
@@ -55,6 +56,32 @@ def check_samples(samples):
         raise LatticeError(f"samples must be >= 0, got {samples}")
     if samples > MAX_SAMPLES:
         raise ResourceCapError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
+
+
+def _decimal_int(text):
+    """The int of an ASCII decimal string [+-]?[0-9]+, else None: no space,
+    `_`, `.`, `e` or `２`, and none past the int-to-str digit limit."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter's int-to-str limit
+            pass
+    return None
+
+
+def _rational(value):
+    """The rule of every divisor coefficient: an int (not a bool), a Fraction,
+    or an ASCII decimal string `p` or `p/q`, as a Fraction.  Anything else is
+    a LatticeError, so no float's binary expansion and no exponent string's
+    huge integer is ever built."""
+    if isinstance(value, Fraction) or _is_int(value):
+        return Fraction(value)
+    p, slash, q = value.partition("/") if isinstance(value, str) else ("", "", "")
+    p, q = _decimal_int(p), _decimal_int(q) if slash else 1
+    if p is not None and q:  # q is None for a bad denominator, 0 for a zero one
+        return Fraction(p, q)
+    raise LatticeError(f"coefficient {value!r} is not an int, a Fraction or a decimal string p or p/q")
 
 
 def _integers(values):

@@ -12,8 +12,8 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
-from .lattice import _halfspace_rows, _is_int, halfspace_intersection, maximal_masks
-from .toric import _rational, _same_fan
+from .lattice import _halfspace_rows, _is_int, _rational, halfspace_intersection, maximal_masks
+from .toric import _same_fan
 
 
 class UnboundedPolytopeError(Exception):

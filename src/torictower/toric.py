@@ -19,7 +19,7 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     _integers,
-    _is_int,
+    _rational,
     derived_fan,
     dot,
     hnf,
@@ -31,37 +31,7 @@ from .lattice import (
 )
 
 
-class NoCentreError(Exception):
-    """The valuation vector lies outside the fan support."""
-
-
-class FanMapError(ValueError):
-    """A lattice map does not send the source fan into the target fan."""
-
-
 _ZERO = Fraction(0)
-
-
-def _decimal(text):
-    """Whether `text` is [+-]?[0-9]+ in ASCII: no `.`, `e`, `_`, space or `２`."""
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    return digits.isascii() and digits.isdigit()
-
-
-def _rational(value):
-    """The rule of every divisor coefficient: an int (not a bool), a Fraction,
-    or an ASCII decimal string `p` or `p/q`, as a Fraction.  Anything else is
-    a LatticeError, so no float's binary expansion and no exponent string's
-    huge integer is ever built."""
-    if isinstance(value, Fraction) or _is_int(value):
-        return Fraction(value)
-    p, slash, q = value.partition("/") if isinstance(value, str) else ("", "", "")
-    if _decimal(p) and (_decimal(q) or not slash):
-        try:
-            return Fraction(int(p), int(q or 1))
-        except (ValueError, ZeroDivisionError):  # more digits than int() reads, or q = 0
-            pass
-    raise LatticeError(f"coefficient {value!r} is not an int, a Fraction or a decimal string p or p/q")
 
 
 class ToricDivisor:
@@ -244,7 +214,7 @@ def pullback_divisor(lattice_map, source, target, divisor):
         images = [mat_vec(lattice_map, g) for g in cone.generators]
         k = target.cone_index(*images)
         if k is None:
-            raise FanMapError(
+            raise LatticeError(
                 f"source cone {list(cone.generators)} does not map into any "
                 "cone of the target fan"
             )
@@ -255,7 +225,7 @@ def pullback_divisor(lattice_map, source, target, divisor):
 def log_discrepancy(fan, boundary, e):
     """Log discrepancy a(E, X, B) of the toric valuation with primitive vector e.
 
-    Accepts non-primitive e (normalized first).  Raises NoCentreError when e
+    Accepts non-primitive e (normalized first).  Raises LatticeError when e
     lies outside the fan support and NotQCartier when K_X + B is not
     Q-Cartier; batch harnesses catch both and aggregate.
     """
@@ -269,7 +239,7 @@ def log_discrepancy(fan, boundary, e):
         raise cd
     val = cd.evaluate(e)
     if val is None:
-        raise NoCentreError("valuation has no centre")
+        raise LatticeError("valuation has no centre")
     return -val
 
 

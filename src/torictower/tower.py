@@ -162,10 +162,9 @@ class CheckOutcome:
     and a bulk count enters through the constructor or `merge`.
     """
 
-    def __init__(self, checked=0, passed=0, skipped=0, violations=None, skips=None):
-        self.checked, self.passed, self.skipped = checked, passed, skipped
-        self.violations = [] if violations is None else violations
-        self.skips = [] if skips is None else skips
+    def __init__(self, checked=0, passed=0):
+        self.checked, self.passed, self.skipped = checked, passed, 0
+        self.violations, self.skips = [], []
 
     def __eq__(self, other):
         return vars(self) == vars(other) if type(other) is type(self) else NotImplemented

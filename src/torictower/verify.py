@@ -409,9 +409,8 @@ def suite_tower(seed, samples=200):
         model = build_model(spec)
         before = len(out.violations)
         for li, level in enumerate(model.levels):
-            violations = fan_validate(level.fan)
-            if violations:
-                out.add_violation("fan", f"tower {idx} level {li + 1}: {violations[0].detail}", tower=idx)
+            for v in fan_validate(level.fan):
+                out.add_violation("fan", f"tower {idx} level {li + 1}: {v.detail}", tower=idx)
             cd = cartier_data(level.fan, canonical_divisor(level.fan) + boundary_divisor(level.fan))
             if not isinstance(cd, CartierData) or cd.cartier_index != 1:
                 out.add_violation("cartier", f"tower {idx} level {li + 1}: K+C not Cartier with q=1", tower=idx)
@@ -436,12 +435,8 @@ def suite_tower(seed, samples=200):
                             f"tower {idx} level {li + 2}: unexpected new ray {list(ray)}",
                             tower=idx,
                         )
-        split = torus_splitting_check(model)
-        if not split.ok():
-            out.add_violation("splitting", f"tower {idx}: {split.violations[0]['detail']}", tower=idx)
-        duals = node_chart_dual_violations(model)
-        if not duals.ok():
-            out.add_violation("node-dual", f"tower {idx}: {duals.violations[0]['detail']}", tower=idx)
+        for v in torus_splitting_check(model).violations + node_chart_dual_violations(model).violations:
+            out.add_violation(**v, tower=idx)
         out.check(len(out.violations) == before)
     return out
 

@@ -27,6 +27,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TIMEOUT = 120  # seconds per pytest run
 LATTICE_AND_VERIFY = ("tests/test_verify.py", "tests/test_lattice.py")
 BAD_TORIC = "tests/test_toric.py::test_bad_toric_inputs_are_lattice_errors"
+COEFFICIENTS = "tests/test_cli.py::test_divisor_coefficients_are_integers_or_fraction_strings"
+PINNED = "tests/test_violations.py::test_each_violation_keeps_its_text_witnesses_and_counts"
 CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError("character dimension does not match fan")\n'
 MAKE_OVERRIDE = (
     "    @classmethod\n"
@@ -176,8 +178,18 @@ MUTANTS = (
     ("tower.py", "            certified += 1\n", "            pass\n",
      ("tests/test_tower.py::test_lc_check_matches_per_vector_oracle_on_random_towers",)),
     # a float coefficient is an error, not its binary expansion
-    ("toric.py", "if isinstance(value, Fraction) or _is_int(value):",
+    ("lattice.py", "if isinstance(value, Fraction) or _is_int(value):",
      "if isinstance(value, (Fraction, float)) or _is_int(value):", (BAD_TORIC, "tests/test_records.py")),
+    # a decimal is ASCII: `１` is no coefficient, though int() reads it
+    ("lattice.py", "if digits.isascii() and digits.isdigit():", "if digits.isdigit():", (COEFFICIENTS,)),
+    # a bad document is a LatticeError, which main reports with exit 2
+    ("documents.py", "class TowerDocumentError(LatticeError):", "class TowerDocumentError(ValueError):",
+     ("tests/test_cli.py::test_divisor_documents_follow_the_tower_document_rules",)),
+    # suite_tower keeps every violation of its inner checks, not the first
+    ("verify.py", "torus_splitting_check(model).violations + node_chart_dual_violations(model).violations:",
+     "torus_splitting_check(model).violations[:1] + node_chart_dual_violations(model).violations[:1]:",
+     (PINNED + "[suite_splitting]",)),
+    ("verify.py", "for v in fan_validate(level.fan):", "for v in fan_validate(level.fan)[:1]:", (PINNED + "[fan]",)),
 )
 
 

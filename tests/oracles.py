@@ -69,7 +69,6 @@ from torictower.lattice import (
 from torictower.polytope import LatticePolytope, UnboundedPolytopeError
 from torictower.toric import (
     CartierData,
-    FanMapError,
     NotQCartier,
     ToricDivisor,
     boundary_divisor,
@@ -152,7 +151,7 @@ def pullback_divisor_oracle(lattice_map, source, target, divisor):
     for cone in source.maximal_cones:
         images = [mat_vec(lattice_map, g) for g in cone.generators]
         if not any(all(t.contains(v) for v in images) for t in target.maximal_cones):
-            raise FanMapError(
+            raise LatticeError(
                 f"source cone {list(cone.generators)} does not map into any "
                 "cone of the target fan"
             )

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -10,8 +11,9 @@ import torictower.cli
 from corpus import STRESS_TOWER
 from oracles import local_model_report_oracle
 from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, main
-from torictower.documents import emit_tower
-from torictower.lattice import Cone, Fan, orthant_fan
+from torictower.documents import TowerDocumentError, emit_tower, parse_divisor
+from torictower.lattice import Cone, Fan, LatticeError, orthant_fan
+from torictower.polytope import ProjectiveDivisorData
 from torictower.tower import (
     NodeMove,
     ProductMove,
@@ -288,14 +290,44 @@ def test_infinite_fiber_dim_is_a_usage_error(tmp_path, capsys):
     assert code == EXIT_USAGE and out == "" and err.startswith("error: bad divisor data")
 
 
+# each coefficient spelling and the rational it stands for, or None where it is rejected
+COEFFICIENT_SPELLINGS = (
+    ("1", 1), ("-3", -3), ("+7", 7), ("0", 0), ("-0", 0), ("00012", 12), (2, 2), (-5, -5), (0, 0),
+    ("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2)), ("+1/-2", Fraction(-1, 2)), ("6/4", Fraction(3, 2)),
+    ("0/5", 0), ("-0/3", 0), ("9" * 4300, int("9" * 4300)), ("1/" + "9" * 4300, Fraction(1, int("9" * 4300))),
+    # a zero denominator, a slash too many or too few, and no digits
+    ("1/0", None), ("0/0", None), ("1/-0", None), ("1/2/3", None), ("2/", None), ("/2", None), ("/", None),
+    ("", None), (" ", None), ("+", None), ("-", None), ("+-1", None), ("--1", None),
+    # spaces, digit groups, other bases, exponents, decimals and non-ASCII digits
+    ("1 ", None), (" 1", None), ("1\n", None), ("1_0", None), ("1_0/2", None), ("0x10", None), ("1e3", None),
+    ("1E2", None), ("1e1000000", None), ("1e1000000000", None), ("0.5", None), (".5", None), ("1.", None),
+    ("1/2.0", None), ("inf", None), ("nan", None), ("\uff11", None), ("\u0661", None), ("\u00b2", None),
+    ("\u00bd", None), ("1/\uff12", None),
+    # past the int-to-str digit limit, in the numerator or the denominator
+    ("1" * 5000, None), ("1/" + "1" * 5000, None), ("1" * 5000 + "/1", None),
+    # JSON values that are not integers or strings
+    (0.5, None), (2.0, None), (-0.0, None), (True, None), (False, None), (None, None), ([1], None), ({"a": 1}, None),
+)
+
+
 def test_divisor_coefficients_are_integers_or_fraction_strings(tmp_path, capsys):
-    """A bare integer or a `p` or `p/q` string.  Exponent notation would build
-    a huge integer before any cap, and decimals are not in the format: both
-    are bad divisor data, at once."""
-    for coeff in ('"1e1000000"', '"1e1000000000"', '"0.5"', "0.5", "true", '"1/0"'):
-        path = write_tower(tmp_path, f'{{"fiber_dim": "2", "hyperplane_coefficients": [{coeff}]}}', name="div.json")
-        code, out, err = run_cli(capsys, "degree", "--input", path)
-        assert code == EXIT_USAGE and out == "" and err.startswith("error: bad divisor data"), coeff
+    """A bare integer or a `p` or `p/q` string of ASCII decimals.  Exponent
+    notation would build a huge integer before any cap, and decimals are not
+    in the format: both are bad divisor data, at once.  The library record,
+    the document parser and the `degree` command read one table alike."""
+    for spelling, value in COEFFICIENT_SPELLINGS:
+        doc = json.dumps({"fiber_dim": "2", "hyperplane_coefficients": [spelling]})
+        code, out, err = run_cli(capsys, "degree", "--input", write_tower(tmp_path, doc, name="div.json"))
+        if value is None:
+            with pytest.raises(LatticeError, match="is not an int, a Fraction or a decimal string"):
+                ProjectiveDivisorData(2, (spelling,))
+            with pytest.raises(TowerDocumentError, match="^bad divisor data: "):
+                parse_divisor(doc)
+            assert code == EXIT_USAGE and out == "" and err.startswith("error: bad divisor data"), spelling
+        else:
+            assert ProjectiveDivisorData(2, (spelling,)).hyperplane_coefficients == (value,), spelling
+            assert parse_divisor(doc).hyperplane_coefficients == (value,), spelling
+            assert code == EXIT_OK and json.loads(out)["data"]["relative_degree"] == str(Fraction(value)), spelling
     path = write_tower(tmp_path, '{"fiber_dim": "2", "hyperplane_coefficients": ["1/2", "-3", 2]}', name="div.json")
     code, out, _ = run_cli(capsys, "degree", "--input", path)
     assert code == EXIT_OK and json.loads(out)["data"]["relative_degree"] == "-1/2"

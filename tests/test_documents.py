@@ -119,7 +119,8 @@ def test_report_serialization_is_deterministic():
 
 
 def test_report_violations_gate_ok():
-    r = Report(command="x", violations=[{"kind": "k", "detail": "d"}])
+    r = Report(command="x")
+    r.add_violation("k", "d")
     assert not r.ok()
     assert json.loads(r.to_json())["violations"]
 
