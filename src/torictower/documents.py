@@ -15,7 +15,7 @@ import json
 import random
 from fractions import Fraction
 
-from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, _decimal_int
+from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, _decimal_int, check_count
 from .polytope import ProjectiveDivisorData
 from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
 
@@ -211,11 +211,10 @@ def random_tower(p, d, max_exponent, seed):
     Node exponents uniform in [-max_exponent, max_exponent] (the trivial
     character is allowed).  The draws grow as d^2, and a tower of dimension
     p + d - 1 over DEFAULT_MAX_DIM cannot be built, so that is a cap error
-    before any draw."""
-    if p < 1 or d < 1 or max_exponent < 1:
-        raise TowerDocumentError("random_tower requires p >= 1, d >= 1, max_exponent >= 1")
-    if p + d - 1 > DEFAULT_MAX_DIM:
-        raise ResourceCapError(f"tower dimension p + d - 1 exceeds cap {DEFAULT_MAX_DIM}")
+    before any draw.  p, d and max_exponent are counts >= 1."""
+    for name, value in (("p", p), ("d", d), ("max_exponent", max_exponent)):
+        check_count(value, name, low=1)
+    check_count(p + d - 1, "tower ambient dimension", cap=DEFAULT_MAX_DIM)
     rng = random.Random(seed)
     moves = []
     for k in range(d - 1):

@@ -18,7 +18,6 @@ arithmetic, in place of a double description pass per cone.
 import functools
 import math
 import operator
-from collections import namedtuple
 from fractions import Fraction
 
 DEFAULT_MAX_DIM = 10
@@ -37,25 +36,26 @@ class ResourceCapError(RuntimeError):
     """A dimension, ray-count, sample-count, face-count or digit cap was exceeded."""
 
 
-class Violation(namedtuple("Violation", "kind detail")):
-    """One fan_validate failure; fan_validate returns a list of these instead of raising."""
-
-    __slots__ = ()
-
-
 def _is_int(x):
     """An int, not a bool: True builds as 1 but no tower document holds `true`."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_count(value, name, low=0, cap=None):
+    """The one rule of every count, dimension, degree, level and cap a caller
+    passes: an int (not a bool) of at least `low`, else LatticeError, and, if
+    `cap` is given, at most `cap`, else ResourceCapError."""
+    if not _is_int(value):
+        raise LatticeError(f"{name} {value!r} is not an int")
+    if value < low:
+        raise LatticeError(f"{name} must be >= {low}, got {value}")
+    if cap is not None and value > cap:
+        raise ResourceCapError(f"{name} {value} exceeds cap {cap}")
+
+
 def check_samples(samples):
-    """The sample-count rule of every check and suite: an int from 0 to MAX_SAMPLES."""
-    if not _is_int(samples):
-        raise LatticeError(f"samples {samples!r} is not an int")
-    if samples < 0:
-        raise LatticeError(f"samples must be >= 0, got {samples}")
-    if samples > MAX_SAMPLES:
-        raise ResourceCapError(f"samples {samples} exceeds cap {MAX_SAMPLES}")
+    """The sample-count rule of every check and suite: a count from 0 to MAX_SAMPLES."""
+    check_count(samples, "samples", cap=MAX_SAMPLES)
 
 
 def _decimal_int(text):
@@ -556,10 +556,8 @@ def dual_cone(c, max_dim=DEFAULT_MAX_DIM):
     """The dual cone {m : <m,v> >= 0 for all v in c}, by primitive extreme rays
     (plus a +/- lineality basis when the dual is not strongly convex): `_dual`
     of c's memo, so that basis depends on the generators the memo came from."""
-    if c.ambient_dim > max_dim:
-        raise ResourceCapError(
-            f"ambient dimension {c.ambient_dim} exceeds configured cap {max_dim}"
-        )
+    check_count(max_dim, "max_dim")
+    check_count(c.ambient_dim, "ambient dimension", cap=max_dim)
     return _dual(c)
 
 
@@ -806,7 +804,8 @@ def _separation_certificate(tables, faces):
 
 
 def fan_validate(fan):
-    """Validation report for a fan; an empty list means valid.
+    """Validation report for a fan: a list of {"kind", "detail"} violations,
+    as every check writes them; an empty list means valid.
 
     Checks primitive, nonzero, pairwise-distinct generators, then builds each
     remaining cone's sign table once: per row of its memoized halfspaces, the
@@ -826,21 +825,18 @@ def fan_validate(fan):
     bit, tops = fan.ray_index()
     cones, tables, faces, facets = [], [], [], []
     for c, top in zip(fan.maximal_cones, tops):
-        ok = True
-        seen = set()
+        before, seen = len(violations), set()
         for g in c.generators:
             if is_zero(g):
-                violations.append(Violation("non-primitive ray", f"zero generator in cone {list(c.generators)}"))
-                ok = False
+                violations.append({"kind": "non-primitive ray",
+                                   "detail": f"zero generator in cone {list(c.generators)}"})
                 continue
             if content(g) != 1:
-                violations.append(Violation("non-primitive ray", f"ray {list(g)} has content {content(g)}"))
-                ok = False
+                violations.append({"kind": "non-primitive ray", "detail": f"ray {list(g)} has content {content(g)}"})
             if g in seen:
-                violations.append(Violation("duplicate ray", f"ray {list(g)} listed twice in a cone"))
-                ok = False
+                violations.append({"kind": "duplicate ray", "detail": f"ray {list(g)} listed twice in a cone"})
             seen.add(g)
-        if not ok:
+        if len(violations) > before:
             continue
         normals, equations = c.halfspaces()
         table = []  # per row: (rays where it is = 0, rays where it is <= 0)
@@ -856,7 +852,7 @@ def fan_validate(fan):
         zeros = [z for z, _ in table[:len(normals)]]
         extreme = _extreme_mask(top, zeros)
         if c.generators and not extreme:
-            violations.append(Violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
+            violations.append({"kind": "not strongly convex", "detail": f"cone {list(c.generators)} contains a line"})
             continue
         cones.append(c)
         tables.append(table)
@@ -874,7 +870,7 @@ def fan_validate(fan):
             bits = [bit.get(g, 0) for g in inter.generators]  # 0: a ray of neither cone
             mask = sum(bits)
             if not (all(bits) and all(_face_hull(mask, faces[k], facets[k]) == mask for k in (i, j))):
-                violations.append(Violation("intersection not a face", (
+                violations.append({"kind": "intersection not a face", "detail": (
                     f"cones {list(cones[i].generators)} and {list(cones[j].generators)} "
-                    f"meet in {list(inter.generators)} which is not a common face")))
+                    f"meet in {list(inter.generators)} which is not a common face")})
     return violations

@@ -11,8 +11,8 @@ import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
-from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, det_int, dot
-from .lattice import _halfspace_rows, _is_int, _rational, halfspace_intersection, maximal_masks
+from .lattice import DEFAULT_MAX_DIM, MAX_FACES, ResourceCapError, bareiss_step, bit_indices, check_count, det_int, dot
+from .lattice import _halfspace_rows, _rational, halfspace_intersection, maximal_masks
 from .toric import _same_fan
 
 
@@ -62,8 +62,9 @@ class LatticePolytope:
 
 
 def _homogenized(points):
-    """(w, den) with w / den = v and den > 0 minimal, per distinct point v in lex order."""
-    points = sorted({tuple(map(Fraction, v)) for v in points})
+    """(w, den) with w / den = v and den > 0 minimal, per distinct point v in lex order;
+    each coordinate is read by the rational rule, so a float is a LatticeError."""
+    points = sorted({tuple(map(_rational, v)) for v in points})
     dens = [math.lcm(*(x.denominator for x in v)) for v in points]
     return tuple(tuple(x.numerator * (den // x.denominator) for x in v) + (den,) for v, den in zip(points, dens))
 
@@ -80,15 +81,8 @@ class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyper
     __slots__ = ()
 
     def __new__(cls, fiber_dim, hyperplane_coefficients, polarization=1):
-        for name, value in (("fiber dimension", fiber_dim), ("polarization degree", polarization)):
-            if not _is_int(value):
-                raise LatticeError(f"{name} {value!r} is not an int")
-        if fiber_dim < 1:
-            raise LatticeError("fiber dimension must be >= 1")
-        if fiber_dim > DEFAULT_MAX_DIM:
-            raise ResourceCapError(f"fiber dimension {fiber_dim} exceeds configured cap {DEFAULT_MAX_DIM}")
-        if polarization < 1:
-            raise LatticeError("polarization degree must be >= 1")
+        check_count(fiber_dim, "fiber dimension", low=1, cap=DEFAULT_MAX_DIM)
+        check_count(polarization, "polarization degree", low=1)
         return super().__new__(cls, fiber_dim, tuple(map(_rational, hyperplane_coefficients)), polarization)
 
     @classmethod

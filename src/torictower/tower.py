@@ -42,6 +42,7 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     _is_int,
+    check_count,
     check_samples,
     derived_fan,
     dot,
@@ -221,14 +222,14 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     """Realize the tower as one fan per level; level i+1 maps to level i by
     dropping the last coordinate.
 
-    Raises ResourceCapError when the top level's ambient dimension p + d - 1
-    exceeds max_dim, a level fan (the level-1 orthant too) has more than
-    max_rays rays, or a node move's new coordinate <m, u> has more digits
-    than the interpreter prints.
+    Both caps are counts.  Raises ResourceCapError when the top level's
+    ambient dimension p + d - 1 exceeds max_dim, a level fan (the level-1
+    orthant too) has more than max_rays rays, or a node move's new coordinate
+    <m, u> has more digits than the interpreter prints.
     """
-    ambient = spec.base_dim + spec.depth - 1
-    if ambient > max_dim:
-        raise ResourceCapError(f"tower ambient dimension {ambient} exceeds cap {max_dim}")
+    check_count(max_rays, "max_rays")
+    check_count(max_dim, "max_dim")
+    check_count(spec.base_dim + spec.depth - 1, "tower ambient dimension", cap=max_dim)
     levels = [_capped_level(orthant_fan(spec.base_dim), max_rays)]
     for move in spec.moves:
         prev = levels[-1].fan
@@ -350,11 +351,8 @@ def base_change_to_curve(spec, germ):
     """
     if len(germ.orders) != spec.base_dim:
         raise LatticeError(f"germ has {len(germ.orders)} orders, tower base dimension is {spec.base_dim}")
-    inexact = [c for c in germ.orders if not _is_int(c)]
-    if inexact:
-        raise LatticeError(f"vanishing order {inexact[0]!r} is not an int")
-    if any(c < 0 for c in germ.orders):
-        raise LatticeError("vanishing orders must be non-negative")
+    for c in germ.orders:
+        check_count(c, "vanishing order")
     if not germ.on_boundary and any(c != 0 for c in germ.orders):
         raise LatticeError("a germ off the boundary has no vanishing: all orders must be 0")
     moves = []
@@ -395,12 +393,13 @@ def local_model_at(model, level, cone):  # no caller in src/; the benchmark trac
     """Classify the torus orbit of a level-`level` cone relative to the
     fibration to the previous level, by `orbit_classifier`.
 
-    The cone must be a face of a maximal cone of the level fan (its rays in
-    any order), else LatticeError.
+    The level must be a count from 2 to the depth, and the cone a face of a
+    maximal cone of the level fan (its rays in any order), else LatticeError.
     """
+    check_count(level, "level", low=1)
     if level == 1:
         raise LatticeError("base level has no fibration structure")
-    if not 2 <= level <= model.depth:
+    if level > model.depth:
         raise LatticeError(f"level {level} out of range 2..{model.depth}")
     fan = model.levels[level - 1].fan
     mask = fan.face_mask(cone)

@@ -29,6 +29,7 @@ LATTICE_AND_VERIFY = ("tests/test_verify.py", "tests/test_lattice.py")
 BAD_TORIC = "tests/test_toric.py::test_bad_toric_inputs_are_lattice_errors"
 COEFFICIENTS = "tests/test_cli.py::test_divisor_coefficients_are_integers_or_fraction_strings"
 PINNED = "tests/test_violations.py::test_each_violation_keeps_its_text_witnesses_and_counts"
+COUNTS = "tests/test_counts.py"
 CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError("character dimension does not match fan")\n'
 MAKE_OVERRIDE = (
     "    @classmethod\n"
@@ -107,11 +108,14 @@ MUTANTS = (
     # base_dim and every germ order are ints
     ("tower.py", 'if not _is_int(base_dim):\n            details.append(f"base_dim {base_dim!r} is not an int")\n'
      "        elif base_dim < 1:", "if base_dim < 1:", ("tests/test_records.py",)),
-    ("tower.py", "if not _is_int(c)]", "if False]", ("tests/test_tower.py::test_base_change_errors",)),
-    # and none of base_dim, an exponent or a germ order is a bool
+    ("tower.py", '    for c in germ.orders:\n        check_count(c, "vanishing order")\n', "",
+     ("tests/test_tower.py::test_base_change_errors",)),
+    # and none of base_dim or an exponent is a bool
     ("tower.py", "if not _is_int(base_dim):", "if not isinstance(base_dim, int):", ("tests/test_records.py",)),
     ("tower.py", "if not _is_int(e)]", "if not isinstance(e, int)]", ("tests/test_records.py",)),
-    ("tower.py", "if not _is_int(c)]", "if not isinstance(c, int)]", ("tests/test_tower.py::test_base_change_errors",)),
+    # a germ order is counted from 0
+    ("tower.py", 'check_count(c, "vanishing order")', 'check_count(c, "vanishing order", low=-1)',
+     ("tests/test_tower.py::test_base_change_errors",)),
     # normalized_volume raises past MAX_FACES popped faces, not at MAX_FACES
     ("polytope.py", "if popped > MAX_FACES:", "if popped >= MAX_FACES:",
      ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
@@ -138,12 +142,15 @@ MUTANTS = (
     ("lattice.py", "len(self.halfspaces()[1])", "len(self.halfspaces()[0])",
      ("tests/test_lattice.py::test_dim_is_the_rank_of_the_generators",)),
     # a sample count is an int, not a float or a bool
-    ("lattice.py", "if not _is_int(samples):", "if False:",
+    ("lattice.py", '    check_count(samples, "samples", cap=MAX_SAMPLES)\n', "    pass\n",
      ("tests/test_verify.py::test_sample_counts_that_are_not_ints_are_rejected",
       "tests/test_tower.py::test_lc_transfer_check_rejects_a_sample_count_that_is_not_an_int")),
+    # the count rule: a bool is no count, and each site's least count and cap hold
+    ("lattice.py", "if not _is_int(value):", "if not isinstance(value, int):", (COUNTS,)),
+    ("lattice.py", "if value < low:", "if value < 0:", (COUNTS,)),
+    ("lattice.py", "if cap is not None and value > cap:", "if False:", (COUNTS,)),
     # a sampled suite called directly applies the sample rule itself
-    ("verify.py", 'sigma-tilde dual-cone cross-check."""\n    check_samples(samples)\n',
-     'sigma-tilde dual-cone cross-check."""\n',
+    ("verify.py", 'is Gorenstein."""\n    check_samples(samples)\n', 'is Gorenstein."""\n',
      ("tests/test_verify.py::test_sampled_suites_called_directly_apply_the_sample_rule",)),
     # a level cone projects into a cone below and holds at most one fiber ray
     ("tower.py", "if len(fiber_rays) > 1:", "if len(fiber_rays) > 2:",
@@ -157,8 +164,11 @@ MUTANTS = (
      "    char = tuple(char)\n" + CHAR_LENGTH + "    bit, tops", (BAD_TORIC,)),
     ("toric.py", "    char = _integers(char)\n" + CHAR_LENGTH + "    return ToricDivisor",
      "    char = tuple(char)\n" + CHAR_LENGTH + "    return ToricDivisor", (BAD_TORIC,)),
-    # a fiber dimension and a polarization degree are ints
-    ("polytope.py", "            if not _is_int(value):", "            if False:", ("tests/test_records.py",)),
+    # a fiber dimension and a polarization degree are counts
+    ("polytope.py", '        check_count(fiber_dim, "fiber dimension", low=1, cap=DEFAULT_MAX_DIM)\n', "",
+     ("tests/test_records.py",)),
+    # a polytope point is read by the rational rule, not by Fraction, which takes a float's binary expansion
+    ("polytope.py", "tuple(map(_rational, v))", "tuple(map(Fraction, v))", (BAD_TORIC,)),
     # Cartier data and a divisor polytope take a divisor on their own fan, or on an equal one
     ("toric.py", "    _same_fan(fan, divisor)\n    n = fan.ambient_dim\n", "    n = fan.ambient_dim\n", (BAD_TORIC,)),
     ("polytope.py", "    _same_fan(fan, divisor)\n    n = fan.ambient_dim\n", "    n = fan.ambient_dim\n",
@@ -190,6 +200,10 @@ MUTANTS = (
      "torus_splitting_check(model).violations[:1] + node_chart_dual_violations(model).violations[:1]:",
      (PINNED + "[suite_splitting]",)),
     ("verify.py", "for v in fan_validate(level.fan):", "for v in fan_validate(level.fan)[:1]:", (PINNED + "[fan]",)),
+    # Cartier data's forward substitution subtracts the solved terms, so K on a tower level is Cartier;
+    # the K + C check before it solved the zero divisor, with no Hermite form, and missed this
+    ("toric.py", "rhs = t * big_d[p] - sum(", "rhs = t * big_d[p] + sum(",
+     ("tests/test_verify.py::test_suite_runs_clean[tower]",)),
 )
 
 

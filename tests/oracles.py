@@ -47,7 +47,6 @@ from torictower.lattice import (
     Cone,
     Fan,
     LatticeError,
-    Violation,
     bit_indices,
     content,
     det_int,
@@ -324,6 +323,10 @@ def star_subdivision_oracle(fan, v):
     return Fan(fan.ambient_dim, keep)
 
 
+def _violation(kind, detail):
+    return {"kind": kind, "detail": detail}
+
+
 def fan_validate_oracle(fan):
     """`fan_validate` with no certificate: strong convexity by the rank of
     the halfspaces, every cone re-canonicalised by `generated_by_oracle`,
@@ -336,18 +339,18 @@ def fan_validate_oracle(fan):
         seen = set()
         for g in c.generators:
             if is_zero(g):
-                violations.append(Violation("non-primitive ray", f"zero generator in cone {list(c.generators)}"))
+                violations.append(_violation("non-primitive ray", f"zero generator in cone {list(c.generators)}"))
                 ok = False
                 continue
             if content(g) != 1:
-                violations.append(Violation("non-primitive ray", f"ray {list(g)} has content {content(g)}"))
+                violations.append(_violation("non-primitive ray", f"ray {list(g)} has content {content(g)}"))
                 ok = False
             if g in seen:
-                violations.append(Violation("duplicate ray", f"ray {list(g)} listed twice in a cone"))
+                violations.append(_violation("duplicate ray", f"ray {list(g)} listed twice in a cone"))
                 ok = False
             seen.add(g)
         if ok and not is_strongly_convex(c):
-            violations.append(Violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
+            violations.append(_violation("not strongly convex", f"cone {list(c.generators)} contains a line"))
             ok = False
         if ok:
             canonical[c] = generated_by_oracle(c.generators, fan.ambient_dim)
@@ -358,7 +361,7 @@ def fan_validate_oracle(fan):
             inter = intersect_cones(a, b)
             if not (is_face_of(inter, a) and is_face_of(inter, b)):
                 violations.append(
-                    Violation(
+                    _violation(
                         "intersection not a face",
                         f"cones {list(cones[i].generators)} and {list(cones[j].generators)} "
                         f"meet in {list(inter.generators)} which is not a common face",

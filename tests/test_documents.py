@@ -10,10 +10,11 @@ from torictower.documents import (
     TowerDocumentError,
     _canonical_json,
     emit_tower,
+    parse_divisor,
     parse_tower,
     random_tower,
 )
-from torictower.lattice import ResourceCapError
+from torictower.lattice import LatticeError, ResourceCapError
 from torictower.tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
 
 
@@ -65,8 +66,12 @@ def test_parse_rejects_a_base_dim_below_one():
 def test_parse_missing_field_error():
     with pytest.raises(TowerDocumentError, match="alpha_exponents"):
         parse_tower('{"base_dim": 1, "moves": [{"type": "node", "t_exponents": [1]}]}')
+    with pytest.raises(TowerDocumentError, match=r"^moves\[0\]: node move missing field 't_exponents'$"):
+        parse_tower('{"base_dim": 1, "moves": [{"type": "node", "alpha_exponents": []}]}')
     with pytest.raises(TowerDocumentError, match="base_dim"):
         parse_tower('{"moves": []}')
+    with pytest.raises(TowerDocumentError, match="^missing field 'fiber_dim'$"):
+        parse_divisor('{"hyperplane_coefficients": ["1"]}')
 
 
 def test_parse_malformed_text_carries_position():
@@ -77,6 +82,10 @@ def test_parse_malformed_text_carries_position():
 def test_parse_rejects_unknown_move_type():
     with pytest.raises(TowerDocumentError, match="unknown move type"):
         parse_tower('{"base_dim": 1, "moves": [{"type": "mystery"}]}')
+    with pytest.raises(TowerDocumentError, match=r"^moves\[1\]: expected an object$"):
+        parse_tower('{"base_dim": 1, "moves": [{"type": "product"}, "product"]}')
+    with pytest.raises(TowerDocumentError, match="^format_version: unsupported version 2$"):
+        parse_tower('{"format_version": "2", "base_dim": 1, "moves": []}')
 
 
 def test_emit_serializes_integers_as_strings():
@@ -105,7 +114,7 @@ def test_random_tower_validates():
 
 
 def test_random_tower_bad_params():
-    with pytest.raises(TowerDocumentError):
+    with pytest.raises(LatticeError, match="^p must be >= 1, got 0$"):
         random_tower(0, 1, 3, seed=0)
 
 

@@ -91,6 +91,10 @@ def test_hnf_already_normal():
     h, u = hnf(((2, 0), (0, 3)))
     assert h == ((2, 0), (0, 3))
     assert u == identity_matrix(2)
+    assert is_row_hnf(h)
+    # a zero row above a nonzero one, a negative pivot, an entry above a pivot not reduced, one below it nonzero
+    for m in (((0, 0), (1, 0)), ((-1, 0), (0, 1)), ((1, 3), (0, 2)), ((1, 0), (1, 1))):
+        assert not is_row_hnf(m) and hnf(m)[0] != m
 
 
 def test_hnf_random_3x3_certificates():
@@ -708,19 +712,19 @@ def test_fan_validate_affine_plane():
 
 def test_fan_validate_overlapping_interiors():
     bad = Fan(2, (Cone.generated_by([(1, 0), (1, 2)]), Cone.generated_by([(1, 1), (0, 1)])))
-    kinds = {v.kind for v in fan_validate(bad)}
+    kinds = {v["kind"] for v in fan_validate(bad)}
     assert "intersection not a face" in kinds
 
 
 def test_fan_validate_non_primitive_ray():
     bad = Fan(2, (Cone(2, ((2, 4), (1, 0))),))
-    kinds = {v.kind for v in fan_validate(bad)}
+    kinds = {v["kind"] for v in fan_validate(bad)}
     assert "non-primitive ray" in kinds
 
 
 def test_fan_validate_non_convex_cone():
     bad = Fan(2, (Cone(2, ((1, 0), (-1, 0), (0, 1))),))
-    kinds = {v.kind for v in fan_validate(bad)}
+    kinds = {v["kind"] for v in fan_validate(bad)}
     assert "not strongly convex" in kinds
 
 
@@ -742,12 +746,12 @@ def test_fan_validate_commutes_with_unimodular_change_of_coordinates(data):
     n = fan.ambient_dim
     u, _ = data.draw(unimodular(n))
     moved = Fan(n, [Cone(n, sorted(mat_vec(u, g) for g in c.generators)) for c in fan.maximal_cones])
-    assert sorted(v.kind for v in fan_validate(moved)) == sorted(v.kind for v in fan_validate(fan))
+    assert sorted(v["kind"] for v in fan_validate(moved)) == sorted(v["kind"] for v in fan_validate(fan))
 
 
 def test_validate_fans_cover_every_violation_kind():
     assert all(fan_validate(fan) == [] for fan in LEVEL_FANS)
-    kinds = {v.kind for fan in BAD_FANS for v in fan_validate(fan)}
+    kinds = {v["kind"] for fan in BAD_FANS for v in fan_validate(fan)}
     assert kinds == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
 
 
@@ -827,7 +831,7 @@ def test_fan_validate_matches_all_pairs_oracle(monkeypatch):
     for fan in fans:
         got = fan_validate(fan)
         assert got == fan_validate_oracle(fan), fan.maximal_cones
-        kinds += [v.kind for v in got]
+        kinds += [v["kind"] for v in got]
     assert set(kinds) == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
     # some pairs without a certificate do meet in a common face
     assert len(fallbacks) > kinds.count("intersection not a face")
@@ -872,7 +876,7 @@ def test_fan_validate_matches_all_pairs_oracle_on_defective_fans(monkeypatch):
     for fan in _defective_fans(250, 20261019):
         got = fan_validate(fan)
         assert got == fan_validate_oracle(fan), fan.maximal_cones
-        kinds += [v.kind for v in got]
+        kinds += [v["kind"] for v in got]
         valid += not got
     assert set(kinds) == {"intersection not a face", "non-primitive ray", "duplicate ray", "not strongly convex"}
     assert valid and len(fallbacks) > kinds.count("intersection not a face")
@@ -894,7 +898,7 @@ def test_fan_validate_fallback_reads_its_sign_tables(monkeypatch):
     monkeypatch.setattr(Cone, "generated_by", staticmethod(forbidden))
     got = [fan_validate(fan) for fan in fans]
     assert got == want
-    kinds = [v.kind for violations in got for v in violations]
+    kinds = [v["kind"] for violations in got for v in violations]
     assert len(fallbacks) > kinds.count("intersection not a face") > 0
 
 
@@ -906,7 +910,7 @@ def test_fan_validate_caps_its_cone_pairs(monkeypatch):
     assert len(subdivided.maximal_cones) > 4
     monkeypatch.setattr(torictower.lattice, "MAX_FACES", 6)
     assert fan_validate(projective_fan(3)) == []
-    assert [v.kind for v in fan_validate(with_line)] == ["not strongly convex"]
+    assert [v["kind"] for v in fan_validate(with_line)] == ["not strongly convex"]
     with pytest.raises(ResourceCapError, match="cap of 6 cone pairs"):
         fan_validate(subdivided)
 
@@ -965,7 +969,7 @@ def test_fan_validate_keeps_canonical_cones(monkeypatch):
     assert calls == ["generated_by", "pointed_form", "hnf"]  # the wrappers count
     calls.clear()
     assert fan_validate(REDUNDANT_FAN) == []
-    assert sorted(v.kind for v in fan_validate(BAD_FANS[-1])) == ["not strongly convex"]
+    assert sorted(v["kind"] for v in fan_validate(BAD_FANS[-1])) == ["not strongly convex"]
     for fan in (projective_fan(3), CUBE_FAN, UNSORTED_FAN, *_subdivided_fans(20261018)):
         assert fan_validate(fan) == []
     assert calls == []
@@ -997,8 +1001,12 @@ def test_fan_keeps_one_cone_listed_in_two_ray_orders():
     # listed twice next to a cone that overlaps it: one pair, one violation
     fan = Fan(2, fan.maximal_cones + (Cone(2, ((1, 0), (0, 1))), _gens((1, 0), (1, 1))))
     assert len(fan.maximal_cones) == 2
-    assert [v.kind for v in fan_validate(fan)] == ["intersection not a face"]
+    assert [v["kind"] for v in fan_validate(fan)] == ["intersection not a face"]
     assert fan_validate(fan) == fan_validate_oracle(fan)
+    # from_cones drops a listed cone that lies inside another one
+    quadrant = Cone(2, ((0, 1), (1, 0)))
+    inside = [Cone(2, ((1, 0),)), _gens((1, 0), (1, 1)), quadrant]
+    assert Fan.from_cones(2, inside + [quadrant]) == Fan(2, (quadrant,))
 
 
 INDEX_FANS = LEVEL_FANS + [CUBE_FAN, projective_fan(3), torus_fan(2), Fan(2, ()), REDUNDANT_FAN]

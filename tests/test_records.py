@@ -1,6 +1,6 @@
 """What the package's records keep now that they are named tuples.
 
-The ten immutable records are `collections.namedtuple` subclasses: equal
+The nine immutable records are `collections.namedtuple` subclasses: equal
 records hash equal and no field can be assigned.  `TowerSpec` and
 `ProjectiveDivisorData` check their rules in `__new__`, and `_make`, which
 `_replace` builds through, is overridden so no construction path skips
@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from torictower.documents import Report, _canonical_json
-from torictower.lattice import LatticeError, ResourceCapError, Violation, orthant_fan
+from torictower.lattice import LatticeError, ResourceCapError, orthant_fan
 from torictower.polytope import ProjectiveDivisorData
 from torictower.toric import CartierData
 from torictower.tower import (
@@ -30,7 +30,6 @@ from torictower.tower import (
 NODE = NodeMove((), (1,))
 SPEC = TowerSpec(1, (NODE, ProductMove()))
 RECORDS = {
-    "Violation": lambda: Violation("duplicate ray", "ray [1] listed twice in a cone"),
     "CartierData": lambda: CartierData(orthant_fan(1), ((Fraction(1),),), 1),
     "ProjectiveDivisorData": lambda: ProjectiveDivisorData(2, (1, Fraction(1, 2)), polarization=3),
     "ProductMove": ProductMove,
@@ -97,9 +96,9 @@ def test_a_valid_replacement_builds_a_tower_spec():
 
 
 BAD_DIVISORS = [
-    ((0, (1,), 1), LatticeError, "fiber dimension must be >= 1"),
-    ((11, (1,), 1), ResourceCapError, "exceeds configured cap"),
-    ((2, (1,), 0), LatticeError, "polarization degree must be >= 1"),
+    ((0, (1,), 1), LatticeError, "^fiber dimension must be >= 1, got 0$"),
+    ((11, (1,), 1), ResourceCapError, "^fiber dimension 11 exceeds cap 10$"),
+    ((2, (1,), 0), LatticeError, "^polarization degree must be >= 1, got 0$"),
     ((2.5, (2,), 1), LatticeError, "fiber dimension 2.5 is not an int"),
     ((True, (2,), 1), LatticeError, "fiber dimension True is not an int"),
     ((2, (2,), 1.5), LatticeError, "polarization degree 1.5 is not an int"),

@@ -37,6 +37,7 @@ from torictower.lattice import (
     vadd,
     vscale,
 )
+from torictower.polytope import LatticePolytope, normalized_volume
 from torictower.toric import (
     CartierData,
     NotQCartier,
@@ -139,6 +140,10 @@ def test_cartier_data_structured_failure():
     out = cartier_data(fan, ToricDivisor(fan, {(1, 0, 0): 1}))
     assert isinstance(out, NotQCartier)
     assert "not Q-Cartier" in out.message
+    # on the cone over the unit square, K + B is 0 on e3 and -1 on the other three rays: no linear function
+    square = Fan(3, (Cone.generated_by([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]),))
+    with pytest.raises(NotQCartier, match="^not Q-Cartier on cone "):
+        log_discrepancy(square, ToricDivisor(square, {(0, 0, 1): 1}), (1, 1, 2))
 
 
 def test_cartier_data_agrees_on_shared_faces():
@@ -249,6 +254,11 @@ BAD_TORIC_INPUTS = {
     "bool-coefficient": (f"coefficient True {NOT_RATIONAL}", lambda: ToricDivisor(P2, [((0, 1), True)])),
     "zero-denominator": (f"coefficient '1/0' {NOT_RATIONAL}", lambda: ToricDivisor(P2, {(0, 1): "1/0"})),
     "float-scale": (f"coefficient 0.5 {NOT_RATIONAL}", lambda: boundary_divisor(P2).scale(0.5)),
+    # and so is a polytope point's coordinate
+    "float-point": (f"coefficient 0.1 {NOT_RATIONAL}",
+                    lambda: normalized_volume(LatticePolytope(2, [(0, 0), (0.1, 0), (0, 1)]))),
+    "exponent-point": (f"coefficient ' 1e1' {NOT_RATIONAL}",
+                       lambda: normalized_volume(LatticePolytope(2, [(0, 0), (" 1e1", 0), (0, 1)]))),
 }
 
 

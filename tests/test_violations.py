@@ -20,7 +20,7 @@ import torictower.cli
 import torictower.tower
 import torictower.verify as verify
 from torictower.documents import emit_tower
-from torictower.lattice import Cone, Fan, Violation
+from torictower.lattice import Cone, Fan
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
 EVERY = None  # wrong on every call
@@ -134,7 +134,7 @@ def _tower():
 
 
 def case_fan(mp):
-    forged = [Violation("overlap", "forged overlap"), Violation("not-extreme", "forged generator")]
+    forged = [{"kind": "overlap", "detail": "forged overlap"}, {"kind": "not-extreme", "detail": "forged generator"}]
     wrong_at(mp, verify, "fan_validate", lambda real, fan: [*forged, *real(fan)])
     return _tower()
 
