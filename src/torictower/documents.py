@@ -15,7 +15,7 @@ import json
 import random
 from fractions import Fraction
 
-from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, _decimal_int, check_count
+from .lattice import DEFAULT_MAX_DIM, LatticeError, ResourceCapError, _decimal_int, check_count, check_seed
 from .polytope import ProjectiveDivisorData
 from .tower import CheckOutcome, NodeMove, ProductMove, TowerSpec
 
@@ -58,9 +58,11 @@ def _scalar(x):
             return '"' + str(x) + '"'
         except ValueError:  # more digits than the interpreter's int-to-str limit
             raise ResourceCapError("result has too many digits to print") from None
-    if x and isinstance(x, (list, tuple, dict)):
-        raise TypeError("not a scalar")
-    return json.dumps(x)
+    if isinstance(x, (list, tuple, dict)):
+        if x:
+            raise TypeError("not a scalar")
+        return "{}" if isinstance(x, dict) else "[]"
+    return json.dumps(x)  # a float: elapsed_ms
 
 
 def _emit(obj, newline, put, texts):
@@ -211,9 +213,10 @@ def random_tower(p, d, max_exponent, seed):
     Node exponents uniform in [-max_exponent, max_exponent] (the trivial
     character is allowed).  The draws grow as d^2, and a tower of dimension
     p + d - 1 over DEFAULT_MAX_DIM cannot be built, so that is a cap error
-    before any draw.  p, d and max_exponent are counts >= 1."""
+    before any draw.  p, d and max_exponent are counts >= 1, and seed an int."""
     for name, value in (("p", p), ("d", d), ("max_exponent", max_exponent)):
         check_count(value, name, low=1)
+    check_seed(seed)
     check_count(p + d - 1, "tower ambient dimension", cap=DEFAULT_MAX_DIM)
     rng = random.Random(seed)
     moves = []

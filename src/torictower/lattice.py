@@ -41,21 +41,37 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _shown(value):
+    """repr(value), or, past the int-to-str digit limit, a name that prints no digit."""
+    try:
+        return repr(value)
+    except ValueError:  # a Fraction's or a list's repr prints its ints too
+        if _is_int(value):
+            return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+        return f"<{type(value).__name__} past the digit limit>"
+
+
 def check_count(value, name, low=0, cap=None):
     """The one rule of every count, dimension, degree, level and cap a caller
     passes: an int (not a bool) of at least `low`, else LatticeError, and, if
     `cap` is given, at most `cap`, else ResourceCapError."""
     if not _is_int(value):
-        raise LatticeError(f"{name} {value!r} is not an int")
+        raise LatticeError(f"{name} {_shown(value)} is not an int")
     if value < low:
-        raise LatticeError(f"{name} must be >= {low}, got {value}")
+        raise LatticeError(f"{name} must be >= {low}, got {_shown(value)}")
     if cap is not None and value > cap:
-        raise ResourceCapError(f"{name} {value} exceeds cap {cap}")
+        raise ResourceCapError(f"{name} {_shown(value)} exceeds cap {cap}")
 
 
 def check_samples(samples):
     """The sample-count rule of every check and suite: a count from 0 to MAX_SAMPLES."""
     check_count(samples, "samples", cap=MAX_SAMPLES)
+
+
+def check_seed(seed):
+    """The seed rule of every seeded draw: an int (not a bool) of any sign.
+    None is no seed: random.Random(None) draws from OS entropy."""
+    check_count(seed, "seed", low=-math.inf)
 
 
 def _decimal_int(text):

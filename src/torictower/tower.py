@@ -44,6 +44,7 @@ from .lattice import (
     _is_int,
     check_count,
     check_samples,
+    check_seed,
     derived_fan,
     dot,
     dual_cone,
@@ -301,9 +302,10 @@ def lc_place_transfer_check(model, samples, seed):
     and e_new, a node move (u, 0) and (u, <m,u>) with <m,u> >= 0), so every
     ray g of a non-empty cone has <w, g> >= <g, g> > 0: every such cone carries
     the certificate, and no vector is built.  The test guards any other
-    model, such as a forged one.  The sample count is checked first.
+    model, such as a forged one.  The sample count is checked first, then the seed.
     """
     check_samples(samples)
+    check_seed(seed)
     spec = model.spec
     out = CheckOutcome()
     fan_v = model.levels[-1].fan

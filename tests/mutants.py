@@ -31,6 +31,9 @@ COEFFICIENTS = "tests/test_cli.py::test_divisor_coefficients_are_integers_or_fra
 PINNED = "tests/test_violations.py::test_each_violation_keeps_its_text_witnesses_and_counts"
 COUNTS = "tests/test_counts.py"
 CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError("character dimension does not match fan")\n'
+LOAD = "    return _model_of(_read_input(args.input), args.max_rays, args.max_dim, sys.get_int_max_str_digits())\n"
+ANY_CAP = 'type("AnyCap", (int,), {"__eq__": lambda a, b: True, "__hash__": lambda a: 0})(args.max_rays)'
+LOWER_CAP = "tests/test_cli.py::test_a_lower_cap_right_after_a_default_run_is_a_cap"
 MAKE_OVERRIDE = (
     "    @classmethod\n"
     "    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__\n"
@@ -204,6 +207,15 @@ MUTANTS = (
     # the K + C check before it solved the zero divisor, with no Hermite form, and missed this
     ("toric.py", "rhs = t * big_d[p] - sum(", "rhs = t * big_d[p] + sum(",
      ("tests/test_verify.py::test_suite_runs_clean[tower]",)),
+    # and on the toric suite's simplicial cones that sign flip makes K + B fail to be Q-Cartier: a violation,
+    # not a traceback
+    ("toric.py", "rhs = t * big_d[p] - sum(", "rhs = t * big_d[p] + sum(", (PINNED + "[q_cartier]",)),
+    # the kept model's key holds --max-rays (an int equal to every int drops it) and the digit limit,
+    # and its build reads --max-dim
+    ("cli.py", LOAD, LOAD.replace("args.max_rays", ANY_CAP), (LOWER_CAP,)),
+    ("cli.py", LOAD, LOAD.replace("sys.get_int_max_str_digits()", "0"),
+     ("tests/test_cli.py::test_a_lowered_digit_limit_reads_the_document_again",)),
+    ("cli.py", "max_rays=max_rays, max_dim=max_dim)", "max_rays=max_rays)", (LOWER_CAP,)),
 )
 
 

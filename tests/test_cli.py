@@ -608,3 +608,97 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     added = set(json.loads(out.stdout))
     assert "torictower.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+# The cli keeps the last tower document's parse and build: every command in
+# a row on one document reads it once.  Each test starts with both caches
+# empty (tests/conftest.py).
+
+
+def _counted(monkeypatch, name):
+    """The list of calls the cli makes through its binding `name`."""
+    calls, real = [], getattr(torictower.cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(torictower.cli, name, counting)
+    return calls
+
+
+MODEL_COMMANDS = [["build"], ["fan"], ["map-to-proj"], ["local-model"], ["lc-check"],
+                  ["base-change", "--orders", "1", "--on-boundary"]]
+
+
+def test_commands_in_a_row_on_one_document_parse_and_build_it_once(tmp_path, capsys, monkeypatch):
+    builds, parses = _counted(monkeypatch, "build_model"), _counted(monkeypatch, "parse_tower")
+    path, copy = write_tower(tmp_path, SIMPLE), write_tower(tmp_path, SIMPLE, "copy.json")
+    for argv in MODEL_COMMANDS:
+        alone = run_cli(capsys, *argv, "--input", path)
+        assert alone[0] == EXIT_OK
+        assert run_cli(capsys, *argv, "--input", copy) == alone  # the key is the text, not the path
+    assert (len(builds), len(parses)) == (1, 1)
+
+
+def test_a_new_text_or_cap_builds_again(tmp_path, capsys, monkeypatch):
+    builds, parses = _counted(monkeypatch, "build_model"), _counted(monkeypatch, "parse_tower")
+    path = write_tower(tmp_path, SIMPLE)
+    other = write_tower(tmp_path, SIMPLE.replace('"2"', '"3"'), "other.json")
+    steps = [
+        ([path], 1, 1),
+        ([other], 2, 2),
+        ([path], 3, 3),
+        ([path, "--max-rays", "9"], 4, 3),  # a cap is no part of the parse
+        ([path, "--max-rays", "9", "--max-dim", "9"], 5, 3),
+        ([path, "--max-rays", "9", "--max-dim", "9", "--seed", "4"], 5, 3),  # the seed is no part of a build
+    ]
+    for argv, built, parsed in steps:
+        assert run_cli(capsys, "build", "--input", *argv)[0] == EXIT_OK
+        assert (len(builds), len(parses)) == (built, parsed), argv
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(641 if saved == 640 else 640)
+    try:
+        assert run_cli(capsys, "build", "--input", path)[0] == EXIT_OK
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (len(builds), len(parses)) == (6, 4)
+
+
+def test_a_lowered_digit_limit_reads_the_document_again(tmp_path, capsys):
+    """A 701-digit exponent parses under the default int-to-str digit limit
+    and is a bad document under 640 digits, though the text is the same."""
+    path = write_tower(tmp_path, SIMPLE.replace('"2"', '"1' + "0" * 700 + '"'))
+    saved = sys.get_int_max_str_digits()
+    for argv in (["build"], ["base-change", "--orders", "1", "--on-boundary"]):
+        assert run_cli(capsys, *argv, "--input", path)[0] == EXIT_OK
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, err = run_cli(capsys, *argv, "--input", path)
+        finally:
+            sys.set_int_max_str_digits(saved)
+        assert (code, out) == (EXIT_USAGE, "") and "is not a decimal integer" in err, argv
+
+
+def test_a_lower_cap_right_after_a_default_run_is_a_cap(tmp_path, capsys):
+    """The stress tower (104 top rays, ambient dimension 10) passes the
+    default caps and fails --max-rays 5 and --max-dim 9 right after."""
+    path = write_tower(tmp_path, emit_tower(STRESS_TOWER))
+    for command in ("build", "lc-check"):
+        for cap, message in ((["--max-rays", "5"], "rays, exceeding cap 5"),
+                             (["--max-dim", "9"], "tower ambient dimension 10 exceeds cap 9")):
+            assert run_cli(capsys, command, "--input", path)[0] == EXIT_OK
+            code, out, err = run_cli(capsys, command, "--input", path, *cap)
+            assert (code, out) == (EXIT_RESOURCE, "") and message in err, (command, cap)
+
+
+def test_a_document_that_fails_fails_again(tmp_path, capsys, monkeypatch):
+    builds, parses = _counted(monkeypatch, "build_model"), _counted(monkeypatch, "parse_tower")
+    over = write_tower(tmp_path, '{"base_dim": "3", "moves": []}')
+    bad = write_tower(tmp_path, '{"base_dim": "0", "moves": []}', "bad.json")
+    for _ in range(2):
+        assert run_cli(capsys, "build", "--input", over, "--max-rays", "2")[:2] == (EXIT_RESOURCE, "")
+        for argv in MODEL_COMMANDS:
+            assert run_cli(capsys, *argv, "--input", bad)[:2] == (EXIT_USAGE, ""), argv
+    # the capped build parsed once, then failed twice; the bad document failed twice per command
+    assert (len(builds), len(parses)) == (2, 1 + 2 * len(MODEL_COMMANDS))

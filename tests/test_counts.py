@@ -1,12 +1,13 @@
 """One count rule: every count, dimension, degree, level and cap a caller
-passes is read by `lattice.check_count`.
+passes is read by `lattice.check_count`, and every seed by `lattice.check_seed`.
 
 Each site below gets a float, a bool, a string, None, a value below its
 least count and, where it has a cap, one past it.  Each must raise
 `LatticeError` (`ResourceCapError` past a cap) with the rule's exact
 message, never a bare `TypeError` or `ValueError`, and a valid call still
 works.  The messages themselves are written once, in `check_count`; only
-`TowerSpec`, which names every failure at once, keeps its own.
+`TowerSpec`, which names every failure at once, keeps its own.  A value past
+the int-to-str digit limit is named by its bit length, not printed.
 """
 
 import ast
@@ -30,8 +31,8 @@ from torictower.lattice import (
 )
 from torictower.polytope import ProjectiveDivisorData
 from torictower.tower import CurveGermData, NodeMove, ProductMove, TowerSpec, base_change_to_curve, build_model
-from torictower.tower import local_model_at
-from torictower.verify import random_towers
+from torictower.tower import lc_place_transfer_check, local_model_at
+from torictower.verify import random_towers, run_suite
 
 SPEC = TowerSpec(1, (ProductMove(), NodeMove((1,), (1,))))
 MODEL = build_model(SPEC)
@@ -64,6 +65,11 @@ CASES = [
 ] + [
     pytest.param(call, cap + 1, ResourceCapError, f"{name} {cap + 1} exceeds cap {cap}", id=f"{site}-cap")
     for site, name, low, cap, call, _ in SITES if cap is not None
+] + [
+    pytest.param(lambda v: check_count(v, "n", cap=3), 10**5000, ResourceCapError,
+                 "n <int of 16610 bits> exceeds cap 3", id="huge-over-cap"),
+    pytest.param(lambda v: base_change_to_curve(SPEC, CurveGermData((v,), True)), -(10**5000), LatticeError,
+                 "vanishing order must be >= 0, got -<int of 16610 bits>", id="vanishing_order-huge"),
 ]
 
 # the counts a site derives from its arguments and holds to a cap
@@ -91,6 +97,29 @@ def test_derived_counts_follow_the_cap_rule(call, message):
 @pytest.mark.parametrize("call, good", [pytest.param(s[4], s[5], id=s[0]) for s in SITES])
 def test_every_count_site_takes_a_valid_count(call, good):
     call(good)
+
+
+# every seeded draw: an int of any sign, as `--seed -1` is
+SEED_SITES = [
+    pytest.param(lambda s: random_tower(2, 3, 3, s), id="random_tower"),
+    pytest.param(lambda s: random_towers(2, s), id="random_towers"),
+    pytest.param(lambda s: lc_place_transfer_check(MODEL, 2, s), id="lc_place_transfer_check"),
+    pytest.param(lambda s: run_suite("basechange", s, samples=1), id="run_suite"),
+]
+
+
+@pytest.mark.parametrize("call", SEED_SITES)
+@pytest.mark.parametrize("bad", [1.5, True, "1", None, [1]], ids=repr)
+def test_every_seed_site_follows_the_seed_rule(call, bad):
+    with pytest.raises(LatticeError) as info:
+        call(bad)
+    assert type(info.value) is LatticeError and str(info.value) == f"seed {bad!r} is not an int"
+
+
+@pytest.mark.parametrize("call", SEED_SITES)
+def test_every_seed_site_takes_any_int_and_draws_the_same_twice(call):
+    for seed in (-1, 0, 10**30):
+        assert call(seed) == call(seed)
 
 
 def test_the_rule_takes_its_bounds_inclusive():

@@ -175,6 +175,7 @@ def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
     monkeypatch.setattr(tower, "random", types.SimpleNamespace(Random=forbidden))
     for name in verify.SUITES[:-1]:
         monkeypatch.setattr(verify, f"suite_{name}", forbidden)
+    cli._model_of.cache_clear()  # the model kept from the call above would hide a build made before the cap check
     assert run_main(["lc-check", "--samples", str(MAX_SAMPLES + 1)], emit_tower(spec)) == (EXIT_RESOURCE, "")
     for suite in verify.SUITES:
         assert run_main(["verify", "--suite", suite, "--samples", str(MAX_SAMPLES + 1)], "") == (EXIT_RESOURCE, "")
@@ -183,6 +184,7 @@ def test_sample_counts_over_the_cap_are_a_cap_before_any_work(monkeypatch):
 
 
 def test_face_walks_past_the_face_cap_are_a_cap(monkeypatch):
+    import torictower.cli as cli
     import torictower.lattice as lattice
     import torictower.toric as toric
 
@@ -192,6 +194,7 @@ def test_face_walks_past_the_face_cap_are_a_cap(monkeypatch):
     assert run_main(["build"], doc)[0] == 0  # build walks no face lattice
     assert run_main(["local-model"], doc) == (EXIT_RESOURCE, "")
     monkeypatch.setattr(toric, "MAX_FACES", 50)
+    cli._model_of.cache_clear()  # a cap constant is no part of the kept model's key: build again under it
     assert run_main(["build"], doc) == (EXIT_RESOURCE, "")
     assert run_main(["local-model"], doc) == (EXIT_RESOURCE, "")
 

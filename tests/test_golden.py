@@ -91,6 +91,14 @@ def test_cli_output_is_byte_identical(name, argv, doc):
     assert run_cli(argv, doc) == _golden()[name]
 
 
+def test_commands_in_a_row_give_the_bytes_each_gives_alone():
+    """Each case above runs on empty cli caches (tests/conftest.py); here the
+    corpus runs in one go, so every command after a document's first reads
+    the parse and build the cli kept."""
+    golden = _golden()
+    assert {name: run_cli(argv, doc) for name, argv, doc in CASES} == golden
+
+
 def test_stress_tower_shape_and_validity():
     model = build_model(STRESS_TOWER)
     top = model.levels[-1].fan

@@ -21,6 +21,7 @@ import torictower.tower
 import torictower.verify as verify
 from torictower.documents import emit_tower
 from torictower.lattice import Cone, Fan
+from torictower.toric import NotQCartier
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
 EVERY = None  # wrong on every call
@@ -110,6 +111,15 @@ def case_simplicial(mp):
 
 def case_subdivision(mp):  # the second call is the refined fan's
     wrong_at(mp, verify, "log_discrepancy", _plus_one, calls=(2,))
+    return verify.suite_toric(3, samples=2)
+
+
+def case_q_cartier(mp):  # the first valuation's log discrepancy raises, as with a wrong Cartier solve
+    def not_q_cartier(real, fan, divisor, e):
+        cone = fan.maximal_cones[0]
+        raise NotQCartier(cone, f"not Q-Cartier on cone {list(cone.generators)}")
+
+    wrong_at(mp, verify, "log_discrepancy", not_q_cartier)
     return verify.suite_toric(3, samples=2)
 
 
@@ -287,7 +297,7 @@ def test_every_reachable_violation_kind_is_pinned():
     kinds = {v["kind"] for case in _golden().values() for v in case["violations"]}
     assert kinds == {
         "hnf", "snf", "dual-involution", "dual-oracle", "contains", "primitive", "simplicial", "subdivision",
-        "character", "functoriality", "lc-couple", "fan", "cartier", "node-ray", "product-ray", "splitting",
+        "q-cartier", "character", "functoriality", "lc-couple", "fan", "cartier", "node-ray", "product-ray", "splitting",
         "basechange", "basechange-linearity", "basechange-identity", "volume", "degree",
         "degree-additive", "monotonicity", "no-centre-on-P", "projection", "fiber", "node-chart-dual", "support",
     }
