@@ -64,21 +64,14 @@ def _fan_document(fan):  # every fan written here lists its cones' rays in lex o
 
 
 @functools.lru_cache(maxsize=1)
-def _spec_of(text, digit_limit):
-    """The spec of the last tower document parsed.  The int-to-str digit
-    limit (sys.get_int_max_str_digits()) is in the key: the parse reads it."""
-    return parse_tower(text)
-
-
-@functools.lru_cache(maxsize=1)
 def _model_of(text, max_rays, max_dim, digit_limit):
     """The model of the last tower document built, so that commands run one
     after another in one process on one document parse and build it once.
-    The key is everything a load reads: the text, both caps and the digit
-    limit, which build_model's digit check reads too.  A failed parse or
-    build is not kept and raises again.  Every handler shares the model, so
-    none may mutate it."""
-    return build_model(_spec_of(text, digit_limit), max_rays=max_rays, max_dim=max_dim)
+    The key is everything a load reads: the text, both caps and the
+    int-to-str digit limit, which the parse and build_model's digit check
+    read.  A failed parse or build is not kept and raises again.  Every
+    handler shares the model, so none may mutate it."""
+    return build_model(parse_tower(text), max_rays=max_rays, max_dim=max_dim)
 
 
 def _load_model(args):
@@ -134,7 +127,7 @@ def cmd_map_to_proj(args):
 
 
 def cmd_base_change(args):
-    spec = _spec_of(_read_input(args.input), sys.get_int_max_str_digits())
+    spec = parse_tower(_read_input(args.input))
     orders = tuple(parse_int(c, "--orders") for c in args.orders.split(",")) if args.orders else ()
     germ = CurveGermData(orders=orders, on_boundary=args.on_boundary)
     return emit_tower(base_change_to_curve(spec, germ))

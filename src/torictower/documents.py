@@ -58,11 +58,9 @@ def _scalar(x):
             return '"' + str(x) + '"'
         except ValueError:  # more digits than the interpreter's int-to-str limit
             raise ResourceCapError("result has too many digits to print") from None
-    if isinstance(x, (list, tuple, dict)):
-        if x:
-            raise TypeError("not a scalar")
-        return "{}" if isinstance(x, dict) else "[]"
-    return json.dumps(x)  # a float: elapsed_ms
+    if x and isinstance(x, (list, tuple, dict)):
+        raise TypeError("not a scalar")
+    return json.dumps(x)
 
 
 def _emit(obj, newline, put, texts):

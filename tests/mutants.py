@@ -152,6 +152,8 @@ MUTANTS = (
     ("lattice.py", "if not _is_int(value):", "if not isinstance(value, int):", (COUNTS,)),
     ("lattice.py", "if value < low:", "if value < 0:", (COUNTS,)),
     ("lattice.py", "if cap is not None and value > cap:", "if False:", (COUNTS,)),
+    # a value whose repr passes the int-to-str digit limit is named, not left to raise a bare ValueError
+    ("lattice.py", '        return f"<{type(value).__name__} past the digit limit>"\n', "        raise\n", (COUNTS,)),
     # a sampled suite called directly applies the sample rule itself
     ("verify.py", 'is Gorenstein."""\n    check_samples(samples)\n', 'is Gorenstein."""\n',
      ("tests/test_verify.py::test_sampled_suites_called_directly_apply_the_sample_rule",)),

@@ -610,8 +610,9 @@ def test_importing_the_cli_loads_no_dataclasses_or_inspect():
     assert not added & {"dataclasses", "inspect"}
 
 
-# The cli keeps the last tower document's parse and build: every command in
-# a row on one document reads it once.  Each test starts with both caches
+# The cli keeps the model of the last tower document it built: every command
+# in a row on one document parses and builds it once (base-change reads no
+# model and parses its document each time).  Each test starts with the cache
 # empty (tests/conftest.py).
 
 
@@ -638,7 +639,7 @@ def test_commands_in_a_row_on_one_document_parse_and_build_it_once(tmp_path, cap
         alone = run_cli(capsys, *argv, "--input", path)
         assert alone[0] == EXIT_OK
         assert run_cli(capsys, *argv, "--input", copy) == alone  # the key is the text, not the path
-    assert (len(builds), len(parses)) == (1, 1)
+    assert (len(builds), len(parses)) == (1, 1 + 2)  # one load, and base-change's two parses
 
 
 def test_a_new_text_or_cap_builds_again(tmp_path, capsys, monkeypatch):
@@ -646,23 +647,23 @@ def test_a_new_text_or_cap_builds_again(tmp_path, capsys, monkeypatch):
     path = write_tower(tmp_path, SIMPLE)
     other = write_tower(tmp_path, SIMPLE.replace('"2"', '"3"'), "other.json")
     steps = [
-        ([path], 1, 1),
-        ([other], 2, 2),
-        ([path], 3, 3),
-        ([path, "--max-rays", "9"], 4, 3),  # a cap is no part of the parse
-        ([path, "--max-rays", "9", "--max-dim", "9"], 5, 3),
-        ([path, "--max-rays", "9", "--max-dim", "9", "--seed", "4"], 5, 3),  # the seed is no part of a build
+        ([path], 1),
+        ([other], 2),
+        ([path], 3),
+        ([path, "--max-rays", "9"], 4),
+        ([path, "--max-rays", "9", "--max-dim", "9"], 5),
+        ([path, "--max-rays", "9", "--max-dim", "9", "--seed", "4"], 5),  # the seed is no part of a build
     ]
-    for argv, built, parsed in steps:
+    for argv, loads in steps:
         assert run_cli(capsys, "build", "--input", *argv)[0] == EXIT_OK
-        assert (len(builds), len(parses)) == (built, parsed), argv
+        assert (len(builds), len(parses)) == (loads, loads), argv
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(641 if saved == 640 else 640)
     try:
         assert run_cli(capsys, "build", "--input", path)[0] == EXIT_OK
     finally:
         sys.set_int_max_str_digits(saved)
-    assert (len(builds), len(parses)) == (6, 4)
+    assert (len(builds), len(parses)) == (6, 6)
 
 
 def test_a_lowered_digit_limit_reads_the_document_again(tmp_path, capsys):
@@ -700,5 +701,5 @@ def test_a_document_that_fails_fails_again(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, "build", "--input", over, "--max-rays", "2")[:2] == (EXIT_RESOURCE, "")
         for argv in MODEL_COMMANDS:
             assert run_cli(capsys, *argv, "--input", bad)[:2] == (EXIT_USAGE, ""), argv
-    # the capped build parsed once, then failed twice; the bad document failed twice per command
-    assert (len(builds), len(parses)) == (2, 1 + 2 * len(MODEL_COMMANDS))
+    # the capped build parsed and failed twice; the bad document failed to parse twice per command
+    assert (len(builds), len(parses)) == (2, 2 + 2 * len(MODEL_COMMANDS))

@@ -7,12 +7,14 @@ least count and, where it has a cap, one past it.  Each must raise
 message, never a bare `TypeError` or `ValueError`, and a valid call still
 works.  The messages themselves are written once, in `check_count`; only
 `TowerSpec`, which names every failure at once, keeps its own.  A value past
-the int-to-str digit limit is named by its bit length, not printed.
+the int-to-str digit limit is not printed: an int is named by its bit
+length, any other value by its type.
 """
 
 import ast
 import pathlib
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -70,6 +72,8 @@ CASES = [
                  "n <int of 16610 bits> exceeds cap 3", id="huge-over-cap"),
     pytest.param(lambda v: base_change_to_curve(SPEC, CurveGermData((v,), True)), -(10**5000), LatticeError,
                  "vanishing order must be >= 0, got -<int of 16610 bits>", id="vanishing_order-huge"),
+    pytest.param(lambda v: check_count(v, "n"), Fraction(10**5000), LatticeError,
+                 "n <Fraction past the digit limit> is not an int", id="huge-fraction"),
 ]
 
 # the counts a site derives from its arguments and holds to a cap

@@ -1,5 +1,4 @@
 import json
-from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from torictower.documents import (
     Report,
     TowerDocumentError,
     _canonical_json,
-    _scalar,
     emit_tower,
     parse_divisor,
     parse_tower,
@@ -189,14 +187,6 @@ def test_canonical_json_equals_indented_json_dumps(value):
 @given(_json_values(NUMBER_FREE_SCALARS))
 def test_canonical_json_of_number_free_values_is_indented_json_dumps(value):
     assert _canonical_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
-
-
-@pytest.mark.parametrize("value", [[], (), {}, namedtuple("Empty", "")(), 0.25, -1e300, float("nan")],
-                         ids=["list", "tuple", "dict", "record", "float", "big-float", "nan"])
-def test_empty_containers_and_floats_are_written_as_json_dumps_writes_them(value):
-    """Empty containers are written without json.dumps, floats (a report's
-    elapsed_ms) through it: either way the bytes are json.dumps's."""
-    assert _scalar(value) == json.dumps(value)
 
 
 def test_canonical_json_writes_numbers_as_decimal_strings_and_caps_their_digits():

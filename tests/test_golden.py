@@ -92,9 +92,9 @@ def test_cli_output_is_byte_identical(name, argv, doc):
 
 
 def test_commands_in_a_row_give_the_bytes_each_gives_alone():
-    """Each case above runs on empty cli caches (tests/conftest.py); here the
-    corpus runs in one go, so every command after a document's first reads
-    the parse and build the cli kept."""
+    """Each case above runs on an empty cli cache (tests/conftest.py); here
+    the corpus runs in one go, so every command after a document's first
+    reads the model the cli kept."""
     golden = _golden()
     assert {name: run_cli(argv, doc) for name, argv, doc in CASES} == golden
 
