@@ -24,7 +24,6 @@ from .lattice import DEFAULT_MAX_DIM, DEFAULT_MAX_RAYS, LatticeError, ResourceCa
 from .polytope import relative_degree_on_P, relative_volume_on_P
 from .tower import (
     CurveGermData,
-    NodeMove,
     base_change_to_curve,
     build_model,
     in_projective_support,
@@ -151,15 +150,13 @@ def cmd_local_model(args):
         fan = model.levels[level - 1].fan
         move = model.spec.moves[level - 2]
         classify = orbit_classifier(move, fan.all_rays)
-        character = None
-        if isinstance(move, NodeMove):
-            character = {"alpha_exponents": move.alpha_exponents, "t_exponents": move.t_exponents}
+        character = move._asdict()  # one dict per level, shared by the level's node entries
         entries = []
         # (size, ray indices) is the (size, generators) order: all_rays is lex-sorted
         for _, face, mask in sorted((m.bit_count(), bit_indices(m), m) for m in fan.face_masks()):
-            lm = classify(mask)
-            entry = {"rays": [fan.all_rays[i] for i in face], "kind": lm.kind}
-            if lm.node_character is not None:
+            kind = classify(mask)
+            entry = {"rays": [fan.all_rays[i] for i in face], "kind": kind}
+            if kind == "node":
                 entry["node_character"] = character
             entries.append(entry)
         data_levels.append({"level": level, "cones": entries})

@@ -121,19 +121,8 @@ def _parse_int_list(value, where):
 
 
 def emit_tower(spec):
-    """Canonical JSON text of a tower spec."""
-    moves = []
-    for move in spec.moves:
-        if isinstance(move, ProductMove):
-            moves.append({"type": "product"})
-        else:
-            moves.append(
-                {
-                    "type": "node",
-                    "alpha_exponents": move.alpha_exponents,
-                    "t_exponents": move.t_exponents,
-                }
-            )
+    """Canonical JSON text of a tower spec: each move is its type and its record's fields."""
+    moves = [{"type": "product" if isinstance(move, ProductMove) else "node", **move._asdict()} for move in spec.moves]
     return _canonical_json({"format_version": FORMAT_VERSION, "base_dim": spec.base_dim, "moves": moves})
 
 
@@ -188,16 +177,10 @@ def parse_tower(text):
         if kind == "product":
             moves.append(ProductMove())
         elif kind == "node":
-            if "alpha_exponents" not in raw:
-                raise TowerDocumentError(f"{where}: node move missing field 'alpha_exponents'")
-            if "t_exponents" not in raw:
-                raise TowerDocumentError(f"{where}: node move missing field 't_exponents'")
-            moves.append(
-                NodeMove(
-                    alpha_exponents=_parse_int_list(raw["alpha_exponents"], f"{where}.alpha_exponents"),
-                    t_exponents=_parse_int_list(raw["t_exponents"], f"{where}.t_exponents"),
-                )
-            )
+            for field in NodeMove._fields:
+                if field not in raw:
+                    raise TowerDocumentError(f"{where}: node move missing field {field!r}")
+            moves.append(NodeMove._make(_parse_int_list(raw[f], f"{where}.{f}") for f in NodeMove._fields))
         else:
             raise TowerDocumentError(f"{where}: unknown move type {kind!r}")
     try:
@@ -231,9 +214,9 @@ def random_tower(p, d, max_exponent, seed):
 class Report(CheckOutcome):
     """Machine-readable command report: a CheckOutcome plus command, seed and data."""
 
-    def __init__(self, *, command, seed=None, data=None, elapsed_ms=None, **counts):
+    def __init__(self, *, command, seed=None, data=None, **counts):
         super().__init__(**counts)
-        self.command, self.seed, self.elapsed_ms = command, seed, elapsed_ms
+        self.command, self.seed, self.elapsed_ms = command, seed, None  # cli.main times the handler
         self.data = {} if data is None else data
 
     def to_dict(self, include_timing=False):

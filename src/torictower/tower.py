@@ -133,13 +133,6 @@ class CurveGermData(namedtuple("CurveGermData", "orders on_boundary")):
     __slots__ = ()
 
 
-class LocalModel(namedtuple("LocalModel", "kind node_character", defaults=(None,))):
-    """Fibration-local classification of a torus orbit at some level: kind is
-    "smooth_plain", "smooth_on_section" or "node", the last with its NodeMove."""
-
-    __slots__ = ()
-
-
 class TowerLevel(namedtuple("TowerLevel", "fan")):
     """One level of a tower model.  Its toric boundary, `boundary_divisor(fan)`,
     and its map to the level below, which drops the last coordinate, follow
@@ -369,8 +362,9 @@ def base_change_to_curve(spec, germ):
 
 
 def orbit_classifier(move, rays):
-    """The local model of a torus orbit at the level built by `move`, as a
-    function of the orbit's cone given as a mask over `rays`.
+    """The kind of a torus orbit's fibration-local model at the level built
+    by `move` ("smooth_plain", "smooth_on_section" or "node"), as a function
+    of the orbit's cone given as a mask over `rays`.
 
     Product move: smooth_on_section iff the cone contains the new-coordinate
     ray e_new (the vanishing section of the new variable); e_new is a ray of
@@ -379,20 +373,17 @@ def orbit_classifier(move, rays):
     the orbit, i.e. some ray has positive last coordinate and some ray (v, s)
     has <m, v> - s > 0; otherwise smooth_plain.
     """
-    plain = LocalModel(kind="smooth_plain")
     if isinstance(move, ProductMove):
         section = sum(1 << i for i, g in enumerate(rays) if g[-1] == 1 and not any(g[:-1]))
-        on_section = LocalModel(kind="smooth_on_section")
-        return lambda mask: on_section if mask & section else plain
+        return lambda mask: "smooth_on_section" if mask & section else "smooth_plain"
     m = move.lattice_exponents()
     alpha = sum(1 << i for i, g in enumerate(rays) if g[-1] > 0)
     alpha_prime = sum(1 << i for i, g in enumerate(rays) if dot(m, g[:-1]) - g[-1] > 0)
-    node = LocalModel(kind="node", node_character=move)
-    return lambda mask: node if mask & alpha and mask & alpha_prime else plain
+    return lambda mask: "node" if mask & alpha and mask & alpha_prime else "smooth_plain"
 
 
 def local_model_at(model, level, cone):  # no caller in src/; the benchmark traces it
-    """Classify the torus orbit of a level-`level` cone relative to the
+    """The kind of the torus orbit of a level-`level` cone relative to the
     fibration to the previous level, by `orbit_classifier`.
 
     The level must be a count from 2 to the depth, and the cone a face of a

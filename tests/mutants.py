@@ -34,6 +34,12 @@ CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError(
 LOAD = "    return _model_of(_read_input(args.input), args.max_rays, args.max_dim, sys.get_int_max_str_digits())\n"
 ANY_CAP = 'type("AnyCap", (int,), {"__eq__": lambda a, b: True, "__hash__": lambda a: 0})(args.max_rays)'
 LOWER_CAP = "tests/test_cli.py::test_a_lower_cap_right_after_a_default_run_is_a_cap"
+LOCAL_MODEL_ORACLE = "tests/test_cli.py::test_local_model_levels_match_the_face_by_face_oracle"
+MISSING_FIELD = (
+    "            for field in NodeMove._fields:\n"
+    "                if field not in raw:\n"
+    '                    raise TowerDocumentError(f"{where}: node move missing field {field!r}")\n'
+)
 MAKE_OVERRIDE = (
     "    @classmethod\n"
     "    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__\n"
@@ -218,6 +224,14 @@ MUTANTS = (
     ("cli.py", LOAD, LOAD.replace("sys.get_int_max_str_digits()", "0"),
      ("tests/test_cli.py::test_a_lowered_digit_limit_reads_the_document_again",)),
     ("cli.py", "max_rays=max_rays, max_dim=max_dim)", "max_rays=max_rays)", (LOWER_CAP,)),
+    # an orbit where both branch coordinates vanish is a node, and only a node entry carries the character
+    ("tower.py", '"node" if mask & alpha and mask & alpha_prime', '"smooth_plain" if mask & alpha and mask & alpha_prime',
+     ("tests/test_tower.py::test_local_model_matches_jacobian_oracle",)),
+    ("cli.py", 'if kind == "node":', 'if kind != "smooth_on_section":', (LOCAL_MODEL_ORACLE,)),
+    # a move's document type follows its record, and a node move names each of NodeMove's fields it lacks
+    ("documents.py", '"product" if isinstance(move, ProductMove) else "node"', '"node"',
+     ("tests/test_documents.py::test_round_trip_on_random_specs",)),
+    ("documents.py", MISSING_FIELD, "", ("tests/test_documents.py::test_parse_missing_field_error",)),
 )
 
 

@@ -723,12 +723,13 @@ def local_model_report_oracle(model, levels):
                 faces.setdefault(face.generators, face)
         entries = []
         for gens in sorted(faces, key=lambda g: (len(g), g)):
-            lm = local_model_at(model, level, faces[gens])
-            entry = {"rays": [[str(x) for x in g] for g in gens], "kind": lm.kind}
-            if lm.node_character is not None:
+            kind = local_model_at(model, level, faces[gens])
+            entry = {"rays": [[str(x) for x in g] for g in gens], "kind": kind}
+            if kind == "node":
+                move = model.spec.moves[level - 2]
                 entry["node_character"] = {
-                    "alpha_exponents": [str(x) for x in lm.node_character.alpha_exponents],
-                    "t_exponents": [str(x) for x in lm.node_character.t_exponents],
+                    "alpha_exponents": [str(x) for x in move.alpha_exponents],
+                    "t_exponents": [str(x) for x in move.t_exponents],
                 }
             entries.append(entry)
         out.append({"level": str(level), "cones": entries})

@@ -236,7 +236,7 @@ def test_acceptance_6_local_models():
                 if face.generators in seen:
                     continue
                 seen.add(face.generators)
-                assert local_model_at(model, 2, face).kind == oracle(move, face)
+                assert local_model_at(model, 2, face) == oracle(move, face)
     report(6, "local models vs Jacobian oracle", time.monotonic() - start, 10.0)
 
 

@@ -64,14 +64,23 @@ def test_parse_rejects_a_base_dim_below_one():
 
 
 def test_parse_missing_field_error():
-    with pytest.raises(TowerDocumentError, match="alpha_exponents"):
-        parse_tower('{"base_dim": 1, "moves": [{"type": "node", "t_exponents": [1]}]}')
+    # the fields are NodeMove's, checked in its field order
+    for move in ('{"type": "node", "t_exponents": [1]}', '{"type": "node"}'):
+        with pytest.raises(TowerDocumentError, match=r"^moves\[0\]: node move missing field 'alpha_exponents'$"):
+            parse_tower('{"base_dim": 1, "moves": [' + move + ']}')
     with pytest.raises(TowerDocumentError, match=r"^moves\[0\]: node move missing field 't_exponents'$"):
         parse_tower('{"base_dim": 1, "moves": [{"type": "node", "alpha_exponents": []}]}')
     with pytest.raises(TowerDocumentError, match="base_dim"):
         parse_tower('{"moves": []}')
     with pytest.raises(TowerDocumentError, match="^missing field 'fiber_dim'$"):
         parse_divisor('{"hyperplane_coefficients": ["1"]}')
+
+
+def test_parse_rejects_moves_and_exponents_that_are_not_lists():
+    with pytest.raises(TowerDocumentError, match="^moves: expected a list$"):
+        parse_tower('{"base_dim": "1", "moves": {}}')
+    with pytest.raises(TowerDocumentError, match=r"^moves\[0\]\.t_exponents: expected a list$"):
+        parse_tower('{"base_dim": "1", "moves": [{"type": "node", "alpha_exponents": [], "t_exponents": "1"}]}')
 
 
 def test_parse_malformed_text_carries_position():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from corpus import STRESS_TOWER
 from test_golden import SEED
-from torictower.cli import EXIT_RESOURCE, EXIT_VIOLATIONS, main
+from torictower.cli import EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, main
 from torictower.documents import emit_tower, random_tower
 from torictower.lattice import DEFAULT_MAX_DIM, MAX_SAMPLES, ResourceCapError
 from torictower.verify import random_towers
@@ -134,6 +134,10 @@ def test_a_report_past_the_digit_limit_is_a_cap(command):
     shorter = json.loads(DIGIT_LIMIT_TOWER)
     del shorter["moves"][-1]
     assert run_main([command, "--max-dim", "6", "--max-rays", "60"], json.dumps(shorter))[0] in (0, 1)
+
+
+def test_moves_that_are_not_a_list_are_a_bad_document():
+    assert run_main(["build"], '{"base_dim": "1", "moves": {}}') == (EXIT_USAGE, "")
 
 
 def test_the_ray_cap_holds_level_one():

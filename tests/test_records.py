@@ -1,6 +1,6 @@
 """What the package's records keep now that they are named tuples.
 
-The nine immutable records are `collections.namedtuple` subclasses: equal
+The eight immutable records are `collections.namedtuple` subclasses: equal
 records hash equal and no field can be assigned.  `TowerSpec` and
 `ProjectiveDivisorData` check their rules in `__new__`, and `_make`, which
 `_replace` builds through, is overridden so no construction path skips
@@ -19,7 +19,6 @@ from torictower.polytope import ProjectiveDivisorData
 from torictower.toric import CartierData
 from torictower.tower import (
     CurveGermData,
-    LocalModel,
     NodeMove,
     ProductMove,
     TowerLevel,
@@ -36,7 +35,6 @@ RECORDS = {
     "NodeMove": lambda: NodeMove((2,), (-1, 0)),
     "TowerSpec": lambda: TowerSpec(1, (NodeMove((), (1,)), ProductMove())),
     "CurveGermData": lambda: CurveGermData((1, 0), True),
-    "LocalModel": lambda: LocalModel("node", NodeMove((), (1,))),
     "TowerLevel": lambda: TowerLevel(orthant_fan(2)),
     "TowerModel": lambda: TowerModel(SPEC, (TowerLevel(orthant_fan(1)),)),
 }
