@@ -11,8 +11,8 @@ A face of a canonical cone is determined by its rays, so a face is only
 ever an int bitmask over its fan's ray index (a lone cone is a one-cone
 fan), and containment between faces is subset inclusion, no geometric test.
 A fan whose cones lift faces of another (a subfan, a tower level) is a
-`derived_fan`: one rule derives its facet masks from the other fan's by bit
-arithmetic, in place of a double description pass per cone.
+`derived_fan`, built with its facet masks derived from the other fan's by
+bit arithmetic, in place of a double description pass per cone.
 """
 
 import functools
@@ -313,6 +313,14 @@ def halfspace_intersection(constraints, n):
     A lineality vector or ray v whose pairing with the new row is 0 is kept as
     it is: its combination s0*v - 0*l0 is s0*v, and v is already primitive (a
     unit vector, l0, or a primitive combination), so primitive(s0*v) is v.
+
+    No combination is zero, so _primitive_combination never meets one.  The
+    lineality vectors stay independent, so s0*l - s*l0 (l != l0) is not zero.
+    No ray lies in the lineality span L, which only shrinks: a new ray l0 has
+    <a, l0> = s0 != 0, so it leaves the new span; s0*r - rv*l0 in the new
+    span would put r in the old one, so it is also not zero; and
+    pv*q - qv*p (pv > 0 > qv) in L, zero included, would put p and -p in the
+    cone modulo L, which is pointed, so p in L.
     """
     lineality = [unit_vector(n, i) for i in range(n)]
     rays = []  # (vector, tight-bitmask over processed constraints)
@@ -363,9 +371,7 @@ def halfspace_intersection(constraints, n):
                         ):
                             continue
                         # exact: <c, w> = pv<c, q> - qv<c, p>, both terms >= 0
-                        w = _primitive_combination(pv, q, qv, p)
-                        if w is not None:
-                            combos.setdefault(w, t | bit)
+                        combos.setdefault(_primitive_combination(pv, q, qv, p), t | bit)
                 rays = [(r, m) for r, m, _ in pos] + zero + sorted(combos.items())
             else:
                 rays = [(r, m) for r, m, _ in pos] + zero
@@ -379,12 +385,12 @@ def halfspace_intersection(constraints, n):
 
 
 def _primitive_combination(a, x, b, y):
-    """primitive(a*x - b*y) in one pass, or None when it is zero."""
+    """primitive(a*x - b*y) in one pass; never zero in halfspace_intersection."""
     w = [a * p - b * q for p, q in zip(x, y)]
     g = math.gcd(*w)
     if g == 1:
         return tuple(w)
-    return tuple([c // g for c in w]) if g else None
+    return tuple([c // g for c in w])
 
 
 def _dual(c):
@@ -605,14 +611,14 @@ class Fan:
     the ray index (see ray_index).
 
     all_rays is the deduplicated lex-sorted union of the cones' rays.
-    Construction does not validate; see fan_validate.  `facets`, if given, is
-    a rule facets(fan, k) giving the facet masks of maximal cone k, in any
-    order, from the fan this one was built from (see facet_masks).
+    Construction does not validate; see fan_validate.  `orthant_fan` and
+    `derived_fan` set every cone's facet masks when they build the fan (see
+    facet_masks).
     """
 
-    __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "_index", "_facets", "_facet_rule")
+    __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "_index", "_facets")
 
-    def __init__(self, ambient_dim, cones, facets=None):
+    def __init__(self, ambient_dim, cones):
         (self.ambient_dim,) = _integers((ambient_dim,))
         seen = {}
         for c in cones:
@@ -622,8 +628,7 @@ class Fan:
         self.maximal_cones = tuple(sorted(seen.values(), key=lambda c: c.generators))
         self.all_rays = tuple(sorted({g for c in self.maximal_cones for g in c.generators}))
         self._index = None
-        self._facets = {}
-        self._facet_rule = facets
+        self._facets = {}  # maximal cone index -> its facet masks, ascending
 
     @classmethod
     def from_cones(cls, ambient_dim, cones):  # no caller in src/; the benchmark traces it
@@ -673,22 +678,18 @@ class Fan:
         return self._index
 
     def facet_masks(self, k):
-        """The facets of maximal cone k as masks over the ray index, ascending
-        (memoized on the first call).  A fan built with a `facets` rule derives
-        them by bit arithmetic; any other fan takes, per facet normal of the
+        """The facets of maximal cone k as masks over the ray index, ascending.
+        `orthant_fan` and `derived_fan` set them when they build the fan; any
+        other fan takes, on the first call (memoized), per facet normal of the
         cone (one double description pass), its rays on the hyperplane, a
         repeated generator as one bit."""
         if k not in self._facets:
-            if self._facet_rule is not None:
-                masks = self._facet_rule(self, k)
-            else:
-                bit, _ = self.ray_index()
-                gens = self.maximal_cones[k].generators
-                masks = (
-                    functools.reduce(operator.or_, (bit[g] for g in gens if dot(nrm, g) == 0), 0)
-                    for nrm in self.maximal_cones[k].halfspaces()[0]
-                )
-            self._facets[k] = tuple(sorted(masks))
+            bit, _ = self.ray_index()
+            gens = self.maximal_cones[k].generators
+            self._facets[k] = tuple(sorted(
+                functools.reduce(operator.or_, (bit[g] for g in gens if dot(nrm, g) == 0), 0)
+                for nrm in self.maximal_cones[k].halfspaces()[0]
+            ))
         return self._facets[k]
 
     def _is_face(self, k, mask):
@@ -718,23 +719,25 @@ def orthant_fan(n):
     """Fan of affine n-space: the positive orthant and its faces.  Its facets
     are the masks that leave out one ray."""
     full = (1 << n) - 1
-    cone = Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n))))
-    return Fan(n, (cone,), lambda fan, k: (full & ~(1 << i) for i in range(n)))
+    fan = Fan(n, (Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n)))),))
+    fan._facets[0] = tuple(sorted(full & ~(1 << i) for i in range(n)))
+    return fan
 
 
 def derived_fan(source, ambient_dim, faces, images, apex=None):
-    """The fan whose maximal cones lift faces of `source`, its facet masks
-    derived from `source`'s: no double description.  `faces` lists pairs
-    (k, tau), tau a face mask of maximal cone k of `source`; None lifts each
-    maximal cone whole, read off its generators.  A mask lifts to the images
-    of its rays under each one-to-one function in `images`, plus `apex` if
-    given.  Every face is an intersection of facets (Cox-Little-Schenck,
-    §1.2), so the facets of the lift of tau are the maximal masks, other than
-    the lift, among the lifts of the cuts tau & f (f a facet of cone k) and
-    the images of tau under each function alone.  Precondition: the lifts
-    are distinct canonical cones that form a fan, and each facet of a lift
-    is such a lift or image (as for a subfan, a product and a node chart)."""
-    rays = source.all_rays
+    """The fan whose maximal cones lift faces of `source`, each cone's facet
+    masks set here, derived from `source`'s: no double description.  `faces`
+    lists pairs (k, tau), tau a face mask of maximal cone k of `source`; None
+    lifts each maximal cone whole, read off its generators.  A mask lifts to
+    the images of its rays under each one-to-one function in `images`, plus
+    `apex` if given.  Every face is an intersection of facets
+    (Cox-Little-Schenck, §1.2), so the facets of the lift of tau are the
+    maximal masks, other than the lift, among the lifts of the cuts tau & f
+    (f a facet of cone k) and the images of tau under each function alone.
+    Precondition: the lifts are distinct canonical cones that form a fan, and
+    each facet of a lift is such a lift or image (as for a subfan, a product
+    and a node chart)."""
+    rays, source_tops = source.all_rays, source.ray_index()[1]
     if faces is None:
         faces = [(k, None) for k in range(len(source.maximal_cones))]
     lifts = []
@@ -743,22 +746,17 @@ def derived_fan(source, ambient_dim, faces, images, apex=None):
         gens = [img(u) for img in images for u in face] + ([] if apex is None else [apex])
         lifts.append((tuple(sorted(gens if len(images) == 1 else set(gens))), k, tau))
     lifts.sort()  # the order of the fan's maximal cones: distinct lifts never tie
-    rule = functools.partial(_derived_facets, source, [(k, tau) for _, k, tau in lifts], images, apex)
-    return Fan(ambient_dim, [Cone(ambient_dim, gens) for gens, _, _ in lifts], rule)
-
-
-def _derived_facets(source, faces, images, apex, fan, j):
-    """The facet masks of maximal cone j of a `derived_fan`, the lift of the
-    face faces[j] = (k, tau) of `source`."""
+    fan = Fan(ambient_dim, [Cone(ambient_dim, gens) for gens, _, _ in lifts])
     bit, tops = fan.ray_index()
-    k, tau = faces[j]
-    idx = bit_indices(source.ray_index()[1][k] if tau is None else tau)
-    each = [[bit[img(source.all_rays[u])] for u in idx] for img in images]  # per function: the bits of tau's rays' images
-    lift = [functools.reduce(operator.or_, bits) for bits in zip(*each)]
     base = 0 if apex is None else bit[apex]
-    candidates = [sum([b for u, b in zip(idx, lift) if f >> u & 1], base) for f in source.facet_masks(k)]
-    candidates += map(sum, each)
-    return maximal_masks([c for c in candidates if c != tops[j]])
+    for j, (_, k, tau) in enumerate(lifts):
+        idx = bit_indices(source_tops[k] if tau is None else tau)
+        each = [[bit[img(rays[u])] for u in idx] for img in images]  # per function: the bits of tau's rays' images
+        lift = [functools.reduce(operator.or_, bits) for bits in zip(*each)]
+        candidates = [sum([b for u, b in zip(idx, lift) if f >> u & 1], base) for f in source.facet_masks(k)]
+        candidates += map(sum, each)
+        fan._facets[j] = tuple(sorted(maximal_masks([c for c in candidates if c != tops[j]])))
+    return fan
 
 
 def projective_fan(n):

@@ -235,8 +235,7 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
             sub = regularity_subfan(prev, m)
             height = {u: dot(m, u) for u in sub.all_rays}
             _check_digits(height.values())
-            # h=height binds this move's heights: facet rules run after the loop has moved on
-            fan = derived_fan(sub, n, None, [lambda u: u + (0,), lambda u, h=height: u + (h[u],)])
+            fan = derived_fan(sub, n, None, [lambda u: u + (0,), lambda u: u + (height[u],)])
         levels.append(_capped_level(fan, max_rays))
     return TowerModel(spec=spec, levels=tuple(levels))
 

@@ -55,14 +55,22 @@ MUTANTS = (
     # the regular-face search steps only to facets that miss the lowest irregular ray
     ("toric.py", "if not f & low:", "if f & low:", ("tests/test_regular_face_net.py",)),
     # a product level keeps the facet sigma x {0}, the image of sigma under u -> (u, 0) without the apex
-    ("lattice.py", "    candidates += map(sum, each)\n", "    candidates += map(sum, each) if apex is None else ()\n",
-     ("tests/test_facet_net.py",)),
+    ("lattice.py", "        candidates += map(sum, each)\n",
+     "        candidates += map(sum, each) if apex is None else ()\n", ("tests/test_facet_net.py",)),
     # a derived fan's facet candidates hold the images of tau under each map alone,
     # its cuts lift with the apex, and the lift itself is no facet of its own
-    ("lattice.py", "    candidates += map(sum, each)\n", "", ("tests/test_facet_net.py",)),
+    ("lattice.py", "        candidates += map(sum, each)\n", "", ("tests/test_facet_net.py",)),
     ("lattice.py", "if f >> u & 1], base)", "if f >> u & 1])", ("tests/test_facet_net.py",)),
     ("lattice.py", "maximal_masks([c for c in candidates if c != tops[j]])", "maximal_masks(candidates)",
      ("tests/test_facet_net.py",)),
+    # the orthant's facets leave out one ray each
+    ("lattice.py", "full & ~(1 << i)", "full",
+     ("tests/test_facet_net.py::test_derived_facet_masks_match_oracle_on_near_cap_towers",)),
+    # no int-to-str digit limit (0) is no digit cap
+    ("tower.py", "if limit and any(", "if any(", ("tests/test_tower.py::test_no_int_to_str_digit_limit_is_no_digit_cap",)),
+    # --output - is stdout, not a file named "-"
+    ("cli.py", 'if path is None or path == "-":\n        sys.stdout', 'if path is None:\n        sys.stdout',
+     ("tests/test_cli.py::test_output_dash_writes_the_report_to_stdout",)),
     # a cone is safe only with its certificate <w, g> > 0
     ("tower.py", "in_projective_support(spec, g) and dot(w, g) > 0 for g in gens",
      "in_projective_support(spec, g) for g in gens", ("tests/test_lc_net.py",)),

@@ -222,8 +222,8 @@ def remap(mask, rays, bit):
 
 def regularity_subfan_walk_oracle(fan, char):
     """The regularity subfan from a walk of each maximal cone's face lattice
-    that stops at the first regular faces, with the facet rule of
-    `regularity_subfan`."""
+    that stops at the first regular faces.  Each cone's facet masks are set
+    here: the maximal cuts of its face by the facets of the cone it came from."""
     char = tuple(char)
     rays = fan.all_rays
     bit, tops = fan.ray_index()
@@ -239,12 +239,13 @@ def regularity_subfan_walk_oracle(fan, char):
             found.setdefault(a, k)
     kept = {tuple(rays[i] for i in bit_indices(a)): a for a in maximal_masks(found)}
 
-    def facets(sub, j):
-        face = kept[sub.maximal_cones[j].generators]
+    sub = Fan(fan.ambient_dim, [Cone(fan.ambient_dim, gens) for gens in kept])
+    sub_bit = sub.ray_index()[0]
+    for j, cone in enumerate(sub.maximal_cones):
+        face = kept[cone.generators]
         cuts = maximal_masks(face & f for f in fan.facet_masks(found[face]) if face & f != face)
-        return (remap(f, rays, sub.ray_index()[0]) for f in cuts)
-
-    return Fan(fan.ambient_dim, [Cone(fan.ambient_dim, gens) for gens in kept], facets)
+        sub._facets[j] = tuple(sorted(remap(f, rays, sub_bit) for f in cuts))
+    return sub
 
 
 def cones_equal_as_sets(a, b):

@@ -216,6 +216,15 @@ def test_unwritable_output_is_a_usage_error(argv, tmp_path, capsys):
     assert code == EXIT_USAGE and out == "" and err.startswith("error:")
 
 
+def test_output_dash_writes_the_report_to_stdout(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # where a file named "-" would land
+    path = write_tower(tmp_path, SIMPLE)
+    want = run_cli(capsys, "build", "--input", path)
+    assert want[0] == EXIT_OK and want[1].startswith("{")
+    assert run_cli(capsys, "build", "--input", path, "--output", "-") == want
+    assert not (tmp_path / "-").exists()
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = write_tower(tmp_path, "{broken", name="bad.json")
     code, _, err = run_cli(capsys, "build", "--input", path)

@@ -108,5 +108,5 @@ def test_build_model_and_local_model_run_no_double_description(monkeypatch):
     assert run_cli(["local-model", "--input", "-"], emit_tower(STRESS_TOWER))["exit"] == 0
     assert calls == []
     top = levels[-1].fan
-    Fan(top.ambient_dim, top.maximal_cones).facet_masks(0)  # the same cone, no rule: one DD
+    Fan(top.ambient_dim, top.maximal_cones).facet_masks(0)  # the same cone in a plain Fan: one DD
     assert len(calls) == 1

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,30 @@ def test_build_dimension_cap():
         build_model(spec, max_dim=3)
     assert build_model(spec, max_dim=4).levels[-1].fan.ambient_dim == 4
     assert lc_place_transfer_check(build_model(spec, max_dim=4), samples=1, seed=0).ok()
+
+
+def test_no_int_to_str_digit_limit_is_no_digit_cap():
+    """Past the int-to-str digit limit a new coordinate is a cap; with the
+    limit off (0), 5,000-digit exponents build and base-change."""
+    big = 10**5000
+    spec = TowerSpec(1, (node((), (big,)), node((1,), (big,))))
+    germ = CurveGermData((big,), True)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        with pytest.raises(ResourceCapError, match="^a coordinate has more than 4300 decimal digits$"):
+            build_model(spec)
+        with pytest.raises(ResourceCapError, match="^a coordinate has more than 4300 decimal digits$"):
+            base_change_to_curve(spec, germ)
+        sys.set_int_max_str_digits(0)
+        top = build_model(spec).levels[-1].fan
+        curve = base_change_to_curve(spec, germ)
+        curve_top = build_model(curve).levels[-1].fan
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert max(ray[-1] for ray in top.all_rays) == 2 * big
+    assert curve.moves[0].t_exponents == (big * big,)
+    assert max(ray[-1] for ray in curve_top.all_rays) == 2 * big * big
 
 
 def test_node_ray_bounds_invariant():
