@@ -11,6 +11,7 @@ carried on the Report object but kept out of the canonical bytes unless
 explicitly requested, to preserve byte-for-byte determinism.
 """
 
+import functools
 import json
 import random
 from fractions import Fraction
@@ -34,11 +35,15 @@ def _canonical_json(obj):
     with str keys, where every int (not bool) and Fraction is written as a
     quoted decimal string, "p/q" for a non-integral rational.  json.dumps
     never runs its C encoder when indenting, so containers are laid out here
-    and only strings go through the C escaper.  The text of each list of
-    scalars is made once per indent: a report that holds one list object in
-    many places (a ray in every face that has it) reuses it."""
+    and only strings go through the C escaper.  Three rules keep a large
+    report at one Python step per item: a flat value (a list of scalars, or a
+    dict of scalars and lists of scalars) gets its text once per indent, and
+    one object held in many places (a ray in every face that has it, a
+    node character in each node entry) reuses it; a list of lists adds its
+    items' texts to the output by reference; a dict's key set is sorted and
+    its key lines made once per indent, for every record that has it."""
     out = []
-    _emit(obj, "\n", out.append, {})
+    _emit(obj, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
@@ -63,41 +68,98 @@ def _scalar(x):
     return json.dumps(x)
 
 
-def _emit(obj, newline, put, texts):
-    """Append the canonical text of `obj`, nested at the indent `newline` ends
-    in; `texts` maps (id, indent) of each list of scalars written to its text.
-    A tuple subclass (a record) is no array: _scalar raises TypeError on it."""
-    if type(obj) in (list, tuple) and obj:
+def _flat(obj, newline, texts):
+    """The text of `obj`, a non-empty list, tuple or dict, at the indent
+    `newline` ends in if it is flat, else None.  `texts[indent]` maps the id
+    of each flat value written at that indent to its text."""
+    memo = texts.setdefault(newline, {})
+    text = memo.get(id(obj))  # obj outlives the emission, so its id is not reused
+    if text is None:
         inner = newline + "  "
-        key = id(obj), newline  # obj outlives the emission, so its id is not reused
-        text = texts.get(key)
-        if text is None and not isinstance(obj[0], (list, tuple, dict)):
-            try:  # a list of scalars in one join; _scalar rejects anything else
-                text = texts[key] = "[" + inner + ("," + inner).join(map(_scalar, obj)) + newline + "]"
-            except TypeError:
-                pass
-        if text is not None:
-            put(text)
+        if isinstance(obj, dict):
+            parts = []
+            for key, line in _key_lines(tuple(obj), inner):
+                v = obj[key]
+                if not v or type(v) not in (list, tuple) and not isinstance(v, dict):
+                    v = _scalar(v)
+                elif isinstance(v, dict) or (v := _flat(v, inner, texts)) is None:
+                    return None
+                parts += line, v
+            text = "".join(parts) + newline + "}"
         else:
-            sep = "[" + inner
-            for x in obj:
-                put(sep)
-                _emit(x, inner, put, texts)
-                sep = "," + inner
-            put(newline + "]")
-    elif isinstance(obj, dict) and obj:
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in sorted(obj.items()):
-            if value and isinstance(value, (list, tuple, dict)):
-                put(sep + _encode_str(key) + ": ")
-                _emit(value, inner, put, texts)
-            else:  # a scalar or an empty container goes on the key's line
-                put(sep + _encode_str(key) + ": " + _scalar(value))
-            sep = "," + inner
-        put(newline + "}")
-    else:  # scalars and empty containers: one line
-        put(_scalar(obj))
+            try:  # _scalar rejects a container
+                text = "[" + inner + ("," + inner).join(map(_scalar, obj)) + newline + "]"
+            except TypeError:
+                return None
+        memo[id(obj)] = text
+    return text
+
+
+@functools.lru_cache(maxsize=256)
+def _key_lines(keys, newline):
+    """Each key of a dict, sorted, with its line at the indent `newline` ends
+    in; kept across reports, which share a few key sets, in a bounded cache."""
+    keys = sorted(keys)
+    return tuple((k, ("," if i else "{") + newline + _encode_str(k) + ": ") for i, k in enumerate(keys))
+
+
+def _emit(obj, newline, out, texts):
+    """Append to `out` the text of `obj` nested at the indent `newline` ends
+    in, by the three rules of _canonical_json, with _flat's memo `texts`."""
+    if not obj or type(obj) not in (list, tuple) and not isinstance(obj, dict):
+        out.append(_scalar(obj))  # TypeError on a record: a tuple subclass is no array
+        return
+    inner = newline + "  "
+    if isinstance(obj, dict):
+        for key, line in _key_lines(tuple(obj), inner):
+            v = obj[key]
+            if not v or type(v) not in (list, tuple) and not isinstance(v, dict):
+                out.append(line + _scalar(v))
+            else:
+                out.append(line)
+                _emit(v, inner, out, texts)
+        out.append(newline + "}")
+        return
+    comma, sep = "," + inner, "[" + inner
+    if not isinstance(obj[0], dict):  # a list of lists or of scalars: each item's text by reference
+        text = None if type(obj[0]) in (list, tuple) else _flat(obj, newline, texts)
+        if text is not None:
+            out.append(text)
+            return
+        get = texts.setdefault(inner, {}).get
+        for x in obj:
+            text = get(id(x)) or (_flat(x, inner, texts) if x and type(x) in (list, tuple) else None)
+            if text is None:
+                out.append(sep)
+                _emit(x, inner, out, texts)
+            else:
+                out += sep, text
+            sep = comma
+        out.append(newline + "]")
+        return
+    at, close = inner + "  ", inner + "}"
+    get = texts.setdefault(at, {}).get
+    for x in obj:
+        out.append(sep)
+        sep = comma
+        if not (isinstance(x, dict) and x):
+            _emit(x, inner, out, texts)
+            continue
+        for key, line in _key_lines(tuple(x), at):
+            v = x[key]
+            if not v or type(v) not in (list, tuple) and not isinstance(v, dict):
+                out.append(line + _scalar(v))
+                continue
+            text = get(id(v))
+            if text is None and (isinstance(v, dict) or not isinstance(v[0], (list, tuple, dict))):
+                text = _flat(v, at, texts)  # a flat record value: its text once per indent
+            out.append(line)
+            if text is None:
+                _emit(v, at, out, texts)
+            else:
+                out.append(text)
+        out.append(close)
+    out.append(newline + "]")
 
 
 def parse_int(value, where):

@@ -35,6 +35,7 @@ LOAD = "    return _model_of(_read_input(args.input), args.max_rays, args.max_di
 ANY_CAP = 'type("AnyCap", (int,), {"__eq__": lambda a, b: True, "__hash__": lambda a: 0})(args.max_rays)'
 LOWER_CAP = "tests/test_cli.py::test_a_lower_cap_right_after_a_default_run_is_a_cap"
 LOCAL_MODEL_ORACLE = "tests/test_cli.py::test_local_model_levels_match_the_face_by_face_oracle"
+TWO_INDENTS = "tests/test_documents.py::test_a_list_and_a_flat_dict_at_two_indents"
 MISSING_FIELD = (
     "            for field in NodeMove._fields:\n"
     "                if field not in raw:\n"
@@ -240,6 +241,13 @@ MUTANTS = (
     ("documents.py", '"product" if isinstance(move, ProductMove) else "node"', '"node"',
      ("tests/test_documents.py::test_round_trip_on_random_specs",)),
     ("documents.py", MISSING_FIELD, "", ("tests/test_documents.py::test_parse_missing_field_error",)),
+    # the emitter keeps a flat value's text per indent, sorts each key set, separates the texts
+    # of a list of lists by commas, and looks a record value up at its own indent
+    ("documents.py", "memo = texts.setdefault(newline, {})", 'memo = texts.setdefault("\\n", {})', (TWO_INDENTS,)),
+    ("documents.py", "keys = sorted(keys)", "keys = list(keys)",
+     ("tests/test_documents.py::test_records_with_equal_and_different_key_sets",)),
+    ("documents.py", "out += sep, text", "out.append(text)", (TWO_INDENTS,)),
+    ("documents.py", "get = texts.setdefault(at, {}).get", "get = texts.setdefault(inner, {}).get", (TWO_INDENTS,)),
 )
 
 

@@ -207,3 +207,76 @@ def test_canonical_json_writes_numbers_as_decimal_strings_and_caps_their_digits(
         for value in (huge, [huge], [[huge]], {"k": huge}):
             with pytest.raises(ResourceCapError, match="too many digits"):
                 _canonical_json(value)
+
+
+def _reference(value):
+    return json.dumps(_numbers_as_text(value), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_json_values(NUMBER_FREE_SCALARS | NUMBERS))
+def test_one_object_at_many_indents_equals_indented_json_dumps(shared):
+    """The emitter keeps a flat value's text per (id, indent): one object
+    written at several indents, as a list item, a list-of-lists item, a
+    record value and a dict value, gets the text of each indent."""
+    value = [shared, [shared], {"k": shared}, [{"k": shared, "j": [shared]}], {"a": [[shared], shared]}]
+    assert _canonical_json(value) == _reference(value)
+
+
+def test_a_list_and_a_flat_dict_at_two_indents():
+    """One ray and one node character at several indents, the deeper first
+    and the shallower first, and looked up from lists of lists and of records."""
+    ray = (1, -2, 3)
+    character = {"t_exponents": [3], "alpha_exponents": ray}
+    face = {"rays": [ray, (0, 1, 0)], "kind": "node", "node_character": character}
+    for value in (
+        {"a": ray, "b": [[ray], [ray, ray]], "c": [face, face], "d": character, "e": [{"x": [face]}]},
+        [{"x": [face]}, face, character, [ray], ray],  # the deeper indent first
+        [[1, 2], {"k": [1, 2]}, {"k": character}, [{"k": character}]],
+    ):
+        assert _canonical_json(value) == _reference(value)
+    lst = [1, 2]
+    # one object as a list item, a record value and a nested item, in lists of lists and of records
+    for value in ([lst, {"k": lst}, [lst]], [{"a": 1}, lst, {"k": lst}, [lst]], [{"k": lst}, lst]):
+        assert _canonical_json(value) == _reference(value)
+
+
+def test_records_with_equal_and_different_key_sets():
+    """Key lines are made once per key set and indent, and each key set is
+    sorted: records with one key set in different insertion orders, other
+    key sets, empty dicts and non-dicts between them."""
+    value = [
+        {"b": 1, "a": 2},
+        {"a": 3, "b": 4},
+        {"c": [5, 6]},
+        {},
+        7,
+        [8],
+        None,
+        {"b": {"z": 1, "y": [2]}, "a": [[3]]},
+        {"b": 1, "a": 2, "0": "x"},
+    ]
+    assert _canonical_json(value) == _reference(value)
+    assert _canonical_json([{"b": 1, "a": 2}]) == '[\n  {\n    "a": "2",\n    "b": "1"\n  }\n]\n'
+
+
+def test_nested_lists_and_records_inside_a_list_of_lists():
+    """A list of lists whose items are not all lists of scalars is written
+    item by item; a record (a tuple subclass) is no array anywhere."""
+    for value in ([[1], [[2], [3]]], [[1], [], [2, [3]], {"k": [4]}, 5], [[[1, 2]], [[1, 2]]]):
+        assert _canonical_json(value) == _reference(value)
+    move = NodeMove((1,), (2,))
+    for value in ([[1], move], [[1], [2, move]], [move], {"k": move}, [{"k": move}], [{"k": {"m": move}}],
+                  [{"k": [move]}], [{"k": [[1], move]}]):
+        with pytest.raises(TypeError):
+            _canonical_json(value)
+
+
+def test_a_number_past_the_digit_limit_is_a_cap_in_every_memoized_value():
+    """The TypeError fallbacks of the list-of-lists and flat-value paths do
+    not swallow the digit cap."""
+    huge = 10**5000
+    for value in ([[1], [2, huge]], [[huge]], [(1,), [huge, 1]], [{"k": {"a": [1, huge]}}], [{"k": {"a": huge}}],
+                  [{"k": (1, huge)}], {"k": {"a": [huge]}}, [{"k": [[huge]]}]):
+        with pytest.raises(ResourceCapError, match="too many digits"):
+            _canonical_json(value)
