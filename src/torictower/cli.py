@@ -58,7 +58,7 @@ def _fan_document(fan):  # every fan written here lists its cones' rays in lex o
     return {
         "ambient_dim": fan.ambient_dim,
         "rays": fan.all_rays,
-        "maximal_cones": [bit_indices(top) for top in fan.ray_index()[1]],
+        "maximal_cones": [bit_indices(top) for top in fan.tops],
     }
 
 

@@ -442,7 +442,7 @@ class Cone:
         """Canonical cone spanned by arbitrary vectors, by `pointed_form` on
         their distinct primitive directions: one double description pass, and
         a second, the `_dual` of its halfspace rows, only if it holds a line."""
-        vectors = [tuple(v) for v in vectors]
+        vectors = list(map(_integers, vectors))
         if ambient_dim is None:
             if not vectors:
                 raise LatticeError("ambient_dim required for a cone with no generators")
@@ -493,7 +493,7 @@ class Cone:
         holds a line: `_extreme_mask` on the facet masks of the cone's
         one-cone fan."""
         fan = Fan(self.ambient_dim, (self,))
-        extreme = _extreme_mask(fan.ray_index()[1][0], fan.facet_masks(0))
+        extreme = _extreme_mask(fan.tops[0], fan.facet_masks(0))
         if self.generators and not extreme:
             return None
         cone = Cone(self.ambient_dim, [fan.all_rays[i] for i in bit_indices(extreme)])
@@ -608,15 +608,15 @@ def intersect_cones(a, b):
 
 class Fan:
     """A fan stored by its maximal cones; faces are implicit, as masks over
-    the ray index (see ray_index).
-
-    all_rays is the deduplicated lex-sorted union of the cones' rays.
+    the ray index built with the fan: all_rays is the deduplicated lex-sorted
+    union of the cones' rays, `bit` maps each to 1 << its position (ascending
+    bits are ascending rays), and tops[k] is maximal cone k as a mask.
     Construction does not validate; see fan_validate.  `orthant_fan` and
     `derived_fan` set every cone's facet masks when they build the fan (see
     facet_masks).
     """
 
-    __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "_index", "_facets")
+    __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "bit", "tops", "_facets")
 
     def __init__(self, ambient_dim, cones):
         (self.ambient_dim,) = _integers((ambient_dim,))
@@ -627,7 +627,8 @@ class Fan:
             seen.setdefault(tuple(sorted(c.generators)), c)  # one cone, whatever its ray order
         self.maximal_cones = tuple(sorted(seen.values(), key=lambda c: c.generators))
         self.all_rays = tuple(sorted({g for c in self.maximal_cones for g in c.generators}))
-        self._index = None
+        self.bit = bit = {g: 1 << i for i, g in enumerate(self.all_rays)}
+        self.tops = tuple(functools.reduce(operator.or_, map(bit.get, c.generators), 0) for c in self.maximal_cones)
         self._facets = {}  # maximal cone index -> its facet masks, ascending
 
     @classmethod
@@ -665,18 +666,6 @@ class Fan:
             (k for k, c in enumerate(self.maximal_cones) if all(map(c.contains, vectors))), None
         )
 
-    def ray_index(self):
-        """(bit, tops), built once: `bit` maps each ray of all_rays to 1 << its
-        position, and tops[k] is maximal cone k as a mask over that index.
-        Since all_rays is lex-sorted, ascending bits are ascending rays."""
-        if self._index is None:
-            bit = {g: 1 << i for i, g in enumerate(self.all_rays)}
-            self._index = bit, tuple(
-                functools.reduce(operator.or_, map(bit.get, c.generators), 0)
-                for c in self.maximal_cones
-            )
-        return self._index
-
     def facet_masks(self, k):
         """The facets of maximal cone k as masks over the ray index, ascending.
         `orthant_fan` and `derived_fan` set them when they build the fan; any
@@ -684,40 +673,35 @@ class Fan:
         cone (one double description pass), its rays on the hyperplane, a
         repeated generator as one bit."""
         if k not in self._facets:
-            bit, _ = self.ray_index()
             gens = self.maximal_cones[k].generators
             self._facets[k] = tuple(sorted(
-                functools.reduce(operator.or_, (bit[g] for g in gens if dot(nrm, g) == 0), 0)
+                functools.reduce(operator.or_, (self.bit[g] for g in gens if dot(nrm, g) == 0), 0)
                 for nrm in self.maximal_cones[k].halfspaces()[0]
             ))
         return self._facets[k]
-
-    def _is_face(self, k, mask):
-        """Whether `mask` is a face of maximal cone k: its own `_face_hull`."""
-        return _face_hull(mask, self.ray_index()[1][k], self.facet_masks(k)) == mask
 
     def face_masks(self):
         """Every face of the fan once, as a mask over the ray index, from one
         walk over all maximal cones (ResourceCapError past MAX_FACES)."""
         seen = set()
-        for k, top in enumerate(self.ray_index()[1]):
+        for k, top in enumerate(self.tops):
             walk_faces(top, self.facet_masks(k), seen)
         return seen
 
     def face_mask(self, cone):
         """The mask over the ray index of `cone` (its rays in any order) if it
-        is a face of a maximal cone, else None."""
-        bit, tops = self.ray_index()
-        bits = {bit.get(g, 0) for g in cone.generators}
+        is a face of a maximal cone, its own `_face_hull` there, else None."""
+        bits = {self.bit.get(g, 0) for g in cone.generators}
         if cone.ambient_dim != self.ambient_dim or 0 in bits or len(bits) < len(cone.generators):
             return None  # another dimension, a missing or a repeated ray
         mask = sum(bits)
-        return mask if any(self._is_face(k, mask) for k in range(len(tops))) else None
+        return mask if any(_face_hull(mask, t, self.facet_masks(k)) == mask for k, t in enumerate(self.tops)) else None
 
 
 def orthant_fan(n):
     """Fan of affine n-space: the positive orthant and its faces.  Its facets
     are the masks that leave out one ray."""
+    check_count(n, "n")
     full = (1 << n) - 1
     fan = Fan(n, (Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n)))),))
     fan._facets[0] = tuple(sorted(full & ~(1 << i) for i in range(n)))
@@ -727,9 +711,9 @@ def orthant_fan(n):
 def derived_fan(source, ambient_dim, faces, images, apex=None):
     """The fan whose maximal cones lift faces of `source`, each cone's facet
     masks set here, derived from `source`'s: no double description.  `faces`
-    lists pairs (k, tau), tau a face mask of maximal cone k of `source`; None
-    lifts each maximal cone whole, read off its generators.  A mask lifts to
-    the images of its rays under each one-to-one function in `images`, plus
+    lists pairs (k, tau), tau a face mask of maximal cone k of `source`
+    (`enumerate(source.tops)` lifts every maximal cone whole).  A mask lifts
+    to the images of its rays under each one-to-one function in `images`, plus
     `apex` if given.  Every face is an intersection of facets
     (Cox-Little-Schenck, §1.2), so the facets of the lift of tau are the
     maximal masks, other than the lift, among the lifts of the cuts tau & f
@@ -737,20 +721,16 @@ def derived_fan(source, ambient_dim, faces, images, apex=None):
     Precondition: the lifts are distinct canonical cones that form a fan, and
     each facet of a lift is such a lift or image (as for a subfan, a product
     and a node chart)."""
-    rays, source_tops = source.all_rays, source.ray_index()[1]
-    if faces is None:
-        faces = [(k, None) for k in range(len(source.maximal_cones))]
-    lifts = []
+    rays, lifts = source.all_rays, []
     for k, tau in faces:
-        face = source.maximal_cones[k].generators if tau is None else [rays[u] for u in bit_indices(tau)]
-        gens = [img(u) for img in images for u in face] + ([] if apex is None else [apex])
-        lifts.append((tuple(sorted(gens if len(images) == 1 else set(gens))), k, tau))
+        idx = bit_indices(tau)
+        gens = [img(rays[u]) for img in images for u in idx] + ([] if apex is None else [apex])
+        lifts.append((tuple(sorted(gens if len(images) == 1 else set(gens))), k, idx))
     lifts.sort()  # the order of the fan's maximal cones: distinct lifts never tie
     fan = Fan(ambient_dim, [Cone(ambient_dim, gens) for gens, _, _ in lifts])
-    bit, tops = fan.ray_index()
+    bit, tops = fan.bit, fan.tops
     base = 0 if apex is None else bit[apex]
-    for j, (_, k, tau) in enumerate(lifts):
-        idx = bit_indices(source_tops[k] if tau is None else tau)
+    for j, (_, k, idx) in enumerate(lifts):
         each = [[bit[img(rays[u])] for u in idx] for img in images]  # per function: the bits of tau's rays' images
         lift = [functools.reduce(operator.or_, bits) for bits in zip(*each)]
         candidates = [sum([b for u, b in zip(idx, lift) if f >> u & 1], base) for f in source.facet_masks(k)]
@@ -761,6 +741,7 @@ def derived_fan(source, ambient_dim, faces, images, apex=None):
 
 def projective_fan(n):
     """Complete fan of projective n-space; rays e_1..e_n and -(e_1+...+e_n)."""
+    check_count(n, "n")
     rays = [unit_vector(n, i) for i in range(n)] + [tuple(-1 for _ in range(n))]
     cones = []
     for skip in range(n + 1):
@@ -836,9 +817,9 @@ def fan_validate(fan):
     """
     violations = []
     mul = operator.mul  # pairings skip dot's length check: Cone and Fan fix every length
-    bit, tops = fan.ray_index()
+    bit = fan.bit
     cones, tables, faces, facets = [], [], [], []
-    for c, top in zip(fan.maximal_cones, tops):
+    for c, top in zip(fan.maximal_cones, fan.tops):
         before, seen = len(violations), set()
         for g in c.generators:
             if is_zero(g):

@@ -11,8 +11,8 @@ import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 
-from .lattice import DEFAULT_MAX_DIM, MAX_FACES, ResourceCapError, bareiss_step, bit_indices, check_count, det_int, dot
-from .lattice import _halfspace_rows, _rational, halfspace_intersection, maximal_masks
+from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, check_count
+from .lattice import _halfspace_rows, _rational, _shown, det_int, dot, halfspace_intersection, maximal_masks
 from .toric import _same_fan
 
 
@@ -83,6 +83,8 @@ class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyper
     def __new__(cls, fiber_dim, hyperplane_coefficients, polarization=1):
         check_count(fiber_dim, "fiber dimension", low=1, cap=DEFAULT_MAX_DIM)
         check_count(polarization, "polarization degree", low=1)
+        if not isinstance(hyperplane_coefficients, (list, tuple)):
+            raise LatticeError(f"hyperplane_coefficients {_shown(hyperplane_coefficients)} is not a sequence")
         return super().__new__(cls, fiber_dim, tuple(map(_rational, hyperplane_coefficients)), polarization)
 
     @classmethod

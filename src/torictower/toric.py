@@ -263,7 +263,7 @@ def regularity_subfan(fan, char):
     char = _integers(char)
     if len(char) != fan.ambient_dim:
         raise LatticeError("character dimension does not match fan")
-    bit, tops = fan.ray_index()
+    bit, tops = fan.bit, fan.tops
     irregular = sum(b for u, b in bit.items() if dot(char, u) < 0)
     if not irregular:
         return fan

@@ -42,6 +42,7 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     _is_int,
+    _shown,
     check_count,
     check_samples,
     check_seed,
@@ -86,8 +87,9 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
 
     Move k (0-based) builds level k+2; a node move there may reference the
     variables a_2..a_(k+1), so its alpha_exponents must have length k and its
-    t_exponents base_dim.  base_dim and every exponent are ints, not bools;
-    construction raises LatticeError naming each failure.
+    t_exponents base_dim.  base_dim and every exponent are ints, not bools,
+    and moves and each exponent field are lists or tuples; construction raises
+    LatticeError naming each failure.
     """
 
     __slots__ = ()
@@ -98,12 +100,19 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
             details.append(f"base_dim {base_dim!r} is not an int")
         elif base_dim < 1:
             details.append(f"base_dim {base_dim} must be >= 1")
-        for k, move in enumerate(moves):
+        if not isinstance(moves, (list, tuple)):
+            details.append(f"moves {_shown(moves)} is not a sequence")
+        for k, move in enumerate(moves if isinstance(moves, (list, tuple)) else ()):
             where = f"move {k} (level {k + 2})"
             if isinstance(move, ProductMove):
                 continue
             if not isinstance(move, NodeMove):
                 details.append(f"move {k} has unknown type {type(move).__name__}")
+                continue
+            loose = [f"{where}: {f} {_shown(e)} is not a sequence"
+                     for f, e in zip(move._fields, move) if not isinstance(e, (list, tuple))]
+            if loose:
+                details += loose
                 continue
             if len(move.alpha_exponents) != k:
                 details.append(f"{where}: alpha_exponents has length {len(move.alpha_exponents)}, expected {k} "
@@ -229,13 +238,13 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
         prev = levels[-1].fan
         n = prev.ambient_dim + 1
         if isinstance(move, ProductMove):  # sigma x cone(e_new)
-            fan = derived_fan(prev, n, None, [lambda u: u + (0,)], unit_vector(n, n - 1))
+            fan = derived_fan(prev, n, enumerate(prev.tops), [lambda u: u + (0,)], unit_vector(n, n - 1))
         else:  # sigma~, over each cone sigma of the regularity subfan
             m = move.lattice_exponents()
             sub = regularity_subfan(prev, m)
             height = {u: dot(m, u) for u in sub.all_rays}
             _check_digits(height.values())
-            fan = derived_fan(sub, n, None, [lambda u: u + (0,), lambda u: u + (height[u],)])
+            fan = derived_fan(sub, n, enumerate(sub.tops), [lambda u: u + (0,), lambda u: u + (height[u],)])
         levels.append(_capped_level(fan, max_rays))
     return TowerModel(spec=spec, levels=tuple(levels))
 
@@ -343,6 +352,8 @@ def base_change_to_curve(spec, germ):
     new exponent with more digits than the interpreter prints is a
     ResourceCapError.
     """
+    if not isinstance(germ.orders, (list, tuple)):
+        raise LatticeError(f"orders {_shown(germ.orders)} is not a sequence")
     if len(germ.orders) != spec.base_dim:
         raise LatticeError(f"germ has {len(germ.orders)} orders, tower base dimension is {spec.base_dim}")
     for c in germ.orders:

@@ -607,9 +607,9 @@ def run_suite(name, seed, samples=None):
     if name in suites:
         return suites[name](seed, **kwargs)
     if name == "all":
-        # kernel (0.26 s at seed 11, 2-core machine) runs in one forked child while the other five
-        # (0.28 s: tower 0.14, toric 0.07, lc 0.05, basechange and volume 0.01) run here: one child
-        # balances two cores, and no split into more children finishes before kernel's 0.26 s
+        # kernel (0.108 s at seed 11, 2-core Xeon, median of 5) runs in one forked child while the other
+        # five (0.124 s: tower 0.065, toric 0.031, lc 0.023, basechange 0.003, volume 0.002) run here, 0.128 s
+        # in all: one child balances two cores, and no split into more children finishes before kernel's 0.108 s
         kernel = suites.pop("kernel")
         first, rest = _beside(lambda: kernel(seed, **kwargs),
                               lambda: {sub: suite(seed, **kwargs) for sub, suite in suites.items()})
@@ -617,4 +617,4 @@ def run_suite(name, seed, samples=None):
         for sub, outcome in {"kernel": first, **rest}.items():
             total.merge(outcome, suite=sub)
         return total
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    raise LatticeError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

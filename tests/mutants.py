@@ -30,6 +30,7 @@ BAD_TORIC = "tests/test_toric.py::test_bad_toric_inputs_are_lattice_errors"
 COEFFICIENTS = "tests/test_cli.py::test_divisor_coefficients_are_integers_or_fraction_strings"
 PINNED = "tests/test_violations.py::test_each_violation_keeps_its_text_witnesses_and_counts"
 COUNTS = "tests/test_counts.py"
+NOT_SEQUENCES = "tests/test_records.py::test_an_input_that_is_not_a_sequence_is_named"
 CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError("character dimension does not match fan")\n'
 LOAD = "    return _model_of(_read_input(args.input), args.max_rays, args.max_dim, sys.get_int_max_str_digits())\n"
 ANY_CAP = 'type("AnyCap", (int,), {"__eq__": lambda a, b: True, "__hash__": lambda a: 0})(args.max_rays)'
@@ -64,6 +65,9 @@ MUTANTS = (
     ("lattice.py", "if f >> u & 1], base)", "if f >> u & 1])", ("tests/test_facet_net.py",)),
     ("lattice.py", "maximal_masks([c for c in candidates if c != tops[j]])", "maximal_masks(candidates)",
      ("tests/test_facet_net.py",)),
+    # a derived fan lifts each listed face, not the whole maximal cone it lies in
+    ("lattice.py", "        idx = bit_indices(tau)\n", "        idx = bit_indices(source.tops[k])\n",
+     ("tests/test_regular_face_net.py",)),
     # the orthant's facets leave out one ray each
     ("lattice.py", "full & ~(1 << i)", "full",
      ("tests/test_facet_net.py::test_derived_facet_masks_match_oracle_on_near_cap_towers",)),
@@ -169,6 +173,16 @@ MUTANTS = (
     ("lattice.py", "if cap is not None and value > cap:", "if False:", (COUNTS,)),
     # a value whose repr passes the int-to-str digit limit is named, not left to raise a bare ValueError
     ("lattice.py", '        return f"<{type(value).__name__} past the digit limit>"\n', "        raise\n", (COUNTS,)),
+    # each fan constructor reads n by the count rule, and an unknown suite name is a LatticeError
+    ("lattice.py", 'one ray."""\n    check_count(n, "n")\n', 'one ray."""\n', (COUNTS,)),
+    ("lattice.py", '(e_1+...+e_n)."""\n    check_count(n, "n")\n', '(e_1+...+e_n)."""\n', (COUNTS,)),
+    ("verify.py", 'raise LatticeError(f"unknown suite', 'raise ValueError(f"unknown suite', (COUNTS,)),
+    # a field that holds entries by position is a list or a tuple, and is named otherwise
+    ("tower.py", "if not isinstance(moves, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
+    ("tower.py", "            if loose:\n", "            if False:\n", (NOT_SEQUENCES,)),
+    ("tower.py", "if not isinstance(germ.orders, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
+    ("polytope.py", "if not isinstance(hyperplane_coefficients, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
+    ("lattice.py", "vectors = list(map(_integers, vectors))", "vectors = [tuple(v) for v in vectors]", (NOT_SEQUENCES,)),
     # a sampled suite called directly applies the sample rule itself
     ("verify.py", 'is Gorenstein."""\n    check_samples(samples)\n', 'is Gorenstein."""\n',
      ("tests/test_verify.py::test_sampled_suites_called_directly_apply_the_sample_rule",)),

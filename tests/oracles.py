@@ -211,8 +211,7 @@ def walk_faces_oracle(top, facets, leaf=None):
 
 def face_masks_oracle(fan):
     """Every face of `fan` as a mask, the union of one walk per maximal cone."""
-    _, tops = fan.ray_index()
-    return set().union(*(walk_faces_oracle(top, fan.facet_masks(k)) for k, top in enumerate(tops)))
+    return set().union(*(walk_faces_oracle(top, fan.facet_masks(k)) for k, top in enumerate(fan.tops)))
 
 
 def remap(mask, rays, bit):
@@ -226,7 +225,7 @@ def regularity_subfan_walk_oracle(fan, char):
     here: the maximal cuts of its face by the facets of the cone it came from."""
     char = tuple(char)
     rays = fan.all_rays
-    bit, tops = fan.ray_index()
+    bit, tops = fan.bit, fan.tops
     regular = sum(b for u, b in bit.items() if dot(char, u) >= 0)
 
     def is_regular(mask):
@@ -240,11 +239,10 @@ def regularity_subfan_walk_oracle(fan, char):
     kept = {tuple(rays[i] for i in bit_indices(a)): a for a in maximal_masks(found)}
 
     sub = Fan(fan.ambient_dim, [Cone(fan.ambient_dim, gens) for gens in kept])
-    sub_bit = sub.ray_index()[0]
     for j, cone in enumerate(sub.maximal_cones):
         face = kept[cone.generators]
         cuts = maximal_masks(face & f for f in fan.facet_masks(found[face]) if face & f != face)
-        sub._facets[j] = tuple(sorted(remap(f, rays, sub_bit) for f in cuts))
+        sub._facets[j] = tuple(sorted(remap(f, rays, sub.bit) for f in cuts))
     return sub
 
 

@@ -30,6 +30,7 @@ from torictower.lattice import (
     check_samples,
     dual_cone,
     orthant_fan,
+    projective_fan,
 )
 from torictower.polytope import ProjectiveDivisorData
 from torictower.tower import CurveGermData, NodeMove, ProductMove, TowerSpec, base_change_to_curve, build_model
@@ -55,6 +56,8 @@ SITES = [
     ("build_model_max_dim", "max_dim", 0, None, lambda v: build_model(SPEC, max_dim=v), 3),
     ("dual_cone_max_dim", "max_dim", 0, None, lambda v: dual_cone(CONE, max_dim=v), 2),
     ("local_model_at", "level", 1, None, lambda v: local_model_at(MODEL, v, Cone(2, ())), 2),
+    ("orthant_fan", "n", 0, None, orthant_fan, 2),
+    ("projective_fan", "n", 0, None, projective_fan, 2),
 ]
 
 CASES = [
@@ -74,6 +77,9 @@ CASES = [
                  "vanishing order must be >= 0, got -<int of 16610 bits>", id="vanishing_order-huge"),
     pytest.param(lambda v: check_count(v, "n"), Fraction(10**5000), LatticeError,
                  "n <Fraction past the digit limit> is not an int", id="huge-fraction"),
+    # a suite name is no count, but an unknown one is a LatticeError too
+    pytest.param(lambda v: run_suite(v, 1), "nope", LatticeError,
+                 "unknown suite 'nope'; choose from kernel, toric, tower, lc, basechange, volume, all", id="run_suite-name"),
 ]
 
 # the counts a site derives from its arguments and holds to a cap

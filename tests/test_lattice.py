@@ -996,7 +996,7 @@ def test_all_rays_is_union_of_cone_rays():
 def test_fan_keeps_one_cone_listed_in_two_ray_orders():
     fan = Fan(2, (Cone(2, ((0, 1), (1, 0))), Cone(2, ((1, 0), (0, 1)))))
     assert fan.maximal_cones == (Cone(2, ((0, 1), (1, 0))),)
-    assert fan.ray_index() == ({(0, 1): 1, (1, 0): 2}, (0b11,))
+    assert (fan.bit, fan.tops) == ({(0, 1): 1, (1, 0): 2}, (0b11,))
     assert fan_validate(fan) == fan_validate_oracle(fan) == []
     # listed twice next to a cone that overlaps it: one pair, one violation
     fan = Fan(2, fan.maximal_cones + (Cone(2, ((1, 0), (0, 1))), _gens((1, 0), (1, 1))))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from torictower.documents import Report, _canonical_json
-from torictower.lattice import LatticeError, ResourceCapError, orthant_fan
+from torictower.lattice import Cone, LatticeError, ResourceCapError, orthant_fan
 from torictower.polytope import ProjectiveDivisorData
 from torictower.toric import CartierData
 from torictower.tower import (
@@ -24,6 +24,7 @@ from torictower.tower import (
     TowerLevel,
     TowerModel,
     TowerSpec,
+    base_change_to_curve,
 )
 
 NODE = NodeMove((), (1,))
@@ -126,6 +127,33 @@ def test_projective_divisor_data_holds_fractions_on_every_construction_path():
     assert replaced.hyperplane_coefficients == (Fraction(1, 2),)
     assert all(type(c) is Fraction for c in made.hyperplane_coefficients + replaced.hyperplane_coefficients)
     assert ProjectiveDivisorData(2, (1,)).polarization == 1
+
+
+# a field that must hold entries by position is a list or a tuple: a string is not read as its characters,
+# and a number or a set is named, not left to raise a bare TypeError
+NOT_SEQUENCES = [
+    pytest.param(lambda: TowerSpec(1, 5), "invalid tower: moves 5 is not a sequence", id="moves"),
+    pytest.param(lambda: TowerSpec(1, (NodeMove(5, (1,)),)),
+                 "invalid tower: move 0 (level 2): alpha_exponents 5 is not a sequence", id="alpha_exponents"),
+    pytest.param(lambda: TowerSpec(0, (ProductMove(), NodeMove((1,), "1"), NodeMove(None, {1}))),
+                 "invalid tower: base_dim 0 must be >= 1; move 1 (level 3): t_exponents '1' is not a sequence; "
+                 "move 2 (level 4): alpha_exponents None is not a sequence; "
+                 "move 2 (level 4): t_exponents {1} is not a sequence", id="every-failure"),
+    pytest.param(lambda: base_change_to_curve(SPEC, CurveGermData(5, True)), "orders 5 is not a sequence", id="orders"),
+    pytest.param(lambda: base_change_to_curve(SPEC, CurveGermData("1", True)), "orders '1' is not a sequence",
+                 id="orders-str"),
+    pytest.param(lambda: ProjectiveDivisorData(2, "12"), "hyperplane_coefficients '12' is not a sequence",
+                 id="coefficients-str"),
+    pytest.param(lambda: ProjectiveDivisorData(2, 5), "hyperplane_coefficients 5 is not a sequence", id="coefficients"),
+    pytest.param(lambda: Cone.generated_by([(1.5, 0)]), "1.5 is not an integer", id="generated_by"),
+]
+
+
+@pytest.mark.parametrize("call, message", NOT_SEQUENCES)
+def test_an_input_that_is_not_a_sequence_is_named(call, message):
+    with pytest.raises(LatticeError) as info:
+        call()
+    assert type(info.value) is LatticeError and str(info.value) == message
 
 
 def test_a_product_move_is_true():
