@@ -7,8 +7,8 @@ many nets read it.  Tier-1 runs them on the 3,464 towers over base dimension
 p <= 2 of depth 2 or 3 with node exponents in SPAN (SMALL_CORPUS).  The
 driver, outside tier-1, runs the facet, regular-face and lc nets and the
 certificate invariant on the 19,656 towers over p = 1 of depth 4, then the
-support net on the 3,464 towers; it prints one line per net and exits 1 on
-any mismatch:
+support net on the 3,464 towers and the census golden (`tests/census.py`)
+on the 19,656; it prints one line per net and exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -139,8 +139,10 @@ def main():
 
 def run_nets(towers):
     """Run the facet, regular-face and lc nets and the certificate check on
-    `towers` and the support net on SMALL_CORPUS; print one line per net,
+    `towers`, the support net on SMALL_CORPUS and the census on
+    DRIVER_CORPUS; print one line per net (and one per census mismatch),
     and return 1 on any mismatch."""
+    from census import COMMANDS, census_mismatches
     from test_facet_net import facet_mismatches
     from test_lc_net import lc_mismatches
     from test_regular_face_net import characters, face_mask_mismatches, regular_face_mismatches, tower_fans
@@ -171,6 +173,12 @@ def run_nets(towers):
     points, inside, bad = support_mismatches(small)
     print(f"support: {len(small)} towers, {points} lattice points, {inside} in a level's support, "
           f"{len(bad)} mismatches", flush=True)
+    failed |= bool(bad)
+
+    count, bad = census_mismatches(DRIVER_CORPUS)
+    print(f"census: {count} towers, {len(COMMANDS)} commands, {len(bad)} mismatches", flush=True)
+    for line in bad:
+        print(f"  {line}", flush=True)
     return 1 if failed or bad else 0
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import corpus
 
-NETS = ("facet", "regular faces", "lc", "certificate", "support")
+NETS = ("facet", "regular faces", "lc", "certificate", "support", "census")
 
 
 @pytest.fixture
@@ -40,6 +40,7 @@ FORGED = [
     ("test_lc_net", "lc_mismatches", (1, ["forged"])),
     ("corpus", "uncertified_levels", ["forged"]),
     ("test_support_net", "support_mismatches", (1, 1, ["forged"])),
+    ("census", "census_mismatches", (1, ["forged"])),
 ]
 
 
@@ -47,4 +48,5 @@ FORGED = [
 def test_the_driver_fails_on_a_mismatch_in_any_net(built, monkeypatch, capsys, module, name, forged):
     monkeypatch.setattr(importlib.import_module(module), name, lambda *args: forged)
     assert corpus.main() == 1
-    assert len(capsys.readouterr().out.splitlines()) == len(NETS)
+    # a census mismatch prints its own line below the census line
+    assert len(capsys.readouterr().out.splitlines()) == len(NETS) + (name == "census_mismatches")
