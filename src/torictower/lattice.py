@@ -10,9 +10,9 @@ and faces are read off its memo.
 A face of a canonical cone is determined by its rays, so a face is only
 ever an int bitmask over its fan's ray index (a lone cone is a one-cone
 fan), and containment between faces is subset inclusion, no geometric test.
-A fan whose cones lift faces of another (a subfan, a tower level) is a
-`derived_fan`, built with its facet masks derived from the other fan's by
-bit arithmetic, in place of a double description pass per cone.
+A fan whose cones lift faces of another (a regularity subfan, a tower
+level) is a `derived_fan`, built with its facet masks derived from the
+other fan's by bit arithmetic, in place of a double description pass per cone.
 """
 
 import functools
@@ -24,7 +24,7 @@ DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
 MAX_FACES = 100_000  # per Fan.face_masks walk (largest measured: 19,612 faces, the top of tests/corpus.py's
-# near_cap_tower(57), the most of its seeds 0-99), regularity_subfan search, DD ray list, fan_validate pair loop
+# near_cap_tower(57), the most of its seeds 0-99), regular-face search, DD ray list, fan_validate pair loop
 # (benchmark's largest: 630 pairs of 36 pointed cones) and normalized_volume triangulation (1,290 popped faces)
 
 
@@ -102,12 +102,14 @@ def _rational(value):
 
 def _integers(values):
     """`values` as a tuple of ints by operator.index, which, unlike int(), truncates
-    no float or Fraction: LatticeError names an entry that is not an integer."""
+    no float or Fraction: LatticeError names a non-integer entry, or `values` if not iterable."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
+        if not hasattr(values, "__iter__"):
+            raise LatticeError(f"vector {_shown(values)} is not a sequence") from None
         bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
-        raise LatticeError(f"{bad!r} is not an integer") from None
+        raise LatticeError(f"{_shown(bad)} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +721,19 @@ def derived_fan(source, ambient_dim, faces, images, apex=None):
     maximal masks, other than the lift, among the lifts of the cuts tau & f
     (f a facet of cone k) and the images of tau under each function alone.
     Precondition: the lifts are distinct canonical cones that form a fan, and
-    each facet of a lift is such a lift or image (as for a subfan, a product
-    and a node chart)."""
+    each facet of a lift is such a lift or image (as for a regularity subfan,
+    a product level and a node level, which lifts regular faces directly)."""
     rays, lifts = source.all_rays, []
     for k, tau in faces:
         idx = bit_indices(tau)
-        gens = [img(rays[u]) for img in images for u in idx] + ([] if apex is None else [apex])
-        lifts.append((tuple(sorted(gens if len(images) == 1 else set(gens))), k, idx))
+        each = [[img(rays[u]) for u in idx] for img in images]  # per function: the images of tau's rays
+        lifts.append((tuple(sorted(set(sum(each, [] if apex is None else [apex])))), k, idx, each))
     lifts.sort()  # the order of the fan's maximal cones: distinct lifts never tie
-    fan = Fan(ambient_dim, [Cone(ambient_dim, gens) for gens, _, _ in lifts])
+    fan = Fan(ambient_dim, [Cone(ambient_dim, gens) for gens, *_ in lifts])
     bit, tops = fan.bit, fan.tops
     base = 0 if apex is None else bit[apex]
-    for j, (_, k, idx) in enumerate(lifts):
-        each = [[bit[img(rays[u])] for u in idx] for img in images]  # per function: the bits of tau's rays' images
+    for j, (_, k, idx, each) in enumerate(lifts):
+        each = [list(map(bit.get, imgs)) for imgs in each]
         lift = [functools.reduce(operator.or_, bits) for bits in zip(*each)]
         candidates = [sum([b for u, b in zip(idx, lift) if f >> u & 1], base) for f in source.facet_masks(k)]
         candidates += map(sum, each)

@@ -1,6 +1,6 @@
 """Toric varieties as fans: divisors, support functions, Cartier data,
-principal divisors of characters, regularity subfans (each the derived fan
-of its kept faces, see lattice.derived_fan), log discrepancies.
+principal divisors of characters, a character's maximal regular faces
+(which build_model lifts into a node level) and their subfan, log discrepancies.
 
 Sign convention: Cartier data is stored as the vector m_sigma with
 <m_sigma, u_i> = d_i on each ray u_i of sigma, i.e. the negative of the
@@ -244,30 +244,28 @@ def log_discrepancy(fan, boundary, e):
 
 
 def regularity_subfan(fan, char):
-    """The subfan where the character is regular: all cones sigma with
-    <m, u> >= 0 on every ray u of sigma, i.e. m in the dual of sigma.
-
-    Faces are masks over the fan's ray index.  Each maximal cone is searched
-    top-down: a face that holds a ray u with <m, u> < 0 steps, for the lowest
-    such ray r, only to its intersections with the cone's facets that miss r,
-    and a face with none is kept; the maximal kept faces form the subfan.
-    No regular face G is lost: G is the intersection of the facets that
-    contain it, and one of them misses r (Cox-Little-Schenck, §1.2).  A face
-    shared by several maximal cones is searched once, and ResourceCapError
-    is raised past MAX_FACES faces.  The subfan is the `derived_fan` of the
-    kept faces under the identity; a character regular on every ray keeps
-    the fan itself.  Precondition: the maximal cones are canonical and form
-    a fan, as build_model guarantees, so containment between faces is
-    ray-subset inclusion.
-    """
+    """The subfan where the character is regular (all cones sigma with
+    <m, u> >= 0 on every ray u of sigma, i.e. m in the dual of sigma): the
+    `derived_fan` of `_regular_faces` under the identity."""
     char = _integers(char)
     if len(char) != fan.ambient_dim:
         raise LatticeError("character dimension does not match fan")
+    return derived_fan(fan, fan.ambient_dim, _regular_faces(fan, char), [lambda u: u])
+
+
+def _regular_faces(fan, char):
+    """The maximal faces (k, tau) of `fan` where the integer character is
+    regular, tau a mask over the ray index and k a maximal cone it is a face
+    of.  Each maximal cone is searched top-down: a face that holds a ray u
+    with <m, u> < 0 steps, for the lowest such ray r, only to its
+    intersections with the cone's facets that miss r, and a face with none is
+    kept.  No regular face G is lost: G is the intersection of the facets that
+    contain it, and one of them misses r (Cox-Little-Schenck, §1.2).  A face
+    shared by several maximal cones is searched once; ResourceCapError past
+    MAX_FACES faces.  Precondition: the maximal cones are canonical and form
+    a fan, as build_model guarantees, so faces nest as ray subsets."""
     bit, tops = fan.bit, fan.tops
     irregular = sum(b for u, b in bit.items() if dot(char, u) < 0)
-    if not irregular:
-        return fan
-
     found = {}  # regular face -> a maximal cone it is a face of
     seen = set()
     for k, top in enumerate(tops):
@@ -289,7 +287,7 @@ def regularity_subfan(fan, char):
                         stack.append(sub)
             if len(seen) > MAX_FACES:
                 raise ResourceCapError(f"regular-face search passed the cap of {MAX_FACES} faces")
-    return derived_fan(fan, fan.ambient_dim, [(found[a], a) for a in maximal_masks(found)], [lambda u: u])
+    return [(found[a], a) for a in maximal_masks(found)]
 
 
 def star_subdivision(fan, v):

@@ -9,10 +9,10 @@ at the end, and the projection N_i -> N_(i-1) drops the last coordinate.
 A node move's character over the level-(i-1) torus therefore has exponent
 vector t_exponents + alpha_exponents in these coordinates.
 
-A node move with character exponent m first restricts the previous level
-to the regularity subfan (cones with <m,u> >= 0 on all rays), which a
-directed search finds without walking every face that holds a ray with
-<m,u> < 0 (see regularity_subfan); each surviving cone sigma then lifts to
+A node move with character exponent m keeps, of the level below, its
+maximal regular faces sigma (<m,u> >= 0 on every ray u), which a directed
+search finds without walking every face that holds a ray with <m,u> < 0
+(see toric._regular_faces), and lifts each to
 
     sigma~ = {(v, s) : v in sigma, 0 <= s <= <m, v>},
 
@@ -24,10 +24,11 @@ product move lifts each cone sigma to sigma x cone(e_new).
 
 So each level's face lattice is fixed by the level below, and build_model
 derives every level cone's facets from those below, with no double
-description: the orthant of level 1 has the facets that leave out one ray,
-and every other fan is a `lattice.derived_fan` (a regularity subfan by the
-identity, a product level by u -> (u, 0) with apex e_new, a node level by
-u -> (u, 0) and u -> (u, <m, u>)).
+description and one fan per level: the orthant of level 1 has the facets
+that leave out one ray, and every other level is one `lattice.derived_fan`
+of the level below (its maximal cones by u -> (u, 0) with apex e_new for a
+product move, its maximal regular faces by u -> (u, 0) and u -> (u, <m, u>)
+for a node move).
 """
 
 import functools
@@ -56,7 +57,7 @@ from .lattice import (
     projective_fan,
     unit_vector,
 )
-from .toric import cartier_data, regularity_subfan  # cartier_data: unused here; the benchmark traces this binding
+from .toric import _regular_faces, cartier_data, regularity_subfan  # the last two: unused; the benchmark traces them
 
 
 class ProductMove(namedtuple("ProductMove", "")):
@@ -88,8 +89,8 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
     Move k (0-based) builds level k+2; a node move there may reference the
     variables a_2..a_(k+1), so its alpha_exponents must have length k and its
     t_exponents base_dim.  base_dim and every exponent are ints, not bools,
-    and moves and each exponent field are lists or tuples; construction raises
-    LatticeError naming each failure.
+    and moves and each exponent field are lists or tuples, kept as tuples;
+    construction raises LatticeError naming each failure.
     """
 
     __slots__ = ()
@@ -97,9 +98,9 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
     def __new__(cls, base_dim, moves):
         details = []
         if not _is_int(base_dim):
-            details.append(f"base_dim {base_dim!r} is not an int")
+            details.append(f"base_dim {_shown(base_dim)} is not an int")
         elif base_dim < 1:
-            details.append(f"base_dim {base_dim} must be >= 1")
+            details.append(f"base_dim {_shown(base_dim)} must be >= 1")
         if not isinstance(moves, (list, tuple)):
             details.append(f"moves {_shown(moves)} is not a sequence")
         for k, move in enumerate(moves if isinstance(moves, (list, tuple)) else ()):
@@ -118,12 +119,13 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
                 details.append(f"{where}: alpha_exponents has length {len(move.alpha_exponents)}, expected {k} "
                                f"(only a_2..a_{k + 1} are defined)")
             if len(move.t_exponents) != base_dim:
-                details.append(f"{where}: t_exponents has length {len(move.t_exponents)}, expected {base_dim}")
+                details.append(f"{where}: t_exponents has length {len(move.t_exponents)}, expected {_shown(base_dim)}")
             inexact = [e for e in (*move.alpha_exponents, *move.t_exponents) if not _is_int(e)]
             if inexact:
-                details.append(f"{where}: exponent {inexact[0]!r} is not an int")
+                details.append(f"{where}: exponent {_shown(inexact[0])} is not an int")
         if details:
             raise LatticeError("invalid tower: " + "; ".join(details))
+        moves = tuple(move if isinstance(move, ProductMove) else NodeMove(*map(tuple, move)) for move in moves)
         return super().__new__(cls, base_dim, moves)
 
     @classmethod
@@ -239,12 +241,10 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
         n = prev.ambient_dim + 1
         if isinstance(move, ProductMove):  # sigma x cone(e_new)
             fan = derived_fan(prev, n, enumerate(prev.tops), [lambda u: u + (0,)], unit_vector(n, n - 1))
-        else:  # sigma~, over each cone sigma of the regularity subfan
+        else:  # sigma~, over each maximal regular face sigma of the level below
             m = move.lattice_exponents()
-            sub = regularity_subfan(prev, m)
-            height = {u: dot(m, u) for u in sub.all_rays}
-            _check_digits(height.values())
-            fan = derived_fan(sub, n, enumerate(sub.tops), [lambda u: u + (0,), lambda u: u + (height[u],)])
+            fan = derived_fan(prev, n, _regular_faces(prev, m), [lambda u: u + (0,), lambda u: u + (dot(m, u),)])
+            _check_digits(u[-1] for u in fan.all_rays)  # the heights <m, u> of the kept rays
         levels.append(_capped_level(fan, max_rays))
     return TowerModel(spec=spec, levels=tuple(levels))
 
@@ -367,8 +367,8 @@ def base_change_to_curve(spec, germ):
         else:
             t_exp = sum(c * nu for c, nu in zip(germ.orders, move.t_exponents))
             _check_digits((t_exp,))
-            moves.append(NodeMove(tuple(move.alpha_exponents), (t_exp,)))
-    return TowerSpec(base_dim=1, moves=tuple(moves))
+            moves.append(NodeMove(move.alpha_exponents, (t_exp,)))
+    return TowerSpec(base_dim=1, moves=moves)
 
 
 def orbit_classifier(move, rays):

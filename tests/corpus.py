@@ -1,14 +1,16 @@
-"""The tower corpora of the four tower nets, each model built once per
+"""The tower corpora of the five tower nets, each model built once per
 process, and the driver that runs every net on the large corpora.
 
-The nets (`test_facet_net`, `test_regular_face_net`, `test_lc_net`,
+The nets (`test_facet_net`, `node_level_mismatches` here, whose tier-1
+tests are in `test_node_level_net`, `test_regular_face_net`, `test_lc_net`,
 `test_support_net`) take built models, so a corpus is built once however
 many nets read it.  Tier-1 runs them on the 3,464 towers over base dimension
 p <= 2 of depth 2 or 3 with node exponents in SPAN (SMALL_CORPUS).  The
-driver, outside tier-1, runs the facet, regular-face and lc nets and the
-certificate invariant on the 19,656 towers over p = 1 of depth 4, then the
-support net on the 3,464 towers and the census golden (`tests/census.py`)
-on the 19,656; it prints one line per net and exits 1 on any mismatch:
+driver, outside tier-1, runs the facet, node-level, regular-face and lc
+nets and the certificate invariant on the 19,656 towers over p = 1 of
+depth 4, then the support net on the 3,464 towers and the census golden
+(`tests/census.py`) on the 19,656; it prints one line per net and exits 1
+on any mismatch:
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -21,6 +23,7 @@ import itertools
 import random
 import sys
 
+from oracles import node_level_oracle
 from torictower.lattice import Cone, Fan, dot
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
@@ -122,6 +125,26 @@ def uncertified_levels(tower_models):
     ]
 
 
+def fan_data(fan):
+    """A fan's rays, maximal cones as masks and as generators, and every facet mask."""
+    cones = range(len(fan.maximal_cones))
+    return fan.all_rays, fan.tops, [c.generators for c in fan.maximal_cones], [fan.facet_masks(k) for k in cones]
+
+
+def node_level_mismatches(tower_models):
+    """(number of node levels, [(tower, level)] whose fan differs from the
+    two-step `node_level_oracle` on the level below, by `fan_data`)."""
+    levels, bad = 0, []
+    for model in tower_models:
+        for i, move in enumerate(model.spec.moves):
+            if isinstance(move, NodeMove):
+                levels += 1
+                want = node_level_oracle(model.levels[i].fan, move.lattice_exponents())
+                if fan_data(model.levels[i + 1].fan) != fan_data(want):
+                    bad.append((model.spec, i + 2))
+    return levels, bad
+
+
 def main():
     """Run every net on its corpus, print one line per net, and return 1 on any mismatch."""
     # the corpus lives until the end: build it with the cyclic collector off, then freeze it, so no
@@ -138,10 +161,10 @@ def main():
 
 
 def run_nets(towers):
-    """Run the facet, regular-face and lc nets and the certificate check on
-    `towers`, the support net on SMALL_CORPUS and the census on
-    DRIVER_CORPUS; print one line per net (and one per census mismatch),
-    and return 1 on any mismatch."""
+    """Run the facet, node-level, regular-face and lc nets and the
+    certificate check on `towers`, the support net on SMALL_CORPUS and the
+    census on DRIVER_CORPUS; print one line per net (and one per census
+    mismatch), and return 1 on any mismatch."""
     from census import COMMANDS, census_mismatches
     from test_facet_net import facet_mismatches
     from test_lc_net import lc_mismatches
@@ -151,6 +174,10 @@ def run_nets(towers):
     cones, bad = facet_mismatches(towers)
     print(f"facet: {len(towers)} towers, {cones} cones, {len(bad)} mismatches", flush=True)
     failed = bool(bad)
+
+    levels, bad = node_level_mismatches(towers)
+    print(f"node levels: {len(towers)} towers, {levels} node levels, {len(bad)} mismatches", flush=True)
+    failed |= bool(bad)
 
     fans = tower_fans(towers)
     cases = characters(fans, 20261204)

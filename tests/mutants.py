@@ -31,6 +31,9 @@ COEFFICIENTS = "tests/test_cli.py::test_divisor_coefficients_are_integers_or_fra
 PINNED = "tests/test_violations.py::test_each_violation_keeps_its_text_witnesses_and_counts"
 COUNTS = "tests/test_counts.py"
 NOT_SEQUENCES = "tests/test_records.py::test_an_input_that_is_not_a_sequence_is_named"
+NODE_LEVELS = "tests/test_node_level_net.py"
+CHECK_HEIGHTS = "    _check_digits(u[-1] for u in fan.all_rays)"
+DIGIT_CAP = "tests/test_tower.py::test_the_digit_cap_reads_the_heights_of_kept_rays_only"
 CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError("character dimension does not match fan")\n'
 LOAD = "    return _model_of(_read_input(args.input), args.max_rays, args.max_dim, sys.get_int_max_str_digits())\n"
 ANY_CAP = 'type("AnyCap", (int,), {"__eq__": lambda a, b: True, "__hash__": lambda a: 0})(args.max_rays)'
@@ -68,6 +71,16 @@ MUTANTS = (
     # a derived fan lifts each listed face, not the whole maximal cone it lies in
     ("lattice.py", "        idx = bit_indices(tau)\n", "        idx = bit_indices(source.tops[k])\n",
      ("tests/test_regular_face_net.py",)),
+    # a node level lifts each maximal regular face, with the facets of the cone it was found under,
+    # and reads the digit cap on the heights of the rays it keeps
+    ("toric.py", "return [(found[a], a) for a in maximal_masks(found)]", "return [(0, a) for a in maximal_masks(found)]",
+     (NODE_LEVELS,)),
+    ("toric.py", "return [(found[a], a) for a in maximal_masks(found)]", "return [(found[a], a) for a in found]",
+     (NODE_LEVELS,)),
+    ("tower.py", "derived_fan(prev, n, _regular_faces(prev, m),", "derived_fan(prev, n, enumerate(prev.tops),",
+     (NODE_LEVELS,)),
+    ("tower.py", CHECK_HEIGHTS, "    _check_digits(u[-1] for u in prev.all_rays)", (DIGIT_CAP,)),
+    ("tower.py", CHECK_HEIGHTS, "    _check_digits(dot(m, u) for u in prev.all_rays)", (DIGIT_CAP,)),
     # the orthant's facets leave out one ray each
     ("lattice.py", "full & ~(1 << i)", "full",
      ("tests/test_facet_net.py::test_derived_facet_masks_match_oracle_on_near_cap_towers",)),
@@ -128,7 +141,7 @@ MUTANTS = (
     ("toric.py", "d.numerator * (den // d.denominator)", "d.numerator",
      ("tests/test_toric.py::test_cartier_data_matches_elimination_oracle",)),
     # base_dim and every germ order are ints
-    ("tower.py", 'if not _is_int(base_dim):\n            details.append(f"base_dim {base_dim!r} is not an int")\n'
+    ("tower.py", 'if not _is_int(base_dim):\n            details.append(f"base_dim {_shown(base_dim)} is not an int")\n'
      "        elif base_dim < 1:", "if base_dim < 1:", ("tests/test_records.py",)),
     ("tower.py", '    for c in germ.orders:\n        check_count(c, "vanishing order")\n', "",
      ("tests/test_tower.py::test_base_change_errors",)),
@@ -183,6 +196,11 @@ MUTANTS = (
     ("tower.py", "if not isinstance(germ.orders, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
     ("polytope.py", "if not isinstance(hyperplane_coefficients, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
     ("lattice.py", "vectors = list(map(_integers, vectors))", "vectors = [tuple(v) for v in vectors]", (NOT_SEQUENCES,)),
+    ("lattice.py", 'if not hasattr(values, "__iter__"):', "if False:", (NOT_SEQUENCES,)),
+    # a tower spec keeps its moves and exponents as tuples, and names a base_dim past the digit limit
+    ("tower.py", "        moves = tuple(move if isinstance(move, ProductMove)", "        moves = list(move if isinstance(move, ProductMove)",
+     ("tests/test_records.py::test_a_tower_spec_keeps_its_moves_and_exponents_as_tuples",)),
+    ("tower.py", "base_dim {_shown(base_dim)} must be >= 1", "base_dim {base_dim} must be >= 1", ("tests/test_records.py",)),
     # a sampled suite called directly applies the sample rule itself
     ("verify.py", 'is Gorenstein."""\n    check_samples(samples)\n', 'is Gorenstein."""\n',
      ("tests/test_verify.py::test_sampled_suites_called_directly_apply_the_sample_rule",)),
@@ -194,8 +212,8 @@ MUTANTS = (
     # a valuation, a subdivision centre and a character are integer vectors
     ("toric.py", "    e = _integers(e)\n", "    e = tuple(e)\n", (BAD_TORIC,)),
     ("toric.py", "v = primitive(_integers(v))", "v = primitive(tuple(v))", (BAD_TORIC,)),
-    ("toric.py", "    char = _integers(char)\n" + CHAR_LENGTH + "    bit, tops",
-     "    char = tuple(char)\n" + CHAR_LENGTH + "    bit, tops", (BAD_TORIC,)),
+    ("toric.py", "    char = _integers(char)\n" + CHAR_LENGTH + "    return derived_fan",
+     "    char = tuple(char)\n" + CHAR_LENGTH + "    return derived_fan", (BAD_TORIC,)),
     ("toric.py", "    char = _integers(char)\n" + CHAR_LENGTH + "    return ToricDivisor",
      "    char = tuple(char)\n" + CHAR_LENGTH + "    return ToricDivisor", (BAD_TORIC,)),
     # a fiber dimension and a polarization degree are counts

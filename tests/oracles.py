@@ -29,7 +29,9 @@ so do the generator-expression definitions of the lattice vector helpers,
 the references for their builtin forms, and the lc sampler that builds and
 primitivizes every sample vector.  The mask walks that the face kernels
 replaced are here as well: a fan's faces as the union of one walk per
-maximal cone, and a regularity subfan from a walk of every non-regular face.
+maximal cone, and a regularity subfan from a walk of every non-regular face,
+which `node_level_oracle` lifts whole into a node level, the two-step route
+that build_model's one derived fan per level replaced.
 `unimodular` draws the changes of coordinates for the metamorphic tests,
 and `torus_fan` builds the zero-cone fan that only tests use.  `rank_int`
 and `is_strongly_convex` are the Hermite-form rank tests, the references for
@@ -49,6 +51,7 @@ from torictower.lattice import (
     LatticeError,
     bit_indices,
     content,
+    derived_fan,
     det_int,
     dot,
     halfspace_intersection,
@@ -244,6 +247,17 @@ def regularity_subfan_walk_oracle(fan, char):
         cuts = maximal_masks(face & f for f in fan.facet_masks(found[face]) if face & f != face)
         sub._facets[j] = tuple(sorted(remap(f, rays, sub.bit) for f in cuts))
     return sub
+
+
+def node_level_oracle(prev, char):
+    """The node level of character `char` over the level fan `prev` by the
+    two-step pipeline build_model ran before it lifted regular faces
+    directly: the regularity subfan (`regularity_subfan_walk_oracle`, a Fan
+    with its own facet masks), then `derived_fan` of every subfan cone whole
+    to (u, 0) and (u, <m, u>)."""
+    sub = regularity_subfan_walk_oracle(prev, char)
+    images = [lambda u: u + (0,), lambda u: u + (dot(char, u),)]
+    return derived_fan(sub, sub.ambient_dim + 1, enumerate(sub.tops), images)
 
 
 def cones_equal_as_sets(a, b):

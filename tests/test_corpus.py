@@ -6,7 +6,7 @@ import pytest
 
 import corpus
 
-NETS = ("facet", "regular faces", "lc", "certificate", "support", "census")
+NETS = ("facet", "node levels", "regular faces", "lc", "certificate", "support", "census")
 
 
 @pytest.fixture
@@ -35,6 +35,7 @@ def test_the_driver_prints_one_line_per_net_and_builds_each_tower_once(built, ca
 # (module, mismatch function, what it returns with one forged mismatch)
 FORGED = [
     ("test_facet_net", "facet_mismatches", (1, ["forged"])),
+    ("corpus", "node_level_mismatches", (1, ["forged"])),
     ("test_regular_face_net", "regular_face_mismatches", (1, ["forged"])),
     ("test_regular_face_net", "face_mask_mismatches", ["forged"]),
     ("test_lc_net", "lc_mismatches", (1, ["forged"])),

@@ -2,7 +2,7 @@
 
 A level fan takes each cone's facets from the level below (see
 `Fan.facet_masks` and the `tower` module docstring), so the net is every
-cone of every level fan and of every regularity subfan a node move lifts, on
+cone of every level fan and of the regularity subfan below each node move, on
 every tower over base dimension p <= 2 of depth 2 or 3 with node exponents
 in [-2, 2] (3,464 towers), the near-cap stress tower, 30 draws of the stress
 shape, the 8-cube tower and depth-5 draws where moves lift several cones;

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from torictower.documents import Report, _canonical_json
+from torictower.documents import Report, _canonical_json, emit_tower
 from torictower.lattice import Cone, LatticeError, ResourceCapError, orthant_fan
 from torictower.polytope import ProjectiveDivisorData
 from torictower.toric import CartierData
@@ -65,6 +65,10 @@ BAD_SPECS = [
     ((True, ()), "base_dim True is not an int"),
     ((1, (NodeMove((), (True,)),)), r"move 0 \(level 2\): exponent True is not an int"),
     ((1, (ProductMove(), NodeMove((False,), (1,)))), r"move 1 \(level 3\): exponent False is not an int"),
+    # a number past the int-to-str digit limit is named, not left to raise a bare ValueError
+    ((-10**5000, ()), r"^invalid tower: base_dim -<int of 16610 bits> must be >= 1$"),
+    ((10**5000, (NodeMove((), (1,)),)), r"t_exponents has length 1, expected <int of 16610 bits>$"),
+    ((1, (NodeMove((), (Fraction(10**5000, 3),)),)), r"exponent <Fraction past the digit limit> is not an int$"),
 ]
 
 
@@ -146,6 +150,8 @@ NOT_SEQUENCES = [
                  id="coefficients-str"),
     pytest.param(lambda: ProjectiveDivisorData(2, 5), "hyperplane_coefficients 5 is not a sequence", id="coefficients"),
     pytest.param(lambda: Cone.generated_by([(1.5, 0)]), "1.5 is not an integer", id="generated_by"),
+    pytest.param(lambda: Cone(2, [5]), "vector 5 is not a sequence", id="cone-vector"),
+    pytest.param(lambda: Cone.generated_by([5]), "vector 5 is not a sequence", id="generated_by-vector"),
 ]
 
 
@@ -154,6 +160,15 @@ def test_an_input_that_is_not_a_sequence_is_named(call, message):
     with pytest.raises(LatticeError) as info:
         call()
     assert type(info.value) is LatticeError and str(info.value) == message
+
+
+def test_a_tower_spec_keeps_its_moves_and_exponents_as_tuples():
+    listed = TowerSpec(1, [ProductMove(), NodeMove([2], [-1])])
+    given = TowerSpec(1, (ProductMove(), NodeMove((2,), (-1,))))
+    assert listed == given and hash(listed) == hash(given)
+    assert type(listed.moves) is tuple and all(type(e) is tuple for e in listed.moves[1])
+    assert TowerSpec(1, [ProductMove()]) == TowerSpec(1, (ProductMove(),))
+    assert emit_tower(listed) == emit_tower(given)
 
 
 def test_a_product_move_is_true():

@@ -1,7 +1,8 @@
-"""The directed regular-face search of `regularity_subfan` and the shared
-walk of `Fan.face_masks`, against the walks they replaced.
+"""The directed regular-face search (`toric._regular_faces`, read here
+through `regularity_subfan`) and the shared walk of `Fan.face_masks`,
+against the walks they replaced.
 
-`regularity_subfan` steps from a face only to its intersections with the
+The search steps from a face only to its intersections with the
 facets that miss its lowest irregular ray, and `Fan.face_masks` walks a
 face shared by several maximal cones once; `tests/oracles.py` keeps the
 walk of every non-regular face and the per-cone union.  A subfan matches

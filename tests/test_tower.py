@@ -214,6 +214,21 @@ def test_build_dimension_cap():
     assert lc_place_transfer_check(build_model(spec, max_dim=4), samples=1, seed=0).ok()
 
 
+def test_the_digit_cap_reads_the_heights_of_kept_rays_only():
+    """A node level's new coordinates are the heights <m, u> of the rays it
+    keeps: a height past the digit limit on a ray the move cuts is never a
+    coordinate, so the tower builds; on a kept ray it is a cap."""
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        top = build_model(TowerSpec(2, (node((), (-10**4400, 1)),))).levels[-1].fan
+        with pytest.raises(ResourceCapError, match="^a coordinate has more than 4300 decimal digits$"):
+            build_model(TowerSpec(2, (node((), (10**4400, 1)),)))
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert top.all_rays == ((0, 1, 0), (0, 1, 1))
+
+
 def test_no_int_to_str_digit_limit_is_no_digit_cap():
     """Past the int-to-str digit limit a new coordinate is a cap; with the
     limit off (0), 5,000-digit exponents build and base-change."""
