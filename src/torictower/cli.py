@@ -24,6 +24,8 @@ from .lattice import DEFAULT_MAX_DIM, DEFAULT_MAX_RAYS, LatticeError, ResourceCa
 from .polytope import relative_degree_on_P, relative_volume_on_P
 from .tower import (
     CurveGermData,
+    ProductMove,
+    TowerSpec,
     base_change_to_curve,
     build_model,
     in_projective_support,
@@ -79,18 +81,9 @@ def _load_model(args):
 
 def cmd_build(args):
     model = _load_model(args)
-    data = {
-        "base_dim": model.spec.base_dim,
-        "depth": model.depth,
-        "levels": [
-            {
-                "ambient_dim": level.fan.ambient_dim,
-                "ray_count": len(level.fan.all_rays),
-                "maximal_cone_count": len(level.fan.maximal_cones),
-            }
-            for level in model.levels
-        ],
-    }
+    levels = [{"ambient_dim": level.fan.ambient_dim, "ray_count": len(level.fan.all_rays),
+               "maximal_cone_count": len(level.fan.maximal_cones)} for level in model.levels]
+    data = {"base_dim": model.spec.base_dim, "depth": model.depth, "levels": levels}
     return Report(command="build", seed=args.seed, data=data, checked=model.depth, passed=model.depth)
 
 
@@ -103,21 +96,28 @@ def cmd_fan(args):
     return Report(command="fan", seed=args.seed, data=data, checked=len(levels), passed=len(levels))
 
 
-def cmd_map_to_proj(args):
-    model = _load_model(args)
-    proj = projective_model(model.spec)
-    rays = model.levels[-1].fan.all_rays
-    supported = [in_projective_support(model.spec, r) for r in rays]
-    report = Report(command="map-to-proj", seed=args.seed, checked=len(rays), passed=sum(supported))
+@functools.lru_cache(maxsize=64)
+def _projective_part(p, d):
+    """map-to-proj's data on A^p x P^(d-1), which reads p and d alone, built
+    once per pair in a process.  Every report on the pair shares its dicts,
+    so no handler may mutate them."""
+    proj = projective_model(TowerSpec(p, (ProductMove(),) * (d - 1)))
     n = proj.ambient_dim
-    report.data = {  # shared torus coordinates and the full toric boundary of P
+    return {  # shared torus coordinates and the full toric boundary of P
         "fan": _fan_document(proj),
         "identification": [[int(i == j) for j in range(n)] for i in range(n)],
         "boundary_coefficients": {str(list(r)): 1 for r in proj.all_rays},
-        "level_d_rays_in_support": [
-            {"ray": r, "supported": ok}
-            for r, ok in zip(rays, supported)
-        ],
+    }
+
+
+def cmd_map_to_proj(args):
+    model = _load_model(args)
+    rays = model.levels[-1].fan.all_rays
+    supported = [in_projective_support(model.spec, r) for r in rays]
+    report = Report(command="map-to-proj", seed=args.seed, checked=len(rays), passed=sum(supported))
+    report.data = {
+        **_projective_part(model.spec.base_dim, model.spec.depth),
+        "level_d_rays_in_support": [{"ray": r, "supported": ok} for r, ok in zip(rays, supported)],
     }
     for r, ok in zip(rays, supported):
         if not ok:
@@ -259,16 +259,23 @@ def build_parser():
     common(p, "--seed", "--timing")
     p.set_defaults(func=cmd_verify)
 
-    parser.commands = sub.choices  # name -> subparser, for main's one-pass parse
+    parser.commands = sub.choices  # name -> subparser, for _parsed's one-pass parse
     return parser
 
 
-def main(argv=None):
-    argv = sys.argv[1:] if argv is None else list(argv)
+@functools.lru_cache(maxsize=256)
+def _parsed(argv, digit_limit):
+    """The arguments of `argv`, parsed by its subcommand alone (the top level
+    would parse them again), once per argv and int-to-str digit limit, which
+    integer flags read.  A usage error or --help raises SystemExit, which is
+    not kept, so it prints again.  No handler mutates the shared arguments."""
     parser = build_parser()
     command = parser.commands.get(argv[0]) if argv else None
-    # a subcommand parses its own arguments; the top level would parse them again
-    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+    return parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
+
+
+def main(argv=None):
+    args = _parsed(tuple(sys.argv[1:] if argv is None else argv), sys.get_int_max_str_digits())
     start = time.monotonic()
     try:
         result = args.func(args)  # a Report, or the text of a tower document

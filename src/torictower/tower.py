@@ -60,6 +60,21 @@ from .lattice import (
 from .toric import _regular_faces, cartier_data, regularity_subfan  # the last two: unused; the benchmark traces them
 
 
+class _Record:
+    """A named tuple base whose constructor keeps a list field as a tuple, so
+    equal records hash equal, and any other value as given."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, [tuple(v) if isinstance(v, list) else v for v in fields])
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__
+        return cls(*iterable)
+
+
 class ProductMove(namedtuple("ProductMove", "")):
     """Multiply the previous level by an affine line."""
 
@@ -69,7 +84,7 @@ class ProductMove(namedtuple("ProductMove", "")):
         return True
 
 
-class NodeMove(namedtuple("NodeMove", "alpha_exponents t_exponents")):
+class NodeMove(_Record, namedtuple("NodeMove", "alpha_exponents t_exponents")):
     """Carve the node equation a*a' = lambda out of the previous level.
 
     The character lambda has exponents over (a_2..a_(i-1), t_1..t_p); both
@@ -83,7 +98,7 @@ class NodeMove(namedtuple("NodeMove", "alpha_exponents t_exponents")):
         return tuple(self.t_exponents) + tuple(self.alpha_exponents)
 
 
-class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
+class TowerSpec(_Record, namedtuple("TowerSpec", "base_dim moves")):
     """Symbolic tower description: base dimension and ordered moves.
 
     Move k (0-based) builds level k+2; a node move there may reference the
@@ -125,19 +140,14 @@ class TowerSpec(namedtuple("TowerSpec", "base_dim moves")):
                 details.append(f"{where}: exponent {_shown(inexact[0])} is not an int")
         if details:
             raise LatticeError("invalid tower: " + "; ".join(details))
-        moves = tuple(move if isinstance(move, ProductMove) else NodeMove(*map(tuple, move)) for move in moves)
         return super().__new__(cls, base_dim, moves)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__
-        return cls(*iterable)
 
     @property
     def depth(self):
         return len(self.moves) + 1
 
 
-class CurveGermData(namedtuple("CurveGermData", "orders on_boundary")):
+class CurveGermData(_Record, namedtuple("CurveGermData", "orders on_boundary")):
     """Vanishing orders (c_1..c_p) of the base coordinates along a curve germ,
     and whether the germ centre lies on the boundary of the curve."""
 
@@ -297,13 +307,14 @@ def lc_place_transfer_check(model, samples, seed):
     decides its samples once: when its rays pass and w = the sum of its rays
     has <w, g> > 0 on every ray g, no nonzero draw sums to zero and every one
     passes, with no vector built.  Only a draw from any other cone is built
-    and tested.  `_below` makes the draws: randrange's stream, straight from
-    the Mersenne Twister bits.  On build_model output every ray of every level
-    is nonnegative (level 1 has the unit vectors; a product move adds (u, 0)
-    and e_new, a node move (u, 0) and (u, <m,u>) with <m,u> >= 0), so every
-    ray g of a non-empty cone has <w, g> >= <g, g> > 0: every such cone carries
-    the certificate, and no vector is built.  The test guards any other
-    model, such as a forged one.  The sample count is checked first, then the seed.
+    and tested.  `_below` draws the cone, an inline loop each entry: randrange's
+    stream, straight from the Mersenne Twister bits.  On build_model output
+    every ray of every level is nonnegative (level 1 has the unit vectors; a
+    product move adds (u, 0) and e_new, a node move (u, 0) and (u, <m,u>) with
+    <m,u> >= 0), so every ray g of a non-empty cone has <w, g> >= <g, g> > 0:
+    every such cone carries the certificate, and no vector is built.  The test
+    guards any other model, such as a forged one.  The sample count is
+    checked first, then the seed.
     """
     check_samples(samples)
     check_seed(seed)
@@ -330,7 +341,11 @@ def lc_place_transfer_check(model, samples, seed):
     certified = 0
     for _ in range(samples):
         k = _below(bits, len(cones))
-        draws = [_below(bits, 11) for _ in cones[k]]  # the stream of randint(0, 10)
+        draws = []
+        for _ in cones[k]:  # randint(0, 10) is _below(bits, 11), inline: 4 bits, drawn again while >= 11
+            while (r := bits(4)) >= 11:
+                pass
+            draws.append(r)
         if safe[k] and any(draws):
             certified += 1
             continue

@@ -45,6 +45,8 @@ MISSING_FIELD = (
     "                if field not in raw:\n"
     '                    raise TowerDocumentError(f"{where}: node move missing field {field!r}")\n'
 )
+PARSE = "    args = _parsed(tuple(sys.argv[1:] if argv is None else argv), sys.get_int_max_str_digits())\n"
+PART = "_projective_part(model.spec.base_dim, model.spec.depth)"
 MAKE_OVERRIDE = (
     "    @classmethod\n"
     "    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__\n"
@@ -105,6 +107,7 @@ MUTANTS = (
     # the regularity edit above, which the support-by-lattice-points net must kill on its own
     ("toric.py", "if dot(char, u) < 0)", "if dot(char, u) <= 0)", ("tests/test_support_net.py",)),
     # _replace and _make build through __new__, which checks the rules of TowerSpec and ProjectiveDivisorData
+    # and keeps a node move's and a germ's list fields as tuples
     ("tower.py", MAKE_OVERRIDE, "", ("tests/test_records.py",)),
     ("polytope.py", MAKE_OVERRIDE, "", ("tests/test_records.py",)),
     # a ProductMove, a tuple with no fields, is true
@@ -198,7 +201,7 @@ MUTANTS = (
     ("lattice.py", "vectors = list(map(_integers, vectors))", "vectors = [tuple(v) for v in vectors]", (NOT_SEQUENCES,)),
     ("lattice.py", 'if not hasattr(values, "__iter__"):', "if False:", (NOT_SEQUENCES,)),
     # a tower spec keeps its moves and exponents as tuples, and names a base_dim past the digit limit
-    ("tower.py", "        moves = tuple(move if isinstance(move, ProductMove)", "        moves = list(move if isinstance(move, ProductMove)",
+    ("tower.py", "tuple(v) if isinstance(v, list) else v", "v",
      ("tests/test_records.py::test_a_tower_spec_keeps_its_moves_and_exponents_as_tuples",)),
     ("tower.py", "base_dim {_shown(base_dim)} must be >= 1", "base_dim {base_dim} must be >= 1", ("tests/test_records.py",)),
     # a sampled suite called directly applies the sample rule itself
@@ -280,6 +283,17 @@ MUTANTS = (
      ("tests/test_documents.py::test_records_with_equal_and_different_key_sets",)),
     ("documents.py", "out += sep, text", "out.append(text)", (TWO_INDENTS,)),
     ("documents.py", "get = texts.setdefault(at, {}).get", "get = texts.setdefault(inner, {}).get", (TWO_INDENTS,)),
+    # main keeps a parse per argv and digit limit, map-to-proj its projective part per (p, d), and the
+    # inline lc draw takes 4 bits again on 11 as randrange(11) does
+    ("cli.py", PARSE, PARSE.replace("sys.get_int_max_str_digits()", "0"),
+     ("tests/test_cli.py::test_a_lowered_digit_limit_parses_an_argv_again",)),
+    ("cli.py", PART, f'globals().setdefault("by_p", {{}}).setdefault(model.spec.base_dim, {PART})',
+     ("tests/test_cli.py::test_map_to_proj_builds_the_projective_part_once_per_pair",)),
+    ("tower.py", "while (r := bits(4)) >= 11:", "while (r := bits(4)) > 11:",
+     ("tests/test_tower.py::test_lc_check_matches_per_vector_oracle_on_random_towers",)),
+    # a node move and a germ keep a list field as a tuple
+    ("tower.py", "if isinstance(v, list) else v", "if isinstance(v, tuple) else v",
+     ("tests/test_records.py::test_a_node_move_or_a_germ_keeps_list_fields_as_tuples",)),
 )
 
 

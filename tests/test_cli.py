@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -11,7 +12,7 @@ import torictower.cli
 from corpus import STRESS_TOWER
 from oracles import local_model_report_oracle
 from torictower.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VIOLATIONS, build_parser, main
-from torictower.documents import TowerDocumentError, emit_tower, parse_divisor
+from torictower.documents import TowerDocumentError, emit_tower, parse_divisor, random_tower
 from torictower.lattice import Cone, Fan, LatticeError, orthant_fan
 from torictower.polytope import ProjectiveDivisorData
 from torictower.tower import (
@@ -712,3 +713,72 @@ def test_a_document_that_fails_fails_again(tmp_path, capsys, monkeypatch):
             assert run_cli(capsys, *argv, "--input", bad)[:2] == (EXIT_USAGE, ""), argv
     # the capped build parsed and failed twice; the bad document failed to parse twice per command
     assert (len(builds), len(parses)) == (2, 2 + 2 * len(MODEL_COMMANDS))
+
+
+# main keeps each argv's parsed arguments per int-to-str digit limit, and
+# map-to-proj the projective part per (p, d): in-process callers repeat both.
+
+
+def _clear_cli_caches():
+    for cache in (torictower.cli._model_of, torictower.cli._parsed, torictower.cli._projective_part):
+        cache.cache_clear()
+
+
+def test_each_distinct_argv_is_parsed_once(tmp_path, capsys, monkeypatch):
+    parses, real = [], argparse.ArgumentParser.parse_args
+
+    def counting(self, args=None, namespace=None):
+        parses.append((self.prog, *args))
+        return real(self, args, namespace)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counting)
+    paths = [write_tower(tmp_path, SIMPLE), write_tower(tmp_path, SIMPLE.replace('"2"', '"3"'), "other.json"),
+             write_tower(tmp_path, emit_tower(TowerSpec(2, (ProductMove(), NodeMove((1,), (1, -1))))), "third.json")]
+    argvs = [[command, "--input", path] for path in paths
+             for command in ("build", "fan", "map-to-proj", "lc-check", "local-model")]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    assert {code for code, _, _ in first} == {EXIT_OK}
+    for _ in range(2):
+        assert [run_cli(capsys, *argv) for argv in reversed(argvs)] == first[::-1]
+    assert sorted(parses) == sorted((f"torictower {argv[0]}", *argv[1:]) for argv in argvs)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["lc-check", "--help"], [], ["no-such-command"],
+                                  ["lc-check", "--samples", "many"], ["build", "--no-such-flag"]])
+def test_a_usage_error_or_help_prints_again_on_every_call(argv, tmp_path, capsys):
+    first = _run(argv, capsys, tmp_path)
+    assert first[0] == (0 if "--help" in argv else EXIT_USAGE)
+    assert first[1 if "--help" in argv else 2].startswith("usage: torictower")
+    assert _run(argv, capsys, tmp_path) == first
+    assert torictower.cli._parsed.cache_info().currsize == 0
+
+
+def test_a_lowered_digit_limit_parses_an_argv_again(tmp_path, capsys):
+    """A 701-digit seed is an integer flag under the default int-to-str digit
+    limit and a usage error under 640 digits, though the argv is the same."""
+    argv = ["lc-check", "--input", write_tower(tmp_path, SIMPLE), "--seed", "1" + "0" * 700]
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        assert _run(argv, capsys, tmp_path)[0] == EXIT_OK
+        sys.set_int_max_str_digits(640)
+        code, out, err, _ = _run(argv, capsys, tmp_path)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (code, out) == (EXIT_USAGE, "") and "is not a decimal integer" in err
+
+
+def test_map_to_proj_builds_the_projective_part_once_per_pair(tmp_path, capsys, monkeypatch):
+    calls = _counted(monkeypatch, "projective_model")
+    pairs = [(p, d) for p in range(1, 4) for d in range(1, 6)]
+    docs = [(p, d, write_tower(tmp_path, emit_tower(random_tower(p, d, 3, seed)), f"t{p}{d}{seed}.json"))
+            for seed in (1, 2) for p, d in pairs]
+    warm = [run_cli(capsys, "map-to-proj", "--input", path) for _, _, path in docs]
+    assert sorted((spec.base_dim, spec.depth) for spec, in calls) == pairs
+    for (p, d, path), got in zip(docs, warm):
+        _clear_cli_caches()
+        assert got[0] == EXIT_OK and run_cli(capsys, "map-to-proj", "--input", path) == got
+        fan = projective_model(TowerSpec(p, (ProductMove(),) * (d - 1)))
+        data = json.loads(got[1])["data"]
+        assert data["fan"]["rays"] == [list(map(str, r)) for r in fan.all_rays], (p, d)
+        assert len(data["identification"]) == p + d - 1

@@ -4,9 +4,10 @@ The eight immutable records are `collections.namedtuple` subclasses: equal
 records hash equal and no field can be assigned.  `TowerSpec` and
 `ProjectiveDivisorData` check their rules in `__new__`, and `_make`, which
 `_replace` builds through, is overridden so no construction path skips
-them.  `ProductMove` has no fields, so it defines its truth value.  A
-record is a tuple, but the report emitter rejects it as it rejects any
-object that is not JSON data.
+them.  `NodeMove` and `CurveGermData` keep a list field as a tuple, on
+every construction path too, so they hash.  `ProductMove` has no fields, so
+it defines its truth value.  A record is a tuple, but the report emitter
+rejects it as it rejects any object that is not JSON data.
 """
 
 from fractions import Fraction
@@ -169,6 +170,30 @@ def test_a_tower_spec_keeps_its_moves_and_exponents_as_tuples():
     assert type(listed.moves) is tuple and all(type(e) is tuple for e in listed.moves[1])
     assert TowerSpec(1, [ProductMove()]) == TowerSpec(1, (ProductMove(),))
     assert emit_tower(listed) == emit_tower(given)
+
+
+LISTED = [  # (a record built with list fields on one construction path, the same record with tuples)
+    pytest.param(lambda: NodeMove([1], [2]), NodeMove((1,), (2,)), id="NodeMove"),
+    pytest.param(lambda: NodeMove(t_exponents=[2], alpha_exponents=[1]), NodeMove((1,), (2,)), id="NodeMove-keywords"),
+    pytest.param(lambda: NodeMove._make([[], [-1, 0]]), NodeMove((), (-1, 0)), id="NodeMove-make"),
+    pytest.param(lambda: NODE._replace(t_exponents=[3]), NodeMove((), (3,)), id="NodeMove-replace"),
+    pytest.param(lambda: CurveGermData([1, 0], True), CurveGermData((1, 0), True), id="CurveGermData"),
+    pytest.param(lambda: CurveGermData._make([[2], False]), CurveGermData((2,), False), id="CurveGermData-make"),
+    pytest.param(lambda: CurveGermData((), True)._replace(orders=[0]), CurveGermData((0,), True),
+                 id="CurveGermData-replace"),
+]
+
+
+@pytest.mark.parametrize("make, given", LISTED)
+def test_a_node_move_or_a_germ_keeps_list_fields_as_tuples(make, given):
+    listed = make()
+    assert type(listed) is type(given) and listed == given and hash(listed) == hash(given)
+    assert all(type(v) is tuple for v in listed if not isinstance(v, bool))
+
+
+def test_a_field_that_is_no_list_stays_as_given():
+    assert NodeMove(5, (1,)).alpha_exponents == 5 and NodeMove("1", None)[:] == ("1", None)
+    assert CurveGermData("1", True).orders == "1" and CurveGermData(5, 1).on_boundary == 1
 
 
 def test_a_product_move_is_true():
