@@ -179,7 +179,7 @@ def parse_int(value, where):
 def _parse_int_list(value, where):
     if not isinstance(value, list):
         raise TowerDocumentError(f"{where}: expected a list")
-    return tuple(parse_int(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return [parse_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
 
 
 def emit_tower(spec):
@@ -246,7 +246,7 @@ def parse_tower(text):
         else:
             raise TowerDocumentError(f"{where}: unknown move type {kind!r}")
     try:
-        return TowerSpec(base_dim=base_dim, moves=tuple(moves))
+        return TowerSpec(base_dim=base_dim, moves=moves)
     except LatticeError as exc:  # the tower rules, which TowerSpec checks
         raise TowerDocumentError(str(exc)) from None
 
@@ -267,10 +267,10 @@ def random_tower(p, d, max_exponent, seed):
         if rng.randrange(2) == 0:
             moves.append(ProductMove())
         else:
-            alpha = tuple(rng.randint(-max_exponent, max_exponent) for _ in range(k))
-            t = tuple(rng.randint(-max_exponent, max_exponent) for _ in range(p))
+            alpha = [rng.randint(-max_exponent, max_exponent) for _ in range(k)]
+            t = [rng.randint(-max_exponent, max_exponent) for _ in range(p)]
             moves.append(NodeMove(alpha_exponents=alpha, t_exponents=t))
-    return TowerSpec(base_dim=p, moves=tuple(moves))
+    return TowerSpec(base_dim=p, moves=moves)
 
 
 class Report(CheckOutcome):

@@ -112,6 +112,21 @@ def _integers(values):
         raise LatticeError(f"{_shown(bad)} is not an integer") from None
 
 
+class _Record:
+    """The base of every validated named tuple: its constructor keeps a list
+    field as a tuple, so equal records hash equal, and any other value as given."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        fields = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, [tuple(v) if isinstance(v, list) else v for v in fields])
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__
+        return cls(*iterable)
+
+
 # ---------------------------------------------------------------------------
 # vectors: hot in the double description, so each helper is one C-level
 # builtin (references in tests/oracles.py).  vscale keeps binary-operator
@@ -324,6 +339,7 @@ def halfspace_intersection(constraints, n):
     pv*q - qv*p (pv > 0 > qv) in L, zero included, would put p and -p in the
     cone modulo L, which is pointed, so p in L.
     """
+    check_count(n, "n")
     lineality = [unit_vector(n, i) for i in range(n)]
     rays = []  # (vector, tight-bitmask over processed constraints)
     processed = []

@@ -12,7 +12,7 @@ from collections import defaultdict, namedtuple
 from fractions import Fraction
 
 from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, check_count
-from .lattice import _halfspace_rows, _rational, _shown, det_int, dot, halfspace_intersection, maximal_masks
+from .lattice import _Record, _halfspace_rows, _rational, _shown, det_int, dot, halfspace_intersection, maximal_masks
 from .toric import _same_fan
 
 
@@ -69,7 +69,7 @@ def _homogenized(points):
     return tuple(tuple(x.numerator * (den // x.denominator) for x in v) + (den,) for v, den in zip(points, dens))
 
 
-class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyperplane_coefficients polarization")):
+class ProjectiveDivisorData(_Record, namedtuple("ProjectiveDivisorData", "fiber_dim hyperplane_coefficients polarization")):
     """A divisor on a projective-space fiber by its hyperplane-class
     coefficients, and the polarization degree a with A = a * hyperplane.
 
@@ -86,10 +86,6 @@ class ProjectiveDivisorData(namedtuple("ProjectiveDivisorData", "fiber_dim hyper
         if not isinstance(hyperplane_coefficients, (list, tuple)):
             raise LatticeError(f"hyperplane_coefficients {_shown(hyperplane_coefficients)} is not a sequence")
         return super().__new__(cls, fiber_dim, tuple(map(_rational, hyperplane_coefficients)), polarization)
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__
-        return cls(*iterable)
 
 
 def divisor_polytope(fan, divisor):

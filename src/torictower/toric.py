@@ -46,10 +46,9 @@ class ToricDivisor:
         self.fan = fan
         items = coefficients.items() if isinstance(coefficients, dict) else coefficients
         coeffs = {}
-        rays = set(fan.all_rays)
         for ray, c in items:
             ray = tuple(ray)
-            if ray not in rays:
+            if ray not in fan.bit:
                 raise LatticeError(f"ray {list(ray)} does not belong to the fan")
             c = _rational(c)
             if c != 0:

@@ -42,6 +42,7 @@ from .lattice import (
     DEFAULT_MAX_RAYS,
     LatticeError,
     ResourceCapError,
+    _Record,
     _is_int,
     _shown,
     check_count,
@@ -58,21 +59,6 @@ from .lattice import (
     unit_vector,
 )
 from .toric import _regular_faces, cartier_data, regularity_subfan  # the last two: unused; the benchmark traces them
-
-
-class _Record:
-    """A named tuple base whose constructor keeps a list field as a tuple, so
-    equal records hash equal, and any other value as given."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        fields = super().__new__(cls, *args, **kwargs)
-        return tuple.__new__(cls, [tuple(v) if isinstance(v, list) else v for v in fields])
-
-    @classmethod
-    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__
-        return cls(*iterable)
 
 
 class ProductMove(namedtuple("ProductMove", "")):
@@ -95,7 +81,7 @@ class NodeMove(_Record, namedtuple("NodeMove", "alpha_exponents t_exponents")):
 
     def lattice_exponents(self):
         """Exponent vector in level-(i-1) lattice coordinates (t's first)."""
-        return tuple(self.t_exponents) + tuple(self.alpha_exponents)
+        return self.t_exponents + self.alpha_exponents
 
 
 class TowerSpec(_Record, namedtuple("TowerSpec", "base_dim moves")):
@@ -280,18 +266,6 @@ def in_projective_support(spec, v):
     return min(v[: spec.base_dim]) >= 0
 
 
-def _below(bits, n):
-    """The draw of random.Random.randrange(n), from its getrandbits: k =
-    n.bit_length() bits, drawn again while the result is >= n."""
-    if n < 1:  # as randrange(0) does; bits(0) is always 0, which would never end
-        raise ValueError("empty range")
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def lc_place_transfer_check(model, samples, seed):
     """Check that toric valuations of the model's (V_d, C_d) are lc places of (P, G).
 
@@ -307,8 +281,9 @@ def lc_place_transfer_check(model, samples, seed):
     decides its samples once: when its rays pass and w = the sum of its rays
     has <w, g> > 0 on every ray g, no nonzero draw sums to zero and every one
     passes, with no vector built.  Only a draw from any other cone is built
-    and tested.  `_below` draws the cone, an inline loop each entry: randrange's
-    stream, straight from the Mersenne Twister bits.  On build_model output
+    and tested.  The cone and each entry are drawn by inline loops, which give
+    randrange's stream straight from the Mersenne Twister bits; with no
+    maximal cone to draw, any sample is a LatticeError.  On build_model output
     every ray of every level is nonnegative (level 1 has the unit vectors; a
     product move adds (u, 0) and e_new, a node move (u, 0) and (u, <m,u>) with
     <m,u> >= 0), so every ray g of a non-empty cone has <w, g> >= <g, g> > 0:
@@ -321,28 +296,23 @@ def lc_place_transfer_check(model, samples, seed):
     spec = model.spec
     out = CheckOutcome()
     fan_v = model.levels[-1].fan
-    rng = random.Random(seed)
-
-    def sign_test(origin, e):
-        if e is None:
-            out.skip("degenerate sample (zero vector)", origin=origin)
-        else:
-            out.check(in_projective_support(spec, e), "no-centre-on-P",
-                      "vector lies in |Sigma_V| but not in |Sigma_P|", vector=list(e), origin=origin)
-
-    for r in fan_v.all_rays:
-        sign_test("ray", r)
     cones = [c.generators for c in fan_v.maximal_cones]
+    if samples and not cones:  # as randrange(0) is; bits(0) is always 0, so the draw would never end
+        raise LatticeError("the top fan has no maximal cone to sample")
+    outside = "vector lies in |Sigma_V| but not in |Sigma_P|"
+    for r in fan_v.all_rays:
+        out.check(in_projective_support(spec, r), "no-centre-on-P", outside, vector=list(r), origin="ray")
     safe = []
     for gens in cones:
         w = tuple(map(sum, zip(*gens)))
         safe.append(all(in_projective_support(spec, g) and dot(w, g) > 0 for g in gens))
-    bits = rng.getrandbits
+    bits, n, width = random.Random(seed).getrandbits, len(cones), len(cones).bit_length()
     certified = 0
     for _ in range(samples):
-        k = _below(bits, len(cones))
+        while (k := bits(width)) >= n:  # randrange(n): n.bit_length() bits, drawn again while >= n
+            pass
         draws = []
-        for _ in cones[k]:  # randint(0, 10) is _below(bits, 11), inline: 4 bits, drawn again while >= 11
+        for _ in cones[k]:  # randint(0, 10) is randrange(11): 4 bits, drawn again while >= 11
             while (r := bits(4)) >= 11:
                 pass
             draws.append(r)
@@ -353,7 +323,11 @@ def lc_place_transfer_check(model, samples, seed):
         for c, u in zip(draws, cones[k]):
             if c:
                 v = tuple(x + c * y for x, y in zip(v, u))
-        sign_test("sample", None if is_zero(v) else primitive(v))
+        if is_zero(v):
+            out.skip("degenerate sample (zero vector)", origin="sample")
+        else:
+            v = primitive(v)
+            out.check(in_projective_support(spec, v), "no-centre-on-P", outside, vector=list(v), origin="sample")
     return out.merge(CheckOutcome(checked=certified, passed=certified))
 
 

@@ -29,6 +29,7 @@ from torictower.lattice import (
     check_count,
     check_samples,
     dual_cone,
+    halfspace_intersection,
     orthant_fan,
     projective_fan,
 )
@@ -58,6 +59,7 @@ SITES = [
     ("local_model_at", "level", 1, None, lambda v: local_model_at(MODEL, v, Cone(2, ())), 2),
     ("orthant_fan", "n", 0, None, orthant_fan, 2),
     ("projective_fan", "n", 0, None, projective_fan, 2),
+    ("halfspace_intersection", "n", 0, None, lambda v: halfspace_intersection((), v), 2),
 ]
 
 CASES = [

@@ -31,6 +31,7 @@ from torictower.toric import (
     log_discrepancy,
 )
 from torictower.tower import (
+    CheckOutcome,
     CurveGermData,
     NodeMove,
     ProductMove,
@@ -45,7 +46,6 @@ from torictower.tower import (
     projective_model,
     torus_splitting_check,
 )
-from torictower.tower import _below
 from torictower.verify import random_towers
 
 
@@ -362,17 +362,30 @@ def test_lc_check_matches_per_vector_oracle_on_random_towers():
     assert skipped > 0
 
 
+def _model_of_cones(n):
+    """A one-level model over A^3 whose top fan has the n cones cone((-1, i, 0), (-1, i, 1)), 0 <= i < n,
+    which meet only at 0.  No ray lies in |Sigma_P| = {x >= 0}, so each nonzero sample is a violation whose
+    vector names its cone (i = -x_2 / x_1) and the ratio of its two entries, and each zero one a skip."""
+    cones = [Cone(3, ((-1, i, 0), (-1, i, 1))) for i in range(n)]
+    return TowerModel(spec=TowerSpec(3, ()), levels=(TowerLevel(fan=Fan(3, cones)),))
+
+
 def test_lc_draws_are_the_randrange_stream():
-    """`_below` is CPython's randrange(n) draw on the same generator, so the
-    lc samples, counts and goldens stay those of randrange and randint(0, 10)."""
-    for seed in range(40):
-        ours, ref = random.Random(seed), random.Random(seed)
-        for n in range(1, 65):
-            assert [_below(ours.getrandbits, n) for _ in range(25)] == [ref.randrange(n) for _ in range(25)]
-        ours, ref = random.Random(seed), random.Random(seed)
-        assert [_below(ours.getrandbits, 11) for _ in range(500)] == [ref.randint(0, 10) for _ in range(500)]
-    with pytest.raises(ValueError):
-        _below(random.Random(0).getrandbits, 0)
+    """The inline draws are CPython's randrange(n) for the cone and randint(0, 10) for each entry, on the
+    same generator, so the lc samples, counts and goldens stay those of the oracle, which calls both."""
+    for n in range(1, 65):
+        model = _model_of_cones(n)
+        for seed in range(3):
+            got = lc_place_transfer_check(model, samples=25, seed=seed)
+            assert got == lc_place_transfer_check_oracle(model, samples=25, seed=seed)
+            assert len(got.violations) == 2 * n + 25 - got.skipped
+
+
+def test_lc_check_with_no_maximal_cone_to_sample_raises():
+    model = TowerModel(spec=TowerSpec(3, ()), levels=(TowerLevel(fan=Fan(3, [])),))
+    assert lc_place_transfer_check(model, samples=0, seed=0) == CheckOutcome()
+    with pytest.raises(LatticeError, match="no maximal cone to sample"):
+        lc_place_transfer_check(model, samples=1, seed=0)
 
 
 def test_lc_check_matches_per_vector_oracle_on_the_stress_tower():
