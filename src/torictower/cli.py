@@ -114,14 +114,12 @@ def cmd_map_to_proj(args):
     model = _load_model(args)
     rays = model.levels[-1].fan.all_rays
     supported = [in_projective_support(model.spec, r) for r in rays]
-    report = Report(command="map-to-proj", seed=args.seed, checked=len(rays), passed=sum(supported))
-    report.data = {
+    report = Report(command="map-to-proj", seed=args.seed, data={
         **_projective_part(model.spec.base_dim, model.spec.depth),
         "level_d_rays_in_support": [{"ray": r, "supported": ok} for r, ok in zip(rays, supported)],
-    }
+    })
     for r, ok in zip(rays, supported):
-        if not ok:
-            report.add_violation("support", f"ray {list(r)} outside |P|")
+        report.check(ok, "support", f"ray {list(r)} outside |P|")
     return report
 
 

@@ -229,10 +229,14 @@ def hnf(m):
 
     Returns (H, U) with U unimodular, H = U*m, H in upper-echelon form with
     positive pivots and entries above each pivot reduced into [0, pivot).
+    Each row is read by `_integers`; rows of unequal length are a LatticeError.
     """
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    h = [list(row) for row in m]
+    h = [_integers(row) for row in m]
+    nr = len(h)
+    nc = len(h[0]) if nr else 0
+    for i, row in enumerate(h):
+        if len(row) != nc:
+            raise LatticeError(f"matrix row {i} has length {len(row)}, expected {nc}")
     u = [list(row) for row in identity_matrix(nr)]
 
     def row_sub(i, j, q):
@@ -345,7 +349,7 @@ def halfspace_intersection(constraints, n):
     processed = []
     mul = operator.mul  # pairings skip dot's length check: every row and ray has length n
     for a in constraints:
-        a = tuple(a)
+        a = _integers(a)
         if len(a) != n:
             raise LatticeError(f"constraint has dimension {len(a)}, expected {n}")
         if is_zero(a):

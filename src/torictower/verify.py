@@ -14,7 +14,6 @@ steps.
 
 import itertools
 import math
-import os
 import random
 from fractions import Fraction
 
@@ -555,49 +554,11 @@ def suite_volume(seed=None, samples=None):
     return out
 
 
-def _beside(fn, work):
-    """Return (fn(), work()), running fn in a child made by os.fork while work
-    runs here (both here where os.fork does not exist).  What fn raises is
-    raised here; the child is always reaped, and killed first if work raises."""
-    if not hasattr(os, "fork"):
-        return fn(), work()
-    import pickle
-    import signal
-    rfd, wfd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # the child never returns into its caller: no atexit, no stdio flush
-        try:
-            os.close(rfd)
-            try:
-                result = fn()
-            except BaseException as exc:
-                result = exc
-            with os.fdopen(wfd, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
-        finally:
-            os._exit(0)
-    os.close(wfd)
-    with os.fdopen(rfd, "rb") as pipe:
-        try:
-            mine = work()
-            data = pipe.read()
-        except BaseException:
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            os.waitpid(pid, 0)
-    if not data:
-        raise ChildProcessError("the forked suite exited without sending a result")
-    theirs = pickle.loads(data)
-    if isinstance(theirs, BaseException):
-        raise theirs
-    return theirs, mine
-
-
 def run_suite(name, seed, samples=None):
-    """Run one named invariant suite; `all` merges every suite in SUITES
-    order.  A suite runs its own default sample count unless `samples` (0 to
-    MAX_SAMPLES) is given.  `seed` is an int of any sign."""
+    """Run one named invariant suite; `all` runs every suite in SUITES order,
+    one after another, and merges each outcome with its name.  A suite runs
+    its own default sample count unless `samples` (0 to MAX_SAMPLES) is
+    given.  `seed` is an int of any sign."""
     check_seed(seed)
     if samples is not None:
         check_samples(samples)
@@ -607,14 +568,8 @@ def run_suite(name, seed, samples=None):
     if name in suites:
         return suites[name](seed, **kwargs)
     if name == "all":
-        # kernel (0.108 s at seed 11, 2-core Xeon, median of 5) runs in one forked child while the other
-        # five (0.124 s: tower 0.065, toric 0.031, lc 0.023, basechange 0.003, volume 0.002) run here, 0.128 s
-        # in all: one child balances two cores, and no split into more children finishes before kernel's 0.108 s
-        kernel = suites.pop("kernel")
-        first, rest = _beside(lambda: kernel(seed, **kwargs),
-                              lambda: {sub: suite(seed, **kwargs) for sub, suite in suites.items()})
         total = CheckOutcome()
-        for sub, outcome in {"kernel": first, **rest}.items():
-            total.merge(outcome, suite=sub)
+        for sub, suite in suites.items():
+            total.merge(suite(seed, **kwargs), suite=sub)
         return total
     raise LatticeError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")

@@ -11,7 +11,7 @@ starts (PY_START), since no LINE event reports it on every version.  The
 function lines are the lines of every function, method, lambda and generator
 expression compiled from the package's modules; module and class bodies run
 at import and are not counted.  A line that runs only in a child process
-(the forked suite of `verify --suite all`) never reports here.
+would never report here; the package starts none.
 
 The lines that never ran are compared with the ledger, whose entries are
 keyed by file, function (its qualified name) and line text, each with a

@@ -37,7 +37,7 @@ SEVERAL_CONES = "tests/test_facet_net.py::test_derived_facet_masks_match_oracle_
 RECORDS = ("tests/test_records.py::test_a_tower_spec_checks_its_rules_on_every_construction_path",
            "tests/test_records.py::test_projective_divisor_data_checks_its_rules_on_every_construction_path",
            "tests/test_records.py::test_a_product_move_is_true")
-VERIFY_ALL = ("tests/test_verify.py::test_a_parent_side_error_kills_and_reaps_the_kernel_child",
+VERIFY_ALL = ("tests/test_verify.py::test_a_lattice_error_in_any_suite_of_all_is_exit_2",
               "tests/test_verify.py::test_all_merges_kernel_first_and_tags_each_entry_with_its_suite")
 NOT_SEQUENCES = "tests/test_records.py::test_an_input_that_is_not_a_sequence_is_named"
 NODE_LEVELS = "tests/test_node_level_net.py::test_node_levels_match_the_two_step_route_where_faces_come_from_several_cones"
@@ -126,11 +126,10 @@ MUTANTS = (
     # a ProductMove, a tuple with no fields, is true
     ("tower.py", "    def __bool__(self):  # a move, not an empty sequence\n        return True\n", "",
      RECORDS),
-    # verify --suite all reaps its kernel child, merges kernel first, and keeps the child's outcome
-    ("verify.py", "            os.waitpid(pid, 0)\n", "            pass\n", VERIFY_ALL),
-    ("verify.py", '{"kernel": first, **rest}', '{**rest, "kernel": first}', VERIFY_ALL),
-    ("verify.py", "                result = fn()\n", "                result = CheckOutcome()\n",
-     VERIFY_ALL),
+    # verify --suite all runs every suite, in SUITES order, in the calling process
+    ("verify.py", "for sub, suite in suites.items():", "for sub, suite in reversed(suites.items()):", VERIFY_ALL),
+    ("verify.py", "for sub, suite in suites.items():", "for sub, suite in list(suites.items())[1:]:",
+     ("tests/test_verify.py::test_all_runs_every_suite_in_the_calling_process",)),
     # a cone coordinate or dimension that is not an integer is an error, not truncated
     ("lattice.py", "return tuple(map(operator.index, values))", "return tuple(map(int, values))",
      ("tests/test_lattice.py::test_cones_and_fans_take_integer_coordinates_only",)),
@@ -219,6 +218,12 @@ MUTANTS = (
     ("polytope.py", "if not isinstance(hyperplane_coefficients, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
     ("lattice.py", "vectors = list(map(_integers, vectors))", "vectors = [tuple(v) for v in vectors]", (NOT_SEQUENCES,)),
     ("lattice.py", 'if not hasattr(values, "__iter__"):', "if False:", (NOT_SEQUENCES,)),
+    # hnf (so snf and kernel_basis) and the double description read each row by _integers; hnf names a ragged row
+    ("lattice.py", "h = [_integers(row) for row in m]", "h = [tuple(row) for row in m]",
+     (NOT_SEQUENCES + "[hnf-float]",)),
+    ("lattice.py", "        if len(row) != nc:\n", "        if False:\n", (NOT_SEQUENCES + "[hnf-ragged]",)),
+    ("lattice.py", "        a = _integers(a)\n", "        a = tuple(a)\n",
+     (NOT_SEQUENCES + "[halfspace_intersection-float]",)),
     # a tower spec keeps its moves and exponents as tuples, and names a base_dim past the digit limit
     ("lattice.py", "tuple(v) if isinstance(v, list) else v", "v",
      ("tests/test_records.py::test_a_tower_spec_keeps_its_moves_and_exponents_as_tuples",)),
@@ -250,7 +255,7 @@ MUTANTS = (
     ("toric.py", "if divisor.fan is not fan and divisor.fan != fan:", "if divisor.fan is not fan:",
      ("tests/test_toric.py::test_a_divisor_on_an_equal_fan_is_on_the_fan",)),
     # map-to-proj reports a top ray outside |P|
-    ("cli.py", 'if not ok:\n            report.add_violation("support"', 'if False:\n            report.add_violation("support"',
+    ("cli.py", 'report.check(ok, "support"', 'report.check(True, "support"',
      ("tests/test_cli.py::test_map_to_proj_reports_a_top_ray_outside_the_support",)),
     # the one check rule: a failed check is not passed, and a skip is a check
     ("tower.py", "        if ok:\n            self.passed += 1\n",

@@ -15,7 +15,16 @@ from fractions import Fraction
 import pytest
 
 from torictower.documents import Report, _canonical_json, emit_tower
-from torictower.lattice import Cone, LatticeError, ResourceCapError, orthant_fan
+from torictower.lattice import (
+    Cone,
+    LatticeError,
+    ResourceCapError,
+    halfspace_intersection,
+    hnf,
+    kernel_basis,
+    orthant_fan,
+    snf,
+)
 from torictower.polytope import ProjectiveDivisorData
 from torictower.toric import CartierData
 from torictower.tower import (
@@ -151,6 +160,13 @@ NOT_SEQUENCES = [
                  id="coefficients-str"),
     pytest.param(lambda: ProjectiveDivisorData(2, 5), "hyperplane_coefficients 5 is not a sequence", id="coefficients"),
     pytest.param(lambda: Cone.generated_by([(1.5, 0)]), "1.5 is not an integer", id="generated_by"),
+    pytest.param(lambda: hnf(((1.5, 2), (3, 4))), "1.5 is not an integer", id="hnf-float"),
+    pytest.param(lambda: hnf((("1", 2), (3, 4))), "'1' is not an integer", id="hnf-str"),
+    pytest.param(lambda: hnf(((1, 2), (3,))), "matrix row 1 has length 1, expected 2", id="hnf-ragged"),
+    pytest.param(lambda: snf(((1, 2), (3, 4.0))), "4.0 is not an integer", id="snf-float"),
+    pytest.param(lambda: kernel_basis(((1.5, 2),), 2), "1.5 is not an integer", id="kernel_basis-float"),
+    pytest.param(lambda: halfspace_intersection([(1.5, 0), (0, 1)], 2), "1.5 is not an integer",
+                 id="halfspace_intersection-float"),
     pytest.param(lambda: Cone(2, [5]), "vector 5 is not a sequence", id="cone-vector"),
     pytest.param(lambda: Cone.generated_by([5]), "vector 5 is not a sequence", id="generated_by-vector"),
 ]

@@ -153,15 +153,9 @@ def serial_all(seed, samples=None):
     return total
 
 
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("samples", [0, None])
 def test_all_equals_the_serial_merge_of_the_six_suites(samples):
     assert run_suite("all", seed=11, samples=samples) == serial_all(11, samples)
-    assert_no_child_left()
 
 
 def test_all_merges_kernel_first_and_tags_each_entry_with_its_suite(monkeypatch):
@@ -183,24 +177,43 @@ def test_all_merges_kernel_first_and_tags_each_entry_with_its_suite(monkeypatch)
     assert (total.checked, total.passed, total.skipped) == (12, 6, 6)
 
 
+def test_all_runs_every_suite_in_the_calling_process(monkeypatch):
+    """A wrapper installed here sees each suite's one call, so a tracer that
+    wraps `suite_kernel` counts what `verify --suite all` does."""
+    calls = {}
+
+    def counted(name, suite):
+        def wrapper(seed, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return suite(seed, **kwargs)
+        return wrapper
+
+    for name in SUITES[:-1]:
+        monkeypatch.setattr(torictower.verify, f"suite_{name}",
+                            counted(name, getattr(torictower.verify, f"suite_{name}")))
+    total = run_suite("all", seed=1, samples=0)
+    assert calls == {name: 1 for name in SUITES[:-1]}
+    assert total == serial_all(1, 0)
+
+
 def test_verify_all_bytes_equal_a_serial_reference(capsys):
     assert main(["verify", "--suite", "all", "--seed", "12"]) == 0
     assert capsys.readouterr().out == Report(command="verify:all", seed=12).merge(serial_all(12)).to_json()
-    assert_no_child_left()
 
 
-def test_a_parent_side_error_kills_and_reaps_the_kernel_child(monkeypatch, capsys):
+def test_a_lattice_error_in_any_suite_of_all_is_exit_2(monkeypatch, capsys):
     def broken(seed, **kwargs):
-        raise LatticeError("tower suite failed")
+        raise LatticeError("suite failed")
 
-    monkeypatch.setattr(torictower.verify, "suite_tower", broken)
-    assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_USAGE
-    captured = capsys.readouterr()
-    assert captured.out == "" and "tower suite failed" in captured.err
-    assert_no_child_left()
+    for name in SUITES[:-1]:
+        with monkeypatch.context() as patch:
+            patch.setattr(torictower.verify, f"suite_{name}", broken)
+            assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and "suite failed" in captured.err, name
 
 
-def test_a_cap_in_the_kernel_child_is_a_cap_in_the_parent(monkeypatch, capsys):
+def test_a_cap_in_the_kernel_suite_of_all_is_exit_3(monkeypatch, capsys):
     def capped(seed, **kwargs):
         raise ResourceCapError("kernel cap")
 
@@ -208,39 +221,22 @@ def test_a_cap_in_the_kernel_child_is_a_cap_in_the_parent(monkeypatch, capsys):
     assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.out == "" and "resource cap: kernel cap" in captured.err
-    assert_no_child_left()
 
 
-def test_any_base_exception_in_the_kernel_child_is_raised_in_the_parent(monkeypatch):
+def test_a_keyboard_interrupt_in_a_suite_of_all_propagates(monkeypatch):
     def interrupted(seed, **kwargs):
-        raise KeyboardInterrupt("in the child")
+        raise KeyboardInterrupt("in the kernel suite")
 
     monkeypatch.setattr(torictower.verify, "suite_kernel", interrupted)
-    with pytest.raises(KeyboardInterrupt, match="in the child"):
+    with pytest.raises(KeyboardInterrupt, match="in the kernel suite"):
         run_suite("all", seed=1, samples=0)
-    assert_no_child_left()
 
 
-def test_a_kernel_child_that_dies_without_a_result_is_an_error_not_a_hang(monkeypatch, capsys):
-    monkeypatch.setattr(torictower.verify, "suite_kernel", lambda seed, **kwargs: os._exit(5))
-    with pytest.raises(ChildProcessError, match="without sending a result"):
-        run_suite("all", seed=1, samples=0)
-    assert main(["verify", "--suite", "all", "--seed", "1"]) == EXIT_USAGE
-    assert capsys.readouterr().out == ""
-    assert_no_child_left()
+def test_sample_counts_are_checked_before_any_suite_runs(monkeypatch):
+    def never(seed, **kwargs):
+        raise AssertionError("a suite ran before the sample count was checked")
 
-
-def test_without_fork_all_runs_in_process_with_the_same_outcome(monkeypatch):
-    forked = run_suite("all", seed=13, samples=10)
-    monkeypatch.delattr(os, "fork")
-    assert run_suite("all", seed=13, samples=10) == forked == serial_all(13, 10)
-
-
-def test_sample_counts_are_checked_before_any_fork(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked before checking the sample count")
-
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(torictower.verify, "suite_kernel", never)
     with pytest.raises(LatticeError, match="samples must be >= 0"):
         run_suite("all", seed=0, samples=-1)
     with pytest.raises(ResourceCapError, match="exceeds cap"):
@@ -248,7 +244,7 @@ def test_sample_counts_are_checked_before_any_fork(monkeypatch):
 
 
 def test_importing_the_cli_loads_no_pickle():
-    """Only `verify --suite all` pickles, so the fork helper imports pickle itself."""
+    """Nothing in the package pickles, so importing the CLI loads no pickle."""
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(torictower.verify.__file__))}
     probe = "import sys, torictower.cli; sys.exit(int('pickle' in sys.modules))"
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
