@@ -3,9 +3,9 @@
 Everything here is exact: lattice vectors are tuples of Python ints, and
 there is no floating point anywhere.  Cones are stored by generators; the
 supporting-halfspace description (facet normals plus equations) is derived
-on demand by a double description pass and memoized; `Cone.halfspaces` is
-the only caller of that pass here, and a cone's dual, dimension, extreme rays
-and faces are read off its memo.
+on demand by a double description pass and memoized (some builders set the
+memo from normals they know); `Cone.halfspaces` is the only caller of that
+pass here, and a cone's dual, dimension, extreme rays and faces are read off its memo.
 
 A face of a canonical cone is determined by its rays, so a face is only
 ever an int bitmask over its fan's ray index (a lone cone is a one-cone
@@ -237,38 +237,34 @@ def hnf(m):
     for i, row in enumerate(h):
         if len(row) != nc:
             raise LatticeError(f"matrix row {i} has length {len(row)}, expected {nc}")
-    u = [list(row) for row in identity_matrix(nr)]
-
-    def row_sub(i, j, q):
-        if q:
-            h[i] = [x - q * y for x, y in zip(h[i], h[j])]
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
+    a = [row + unit for row, unit in zip(h, identity_matrix(nr))]
     r = 0
     for c in range(nc):
         # gcd the column below row r down to a single nonzero entry
         while True:
-            nz = [i for i in range(r, nr) if h[i][c] != 0]
+            nz = [i for i in range(r, nr) if a[i][c] != 0]
             if len(nz) <= 1:
                 break
-            i0 = min(nz, key=lambda i: (abs(h[i][c]), i))
+            i0 = min(nz, key=lambda i: (abs(a[i][c]), i))
+            p = a[i0]
             for i in nz:
-                if i != i0:
-                    row_sub(i, i0, h[i][c] // h[i0][c])
-        nz = [i for i in range(r, nr) if h[i][c] != 0]
+                q = a[i][c] // p[c]
+                if i != i0 and q:
+                    a[i] = [x - q * y for x, y in zip(a[i], p)]
         if not nz:
             continue
         piv = nz[0]
         if piv != r:
-            h[r], h[piv] = h[piv], h[r]
-            u[r], u[piv] = u[piv], u[r]
-        if h[r][c] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+            a[r], a[piv] = a[piv], a[r]
+        p = a[r]
+        if p[c] < 0:
+            a[r] = p = [-x for x in p]
         for i in range(r):
-            row_sub(i, r, h[i][c] // h[r][c])
+            q = a[i][c] // p[c]
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], p)]
         r += 1
-    return tuple(tuple(row) for row in h), tuple(tuple(row) for row in u)
+    return tuple(tuple(row[:nc]) for row in a), tuple(tuple(row[nc:]) for row in a)
 
 
 def snf(m):
@@ -726,6 +722,7 @@ def orthant_fan(n):
     check_count(n, "n")
     full = (1 << n) - 1
     fan = Fan(n, (Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n)))),))
+    fan.maximal_cones[0]._halfspaces = (fan.all_rays, ())  # facet normals e_i
     fan._facets[0] = tuple(sorted(full & ~(1 << i) for i in range(n)))
     return fan
 
@@ -762,18 +759,24 @@ def derived_fan(source, ambient_dim, faces, images, apex=None):
 
 
 def projective_fan(n):
-    """Complete fan of projective n-space; rays e_1..e_n and -(e_1+...+e_n)."""
+    """Complete fan of projective n-space; rays e_1..e_n and -(e_1+...+e_n).
+    The cone without ray `skip` carries its facet normals, which are the
+    DD's: u - units[skip] over the other points u of units = e_1..e_n, 0,
+    so e_i - e_skip and -e_skip without e_skip, and e_i without the last ray."""
     check_count(n, "n")
     rays = [unit_vector(n, i) for i in range(n)] + [tuple(-1 for _ in range(n))]
+    units = rays[:n] + [(0,) * n]
     cones = []
     for skip in range(n + 1):
-        gens = tuple(sorted(r for i, r in enumerate(rays) if i != skip))
-        cones.append(Cone(n, gens))
+        cone = Cone(n, tuple(sorted(r for i, r in enumerate(rays) if i != skip)))
+        cone._halfspaces = (tuple(sorted(vadd(e, vneg(units[skip])) for e in units if e != units[skip])), ())
+        cones.append(cone)
     return Fan(n, cones)
 
 
 def product_fan(a, b):
-    """Product fan: maximal cones are products of maximal cones."""
+    """Product fan: maximal cones are products of maximal cones.  Products of
+    full-dimensional cones carry the DD's normals, each factor's padded with zeros."""
     n = a.ambient_dim + b.ambient_dim
     zero_a = (0,) * a.ambient_dim
     zero_b = (0,) * b.ambient_dim
@@ -781,7 +784,11 @@ def product_fan(a, b):
     for ca in a.maximal_cones:
         for cb in b.maximal_cones:
             gens = [g + zero_b for g in ca.generators] + [zero_a + g for g in cb.generators]
-            cones.append(Cone(n, tuple(sorted(gens))))
+            cone = Cone(n, tuple(sorted(gens)))
+            (na, ea), (nb, eb) = ca.halfspaces(), cb.halfspaces()
+            if not ea and not eb:
+                cone._halfspaces = (tuple(sorted([m + zero_b for m in na] + [zero_a + m for m in nb])), ())
+            cones.append(cone)
     return Fan(n, cones)
 
 

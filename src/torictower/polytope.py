@@ -10,9 +10,10 @@ nothing to the generic fiber.
 import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
+from operator import mul
 
 from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, check_count
-from .lattice import _Record, _halfspace_rows, _rational, _shown, det_int, dot, halfspace_intersection, maximal_masks
+from .lattice import _Record, _halfspace_rows, _rational, _shown, det_int, halfspace_intersection, maximal_masks
 from .toric import _same_fan
 
 
@@ -138,7 +139,8 @@ def normalized_volume(polytope):
     rows = polytope.rows()
     if not rows:
         return Fraction(0)
-    masks = {sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in polytope.inequalities()}
+    # unchecked pairings: the DD read every inequality and every row at length n + 1
+    masks = {sum(1 << i for i, r in enumerate(rows) if not sum(map(mul, a, r))) for a in polytope.inequalities()}
     total = defaultdict(int)  # sum of |det| per denominator
     # (face, its dimension, residual rows of its points, last pivot, dens of the apexes above it,
     # the masks that properly cut its parent)

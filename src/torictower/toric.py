@@ -19,7 +19,9 @@ from .lattice import (
     LatticeError,
     ResourceCapError,
     _integers,
+    _primitive_combination,
     _rational,
+    bit_indices,
     derived_fan,
     dot,
     hnf,
@@ -297,6 +299,12 @@ def star_subdivision(fan, v):
     with v off its hyperplane (Cox-Little-Schenck §11.1): tau stays a face and v
     an extreme ray, so tau's rays, read off its own normal, plus v are canonical
     generators, with no DD.
+
+    A full-dimensional parent sets the DD's halfspaces on each new cone, a
+    pyramid over tau: m_tau, and per facet of tau, a maximal cut tau & F (F
+    another facet), the primitive <m_tau, v> m_F - <m_F, v> m_tau, which
+    vanishes on v.  A lower-dimensional parent's are left to the DD, whose
+    normals there depend on its lineality reduction.
     """
     v = primitive(_integers(v))
     holds = [cone.contains(v) for cone in fan.maximal_cones]
@@ -307,8 +315,17 @@ def star_subdivision(fan, v):
         if not held:
             new_cones.append(cone)
             continue
-        for nrm in cone.halfspaces()[0]:
-            if dot(nrm, v) > 0:
-                facet = [g for g in cone.generators if dot(nrm, g) == 0]
-                new_cones.append(Cone(fan.ambient_dim, tuple(sorted(facet + [v]))))
+        normals, equations = cone.halfspaces()
+        gens = cone.generators
+        # per facet: its normal, the normal's pairing with v, and its rays as a mask over gens
+        facets = [(m, dot(m, v), sum(1 << i for i, g in enumerate(gens) if dot(m, g) == 0)) for m in normals]
+        for m_tau, tau_v, tau in facets:
+            if tau_v <= 0:
+                continue
+            new = Cone(fan.ambient_dim, tuple(sorted([gens[i] for i in bit_indices(tau)] + [v])))
+            if not equations:
+                cuts = {tau & f: (m_f, f_v) for m_f, f_v, f in facets if f != tau}
+                ridges = [_primitive_combination(tau_v, m_f, f_v, m_tau) for m_f, f_v in map(cuts.get, maximal_masks(cuts))]
+                new._halfspaces = (tuple(sorted(ridges + [m_tau])), ())
+            new_cones.append(new)
     return Fan(fan.ambient_dim, new_cones)

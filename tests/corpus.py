@@ -8,9 +8,10 @@ many nets read it.  Tier-1 runs them on the 3,464 towers over base dimension
 p <= 2 of depth 2 or 3 with node exponents in SPAN (SMALL_CORPUS).  The
 driver, outside tier-1, runs the facet, node-level, regular-face and lc
 nets and the certificate invariant on the 19,656 towers over p = 1 of
-depth 4, then the support net on the 3,464 towers and the census golden
-(`tests/census.py`) on the 19,656; it prints one line per net and exits 1
-on any mismatch:
+depth 4, then the support net on the 3,464 towers, the halfspace-memo
+net (`halfspace_memo_mismatches`, on fans, not towers) on MEMO_SEEDS and
+the census golden (`tests/census.py`) on the 19,656; it prints one line
+per net and exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -24,12 +25,14 @@ import random
 import sys
 
 from oracles import node_level_oracle
-from torictower.lattice import Cone, Fan, dot
+from torictower.lattice import Cone, Fan, dot, halfspace_intersection, orthant_fan, product_fan, projective_fan
+from torictower.toric import star_subdivision
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
 SPAN = range(-2, 3)
 DRIVER_CORPUS = ((1, 4),)  # (p, depth) of the driver's facet, regular-face and lc nets: 19,656 towers
 SMALL_CORPUS = ((1, 2), (1, 3), (2, 2), (2, 3))  # tier-1's nets and the driver's support net: 3,464 towers
+MEMO_SEEDS = range(8, 100)  # the driver's halfspace-memo chains; tier-1 runs seeds 0-7
 
 
 def small_towers(p, depth):
@@ -145,6 +148,50 @@ def node_level_mismatches(tower_models):
     return levels, bad
 
 
+def memo_start_fans():
+    """The start fans of the halfspace-memo net, each of dimension at most 6:
+    P^n, P^a x P^b, A^a x P^b, non-simplicial one-cone fans (cones over
+    cubes, and one times P^1), and a fan with a 2-dimensional maximal cone
+    in R^3 alone and times P^1, whose cones carry no memo."""
+    low = Fan(3, (orthant_fan(3).maximal_cones[0], Cone(3, ((-1, 0, 0), (0, -1, 0)))))
+    return ([projective_fan(n) for n in range(1, 7)]
+            + [product_fan(projective_fan(a), projective_fan(b)) for a in range(1, 6) for b in range(1, 7 - a)]
+            + [product_fan(orthant_fan(a), projective_fan(b)) for a in range(1, 6) for b in range(1, 7 - a)]
+            + [_cube_cone_fan(k) for k in range(2, 6)] + [product_fan(_cube_cone_fan(2), projective_fan(1))]
+            + [low, product_fan(low, projective_fan(1))])
+
+
+def halfspace_memo_mismatches(seeds, steps=4):
+    """(cones with a memo, cones without one, [(seed, start fan, step, cone)]
+    whose memo differs from `halfspace_intersection` of its generators).
+    Per seed, each start fan runs a chain of `steps` star subdivisions; each
+    centre is a positive combination of a random subset of a random maximal
+    cone's rays, so it lies inside a face of any dimension.  Every cone of a
+    start fan and every cone a step creates is checked once."""
+    carried, left, bad = 0, 0, []
+    for seed in seeds:
+        rng = random.Random(seed)
+        for start, fan in enumerate(memo_start_fans()):
+            old = ()
+            for step in range(steps + 1):
+                for cone in fan.maximal_cones:
+                    if any(cone is c for c in old):
+                        continue
+                    if cone._halfspaces is None:
+                        left += 1
+                    else:
+                        carried += 1
+                        if cone._halfspaces != halfspace_intersection(cone.generators, fan.ambient_dim):
+                            bad.append((seed, start, step, cone))
+                if step < steps:
+                    gens = rng.choice(fan.maximal_cones).generators
+                    subset = rng.sample(gens, rng.randint(1, len(gens)))
+                    coeffs = [rng.randint(1, 3) for _ in subset]
+                    v = tuple(sum(c * g[i] for c, g in zip(coeffs, subset)) for i in range(fan.ambient_dim))
+                    old, fan = fan.maximal_cones, star_subdivision(fan, v)
+    return carried, left, bad
+
+
 def main():
     """Run every net on its corpus, print one line per net, and return 1 on any mismatch."""
     # the corpus lives until the end: build it with the cyclic collector off, then freeze it, so no
@@ -162,9 +209,10 @@ def main():
 
 def run_nets(towers):
     """Run the facet, node-level, regular-face and lc nets and the
-    certificate check on `towers`, the support net on SMALL_CORPUS and the
-    census on DRIVER_CORPUS; print one line per net (and one per census
-    mismatch), and return 1 on any mismatch."""
+    certificate check on `towers`, the support net on SMALL_CORPUS, the
+    halfspace-memo net on MEMO_SEEDS and the census on DRIVER_CORPUS; print
+    one line per net (and one per census mismatch), and return 1 on any
+    mismatch."""
     from census import COMMANDS, census_mismatches
     from test_facet_net import facet_mismatches
     from test_lc_net import lc_mismatches
@@ -200,6 +248,10 @@ def run_nets(towers):
     points, inside, bad = support_mismatches(small)
     print(f"support: {len(small)} towers, {points} lattice points, {inside} in a level's support, "
           f"{len(bad)} mismatches", flush=True)
+    failed |= bool(bad)
+
+    carried, left, bad = halfspace_memo_mismatches(MEMO_SEEDS)
+    print(f"halfspace memos: {carried} carried, {left} left to the DD, {len(bad)} mismatches", flush=True)
     failed |= bool(bad)
 
     count, bad = census_mismatches(DRIVER_CORPUS)

@@ -40,6 +40,7 @@ RECORDS = ("tests/test_records.py::test_a_tower_spec_checks_its_rules_on_every_c
 VERIFY_ALL = ("tests/test_verify.py::test_a_lattice_error_in_any_suite_of_all_is_exit_2",
               "tests/test_verify.py::test_all_merges_kernel_first_and_tags_each_entry_with_its_suite")
 NOT_SEQUENCES = "tests/test_records.py::test_an_input_that_is_not_a_sequence_is_named"
+MEMOS = "tests/test_facet_net.py::test_carried_halfspace_memos_match_the_double_description"
 NODE_LEVELS = "tests/test_node_level_net.py::test_node_levels_match_the_two_step_route_where_faces_come_from_several_cones"
 CHECK_HEIGHTS = "    _check_digits(u[-1] for u in fan.all_rays)"
 DIGIT_CAP = "tests/test_tower.py::test_the_digit_cap_reads_the_heights_of_kept_rays_only"
@@ -208,7 +209,7 @@ MUTANTS = (
     ("lattice.py", '        return f"<{type(value).__name__} past the digit limit>"\n', "        raise\n", (COUNTS,)),
     # each fan constructor reads n by the count rule, and an unknown suite name is a LatticeError
     ("lattice.py", 'one ray."""\n    check_count(n, "n")\n', 'one ray."""\n', (COUNTS,)),
-    ("lattice.py", '(e_1+...+e_n)."""\n    check_count(n, "n")\n', '(e_1+...+e_n)."""\n', (COUNTS,)),
+    ("lattice.py", 'without the last ray."""\n    check_count(n, "n")\n', 'without the last ray."""\n', (COUNTS,)),
     ("lattice.py", '    check_count(n, "n")\n    lineality = [', "    lineality = [", (COUNTS,)),
     ("verify.py", 'raise LatticeError(f"unknown suite', 'raise ValueError(f"unknown suite', (COUNTS,)),
     # a field that holds entries by position is a list or a tuple, and is named otherwise
@@ -318,6 +319,15 @@ MUTANTS = (
     # the inline cone draw takes n.bit_length() bits again on n, as randrange(n) does
     ("tower.py", "while (k := bits(width)) >= n:", "while (k := bits(width)) > n:",
      ("tests/test_tower.py::test_lc_draws_are_the_randrange_stream",)),
+    # a piece of a star subdivision carries m_tau and, per maximal cut tau & F, the combination of
+    # m_tau and m_F that vanishes on v; P^n's cones carry e_i - e_skip, and a product pads each factor's normals
+    ("toric.py", "_primitive_combination(tau_v, m_f, f_v, m_tau)", "_primitive_combination(f_v, m_tau, tau_v, m_f)",
+     (MEMOS,)),
+    ("toric.py", "map(cuts.get, maximal_masks(cuts))", "cuts.values()", (MEMOS,)),
+    ("toric.py", "sorted(ridges + [m_tau])", "sorted(ridges)", (MEMOS,)),
+    ("lattice.py", "vadd(e, vneg(units[skip]))", "vadd(e, units[skip])", (MEMOS,)),
+    ("lattice.py", "[m + zero_b for m in na] + [zero_a + m for m in nb]", "[zero_b + m for m in na] + [m + zero_a for m in nb]",
+     (MEMOS,)),
     # a node move and a germ keep a list field as a tuple
     ("lattice.py", "if isinstance(v, list) else v", "if isinstance(v, tuple) else v",
      ("tests/test_records.py::test_a_node_move_or_a_germ_keeps_list_fields_as_tuples",)),

@@ -6,7 +6,7 @@ import pytest
 
 import corpus
 
-NETS = ("facet", "node levels", "regular faces", "lc", "certificate", "support", "census")
+NETS = ("facet", "node levels", "regular faces", "lc", "certificate", "support", "halfspace memos", "census")
 
 
 @pytest.fixture
@@ -14,6 +14,7 @@ def built(monkeypatch):
     """The towers build_model is called on while the driver runs on the tiny corpus."""
     monkeypatch.setattr(corpus, "DRIVER_CORPUS", ((1, 2),))
     monkeypatch.setattr(corpus, "SMALL_CORPUS", ((1, 2),))
+    monkeypatch.setattr(corpus, "MEMO_SEEDS", range(1))
     calls, inner = [], corpus.build_model
     monkeypatch.setattr(corpus, "build_model", lambda spec: calls.append(spec) or inner(spec))
     corpus.models.cache_clear()
@@ -41,6 +42,7 @@ FORGED = [
     ("test_lc_net", "lc_mismatches", (1, ["forged"])),
     ("corpus", "uncertified_levels", ["forged"]),
     ("test_support_net", "support_mismatches", (1, 1, ["forged"])),
+    ("corpus", "halfspace_memo_mismatches", (1, 1, ["forged"])),
     ("census", "census_mismatches", (1, ["forged"])),
 ]
 

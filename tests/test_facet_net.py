@@ -8,19 +8,29 @@ in [-2, 2] (3,464 towers), the near-cap stress tower, 30 draws of the stress
 shape, the 8-cube tower and depth-5 draws where moves lift several cones;
 and on the regularity subfans of complete fans.  The towers and their models
 come from `tests/corpus.py`, whose driver runs the p = 1, depth 4 extension
-(19,656 more towers) outside tier-1.
+(19,656 more towers) outside tier-1.  The halfspaces that the fan builders
+and star subdivision set on a cone are checked here too, against a double
+description of the cone's generators (`corpus.halfspace_memo_mismatches`).
 """
 
 import itertools
 import random
 
 import torictower.lattice
-from corpus import CUBE_TOWER, SMALL_CORPUS, STRESS_TOWER, corpus_models, shaped_tower, small_towers
+from corpus import (
+    CUBE_TOWER,
+    SMALL_CORPUS,
+    STRESS_TOWER,
+    corpus_models,
+    halfspace_memo_mismatches,
+    shaped_tower,
+    small_towers,
+)
 from oracles import facet_masks_oracle, star_subdivision_oracle
 from test_golden import run_cli
 from torictower.documents import emit_tower
-from torictower.lattice import Fan, product_fan, projective_fan
-from torictower.toric import regularity_subfan, star_subdivision
+from torictower.lattice import Fan, fan_validate, orthant_fan, product_fan, projective_fan
+from torictower.toric import boundary_divisor, cartier_data, regularity_subfan, star_subdivision
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
 
@@ -110,3 +120,24 @@ def test_build_model_and_local_model_run_no_double_description(monkeypatch):
     top = levels[-1].fan
     Fan(top.ambient_dim, top.maximal_cones).facet_masks(0)  # the same cone in a plain Fan: one DD
     assert len(calls) == 1
+
+
+def test_carried_halfspace_memos_match_the_double_description():
+    # seeds 0-7 here; tests/corpus.py's driver runs MEMO_SEEDS, 8-99
+    carried, left, bad = halfspace_memo_mismatches(range(8))
+    assert bad == []
+    assert carried > 10_000 and left > 0  # a lower-dimensional cone's pieces and products keep no memo
+
+
+def test_refined_products_run_no_double_description(monkeypatch):
+    calls = []
+    inner = torictower.lattice.halfspace_intersection
+    monkeypatch.setattr(torictower.lattice, "halfspace_intersection", lambda *a: calls.append(a) or inner(*a))
+    for fan in (product_fan(projective_fan(2), projective_fan(3)), product_fan(orthant_fan(2), projective_fan(2))):
+        for k in range(4):
+            cone = fan.maximal_cones[7 * k % len(fan.maximal_cones)]
+            fan = star_subdivision(fan, tuple(map(sum, zip(*cone.generators[:2 + k]))))
+        assert fan_validate(fan) == []
+        assert cartier_data(fan, boundary_divisor(fan)).cartier_index == 1
+        assert all(fan.cone_index(u) is not None for u in fan.all_rays)
+    assert calls == []
