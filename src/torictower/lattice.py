@@ -302,7 +302,12 @@ def snf(m):
 def kernel_basis(m, ncols):
     """A basis (rows) of the integer kernel {x : m*x = 0}, not in Hermite form:
     the ncols - rank(m) rows of the unimodular U, U*m^T = H, where H is zero,
-    so they are saturated (every invariant factor is 1)."""
+    so they are saturated (every invariant factor is 1).  Each row is read by
+    `_integers`; a row whose length is not ncols is a LatticeError."""
+    m = [_integers(row) for row in m]
+    for i, row in enumerate(m):
+        if len(row) != ncols:
+            raise LatticeError(f"matrix row {i} has length {len(row)}, expected {ncols}")
     h, u = hnf(transpose(m, ncols=ncols))
     return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
@@ -316,10 +321,11 @@ def halfspace_intersection(constraints, n):
 
     Returns (rays, lineality): the extreme rays of the pointed part (primitive,
     lex-sorted) and a saturated basis of the lineality space (kernel_basis of
-    the processed rows, so in general not in Hermite form).  Double description
-    with incremental lineality reduction; the adjacency test is the standard
-    combinatorial one, valid because the ray list stays minimal at every step.
-    Deterministic: first-index pivoting, lexicographically sorted output.
+    the processed rows, as the basis the pass keeps can have index > 1; so in
+    general not in Hermite form).  Double description with incremental
+    lineality reduction; the adjacency test is the standard combinatorial one,
+    valid because the ray list stays minimal at every step.  Deterministic:
+    first-index pivoting, lexicographically sorted output.
     ResourceCapError when a row leaves more than MAX_FACES rays.
 
     Adjacency pre-filter (Fukuda & Prodon, 1996): the processed rows have rank
@@ -629,9 +635,9 @@ class Fan:
     the ray index built with the fan: all_rays is the deduplicated lex-sorted
     union of the cones' rays, `bit` maps each to 1 << its position (ascending
     bits are ascending rays), and tops[k] is maximal cone k as a mask.
-    Construction does not validate; see fan_validate.  `orthant_fan` and
-    `derived_fan` set every cone's facet masks when they build the fan (see
-    facet_masks).
+    Construction does not validate; see fan_validate.  `derived_fan` sets
+    every cone's facet masks; any other fan reads them off its cones' normals,
+    from the memo a builder set or else from one DD pass (see facet_masks).
     """
 
     __slots__ = ("ambient_dim", "maximal_cones", "all_rays", "bit", "tops", "_facets")
@@ -640,6 +646,8 @@ class Fan:
         (self.ambient_dim,) = _integers((ambient_dim,))
         seen = {}
         for c in cones:
+            if not isinstance(c, Cone):
+                raise LatticeError(f"cone {_shown(c)} is not a Cone")
             if c.ambient_dim != self.ambient_dim:
                 raise LatticeError("cone ambient dimension does not match fan")
             seen.setdefault(tuple(sorted(c.generators)), c)  # one cone, whatever its ray order
@@ -686,10 +694,10 @@ class Fan:
 
     def facet_masks(self, k):
         """The facets of maximal cone k as masks over the ray index, ascending.
-        `orthant_fan` and `derived_fan` set them when they build the fan; any
-        other fan takes, on the first call (memoized), per facet normal of the
-        cone (one double description pass), its rays on the hyperplane, a
-        repeated generator as one bit."""
+        `derived_fan` sets them; any other fan reads them off its cones'
+        normals, from the memo a builder set or else from one DD pass: on the
+        first call (memoized), per facet normal of the cone, its rays on the
+        hyperplane, a repeated generator as one bit."""
         if k not in self._facets:
             gens = self.maximal_cones[k].generators
             self._facets[k] = tuple(sorted(
@@ -717,13 +725,11 @@ class Fan:
 
 
 def orthant_fan(n):
-    """Fan of affine n-space: the positive orthant and its faces.  Its facets
-    are the masks that leave out one ray."""
+    """Fan of affine n-space: the positive orthant and its faces.  It carries
+    the normals e_i, off which facet_masks reads masks that leave out one ray."""
     check_count(n, "n")
-    full = (1 << n) - 1
     fan = Fan(n, (Cone(n, tuple(sorted(unit_vector(n, i) for i in range(n)))),))
-    fan.maximal_cones[0]._halfspaces = (fan.all_rays, ())  # facet normals e_i
-    fan._facets[0] = tuple(sorted(full & ~(1 << i) for i in range(n)))
+    fan.maximal_cones[0]._halfspaces = (fan.all_rays, ())
     return fan
 
 

@@ -49,7 +49,7 @@ class ToricDivisor:
         items = coefficients.items() if isinstance(coefficients, dict) else coefficients
         coeffs = {}
         for ray, c in items:
-            ray = tuple(ray)
+            ray = _integers(ray)
             if ray not in fan.bit:
                 raise LatticeError(f"ray {list(ray)} does not belong to the fan")
             c = _rational(c)
@@ -75,13 +75,6 @@ class ToricDivisor:
 
     def __neg__(self):
         return ToricDivisor(self.fan, {r: -c for r, c in self._coeffs.items()})
-
-    def scale(self, k):
-        k = _rational(k)
-        return ToricDivisor(self.fan, {r: k * c for r, c in self._coeffs.items()})
-
-    def is_zero(self):
-        return not self._coeffs
 
     def __eq__(self, other):
         return (
@@ -297,8 +290,8 @@ def star_subdivision(fan, v):
     Precondition: the maximal cones are canonical, strongly convex and form a
     fan.  A maximal cone containing v becomes cone(tau, v) for each facet tau
     with v off its hyperplane (Cox-Little-Schenck §11.1): tau stays a face and v
-    an extreme ray, so tau's rays, read off its own normal, plus v are canonical
-    generators, with no DD.
+    an extreme ray, so tau's rays, read off its own normal as a mask over the
+    fan's ray index, plus v are canonical generators, with no DD.
 
     A full-dimensional parent sets the DD's halfspaces on each new cone, a
     pyramid over tau: m_tau, and per facet of tau, a maximal cut tau & F (F
@@ -310,19 +303,18 @@ def star_subdivision(fan, v):
     holds = [cone.contains(v) for cone in fan.maximal_cones]
     if not any(holds):
         raise LatticeError("subdivision centre lies outside the fan support")
-    new_cones = []
+    bit, rays, new_cones = fan.bit, fan.all_rays, []
     for cone, held in zip(fan.maximal_cones, holds):
         if not held:
             new_cones.append(cone)
             continue
         normals, equations = cone.halfspaces()
-        gens = cone.generators
-        # per facet: its normal, the normal's pairing with v, and its rays as a mask over gens
-        facets = [(m, dot(m, v), sum(1 << i for i, g in enumerate(gens) if dot(m, g) == 0)) for m in normals]
+        # per facet: its normal, the normal's pairing with v, and its rays as a mask over the ray index
+        facets = [(m, dot(m, v), sum(bit[g] for g in cone.generators if dot(m, g) == 0)) for m in normals]
         for m_tau, tau_v, tau in facets:
             if tau_v <= 0:
                 continue
-            new = Cone(fan.ambient_dim, tuple(sorted([gens[i] for i in bit_indices(tau)] + [v])))
+            new = Cone(fan.ambient_dim, tuple(sorted([rays[i] for i in bit_indices(tau)] + [v])))
             if not equations:
                 cuts = {tau & f: (m_f, f_v) for m_f, f_v, f in facets if f != tau}
                 ridges = [_primitive_combination(tau_v, m_f, f_v, m_tau) for m_f, f_v in map(cuts.get, maximal_masks(cuts))]

@@ -94,8 +94,8 @@ MUTANTS = (
      (NODE_LEVELS,)),
     ("tower.py", CHECK_HEIGHTS, "    _check_digits(u[-1] for u in prev.all_rays)", (DIGIT_CAP,)),
     ("tower.py", CHECK_HEIGHTS, "    _check_digits(dot(m, u) for u in prev.all_rays)", (DIGIT_CAP,)),
-    # the orthant's facets leave out one ray each
-    ("lattice.py", "full & ~(1 << i)", "full",
+    # the orthant carries every normal e_i, and facet_masks reads its facets, one per ray left out, off them
+    ("lattice.py", "._halfspaces = (fan.all_rays, ())", "._halfspaces = (fan.all_rays[1:], ())",
      ("tests/test_facet_net.py::test_derived_facet_masks_match_oracle_on_near_cap_towers",)),
     # no int-to-str digit limit (0) is no digit cap
     ("tower.py", "if limit and any(", "if any(",
@@ -225,6 +225,13 @@ MUTANTS = (
     ("lattice.py", "        if len(row) != nc:\n", "        if False:\n", (NOT_SEQUENCES + "[hnf-ragged]",)),
     ("lattice.py", "        a = _integers(a)\n", "        a = tuple(a)\n",
      (NOT_SEQUENCES + "[halfspace_intersection-float]",)),
+    # kernel_basis checks each row against ncols, a divisor reads each ray by _integers, and a fan's cone is a Cone
+    ("lattice.py", "        if len(row) != ncols:\n", "        if False:\n", (NOT_SEQUENCES + "[kernel_basis-short]",)),
+    ("toric.py", "            ray = _integers(ray)\n", "            ray = tuple(ray)\n", (BAD_TORIC + "[float-ray]",)),
+    ("lattice.py", "            if not isinstance(c, Cone):\n", "            if False:\n", (BAD_TORIC + "[list-cone]",)),
+    # the DD returns the saturated kernel basis of its rows, not the basis it kept through the pass
+    ("lattice.py", "    if lineality:\n        lineality = kernel_basis(tuple(processed), n)\n", "",
+     ("tests/test_lattice.py::test_halfspace_intersection_lineality_is_a_saturated_basis_of_the_row_kernel",)),
     # a tower spec keeps its moves and exponents as tuples, and names a base_dim past the digit limit
     ("lattice.py", "tuple(v) if isinstance(v, list) else v", "v",
      ("tests/test_records.py::test_a_tower_spec_keeps_its_moves_and_exponents_as_tuples",)),
@@ -325,6 +332,9 @@ MUTANTS = (
      (MEMOS,)),
     ("toric.py", "map(cuts.get, maximal_masks(cuts))", "cuts.values()", (MEMOS,)),
     ("toric.py", "sorted(ridges + [m_tau])", "sorted(ridges)", (MEMOS,)),
+    # a piece's rays are read off its facet's mask over the fan's ray index, not by generator position
+    ("toric.py", "[rays[i] for i in bit_indices(tau)]", "[cone.generators[i] for i in bit_indices(tau)]",
+     ("tests/test_facet_net.py::test_star_subdivision_of_derived_level_fans_matches_oracle",)),
     ("lattice.py", "vadd(e, vneg(units[skip]))", "vadd(e, units[skip])", (MEMOS,)),
     ("lattice.py", "[m + zero_b for m in na] + [zero_a + m for m in nb]", "[zero_b + m for m in na] + [m + zero_a for m in nb]",
      (MEMOS,)),

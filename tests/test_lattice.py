@@ -407,6 +407,22 @@ def test_halfspace_intersection_matches_oracle_without_prefilter(case):
     assert halfspace_intersection(rows, n) == halfspace_intersection_oracle(rows, n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(constraint_rows())
+@example(([(2, 3, 5)], 3))
+def test_halfspace_intersection_lineality_is_a_saturated_basis_of_the_row_kernel(case):
+    """Why the DD recomputes its lineality by kernel_basis of the processed
+    rows: the basis it keeps through the pass spans the kernel over Q, not
+    always over Z.  On the row (2, 3, 5) it keeps ((-3, 2, 0), (-5, 0, 2)),
+    of index 2.  What it returns is orthogonal to every row, has n - rank
+    rows, and is saturated: the gcd of its maximal minors is 1."""
+    rows, n = case
+    _, lineality = halfspace_intersection(rows, n)
+    assert all(dot(a, l) == 0 for a in rows for l in lineality)
+    assert len(lineality) == n - rank_int(rows)
+    assert all(f == 1 for f in invariant_factors_minor_oracle(lineality))
+
+
 def test_det_int_matches_rational_elimination():
     rng = random.Random(20261018)
     for _ in range(300):

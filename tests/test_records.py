@@ -17,16 +17,18 @@ import pytest
 from torictower.documents import Report, _canonical_json, emit_tower
 from torictower.lattice import (
     Cone,
+    Fan,
     LatticeError,
     ResourceCapError,
     halfspace_intersection,
     hnf,
     kernel_basis,
     orthant_fan,
+    projective_fan,
     snf,
 )
 from torictower.polytope import ProjectiveDivisorData
-from torictower.toric import CartierData
+from torictower.toric import CartierData, ToricDivisor
 from torictower.tower import (
     CurveGermData,
     NodeMove,
@@ -144,7 +146,8 @@ def test_projective_divisor_data_holds_fractions_on_every_construction_path():
 
 
 # a field that must hold entries by position is a list or a tuple: a string is not read as its characters,
-# and a number or a set is named, not left to raise a bare TypeError
+# and a number or a set is named, not left to raise a bare TypeError; a matrix row has the length its reader
+# expects, a divisor's ray is read by the integer rule, and a fan's cone that is no Cone is named
 NOT_SEQUENCES = [
     pytest.param(lambda: TowerSpec(1, 5), "invalid tower: moves 5 is not a sequence", id="moves"),
     pytest.param(lambda: TowerSpec(1, (NodeMove(5, (1,)),)),
@@ -165,10 +168,16 @@ NOT_SEQUENCES = [
     pytest.param(lambda: hnf(((1, 2), (3,))), "matrix row 1 has length 1, expected 2", id="hnf-ragged"),
     pytest.param(lambda: snf(((1, 2), (3, 4.0))), "4.0 is not an integer", id="snf-float"),
     pytest.param(lambda: kernel_basis(((1.5, 2),), 2), "1.5 is not an integer", id="kernel_basis-float"),
+    pytest.param(lambda: kernel_basis([[1, 2]], 3), "matrix row 0 has length 2, expected 3", id="kernel_basis-short"),
+    pytest.param(lambda: kernel_basis([[1, 2, 3]], 2), "matrix row 0 has length 3, expected 2", id="kernel_basis-long"),
     pytest.param(lambda: halfspace_intersection([(1.5, 0), (0, 1)], 2), "1.5 is not an integer",
                  id="halfspace_intersection-float"),
     pytest.param(lambda: Cone(2, [5]), "vector 5 is not a sequence", id="cone-vector"),
     pytest.param(lambda: Cone.generated_by([5]), "vector 5 is not a sequence", id="generated_by-vector"),
+    pytest.param(lambda: ToricDivisor(projective_fan(2), {(1.0, 0): 1}), "1.0 is not an integer",
+                 id="divisor-float-ray"),
+    pytest.param(lambda: ToricDivisor(projective_fan(2), {5: 2}), "vector 5 is not a sequence", id="divisor-ray"),
+    pytest.param(lambda: Fan(2, [[(1, 0)]]), "cone [(1, 0)] is not a Cone", id="fan-cone"),
 ]
 
 
