@@ -14,6 +14,7 @@ import time
 from .documents import (
     Report,
     TowerDocumentError,
+    _Kept,
     emit_tower,
     parse_divisor,
     parse_int,
@@ -65,14 +66,22 @@ def _fan_document(fan):  # every fan written here lists its cones' rays in lex o
 
 
 @functools.lru_cache(maxsize=1)
+def _spec_of(text, digit_limit):
+    """The spec of the last tower document parsed, so that commands run one
+    after another on one document, base-change too, parse it once; keyed on
+    the text and the int-to-str digit limit it reads.  A failure is not kept."""
+    return parse_tower(text)
+
+
+@functools.lru_cache(maxsize=1)
 def _model_of(text, max_rays, max_dim, digit_limit):
     """The model of the last tower document built, so that commands run one
-    after another in one process on one document parse and build it once.
-    The key is everything a load reads: the text, both caps and the
-    int-to-str digit limit, which the parse and build_model's digit check
-    read.  A failed parse or build is not kept and raises again.  Every
-    handler shares the model, so none may mutate it."""
-    return build_model(parse_tower(text), max_rays=max_rays, max_dim=max_dim)
+    after another in one process on one document build it once.  The key is
+    everything a load reads: the text, both caps and the int-to-str digit
+    limit, which the parse and build_model's digit check read.  A failed
+    parse or build is not kept and raises again.  Every handler shares the
+    model, so none may mutate it."""
+    return build_model(_spec_of(text, digit_limit), max_rays=max_rays, max_dim=max_dim)
 
 
 def _load_model(args):
@@ -99,14 +108,14 @@ def cmd_fan(args):
 @functools.lru_cache(maxsize=64)
 def _projective_part(p, d):
     """map-to-proj's data on A^p x P^(d-1), which reads p and d alone, built
-    once per pair in a process.  Every report on the pair shares its dicts,
-    so no handler may mutate them."""
+    once per pair in a process, each value kept with its text.  Every report
+    on the pair shares them, so no handler may mutate them."""
     proj = projective_model(TowerSpec(p, (ProductMove(),) * (d - 1)))
     n = proj.ambient_dim
     return {  # shared torus coordinates and the full toric boundary of P
-        "fan": _fan_document(proj),
-        "identification": [[int(i == j) for j in range(n)] for i in range(n)],
-        "boundary_coefficients": {str(list(r)): 1 for r in proj.all_rays},
+        "fan": _Kept(_fan_document(proj)),
+        "identification": _Kept([[int(i == j) for j in range(n)] for i in range(n)]),
+        "boundary_coefficients": _Kept({str(list(r)): 1 for r in proj.all_rays}),
     }
 
 
@@ -124,7 +133,7 @@ def cmd_map_to_proj(args):
 
 
 def cmd_base_change(args):
-    spec = parse_tower(_read_input(args.input))
+    spec = _spec_of(_read_input(args.input), sys.get_int_max_str_digits())
     orders = tuple(parse_int(c, "--orders") for c in args.orders.split(",")) if args.orders else ()
     germ = CurveGermData(orders=orders, on_boundary=args.on_boundary)
     return emit_tower(base_change_to_curve(spec, germ))

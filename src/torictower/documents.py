@@ -41,7 +41,8 @@ def _canonical_json(obj):
     one object held in many places (a ray in every face that has it, a
     node character in each node entry) reuses it; a list of lists adds its
     items' texts to the output by reference; a dict's key set is sorted and
-    its key lines made once per indent, for every record that has it."""
+    its key lines made once per indent, for every record that has it.  A
+    dict value that is a _Kept is written from its text, kept across reports."""
     out = []
     _emit(obj, "\n", out, {})
     out.append("\n")
@@ -113,7 +114,9 @@ def _emit(obj, newline, out, texts):
     if isinstance(obj, dict):
         for key, line in _key_lines(tuple(obj), inner):
             v = obj[key]
-            if not v or type(v) not in (list, tuple) and not isinstance(v, dict):
+            if type(v) is _Kept:
+                out += line, v.text(inner)
+            elif not v or type(v) not in (list, tuple) and not isinstance(v, dict):
                 out.append(line + _scalar(v))
             else:
                 out.append(line)
@@ -160,6 +163,25 @@ def _emit(obj, newline, out, texts):
                 out.append(text)
         out.append(close)
     out.append(newline + "]")
+
+
+class _Kept:
+    """A value of a dict that many reports share, kept with its canonical
+    text per indent, which _emit writes in its place.  Neither may change."""
+
+    __slots__ = ("value", "texts")
+
+    def __init__(self, value):
+        self.value, self.texts = value, {}
+
+    def text(self, newline):
+        """The text of the value nested at the indent `newline` ends in."""
+        text = self.texts.get(newline)
+        if text is None:
+            out = []
+            _emit(self.value, newline, out, {})
+            text = self.texts[newline] = "".join(out)
+        return text
 
 
 def parse_int(value, where):

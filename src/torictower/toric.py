@@ -216,21 +216,29 @@ def pullback_divisor(lattice_map, source, target, divisor):
     return ToricDivisor(source, coeffs)
 
 
+_last_log_pair = [(None, None, None)]  # (fan, boundary coefficients, Cartier data of K + B) of the last solve
+
+
 def log_discrepancy(fan, boundary, e):
     """Log discrepancy a(E, X, B) of the toric valuation with primitive vector e.
 
     Accepts non-primitive e (normalized first).  Raises LatticeError when e
     lies outside the fan support and NotQCartier when K_X + B is not
-    Q-Cartier; batch harnesses catch both and aggregate.
+    Q-Cartier; batch harnesses catch both and aggregate.  The Cartier data
+    of K + B is kept for the last fan (by identity) and boundary
+    coefficients it was solved on, so vectors on one pair solve it once.
     """
     e = _integers(e)
     if is_zero(e):
         raise LatticeError("valuation vector must be nonzero")
     e = primitive(e)
     _same_fan(fan, boundary)
-    cd = cartier_data(fan, ToricDivisor(fan, {u: boundary.coefficient(u) - 1 for u in fan.all_rays}))
-    if isinstance(cd, NotQCartier):
-        raise cd
+    last_fan, last_coeffs, cd = _last_log_pair[0]
+    if last_fan is not fan or last_coeffs != boundary._coeffs:
+        cd = cartier_data(fan, ToricDivisor(fan, {u: boundary.coefficient(u) - 1 for u in fan.all_rays}))
+        if isinstance(cd, NotQCartier):
+            raise cd
+        _last_log_pair[0] = fan, boundary._coeffs, cd
     val = cd.evaluate(e)
     if val is None:
         raise LatticeError("valuation has no centre")

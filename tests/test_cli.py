@@ -649,31 +649,31 @@ def test_commands_in_a_row_on_one_document_parse_and_build_it_once(tmp_path, cap
         alone = run_cli(capsys, *argv, "--input", path)
         assert alone[0] == EXIT_OK
         assert run_cli(capsys, *argv, "--input", copy) == alone  # the key is the text, not the path
-    assert (len(builds), len(parses)) == (1, 1 + 2)  # one load, and base-change's two parses
+    assert (len(builds), len(parses)) == (1, 1)  # base-change reads the parse the load made
 
 
 def test_a_new_text_or_cap_builds_again(tmp_path, capsys, monkeypatch):
     builds, parses = _counted(monkeypatch, "build_model"), _counted(monkeypatch, "parse_tower")
     path = write_tower(tmp_path, SIMPLE)
     other = write_tower(tmp_path, SIMPLE.replace('"2"', '"3"'), "other.json")
-    steps = [
-        ([path], 1),
-        ([other], 2),
-        ([path], 3),
-        ([path, "--max-rays", "9"], 4),
-        ([path, "--max-rays", "9", "--max-dim", "9"], 5),
-        ([path, "--max-rays", "9", "--max-dim", "9", "--seed", "4"], 5),  # the seed is no part of a build
+    steps = [  # (argv, builds, parses): a new cap builds the parsed text again
+        ([path], 1, 1),
+        ([other], 2, 2),
+        ([path], 3, 3),
+        ([path, "--max-rays", "9"], 4, 3),
+        ([path, "--max-rays", "9", "--max-dim", "9"], 5, 3),
+        ([path, "--max-rays", "9", "--max-dim", "9", "--seed", "4"], 5, 3),  # the seed is no part of a build
     ]
-    for argv, loads in steps:
+    for argv, loads, reads in steps:
         assert run_cli(capsys, "build", "--input", *argv)[0] == EXIT_OK
-        assert (len(builds), len(parses)) == (loads, loads), argv
+        assert (len(builds), len(parses)) == (loads, reads), argv
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(641 if saved == 640 else 640)
     try:
         assert run_cli(capsys, "build", "--input", path)[0] == EXIT_OK
     finally:
         sys.set_int_max_str_digits(saved)
-    assert (len(builds), len(parses)) == (6, 6)
+    assert (len(builds), len(parses)) == (6, 4)
 
 
 def test_a_lowered_digit_limit_reads_the_document_again(tmp_path, capsys):
@@ -711,8 +711,8 @@ def test_a_document_that_fails_fails_again(tmp_path, capsys, monkeypatch):
         assert run_cli(capsys, "build", "--input", over, "--max-rays", "2")[:2] == (EXIT_RESOURCE, "")
         for argv in MODEL_COMMANDS:
             assert run_cli(capsys, *argv, "--input", bad)[:2] == (EXIT_USAGE, ""), argv
-    # the capped build parsed and failed twice; the bad document failed to parse twice per command
-    assert (len(builds), len(parses)) == (2, 2 + 2 * len(MODEL_COMMANDS))
+    # the capped build failed twice on its one parse; the bad document failed to parse twice per command
+    assert (len(builds), len(parses)) == (2, 1 + 2 * len(MODEL_COMMANDS))
 
 
 # main keeps each argv's parsed arguments per int-to-str digit limit, and
@@ -720,7 +720,8 @@ def test_a_document_that_fails_fails_again(tmp_path, capsys, monkeypatch):
 
 
 def _clear_cli_caches():
-    for cache in (torictower.cli._model_of, torictower.cli._parsed, torictower.cli._projective_part):
+    for cache in (torictower.cli._spec_of, torictower.cli._model_of, torictower.cli._parsed,
+                  torictower.cli._projective_part):
         cache.cache_clear()
 
 

@@ -9,6 +9,7 @@ from torictower.documents import (
     Report,
     TowerDocumentError,
     _canonical_json,
+    _Kept,
     emit_tower,
     parse_divisor,
     parse_tower,
@@ -239,6 +240,19 @@ def test_a_list_and_a_flat_dict_at_two_indents():
     # one object as a list item, a record value and a nested item, in lists of lists and of records
     for value in ([lst, {"k": lst}, [lst]], [{"a": 1}, lst, {"k": lst}, [lst]], [{"k": lst}, lst]):
         assert _canonical_json(value) == _reference(value)
+
+
+def test_a_kept_value_writes_the_text_of_each_indent():
+    """A dict value kept with its text (as map-to-proj's projective part is)
+    reads as the value itself at every indent, the deeper first and the
+    shallower first, and again from the kept texts."""
+    fan = {"ambient_dim": 2, "rays": [(0, 1), (1, 0)], "maximal_cones": [[0, 1]]}
+    value = {"fan": fan, "identification": [[1, 0], [0, 1]], "boundary_coefficients": {"[0, 1]": 1}}
+    kept = {key: _Kept(v) for key, v in value.items()}
+    for shape in (lambda x: {"data": {"x": x}, "y": x}, lambda x: {"y": x, "data": {"x": x}}, lambda x: x):
+        for _ in range(2):
+            assert _canonical_json(shape(kept)) == _reference(shape(value))
+    assert {len(k.texts) for k in kept.values()} == {3}
 
 
 def test_records_with_equal_and_different_key_sets():

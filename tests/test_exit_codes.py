@@ -191,15 +191,18 @@ def test_face_walks_past_the_face_cap_are_a_cap(monkeypatch):
     import torictower.cli as cli
     import torictower.lattice as lattice
     import torictower.toric as toric
+    import torictower.tower as tower
 
     doc = emit_tower(STRESS_TOWER)  # its level fans have up to 2,972 faces, its searches 78
     assert run_main(["local-model"], doc)[0] == 0
     monkeypatch.setattr(lattice, "MAX_FACES", 100)
-    cli._model_of.cache_clear()  # a cap constant is no part of the kept model's key: build again under it
+    cli._model_of.cache_clear()  # a cap constant is no part of the kept model's or levels' keys: build again under it
+    tower._LEVELS.clear()
     assert run_main(["build"], doc)[0] == 0  # build walks no face lattice
     assert run_main(["local-model"], doc) == (EXIT_RESOURCE, "")
     monkeypatch.setattr(toric, "MAX_FACES", 50)
-    cli._model_of.cache_clear()  # a cap constant is no part of the kept model's key: build again under it
+    cli._model_of.cache_clear()  # a cap constant is no part of the kept model's or levels' keys: build again under it
+    tower._LEVELS.clear()
     assert run_main(["build"], doc) == (EXIT_RESOURCE, "")
     assert run_main(["local-model"], doc) == (EXIT_RESOURCE, "")
 

@@ -15,6 +15,7 @@ outside tier-1.
 
 import random
 
+import torictower.tower as tower
 from corpus import CUBE_TOWER, SMALL_CORPUS, STRESS_TOWER, corpus_models, node_level_mismatches, shaped_tower
 from torictower.lattice import Fan
 from torictower.toric import _regular_faces
@@ -59,10 +60,15 @@ def test_node_levels_match_the_two_step_route_where_faces_come_from_several_cone
 
 
 def test_build_model_builds_one_fan_per_level(monkeypatch):
+    """One Fan per level with no level kept, and only the orthant again once
+    every level above it is kept."""
     built, inner = [], Fan.__init__
     monkeypatch.setattr(Fan, "__init__", lambda self, *args: built.append(self) or inner(self, *args))
     for spec in near_cap_specs() + [model.spec for model in corpus_models(SMALL_CORPUS)]:
+        tower._LEVELS.clear()
         built.clear()
         model = build_model(spec)
         assert len(built) == model.depth == spec.depth, spec
         assert [level.fan for level in model.levels] == built
+        built.clear()
+        assert build_model(spec).levels[1:] == model.levels[1:] and len(built) == 1, spec

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -219,6 +220,27 @@ def test_log_discrepancy_normalizes_input():
     assert log_discrepancy(A2, ToricDivisor(A2), (3, 3)) == 2
 
 
+def test_log_discrepancy_solves_k_plus_b_once_per_fan_and_boundary(monkeypatch):
+    """Eight vectors on one fan and boundary coefficients make one Cartier
+    solve, though each boundary is a new divisor; a new fan (an equal one
+    too) or new coefficients solve again."""
+    solves, real = [], torictower.toric.cartier_data
+    monkeypatch.setattr(torictower.toric, "cartier_data", lambda fan, d: solves.append(fan) or real(fan, d))
+    fan = star_subdivision(product_fan(projective_fan(2), projective_fan(3)), (1, 1, 1, 1, 1))
+    rng = random.Random(5)
+    vectors = [tuple(rng.randint(-3, 3) for _ in range(5)) for _ in range(9)]
+    vectors = [v for v in vectors if any(v)][:8]
+    halves = {u: Fraction(1, 2) for u in fan.all_rays[::2]}
+    for coefficients in ({}, halves):
+        got = [log_discrepancy(fan, ToricDivisor(fan, coefficients), e) for e in vectors]
+        k_plus_b = canonical_divisor(fan) + ToricDivisor(fan, coefficients)
+        assert got == [-real(fan, k_plus_b).evaluate(primitive(e)) for e in vectors]
+    assert len(vectors) == 8 and solves == [fan, fan]
+    equal = star_subdivision(product_fan(projective_fan(2), projective_fan(3)), (1, 1, 1, 1, 1))
+    log_discrepancy(equal, ToricDivisor(equal, halves), vectors[0])
+    assert len(solves) == 3 and solves[-1] is equal
+
+
 def test_log_discrepancy_no_centre():
     with pytest.raises(LatticeError, match="no centre"):
         log_discrepancy(A2, ToricDivisor(A2), (-1, 0))
@@ -367,7 +389,9 @@ def test_regularity_subfan_matches_geometric_oracle_where_many_faces_survive():
     assert proper_faces > 200
 
 
-TRANSFORM_FANS = _level_fans(20, 7)
+@functools.cache
+def transform_fans():
+    return _level_fans(20, 7)
 
 
 def _moved(fan, u):
@@ -379,7 +403,7 @@ def _moved(fan, u):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_regularity_subfan_commutes_with_unimodular_change_of_coordinates(data):
-    fan = data.draw(st.sampled_from(TRANSFORM_FANS))
+    fan = data.draw(st.sampled_from(transform_fans()))
     n = fan.ambient_dim
     m = data.draw(st.tuples(*[st.integers(-2, 2)] * n))
     u, u_inv = data.draw(unimodular(n))
@@ -397,14 +421,18 @@ def _cube_fan():
     return Fan(3, [Cone(3, tuple(g for g in corners if g[i] == s)) for i in range(3) for s in (-1, 1)])
 
 
-# complete simplicial and non-simplicial fans, and non-complete level fans
-# whose maximal cones are often lower-dimensional
-SUBDIVISION_FANS = (
-    [projective_fan(n) for n in (2, 3, 4)]
-    + [product_fan(projective_fan(a), projective_fan(n - a)) for n in (2, 3, 4) for a in range(1, n)]
-    + [_cube_fan()]
-    + [fan for fan in _level_fans(30, 20260813) if fan.all_rays]
-)
+@functools.cache
+def subdivision_fans():
+    """Complete simplicial and non-simplicial fans, and non-complete level
+    fans whose maximal cones are often lower-dimensional; built on first use,
+    so a construction that raises fails the tests that read them, not the
+    collection of this file."""
+    return (
+        [projective_fan(n) for n in (2, 3, 4)]
+        + [product_fan(projective_fan(a), projective_fan(n - a)) for n in (2, 3, 4) for a in range(1, n)]
+        + [_cube_fan()]
+        + [fan for fan in _level_fans(30, 20260813) if fan.all_rays]
+    )
 
 
 def _centre(rng, fan):
@@ -419,7 +447,7 @@ def _centre(rng, fan):
 def test_star_subdivision_matches_oracle():
     rng = random.Random(20260814)
     on_ray = lower_dim = 0
-    for fan in SUBDIVISION_FANS:
+    for fan in subdivision_fans():
         lower_dim += any(c.dim() < fan.ambient_dim for c in fan.maximal_cones)
         for _ in range(2):
             refined = fan
@@ -435,13 +463,14 @@ def test_star_subdivision_matches_oracle():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_star_subdivision_commutes_with_unimodular_change_of_coordinates(data):
-    fan = data.draw(st.sampled_from(SUBDIVISION_FANS))
+    fan = data.draw(st.sampled_from(subdivision_fans()))
     v = _centre(data.draw(st.randoms(use_true_random=False)), fan)
     u, _ = data.draw(unimodular(fan.ambient_dim))
     assert star_subdivision(_moved(fan, u), mat_vec(u, v)) == _moved(star_subdivision(fan, v), u)
 
 
 def test_star_subdivision_spans_no_faces(monkeypatch):
+    fans = subdivision_fans()  # built before the counting wrappers
     calls = []
 
     def counting(name, inner):
@@ -460,7 +489,7 @@ def test_star_subdivision_spans_no_faces(monkeypatch):
     assert calls == ["faces", "generated_by", "from_cones"]  # the wrappers count
     calls.clear()
     rng = random.Random(3)
-    for fan in SUBDIVISION_FANS:
+    for fan in fans:
         star_subdivision(fan, _centre(rng, fan))
     assert calls == []
 
@@ -489,7 +518,7 @@ def _cartier_cases(seed):
     P^1 x P^1 whose cones need the denominators 2, 3, 6 and 1."""
     rng = random.Random(seed)
     fans = []
-    for fan in SUBDIVISION_FANS:
+    for fan in subdivision_fans():
         for _ in range(rng.randint(0, 2)):
             fan = star_subdivision(fan, _centre(rng, fan))
         fans.append(fan)
@@ -507,7 +536,9 @@ def _cartier_cases(seed):
     return cases + [(square, ToricDivisor(square, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}))]
 
 
-CARTIER_CASES = _cartier_cases(20261018)
+@functools.cache
+def cartier_cases():
+    return _cartier_cases(20261018)
 
 
 def _cone_failures(fan, divisor):
@@ -537,7 +568,7 @@ def test_pullback_matches_per_ray_oracle():
     and level fans) by the identity, and maps of P^1 and the affine line."""
     rng = random.Random(20261019)
     cases = []
-    for fan, divisor in CARTIER_CASES:
+    for fan, divisor in cartier_cases():
         if any(c.generators for c in fan.maximal_cones):
             cases.append((identity_matrix(fan.ambient_dim), star_subdivision(fan, _centre(rng, fan)), fan, divisor))
     a1 = orthant_fan(1)
@@ -555,7 +586,7 @@ def test_pullback_matches_per_ray_oracle():
 
 def test_cartier_data_matches_elimination_oracle():
     lower_dim = not_first = zero_cone = vanishing = index_above_one = 0
-    for fan, divisor in CARTIER_CASES:
+    for fan, divisor in cartier_cases():
         n = fan.ambient_dim
         out = cartier_data(fan, divisor)
         expected = cartier_data_oracle(fan, divisor)
@@ -588,7 +619,7 @@ def test_cartier_data_matches_elimination_oracle():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_cartier_data_commutes_with_unimodular_change_of_coordinates(data):
-    fan, divisor = data.draw(st.sampled_from(CARTIER_CASES))
+    fan, divisor = data.draw(st.sampled_from(cartier_cases()))
     n = fan.ambient_dim
     u, u_inv = data.draw(unimodular(n))
     moved = _moved(fan, u)
@@ -622,7 +653,7 @@ def test_cartier_data_runs_one_hnf_per_cone(monkeypatch):
 
     monkeypatch.setattr(torictower.toric, "hnf", counting)
     skipped = 0
-    for fan, divisor in CARTIER_CASES:
+    for fan, divisor in cartier_cases():
         calls.clear()
         out = cartier_data(fan, divisor)
         cones = list(fan.maximal_cones)

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
+import torictower.tower
+
 from corpus import STRESS_TOWER
 from oracles import cones_equal_as_sets, lc_place_transfer_check_oracle
 from torictower.documents import Report, random_tower
@@ -251,6 +253,59 @@ def test_no_int_to_str_digit_limit_is_no_digit_cap():
     assert max(ray[-1] for ray in top.all_rays) == 2 * big
     assert curve.moves[0].t_exponents == (big * big,)
     assert max(ray[-1] for ray in curve_top.all_rays) == 2 * big * big
+
+
+# --- levels kept across builds -----------------------------------------
+
+
+def _fresh_levels(spec):
+    """The level fans of `spec` built with no level kept."""
+    torictower.tower._LEVELS.clear()
+    return [level.fan for level in build_model(spec).levels]
+
+
+def test_two_builds_of_a_spec_share_every_level_above_the_orthant():
+    spec = TowerSpec(2, (ProductMove(), node((1,), (1, -1)), node((0, 1), (2, 0))))
+    first, second = build_model(spec), build_model(spec)
+    assert all(a is b for a, b in zip(first.levels[1:], second.levels[1:]))
+    assert first.levels[0] == second.levels[0] and first.levels[0] is not second.levels[0]
+    assert [level.fan for level in second.levels] == _fresh_levels(spec)
+
+
+def test_towers_that_start_alike_share_their_lower_levels():
+    start = (node((), (1, 2)), ProductMove())
+    specs = [TowerSpec(2, start + (move,)) for move in (node((1, 0), (0, 1)), ProductMove(), node((0, 0), (1, 1)))]
+    models = [build_model(spec) for spec in specs]
+    for k in (1, 2):
+        assert models[0].levels[k] is models[1].levels[k] is models[2].levels[k]
+    assert len({id(model.levels[3]) for model in models}) == 3
+    for spec, model in zip(specs, models):
+        assert [level.fan for level in model.levels] == _fresh_levels(spec)
+
+
+def test_towers_over_two_base_dimensions_share_no_level():
+    """p = 1 and p = 2 towers with the same moves, product moves alone."""
+    moves = (ProductMove(), ProductMove())
+    one, two = build_model(TowerSpec(1, moves)), build_model(TowerSpec(2, moves))
+    assert [level.fan.ambient_dim for level in one.levels] == [1, 2, 3]
+    assert [level.fan.ambient_dim for level in two.levels] == [2, 3, 4]
+    assert [level.fan for level in two.levels] == _fresh_levels(TowerSpec(2, moves))
+
+
+def test_a_kept_level_still_trips_a_lower_ray_cap_and_the_digit_limit():
+    spec = TowerSpec(1, (node((), (10**700,)), ProductMove()))  # level 2's height has 701 digits
+    model = build_model(spec)
+    assert [len(level.fan.all_rays) for level in model.levels] == [1, 2, 3]
+    with pytest.raises(ResourceCapError, match="^level fan has 2 rays, exceeding cap 1$"):
+        build_model(spec, max_rays=1)
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(ResourceCapError, match="^a coordinate has more than 640 decimal digits$"):
+            build_model(spec)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert build_model(spec).levels[1:] == model.levels[1:]
 
 
 def test_node_ray_bounds_invariant():

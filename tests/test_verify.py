@@ -24,6 +24,23 @@ def test_suite_runs_clean(name):
     assert res.checked == res.passed + res.skipped + 0  # violations empty
 
 
+def test_suite_tower_checks_each_distinct_level_fan_once(monkeypatch):
+    """Towers that start alike share their level fans above level 1 (each
+    orthant is built anew), and fan_validate and the K Cartier check run
+    once per distinct fan: 200 orthants and 260 of the 423 levels above."""
+    validated, solved = [], []
+    validate, cartier = torictower.verify.fan_validate, torictower.verify.cartier_data
+    monkeypatch.setattr(torictower.verify, "fan_validate", lambda fan: validated.append(fan) or validate(fan))
+    monkeypatch.setattr(torictower.verify, "cartier_data", lambda fan, d: solved.append(fan) or cartier(fan, d))
+    out = torictower.verify.suite_tower(501, samples=200)
+    specs = torictower.verify.random_towers(200, 501)
+    prefixes = {(spec.base_dim, spec.moves[:k]) for spec in specs for k in range(1, spec.depth)}
+    assert (len(prefixes), sum(spec.depth - 1 for spec in specs)) == (260, 423)
+    assert len(validated) == len({id(fan) for fan in validated}) == len(specs) + len(prefixes)
+    assert [id(fan) for fan in solved] == [id(fan) for fan in validated]
+    assert out.ok() and (out.checked, out.passed) == (200, 200)
+
+
 def test_suite_all_aggregates():
     res = run_suite("all", seed=7, samples=10)
     assert res.ok()
