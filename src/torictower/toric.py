@@ -21,6 +21,7 @@ from .lattice import (
     _integers,
     _primitive_combination,
     _rational,
+    _shown,
     bit_indices,
     derived_fan,
     dot,
@@ -48,7 +49,10 @@ class ToricDivisor:
         self.fan = fan
         items = coefficients.items() if isinstance(coefficients, dict) else coefficients
         coeffs = {}
-        for ray, c in items:
+        for item in items:
+            if not isinstance(item, (list, tuple)) or len(item) != 2:
+                raise LatticeError(f"divisor entry {_shown(item)} is not a (ray, coefficient) pair")
+            ray, c = item
             ray = _integers(ray)
             if ray not in fan.bit:
                 raise LatticeError(f"ray {list(ray)} does not belong to the fan")

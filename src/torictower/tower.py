@@ -219,7 +219,7 @@ def _check_digits(values):
         raise ResourceCapError(f"a coordinate has more than {limit} decimal digits")
 
 
-_LEVELS = OrderedDict()  # (base_dim, the moves below a level above 1) -> TowerLevel, least recent first
+_LEVELS = OrderedDict()  # (base_dim, the moves below it, the digit limit) -> a level above 1, least recent first
 _LEVELS_KEPT = 512
 
 
@@ -227,49 +227,42 @@ def build_model(spec, max_rays=DEFAULT_MAX_RAYS, max_dim=DEFAULT_MAX_DIM):
     """Realize the tower as one fan per level; level i+1 maps to level i by
     dropping the last coordinate.
 
-    Level k + 1 is fixed by base_dim and moves[:k], so the process keeps the
-    last 512 levels above level 1 it used under that key: towers that start
-    alike share their lower levels and every memo on their fans, and no
-    caller may mutate one.  The level-1 orthant is cheaper to build than keep.
+    Level k + 1 and its digit check are fixed by base_dim, moves[:k] and the
+    digit limit, so the process keeps its last 512 levels above level 1 under
+    those: towers that start alike share lower levels and their fans' memos,
+    and no caller may mutate one.  The orthant is cheaper to build than keep.
 
     Both caps are counts.  Raises ResourceCapError when the top level's
-    ambient dimension p + d - 1 exceeds max_dim, a level fan (the level-1
-    orthant too) has more than max_rays rays, or a node move's new coordinate
-    <m, u> has more digits than the interpreter prints, each checked on every
-    level, kept or new, before the level above it.
+    ambient dimension p + d - 1 exceeds max_dim, when any level fan, kept or
+    new, has more than max_rays rays (each is checked before the one above
+    it), or when `_level_above` builds a coordinate past the digit limit.
     """
     check_count(max_rays, "max_rays")
     check_count(max_dim, "max_dim")
     check_count(spec.base_dim + spec.depth - 1, "tower ambient dimension", cap=max_dim)
-    levels = [_capped_level(TowerLevel(fan=orthant_fan(spec.base_dim)), max_rays)]
-    for k, move in enumerate(spec.moves, 1):
-        key = (spec.base_dim, spec.moves[:k])
-        level = _LEVELS.get(key)
-        if level is None:
-            level = _LEVELS[key] = TowerLevel(fan=_level_above(levels[-1].fan, move))
+    level, levels = TowerLevel(fan=orthant_fan(spec.base_dim)), []
+    for k in range(spec.depth):
+        if k:  # one lookup, which marks a kept level most recent, or a new level
+            key = (spec.base_dim, spec.moves[:k], sys.get_int_max_str_digits())
+            level = _LEVELS[key] = _LEVELS.pop(key, None) or TowerLevel(fan=_level_above(level.fan, spec.moves[k - 1]))
             if len(_LEVELS) > _LEVELS_KEPT:
                 _LEVELS.popitem(last=False)
-        else:
-            _LEVELS.move_to_end(key)
-        if isinstance(move, NodeMove):
-            _check_digits(u[-1] for u in level.fan.all_rays)  # the heights <m, u> of the kept rays
-        levels.append(_capped_level(level, max_rays))
+        if len(level.fan.all_rays) > max_rays:
+            raise ResourceCapError(f"level fan has {len(level.fan.all_rays)} rays, exceeding cap {max_rays}")
+        levels.append(level)
     return TowerModel(spec=spec, levels=tuple(levels))
 
 
-def _capped_level(level, max_rays):
-    if len(level.fan.all_rays) > max_rays:
-        raise ResourceCapError(f"level fan has {len(level.fan.all_rays)} rays, exceeding cap {max_rays}")
-    return level
-
-
 def _level_above(prev, move):
-    """The fan that `move` builds over the level fan `prev`."""
+    """The fan that `move` builds over the level fan `prev`; ResourceCapError when a
+    node level keeps a ray whose height <m, u> passes the digit limit, checked once per level."""
     n = prev.ambient_dim + 1
     if isinstance(move, ProductMove):  # sigma x cone(e_new)
         return derived_fan(prev, n, enumerate(prev.tops), [lambda u: u + (0,)], unit_vector(n, n - 1))
     m = move.lattice_exponents()  # sigma~, over each maximal regular face sigma of the level below
-    return derived_fan(prev, n, _regular_faces(prev, m), [lambda u: u + (0,), lambda u: u + (dot(m, u),)])
+    fan = derived_fan(prev, n, _regular_faces(prev, m), [lambda u: u + (0,), lambda u: u + (dot(m, u),)])
+    _check_digits(u[-1] for u in fan.all_rays)
+    return fan
 
 
 def projective_model(spec):

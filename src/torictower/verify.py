@@ -22,6 +22,7 @@ from .lattice import (
     Cone,
     Fan,
     LatticeError,
+    _shown,
     check_count,
     check_samples,
     check_seed,
@@ -576,11 +577,11 @@ def run_suite(name, seed, samples=None):
     # looked up per call, so a wrapped or patched suite_* function is the one run
     suites = {s: globals()[f"suite_{s}"] for s in SUITES if s != "all"}
     kwargs = {} if samples is None else {"samples": samples}
-    if name in suites:
-        return suites[name](seed, **kwargs)
     if name == "all":
         total = CheckOutcome()
         for sub, suite in suites.items():
             total.merge(suite(seed, **kwargs), suite=sub)
         return total
-    raise LatticeError(f"unknown suite {name!r}; choose from {', '.join(SUITES)}")
+    if name in SUITES:  # a tuple: an unhashable name is unknown too
+        return suites[name](seed, **kwargs)
+    raise LatticeError(f"unknown suite {_shown(name)}; choose from {', '.join(SUITES)}")

@@ -42,9 +42,14 @@ VERIFY_ALL = ("tests/test_verify.py::test_a_lattice_error_in_any_suite_of_all_is
 NOT_SEQUENCES = "tests/test_records.py::test_an_input_that_is_not_a_sequence_is_named"
 MEMOS = "tests/test_facet_net.py::test_carried_halfspace_memos_match_the_double_description"
 NODE_LEVELS = "tests/test_node_level_net.py::test_node_levels_match_the_two_step_route_where_faces_come_from_several_cones"
-CHECK_HEIGHTS = "    _check_digits(u[-1] for u in level.fan.all_rays)"
+CHECK_HEIGHTS = "    _check_digits(u[-1] for u in fan.all_rays)\n"
 DIGIT_CAP = "tests/test_tower.py::test_the_digit_cap_reads_the_heights_of_kept_rays_only"
 CHAR_LENGTH = '    if len(char) != fan.ambient_dim:\n        raise LatticeError("character dimension does not match fan")\n'
+LOOKUP = "            level = _LEVELS[key] = _LEVELS.pop(key, None) or TowerLevel(fan=_level_above(level.fan, spec.moves[k - 1]))\n"
+KEY = "key = (spec.base_dim, spec.moves[:k], sys.get_int_max_str_digits())"
+KEPT_CAPS = "tests/test_tower.py::test_a_kept_level_still_trips_a_lower_ray_cap_and_the_digit_limit"
+RAY_CAP = "        if len(level.fan.all_rays) > max_rays:\n"
+EVICT = "            if len(_LEVELS) > _LEVELS_KEPT:\n                _LEVELS.popitem(last=False)\n"
 LOAD = "    return _model_of(_read_input(args.input), args.max_rays, args.max_dim, sys.get_int_max_str_digits())\n"
 ANY_CAP = 'type("AnyCap", (int,), {"__eq__": lambda a, b: True, "__hash__": lambda a: 0})(args.max_rays)'
 LOWER_CAP = "tests/test_cli.py::test_a_lower_cap_right_after_a_default_run_is_a_cap"
@@ -99,9 +104,9 @@ MUTANTS = (
      (NODE_LEVELS,)),
     ("tower.py", "derived_fan(prev, n, _regular_faces(prev, m),", "derived_fan(prev, n, enumerate(prev.tops),",
      (NODE_LEVELS,)),
-    ("tower.py", CHECK_HEIGHTS, "    _check_digits(u[-1] for u in levels[-1].fan.all_rays)", (DIGIT_CAP,)),
-    ("tower.py", CHECK_HEIGHTS, "    _check_digits(dot(move.lattice_exponents(), u) for u in levels[-1].fan.all_rays)",
-     (DIGIT_CAP,)),
+    ("tower.py", CHECK_HEIGHTS, "    _check_digits(u[-1] for u in prev.all_rays)\n", (DIGIT_CAP,)),
+    ("tower.py", CHECK_HEIGHTS, "    _check_digits(dot(m, u) for u in prev.all_rays)\n", (DIGIT_CAP,)),
+    ("tower.py", CHECK_HEIGHTS, "", (DIGIT_CAP,)),
     # the orthant carries every normal e_i, and facet_masks reads its facets, one per ray left out, off them
     ("lattice.py", "._halfspaces = (fan.all_rays, ())", "._halfspaces = (fan.all_rays[1:], ())",
      ("tests/test_facet_net.py::test_derived_facet_masks_match_oracle_on_near_cap_towers",)),
@@ -220,6 +225,9 @@ MUTANTS = (
     ("lattice.py", 'without the last ray."""\n    check_count(n, "n")\n', 'without the last ray."""\n', (COUNTS,)),
     ("lattice.py", '    check_count(n, "n")\n    lineality = [', "    lineality = [", (COUNTS,)),
     ("verify.py", 'raise LatticeError(f"unknown suite', 'raise ValueError(f"unknown suite', (COUNTS,)),
+    # a suite name is looked up in a tuple, so an unhashable one is unknown too, and named by _shown
+    ("verify.py", "    if name in SUITES:", "    if name in suites:", (NOT_SEQUENCES + "[run_suite-list]",)),
+    ("verify.py", "unknown suite {_shown(name)}", "unknown suite {name!r}", (NOT_SEQUENCES + "[run_suite-digits]",)),
     # a field that holds entries by position is a list or a tuple, and is named otherwise
     ("tower.py", "if not isinstance(moves, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
     ("tower.py", "            if loose:\n", "            if False:\n", (NOT_SEQUENCES,)),
@@ -236,6 +244,11 @@ MUTANTS = (
     # kernel_basis checks each row against ncols, a divisor reads each ray by _integers, and a fan's cone is a Cone
     ("lattice.py", "        if len(row) != ncols:\n", "        if False:\n", (NOT_SEQUENCES + "[kernel_basis-short]",)),
     ("toric.py", "            ray = _integers(ray)\n", "            ray = tuple(ray)\n", (BAD_TORIC + "[float-ray]",)),
+    # and reads each entry as a (ray, coefficient) pair
+    ("toric.py", "if not isinstance(item, (list, tuple)) or len(item) != 2:", "if False:",
+     (BAD_TORIC + "[str-entries]", BAD_TORIC + "[number-entries]")),
+    ("toric.py", "if not isinstance(item, (list, tuple)) or len(item) != 2:", "if not isinstance(item, (list, tuple)):",
+     (BAD_TORIC + "[short-entry]",)),
     ("lattice.py", "            if not isinstance(c, Cone):\n", "            if False:\n", (BAD_TORIC + "[list-cone]",)),
     # the DD returns the saturated kernel basis of its rows, not the basis it kept through the pass
     ("lattice.py", "    if lineality:\n        lineality = kernel_basis(tuple(processed), n)\n", "",
@@ -351,12 +364,18 @@ MUTANTS = (
     # a node move and a germ keep a list field as a tuple
     ("lattice.py", "if isinstance(v, list) else v", "if isinstance(v, tuple) else v",
      ("tests/test_records.py::test_a_node_move_or_a_germ_keeps_list_fields_as_tuples",)),
-    # a kept level's key holds base_dim, and a kept level is checked against the caps as a new one is
-    ("tower.py", "key = (spec.base_dim, spec.moves[:k])", "key = spec.moves[:k]",
+    # a kept level's key holds base_dim and the digit limit, a kept level meets the ray cap as a new one
+    # does, and a level's heights are checked where it is built, not again when it is kept
+    ("tower.py", KEY, "key = (spec.moves[:k], sys.get_int_max_str_digits())",
      ("tests/test_tower.py::test_towers_over_two_base_dimensions_share_no_level",)),
-    ("tower.py", "            _LEVELS.move_to_end(key)\n",
-     "            _LEVELS.move_to_end(key)\n            levels.append(level)\n            continue\n",
-     ("tests/test_tower.py::test_a_kept_level_still_trips_a_lower_ray_cap_and_the_digit_limit",)),
+    ("tower.py", KEY, "key = (spec.base_dim, spec.moves[:k])", (KEPT_CAPS,)),
+    ("tower.py", LOOKUP, "            if key in _LEVELS:\n                level = _LEVELS[key]\n"
+     "                levels.append(level)\n                continue\n" + LOOKUP, (KEPT_CAPS,)),
+    ("tower.py", LOOKUP + EVICT + RAY_CAP,
+     "            kept = key in _LEVELS\n" + LOOKUP + EVICT + RAY_CAP.replace(":", " and not (k and kept):"),
+     (KEPT_CAPS,)),
+    ("tower.py", LOOKUP, LOOKUP + "            _check_digits(u[-1] for u in level.fan.all_rays)\n",
+     ("tests/test_tower.py::test_a_second_build_builds_and_checks_no_level",)),
     # the kept parse's key holds the digit limit, on the build's path and on base-change's
     ("cli.py", "build_model(_spec_of(text, digit_limit)", "build_model(_spec_of(text, 0)",
      ("tests/test_cli.py::test_a_lowered_digit_limit_reads_the_document_again",)),

@@ -38,6 +38,7 @@ from torictower.tower import (
     TowerSpec,
     base_change_to_curve,
 )
+from torictower.verify import SUITES, run_suite
 
 NODE = NodeMove((), (1,))
 SPEC = TowerSpec(1, (NODE, ProductMove()))
@@ -178,6 +179,10 @@ NOT_SEQUENCES = [
                  id="divisor-float-ray"),
     pytest.param(lambda: ToricDivisor(projective_fan(2), {5: 2}), "vector 5 is not a sequence", id="divisor-ray"),
     pytest.param(lambda: Fan(2, [[(1, 0)]]), "cone [(1, 0)] is not a Cone", id="fan-cone"),
+    # and a suite name that is no suite, unhashable or past the int-to-str digit limit, is named
+    pytest.param(lambda: run_suite([], 0), f"unknown suite []; choose from {', '.join(SUITES)}", id="run_suite-list"),
+    pytest.param(lambda: run_suite(10**5000, 0), f"unknown suite <int of 16610 bits>; choose from {', '.join(SUITES)}",
+                 id="run_suite-digits"),
 ]
 
 

@@ -272,6 +272,11 @@ BAD_TORIC_INPUTS = {
     # a divisor's ray is an integer vector, and a fan's cone is a Cone
     "float-ray": ("1.0 is not an integer", lambda: ToricDivisor(P2, {(1.0, 0): 1})),
     "number-ray": ("vector 5 is not a sequence", lambda: ToricDivisor(P2, {5: 2})),
+    # and each entry a (ray, coefficient) pair: a string's characters, a list's numbers and a 1-tuple are named
+    "str-entries": (r"divisor entry 'x' is not a \(ray, coefficient\) pair", lambda: ToricDivisor(P2, "x")),
+    "number-entries": (r"divisor entry 1 is not a \(ray, coefficient\) pair", lambda: ToricDivisor(P2, [1, 2])),
+    "short-entry": (r"divisor entry \(\(0, 1\),\) is not a \(ray, coefficient\) pair",
+                    lambda: ToricDivisor(P2, [((0, 1),)])),
     "list-cone": (r"cone \[\(1, 0\)\] is not a Cone", lambda: Fan(2, [[(1, 0)]])),
     # a coefficient is an int, a Fraction or a decimal string p or p/q: a float is not read as its binary
     # expansion, and an exponent string builds no huge integer

@@ -308,6 +308,47 @@ def test_a_kept_level_still_trips_a_lower_ray_cap_and_the_digit_limit():
     assert build_model(spec).levels[1:] == model.levels[1:]
 
 
+def _counted(monkeypatch, name):
+    """The list of calls made through the tower module's binding `name`."""
+    calls, real = [], getattr(torictower.tower, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(torictower.tower, name, counting)
+    return calls
+
+
+def test_a_second_build_builds_and_checks_no_level(monkeypatch):
+    """A level's heights are checked once, where `_level_above` builds it:
+    a second build of the spec finds every level above the orthant kept."""
+    built, checked = _counted(monkeypatch, "_level_above"), _counted(monkeypatch, "_check_digits")
+    spec = TowerSpec(2, (node((), (1, 2)), ProductMove(), node((1, 0), (0, 1))))
+    first = build_model(spec)
+    assert (len(built), len(checked)) == (3, 2)  # one digit check per node level
+    second = build_model(spec)
+    assert (len(built), len(checked)) == (3, 2)
+    assert all(a is b for a, b in zip(first.levels[1:], second.levels[1:]))
+
+
+def test_restoring_the_digit_limit_gives_back_the_levels_kept_under_it():
+    """The kept-level key holds the digit limit: a build under a lowered
+    limit makes levels of its own, and the levels kept under the restored
+    limit are the very objects built before."""
+    spec = TowerSpec(1, (node((), (10**600,)), ProductMove()))  # level 2's height has 601 digits
+    before = build_model(spec).levels
+    saved = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(700)
+        lowered = build_model(spec).levels
+    finally:
+        sys.set_int_max_str_digits(saved)
+    after = build_model(spec).levels
+    assert lowered[1:] == before[1:] and not any(a is b for a, b in zip(lowered[1:], before[1:]))
+    assert all(a is b for a, b in zip(after[1:], before[1:]))
+
+
 def test_node_ray_bounds_invariant():
     spec = TowerSpec(2, (node((), (2, 1)), node((1,), (1, -1))))
     model = build_model(spec)
