@@ -100,15 +100,21 @@ def _rational(value):
     raise LatticeError(f"coefficient {value!r} is not an int, a Fraction or a decimal string p or p/q")
 
 
+def _sequence(values, name):
+    """`values` itself if it is iterable, else a LatticeError naming it as `name`:
+    the rule of every argument that holds vectors, rows, cones or entries."""
+    if not hasattr(values, "__iter__"):
+        raise LatticeError(f"{name} {_shown(values)} is not a sequence")
+    return values
+
+
 def _integers(values):
     """`values` as a tuple of ints by operator.index, which, unlike int(), truncates
     no float or Fraction: LatticeError names a non-integer entry, or `values` if not iterable."""
     try:
         return tuple(map(operator.index, values))
     except TypeError:
-        if not hasattr(values, "__iter__"):
-            raise LatticeError(f"vector {_shown(values)} is not a sequence") from None
-        bad = next((v for v in values if not hasattr(type(v), "__index__")), values)
+        bad = next((v for v in _sequence(values, "vector") if not hasattr(type(v), "__index__")), values)
         raise LatticeError(f"{_shown(bad)} is not an integer") from None
 
 
@@ -231,7 +237,7 @@ def hnf(m):
     positive pivots and entries above each pivot reduced into [0, pivot).
     Each row is read by `_integers`; rows of unequal length are a LatticeError.
     """
-    h = [_integers(row) for row in m]
+    h = [_integers(row) for row in _sequence(m, "matrix")]
     nr = len(h)
     nc = len(h[0]) if nr else 0
     for i, row in enumerate(h):
@@ -304,7 +310,7 @@ def kernel_basis(m, ncols):
     the ncols - rank(m) rows of the unimodular U, U*m^T = H, where H is zero,
     so they are saturated (every invariant factor is 1).  Each row is read by
     `_integers`; a row whose length is not ncols is a LatticeError."""
-    m = [_integers(row) for row in m]
+    m = [_integers(row) for row in _sequence(m, "matrix")]
     for i, row in enumerate(m):
         if len(row) != ncols:
             raise LatticeError(f"matrix row {i} has length {len(row)}, expected {ncols}")
@@ -454,7 +460,7 @@ class Cone:
 
     def __init__(self, ambient_dim, generators=()):
         (self.ambient_dim,) = _integers((ambient_dim,))
-        gens = tuple(map(_integers, generators))
+        gens = tuple(map(_integers, _sequence(generators, "generators")))
         for g in gens:
             if len(g) != self.ambient_dim:
                 raise LatticeError(f"generator {g} has dimension {len(g)}, expected {self.ambient_dim}")
@@ -466,7 +472,7 @@ class Cone:
         """Canonical cone spanned by arbitrary vectors, by `pointed_form` on
         their distinct primitive directions: one double description pass, and
         a second, the `_dual` of its halfspace rows, only if it holds a line."""
-        vectors = list(map(_integers, vectors))
+        vectors = list(map(_integers, _sequence(vectors, "vectors")))
         if ambient_dim is None:
             if not vectors:
                 raise LatticeError("ambient_dim required for a cone with no generators")
@@ -645,7 +651,7 @@ class Fan:
     def __init__(self, ambient_dim, cones):
         (self.ambient_dim,) = _integers((ambient_dim,))
         seen = {}
-        for c in cones:
+        for c in _sequence(cones, "cones"):
             if not isinstance(c, Cone):
                 raise LatticeError(f"cone {_shown(c)} is not a Cone")
             if c.ambient_dim != self.ambient_dim:

@@ -111,11 +111,12 @@ def divisor_polytope(fan, divisor):
     rays, lineality = halfspace_intersection(constraints, n + 1)
     if lineality or any(r[-1] == 0 for r in rays):
         raise UnboundedPolytopeError("divisor not bounded above")
-    # a primitive ray (m, s) is the row of m / s: gcd(m, s) = 1 forces den = s; the sort is
-    # keyed on the vertex, since comparing (vertex, ray) pairs compares each vertex pair twice
-    pairs = sorted(((tuple(Fraction(x, r[-1]) for x in r[:-1]), r) for r in rays), key=lambda pair: pair[0])
-    poly = LatticePolytope(ambient_dim=n, vertices=tuple(v for v, _ in pairs))
-    poly._rows, poly._inequalities = tuple(r for _, r in pairs), tuple(constraints)
+    # a primitive ray (m, s) is the row of m / s: gcd(m, s) = 1 forces den = s; since s > 0, the
+    # vertices' lex order is that of the integer vectors m * (lcd / s), lcd the lcm of every s
+    lcd = math.lcm(*(r[-1] for r in rays))
+    rows = tuple(sorted(rays, key=lambda r: [x * (lcd // r[-1]) for x in r[:-1]]))
+    poly = LatticePolytope(ambient_dim=n, vertices=tuple(tuple(Fraction(x, r[-1]) for x in r[:-1]) for r in rows))
+    poly._rows, poly._inequalities = rows, tuple(constraints)
     return poly
 
 

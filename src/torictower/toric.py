@@ -21,6 +21,7 @@ from .lattice import (
     _integers,
     _primitive_combination,
     _rational,
+    _sequence,
     _shown,
     bit_indices,
     derived_fan,
@@ -47,7 +48,7 @@ class ToricDivisor:
 
     def __init__(self, fan, coefficients=()):
         self.fan = fan
-        items = coefficients.items() if isinstance(coefficients, dict) else coefficients
+        items = coefficients.items() if isinstance(coefficients, dict) else _sequence(coefficients, "coefficients")
         coeffs = {}
         for item in items:
             if not isinstance(item, (list, tuple)) or len(item) != 2:
@@ -119,9 +120,10 @@ class CartierData(namedtuple("CartierData", "fan vectors cartier_index")):
     """Per maximal cone, a rational M-vector m_sigma with <m_sigma, u_i> = d_i,
     plus the least positive integer q such that q*D is Cartier.
 
-    Each m_sigma is w^T*y for the unimodular w of the cone's column Hermite
-    form, so q*m_sigma is integral exactly when q*D is Cartier on sigma, and
-    q is the least common denominator of every entry of every vector.
+    Each m_sigma is the only solution on a full-dimensional cone, and else
+    w^T*y for the unimodular w of the cone's column Hermite form, so
+    q*m_sigma is integral exactly when q*D is Cartier on sigma, and q is the
+    least common denominator of every entry of every vector.
     """
 
     __slots__ = ()
@@ -143,8 +145,9 @@ class NotQCartier(Exception):
 
 
 def cartier_data(fan, divisor):
-    """Solve the Cartier data of a toric divisor exactly, by one integer
-    Hermite form H = w*A^T per maximal cone, A the matrix of its rays u_i.
+    """Solve the Cartier data of a toric divisor exactly, per maximal cone from
+    its normals (`_normals_solution`), else by one integer Hermite form
+    H = w*A^T, A the matrix of its rays u_i.
 
     One pass over the fan's rays gives the divisor's common denominator den
     and its integer numerators D = den*d, so a cone only looks D up.  Then
@@ -153,12 +156,12 @@ def cartier_data(fan, divisor):
     gives y_c from D_p_c and the y_c' before it.  It runs fraction free on
     Y = t*y, scaling by each pivot, so m = w^T*Y/(t*den); the free
     coordinates of y are 0, and the solution is unique on full-dimensional
-    cones.  The cone is Q-Cartier iff <m, u_i> = d_i holds on every ray.
-    Since w is unimodular, the least q with q*m integral, the cone's Cartier
-    index, is t*den / gcd(t*den, *M) for M = w^T*Y.  D, Y, M and t*den scale
+    cones, so both routes give one m there.  Either gives an integer M with
+    m = M/(t*den); the cone is Q-Cartier iff <M, u_i> = t*D_i on every ray,
+    and its Cartier index is t*den / gcd(t*den, *M).  D, M and t*den scale
     together, so a den larger than the cone's own changes neither m nor the
     index.  A cone on whose rays D vanishes, the zero cone among them, gets
-    m = 0 with no Hermite form.
+    m = 0 with no solve.
 
     Returns CartierData, or NotQCartier naming the first cone where the
     system has no rational solution; LatticeError for another fan's divisor.
@@ -176,15 +179,17 @@ def cartier_data(fan, divisor):
         if not any(big_d):  # the zero cone, or D vanishes on every ray: m = 0
             vectors.append((_ZERO,) * n)
             continue
-        h, w = hnf(transpose(rays))
-        y, t = [], 1
-        for row in h:
-            p = next((j for j, x in enumerate(row) if x), None)
-            if p is None:  # the rows below the rank are zero: free coordinates
-                break
-            rhs = t * big_d[p] - sum(hc[p] * yc for hc, yc in zip(h, y))
-            y, t = [yc * row[p] for yc in y] + [rhs], t * row[p]
-        m = mat_vec(transpose(w), y + [0] * (n - len(y)))
+        m, t = _normals_solution(cone, big_d)
+        if m is None:  # no usable normals: one Hermite form
+            h, w = hnf(transpose(rays))
+            y, t = [], 1
+            for row in h:
+                p = next((j for j, x in enumerate(row) if x), None)
+                if p is None:  # the rows below the rank are zero: free coordinates
+                    break
+                rhs = t * big_d[p] - sum(hc[p] * yc for hc, yc in zip(h, y))
+                y, t = [yc * row[p] for yc in y] + [rhs], t * row[p]
+            m = mat_vec(transpose(w), y + [0] * (n - len(y)))
         if any(dot(m, u) != t * d for u, d in zip(rays, big_d)):
             return NotQCartier(
                 cone, f"not Q-Cartier on cone {list(cone.generators)}"
@@ -193,6 +198,24 @@ def cartier_data(fan, divisor):
         q = math.lcm(q, scale // math.gcd(scale, *m))
         vectors.append(tuple(Fraction(x, scale) for x in m))
     return CartierData(fan, tuple(vectors), q)
+
+
+def _normals_solution(cone, big_d):
+    """(M, t) with <M, u_i> = t*D_i on a cone that carries n facet normals and
+    no equation, so is simplicial and full-dimensional: normal n_i vanishes on
+    every ray but its own u_i, so M = sum_i D_i*(t/<n_i, u_i>)*n_i for
+    t = lcm <n_i, u_i> (Cox-Little-Schenck §4.2).  (None, None) for any
+    other cone, whose memo is never filled here, and for a normal that
+    vanishes on every ray; cartier_data's check catches a memo of another
+    cone."""
+    normals, equations = cone._halfspaces or ((), None)
+    if equations != () or not len(normals) == cone.ambient_dim == len(big_d):
+        return None, None
+    # each normal is paired with the first ray off its hyperplane: (<n_i, u_i>, D_i), or (0, 0) if none is
+    rays = cone.generators
+    pairs = [next(((h, d) for u, d in zip(rays, big_d) if (h := dot(nrm, u))), (0, 0)) for nrm in normals]
+    t = math.lcm(*(h for h, _ in pairs))
+    return (mat_vec(transpose(normals), [d * (t // h) for h, d in pairs]), t) if t else (None, None)
 
 
 def pullback_divisor(lattice_map, source, target, divisor):

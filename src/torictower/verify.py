@@ -267,8 +267,9 @@ def _random_simplicial_cone(rng, n):
             if not is_zero(v):
                 gens.append(primitive(v))
         if det_int(tuple(gens)) != 0:
-            # n independent primitive rays are distinct and extreme: a pointed n-cone with n rays
-            return Cone.generated_by(gens, n)
+            # n independent primitive rays are distinct and extreme: in lex order, the canonical
+            # n-cone, built with no DD, so its first Cartier solve takes the Hermite route
+            return Cone(n, tuple(sorted(gens)))
 
 
 def random_towers(count, seed):

@@ -9,9 +9,11 @@ p <= 2 of depth 2 or 3 with node exponents in SPAN (SMALL_CORPUS).  The
 driver, outside tier-1, runs the facet, node-level, regular-face and lc
 nets and the certificate invariant on the 19,656 towers over p = 1 of
 depth 4, then the support net on the 3,464 towers, the halfspace-memo
-net (`halfspace_memo_mismatches`, on fans, not towers) on MEMO_SEEDS and
-the census golden (`tests/census.py`) on the 19,656; it prints one line
-per net and exits 1 on any mismatch:
+net (`halfspace_memo_mismatches`, on fans, not towers) on MEMO_SEEDS, the
+Cartier-route net (`cartier_route_mismatches`) on the distinct level fans
+of the 19,656 and on refined products of projective fans, and the census
+golden (`tests/census.py`) on the 19,656; it prints one line per net and
+exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -23,16 +25,18 @@ import gc
 import itertools
 import random
 import sys
+from fractions import Fraction
 
 from oracles import node_level_oracle
 from torictower.lattice import Cone, Fan, dot, halfspace_intersection, orthant_fan, product_fan, projective_fan
-from torictower.toric import star_subdivision
+from torictower.toric import NotQCartier, ToricDivisor, cartier_data, star_subdivision
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
 SPAN = range(-2, 3)
 DRIVER_CORPUS = ((1, 4),)  # (p, depth) of the driver's facet, regular-face and lc nets: 19,656 towers
 SMALL_CORPUS = ((1, 2), (1, 3), (2, 2), (2, 3))  # tier-1's nets and the driver's support net: 3,464 towers
 MEMO_SEEDS = range(8, 100)  # the driver's halfspace-memo chains; tier-1 runs seeds 0-7
+REFINED_PRODUCTS = 48  # the driver's refined products of projective fans in the Cartier-route net
 
 
 def small_towers(p, depth):
@@ -192,6 +196,73 @@ def halfspace_memo_mismatches(seeds, steps=4):
     return carried, left, bad
 
 
+def refined_products(seed, count, steps=4):
+    """`count` seeded refinements of products of projective fans, like the
+    benchmark's complete fans: fan j is P^a x P^(n-a), n = 5 + j % 2 and
+    a = 1 + (j // 2) % (n - 1), refined by `steps` star subdivisions, each
+    centre a combination with coefficients 1 or 2 of a random subset of a
+    random maximal cone's rays."""
+    rng = random.Random(seed)
+    fans = []
+    for j in range(count):
+        n = 5 + j % 2
+        a = 1 + (j // 2) % (n - 1)
+        fan = product_fan(projective_fan(a), projective_fan(n - a))
+        for _ in range(steps):
+            gens = rng.choice(fan.maximal_cones).generators
+            subset = rng.sample(gens, rng.randint(1, len(gens)))
+            coeffs = [rng.randint(1, 2) for _ in subset]
+            fan = star_subdivision(fan, tuple(sum(c * g[i] for c, g in zip(coeffs, subset)) for i in range(n)))
+        fans.append(fan)
+    return fans
+
+
+def carries_normals(cone):
+    """Whether `cartier_data` solves `cone` from the normals it carries: n of them, no equation, n rays."""
+    memo = cone._halfspaces
+    return memo is not None and not memo[1] and len(memo[0]) == cone.ambient_dim == len(cone.generators)
+
+
+def cartier_routes(fan):
+    """Two copies of `fan`: one whose cones carry their halfspaces (a builder's
+    memo, else the DD's), so every simplicial full-dimensional cone is solved
+    from its normals, and one whose cones carry none, so every cone is solved
+    by its Hermite form."""
+    n = fan.ambient_dim
+    memoized = []
+    for cone in fan.maximal_cones:
+        memoized.append(Cone(n, cone.generators))
+        memoized[-1]._halfspaces = cone._halfspaces or halfspace_intersection(cone.generators, n)
+    return Fan(n, memoized), Fan(n, [Cone(n, cone.generators) for cone in fan.maximal_cones])
+
+
+def cartier_outcome(cd):
+    """Cartier data's vectors and index, or the failing cone's generators and message."""
+    if isinstance(cd, NotQCartier):
+        return cd.cone.generators, cd.message
+    return cd.vectors, cd.cartier_index
+
+
+def cartier_route_mismatches(fans, seed):
+    """(cones that carry normals, cones that do not, [(fan, divisor
+    coefficients)] where the two `cartier_routes` of a fan differ), on each
+    fan's canonical divisor and on a seeded rational divisor with
+    coefficients p/q, p in [-6, 6] and q in [1, 4]."""
+    rng = random.Random(seed)
+    with_normals = without = 0
+    bad = []
+    for fan in fans:
+        memoized, bare = cartier_routes(fan)
+        solved = sum(map(carries_normals, memoized.maximal_cones))
+        with_normals, without = with_normals + solved, without + len(fan.maximal_cones) - solved
+        drawn = {u: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for u in fan.all_rays}
+        for coeffs in ({u: -1 for u in fan.all_rays}, drawn):
+            got = cartier_outcome(cartier_data(memoized, ToricDivisor(memoized, coeffs)))
+            if got != cartier_outcome(cartier_data(bare, ToricDivisor(bare, coeffs))):
+                bad.append((fan, coeffs))
+    return with_normals, without, bad
+
+
 def main():
     """Run every net on its corpus, print one line per net, and return 1 on any mismatch."""
     # the corpus lives until the end: build it with the cyclic collector off, then freeze it, so no
@@ -210,7 +281,9 @@ def main():
 def run_nets(towers):
     """Run the facet, node-level, regular-face and lc nets and the
     certificate check on `towers`, the support net on SMALL_CORPUS, the
-    halfspace-memo net on MEMO_SEEDS and the census on DRIVER_CORPUS; print
+    halfspace-memo net on MEMO_SEEDS, the Cartier-route net on the distinct
+    level fans of `towers` and REFINED_PRODUCTS refined products, and the
+    census on DRIVER_CORPUS; print
     one line per net (and one per census mismatch), and return 1 on any
     mismatch."""
     from census import COMMANDS, census_mismatches
@@ -252,6 +325,14 @@ def run_nets(towers):
 
     carried, left, bad = halfspace_memo_mismatches(MEMO_SEEDS)
     print(f"halfspace memos: {carried} carried, {left} left to the DD, {len(bad)} mismatches", flush=True)
+    failed |= bool(bad)
+
+    # equal level fans give equal Cartier data, so each is solved once
+    fans = list(dict.fromkeys(level.fan for model in towers for level in model.levels))
+    products = refined_products(20261021, REFINED_PRODUCTS)
+    with_normals, without, bad = cartier_route_mismatches(fans + products, 20261022)
+    print(f"cartier routes: {len(fans)} level fans and {REFINED_PRODUCTS} refined products, {with_normals} cones "
+          f"with normals, {without} without, {len(bad)} mismatches", flush=True)
     failed |= bool(bad)
 
     count, bad = census_mismatches(DRIVER_CORPUS)

@@ -40,6 +40,7 @@ RECORDS = ("tests/test_records.py::test_a_tower_spec_checks_its_rules_on_every_c
 VERIFY_ALL = ("tests/test_verify.py::test_a_lattice_error_in_any_suite_of_all_is_exit_2",
               "tests/test_verify.py::test_all_merges_kernel_first_and_tags_each_entry_with_its_suite")
 NOT_SEQUENCES = "tests/test_records.py::test_an_input_that_is_not_a_sequence_is_named"
+ROUTES = "tests/test_toric.py::test_the_normals_route_matches_the_hermite_route_and_the_oracle"
 MEMOS = "tests/test_facet_net.py::test_carried_halfspace_memos_match_the_double_description"
 NODE_LEVELS = "tests/test_node_level_net.py::test_node_levels_match_the_two_step_route_where_faces_come_from_several_cones"
 CHECK_HEIGHTS = "    _check_digits(u[-1] for u in fan.all_rays)\n"
@@ -198,9 +199,11 @@ MUTANTS = (
      ("tests/test_polytope.py::test_edges_with_a_collinear_midpoint_match_the_oracle",)),
     # the per-denominator sums are brought to one denominator
     ("polytope.py", "lcd // den", "lcd", ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
-    # a divisor polytope's rows follow its vertex order
-    ("polytope.py", "tuple(r for _, r in pairs)", "tuple(rays)",
-     ("tests/test_polytope.py::test_divisor_polytope_rows_are_its_homogenized_vertices",)),
+    # a divisor polytope's rows are sorted into its vertex order, each ray's key brought to the common denominator
+    ("polytope.py", "rows = tuple(sorted(rays, key=lambda r: [x * (lcd // r[-1]) for x in r[:-1]]))",
+     "rows = tuple(rays)", ("tests/test_polytope.py::test_divisor_polytope_rows_are_its_homogenized_vertices",)),
+    ("polytope.py", "[x * (lcd // r[-1]) for x in r[:-1]]", "r[:-1]",
+     ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
     # and the package divides no int by true division
     ("polytope.py", "(a * y - b * x) // p", "(a * y - b * x) / p",
      ("tests/test_exactness.py::test_the_package_holds_no_float_arithmetic",)),
@@ -233,10 +236,21 @@ MUTANTS = (
     ("tower.py", "            if loose:\n", "            if False:\n", (NOT_SEQUENCES,)),
     ("tower.py", "if not isinstance(germ.orders, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
     ("polytope.py", "if not isinstance(hyperplane_coefficients, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
-    ("lattice.py", "vectors = list(map(_integers, vectors))", "vectors = [tuple(v) for v in vectors]", (NOT_SEQUENCES,)),
+    ("lattice.py", "list(map(_integers, _sequence(vectors,", "list(map(tuple, _sequence(vectors,", (NOT_SEQUENCES,)),
     ("lattice.py", 'if not hasattr(values, "__iter__"):', "if False:", (NOT_SEQUENCES,)),
+    # and an argument that holds vectors, rows, cones or divisor entries is read by that one rule
+    ("lattice.py", 'gens = tuple(map(_integers, _sequence(generators, "generators")))',
+     "gens = tuple(map(_integers, generators))", (NOT_SEQUENCES + "[cone-none]",)),
+    ("lattice.py", 'for c in _sequence(cones, "cones"):', "for c in cones:", (NOT_SEQUENCES + "[fan-none]",)),
+    ("lattice.py", 'vectors = list(map(_integers, _sequence(vectors, "vectors")))',
+     "vectors = list(map(_integers, vectors))", (NOT_SEQUENCES + "[generated_by-none]",)),
+    ("lattice.py", 'h = [_integers(row) for row in _sequence(m, "matrix")]', "h = [_integers(row) for row in m]",
+     (NOT_SEQUENCES + "[hnf-none]",)),
+    ("lattice.py", 'm = [_integers(row) for row in _sequence(m, "matrix")]', "m = [_integers(row) for row in m]",
+     (NOT_SEQUENCES + "[kernel_basis-none]",)),
+    ("toric.py", '_sequence(coefficients, "coefficients")', "coefficients", (NOT_SEQUENCES + "[divisor-number]",)),
     # hnf (so snf and kernel_basis) and the double description read each row by _integers; hnf names a ragged row
-    ("lattice.py", "h = [_integers(row) for row in m]", "h = [tuple(row) for row in m]",
+    ("lattice.py", "h = [_integers(row) for row in _sequence(", "h = [tuple(row) for row in _sequence(",
      (NOT_SEQUENCES + "[hnf-float]",)),
     ("lattice.py", "        if len(row) != nc:\n", "        if False:\n", (NOT_SEQUENCES + "[hnf-ragged]",)),
     ("lattice.py", "        a = _integers(a)\n", "        a = tuple(a)\n",
@@ -312,9 +326,17 @@ MUTANTS = (
     # the K + C check before it solved the zero divisor, with no Hermite form, and missed this
     ("toric.py", "rhs = t * big_d[p] - sum(", "rhs = t * big_d[p] + sum(",
      ("tests/test_verify.py::test_suite_runs_clean[tower]",)),
-    # and on the toric suite's simplicial cones that sign flip makes K + B fail to be Q-Cartier: a violation,
-    # not a traceback
+    # and on the toric suite's simplicial cones, built without normals, that sign flip makes K + B fail to be
+    # Q-Cartier: a violation, not a traceback
     ("toric.py", "rhs = t * big_d[p] - sum(", "rhs = t * big_d[p] + sum(", (PINNED + "[q_cartier]",)),
+    # a cone that carries n normals and no equation is solved from them: each normal scaled by t over its
+    # pairing with its own ray, only on n rays, and the per-ray check still catches a memo of another cone
+    ("toric.py", "[d * (t // h) for h, d in pairs]", "[d * (t * h) for h, d in pairs]",
+     (ROUTES, PINNED + "[q_cartier]")),
+    ("toric.py", "zip(rays, big_d) if (h :=", "zip(rays, big_d[1:] + big_d[:1]) if (h :=", (ROUTES,)),
+    ("toric.py", "not len(normals) == cone.ambient_dim == len(big_d)", "len(normals) != len(big_d)", (ROUTES,)),
+    ("toric.py", "        if any(dot(m, u) != t * d for u, d in zip(rays, big_d)):\n", "        if False:\n",
+     ("tests/test_toric.py::test_a_memo_of_another_cone_is_not_q_cartier_and_a_zero_normal_takes_the_hermite_form",)),
     # the kept model's key holds --max-rays (an int equal to every int drops it) and the digit limit,
     # and its build reads --max-dim
     ("cli.py", LOAD, LOAD.replace("args.max_rays", ANY_CAP), (LOWER_CAP,)),

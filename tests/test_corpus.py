@@ -6,7 +6,8 @@ import pytest
 
 import corpus
 
-NETS = ("facet", "node levels", "regular faces", "lc", "certificate", "support", "halfspace memos", "census")
+NETS = ("facet", "node levels", "regular faces", "lc", "certificate", "support", "halfspace memos", "cartier routes",
+        "census")
 
 
 @pytest.fixture
@@ -15,6 +16,7 @@ def built(monkeypatch):
     monkeypatch.setattr(corpus, "DRIVER_CORPUS", ((1, 2),))
     monkeypatch.setattr(corpus, "SMALL_CORPUS", ((1, 2),))
     monkeypatch.setattr(corpus, "MEMO_SEEDS", range(1))
+    monkeypatch.setattr(corpus, "REFINED_PRODUCTS", 2)
     calls, inner = [], corpus.build_model
     monkeypatch.setattr(corpus, "build_model", lambda spec: calls.append(spec) or inner(spec))
     corpus.models.cache_clear()
@@ -43,6 +45,7 @@ FORGED = [
     ("corpus", "uncertified_levels", ["forged"]),
     ("test_support_net", "support_mismatches", (1, 1, ["forged"])),
     ("corpus", "halfspace_memo_mismatches", (1, 1, ["forged"])),
+    ("corpus", "cartier_route_mismatches", (1, 1, ["forged"])),
     ("census", "census_mismatches", (1, ["forged"])),
 ]
 

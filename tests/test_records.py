@@ -179,6 +179,13 @@ NOT_SEQUENCES = [
                  id="divisor-float-ray"),
     pytest.param(lambda: ToricDivisor(projective_fan(2), {5: 2}), "vector 5 is not a sequence", id="divisor-ray"),
     pytest.param(lambda: Fan(2, [[(1, 0)]]), "cone [(1, 0)] is not a Cone", id="fan-cone"),
+    # and an argument that holds vectors, rows, cones or divisor entries is read by one rule
+    pytest.param(lambda: Cone(2, None), "generators None is not a sequence", id="cone-none"),
+    pytest.param(lambda: Fan(2, None), "cones None is not a sequence", id="fan-none"),
+    pytest.param(lambda: Cone.generated_by(None), "vectors None is not a sequence", id="generated_by-none"),
+    pytest.param(lambda: hnf(None), "matrix None is not a sequence", id="hnf-none"),
+    pytest.param(lambda: kernel_basis(None, 2), "matrix None is not a sequence", id="kernel_basis-none"),
+    pytest.param(lambda: ToricDivisor(projective_fan(2), 5), "coefficients 5 is not a sequence", id="divisor-number"),
     # and a suite name that is no suite, unhashable or past the int-to-str digit limit, is named
     pytest.param(lambda: run_suite([], 0), f"unknown suite []; choose from {', '.join(SUITES)}", id="run_suite-list"),
     pytest.param(lambda: run_suite(10**5000, 0), f"unknown suite <int of 16610 bits>; choose from {', '.join(SUITES)}",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import torictower.lattice
 import torictower.toric
-from corpus import _cube_cone_fan
+from corpus import _cube_cone_fan, carries_normals, cartier_route_mismatches, cartier_routes, refined_products
 from oracles import (
     cartier_data_oracle,
     is_strongly_convex,
@@ -515,6 +515,11 @@ def _random_divisor(rng, fan):
     return ToricDivisor(fan, {u: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for u in fan.all_rays})
 
 
+def _bump(rng, fan):
+    """1/q on one random ray of the fan, if it has one, q in [1, 3]: an index above one on smooth cones."""
+    return ToricDivisor(fan, {rng.choice(fan.all_rays): Fraction(1, rng.randint(1, 3))} if fan.all_rays else {})
+
+
 def _cartier_cases(seed):
     """On subdivided complete fans (simplicial and not) and on level fans: a
     random rational divisor, a rational multiple of a character divisor
@@ -535,7 +540,7 @@ def _cartier_cases(seed):
         principal = ToricDivisor(fan, {u: k * c for u, c in character_divisor(fan, char).coefficients().items()})
         cases += [(fan, _random_divisor(rng, fan)), (fan, principal)]
         if fan.all_rays:
-            bump = ToricDivisor(fan, {rng.choice(fan.all_rays): Fraction(1, rng.randint(1, 3))})
+            bump = _bump(rng, fan)
             cases += [(fan, principal + bump), (fan, bump)]  # bump vanishes off its ray's star
     square = product_fan(P1, P1)
     return cases + [(square, ToricDivisor(square, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)}))]
@@ -649,7 +654,9 @@ def test_cartier_data_commutes_with_unimodular_change_of_coordinates(data):
 
 def test_cartier_data_runs_one_hnf_per_cone(monkeypatch):
     """One Hermite form per cone with rays on which the divisor is not
-    identically zero, and none at all for the zero divisor."""
+    identically zero and that does not carry n normals and no equation, none
+    per cone solved from the normals it carries, and none at all for the zero
+    divisor."""
     calls = []
 
     def counting(m):
@@ -657,25 +664,67 @@ def test_cartier_data_runs_one_hnf_per_cone(monkeypatch):
         return hnf(m)
 
     monkeypatch.setattr(torictower.toric, "hnf", counting)
-    skipped = 0
+    solved = skipped = 0
     for fan, divisor in cartier_cases():
         calls.clear()
         out = cartier_data(fan, divisor)
         cones = list(fan.maximal_cones)
         if isinstance(out, NotQCartier):
             cones = cones[: cones.index(out.cone) + 1]
-        assert calls == [c.generators for c in cones if any(divisor.coefficient(u) for u in c.generators)]
-        skipped += sum(1 for c in cones if c.generators) - len(calls)
+        cones = [c for c in cones if any(divisor.coefficient(u) for u in c.generators)]
+        assert calls == [c.generators for c in cones if not carries_normals(c)]
+        solved += sum(map(carries_normals, cones))
+        skipped += sum(1 for c in fan.maximal_cones if c.generators) - len(cones)
         calls.clear()
         zero = cartier_data(fan, ToricDivisor(fan))
         assert zero.vectors == ((0,) * fan.ambient_dim,) * len(fan.maximal_cones)
         assert zero.cartier_index == 1 and calls == []
-    assert skipped
+    assert solved and skipped
     calls.clear()
     fan = projective_fan(3)
     assert cartier_data(fan, canonical_divisor(fan) + boundary_divisor(fan)).cartier_index == 1
     assert calls == []
     assert not hasattr(torictower.lattice, "solve_rational")
+
+
+def _route_fans(seed):
+    """Refined products of projective fans, level fans of random towers, and cones over squares and cubes."""
+    return refined_products(seed, 6) + _level_fans(20, seed) + [_cube_cone_fan(k) for k in (2, 3)]
+
+
+def test_the_normals_route_matches_the_hermite_route_and_the_oracle():
+    """On each fan's canonical divisor and a random rational one, the copy
+    whose cones carry their normals gives what the copy without them gives,
+    and what the elimination oracle gives: its failing cone, its index, and
+    on full-dimensional cones its vectors."""
+    with_normals, without, bad = cartier_route_mismatches(_route_fans(20261020), 20261021)
+    assert not bad and with_normals and without
+    rng = random.Random(20261022)
+    for fan in _route_fans(20261020):
+        memoized, _ = cartier_routes(fan)
+        for divisor in (canonical_divisor(memoized), _random_divisor(rng, memoized), _bump(rng, memoized)):
+            out, expected = cartier_data(memoized, divisor), cartier_data_oracle(memoized, divisor)
+            assert type(out) is type(expected)
+            if isinstance(out, NotQCartier):
+                assert (out.cone, out.message) == (expected.cone, expected.message)
+                continue
+            assert out.cartier_index == expected.cartier_index
+            for cone, m, m_oracle in zip(memoized.maximal_cones, out.vectors, expected.vectors):
+                assert m == m_oracle or cone.dim() < fan.ambient_dim
+
+
+def test_a_memo_of_another_cone_is_not_q_cartier_and_a_zero_normal_takes_the_hermite_form():
+    """A cone that carries another cone's normals fails the per-ray check, so
+    the answer is NotQCartier and never wrong vectors; a memo with a normal
+    that vanishes on every ray is solved by the Hermite form."""
+    fan = projective_fan(2)
+    right = cartier_data(fan, boundary_divisor(fan))
+    first, second = fan.maximal_cones[:2]
+    first._halfspaces = second._halfspaces
+    out = cartier_data(fan, boundary_divisor(fan))
+    assert isinstance(out, NotQCartier) and out.cone is first
+    first._halfspaces = (((0, 0), (1, 0)), ())
+    assert cartier_data(fan, boundary_divisor(fan)) == right
 
 
 def test_cartier_data_on_zero_generators():
