@@ -25,7 +25,7 @@ DEFAULT_MAX_RAYS = 500
 MAX_SAMPLES = 10_000  # per check or suite call; every built-in use draws at most 200
 MAX_FACES = 100_000  # per Fan.face_masks walk (largest measured: 19,612 faces, the top of tests/corpus.py's
 # near_cap_tower(57), the most of its seeds 0-99), regular-face search, DD ray list, fan_validate pair loop
-# (benchmark's largest: 630 pairs of 36 pointed cones) and normalized_volume triangulation (1,290 popped faces)
+# (benchmark's largest: 630 pairs of 36 pointed cones) and normalized_volume triangulation (501 visited faces)
 
 
 class LatticeError(ValueError):

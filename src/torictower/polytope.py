@@ -8,12 +8,13 @@ nothing to the generic fiber.
 """
 
 import math
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
 from .lattice import DEFAULT_MAX_DIM, MAX_FACES, LatticeError, ResourceCapError, bareiss_step, bit_indices, check_count
-from .lattice import _Record, _halfspace_rows, _rational, _shown, det_int, halfspace_intersection, maximal_masks
+from .lattice import _Record, _halfspace_rows, _rational, _sequence, _shown, det_int, halfspace_intersection
+from .lattice import maximal_masks
 from .toric import _same_fan
 
 
@@ -51,7 +52,7 @@ class LatticePolytope:
     def rows(self):
         """The `_homogenized` rows (w, den) of the points (memoized)."""
         if self._rows is None:
-            self._rows = _homogenized(self.vertices)
+            self._rows = _homogenized(self.ambient_dim, self.vertices)
         return self._rows
 
     def inequalities(self):
@@ -62,10 +63,11 @@ class LatticePolytope:
         return self._inequalities
 
 
-def _homogenized(points):
-    """(w, den) with w / den = v and den > 0 minimal, per distinct point v in lex order;
-    each coordinate is read by the rational rule, so a float is a LatticeError."""
-    points = sorted({tuple(map(_rational, v)) for v in points})
+def _homogenized(n, points):
+    """(w, den) with w / den = v and den > 0 minimal, per distinct point v in lex order; n is a count,
+    the points and each point are sequences, and a coordinate is read by the rational rule (no float)."""
+    check_count(n, "ambient dimension")
+    points = sorted({tuple(map(_rational, _sequence(v, "point"))) for v in _sequence(points, "points")})
     dens = [math.lcm(*(x.denominator for x in v)) for v in points]
     return tuple(tuple(x.numerator * (den // x.denominator) for x in v) + (den,) for v, den in zip(points, dens))
 
@@ -122,59 +124,73 @@ def divisor_polytope(fan, divisor):
 
 def normalized_volume(polytope):
     """n! times the Euclidean volume, exact.  Empty or lower-dimensional
-    polytopes have volume 0.
+    polytopes have volume 0: an inequality tight on every point is an equation.
 
     A pulling triangulation on `polytope.rows()` and the point masks of
     `polytope.inequalities()` (no DD and no conversion for a divisor
     polytope).  The facets of a face G are the inclusion-maximal proper
     nonempty G & F over the masks F (a non-facet row masks to a face inside a
-    facet); a stacked face carries the masks that properly cut its parent.
-    The apex is G's lowest point, and a d-face with d + 1 points is a simplex.
-    Each apex is eliminated once (`bareiss_step`) for all simplices below it;
-    a leaf finishes its (d + 1)-square block and adds |det| / prod(den), and a
-    polygon finishes each two-point edge from the edge's two residual rows.
-    An apex lies off the affine hull of every face below it, so the apexes are
-    independent and their residuals nonzero.  ResourceCapError once the call
-    has popped more than MAX_FACES faces, a closed-form edge counting as one.
+    facet); the apex is G's lowest point, and a d-face with d + 1 points is a
+    simplex.  Each apex is eliminated once (`bareiss_step`) for all simplices
+    below it, and a polygon finishes each two-point edge in closed form.  With
+    q = lcd // den over the rows, a simplex weighs |det| * prod(q), its volume
+    times lcd^(n + 1).  Each face is triangulated once, rescaled per chain:
+    its residual rows under any apex chain are one linear image of its rows,
+    so its weight over that of its reference simplex is the same on every
+    chain.  ResourceCapError once the call has visited more than MAX_FACES
+    faces, each memo hit and each closed-form edge counting as one.
     """
-    rows = polytope.rows()
-    if not rows:
-        return Fraction(0)
+    rows, n = polytope.rows(), polytope.ambient_dim
+    full = (1 << len(rows)) - 1
     # unchecked pairings: the DD read every inequality and every row at length n + 1
-    masks = {sum(1 << i for i, r in enumerate(rows) if not sum(map(mul, a, r))) for a in polytope.inequalities()}
-    total = defaultdict(int)  # sum of |det| per denominator
-    # (face, its dimension, residual rows of its points, last pivot, dens of the apexes above it,
-    # the masks that properly cut its parent)
-    stack = [((1 << len(rows)) - 1, polytope.ambient_dim, dict(enumerate(rows)), 1, 1, masks)]
-    popped = 0
-    while stack:
-        popped += 1
-        face, dim, residual, prev, dens, cuts = stack.pop()
+    if not rows or full in (masks := {sum(1 << i for i, r in enumerate(rows) if not sum(map(mul, a, r)))
+                                      for a in polytope.inequalities()}):
+        return Fraction(0)
+    lcd = math.lcm(*(r[-1] for r in rows))
+    q = [lcd // r[-1] for r in rows]
+    memo, visited = {}, 0
+
+    def weight(points, residual, prev):
+        return abs(det_int([residual[i] for i in points], prev)) * math.prod(q[i] for i in points)
+
+    def walk(face, dim, residual, prev, cuts):
+        """(S, t, ref): the face's weight under this chain, its reference simplex and that simplex's weight."""
+        nonlocal visited
+        visited += 1
+        if face in memo:
+            s, t, ref = memo[face]
+            t2 = weight(ref, residual, prev)
+            return s * t2 // t, t2, ref
         points = bit_indices(face)
         if len(points) == dim + 1:
-            den = dens * math.prod(rows[i][-1] for i in points)
-            total[den] += abs(det_int([residual[i] for i in points], prev))
-        else:
-            apex, rest = points[0], points[1:]
-            pivot = residual[apex]
-            c = next(j for j, x in enumerate(pivot) if x)  # the apexes are independent
-            below = dict(zip(rest, bareiss_step(pivot, c, prev, [residual[i] for i in rest])))
-            p, dens = pivot[c], dens * rows[apex][-1]
-            cuts = {face & f for f in cuts} - {0, face}
-            for sub in maximal_masks(cuts):
-                if sub >> apex & 1:
-                    continue
-                if dim == 2 and sub.bit_count() == 2:  # an edge of a polygon: its triangle with the apex
-                    popped += 1
-                    i, j = bit_indices(sub)
-                    (a, b), (x, y) = below[i], below[j]
-                    total[dens * rows[i][-1] * rows[j][-1]] += abs((a * y - b * x) // p)
-                else:
-                    stack.append((sub, dim - 1, below, p, dens, cuts))
-        if popped > MAX_FACES:
+            s = weight(points, residual, prev)
+            return s, s, points
+        apex, rest = points[0], points[1:]
+        pivot = residual[apex]
+        c = next(j for j, x in enumerate(pivot) if x)  # an apex lies off the affine hull of every face below it
+        below = dict(zip(rest, bareiss_step(pivot, c, prev, [residual[i] for i in rest])))
+        p, s, ref = pivot[c], 0, None
+        cuts = {face & f for f in cuts} - {0, face}  # a stacked face carries the masks that properly cut its parent
+        for sub in maximal_masks(cuts):
+            if sub >> apex & 1:
+                continue
+            if dim == 2 and sub.bit_count() == 2:  # an edge of a polygon: its triangle with the apex
+                visited += 1
+                i, j = edge = bit_indices(sub)
+                (a, b), (x, y) = below[i], below[j]
+                w = abs((a * y - b * x) // p) * q[i] * q[j]
+                part = w, w, edge
+            else:
+                part = walk(sub, dim - 1, below, p, cuts)
+            s += part[0]
+            if ref is None:
+                t, ref = q[apex] * part[1], (apex,) + part[2]
+        if visited > MAX_FACES:
             raise ResourceCapError(f"triangulation passed the cap of {MAX_FACES} faces")
-    lcd = math.lcm(*total)
-    return Fraction(sum(v * (lcd // den) for den, v in total.items()), lcd)
+        memo[face] = q[apex] * s, t, ref
+        return memo[face]
+
+    return Fraction(walk(full, n, dict(enumerate(rows)), 1, masks)[0], lcd ** (n + 1))
 
 
 def relative_degree_on_P(data):

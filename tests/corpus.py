@@ -11,9 +11,11 @@ nets and the certificate invariant on the 19,656 towers over p = 1 of
 depth 4, then the support net on the 3,464 towers, the halfspace-memo
 net (`halfspace_memo_mismatches`, on fans, not towers) on MEMO_SEEDS, the
 Cartier-route net (`cartier_route_mismatches`) on the distinct level fans
-of the 19,656 and on refined products of projective fans, and the census
-golden (`tests/census.py`) on the 19,656; it prints one line per net and
-exits 1 on any mismatch:
+of the 19,656 and on refined products of projective fans, the volume net
+(`volume_mismatches`) on those products, and the census golden
+(`tests/census.py`) on the 19,656; the regular-face net checks each
+distinct level fan and each distinct (fan, character) once.  It prints one
+line per net and exits 1 on any mismatch:
 
     PYTHONPATH=src python tests/corpus.py
 
@@ -27,16 +29,17 @@ import random
 import sys
 from fractions import Fraction
 
-from oracles import node_level_oracle
+from oracles import node_level_oracle, normalized_volume_per_simplex_oracle
 from torictower.lattice import Cone, Fan, dot, halfspace_intersection, orthant_fan, product_fan, projective_fan
-from torictower.toric import NotQCartier, ToricDivisor, cartier_data, star_subdivision
+from torictower.polytope import LatticePolytope, divisor_polytope, normalized_volume
+from torictower.toric import NotQCartier, ToricDivisor, boundary_divisor, cartier_data, star_subdivision
 from torictower.tower import NodeMove, ProductMove, TowerSpec, build_model
 
 SPAN = range(-2, 3)
 DRIVER_CORPUS = ((1, 4),)  # (p, depth) of the driver's facet, regular-face and lc nets: 19,656 towers
 SMALL_CORPUS = ((1, 2), (1, 3), (2, 2), (2, 3))  # tier-1's nets and the driver's support net: 3,464 towers
 MEMO_SEEDS = range(8, 100)  # the driver's halfspace-memo chains; tier-1 runs seeds 0-7
-REFINED_PRODUCTS = 48  # the driver's refined products of projective fans in the Cartier-route net
+REFINED_PRODUCTS = 48  # the driver's refined products of projective fans in the Cartier-route and volume nets
 
 
 def small_towers(p, depth):
@@ -263,6 +266,29 @@ def cartier_route_mismatches(fans, seed):
     return with_normals, without, bad
 
 
+def padded(poly):
+    """`poly` with its centroid and the midpoint of each lex-consecutive pair of its points added, none a vertex."""
+    verts, n = poly.vertices, poly.ambient_dim
+    centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
+    midpoints = [tuple((x + y) / 2 for x, y in zip(v, w)) for v, w in zip(verts, verts[1:])]
+    return LatticePolytope(n, tuple(sorted(set(verts) | {centroid} | set(midpoints))))
+
+
+def volume_mismatches(fans):
+    """(number of fans, [fan] where the volume of its anticanonical polytope,
+    or of the `padded` polytope with every third point repeated, differs from
+    `normalized_volume_per_simplex_oracle` of the polytope)."""
+    bad = []
+    for fan in fans:
+        poly = divisor_polytope(fan, boundary_divisor(fan))
+        more = padded(poly)
+        want = normalized_volume_per_simplex_oracle(poly)
+        if normalized_volume(poly) != want or normalized_volume(LatticePolytope(
+                poly.ambient_dim, more.vertices + more.vertices[::3])) != want:
+            bad.append(fan)
+    return len(fans), bad
+
+
 def main():
     """Run every net on its corpus, print one line per net, and return 1 on any mismatch."""
     # the corpus lives until the end: build it with the cyclic collector off, then freeze it, so no
@@ -282,10 +308,9 @@ def run_nets(towers):
     """Run the facet, node-level, regular-face and lc nets and the
     certificate check on `towers`, the support net on SMALL_CORPUS, the
     halfspace-memo net on MEMO_SEEDS, the Cartier-route net on the distinct
-    level fans of `towers` and REFINED_PRODUCTS refined products, and the
-    census on DRIVER_CORPUS; print
-    one line per net (and one per census mismatch), and return 1 on any
-    mismatch."""
+    level fans of `towers` and REFINED_PRODUCTS refined products, the volume
+    net on those products, and the census on DRIVER_CORPUS; print one line
+    per net (and one per census mismatch), and return 1 on any mismatch."""
     from census import COMMANDS, census_mismatches
     from test_facet_net import facet_mismatches
     from test_lc_net import lc_mismatches
@@ -300,12 +325,15 @@ def run_nets(towers):
     print(f"node levels: {len(towers)} towers, {levels} node levels, {len(bad)} mismatches", flush=True)
     failed |= bool(bad)
 
+    # a check on an equal fan with an equal character repeats one: the characters are drawn per level
+    # fan as on every fan, and each distinct fan and each distinct (fan, character) is checked once
     fans = tower_fans(towers)
-    cases = characters(fans, 20261204)
+    distinct = list(dict.fromkeys(fan for fan, _ in fans))
+    cases = list(dict.fromkeys(characters(fans, 20261204)))
     cones, bad = regular_face_mismatches(cases)
-    bad_fans = face_mask_mismatches([fan for fan, _ in fans])
-    print(f"regular faces: {len(fans)} level fans, {len(cases)} characters, {cones} subfan cones, "
-          f"{len(bad)} subfan and {len(bad_fans)} face-mask mismatches", flush=True)
+    bad_fans = face_mask_mismatches(distinct)
+    print(f"regular faces: {len(fans)} level fans ({len(distinct)} distinct), {len(cases)} distinct characters, "
+          f"{cones} subfan cones, {len(bad)} subfan and {len(bad_fans)} face-mask mismatches", flush=True)
     failed |= bool(bad or bad_fans)
 
     checked, bad = lc_mismatches(towers, 20261105)
@@ -328,11 +356,15 @@ def run_nets(towers):
     failed |= bool(bad)
 
     # equal level fans give equal Cartier data, so each is solved once
-    fans = list(dict.fromkeys(level.fan for model in towers for level in model.levels))
     products = refined_products(20261021, REFINED_PRODUCTS)
-    with_normals, without, bad = cartier_route_mismatches(fans + products, 20261022)
-    print(f"cartier routes: {len(fans)} level fans and {REFINED_PRODUCTS} refined products, {with_normals} cones "
+    with_normals, without, bad = cartier_route_mismatches(distinct + products, 20261022)
+    print(f"cartier routes: {len(distinct)} level fans and {REFINED_PRODUCTS} refined products, {with_normals} cones "
           f"with normals, {without} without, {len(bad)} mismatches", flush=True)
+    failed |= bool(bad)
+
+    count, bad = volume_mismatches(products)
+    print(f"volumes: {count} anticanonical polytopes of refined products and their padded copies, "
+          f"{len(bad)} mismatches", flush=True)
     failed |= bool(bad)
 
     count, bad = census_mismatches(DRIVER_CORPUS)

@@ -70,6 +70,16 @@ KEPT_TEXT = (
     "            _emit(self.value, newline, out, {})\n"
     '            text = self.texts[newline] = "".join(out)\n'
 )
+ONCE = "tests/test_polytope.py::test_each_face_is_expanded_once_per_call"
+PARITY = "tests/test_polytope.py::test_refined_products_with_points_that_are_not_vertices_match_both_oracles"
+STORE = (
+    "            if ref is None:\n"
+    "                t, ref = q[apex] * part[1], (apex,) + part[2]\n"
+    "        if visited > MAX_FACES:\n"
+    '            raise ResourceCapError(f"triangulation passed the cap of {MAX_FACES} faces")\n'
+    "        memo[face] = q[apex] * s, t, ref\n"
+    "        return memo[face]\n"
+)
 MAKE_OVERRIDE = (
     "    @classmethod\n"
     "    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__\n"
@@ -184,10 +194,10 @@ MUTANTS = (
     # a germ order is counted from 0
     ("tower.py", 'check_count(c, "vanishing order")', 'check_count(c, "vanishing order", low=-1)',
      ("tests/test_tower.py::test_base_change_errors",)),
-    # normalized_volume raises past MAX_FACES popped faces, not at MAX_FACES
-    ("polytope.py", "if popped > MAX_FACES:", "if popped >= MAX_FACES:",
+    # normalized_volume raises past MAX_FACES visited faces, memo hits and closed-form edges too, not at MAX_FACES
+    ("polytope.py", "if visited > MAX_FACES:", "if visited >= MAX_FACES:",
      ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
-    ("polytope.py", "if popped > MAX_FACES:", "if False:",
+    ("polytope.py", "if visited > MAX_FACES:", "if False:",
      ("tests/test_polytope.py::test_normalized_volume_caps_its_triangulation_stack",)),
     # a polygon's closed-form triangle is |det|, its edges through the apex are no triangles,
     # and an edge with a third collinear point takes the general path
@@ -197,8 +207,26 @@ MUTANTS = (
      ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
     ("polytope.py", "sub.bit_count() == 2", "sub.bit_count() >= 2",
      ("tests/test_polytope.py::test_edges_with_a_collinear_midpoint_match_the_oracle",)),
-    # the per-denominator sums are brought to one denominator
-    ("polytope.py", "lcd // den", "lcd", ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
+    # a simplex weighs |det| * prod(lcd // den), its volume times lcd^(n + 1), a closed-form edge too
+    ("polytope.py", "q = [lcd // r[-1] for r in rows]", "q = [r[-1] for r in rows]",
+     ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
+    ("polytope.py", "abs((a * y - b * x) // p) * q[i] * q[j]", "abs((a * y - b * x) // p)",
+     ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
+    ("polytope.py", "lcd ** (n + 1)", "lcd ** n",
+     ("tests/test_polytope.py::test_divisor_polytope_and_volume_match_oracles",)),
+    # a face is expanded on its first visit only, and a later visit rescales its weight by its reference
+    # simplex, which holds the apex, weighs q[apex] as the face's sum does, and is stored with the whole sum
+    ("polytope.py", "if face in memo:", "if False:", (ONCE,)),
+    ("polytope.py", "return s * t2 // t, t2, ref", "return s, t2, ref", (PARITY,)),
+    ("polytope.py", "(apex,) + part[2]", "part[2]", (PARITY,)),
+    ("polytope.py", "memo[face] = q[apex] * s, t, ref", "memo[face] = s, t, ref", (PARITY,)),
+    ("polytope.py", "t, ref = q[apex] * part[1]", "t, ref = part[1]", (PARITY,)),
+    ("polytope.py", STORE, STORE.replace("        memo[face] = q[apex] * s, t, ref\n        return memo[face]\n",
+                                         "        return q[apex] * s, t, ref\n").replace(
+        "(apex,) + part[2]\n", "(apex,) + part[2]\n                memo[face] = q[apex] * s, t, ref\n"), (PARITY,)),
+    # a polytope with an equation is flat, and its walk never starts
+    ("polytope.py", "if not rows or full in (masks := ", "if not rows or -1 in (masks := ",
+     ("tests/test_polytope.py::test_lower_dimensional_polytopes_have_zero_volume",)),
     # a divisor polytope's rows are sorted into its vertex order, each ray's key brought to the common denominator
     ("polytope.py", "rows = tuple(sorted(rays, key=lambda r: [x * (lcd // r[-1]) for x in r[:-1]]))",
      "rows = tuple(rays)", ("tests/test_polytope.py::test_divisor_polytope_rows_are_its_homogenized_vertices",)),
@@ -236,6 +264,12 @@ MUTANTS = (
     ("tower.py", "            if loose:\n", "            if False:\n", (NOT_SEQUENCES,)),
     ("tower.py", "if not isinstance(germ.orders, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
     ("polytope.py", "if not isinstance(hyperplane_coefficients, (list, tuple)):", "if False:", (NOT_SEQUENCES,)),
+    # a polytope reads its points as a sequence of sequences and its dimension by the count rule
+    ("polytope.py", 'for v in _sequence(points, "points")', "for v in points", (NOT_SEQUENCES + "[polytope-none]",)),
+    ("polytope.py", '_sequence(v, "point")', "v",
+     (NOT_SEQUENCES + "[polytope-point-none]", NOT_SEQUENCES + "[polytope-point-number]")),
+    ("polytope.py", '    check_count(n, "ambient dimension")\n', "",
+     tuple(NOT_SEQUENCES + f"[polytope-dim-{kind}]" for kind in ("str", "none", "bool"))),
     ("lattice.py", "list(map(_integers, _sequence(vectors,", "list(map(tuple, _sequence(vectors,", (NOT_SEQUENCES,)),
     ("lattice.py", 'if not hasattr(values, "__iter__"):', "if False:", (NOT_SEQUENCES,)),
     # and an argument that holds vectors, rows, cones or divisor entries is read by that one rule
@@ -290,7 +324,7 @@ MUTANTS = (
     ("polytope.py", '        check_count(fiber_dim, "fiber dimension", low=1, cap=DEFAULT_MAX_DIM)\n', "",
      RECORDS),
     # a polytope point is read by the rational rule, not by Fraction, which takes a float's binary expansion
-    ("polytope.py", "tuple(map(_rational, v))", "tuple(map(Fraction, v))", (BAD_TORIC,)),
+    ("polytope.py", "tuple(map(_rational, _sequence(", "tuple(map(Fraction, _sequence(", (BAD_TORIC,)),
     # Cartier data and a divisor polytope take a divisor on their own fan, or on an equal one
     ("toric.py", "    _same_fan(fan, divisor)\n    n = fan.ambient_dim\n", "    n = fan.ambient_dim\n", (BAD_TORIC,)),
     ("polytope.py", "    _same_fan(fan, divisor)\n    n = fan.ambient_dim\n", "    n = fan.ambient_dim\n",

@@ -7,7 +7,7 @@ import pytest
 import corpus
 
 NETS = ("facet", "node levels", "regular faces", "lc", "certificate", "support", "halfspace memos", "cartier routes",
-        "census")
+        "volumes", "census")
 
 
 @pytest.fixture
@@ -46,6 +46,7 @@ FORGED = [
     ("test_support_net", "support_mismatches", (1, 1, ["forged"])),
     ("corpus", "halfspace_memo_mismatches", (1, 1, ["forged"])),
     ("corpus", "cartier_route_mismatches", (1, 1, ["forged"])),
+    ("corpus", "volume_mismatches", (1, ["forged"])),
     ("census", "census_mismatches", (1, ["forged"])),
 ]
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import torictower.polytope
+from corpus import padded, refined_products
 from oracles import (
     divisor_polytope_oracle,
     halfspace_intersection_oracle,
@@ -22,6 +23,7 @@ from torictower.lattice import (
     LatticeError,
     ResourceCapError,
     det_int,
+    dot,
     halfspace_intersection,
     identity_matrix,
     mat_vec,
@@ -139,9 +141,9 @@ def test_lower_dimensional_polytope_has_zero_volume():
 
 
 def test_normalized_volume_caps_its_triangulation_stack(monkeypatch):
-    """The unit cube's pulling triangulation pops 10 faces: the cube, its 3
+    """The unit cube's pulling triangulation visits 10 faces: the cube, its 3
     facets away from the apex, and 2 edges of each, the leaves of its 6
-    simplices.  One call may pop MAX_FACES faces, and raises past them."""
+    simplices.  One call may visit MAX_FACES faces, and raises past them."""
     fan = product_fan(product_fan(projective_fan(1), projective_fan(1)), projective_fan(1))
     cube = divisor_polytope(fan, ToricDivisor(fan, {unit_vector(3, i): 1 for i in range(3)}))
     monkeypatch.setattr(torictower.polytope, "MAX_FACES", 10)
@@ -248,7 +250,7 @@ def test_double_description_of_polytope_rows_matches_oracle():
     tight on several facets, so the pre-filter meets real adjacencies."""
     polys = complete_polytopes()[:4] + [divisor_polytope(f, d) for f, d in CASES[::3]]
     for poly in polys:
-        rows, n = _homogenized(poly.vertices), poly.ambient_dim + 1
+        rows, n = _homogenized(poly.ambient_dim, poly.vertices), poly.ambient_dim + 1
         assert halfspace_intersection(rows, n) == halfspace_intersection_oracle(rows, n)
 
 
@@ -335,14 +337,54 @@ def test_lower_dimensional_polytopes_have_zero_volume():
 def test_points_that_are_not_vertices_leave_the_volume_unchanged():
     for fan, divisor in CASES[::4]:
         poly = divisor_polytope(fan, divisor)
-        verts = poly.vertices
-        n = poly.ambient_dim
-        centroid = tuple(sum(v[i] for v in verts) / len(verts) for i in range(n))
-        midpoints = [tuple((x + y) / 2 for x, y in zip(v, w)) for v, w in zip(verts, verts[1:])]
-        padded = tuple(sorted(set(verts) | {centroid} | set(midpoints)))
-        assert normalized_volume(LatticePolytope(n, padded)) == normalized_volume(poly)
+        verts, n = poly.vertices, poly.ambient_dim
+        assert normalized_volume(padded(poly)) == normalized_volume(poly)
         repeated = tuple(sorted(verts + verts[::2]))
         assert normalized_volume(LatticePolytope(n, repeated)) == normalized_volume(poly)
+
+
+def test_refined_products_with_points_that_are_not_vertices_match_both_oracles():
+    """With points inside its faces the walk pulls at points that are not
+    vertices, and rescales faces that hold them; a repeated point is one point."""
+    for fan in refined_products(20261019, 3):
+        poly = divisor_polytope(fan, boundary_divisor(fan))
+        more = padded(poly)
+        repeated = LatticePolytope(more.ambient_dim, more.vertices + more.vertices[::3])
+        vol = normalized_volume(repeated)
+        assert vol == normalized_volume(poly) > 0
+        assert vol == normalized_volume_per_simplex_oracle(more) == normalized_volume_oracle(more)
+
+
+def expanded_faces(poly):
+    """(the distinct faces, the visits): the faces the pulling triangulation
+    expands, those with more points than a simplex of their dimension, walked
+    down every apex chain with no memo."""
+    rows = poly.rows()
+    masks = {sum(1 << i for i, r in enumerate(rows) if dot(a, r) == 0) for a in poly.inequalities()}
+    stack, faces, visits = [((1 << len(rows)) - 1, poly.ambient_dim)], set(), 0
+    while stack:
+        face, dim = stack.pop()
+        if face.bit_count() > dim + 1:
+            visits += 1
+            faces.add(face)
+            apex, cuts = face & -face, {face & f for f in masks} - {0, face}
+            stack += [(a, dim - 1) for a in cuts if not a & apex and not any(a & b == a != b for b in cuts)]
+    return faces, visits
+
+
+def test_each_face_is_expanded_once_per_call(monkeypatch):
+    """A face's apex is eliminated (one `bareiss_step`) on its first visit
+    only; every later visit rescales its weight.  So the calls are the
+    distinct faces to expand, fewer than the visits down every apex chain."""
+    calls, inner = [], torictower.polytope.bareiss_step
+    monkeypatch.setattr(torictower.polytope, "bareiss_step", lambda *args: calls.append(args) or inner(*args))
+    fans = refined_products(20261019, 2)
+    polys = complete_polytopes()[:2] + [padded(divisor_polytope(fan, boundary_divisor(fan))) for fan in fans]
+    for poly in polys:
+        calls.clear()
+        normalized_volume(poly)
+        faces, visits = expanded_faces(poly)
+        assert len(calls) == len(faces) < visits
 
 
 def test_edges_with_a_collinear_midpoint_match_the_oracle():
@@ -365,7 +407,8 @@ def test_divisor_polytope_rows_are_its_homogenized_vertices():
     list would compute, so a divisor polytope's volume converts nothing."""
     for fan, divisor in CASES:
         poly = divisor_polytope(fan, divisor)
-        assert poly.rows() == _homogenized(poly.vertices) == LatticePolytope(fan.ambient_dim, poly.vertices).rows()
+        n = fan.ambient_dim
+        assert poly.rows() == _homogenized(n, poly.vertices) == LatticePolytope(n, poly.vertices).rows()
 
 
 def test_one_double_description_pass_per_polytope(monkeypatch):

@@ -27,7 +27,7 @@ from torictower.lattice import (
     projective_fan,
     snf,
 )
-from torictower.polytope import ProjectiveDivisorData
+from torictower.polytope import LatticePolytope, ProjectiveDivisorData, normalized_volume
 from torictower.toric import CartierData, ToricDivisor
 from torictower.tower import (
     CurveGermData,
@@ -41,6 +41,7 @@ from torictower.tower import (
 from torictower.verify import SUITES, run_suite
 
 NODE = NodeMove((), (1,))
+TRIANGLE = ((0, 0), (1, 0), (0, 1))
 SPEC = TowerSpec(1, (NODE, ProductMove()))
 RECORDS = {
     "CartierData": lambda: CartierData(orthant_fan(1), ((Fraction(1),),), 1),
@@ -190,6 +191,18 @@ NOT_SEQUENCES = [
     pytest.param(lambda: run_suite([], 0), f"unknown suite []; choose from {', '.join(SUITES)}", id="run_suite-list"),
     pytest.param(lambda: run_suite(10**5000, 0), f"unknown suite <int of 16610 bits>; choose from {', '.join(SUITES)}",
                  id="run_suite-digits"),
+    # and a polytope's points are a sequence of sequences, and its dimension a count (not a bool)
+    pytest.param(lambda: normalized_volume(LatticePolytope(2, None)), "points None is not a sequence", id="polytope-none"),
+    pytest.param(lambda: normalized_volume(LatticePolytope(2, [None])), "point None is not a sequence",
+                 id="polytope-point-none"),
+    pytest.param(lambda: normalized_volume(LatticePolytope(2, [5])), "point 5 is not a sequence",
+                 id="polytope-point-number"),
+    pytest.param(lambda: normalized_volume(LatticePolytope("2", TRIANGLE)), "ambient dimension '2' is not an int",
+                 id="polytope-dim-str"),
+    pytest.param(lambda: normalized_volume(LatticePolytope(None, TRIANGLE)), "ambient dimension None is not an int",
+                 id="polytope-dim-none"),
+    pytest.param(lambda: normalized_volume(LatticePolytope(True, ((0,), (1,)))), "ambient dimension True is not an int",
+                 id="polytope-dim-bool"),
 ]
 
 
