@@ -50,6 +50,7 @@ def _canonical_json(obj):
 
 
 _CONSTANTS = {True: "true", False: "false", None: "null"}  # read only for a bool or None: 1 == True
+_EMPTY = {list: "[]", tuple: "[]", dict: "{}"}  # by exact type: a record is no array
 
 
 def _scalar(x):
@@ -64,6 +65,8 @@ def _scalar(x):
             return '"' + str(x) + '"'
         except ValueError:  # more digits than the interpreter's int-to-str limit
             raise ResourceCapError("result has too many digits to print") from None
+    if type(x) in _EMPTY and not x:
+        return _EMPTY[type(x)]
     if x and isinstance(x, (list, tuple, dict)):
         raise TypeError("not a scalar")
     return json.dumps(x)

@@ -90,7 +90,9 @@ def _rational(value):
     """The rule of every divisor coefficient: an int (not a bool), a Fraction,
     or an ASCII decimal string `p` or `p/q`, as a Fraction.  Anything else is
     a LatticeError, so no float's binary expansion and no exponent string's
-    huge integer is ever built."""
+    huge integer is ever built.  A Fraction, immutable, is returned as it is."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, Fraction) or _is_int(value):
         return Fraction(value)
     p, slash, q = value.partition("/") if isinstance(value, str) else ("", "", "")
@@ -206,9 +208,18 @@ def mat_mul(a, b):
 def bareiss_step(pivot, c, prev, rows):
     """One fraction-free (Bareiss) step: clear column c of each row against
     `pivot`, drop that column and divide by `prev`, the pivot of the step
-    before (1 at the start).  Every entry stays a minor, so it is exact."""
-    p, keep = pivot[c], pivot[:c] + pivot[c + 1:]
-    return [[(x * p - r[c] * y) // prev for x, y in zip(r[:c] + r[c + 1:], keep)] for r in rows]
+    before (1 at the start).  Every entry stays a minor, so it is exact.
+    A row's column-c entry is read once; no row is divided by a `prev` of 1."""
+    p, keep, out = pivot[c], pivot[:c] + pivot[c + 1:], []
+    for r in rows:
+        rc, rest = r[c], r[:c] + r[c + 1:] if c else r[1:]
+        if not rc:  # nothing to clear in this row
+            out.append([x * p // prev for x in rest])
+        elif prev != 1:
+            out.append([(x * p - rc * y) // prev for x, y in zip(rest, keep)])
+        else:
+            out.append([x * p - rc * y for x, y in zip(rest, keep)])
+    return out
 
 
 def det_int(m, prev=1):
@@ -216,13 +227,16 @@ def det_int(m, prev=1):
     With `prev`, m is the block left by Bareiss steps whose last pivot was
     `prev`, and the result is +/- the determinant of the whole matrix."""
     rows, sign = list(m), 1
-    while len(rows) > 1:
+    while len(rows) > 2:
         pivot, rows = rows[0], rows[1:]
         c = next((j for j, x in enumerate(pivot) if x), None)
         if c is None:
             return 0
         sign = -sign if c % 2 else sign
         rows, prev = bareiss_step(pivot, c, prev, rows), pivot[c]
+    if len(rows) == 2:  # the last step on a 2 x 2 block, whatever its pivot column
+        (a, b), (c, d) = rows
+        return sign * ((a * d - b * c) // prev)
     return sign * rows[0][0] if rows else prev
 
 
@@ -393,12 +407,13 @@ def halfspace_intersection(constraints, n):
             if neg:
                 combos = {}
                 edge = n - len(lineality) - 2  # tight rows of any 2-face
+                masks = [mr for _, mr in rays]
                 for p, mp, pv in pos:
                     for q, mq, qv in neg:
                         t = mp & mq
-                        if t.bit_count() < edge or any(
-                            (t & ~mr) == 0 for r, mr in rays if r is not p and r is not q
-                        ):
+                        # adjacent iff no third ray is tight on every row of t: p and q are in rays
+                        # and both hold t, so the count of rays that hold t passes 2 iff another does
+                        if t.bit_count() < edge or list(map(t.__and__, masks)).count(t) > 2:
                             continue
                         # exact: <c, w> = pv<c, q> - qv<c, p>, both terms >= 0
                         combos.setdefault(_primitive_combination(pv, q, qv, p), t | bit)
@@ -509,8 +524,9 @@ class Cone:
                 f"vector dimension {len(v)} does not match ambient {self.ambient_dim}"
             )
         normals, equations = self.halfspaces()
-        return all(dot(nrm, v) >= 0 for nrm in normals) and all(
-            dot(e, v) == 0 for e in equations
+        mul = operator.mul  # pairings skip dot's length check: v has the ambient length, as every row does
+        return all(sum(map(mul, nrm, v)) >= 0 for nrm in normals) and all(
+            sum(map(mul, e, v)) == 0 for e in equations
         )
 
     def dim(self):
@@ -822,17 +838,19 @@ def _separation_certificate(tables, faces):
     """
 
     def certified(i, j):
-        face_i, face_j = faces[i], faces[j]
+        face_i, face_j, table_i, table_j = faces[i], faces[j], tables[i], tables[j]
         while True:
             tight = -1  # keeps every ray; ANDs the zero masks of the rows <= 0 on the other face
-            for k, face in ((i, face_j), (j, face_i)):
-                for z, np in tables[k]:
-                    if np & face == face:
-                        tight &= z
+            for z, np in table_i:
+                if np & face_j == face_j:
+                    tight &= z
+            for z, np in table_j:
+                if np & face_i == face_i:
+                    tight &= z
             sub_i, sub_j = face_i & tight, face_j & tight
             if sub_i == sub_j:
                 return True
-            if (sub_i, sub_j) == (face_i, face_j):
+            if sub_i == face_i and sub_j == face_j:
                 return False
             face_i, face_j = sub_i, sub_j
 
@@ -845,7 +863,10 @@ def fan_validate(fan):
 
     Checks primitive, nonzero, pairwise-distinct generators, then builds each
     remaining cone's sign table once: per row of its memoized halfspaces, the
-    masks over `fan.all_rays` where the row is = 0 and <= 0.  Its facet
+    masks over `fan.all_rays` where the row is = 0 and <= 0.  Each wall's
+    sign row is paired with the rays once, its negation by mask arithmetic:
+    the cones on either side of a wall, and an equation and its negation,
+    carry opposite rows of one hyperplane.  Its facet
     normals' zero masks give its extreme rays by `_extreme_mask`, the rule of
     `Cone.pointed_form`, so a cone with none contains a line (no rank test,
     no second double description).  Any two maximal cones must intersect in
@@ -859,6 +880,8 @@ def fan_validate(fan):
     violations = []
     mul = operator.mul  # pairings skip dot's length check: Cone and Fan fix every length
     bit = fan.bit
+    everything = (1 << len(bit)) - 1
+    signs = {}  # row -> (rays where it is = 0, rays where it is <= 0), each wall's negation stored with it
     cones, tables, faces, facets = [], [], [], []
     for c, top in zip(fan.maximal_cones, fan.tops):
         before, seen = len(violations), set()
@@ -877,14 +900,18 @@ def fan_validate(fan):
         normals, equations = c.halfspaces()
         table = []  # per row: (rays where it is = 0, rays where it is <= 0)
         for row in _halfspace_rows(normals, equations):
-            z = np = 0
-            for g, b in bit.items():
-                x = sum(map(mul, row, g))
-                if x <= 0:
-                    np |= b
-                    if not x:
-                        z |= b
-            table.append((z, np))
+            entry = signs.get(row)
+            if entry is None:
+                z = np = 0
+                for g, b in bit.items():
+                    x = sum(map(mul, row, g))
+                    if x <= 0:
+                        np |= b
+                        if not x:
+                            z |= b
+                entry = signs[row] = z, np
+                signs[vneg(row)] = z, everything ^ np | z  # -row <= 0 where row > 0 or row = 0
+            table.append(entry)
         zeros = [z for z, _ in table[:len(normals)]]
         extreme = _extreme_mask(top, zeros)
         if c.generators and not extreme:

@@ -9,6 +9,7 @@ pullback code; the support function value at v is -<m_sigma, v>.
 """
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -58,7 +59,7 @@ class ToricDivisor:
             if ray not in fan.bit:
                 raise LatticeError(f"ray {list(ray)} does not belong to the fan")
             c = _rational(c)
-            if c != 0:
+            if c:
                 coeffs[ray] = c
         self._coeffs = {ray: coeffs[ray] for ray in sorted(coeffs)}
 
@@ -172,7 +173,7 @@ def cartier_data(fan, divisor):
     den = math.lcm(*(d.denominator for d in values))
     numerators = {u: d.numerator * (den // d.denominator) for u, d in zip(fan.all_rays, values)}
     vectors = []
-    q = 1
+    q, mul = 1, operator.mul  # pairings skip dot's length check: m and every ray have length n
     for cone in fan.maximal_cones:
         rays = cone.generators
         big_d = [numerators[u] for u in rays]
@@ -190,7 +191,7 @@ def cartier_data(fan, divisor):
                 rhs = t * big_d[p] - sum(hc[p] * yc for hc, yc in zip(h, y))
                 y, t = [yc * row[p] for yc in y] + [rhs], t * row[p]
             m = mat_vec(transpose(w), y + [0] * (n - len(y)))
-        if any(dot(m, u) != t * d for u, d in zip(rays, big_d)):
+        if any(sum(map(mul, m, u)) != t * d for u, d in zip(rays, big_d)):
             return NotQCartier(
                 cone, f"not Q-Cartier on cone {list(cone.generators)}"
             )
@@ -211,11 +212,14 @@ def _normals_solution(cone, big_d):
     normals, equations = cone._halfspaces or ((), None)
     if equations != () or not len(normals) == cone.ambient_dim == len(big_d):
         return None, None
-    # each normal is paired with the first ray off its hyperplane: (<n_i, u_i>, D_i), or (0, 0) if none is
-    rays = cone.generators
-    pairs = [next(((h, d) for u, d in zip(rays, big_d) if (h := dot(nrm, u))), (0, 0)) for nrm in normals]
-    t = math.lcm(*(h for h, _ in pairs))
-    return (mat_vec(transpose(normals), [d * (t // h) for h, d in pairs]), t) if t else (None, None)
+    # each normal is paired with the first ray off its hyperplane: (<n_i, u_i>, D_i), or (0, 0) if none is;
+    # unchecked pairings, as the cone fixed every length
+    rays, mul = cone.generators, operator.mul
+    pairs = [next(((h, d) for u, d in zip(rays, big_d) if (h := sum(map(mul, nrm, u)))), (0, 0)) for nrm in normals]
+    if not (t := math.lcm(*(h for h, _ in pairs))):
+        return None, None
+    scaled = [d * (t // h) for h, d in pairs]
+    return [sum(map(mul, column, scaled)) for column in zip(*normals)], t
 
 
 def pullback_divisor(lattice_map, source, target, divisor):
@@ -339,13 +343,15 @@ def star_subdivision(fan, v):
     if not any(holds):
         raise LatticeError("subdivision centre lies outside the fan support")
     bit, rays, new_cones = fan.bit, fan.all_rays, []
+    mul = operator.mul  # pairings skip dot's length check: contains checked v's, and the cones fix the rest
     for cone, held in zip(fan.maximal_cones, holds):
         if not held:
             new_cones.append(cone)
             continue
         normals, equations = cone.halfspaces()
         # per facet: its normal, the normal's pairing with v, and its rays as a mask over the ray index
-        facets = [(m, dot(m, v), sum(bit[g] for g in cone.generators if dot(m, g) == 0)) for m in normals]
+        facets = [(m, sum(map(mul, m, v)), sum(bit[g] for g in cone.generators if not sum(map(mul, m, g))))
+                  for m in normals]
         for m_tau, tau_v, tau in facets:
             if tau_v <= 0:
                 continue

@@ -80,6 +80,16 @@ STORE = (
     "        memo[face] = q[apex] * s, t, ref\n"
     "        return memo[face]\n"
 )
+WALLS = "tests/test_lattice.py::test_fan_validate_matches_the_oracle_on_refined_products_and_forged_copies"
+CERTIFIES = "tests/test_lattice.py::test_fan_validate_certifies_valid_fans_without_double_description"
+BAREISS = "tests/test_lattice.py::test_bareiss_step_matches_the_one_expression_step"
+DD_ORACLE = "tests/test_lattice.py::test_halfspace_intersection_of_redundant_rows_matches_oracle"
+EMITTER = "tests/test_documents.py::test_canonical_json_equals_indented_json_dumps"
+BAREISS_BRANCHES = (
+    "        if not rc:  # nothing to clear in this row\n"
+    "            out.append([x * p // prev for x in rest])\n"
+    "        elif prev != 1:\n"
+)
 MAKE_OVERRIDE = (
     "    @classmethod\n"
     "    def _make(cls, iterable):  # _replace builds through _make, so every path runs __new__\n"
@@ -174,6 +184,15 @@ MUTANTS = (
     ("tower.py", "presentation += [unit_vector(n_prev + 1, n_prev), tuple(m) + (-1,)]",
      "presentation += [unit_vector(n_prev + 1, n_prev)]",
      ("tests/test_tower.py::test_node_chart_dual_violations_flags_a_wrong_top_lift",)),
+    # fan_validate pairs each wall's sign row once: its negation is = 0 where the row is and <= 0 where
+    # the row is > 0 or = 0, over every ray of the fan
+    ("lattice.py", "signs[vneg(row)] = z, everything ^ np | z", "signs[vneg(row)] = z, np", (WALLS, CERTIFIES)),
+    ("lattice.py", "everything = (1 << len(bit)) - 1", "everything = (1 << len(bit) - 1) - 1", (WALLS, CERTIFIES)),
+    # a DD pair is adjacent iff no third ray holds its common tight rows: p and q hold them, so the count passes 2
+    ("lattice.py", ".count(t) > 2", ".count(t) > 1", (DD_ORACLE,)),
+    # a Bareiss row with no entry in the pivot column is only rescaled, and a prev of 1 divides nothing
+    ("lattice.py", BAREISS_BRANCHES, BAREISS_BRANCHES.replace("if not rc:", "if prev != 1:").replace(
+        "elif prev != 1:", "elif not rc:"), (BAREISS,)),
     # fan_validate raises past MAX_FACES pairs of pointed cones, not at MAX_FACES
     ("lattice.py", "if len(cones) * (len(cones) - 1) // 2 > MAX_FACES:",
      "if len(cones) * (len(cones) - 1) // 2 >= MAX_FACES:",
@@ -369,7 +388,7 @@ MUTANTS = (
      (ROUTES, PINNED + "[q_cartier]")),
     ("toric.py", "zip(rays, big_d) if (h :=", "zip(rays, big_d[1:] + big_d[:1]) if (h :=", (ROUTES,)),
     ("toric.py", "not len(normals) == cone.ambient_dim == len(big_d)", "len(normals) != len(big_d)", (ROUTES,)),
-    ("toric.py", "        if any(dot(m, u) != t * d for u, d in zip(rays, big_d)):\n", "        if False:\n",
+    ("toric.py", "        if any(sum(map(mul, m, u)) != t * d for u, d in zip(rays, big_d)):\n", "        if False:\n",
      ("tests/test_toric.py::test_a_memo_of_another_cone_is_not_q_cartier_and_a_zero_normal_takes_the_hermite_form",)),
     # the kept model's key holds --max-rays (an int equal to every int drops it) and the digit limit,
     # and its build reads --max-dim
@@ -385,6 +404,8 @@ MUTANTS = (
     ("documents.py", '"product" if isinstance(move, ProductMove) else "node"', '"node"',
      ("tests/test_documents.py::test_round_trip_on_random_specs",)),
     ("documents.py", MISSING_FIELD, "", ("tests/test_documents.py::test_parse_missing_field_error",)),
+    # an empty list, tuple or dict is written by _scalar without json.dumps, and a non-empty one is no scalar
+    ("documents.py", "if type(x) in _EMPTY and not x:", "if type(x) in _EMPTY:", (EMITTER, TWO_INDENTS)),
     # the emitter keeps a flat value's text per indent, sorts each key set, separates the texts
     # of a list of lists by commas, and looks a record value up at its own indent
     ("documents.py", "memo = texts.setdefault(newline, {})", 'memo = texts.setdefault("\\n", {})', (TWO_INDENTS,)),

@@ -26,7 +26,8 @@ versions of the `torictower.verify` oracles (minor gcds, dual-cone facets,
 Fourier-Motzkin membership and the simplicial log-discrepancy formula, over
 `det_fraction`) live here too, as references for its integer oracles, and
 so do the generator-expression definitions of the lattice vector helpers,
-the references for their builtin forms, and the lc sampler that builds and
+the references for their builtin forms, the one-expression Bareiss step
+that `bareiss_step`'s row branches replaced, and the lc sampler that builds and
 primitivizes every sample vector.  The mask walks that the face kernels
 replaced are here as well: a fan's faces as the union of one walk per
 maximal cone, and a regularity subfan from a walk of every non-regular face,
@@ -115,6 +116,13 @@ def content_oracle(a):
     for x in a:
         g = math.gcd(g, abs(x))
     return g
+
+
+def bareiss_step_oracle(pivot, c, prev, rows):
+    """One fraction-free (Bareiss) step in one expression: every row pays the
+    pivot-column read per entry and the floor division by `prev`, 1 included."""
+    p, keep = pivot[c], pivot[:c] + pivot[c + 1:]
+    return [[(x * p - r[c] * y) // prev for x, y in zip(r[:c] + r[c + 1:], keep)] for r in rows]
 
 
 def unit_vector_oracle(n, i):
@@ -634,10 +642,17 @@ def _triangulate(vertices):
     return simplices
 
 
+def _distinct(polytope):
+    """The polytope's distinct points as Fraction tuples in lex order: a
+    repeated point is one point, as `polytope._homogenized` reads it."""
+    return sorted({tuple(map(Fraction, v)) for v in polytope.vertices})
+
+
 def normalized_volume_oracle(polytope):
     """n! times the Euclidean volume: a pulling triangulation with one double
-    description pass per face, and a rational determinant per simplex."""
-    verts = polytope.vertices
+    description pass per face, and a rational determinant per simplex, on
+    the distinct points."""
+    verts = _distinct(polytope)
     if not verts:
         return Fraction(0)
     if _affine_rank(verts) < polytope.ambient_dim:
@@ -758,12 +773,12 @@ def normalized_volume_per_simplex_oracle(polytope):
     incidence bitmasks alone.  The facets of a face G are the inclusion-
     maximal proper nonempty G & F over the facet masks F, the apex is G's
     lowest point, and a d-face with d + 1 points is a simplex.  With the
-    apexes collected above it, it adds |det(rows)| / prod(den).
+    apexes collected above it, it adds |det(rows)| / prod(den).  A repeated
+    point is one point.
     """
     n = polytope.ambient_dim
     rows = []
-    for v in sorted(polytope.vertices):
-        v = [Fraction(x) for x in v]
+    for v in _distinct(polytope):
         den = math.lcm(*(x.denominator for x in v))
         rows.append(tuple(int(x * den) for x in v) + (den,))
     if not rows:

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -6,7 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import torictower.lattice
+from corpus import refined_products
 from oracles import (
+    bareiss_step_oracle,
     cones_equal_as_sets,
     content_oracle,
     det_fraction,
@@ -37,6 +40,8 @@ from torictower.lattice import (
     Fan,
     LatticeError,
     ResourceCapError,
+    _rational,
+    bareiss_step,
     bit_indices,
     content,
     det_int,
@@ -431,6 +436,36 @@ def test_det_int_matches_rational_elimination():
         if n > 1 and rng.random() < 0.2:  # a dependent row
             m = m[:-1] + (vscale(2, m[0]),)
         assert det_int(m) == det_fraction(m)
+
+
+def test_bareiss_step_matches_the_one_expression_step():
+    """Rows with and without an entry in the pivot column, pivot columns past
+    the first, and a `prev` of 1 or not: every row comes out as the one
+    expression computes it, exact division or not."""
+    rng = random.Random(20261022)
+    for _ in range(400):
+        width = rng.randint(1, 6)
+        pivot = [rng.randint(-5, 5) for _ in range(width)]
+        c = rng.randrange(width)
+        pivot[c] = pivot[c] or 1
+        rows = [[rng.randint(-5, 5) for _ in range(width)] for _ in range(rng.randint(0, 5))]
+        for r in rows[::2]:
+            r[c] = 0
+        prev = rng.choice((1, 1, 2, 3, -2, rng.randint(-9, 9) or 7))
+        assert bareiss_step(pivot, c, prev, rows) == bareiss_step_oracle(pivot, c, prev, rows)
+    # a zero pivot-column entry and a cleared one, at c > 0, under prev 1 and prev 3
+    assert bareiss_step((1, 2, 3), 1, 1, [(4, 0, 5), (1, 1, 1)]) == [[8, 10], [1, -1]]
+    assert bareiss_step((1, 2, 3), 1, 3, [(4, 0, 5), (1, 1, 1)]) == [[2, 3], [0, -1]]
+
+
+def test_rational_returns_a_fraction_as_it_is_and_a_subclass_as_a_plain_fraction():
+    class Half(Fraction):
+        pass
+
+    f = Fraction(3, 4)
+    assert _rational(f) is f
+    got = _rational(Half(1, 2))
+    assert type(got) is Fraction and got == Fraction(1, 2)
 
 
 # --- membership --------------------------------------------------------
@@ -916,6 +951,36 @@ def test_fan_validate_fallback_reads_its_sign_tables(monkeypatch):
     assert got == want
     kinds = [v["kind"] for violations in got for v in violations]
     assert len(fallbacks) > kinds.count("intersection not a face") > 0
+
+
+def _forged(fan):
+    """Three invalid copies of `fan`: with an extra cone inside its first
+    cone (a non-face intersection), with a line, and with a repeated ray."""
+    n, first = fan.ambient_dim, fan.maximal_cones[0]
+    gens = first.generators
+    inside = Cone.generated_by(gens[1:] + (primitive(functools.reduce(vadd, gens)),))
+    line = Cone(n, sorted(gens + (vneg(gens[0]),)))
+    repeated = Cone(n, gens + gens[:1])
+    return [Fan(n, fan.maximal_cones + (extra,)) for extra in (inside, line, repeated)]
+
+
+def test_fan_validate_matches_the_oracle_on_refined_products_and_forged_copies(monkeypatch):
+    """Each wall's sign row and its negation, read off one pairing pass, give
+    every valid refined product a certificate on every pair, and the
+    violations of the forged copies are the oracle's."""
+    fallbacks = _counting_intersections(monkeypatch)
+    fans = refined_products(20261022, 2)
+    for fan in fans:
+        assert fan_validate(fan) == []
+    assert fallbacks == []
+    kinds = []
+    for fan in fans:
+        assert fan_validate(fan) == fan_validate_oracle(fan)
+        for bad in _forged(fan):
+            got = fan_validate(bad)
+            assert got == fan_validate_oracle(bad), bad.maximal_cones
+            kinds += [v["kind"] for v in got]
+    assert set(kinds) == {"intersection not a face", "not strongly convex", "duplicate ray"}
 
 
 def test_fan_validate_caps_its_cone_pairs(monkeypatch):

@@ -355,6 +355,21 @@ def test_refined_products_with_points_that_are_not_vertices_match_both_oracles()
         assert vol == normalized_volume_per_simplex_oracle(more) == normalized_volume_oracle(more)
 
 
+def test_both_volume_oracles_read_a_repeated_point_as_one_point():
+    """The unit square with a corner listed twice has volume 2, and so has
+    every refined product's polytope with its first vertex listed twice, in
+    `normalized_volume` and in both oracles."""
+    square = LatticePolytope(2, ((0, 0), (0, 0), (0, 1), (1, 0), (1, 1)))
+    assert normalized_volume(square) == 2
+    assert normalized_volume_oracle(square) == normalized_volume_per_simplex_oracle(square) == 2
+    for fan in refined_products(20261022, 2):
+        poly = divisor_polytope(fan, boundary_divisor(fan))
+        repeated = LatticePolytope(poly.ambient_dim, poly.vertices[:1] + poly.vertices)
+        vol = normalized_volume(poly)
+        assert vol > 0
+        assert normalized_volume_oracle(repeated) == normalized_volume_per_simplex_oracle(repeated) == vol
+
+
 def expanded_faces(poly):
     """(the distinct faces, the visits): the faces the pulling triangulation
     expands, those with more points than a simplex of their dimension, walked
